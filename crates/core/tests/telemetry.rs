@@ -324,3 +324,45 @@ fn maintenance_spans_cover_flush_and_counters_registry() {
             > 0
     );
 }
+
+// ---------------------------------------------------------------------------
+// Version GC is proportional to the garbage: a read-only stretch does no
+// GC work at all, and a commit's superseded pages go with the next query.
+// ---------------------------------------------------------------------------
+
+#[test]
+fn version_gc_counters_flat_on_a_quiescent_index_and_move_after_an_upsert() {
+    let (_dir, db) = build(VectorCodec::F32, 600);
+    let ds = dataset(600, 21);
+    let q = ds.query(0).to_vec();
+    // The first query's reader drop collects what the build queued.
+    db.search(&q, K).unwrap();
+
+    let before = db.io_stats();
+    for _ in 0..1000 {
+        db.search(&q, K).unwrap();
+    }
+    let quiet = db.io_stats().since(&before);
+    assert!(quiet.reader_pins >= 1000);
+    assert_eq!(
+        quiet.version_gc_examined, 0,
+        "read-only stretch did GC work"
+    );
+    assert_eq!(quiet.version_gc_pages, 0);
+
+    db.upsert(VectorRecord::new(10_000, ds.vector(0).to_vec()))
+        .unwrap();
+    db.search(&q, K).unwrap();
+    let moved = db.io_stats().since(&before);
+    assert!(
+        moved.version_gc_examined > 0,
+        "the upsert's pages were queued"
+    );
+    assert!(moved.version_gc_pages > 0, "and their old versions dropped");
+    assert!(moved.version_gc_pages <= moved.version_gc_examined);
+    let snap = db.telemetry();
+    assert_eq!(
+        snap.counter("micronn_store_version_gc_examined"),
+        Some(db.io_stats().version_gc_examined)
+    );
+}

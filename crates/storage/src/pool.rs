@@ -28,11 +28,25 @@
 //! a page image newer than their snapshot — the cache is immutable data
 //! plus an index, so no cached bytes are ever mutated in place.
 //!
+//! Superseded versions are collected from a **commit-ordered queue**,
+//! not by sweeping the map: every commit hands the pool the keys its
+//! frames replaced ([`BufferPool::note_superseded`]), and
+//! [`BufferPool::gc`] pops the commits at or below the snapshot floor
+//! and removes exactly those keys. The cost is proportional to the
+//! garbage; with nothing due it is one atomic load. The queue holds
+//! 16 bytes per WAL frame published since the floor last passed it, so
+//! a long-pinned reader grows it by that much and its drop releases it.
+//! One case outlives its queue entry: a readahead batch still carrying
+//! the snapshot of a reader that has gone can cache a version after its
+//! commit was popped; the image is unreachable and leaves by ordinary
+//! eviction (scan-admitted, so among the first).
+//!
 //! The pool's byte budget is the main lever behind the paper's
 //! Small/Large device profiles (Figures 4, 5, 8), and `purge` implements
 //! the ColdStart scenario of §4.1.4.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::{HashMap, HashSet, VecDeque};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
@@ -76,14 +90,26 @@ struct PoolInner {
     protected: VecDeque<PoolKey>,
     bytes: usize,
     protected_bytes: usize,
+    /// Version-GC queue, ascending in commit seq: for each commit, the
+    /// keys its frames superseded. A key becomes unreachable once the
+    /// snapshot floor reaches its commit.
+    superseded: VecDeque<(u64, Vec<PoolKey>)>,
 }
 
 /// A byte-bounded page cache shared by all transactions of a store.
 pub struct BufferPool {
     inner: Mutex<PoolInner>,
     capacity: usize,
-    evictions: std::sync::atomic::AtomicU64,
+    evictions: AtomicU64,
+    /// Commit seq at the head of the GC queue, [`GC_IDLE`] when empty.
+    /// Written under the pool mutex; read without it as a hint only
+    /// (`Relaxed`: it publishes no data, and a stale value merely
+    /// leaves the garbage to the next GC trigger).
+    gc_head: AtomicU64,
 }
+
+/// `gc_head` of an empty GC queue: above every commit seq.
+const GC_IDLE: u64 = u64::MAX;
 
 /// Accounted size of one cached page (image + bookkeeping estimate).
 const ENTRY_BYTES: usize = PAGE_SIZE + 64;
@@ -100,9 +126,11 @@ impl BufferPool {
                 protected: VecDeque::new(),
                 bytes: 0,
                 protected_bytes: 0,
+                superseded: VecDeque::new(),
             }),
             capacity: capacity_bytes,
-            evictions: std::sync::atomic::AtomicU64::new(0),
+            evictions: AtomicU64::new(0),
+            gc_head: AtomicU64::new(GC_IDLE),
         }
     }
 
@@ -231,8 +259,7 @@ impl BufferPool {
                 Some(_) => {
                     inner.map.remove(&key);
                     inner.bytes -= ENTRY_BYTES;
-                    self.evictions
-                        .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+                    self.evictions.fetch_add(1, Ordering::Relaxed);
                 }
             }
         }
@@ -255,8 +282,7 @@ impl BufferPool {
                     inner.map.remove(&key);
                     inner.bytes -= ENTRY_BYTES;
                     inner.protected_bytes -= ENTRY_BYTES;
-                    self.evictions
-                        .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+                    self.evictions.fetch_add(1, Ordering::Relaxed);
                 }
             }
         }
@@ -272,15 +298,15 @@ impl BufferPool {
     }
 
     fn compact(inner: &mut PoolInner) {
-        let mut seen: HashMap<PoolKey, ()> = HashMap::with_capacity(inner.map.len());
+        let mut seen: HashSet<PoolKey> = HashSet::with_capacity(inner.map.len());
         let rebuild = |queue: &mut VecDeque<PoolKey>,
                        want_protected: bool,
                        map: &HashMap<PoolKey, Entry>,
-                       seen: &mut HashMap<PoolKey, ()>| {
+                       seen: &mut HashSet<PoolKey>| {
             let mut fresh = VecDeque::with_capacity(map.len());
             for key in queue.drain(..) {
                 let live = map.get(&key).is_some_and(|e| e.protected == want_protected);
-                if live && seen.insert(key, ()).is_none() {
+                if live && seen.insert(key) {
                     fresh.push_back(key);
                 }
             }
@@ -296,6 +322,8 @@ impl BufferPool {
     /// (MicroNN-ColdStart in §4.1.4).
     pub fn purge(&self) {
         let mut inner = self.inner.lock();
+        // The GC queue survives: a pinned reader may re-cache a
+        // superseded version after the purge.
         inner.map.clear();
         inner.probation.clear();
         inner.protected.clear();
@@ -303,72 +331,73 @@ impl BufferPool {
         inner.protected_bytes = 0;
     }
 
-    /// Trims entries whose version is below `min_live_version`
-    /// (0-version entries stay: they mirror the main file, which
-    /// remains authoritative) after a checkpoint reset makes old WAL
-    /// versions unreachable. Queues are compacted in the same pass so
-    /// repeated checkpoint/trim cycles leave no stale-key residue.
-    pub fn trim_below(&self, min_live_version: u64) {
-        let mut inner = self.inner.lock();
-        let dead: Vec<(PoolKey, bool)> = inner
-            .map
-            .iter()
-            .filter(|((_, v), _)| *v != 0 && *v < min_live_version)
-            .map(|(k, e)| (*k, e.protected))
-            .collect();
-        for (k, was_protected) in dead {
-            inner.map.remove(&k);
-            inner.bytes -= ENTRY_BYTES;
-            if was_protected {
-                inner.protected_bytes -= ENTRY_BYTES;
-            }
+    /// Queues the keys a commit superseded: for each page it published,
+    /// the version that page resolved to just before. Once the snapshot
+    /// floor reaches `commit_seq` no reader can resolve them again and
+    /// [`BufferPool::gc`] drops them. Commits are serialized, so calls
+    /// arrive in ascending `commit_seq`; call before the commit becomes
+    /// visible, so no floor can reach it ahead of its queue entry.
+    pub fn note_superseded(&self, commit_seq: u64, keys: Vec<PoolKey>) {
+        if self.capacity == 0 {
+            return; // nothing is ever cached
         }
-        Self::compact(&mut inner);
+        let mut inner = self.inner.lock();
+        if inner.superseded.is_empty() {
+            self.gc_head.store(commit_seq, Ordering::Relaxed);
+        }
+        inner.superseded.push_back((commit_seq, keys));
     }
 
-    /// Snapshot-floor garbage collection: for each page, among cached
-    /// versions at or below `floor`, only the *newest* is reachable —
-    /// any snapshot `s >= floor` resolves the page to its newest
-    /// version `<= s`, which is at least that one — so every older
-    /// version at or below the floor is dropped. Versions above the
-    /// floor are never touched (a registered reader may still resolve
-    /// them), and a page with a single version keeps it. Returns the
-    /// number of entries dropped.
-    ///
-    /// Called by the store whenever the oldest registered reader
-    /// snapshot advances (epoch-based GC driven by the reader
-    /// registry) and after checkpoints.
-    pub fn gc_versions(&self, floor: u64) -> usize {
+    /// Whether any superseded key awaits collection (lock-free hint).
+    pub fn gc_pending(&self) -> bool {
+        self.gc_head.load(Ordering::Relaxed) != GC_IDLE
+    }
+
+    /// Snapshot-floor garbage collection: pops every queued commit at
+    /// or below `floor` — which must not exceed any registered reader's
+    /// snapshot — and drops the keys it superseded. Returns `(keys
+    /// examined, entries dropped)`; they differ by the keys that were
+    /// not resident. Called by the store when the oldest registered
+    /// snapshot advances and after checkpoints; with nothing due it is
+    /// one atomic load: no lock, no scan.
+    pub fn gc(&self, floor: u64) -> (usize, usize) {
+        if self.gc_head.load(Ordering::Relaxed) > floor {
+            return (0, 0);
+        }
         let mut inner = self.inner.lock();
-        let mut newest_le_floor: HashMap<PageId, u64> = HashMap::new();
-        for &(page, version) in inner.map.keys() {
-            if version <= floor {
-                let slot = newest_le_floor.entry(page).or_insert(version);
-                *slot = (*slot).max(version);
+        let inner = &mut *inner; // plain reborrow: disjoint field borrows below
+        let (mut examined, mut dropped) = (0, 0);
+        let due = inner.superseded.partition_point(|(seq, _)| *seq <= floor);
+        for (_, keys) in inner.superseded.drain(..due) {
+            examined += keys.len();
+            for key in keys {
+                if let Some(e) = inner.map.remove(&key) {
+                    inner.bytes -= ENTRY_BYTES;
+                    inner.protected_bytes -= usize::from(e.protected) * ENTRY_BYTES;
+                    dropped += 1;
+                }
             }
         }
-        let dead: Vec<(PoolKey, bool)> = inner
-            .map
-            .iter()
-            .filter(|((page, version), _)| {
-                newest_le_floor
-                    .get(page)
-                    .is_some_and(|&keep| *version < keep)
-            })
-            .map(|(k, e)| (*k, e.protected))
-            .collect();
-        let dropped = dead.len();
-        for (k, was_protected) in dead {
-            inner.map.remove(&k);
-            inner.bytes -= ENTRY_BYTES;
-            if was_protected {
-                inner.protected_bytes -= ENTRY_BYTES;
-            }
-        }
-        if dropped > 0 {
-            Self::compact(&mut inner);
-        }
-        dropped
+        let head = inner.superseded.front().map_or(GC_IDLE, |(seq, _)| *seq);
+        self.gc_head.store(head, Ordering::Relaxed);
+        // The dropped keys stay behind in the hand queues as stale
+        // entries; the compaction threshold bounds them.
+        self.maybe_compact(inner);
+        (examined, dropped)
+    }
+
+    /// Superseded keys queued for collection (the GC backlog).
+    pub fn gc_backlog(&self) -> usize {
+        let inner = self.inner.lock();
+        inner.superseded.iter().map(|(_, keys)| keys.len()).sum()
+    }
+
+    /// Every resident key, ascending.
+    #[cfg(test)]
+    pub(crate) fn keys(&self) -> Vec<PoolKey> {
+        let mut keys: Vec<PoolKey> = self.inner.lock().map.keys().copied().collect();
+        keys.sort_unstable();
+        keys
     }
 
     /// Bytes currently resident.
@@ -398,14 +427,9 @@ impl BufferPool {
         self.inner.lock().protected_bytes
     }
 
-    /// Configured byte budget.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
     /// Total evictions since creation.
     pub fn evictions(&self) -> u64 {
-        self.evictions.load(std::sync::atomic::Ordering::Relaxed)
+        self.evictions.load(Ordering::Relaxed)
     }
 }
 
@@ -533,65 +557,45 @@ mod tests {
     }
 
     #[test]
-    fn trim_below_drops_old_versions_keeps_base() {
-        let pool = BufferPool::new(10 * ENTRY_BYTES);
-        pool.insert((1, 0), page(1)); // main-file image
-        pool.insert((1, 3), page(2)); // old wal version
-        pool.insert((1, 9), page(3)); // live wal version
-        pool.trim_below(5);
-        assert!(pool.get((1, 0)).is_some(), "base image kept");
-        assert!(pool.get((1, 3)).is_none(), "stale version trimmed");
-        assert!(pool.get((1, 9)).is_some(), "live version kept");
-    }
-
-    #[test]
-    fn trim_cycles_keep_queue_bounded() {
-        // Regression: trim_below used to remove map entries but leave
-        // their keys in the hand queue, growing it without bound across
-        // checkpoint/trim cycles while the pool stayed under budget.
-        let pool = BufferPool::new(64 * ENTRY_BYTES);
-        for cycle in 1..=200u64 {
-            for pg in 0..8u32 {
-                pool.insert((pg, cycle), page(pg as u8));
-            }
-            pool.trim_below(cycle);
-        }
-        assert!(pool.len() <= 8);
-        assert!(
-            pool.queue_len() <= pool.len() * 2 + 32,
-            "queue grew unboundedly: {} keys for {} resident pages",
-            pool.queue_len(),
-            pool.len()
-        );
-    }
-
-    #[test]
-    fn gc_versions_keeps_newest_at_or_below_floor() {
+    fn gc_drops_exactly_the_keys_queued_at_or_below_floor() {
         let pool = BufferPool::new(16 * ENTRY_BYTES);
-        pool.insert((1, 0), page(1)); // base image, superseded
+        pool.insert((1, 0), page(1)); // base image, superseded by v3
         pool.insert((1, 3), page(2)); // superseded by v7
-        pool.insert((1, 7), page(3)); // newest <= floor: reachable
-        pool.insert((1, 12), page(4)); // above floor: reachable
-        pool.insert((2, 2), page(5)); // only version of page 2: kept
-        let dropped = pool.gc_versions(9);
-        assert_eq!(dropped, 2);
-        assert!(pool.get((1, 0)).is_none(), "superseded base dropped");
-        assert!(pool.get((1, 3)).is_none(), "superseded version dropped");
-        assert!(pool.get((1, 7)).is_some(), "newest <= floor kept");
-        assert!(pool.get((1, 12)).is_some(), "version above floor kept");
-        assert!(pool.get((2, 2)).is_some(), "sole version kept");
+        pool.insert((1, 7), page(3)); // superseded by v12, above the floor
+        pool.insert((1, 12), page(4)); // newest
+        pool.insert((2, 2), page(5)); // only version of page 2
+        pool.note_superseded(4, vec![(1, 0), (2, 0)]); // (2, 0) never cached
+        pool.note_superseded(8, vec![(1, 3)]);
+        pool.note_superseded(13, vec![(1, 7)]);
+        assert_eq!(pool.gc(3), (0, 0), "nothing due below the first commit");
+        assert_eq!(pool.gc(9), (3, 2));
+        assert_eq!(pool.keys(), vec![(1, 7), (1, 12), (2, 2)]);
+        assert_eq!(
+            pool.gc_backlog(),
+            1,
+            "the commit above the floor stays queued"
+        );
+        assert_eq!(pool.resident_bytes(), 3 * ENTRY_BYTES);
+        assert_eq!(pool.gc(13), (1, 1));
+        assert!(!pool.gc_pending());
+        assert_eq!(pool.gc(u64::MAX - 1), (0, 0));
     }
 
     #[test]
-    fn gc_versions_cycles_keep_queue_bounded() {
+    fn gc_cycles_keep_queue_bounded() {
+        // Regression: removing map entries without ever compacting the
+        // hand queues grew them without bound across commit/GC cycles
+        // while the pool stayed under budget.
         let pool = BufferPool::new(64 * ENTRY_BYTES);
         for cycle in 1..=200u64 {
             for pg in 0..8u32 {
                 pool.insert((pg, cycle), page(pg as u8));
             }
-            pool.gc_versions(cycle);
+            pool.note_superseded(cycle, (0..8u32).map(|pg| (pg, cycle - 1)).collect());
+            pool.gc(cycle);
+            assert_eq!(pool.len(), 8, "one live version per page");
         }
-        assert!(pool.len() <= 8, "one live version per page");
+        assert_eq!(pool.gc_backlog(), 0);
         assert!(
             pool.queue_len() <= pool.len() * 2 + 32,
             "queue grew unboundedly: {} keys for {} resident pages",
@@ -642,9 +646,9 @@ mod tests {
                         }
                         8 => {
                             if x % 2 == 0 {
-                                pool.trim_below(ver);
+                                pool.note_superseded(i, vec![(pg, ver)]);
                             } else {
-                                pool.gc_versions(ver);
+                                pool.gc(i);
                             }
                         }
                         _ => {

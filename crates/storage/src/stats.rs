@@ -57,6 +57,10 @@ pub struct IoStats {
     /// Cached page versions dropped by snapshot-floor garbage
     /// collection (superseded versions no live reader can resolve).
     pub version_gc_pages: Arc<Counter>,
+    /// Superseded-version keys popped from the commit-ordered GC queue
+    /// (resident or not): the work version GC did. Flat on a read-only
+    /// stretch.
+    pub version_gc_examined: Arc<Counter>,
 }
 
 impl IoStats {
@@ -90,6 +94,7 @@ impl IoStats {
             reader_pins: self.reader_pins.get(),
             writer_lock_waits: self.writer_lock_waits.get(),
             version_gc_pages: self.version_gc_pages.get(),
+            version_gc_examined: self.version_gc_examined.get(),
         }
     }
 
@@ -98,7 +103,7 @@ impl IoStats {
     /// Registry snapshots then observe the store's live traffic — the
     /// same atomics, not copies.
     pub fn register_into(&self, registry: &Registry, prefix: &str) {
-        let entries: [(&str, &Arc<Counter>); 17] = [
+        let entries: [(&str, &Arc<Counter>); 18] = [
             ("main_reads", &self.main_reads),
             ("main_writes", &self.main_writes),
             ("wal_reads", &self.wal_reads),
@@ -116,6 +121,7 @@ impl IoStats {
             ("reader_pins", &self.reader_pins),
             ("writer_lock_waits", &self.writer_lock_waits),
             ("version_gc_pages", &self.version_gc_pages),
+            ("version_gc_examined", &self.version_gc_examined),
         ];
         for (name, counter) in entries {
             registry.register_counter(&format!("{prefix}{name}"), Arc::clone(counter));
@@ -143,6 +149,7 @@ pub struct StoreStats {
     pub reader_pins: u64,
     pub writer_lock_waits: u64,
     pub version_gc_pages: u64,
+    pub version_gc_examined: u64,
 }
 
 impl StoreStats {
@@ -186,6 +193,7 @@ impl StoreStats {
             reader_pins: self.reader_pins - earlier.reader_pins,
             writer_lock_waits: self.writer_lock_waits - earlier.writer_lock_waits,
             version_gc_pages: self.version_gc_pages - earlier.version_gc_pages,
+            version_gc_examined: self.version_gc_examined - earlier.version_gc_examined,
         }
     }
 }

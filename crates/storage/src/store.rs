@@ -25,10 +25,13 @@
 //!   and returns the commit sequence number. Dropping the transaction
 //!   without committing discards it (rollback).
 //! * The buffer pool keys entries by `(page, version)`, so many
-//!   versions of one page coexist. When the oldest registered snapshot
-//!   advances (a reader guard drops), versions no current or future
-//!   snapshot can resolve are garbage collected
-//!   ([`crate::pool::BufferPool::gc_versions`]).
+//!   versions of one page coexist. [`WriteTxn::commit`] queues, under
+//!   its commit seq, the version each page it publishes had at the
+//!   transaction's begin snapshot; when the oldest registered snapshot
+//!   advances (a reader guard drops) or a checkpoint ends, the commits
+//!   at or below the new floor are popped and exactly their keys
+//!   dropped (see [`crate::pool`]). A reader drop with nothing due
+//!   touches neither the pool nor the committed-state lock.
 //! * A checkpoint folds committed records into the main file when no
 //!   reader holds an older snapshot, bounding WAL growth.
 //!
@@ -57,10 +60,12 @@
 //! a checkpoint generation counter so a concurrent checkpoint can
 //! never poison the pool with a mismatched version.
 
+use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, HashMap};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
+use std::time::Instant;
 
 use micronn_telemetry::{SinkCell, Span};
 use parking_lot::{Mutex, RwLock};
@@ -68,7 +73,7 @@ use parking_lot::{Mutex, RwLock};
 use crate::error::{Result, StorageError};
 use crate::page::page_type;
 use crate::page::{PageData, PageId, PAGE_SIZE};
-use crate::pool::{Access, BufferPool};
+use crate::pool::{Access, BufferPool, PoolKey};
 use crate::stats::{IoStats, StoreStats};
 use crate::vfs::{OpenMode, StdVfs, Vfs, VfsFile};
 use crate::wal::Wal;
@@ -257,6 +262,25 @@ struct StoreInner {
     /// worker rejects any image whose read overlapped a checkpoint,
     /// since the image may no longer match its resolved version.
     ckpt_gen: AtomicU64,
+}
+
+impl StoreInner {
+    /// Start of a traced region; `None` (no clock read) when disabled.
+    fn trace_start(&self) -> Option<Instant> {
+        self.opts.trace.enabled().then(Instant::now)
+    }
+
+    /// Records the region begun at `t0` as a span over `pages` images.
+    fn record_span(&self, t0: Option<Instant>, name: &'static str, pages: u64, fsyncs: u64) {
+        if let Some(t0) = t0 {
+            self.opts.trace.record(Span {
+                bytes: pages * PAGE_SIZE as u64,
+                items: pages,
+                fsyncs,
+                ..Span::new(name, t0.elapsed())
+            });
+        }
+    }
 }
 
 /// One readahead request: page ids to warm at a reader's snapshot.
@@ -570,6 +594,21 @@ fn wal_path(main: &Path) -> PathBuf {
     PathBuf::from(os)
 }
 
+/// The version of page `id` visible at `snapshot` — the pool key's
+/// second half — and, when that image lives in the WAL, its offset.
+/// The newest WAL record at or below the snapshot wins, else the main
+/// file. Offset and seq come from one index lookup so a concurrent
+/// checkpoint reset cannot slip between them.
+fn resolve_version(inner: &StoreInner, id: PageId, snapshot: u64) -> (u64, Option<u64>) {
+    match inner.wal.index().find_versioned(id, snapshot) {
+        Some((offset, seq)) => (seq, Some(offset)),
+        None => {
+            let base = inner.base_version.read().get(&id).copied().unwrap_or(0);
+            (base, None)
+        }
+    }
+}
+
 /// Resolves a page image at `snapshot`, going through the buffer pool.
 /// `access` is the cache-admission hint: `Scan` for bulk sweeps.
 fn resolve_page(
@@ -585,17 +624,7 @@ fn resolve_page(
     // lives in the main file).
     let mut last_err = None;
     for attempt in 0..2 {
-        // Newest WAL record at or below the snapshot wins. Image offset
-        // and seq come from one index lookup so a concurrent reset
-        // cannot slip between them.
-        let wal_hit = inner.wal.index().find_versioned(id, snapshot);
-        let (version, from_wal) = match wal_hit {
-            Some((offset, seq)) => (seq, Some(offset)),
-            None => {
-                let base = inner.base_version.read().get(&id).copied().unwrap_or(0);
-                (base, None)
-            }
-        };
+        let (version, from_wal) = resolve_version(inner, id, snapshot);
         if let Some(data) = inner.pool.get_with((id, version), access) {
             IoStats::bump(&inner.stats.pool_hits);
             return Ok(data);
@@ -669,14 +698,7 @@ fn prefetch_one(inner: &StoreInner, id: PageId, snapshot: u64) {
     if gen & 1 == 1 {
         return; // checkpoint in flight
     }
-    let wal_hit = inner.wal.index().find_versioned(id, snapshot);
-    let (version, from_wal) = match wal_hit {
-        Some((offset, seq)) => (seq, Some(offset)),
-        None => {
-            let base = inner.base_version.read().get(&id).copied().unwrap_or(0);
-            (base, None)
-        }
-    };
+    let (version, from_wal) = resolve_version(inner, id, snapshot);
     if inner.pool.contains((id, version)) {
         IoStats::bump(&inner.stats.prefetch_skipped);
         return;
@@ -728,7 +750,7 @@ fn checkpoint_locked(inner: &StoreInner) -> Result<bool> {
             }
         }
     }
-    let trace_start = inner.opts.trace.enabled().then(std::time::Instant::now);
+    let trace_start = inner.trace_start();
     let mut targets = inner.wal.index().latest_per_page(mx);
     // Ascending page order: better write locality, and — with the WAL
     // index map being unordered — a deterministic operation stream for
@@ -750,20 +772,8 @@ fn checkpoint_locked(inner: &StoreInner) -> Result<bool> {
     // Every live snapshot is at or above the watermark now, so cached
     // page versions superseded below it are unreachable: collect them.
     gc_page_versions(inner, mx);
-    if let Some(t0) = trace_start {
-        inner.opts.trace.record(Span {
-            name: "checkpoint",
-            duration: t0.elapsed(),
-            bytes: targets.len() as u64 * PAGE_SIZE as u64,
-            items: targets.len() as u64,
-            fsyncs: if matches!(inner.opts.sync, SyncMode::Off) {
-                0
-            } else {
-                1
-            },
-            detail: String::new(),
-        });
-    }
+    let fsyncs = u64::from(!matches!(inner.opts.sync, SyncMode::Off));
+    inner.record_span(trace_start, "checkpoint", targets.len() as u64, fsyncs);
     Ok(true)
 }
 
@@ -819,44 +829,44 @@ struct ReaderGuard {
 
 impl Drop for ReaderGuard {
     fn drop(&mut self) {
-        let advanced = {
-            let mut readers = self.inner.readers.lock();
-            let was_oldest = readers.keys().next() == Some(&self.snapshot);
-            match readers.get_mut(&self.snapshot) {
-                Some(n) if *n > 1 => {
-                    *n -= 1;
-                    false
-                }
-                Some(_) => {
-                    readers.remove(&self.snapshot);
-                    was_oldest
-                }
-                None => false,
+        let inner = &*self.inner;
+        // The floor when no reader remains. Read *before* deregistering
+        // (a reader that registers after this line pins a snapshot at
+        // or above it), never while holding `readers` (`begin_read`
+        // takes that lock under the committed lock), and only when the
+        // GC queue holds something that could be due.
+        let committed = inner.pool.gc_pending().then(|| inner.committed.read().seq);
+        let mut readers = inner.readers.lock();
+        let was_oldest = readers.keys().next() == Some(&self.snapshot);
+        if let Entry::Occupied(mut pins) = readers.entry(self.snapshot) {
+            *pins.get_mut() -= 1;
+            if *pins.get() == 0 {
+                pins.remove();
             }
-        };
-        // The readers lock is released before touching anything else:
-        // `begin_read` acquires it while holding the committed lock,
-        // so holding both here in the opposite order could deadlock.
-        if advanced {
+        }
+        let oldest = readers.keys().next().copied();
+        drop(readers);
+        if let Some(committed) = committed.filter(|_| was_oldest && oldest != Some(self.snapshot)) {
             // The oldest snapshot moved up: page versions superseded at
             // or below the new floor are unreachable by every current
-            // and future reader. Epoch-style GC, driven by the registry.
-            let committed = self.inner.committed.read().seq;
-            let oldest = self.inner.readers.lock().keys().next().copied();
-            let floor = oldest.unwrap_or(committed).min(committed);
-            gc_page_versions(&self.inner, floor);
+            // and future reader.
+            gc_page_versions(inner, oldest.unwrap_or(committed).min(committed));
         }
     }
 }
 
-/// Drops buffer-pool page versions below `floor` that a newer cached
-/// version supersedes. Safe at any floor ≤ every registered snapshot:
-/// the pool is a cache, so a too-aggressive floor could only cost a
-/// re-read, never correctness — but the floor passed here is exact.
+/// Drops the buffer-pool page versions superseded by commits at or
+/// below `floor`, which must not exceed any registered snapshot (the
+/// pool is a cache, so a too-high floor could only cost re-reads and a
+/// late re-insert, never correctness — but the floors passed here are
+/// exact). Passes that drop pages record a `version_gc` span.
 fn gc_page_versions(inner: &StoreInner, floor: u64) {
-    let dropped = inner.pool.gc_versions(floor);
+    let trace_start = inner.trace_start();
+    let (examined, dropped) = inner.pool.gc(floor);
+    IoStats::add(&inner.stats.version_gc_examined, examined as u64);
     if dropped > 0 {
         IoStats::add(&inner.stats.version_gc_pages, dropped as u64);
+        inner.record_span(trace_start, "version_gc", dropped as u64, 0);
     }
 }
 
@@ -958,11 +968,6 @@ pub struct WriteTxn {
 }
 
 impl WriteTxn {
-    /// The id stamped into this transaction's WAL records.
-    pub fn txid(&self) -> u64 {
-        self.txid
-    }
-
     /// The committed sequence number this transaction started from.
     pub fn snapshot(&self) -> u64 {
         self.snapshot
@@ -1043,11 +1048,6 @@ impl WriteTxn {
         self.meta.roots[slot] = root;
     }
 
-    /// Number of dirty pages this transaction would commit.
-    pub fn dirty_pages(&self) -> usize {
-        self.dirty.len()
-    }
-
     /// Database page count as seen by this transaction (including
     /// allocations it has made).
     pub fn page_count(&self) -> u32 {
@@ -1082,12 +1082,7 @@ impl WriteTxn {
             self.done = true;
             return Ok(self.snapshot);
         }
-        let trace_start = self
-            .inner
-            .opts
-            .trace
-            .enabled()
-            .then(std::time::Instant::now);
+        let trace_start = self.inner.trace_start();
         // The header page rides along with every commit so reopen sees
         // consistent meta (page count, freelist, roots).
         let mut header = PageData::zeroed();
@@ -1107,10 +1102,20 @@ impl WriteTxn {
 
         // Warm the pool with the images we just wrote, keyed at each
         // record's own seq: the next reads of these pages are
-        // near-certain.
+        // near-certain. What each page (dirty, spilled, or both: queued
+        // once) resolved to under the begin snapshot is unreachable once
+        // the floor reaches this commit: queue it before the commit
+        // becomes visible below, so no reader can pin (and release) the
+        // commit ahead of its GC entry.
+        let prev = |id: PageId| (id, resolve_version(&self.inner, id, self.snapshot).0);
+        let mut superseded: Vec<PoolKey> = Vec::with_capacity(pages.len() + self.spilled.len());
         for ((id, data), (_offset, seq)) in pages.into_iter().zip(placed) {
+            self.spilled.remove(&id);
+            superseded.push(prev(id));
             self.inner.pool.insert((id, seq), data);
         }
+        superseded.extend(self.spilled.keys().map(|&id| prev(id)));
+        self.inner.pool.note_superseded(commit_seq, superseded);
 
         {
             let mut committed = self.inner.committed.write();
@@ -1134,27 +1139,14 @@ impl WriteTxn {
         let inner = Arc::clone(&self.inner);
         let sync_off = matches!(inner.opts.sync, SyncMode::Off);
         drop(self);
-        let mut fsyncs = 0u64;
-        if !sync_off {
-            let issued = inner.wal.sync_committed(commit_seq)?;
-            if issued {
-                IoStats::bump(&inner.stats.syncs);
-                fsyncs = 1;
-            }
+        let issued = !sync_off && inner.wal.sync_committed(commit_seq)?;
+        if issued {
+            IoStats::bump(&inner.stats.syncs);
         }
-        if let Some(t0) = trace_start {
-            // The span covers append + publish + group-fsync wait;
-            // `fsyncs == 0` under SyncMode::Off or when a concurrent
-            // leader's sync covered this commit (group commit).
-            inner.opts.trace.record(Span {
-                name: "wal_group_commit",
-                duration: t0.elapsed(),
-                bytes: frames * PAGE_SIZE as u64,
-                items: frames,
-                fsyncs,
-                detail: String::new(),
-            });
-        }
+        // The span covers append + publish + group-fsync wait; no
+        // fsync under SyncMode::Off or when a concurrent leader's sync
+        // covered this commit (group commit).
+        inner.record_span(trace_start, "wal_group_commit", frames, u64::from(issued));
         Ok(commit_seq)
     }
 
@@ -1192,6 +1184,9 @@ impl Drop for WriteTxn {
         }
     }
 }
+
+#[cfg(test)]
+mod gc_tests;
 
 #[cfg(test)]
 mod tests {
@@ -1623,8 +1618,8 @@ mod tests {
 
         let r = store.begin_read();
         r.prefetch_pages(&ids);
-        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
-        while std::time::Instant::now() < deadline {
+        let deadline = Instant::now() + std::time::Duration::from_secs(5);
+        while Instant::now() < deadline {
             let s = store.stats();
             if s.prefetch_reads + s.prefetch_skipped >= ids.len() as u64 {
                 break;
