@@ -137,6 +137,7 @@ pub(crate) fn batch_search_at(
             metrics: &metrics,
             use_codec: true,
             time_filter: false,
+            prune_above: f32::INFINITY,
         };
         let partials: Vec<Vec<TopK>> = {
             let groups = &groups;
@@ -180,7 +181,7 @@ pub(crate) fn batch_search_at(
             .into_iter()
             .map(|heaps| merge_all(heaps, scan_k))
             .collect();
-        let mut distance_computations = metrics.distance_computations();
+        let mut distance_computations = metrics.totals().distance_computations;
         if quantized {
             let pools = std::mem::take(&mut merged);
             let pools = &pools;
@@ -197,21 +198,22 @@ pub(crate) fn batch_search_at(
                 )
             })?;
             // Exact re-rank recomputations count as distance work.
-            distance_computations += metrics.reranked();
+            distance_computations += metrics.totals().reranked;
             trace.stage(stage::RERANK);
         }
         inner
             .tel
             .distance_computations
             .add(distance_computations as u64);
+        let totals = metrics.totals();
         inner.tel.finish_batch(
             &trace,
             nq,
             k,
             partitions.len(),
-            metrics.vectors_scanned(),
-            metrics.bytes_scanned(),
-            metrics.reranked(),
+            totals.vectors_scanned,
+            totals.bytes_scanned,
+            totals.reranked,
         );
         let results = merged
             .into_iter()
@@ -228,7 +230,7 @@ pub(crate) fn batch_search_at(
             results,
             partitions_scanned: partitions.len(),
             distance_computations,
-            bytes_scanned: metrics.bytes_scanned(),
+            bytes_scanned: totals.bytes_scanned,
         })
     }
 }

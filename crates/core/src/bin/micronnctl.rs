@@ -555,12 +555,14 @@ fn cmd_trace(args: &[String]) -> Result<(), String> {
         );
     }
     println!(
-        "  counters: partitions={} vectors_scanned={} bytes_scanned={} reranked={} filtered_out={}",
+        "  counters: partitions={} vectors_scanned={} bytes_scanned={} reranked={} \
+         filtered_out={} candidates={}",
         resp.info.partitions_scanned,
         resp.info.vectors_scanned,
         resp.info.bytes_scanned,
         resp.info.reranked,
-        resp.info.filtered_out
+        resp.info.filtered_out,
+        resp.info.candidates
     );
     Ok(())
 }

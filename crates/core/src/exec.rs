@@ -6,24 +6,25 @@
 //!
 //! * [`PartitionScanner`] is the shared partition-scan frame. It owns
 //!   row iteration over the clustered payload tables, header decode,
-//!   the §3.5 post-filter join (rows failing the attribute predicate
-//!   are dropped *before* any distance computation), and chunked
-//!   scoring for every codec: f32 rows go through the batched
-//!   one-to-many / GEMM kernels, SQ8 code rows through the batched
-//!   [`Sq8Scorer::score_chunk`] kernel, and SQ4 fastscan blocks
-//!   through [`micronn_linalg::Sq4Scorer::score_block`] (32 rows per
-//!   in-register LUT pass) — block-at-a-time everywhere, never
-//!   row-at-a-time.
+//!   and block-at-a-time scoring for every codec (f32 rows through the
+//!   batched one-to-many / GEMM kernels, SQ8 codes through
+//!   [`Sq8Scorer::score_chunk`], SQ4 fastscan blocks through
+//!   [`Sq4Scorer::score_block`]). The §3.5 post-filter join runs
+//!   *after* scoring, in the one push loop (`Sink::push_all`): a row's
+//!   attributes are probed only if its score could still enter the
+//!   top-k. Top-k over the passing rows is unique under the total
+//!   `(distance, id)` order and a row is skipped only when `k` passing
+//!   rows already beat it, so the result is bit-identical to filtering
+//!   first, for a fraction of the attribute lookups.
 //! * [`Queries`] selects the query side of a scan: one vector
 //!   (single-query search, exact KNN) or a batch group addressing rows
 //!   of a flat query matrix (MQO phase 2). The f32 kernels differ by
 //!   design — `Queries::One` uses the direct one-to-many kernel,
 //!   `Queries::Group` the norm-identity GEMM of §3.4 — so each path
 //!   keeps its historical bit-exact behaviour.
-//! * [`ScanMetrics`] is the one counter block every path feeds;
-//!   [`ScanMetrics::apply_to`] flows it into
-//!   [`QueryInfo`](crate::stats::QueryInfo), and the accessors feed
-//!   [`BatchResponse`](crate::batch::BatchResponse).
+//! * [`ScanMetrics`] is the one counter block every path feeds, once
+//!   per partition scan from job-local [`ScanTotals`]; it flows into
+//!   [`QueryInfo`] and [`BatchResponse`](crate::batch::BatchResponse).
 //! * [`rerank_exact`] and [`score_candidates`] are the two
 //!   fetch-by-key scoring tails: the exact re-rank pass of the
 //!   quantized pipeline and the brute-force tail of the pre-filtering
@@ -35,18 +36,20 @@
 //! the work-stealing cursor, panic propagation, and deterministic
 //! first-error capture.
 
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::Arc;
 use std::time::Instant;
 
 use micronn_linalg::{
-    batch_distances, distances_one_to_many, Neighbor, Sq4Scorer, Sq8Scorer, TopK, SQ4_BLOCK,
+    batch_distances, distances_one_to_many, Neighbor, Sq4Scorer, Sq8Params, Sq8Scorer, TopK,
+    SQ4_BLOCK,
 };
-use micronn_rel::{blob_into_f32, Compiled, RowDecoder, Table, Value};
+use micronn_rel::{RowDecoder, RowReader, Table, Value};
 use micronn_storage::ReadTxn;
 
 use crate::codec::VectorCodec;
 use crate::db::{Inner, DELTA_PARTITION};
 use crate::error::{Error, Result};
+use crate::hybrid::{AttrProbe, FilterCtx};
 use crate::stats::QueryInfo;
 
 /// Rows per batched distance computation in single-query scans.
@@ -55,72 +58,65 @@ pub(crate) const SCAN_CHUNK: usize = 256;
 /// Rows per matrix-multiplication block in batch group scans.
 pub(crate) const BATCH_ROW_CHUNK: usize = 1024;
 
-/// Attribute-filter context applied during partition scans: the §3.5
-/// post-filter join evaluates `compiled` against each row's attributes
-/// before the vector is decoded or scored.
-pub(crate) struct FilterCtx<'a> {
-    pub attrs: &'a Table,
-    pub compiled: Compiled,
-}
-
-/// The unified scan counters: one atomic block shared by every worker
-/// of a scan (single-query, batch, hybrid), replacing the per-path
-/// counter structs that used to live in `search` and `batch`.
-#[derive(Default)]
-pub(crate) struct ScanMetrics {
+/// What a scan did, in the units [`QueryInfo`] and
+/// [`BatchResponse`](crate::batch::BatchResponse) report.
+#[derive(Default, Clone, Copy)]
+pub(crate) struct ScanTotals {
     /// Vectors whose distance was computed.
-    pub vectors_scanned: AtomicUsize,
-    /// Rows dropped by the post-filter join before scoring.
-    pub filtered_out: AtomicUsize,
+    pub vectors_scanned: usize,
+    /// Rows a post-filter scan probed in the attribute table: those
+    /// that survived score-first pruning.
+    pub candidates: usize,
+    /// Probed rows that failed the predicate (post-filter scans).
+    pub filtered_out: usize,
     /// Vector-payload bytes read (`4·dim` per f32 row, `dim` per SQ8
     /// code row, `16·dim` per scanned SQ4 block, plus `4·dim` per
     /// re-ranked candidate).
-    pub bytes_scanned: AtomicUsize,
+    pub bytes_scanned: usize,
     /// Candidates re-ranked against exact f32 vectors.
-    pub reranked: AtomicUsize,
+    pub reranked: usize,
     /// `(query, vector)` distance computations (quantized scores
     /// included, re-rank recomputations excluded — callers add
-    /// [`ScanMetrics::reranked`] when they want them counted).
-    pub distance_computations: AtomicUsize,
-    /// Nanoseconds spent in the post-filter join, summed across scan
-    /// workers. Only populated when the scanner's `time_filter` is set
-    /// (a trace sink is listening or the slow-query log is armed);
-    /// otherwise stays zero so the filter hot path never reads a clock.
-    pub filter_nanos: AtomicU64,
+    /// `reranked` when they want them counted).
+    pub distance_computations: usize,
+    /// Nanoseconds spent probing attributes in the post-filter join,
+    /// summed across scan workers; clocked only when the scanner's
+    /// `time_filter` is set.
+    pub filter_nanos: u64,
 }
 
+/// The unified scan counters, shared by every worker of a scan
+/// (single-query, batch, hybrid). A job counts in its own
+/// [`ScanTotals`] — the row loops touch no shared cache line — and
+/// adds it here once, when its partition scan ends.
+#[derive(Default)]
+pub(crate) struct ScanMetrics(parking_lot::Mutex<ScanTotals>);
+
 impl ScanMetrics {
+    fn absorb(&self, t: &ScanTotals) {
+        let mut sum = self.0.lock();
+        sum.vectors_scanned += t.vectors_scanned;
+        sum.candidates += t.candidates;
+        sum.filtered_out += t.filtered_out;
+        sum.bytes_scanned += t.bytes_scanned;
+        sum.reranked += t.reranked;
+        sum.distance_computations += t.distance_computations;
+        sum.filter_nanos += t.filter_nanos;
+    }
+
+    /// The sums so far.
+    pub fn totals(&self) -> ScanTotals {
+        *self.0.lock()
+    }
+
     /// Flows the counters into a query's [`QueryInfo`].
     pub fn apply_to(&self, info: &mut QueryInfo) {
-        info.vectors_scanned = self.vectors_scanned.load(Ordering::Relaxed);
-        info.filtered_out = self.filtered_out.load(Ordering::Relaxed);
-        info.bytes_scanned = self.bytes_scanned.load(Ordering::Relaxed);
-        info.reranked = self.reranked.load(Ordering::Relaxed);
-    }
-
-    /// Total distance computations so far.
-    pub fn distance_computations(&self) -> usize {
-        self.distance_computations.load(Ordering::Relaxed)
-    }
-
-    /// Total payload bytes read so far.
-    pub fn bytes_scanned(&self) -> usize {
-        self.bytes_scanned.load(Ordering::Relaxed)
-    }
-
-    /// Total vectors whose distance was computed so far.
-    pub fn vectors_scanned(&self) -> usize {
-        self.vectors_scanned.load(Ordering::Relaxed)
-    }
-
-    /// Total exactly re-ranked candidates so far.
-    pub fn reranked(&self) -> usize {
-        self.reranked.load(Ordering::Relaxed)
-    }
-
-    /// Total nanoseconds spent in the post-filter join so far.
-    pub fn filter_nanos(&self) -> u64 {
-        self.filter_nanos.load(Ordering::Relaxed)
+        let t = self.totals();
+        info.vectors_scanned = t.vectors_scanned;
+        info.candidates = t.candidates;
+        info.filtered_out = t.filtered_out;
+        info.bytes_scanned = t.bytes_scanned;
+        info.reranked = t.reranked;
     }
 }
 
@@ -142,15 +138,26 @@ impl Queries<'_> {
             Queries::Group { members, .. } => members.len(),
         }
     }
+
+    /// One prepared scorer per query, in heap order.
+    fn scorers<S>(&self, dim: usize, make: impl Fn(&[f32]) -> S) -> Vec<S> {
+        match self {
+            Queries::One(q) => vec![make(q)],
+            Queries::Group { flat, members } => members
+                .iter()
+                .map(|&qi| make(&flat[qi as usize * dim..(qi as usize + 1) * dim]))
+                .collect(),
+        }
+    }
 }
 
 /// The shared chunked partition-scan frame (Algorithm 2 lines 3–11,
 /// §3.4's shared group scan, and the §3.5 post-filter join). One
-/// scanner is built per scan operation and its [`PartitionScanner::scan`]
-/// is called once per partition — typically from
-/// [`ScanPool::parallel_indexed`](crate::pool::ScanPool) jobs, so the
-/// scanner holds only shared state (`&self`), and all counters are the
-/// atomics in [`ScanMetrics`].
+/// scanner is built per scan operation and [`PartitionScanner::scan`]
+/// runs once per partition, typically from `parallel_indexed` jobs: the
+/// scanner holds only shared state, and what a job mutates lives in its
+/// own [`Sink`].
+#[derive(Clone, Copy)]
 pub(crate) struct PartitionScanner<'a> {
     pub inner: &'a Inner,
     pub r: &'a ReadTxn,
@@ -160,10 +167,70 @@ pub(crate) struct PartitionScanner<'a> {
     /// Score quantized codes where the catalog has them. Exact KNN
     /// passes `false`: exact semantics are codec-independent.
     pub use_codec: bool,
-    /// Clock the post-filter join into [`ScanMetrics::filter_nanos`].
-    /// Callers set it from `tel.detailed()` so the disabled path keeps
-    /// the filter loop free of `Instant::now` calls.
+    /// Clock the post-filter probes into [`ScanTotals::filter_nanos`].
+    /// Callers set it from `tel.detailed()` (a trace sink is listening
+    /// or the slow-query log is armed): the untraced join reads no clock.
     pub time_filter: bool,
+    /// With a filter: rows scoring strictly above this are not probed.
+    /// Must be the k-th distance of `k` rows already known to pass (or
+    /// `+∞`), so a pruned row cannot be in the top-k.
+    pub prune_above: f32,
+}
+
+/// Where one job's scored rows go: the lazy half of the §3.5 join in
+/// front of the result heaps, plus the job's counters.
+struct Sink<'a> {
+    join: Option<(AttrProbe<'a>, f32, bool)>,
+    tally: ScanTotals,
+}
+
+impl Sink<'_> {
+    /// The single push loop of every frame. Unfiltered, each scored row
+    /// is offered to `heap`. Filtered, a row is probed only if the heap
+    /// would still retain it and it is not above the scan-wide bound;
+    /// the heap therefore sees exactly the passing rows a filter-first
+    /// scan would have pushed successfully, in the same order.
+    fn push_all(&mut self, heap: &mut TopK, rows: impl Iterator<Item = (i64, f32)>) -> Result<()> {
+        let Some((probe, prune_above, timed)) = &mut self.join else {
+            for (id, d) in rows {
+                heap.push(id as u64, d);
+            }
+            return Ok(());
+        };
+        for (id, d) in rows {
+            if d > *prune_above || !heap.accepts(id as u64, d) {
+                continue;
+            }
+            let t0 = timed.then(Instant::now);
+            self.tally.candidates += 1;
+            if probe.passes(id)? {
+                heap.push(id as u64, d);
+            } else {
+                self.tally.filtered_out += 1;
+            }
+            if let Some(t0) = t0 {
+                self.tally.filter_nanos += t0.elapsed().as_nanos() as u64;
+            }
+        }
+        Ok(())
+    }
+}
+
+/// One accumulated block of f32 rows awaiting a batched kernel call.
+struct F32Block {
+    ids: Vec<i64>,
+    rows: Vec<f32>,
+    scores: Vec<f32>,
+}
+
+impl F32Block {
+    fn with_capacity(rows: usize, dim: usize) -> F32Block {
+        F32Block {
+            ids: Vec::with_capacity(rows),
+            rows: Vec::with_capacity(rows * dim),
+            scores: Vec::new(),
+        }
+    }
 }
 
 impl PartitionScanner<'_> {
@@ -175,66 +242,47 @@ impl PartitionScanner<'_> {
     /// encoded by maintenance) falls through to full precision.
     pub fn scan(&self, partition: i64, queries: &Queries<'_>, heaps: &mut [TopK]) -> Result<()> {
         debug_assert_eq!(queries.len(), heaps.len());
-        if self.use_codec && self.inner.quantized() && partition != DELTA_PARTITION {
-            if let Some(params) = self.inner.partition_params(self.r, partition)? {
-                return if self.inner.cfg.codec == VectorCodec::Sq4 {
-                    self.scan_codes4(partition, queries, &params, heaps)
-                } else {
-                    self.scan_codes(partition, queries, &params, heaps)
-                };
+        let join = self.filter.map(|f| f.probe(self.r));
+        let sink = &mut Sink {
+            join: join.map(|probe| (probe, self.prune_above, self.time_filter)),
+            tally: ScanTotals::default(),
+        };
+        let scanned = match self.code_params(partition)? {
+            Some(p) if self.inner.cfg.codec == VectorCodec::Sq4 => {
+                self.scan_codes4(partition, queries, &p, heaps, sink)
             }
-        }
-        self.scan_vectors(partition, queries, heaps)
+            Some(p) => self.scan_codes(partition, queries, &p, heaps, sink),
+            None => self.scan_vectors(partition, queries, heaps, sink),
+        };
+        self.metrics.absorb(&sink.tally);
+        scanned
     }
 
-    /// Queues background readahead of the leaf pages [`scan`] would
-    /// read for `partition` — the codes table when the quantized path
-    /// would run, the f32 vectors table otherwise. Probe fan-out jobs
-    /// call this for the *next* partition before scoring the current
-    /// one, overlapping the next probe's I/O with this probe's
-    /// distance computations. Best-effort and infallible: readahead
-    /// must never fail or reorder a query.
-    ///
-    /// [`scan`]: PartitionScanner::scan
+    /// The partition's trained ranges when this scan reads its codes;
+    /// `None` when it reads full-precision rows.
+    fn code_params(&self, partition: i64) -> Result<Option<Arc<Sq8Params>>> {
+        if self.use_codec && self.inner.quantized() && partition != DELTA_PARTITION {
+            self.inner.partition_params(self.r, partition)
+        } else {
+            Ok(None)
+        }
+    }
+
+    /// Queues background readahead of the leaf pages
+    /// [`PartitionScanner::scan`] would read for `partition`; jobs call
+    /// it for the *next* partition before scoring the current one.
+    /// Best-effort: readahead must never fail or reorder a query.
     pub fn prefetch(&self, partition: i64) {
-        let prefix = [Value::Integer(partition)];
-        if self.use_codec && self.inner.quantized() && partition != DELTA_PARTITION {
-            if let (Some(codes), Ok(Some(_))) = (
-                self.inner.tables.codes.as_ref(),
-                self.inner.partition_params(self.r, partition),
-            ) {
-                codes.prefetch_pk_prefix(self.r, &prefix);
-                return;
-            }
-        }
-        self.inner
-            .tables
-            .vectors
-            .prefetch_pk_prefix(self.r, &prefix);
+        let table = match (self.code_params(partition), &self.inner.tables.codes) {
+            (Ok(Some(_)), Some(codes)) => codes,
+            _ => &self.inner.tables.vectors,
+        };
+        table.prefetch_pk_prefix(self.r, &[Value::Integer(partition)]);
     }
 
-    /// The post-filter join of §3.5: evaluates the predicate on the
-    /// row's attributes (a missing attributes row never matches) and
-    /// counts rejections.
-    fn passes_filter(&self, asset: i64) -> Result<bool> {
-        let Some(f) = self.filter else {
-            return Ok(true);
-        };
-        let t0 = self.time_filter.then(Instant::now);
-        let row = f.attrs.get(self.r, &[Value::Integer(asset)])?;
-        let matches = match &row {
-            Some(attr_row) => f.compiled.eval(attr_row),
-            None => false,
-        };
-        if !matches {
-            self.metrics.filtered_out.fetch_add(1, Ordering::Relaxed);
-        }
-        if let Some(t0) = t0 {
-            self.metrics
-                .filter_nanos
-                .fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
-        }
-        Ok(matches)
+    fn codes_table(&self) -> Result<&Table> {
+        let codes = self.inner.tables.codes.as_ref();
+        codes.ok_or_else(|| Error::Config("quantized scan without a codes table".into()))
     }
 
     /// Full-precision scan frame: decodes f32 rows into `chunk`-row
@@ -244,6 +292,7 @@ impl PartitionScanner<'_> {
         partition: i64,
         queries: &Queries<'_>,
         heaps: &mut [TopK],
+        sink: &mut Sink<'_>,
     ) -> Result<()> {
         let dim = self.inner.dim;
         // The group path gathers its queries into a contiguous
@@ -262,9 +311,7 @@ impl PartitionScanner<'_> {
             }
         };
         let grouped = matches!(queries, Queries::Group { .. });
-        let mut ids: Vec<i64> = Vec::with_capacity(chunk);
-        let mut rows: Vec<f32> = Vec::with_capacity(chunk * dim);
-        let mut scores: Vec<f32> = Vec::new();
+        let mut block = F32Block::with_capacity(chunk, dim);
         for kv in self
             .inner
             .tables
@@ -276,81 +323,16 @@ impl PartitionScanner<'_> {
             dec.skip()?; // partition
             dec.skip()?; // vid
             let asset = dec
-                .next_value()?
+                .next_ref()?
                 .as_integer()
                 .ok_or_else(|| Error::Config("asset column is not an integer".into()))?;
-            // Post-filter join: evaluate the predicate before the
-            // vector is even decoded, skipping disqualified rows
-            // (their payload is never touched, not even validated).
-            if !self.passes_filter(asset)? {
-                continue;
-            }
-            let blob = dec.next_blob()?;
-            if blob.len() != dim * 4 {
-                return Err(Error::Config(format!(
-                    "stored vector has {} bytes, expected {}",
-                    blob.len(),
-                    dim * 4
-                )));
-            }
-            ids.push(asset);
-            rows.extend(
-                blob.chunks_exact(4)
-                    .map(|c| f32::from_le_bytes(c.try_into().unwrap())),
-            );
-            self.metrics.vectors_scanned.fetch_add(1, Ordering::Relaxed);
-            self.metrics
-                .bytes_scanned
-                .fetch_add(dim * 4, Ordering::Relaxed);
-            if ids.len() == chunk {
-                self.flush_f32(qmat, grouped, &mut ids, &mut rows, &mut scores, heaps);
+            extend_f32(&mut block.rows, dec.next_blob()?, dim)?;
+            block.ids.push(asset);
+            if block.ids.len() == chunk {
+                flush_f32(self.inner, qmat, grouped, &mut block, heaps, sink)?;
             }
         }
-        self.flush_f32(qmat, grouped, &mut ids, &mut rows, &mut scores, heaps);
-        Ok(())
-    }
-
-    /// Scores one accumulated f32 block and drains the buffers.
-    fn flush_f32(
-        &self,
-        qmat: &[f32],
-        grouped: bool,
-        ids: &mut Vec<i64>,
-        rows: &mut Vec<f32>,
-        scores: &mut Vec<f32>,
-        heaps: &mut [TopK],
-    ) {
-        let nr = ids.len();
-        if nr == 0 {
-            return;
-        }
-        let dim = self.inner.dim;
-        let nq = heaps.len();
-        scores.clear();
-        if grouped {
-            // §3.4: one matrix multiplication per (partition block,
-            // query group) — the norm-identity kernel.
-            scores.resize(nq * nr, 0.0);
-            batch_distances(self.inner.metric, qmat, nq, rows, nr, dim, scores);
-            for (local_q, heap) in heaps.iter_mut().enumerate() {
-                let base = local_q * nr;
-                for (j, &id) in ids.iter().enumerate() {
-                    heap.push(id as u64, scores[base + j]);
-                }
-            }
-        } else {
-            // Single query: the direct one-to-many kernel (bit-exact
-            // with the scalar `Metric::distance` used by re-ranking).
-            distances_one_to_many(self.inner.metric, qmat, rows, dim, scores);
-            for (j, &id) in ids.iter().enumerate() {
-                heaps[0].push(id as u64, scores[j]);
-            }
-        }
-        self.metrics
-            .distance_computations
-            .fetch_add(nq * nr, Ordering::Relaxed);
-        ids.clear();
-        rows.clear();
+        flush_f32(self.inner, qmat, grouped, &mut block, heaps, sink)
     }
 
     /// Compressed-domain scan frame: scores `SCAN_CHUNK`-row blocks of
@@ -360,54 +342,28 @@ impl PartitionScanner<'_> {
         &self,
         partition: i64,
         queries: &Queries<'_>,
-        params: &micronn_linalg::Sq8Params,
+        params: &Sq8Params,
         heaps: &mut [TopK],
+        sink: &mut Sink<'_>,
     ) -> Result<()> {
         let dim = self.inner.dim;
-        let codes = self
-            .inner
-            .tables
-            .codes
-            .as_ref()
-            .ok_or_else(|| Error::Config("quantized scan without a codes table".into()))?;
-        let scorers: Vec<Sq8Scorer> = match queries {
-            Queries::One(q) => vec![Sq8Scorer::new(self.inner.metric, q, params)],
-            Queries::Group { flat, members } => members
-                .iter()
-                .map(|&qi| {
-                    let qi = qi as usize;
-                    Sq8Scorer::new(self.inner.metric, &flat[qi * dim..(qi + 1) * dim], params)
-                })
-                .collect(),
-        };
+        let scorers = queries.scorers(dim, |q| Sq8Scorer::new(self.inner.metric, q, params));
         let mut ids: Vec<i64> = Vec::with_capacity(SCAN_CHUNK);
         let mut block: Vec<u8> = Vec::with_capacity(SCAN_CHUNK * dim);
         let mut scores: Vec<f32> = Vec::with_capacity(SCAN_CHUNK);
-        for kv in codes.scan_pk_prefix_raw(self.r, &[Value::Integer(partition)])? {
+        for kv in self
+            .codes_table()?
+            .scan_pk_prefix_raw(self.r, &[Value::Integer(partition)])?
+        {
             let (_, row_bytes) = kv?;
             let (asset, code) = crate::codec::decode_code_row(&row_bytes, dim)?;
-            // Same post-filter join as the f32 frame: disqualified
-            // rows are dropped before any scoring.
-            if !self.passes_filter(asset)? {
-                continue;
-            }
             ids.push(asset);
             block.extend_from_slice(code);
-            self.metrics.vectors_scanned.fetch_add(1, Ordering::Relaxed);
-            self.metrics.bytes_scanned.fetch_add(dim, Ordering::Relaxed);
             if ids.len() == SCAN_CHUNK {
-                flush_codes(&scorers, &mut ids, &mut block, &mut scores, heaps);
-                self.metrics
-                    .distance_computations
-                    .fetch_add(scorers.len() * SCAN_CHUNK, Ordering::Relaxed);
+                flush_codes(&scorers, &mut ids, &mut block, &mut scores, heaps, sink)?;
             }
         }
-        let tail = ids.len();
-        flush_codes(&scorers, &mut ids, &mut block, &mut scores, heaps);
-        self.metrics
-            .distance_computations
-            .fetch_add(scorers.len() * tail, Ordering::Relaxed);
-        Ok(())
+        flush_codes(&scorers, &mut ids, &mut block, &mut scores, heaps, sink)
     }
 
     /// SQ4 fastscan frame: each `codes` row is one packed 32-vector
@@ -418,65 +374,94 @@ impl PartitionScanner<'_> {
         &self,
         partition: i64,
         queries: &Queries<'_>,
-        params: &micronn_linalg::Sq8Params,
+        params: &Sq8Params,
         heaps: &mut [TopK],
+        sink: &mut Sink<'_>,
     ) -> Result<()> {
         let dim = self.inner.dim;
-        let codes = self
-            .inner
-            .tables
-            .codes
-            .as_ref()
-            .ok_or_else(|| Error::Config("quantized scan without a codes table".into()))?;
-        let scorers: Vec<Sq4Scorer> = match queries {
-            Queries::One(q) => vec![Sq4Scorer::new(self.inner.metric, q, params)],
-            Queries::Group { flat, members } => members
-                .iter()
-                .map(|&qi| {
-                    let qi = qi as usize;
-                    Sq4Scorer::new(self.inner.metric, &flat[qi * dim..(qi + 1) * dim], params)
-                })
-                .collect(),
-        };
+        let scorers = queries.scorers(dim, |q| Sq4Scorer::new(self.inner.metric, q, params));
         let mut block_scores = [0.0f32; SQ4_BLOCK];
         let mut live: Vec<(usize, i64)> = Vec::with_capacity(SQ4_BLOCK);
-        for kv in codes.scan_pk_prefix_raw(self.r, &[Value::Integer(partition)])? {
+        for kv in self
+            .codes_table()?
+            .scan_pk_prefix_raw(self.r, &[Value::Integer(partition)])?
+        {
             let (_, row_bytes) = kv?;
             let (_, members, packed) = crate::codec::decode_block_row(&row_bytes, dim)?;
-            self.metrics
-                .bytes_scanned
-                .fetch_add(packed.len(), Ordering::Relaxed);
-            // Same post-filter join as the other frames, evaluated per
-            // live slot before any scoring.
+            sink.tally.bytes_scanned += packed.len();
             live.clear();
-            for j in 0..SQ4_BLOCK {
+            live.extend((0..SQ4_BLOCK).filter_map(|j| {
+                // vid 0 marks an empty or tombstoned slot.
                 let (vid, asset) = crate::codec::sq4_slot(members, j);
-                if vid == 0 {
-                    continue; // empty or tombstoned slot
-                }
-                if !self.passes_filter(asset)? {
-                    continue;
-                }
-                live.push((j, asset));
-            }
+                (vid != 0).then_some((j, asset))
+            }));
             if live.is_empty() {
                 continue;
             }
-            self.metrics
-                .vectors_scanned
-                .fetch_add(live.len(), Ordering::Relaxed);
+            sink.tally.vectors_scanned += live.len();
+            sink.tally.distance_computations += scorers.len() * live.len();
             for (scorer, heap) in scorers.iter().zip(heaps.iter_mut()) {
                 scorer.score_block(packed, &mut block_scores);
-                for &(j, asset) in &live {
-                    heap.push(asset as u64, block_scores[j]);
-                }
+                sink.push_all(
+                    heap,
+                    live.iter().map(|&(j, asset)| (asset, block_scores[j])),
+                )?;
             }
-            self.metrics
-                .distance_computations
-                .fetch_add(scorers.len() * live.len(), Ordering::Relaxed);
         }
         Ok(())
     }
+}
+
+/// Appends a stored little-endian f32 vector blob to `out`.
+fn extend_f32(out: &mut Vec<f32>, blob: &[u8], dim: usize) -> Result<()> {
+    if blob.len() != dim * 4 {
+        return Err(Error::Config(format!(
+            "stored vector has {} bytes, expected {}",
+            blob.len(),
+            dim * 4
+        )));
+    }
+    out.extend(
+        blob.chunks_exact(4)
+            .map(|c| f32::from_le_bytes(c.try_into().expect("4-byte chunk"))),
+    );
+    Ok(())
+}
+
+/// Scores one accumulated f32 block against `qmat` and drains it.
+fn flush_f32(
+    inner: &Inner,
+    qmat: &[f32],
+    grouped: bool,
+    block: &mut F32Block,
+    heaps: &mut [TopK],
+    sink: &mut Sink<'_>,
+) -> Result<()> {
+    let (nr, nq, dim) = (block.ids.len(), heaps.len(), inner.dim);
+    if nr == 0 {
+        return Ok(());
+    }
+    let F32Block { ids, rows, scores } = block;
+    scores.clear();
+    if grouped {
+        // §3.4: one matrix multiplication per (partition block, query
+        // group) — the norm-identity kernel.
+        scores.resize(nq * nr, 0.0);
+        batch_distances(inner.metric, qmat, nq, rows, nr, dim, scores);
+    } else {
+        // Single query: the direct one-to-many kernel (bit-exact with
+        // the scalar `Metric::distance` used by re-ranking).
+        distances_one_to_many(inner.metric, qmat, rows, dim, scores);
+    }
+    for (heap, scores) in heaps.iter_mut().zip(scores.chunks_exact(nr)) {
+        sink.push_all(heap, ids.iter().copied().zip(scores.iter().copied()))?;
+    }
+    sink.tally.vectors_scanned += nr;
+    sink.tally.bytes_scanned += nr * dim * 4;
+    sink.tally.distance_computations += nq * nr;
+    ids.clear();
+    rows.clear();
+    Ok(())
 }
 
 /// Scores one accumulated code block against every prepared scorer and
@@ -487,19 +472,19 @@ fn flush_codes(
     block: &mut Vec<u8>,
     scores: &mut Vec<f32>,
     heaps: &mut [TopK],
-) {
-    if ids.is_empty() {
-        return;
-    }
+    sink: &mut Sink<'_>,
+) -> Result<()> {
     for (scorer, heap) in scorers.iter().zip(heaps.iter_mut()) {
         scores.clear();
         scorer.score_chunk(block, scores);
-        for (j, &id) in ids.iter().enumerate() {
-            heap.push(id as u64, scores[j]);
-        }
+        sink.push_all(heap, ids.iter().copied().zip(scores.iter().copied()))?;
     }
+    sink.tally.vectors_scanned += ids.len();
+    sink.tally.bytes_scanned += block.len();
+    sink.tally.distance_computations += scorers.len() * ids.len();
     ids.clear();
     block.clear();
+    Ok(())
 }
 
 /// Candidate-pool size per scan: `k` for exact payloads,
@@ -512,11 +497,57 @@ pub(crate) fn scan_pool_k(inner: &Inner, k: usize, use_codec: bool) -> usize {
     }
 }
 
+/// Fetches stored f32 vectors by asset id — `assets` for the location,
+/// `vectors` for the payload — through two pinning point readers: the
+/// shared core of the two fetch-by-key tails below.
+struct VectorFetch<'a> {
+    assets: RowReader<'a, ReadTxn>,
+    vectors: RowReader<'a, ReadTxn>,
+    dim: usize,
+}
+
+impl<'a> VectorFetch<'a> {
+    fn new(inner: &'a Inner, r: &'a ReadTxn) -> VectorFetch<'a> {
+        VectorFetch {
+            assets: inner.tables.assets.reader(r),
+            vectors: inner.tables.vectors.reader(r),
+            dim: inner.dim,
+        }
+    }
+
+    /// `(partition, vid)` of `asset`, or `None` when it has no vector.
+    fn locate(&mut self, asset: i64) -> Result<Option<(i64, i64)>> {
+        let loc = self.assets.get_with(&[Value::Integer(asset)], |row| {
+            let mut dec = RowDecoder::new(row)?;
+            dec.skip()?; // asset
+            Ok((dec.next_ref()?.as_integer(), dec.next_ref()?.as_integer()))
+        })?;
+        match loc.transpose().map_err(Error::Rel)? {
+            None => Ok(None),
+            Some((Some(partition), Some(vid))) => Ok(Some((partition, vid))),
+            Some(_) => Err(Error::Config("asset location is not an integer".into())),
+        }
+    }
+
+    /// Appends the vector stored at `loc` to `out`; `false` if absent.
+    fn append(&mut self, (partition, vid): (i64, i64), out: &mut Vec<f32>) -> Result<bool> {
+        let dim = self.dim;
+        let pk = [Value::Integer(partition), Value::Integer(vid)];
+        let found = self.vectors.get_with(&pk, |row| {
+            let mut dec = RowDecoder::new(row)?;
+            for _ in 0..3 {
+                dec.skip()?; // partition, vid, asset
+            }
+            extend_f32(out, dec.next_blob()?, dim)
+        })?;
+        Ok(found.transpose()?.is_some())
+    }
+}
+
 /// Exact re-rank pass of the quantized pipeline: recomputes full f32
-/// distances for the approximate candidate pool and keeps the best
-/// `k`. Uses the same scalar kernel as the exact scan, so F32-codec
-/// results and re-ranked results agree bit-for-bit on shared
-/// candidates.
+/// distances for the approximate candidate pool and keeps the best `k`,
+/// with the scalar kernel of the exact scan, so F32-codec and re-ranked
+/// results agree bit-for-bit on shared candidates.
 pub(crate) fn rerank_exact(
     inner: &Inner,
     r: &ReadTxn,
@@ -527,37 +558,28 @@ pub(crate) fn rerank_exact(
 ) -> Result<Vec<Neighbor>> {
     let mut top = TopK::new(k);
     let mut v: Vec<f32> = Vec::with_capacity(inner.dim);
+    let mut fetch = VectorFetch::new(inner, r);
+    let mut tally = ScanTotals::default();
     for n in candidates {
-        let asset = n.id as i64;
-        let Some(loc) = inner.tables.assets.get(r, &[Value::Integer(asset)])? else {
+        let Some(loc) = fetch.locate(n.id as i64)? else {
             continue;
         };
         // Delta-store candidates were scanned in full precision with
         // the same kernels: their distances are already exact, so
         // re-fetching the vector would only repeat work (and
         // double-count its bytes).
-        if loc[1].as_integer() == Some(DELTA_PARTITION) {
-            top.push(asset as u64, n.distance);
+        if loc.0 == DELTA_PARTITION {
+            top.push(n.id, n.distance);
             continue;
         }
-        let Some(raw) = inner
-            .tables
-            .vectors
-            .get_raw(r, &[loc[1].clone(), loc[2].clone()])?
-        else {
-            continue;
-        };
-        let mut dec = RowDecoder::new(&raw)?;
-        dec.skip()?;
-        dec.skip()?;
-        dec.skip()?;
-        blob_into_f32(dec.next_blob()?, &mut v)?;
-        top.push(asset as u64, inner.metric.distance(query, &v));
-        metrics.reranked.fetch_add(1, Ordering::Relaxed);
-        metrics
-            .bytes_scanned
-            .fetch_add(inner.dim * 4, Ordering::Relaxed);
+        v.clear();
+        if fetch.append(loc, &mut v)? {
+            top.push(n.id, inner.metric.distance(query, &v));
+            tally.reranked += 1;
+            tally.bytes_scanned += inner.dim * 4;
+        }
     }
+    metrics.absorb(&tally);
     Ok(top.into_sorted())
 }
 
@@ -573,50 +595,27 @@ pub(crate) fn score_candidates(
     k: usize,
     metrics: &ScanMetrics,
 ) -> Result<Vec<Neighbor>> {
-    let dim = inner.dim;
     let mut top = TopK::new(k);
-    let mut ids: Vec<i64> = Vec::with_capacity(SCAN_CHUNK);
-    let mut rows: Vec<f32> = Vec::with_capacity(SCAN_CHUNK * dim);
-    let mut scores: Vec<f32> = Vec::new();
-    let mut v: Vec<f32> = Vec::with_capacity(dim);
-    let mut scored = 0usize;
-    let mut flush = |ids: &mut Vec<i64>, rows: &mut Vec<f32>, top: &mut TopK| {
-        scores.clear();
-        distances_one_to_many(inner.metric, query, rows, dim, &mut scores);
-        for (j, &id) in ids.iter().enumerate() {
-            top.push(id as u64, scores[j]);
-        }
-        scored += ids.len();
-        ids.clear();
-        rows.clear();
+    let heaps = std::slice::from_mut(&mut top);
+    let mut block = F32Block::with_capacity(SCAN_CHUNK, inner.dim);
+    let mut fetch = VectorFetch::new(inner, r);
+    let mut sink = Sink {
+        join: None,
+        tally: ScanTotals::default(),
     };
     for &asset in assets {
-        let Some(loc) = inner.tables.assets.get(r, &[Value::Integer(asset)])? else {
-            continue; // attribute row without a vector
-        };
-        let Some(raw) = inner
-            .tables
-            .vectors
-            .get_raw(r, &[loc[1].clone(), loc[2].clone()])?
-        else {
+        // An attribute row without a vector is skipped.
+        let Some(loc) = fetch.locate(asset)? else {
             continue;
         };
-        let mut dec = RowDecoder::new(&raw)?;
-        dec.skip()?;
-        dec.skip()?;
-        dec.skip()?;
-        blob_into_f32(dec.next_blob()?, &mut v)?;
-        ids.push(asset);
-        rows.extend_from_slice(&v);
-        metrics.vectors_scanned.fetch_add(1, Ordering::Relaxed);
-        metrics.bytes_scanned.fetch_add(dim * 4, Ordering::Relaxed);
-        if ids.len() == SCAN_CHUNK {
-            flush(&mut ids, &mut rows, &mut top);
+        if fetch.append(loc, &mut block.rows)? {
+            block.ids.push(asset);
+            if block.ids.len() == SCAN_CHUNK {
+                flush_f32(inner, query, false, &mut block, heaps, &mut sink)?;
+            }
         }
     }
-    flush(&mut ids, &mut rows, &mut top);
-    metrics
-        .distance_computations
-        .fetch_add(scored, Ordering::Relaxed);
+    flush_f32(inner, query, false, &mut block, heaps, &mut sink)?;
+    metrics.absorb(&sink.tally);
     Ok(top.into_sorted())
 }

@@ -9,22 +9,66 @@
 //!   qualifying set.
 //! * **Post-filtering** runs the ANN scan with the predicate applied
 //!   during partition scans — fast, but recall suffers when the
-//!   predicate is highly selective.
+//!   predicate is highly selective. The join is score-first: every
+//!   scanned row is scored, and attributes are probed only for rows
+//!   whose score could still enter the top-k. That returns exactly the
+//!   filter-first answer (top-k over the passing rows is unique under
+//!   the `(distance, id)` order; a skipped row has `k` passing rows
+//!   ahead of it) for a fraction of the attribute lookups.
 //!
 //! The optimizer compares the estimated filter selectivity `F̂_filters`
 //! (Eq. 3, from per-column histograms and FTS document frequencies)
 //! against the IVF scan's own "selectivity" `F̂_IVF = n·t/|R|` (Eq. 2)
 //! and picks pre-filtering iff `F̂_filters < F̂_IVF`.
 
-use micronn_rel::{estimate_selectivity, CmpOp, Expr, Value};
+use micronn_rel::{
+    estimate_selectivity, CmpOp, Compiled, EncodedRow, Expr, RowReader, Table, Value,
+};
 use micronn_storage::ReadTxn;
 
 use crate::db::{Inner, MicroNN};
 use crate::error::{Error, Result};
-use crate::exec::{score_candidates, FilterCtx, ScanMetrics};
+use crate::exec::{score_candidates, ScanMetrics};
 use crate::search::{ann_search, exact_search, SearchResponse, SearchResult};
 use crate::stats::{PlanUsed, QueryInfo};
 use crate::telemetry::{stage, QueryTrace};
+
+/// Attribute-filter context of a hybrid query: `compiled` is evaluated
+/// against rows of `attrs`, through one [`AttrProbe`] per job.
+pub(crate) struct FilterCtx<'a> {
+    pub attrs: &'a Table,
+    pub compiled: Compiled,
+}
+
+impl FilterCtx<'_> {
+    /// A prober at snapshot `r` for one job's worth of lookups.
+    pub fn probe<'a>(&'a self, r: &'a ReadTxn) -> AttrProbe<'a> {
+        AttrProbe {
+            rows: self.attrs.reader(r),
+            compiled: &self.compiled,
+        }
+    }
+}
+
+/// Evaluates a filter on attribute rows fetched by asset id: a pinning
+/// point reader plus in-place evaluation on the encoded row, so a probe
+/// is one leaf fetch and no allocation.
+pub(crate) struct AttrProbe<'a> {
+    rows: RowReader<'a, ReadTxn>,
+    compiled: &'a Compiled,
+}
+
+impl AttrProbe<'_> {
+    /// Whether `asset`'s attributes satisfy the predicate (a missing
+    /// attributes row never matches).
+    pub fn passes(&mut self, asset: i64) -> Result<bool> {
+        let compiled = self.compiled;
+        let hit = self.rows.get_with(&[Value::Integer(asset)], |row| {
+            EncodedRow::new(row).map(|row| compiled.eval_columns(&row))
+        })?;
+        Ok(hit.transpose()?.unwrap_or(false))
+    }
+}
 
 /// Plan preference for hybrid queries.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -249,8 +293,12 @@ fn pre_filter_search(
         });
     }
     let attrs = &inner.tables.attrs;
-    let compiled = expr.compile(attrs.schema()).map_err(Error::Rel)?;
+    let ctx = FilterCtx {
+        attrs,
+        compiled: expr.compile(attrs.schema()).map_err(Error::Rel)?,
+    };
     let mut info = QueryInfo::new(PlanUsed::PreFilter);
+    let mut examined = 0usize;
 
     // Access path: an index-backed candidate list when one exists,
     // otherwise a full attribute-table scan. Candidates still go
@@ -259,12 +307,10 @@ fn pre_filter_search(
     let mut qualifying: Vec<i64> = Vec::new();
     match candidates {
         Some(assets) => {
-            info.candidates = assets.len();
+            examined = assets.len();
+            let mut probe = ctx.probe(r);
             for asset in assets {
-                let Some(row) = attrs.get(r, &[Value::Integer(asset)])? else {
-                    continue;
-                };
-                if compiled.eval(&row) {
+                if probe.passes(asset)? {
                     qualifying.push(asset);
                 }
             }
@@ -272,8 +318,8 @@ fn pre_filter_search(
         None => {
             for row in attrs.scan(r)? {
                 let row = row?;
-                info.candidates += 1;
-                if compiled.eval(&row) {
+                examined += 1;
+                if ctx.compiled.eval(&row) {
                     qualifying.push(row[0].as_integer().unwrap_or(0));
                 }
             }
@@ -290,8 +336,9 @@ fn pre_filter_search(
     inner
         .tel
         .distance_computations
-        .add(metrics.distance_computations() as u64);
+        .add(metrics.totals().distance_computations as u64);
     metrics.apply_to(&mut info);
+    info.candidates = examined;
     Ok(SearchResponse {
         results: neighbors
             .into_iter()

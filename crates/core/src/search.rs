@@ -18,18 +18,22 @@
 //! recomputes exact f32 distances for the survivors. The delta
 //! partition never has codes and is always scanned in full precision.
 //!
-//! The post-filtering join of §3.5 happens *inside* the scan frame:
-//! rows whose attributes fail the predicate are dropped before any
-//! distance computation, exactly as the paper describes ("vectors in
-//! the requested partitions that don't satisfy the predicate filter
-//! are therefore filtered before being considered in the top-K").
+//! The post-filtering join of §3.5 happens *inside* the scan frame
+//! ("vectors in the requested partitions that don't satisfy the
+//! predicate filter are therefore filtered before being considered in
+//! the top-K"), score first: every row is scored, and its attributes
+//! are probed only if the score could still enter the top-k. Top-k over
+//! the passing rows is unique under the total `(distance, id)` order
+//! and a row is skipped only when `k` passing rows already beat it, so
+//! the answer is the filter-first answer, bit for bit.
 
 use micronn_linalg::{merge_all, Neighbor, TopK};
 use micronn_storage::ReadTxn;
 
 use crate::db::{Inner, DELTA_PARTITION};
 use crate::error::{Error, Result};
-use crate::exec::{rerank_exact, scan_pool_k, FilterCtx, PartitionScanner, Queries, ScanMetrics};
+use crate::exec::{rerank_exact, scan_pool_k, PartitionScanner, Queries, ScanMetrics};
+use crate::hybrid::FilterCtx;
 use crate::stats::{PlanUsed, QueryInfo};
 use crate::telemetry::{stage, QueryTrace};
 
@@ -49,13 +53,19 @@ pub struct SearchResponse {
     pub info: QueryInfo,
 }
 
-/// Scans `partitions` in parallel at snapshot `r`, returning the
-/// per-codec candidate list (Algorithm 2 lines 3–11). `use_codec`
-/// selects the compressed-domain scan for quantized catalogs; callers
-/// needing exact semantics (exhaustive KNN) pass `false`. With the
-/// codec path active the returned list holds `rerank_factor·k`
-/// *approximate* candidates that must go through
-/// [`rerank_exact`](crate::exec::rerank_exact).
+/// Scans `partitions` at snapshot `r`, returning the per-codec
+/// candidate list (Algorithm 2 lines 3–11). `use_codec` selects the
+/// compressed-domain scan for quantized catalogs; callers needing exact
+/// semantics (exhaustive KNN) pass `false`. With the codec path active
+/// the returned list holds `rerank_factor·k` *approximate* candidates
+/// that must go through [`rerank_exact`](crate::exec::rerank_exact).
+///
+/// Unfiltered, every partition is one fan-out job. Filtered, the
+/// partitions are first scanned in the given (nearest-first) order,
+/// inline, into one heap until it holds `scan_k` passing rows; its
+/// threshold then becomes the fixed `prune_above` of the fan-out over
+/// the rest. No job reads another's state, so what is probed — and
+/// with it `QueryInfo` — is the same for every worker count.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn scan_partitions(
     inner: &Inner,
@@ -69,25 +79,45 @@ pub(crate) fn scan_partitions(
     time_filter: bool,
 ) -> Result<Vec<Neighbor>> {
     let scan_k = scan_pool_k(inner, k, use_codec);
-    let scanner = PartitionScanner {
+    let mut scanner = PartitionScanner {
         inner,
         r,
         filter,
         metrics,
         use_codec,
         time_filter,
+        prune_above: f32::INFINITY,
     };
     let queries = Queries::One(query);
-    let heaps = inner.scan_pool.parallel_indexed(partitions.len(), |i| {
+    let scan_one = |scanner: &PartitionScanner<'_>, i: usize, top: &mut TopK| {
         // Probe readahead: queue the next partition's leaves before
         // scoring this one, so its I/O overlaps our compute.
         if let Some(&next) = partitions.get(i + 1) {
             scanner.prefetch(next);
         }
-        let mut top = TopK::new(scan_k);
-        scanner.scan(partitions[i], &queries, std::slice::from_mut(&mut top))?;
-        Ok(top)
-    })?;
+        scanner.scan(partitions[i], &queries, std::slice::from_mut(top))
+    };
+    let mut seeded = 0;
+    let seed = match filter {
+        None => None,
+        Some(_) => {
+            let mut seed = TopK::new(scan_k);
+            while seeded < partitions.len() && seed.len() < scan_k {
+                scan_one(&scanner, seeded, &mut seed)?;
+                seeded += 1;
+            }
+            scanner.prune_above = seed.threshold();
+            Some(seed)
+        }
+    };
+    let mut heaps = inner
+        .scan_pool
+        .parallel_indexed(partitions.len() - seeded, |i| {
+            let mut top = TopK::new(scan_k);
+            scan_one(&scanner, seeded + i, &mut top)?;
+            Ok(top)
+        })?;
+    heaps.extend(seed);
     Ok(merge_all(heaps, scan_k))
 }
 
@@ -199,14 +229,15 @@ fn run_scan(
     // The filter share is nested inside the parallel partition scan;
     // report it as its own stage without subtracting (wall-clock vs
     // summed-across-workers differ anyway).
+    let totals = metrics.totals();
     trace.stage_external(
         stage::FILTER_JOIN,
-        std::time::Duration::from_nanos(metrics.filter_nanos()),
+        std::time::Duration::from_nanos(totals.filter_nanos),
     );
     inner
         .tel
         .distance_computations
-        .add(metrics.distance_computations() as u64);
+        .add(totals.distance_computations as u64);
     let mut info = QueryInfo::new(plan);
     info.partitions_scanned = partitions.len();
     metrics.apply_to(&mut info);

@@ -33,8 +33,16 @@ impl std::fmt::Display for PlanUsed {
 }
 
 /// Per-query execution statistics, populated from the unified
-/// executor's scan counters (one atomic block shared by every scan
-/// worker, whatever the path — single-query, batch, or hybrid).
+/// executor's scan counters (one block fed by every scan worker,
+/// whatever the path — single-query, batch, or hybrid).
+///
+/// A post-filter scan scores every live row of the probed partitions
+/// and probes attributes only for rows whose score could still enter
+/// the top-k, so on that plan `vectors_scanned` and `bytes_scanned`
+/// equal the unfiltered scan of the same partitions, `candidates` rows
+/// were probed, `filtered_out` of them failed, `candidates −
+/// filtered_out` passed, and `vectors_scanned − candidates` were pruned
+/// without touching the attribute table.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct QueryInfo {
     /// The plan that executed.
@@ -43,10 +51,12 @@ pub struct QueryInfo {
     pub partitions_scanned: usize,
     /// Vectors whose distance was computed.
     pub vectors_scanned: usize,
-    /// Vectors skipped by the attribute filter before distance
-    /// computation (post-filtering path).
+    /// Rows whose attributes were probed and failed the filter
+    /// (post-filtering path; a pre-filter plan reports 0).
     pub filtered_out: usize,
-    /// Candidate set size evaluated by a pre-filtering plan.
+    /// Rows whose attributes were examined: the candidate set of a
+    /// pre-filtering plan, the rows probed by a post-filtering scan
+    /// (0 without a filter).
     pub candidates: usize,
     /// Vector-payload bytes read by the scan: `4·dim` per f32 row,
     /// `dim` per SQ8 code row, `16·dim` per scanned SQ4 interleaved

@@ -108,6 +108,10 @@ pub(crate) struct DbTelemetry {
     batch_latency: Arc<Histogram>,
     vectors_scanned: Arc<Counter>,
     bytes_scanned: Arc<Counter>,
+    /// `micronn_filtered_out_total`: rows a post-filter scan probed in
+    /// the attribute table and rejected. Rows pruned by score before
+    /// any probe are not in it (they are `vectors_scanned − candidates`
+    /// in the query's `QueryInfo`).
     filtered_out: Arc<Counter>,
     reranked: Arc<Counter>,
     partitions_scanned: Arc<Counter>,

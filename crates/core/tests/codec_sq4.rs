@@ -225,7 +225,7 @@ fn sq4_hybrid_filters_respected_by_quantized_scans() {
     let truth = db.exact(q, K, Some(&filter)).unwrap();
     assert!(truth.results.iter().all(|r| r.asset_id % 2 == 0));
 
-    // Post-filtering drops disqualified slots before scoring blocks.
+    // Post-filtering keeps only qualifying slots in the candidate pool.
     let post = db
         .search_with(
             &SearchRequest::new(q.to_vec(), K)

@@ -193,7 +193,7 @@ fn sq8_hybrid_filters_respected_by_quantized_scans() {
     let truth = db.exact(q, K, Some(&filter)).unwrap();
     assert!(truth.results.iter().all(|r| r.asset_id % 2 == 0));
 
-    // Post-filtering drops disqualified rows before scoring codes.
+    // Post-filtering keeps only qualifying rows in the candidate pool.
     let post = db
         .search_with(
             &SearchRequest::new(q.to_vec(), K)

@@ -107,6 +107,9 @@ fn workers_are_bit_identical(codec: VectorCodec) {
         let a = w1.search_with(&req).unwrap();
         let b = w8.search_with(&req).unwrap();
         assert_bit_identical(&a.results, &b.results, "post-filter");
+        // What the score-first join probes depends only on the fixed
+        // seed bound and each job's own heap, never on scheduling.
+        assert_eq!(a.info, b.info, "post-filter counters");
         // Filtered, optimizer's choice.
         let req = SearchRequest::new(q.to_vec(), K).with_filter(filter.clone());
         let a = w1.search_with(&req).unwrap();
@@ -120,6 +123,7 @@ fn workers_are_bit_identical(codec: VectorCodec) {
         let a = w1.exact(q, K, Some(&filter)).unwrap();
         let b = w8.exact(q, K, Some(&filter)).unwrap();
         assert_bit_identical(&a.results, &b.results, "exact filtered");
+        assert_eq!(a.info, b.info, "exact filtered counters");
     }
     // Batch MQO: per-query lists and aggregate counters must match.
     let batch: Vec<Vec<f32>> = (0..ds.spec.n_queries)

@@ -307,3 +307,78 @@ fn concurrent_batch_and_single_searches() {
         }
     });
 }
+
+/// Node images are validated once, where their bytes enter the buffer
+/// pool, not on every fetch. A cell header corrupted *on disk* — in an
+/// interior node or in a leaf — must still surface as
+/// `StorageError::Corrupt` from every read path (the scan frame, the
+/// point readers behind the filter join / `get_vector`, and fsck's
+/// full walk), never as an out-of-bounds panic in the zero-copy cell
+/// accessors.
+#[test]
+fn corrupt_cell_headers_on_disk_are_errors_on_every_read_path() {
+    use micronn::{Error, StoreOptions};
+    use micronn_rel::RelError;
+    use micronn_storage::{OpenMode, SimVfs, StorageError, PAGE_SIZE};
+
+    const LEAF: u8 = 1;
+    const INTERIOR: u8 = 2;
+    let is_corrupt =
+        |e: &Error| matches!(e, Error::Rel(RelError::Storage(StorageError::Corrupt(_))));
+
+    for kind in [INTERIOR, LEAF] {
+        let sim = SimVfs::new();
+        let path = std::path::Path::new("/sim/corrupt.mnn");
+        let mut c = cfg(8);
+        c.store = StoreOptions {
+            sync: SyncMode::Normal,
+            vfs: sim.handle(),
+            ..c.store
+        };
+        c.workers = 1;
+        let db = MicroNN::create(path, c).unwrap();
+        seeded(&db, 3000, 8);
+        db.rebuild().unwrap();
+        assert!(
+            db.checkpoint().unwrap(),
+            "every image now lives in the main file"
+        );
+
+        // Overwrite the key length in the first cell header of every
+        // node page of this kind, behind the open handle's back.
+        let file = sim.handle().open(path, OpenMode::Open).unwrap();
+        let pages = file.len().unwrap() as usize / PAGE_SIZE;
+        let mut hit = 0;
+        for id in 1..pages {
+            let mut page = vec![0u8; PAGE_SIZE];
+            let at = (id * PAGE_SIZE) as u64;
+            file.read_exact_at(&mut page, at).unwrap();
+            let ncells = u16::from_le_bytes([page[2], page[3]]);
+            if page[0] != kind || ncells == 0 {
+                continue;
+            }
+            let cell = u16::from_le_bytes([page[16], page[17]]) as u64;
+            let key_len = if kind == LEAF { cell } else { cell + 4 };
+            file.write_all_at(&[0xFF, 0xFF], at + key_len).unwrap();
+            hit += 1;
+        }
+        assert!(hit > 0, "kind {kind}: the file has such pages");
+        db.purge_caches();
+
+        let q = vec![3.0f32; 8];
+        let filtered = SearchRequest::new(q.clone(), 5)
+            .with_filter(Expr::eq("tag", "even"))
+            .with_plan(PlanPreference::ForcePostFilter);
+        let outcomes = [
+            ("search", db.search(&q, 5).err()),
+            ("post-filter", db.search_with(&filtered).err()),
+            ("exact", db.exact(&q, 5, None).err()),
+            ("get_vector", db.get_vector(7).err()),
+            ("fsck", db.verify_integrity().err()),
+        ];
+        for (what, err) in outcomes {
+            let err = err.unwrap_or_else(|| panic!("kind {kind}: {what} read corrupt pages fine"));
+            assert!(is_corrupt(&err), "kind {kind}: {what} failed with {err}");
+        }
+    }
+}

@@ -77,25 +77,32 @@ impl TopK {
         }
     }
 
+    /// Whether [`TopK::push`] would retain this candidate right now:
+    /// the heap has room, or the candidate beats the worst retained one
+    /// under the total `(distance, id)` order. Lets a scan run an
+    /// expensive per-row check only for rows that can still matter.
+    #[inline]
+    pub fn accepts(&self, id: u64, distance: f32) -> bool {
+        if self.heap.len() < self.k {
+            return true;
+        }
+        self.heap
+            .peek()
+            .is_some_and(|worst| (Neighbor { id, distance }) < *worst)
+    }
+
     /// Offers a candidate (Algorithm 2 lines 7–10). Returns `true` if
     /// it was retained.
     #[inline]
     pub fn push(&mut self, id: u64, distance: f32) -> bool {
-        if self.k == 0 {
+        if !self.accepts(id, distance) {
             return false;
         }
-        if self.heap.len() < self.k {
-            self.heap.push(Neighbor { id, distance });
-            return true;
-        }
-        let worst = self.heap.peek().expect("heap full");
-        if (Neighbor { id, distance }) < *worst {
+        if self.heap.len() == self.k {
             self.heap.pop();
-            self.heap.push(Neighbor { id, distance });
-            true
-        } else {
-            false
         }
+        self.heap.push(Neighbor { id, distance });
+        true
     }
 
     /// Absorbs another heap (the pairwise step of the parallel merge).
@@ -169,6 +176,25 @@ mod tests {
         // Worse candidates are rejected.
         assert!(!t.push(4, 5.0));
         assert_eq!(t.threshold(), 2.0);
+    }
+
+    #[test]
+    fn accepts_predicts_push() {
+        let mut t = TopK::new(2);
+        for (id, d) in [
+            (5, 2.0),
+            (9, 1.0),
+            (7, 2.0),
+            (3, 2.0),
+            (4, 3.0),
+            (1, f32::NAN),
+        ] {
+            let would = t.accepts(id, d);
+            assert_eq!(t.push(id, d), would, "id {id}");
+        }
+        // A tie on distance is broken by id: 3 displaced 5.
+        assert!(t.accepts(2, 2.0) && !t.accepts(3, 2.0) && !t.accepts(4, 2.0));
+        assert!(!TopK::new(0).accepts(1, 0.0));
     }
 
     #[test]

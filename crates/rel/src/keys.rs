@@ -25,10 +25,17 @@ const TAG_BLOB: u8 = 0x40;
 /// Encodes a tuple of values into a memcomparable byte string.
 pub fn encode_key(values: &[Value]) -> Vec<u8> {
     let mut out = Vec::with_capacity(values.len() * 12);
-    for v in values {
-        encode_value(v, &mut out);
-    }
+    encode_key_into(values, &mut out);
     out
+}
+
+/// [`encode_key`] into a caller-owned buffer (cleared first), for
+/// callers encoding one key per lookup in a loop.
+pub fn encode_key_into(values: &[Value], out: &mut Vec<u8>) {
+    out.clear();
+    for v in values {
+        encode_value(v, out);
+    }
 }
 
 fn encode_value(v: &Value, out: &mut Vec<u8>) {

@@ -59,12 +59,14 @@ pub mod value;
 
 pub use catalog::Database;
 pub use error::{RelError, Result};
-pub use keys::{decode_key, encode_key};
-pub use predicate::{CmpOp, Compiled, Expr};
-pub use row::{blob_into_f32, blob_to_f32, decode_row, encode_row, f32_to_blob, RowDecoder};
+pub use keys::{decode_key, encode_key, encode_key_into};
+pub use predicate::{CmpOp, Columns, Compiled, Expr};
+pub use row::{
+    blob_into_f32, blob_to_f32, decode_row, encode_row, f32_to_blob, EncodedRow, RowDecoder,
+};
 pub use schema::{ColumnDef, TableSchema};
 pub use stats::{
     analyze_table, estimate_cardinality, estimate_selectivity, ColumnStats, TableStats,
 };
-pub use table::{FtsDef, IndexDef, Table};
-pub use value::{Value, ValueType};
+pub use table::{FtsDef, IndexDef, RowReader, Table};
+pub use value::{Value, ValueRef, ValueType};

@@ -14,7 +14,7 @@
 use crate::error::Result;
 use crate::fts;
 use crate::schema::TableSchema;
-use crate::value::Value;
+use crate::value::{Value, ValueRef};
 
 /// Comparison operators.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -219,21 +219,42 @@ pub struct Compiled {
     node: Node,
 }
 
+/// A row as a compiled predicate reads it: one borrowed column at a
+/// time. Implemented by decoded rows (`[Value]`) and by
+/// [`EncodedRow`](crate::row::EncodedRow), so both evaluate through the
+/// same evaluator.
+pub trait Columns {
+    /// Column `col` of the row.
+    fn column(&self, col: usize) -> ValueRef<'_>;
+}
+
+impl Columns for [Value] {
+    fn column(&self, col: usize) -> ValueRef<'_> {
+        self[col].as_ref()
+    }
+}
+
 impl Compiled {
     /// Evaluates the predicate against a decoded row.
     pub fn eval(&self, row: &[Value]) -> bool {
+        self.eval_columns(row)
+    }
+
+    /// Evaluates the predicate against any [`Columns`] view — an
+    /// [`EncodedRow`](crate::row::EncodedRow) on the scan hot path.
+    pub fn eval_columns<C: Columns + ?Sized>(&self, row: &C) -> bool {
         eval_node(&self.node, row)
     }
 }
 
-fn eval_node(node: &Node, row: &[Value]) -> bool {
+fn eval_node<C: Columns + ?Sized>(node: &Node, row: &C) -> bool {
     match node {
         Node::True => true,
-        Node::Cmp { col, op, value } => match row[*col].compare(value) {
+        Node::Cmp { col, op, value } => match row.column(*col).compare(value) {
             Some(ord) => op.matches(ord),
             None => false,
         },
-        Node::Match { col, tokens } => match row[*col].as_text() {
+        Node::Match { col, tokens } => match row.column(*col).as_text() {
             Some(text) => {
                 if tokens.is_empty() {
                     return false;
@@ -347,6 +368,37 @@ mod tests {
             Value::Null,
         ];
         assert!(!Expr::matches("tags", "cat").compile(&s).unwrap().eval(&r2));
+    }
+
+    #[test]
+    fn encoded_rows_evaluate_like_decoded_rows() {
+        use crate::row::{encode_row, EncodedRow};
+        let s = schema();
+        let rows = [
+            row(1, "Seattle", Some(100), "black cat"),
+            row(2, "NYC", None, ""),
+            vec![
+                Value::Integer(3),
+                Value::text("x"),
+                Value::Null,
+                Value::Null,
+            ],
+        ];
+        let exprs = [
+            Expr::eq("location", "Seattle"),
+            Expr::lt("taken_at", Value::Real(100.5)),
+            Expr::ne("taken_at", 5i64).not(),
+            Expr::matches("tags", "cat").or(Expr::ge("id", 3i64)),
+            Expr::eq("location", "NYC").and(Expr::True),
+        ];
+        for e in &exprs {
+            let c = e.compile(&s).unwrap();
+            for r in &rows {
+                let bytes = encode_row(r);
+                let enc = EncodedRow::new(&bytes).unwrap();
+                assert_eq!(c.eval_columns(&enc), c.eval(r), "{e:?} on {r:?}");
+            }
+        }
     }
 
     #[test]

@@ -19,7 +19,8 @@
 //! multiplication library", §3.3).
 
 use crate::error::{RelError, Result};
-use crate::value::Value;
+use crate::predicate::Columns;
+use crate::value::{Value, ValueRef};
 
 /// Encodes a row of values.
 pub fn encode_row(values: &[Value]) -> Vec<u8> {
@@ -98,28 +99,35 @@ impl<'a> RowDecoder<'a> {
     }
 
     /// Decodes the next column as an owned [`Value`].
+    #[inline]
     pub fn next_value(&mut self) -> Result<Value> {
+        Ok(self.next_ref()?.to_value())
+    }
+
+    /// Decodes the next column borrowing text and blob content from
+    /// the row bytes.
+    #[inline]
+    pub fn next_ref(&mut self) -> Result<ValueRef<'a>> {
         if self.remaining == 0 {
             return Err(RelError::Codec("row exhausted".into()));
         }
         self.remaining -= 1;
         let tag = self.take(1)?[0];
         Ok(match tag {
-            0x00 => Value::Null,
-            0x01 => Value::Integer(i64::from_le_bytes(self.take(8)?.try_into().unwrap())),
-            0x02 => Value::Real(f64::from_le_bytes(self.take(8)?.try_into().unwrap())),
+            0x00 => ValueRef::Null,
+            0x01 => ValueRef::Integer(i64::from_le_bytes(self.take(8)?.try_into().unwrap())),
+            0x02 => ValueRef::Real(f64::from_le_bytes(self.take(8)?.try_into().unwrap())),
             0x03 => {
                 let len = u32::from_le_bytes(self.take(4)?.try_into().unwrap()) as usize;
                 let bytes = self.take(len)?;
-                Value::Text(
+                ValueRef::Text(
                     std::str::from_utf8(bytes)
-                        .map_err(|_| RelError::Codec("invalid utf-8 in row".into()))?
-                        .to_owned(),
+                        .map_err(|_| RelError::Codec("invalid utf-8 in row".into()))?,
                 )
             }
             0x04 => {
                 let len = u32::from_le_bytes(self.take(4)?.try_into().unwrap()) as usize;
-                Value::Blob(self.take(len)?.to_vec())
+                ValueRef::Blob(self.take(len)?)
             }
             t => return Err(RelError::Codec(format!("unknown row tag {t:#x}"))),
         })
@@ -161,6 +169,41 @@ impl<'a> RowDecoder<'a> {
             t => return Err(RelError::Codec(format!("unknown row tag {t:#x}"))),
         }
         Ok(())
+    }
+}
+
+/// An encoded row checked once ([`EncodedRow::new`] walks every column)
+/// and then read column by column in place: what a predicate evaluates
+/// against when the row came straight out of a leaf page and building a
+/// `Vec<Value>` would be the dominant cost.
+#[derive(Debug, Clone, Copy)]
+pub struct EncodedRow<'a> {
+    data: &'a [u8],
+}
+
+impl<'a> EncodedRow<'a> {
+    /// Validates `data` as a row produced by [`encode_row`].
+    pub fn new(data: &'a [u8]) -> Result<EncodedRow<'a>> {
+        let mut dec = RowDecoder::new(data)?;
+        while dec.remaining() > 0 {
+            dec.next_ref()?;
+        }
+        Ok(EncodedRow { data })
+    }
+}
+
+impl Columns for EncodedRow<'_> {
+    fn column(&self, col: usize) -> ValueRef<'_> {
+        let read = || -> Result<ValueRef<'_>> {
+            let mut dec = RowDecoder::new(self.data)?;
+            for _ in 0..col {
+                dec.skip()?;
+            }
+            dec.next_ref()
+        };
+        // `new` decoded every column, so only a column past the row's
+        // end lands here; it reads as NULL (no comparison matches).
+        read().unwrap_or(ValueRef::Null)
     }
 }
 
@@ -239,6 +282,29 @@ mod tests {
         assert_eq!(dec.next_value().unwrap(), Value::text("tail"));
         assert_eq!(dec.remaining(), 0);
         assert!(dec.next_value().is_err());
+    }
+
+    #[test]
+    fn encoded_row_reads_columns_in_place() {
+        let row = vec![
+            Value::Integer(-3),
+            Value::Null,
+            Value::text("héllo"),
+            Value::Real(0.5),
+            Value::blob(vec![1u8, 2]),
+        ];
+        let bytes = encode_row(&row);
+        let enc = EncodedRow::new(&bytes).unwrap();
+        for (i, v) in row.iter().enumerate() {
+            assert_eq!(enc.column(i), v.as_ref(), "column {i}");
+            assert_eq!(row.column(i), v.as_ref());
+        }
+        assert_eq!(enc.column(row.len()), ValueRef::Null, "past the end");
+        // Corruption is reported once, up front.
+        assert!(EncodedRow::new(&bytes[..bytes.len() - 1]).is_err());
+        let mut bad_utf8 = encode_row(&[Value::text("ab")]);
+        *bad_utf8.last_mut().unwrap() = 0xFF;
+        assert!(EncodedRow::new(&bad_utf8).is_err());
     }
 
     #[test]

@@ -8,12 +8,12 @@
 //! Every mutation keeps all secondary and full-text indexes and the
 //! persistent row counter transactionally consistent.
 
-use micronn_storage::{BTree, PageRead, WriteTxn};
+use micronn_storage::{BTree, PageRead, PointReader, WriteTxn};
 
 use crate::catalog::count_key as table_count_key;
 use crate::error::{RelError, Result};
 use crate::fts;
-use crate::keys::{decode_key, encode_key};
+use crate::keys::{decode_key, encode_key, encode_key_into};
 use crate::row::{decode_row, encode_row};
 use crate::schema::TableSchema;
 use crate::value::Value;
@@ -238,6 +238,26 @@ impl FtsDef {
     }
 }
 
+/// Repeated primary-key lookups against one table at one snapshot: a
+/// storage [`PointReader`] (interior pages stay pinned between
+/// lookups) plus the key buffer it encodes into. A lookup hands the
+/// encoded row to a closure in place — wrap it in
+/// [`EncodedRow`](crate::row::EncodedRow) or a
+/// [`RowDecoder`](crate::row::RowDecoder) — and allocates nothing.
+pub struct RowReader<'r, R: PageRead + ?Sized> {
+    tree: PointReader<'r, R>,
+    key: Vec<u8>,
+}
+
+impl<R: PageRead + ?Sized> RowReader<'_, R> {
+    /// Looks up the row with primary key `pk` and passes its encoded
+    /// bytes to `f`; `None` when there is no such row.
+    pub fn get_with<T>(&mut self, pk: &[Value], f: impl FnOnce(&[u8]) -> T) -> Result<Option<T>> {
+        encode_key_into(pk, &mut self.key);
+        Ok(self.tree.get(&self.key, f)?)
+    }
+}
+
 /// A handle to a table: schema plus the roots of its trees. Handles are
 /// cheap to clone and remain valid for the life of the database file
 /// (tree roots are stable), but index *lists* are fixed at open time —
@@ -359,12 +379,18 @@ impl Table {
         Ok(Some(old))
     }
 
+    /// A reusable primary-key reader over this table at `r`'s
+    /// snapshot — the form for loops of lookups (see [`RowReader`]).
+    pub fn reader<'r, R: PageRead + ?Sized>(&self, r: &'r R) -> RowReader<'r, R> {
+        RowReader {
+            tree: self.data.point_reader(r),
+            key: Vec::new(),
+        }
+    }
+
     /// Point lookup by primary key.
     pub fn get<R: PageRead + ?Sized>(&self, r: &R, pk: &[Value]) -> Result<Option<Vec<Value>>> {
-        match self.data.get(r, &encode_key(pk))? {
-            Some(bytes) => Ok(Some(decode_row(&bytes)?)),
-            None => Ok(None),
-        }
+        self.reader(r).get_with(pk, decode_row)?.transpose()
     }
 
     /// Raw point lookup (undecoded row bytes) — vector hot path.

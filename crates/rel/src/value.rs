@@ -127,21 +127,23 @@ impl Value {
         }
     }
 
+    /// This value as a borrowed [`ValueRef`].
+    #[inline]
+    pub fn as_ref(&self) -> ValueRef<'_> {
+        match self {
+            Value::Null => ValueRef::Null,
+            Value::Integer(i) => ValueRef::Integer(*i),
+            Value::Real(r) => ValueRef::Real(*r),
+            Value::Text(s) => ValueRef::Text(s),
+            Value::Blob(b) => ValueRef::Blob(b),
+        }
+    }
+
     /// SQL-style three-valued comparison: `None` when either side is
     /// NULL or the types are incomparable. INTEGER and REAL compare
     /// numerically with each other.
     pub fn compare(&self, other: &Value) -> Option<Ordering> {
-        use Value::*;
-        match (self, other) {
-            (Null, _) | (_, Null) => None,
-            (Integer(a), Integer(b)) => Some(a.cmp(b)),
-            (Real(a), Real(b)) => a.partial_cmp(b),
-            (Integer(a), Real(b)) => (*a as f64).partial_cmp(b),
-            (Real(a), Integer(b)) => a.partial_cmp(&(*b as f64)),
-            (Text(a), Text(b)) => Some(a.cmp(b)),
-            (Blob(a), Blob(b)) => Some(a.cmp(b)),
-            _ => None,
-        }
+        self.as_ref().compare(other)
     }
 
     /// Total order used for sorting and histogram construction:
@@ -169,6 +171,64 @@ impl Value {
             (Text(a), Text(b)) => a.cmp(b),
             (Blob(a), Blob(b)) => a.cmp(b),
             _ => unreachable!("classes matched above"),
+        }
+    }
+}
+
+/// A [`Value`] borrowed from wherever it is stored — an owned `Value`
+/// or the bytes of an encoded row — so predicates can read a column
+/// without materializing it.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum ValueRef<'a> {
+    Null,
+    Integer(i64),
+    Real(f64),
+    Text(&'a str),
+    Blob(&'a [u8]),
+}
+
+impl<'a> ValueRef<'a> {
+    /// The one implementation of [`Value::compare`].
+    #[inline]
+    pub fn compare(self, other: &Value) -> Option<Ordering> {
+        use ValueRef::*;
+        match (self, other.as_ref()) {
+            (Null, _) | (_, Null) => None,
+            (Integer(a), Integer(b)) => Some(a.cmp(&b)),
+            (Real(a), Real(b)) => a.partial_cmp(&b),
+            (Integer(a), Real(b)) => (a as f64).partial_cmp(&b),
+            (Real(a), Integer(b)) => a.partial_cmp(&(b as f64)),
+            (Text(a), Text(b)) => Some(a.cmp(b)),
+            (Blob(a), Blob(b)) => Some(a.cmp(b)),
+            _ => None,
+        }
+    }
+
+    /// Text content, if this is text.
+    pub fn as_text(self) -> Option<&'a str> {
+        match self {
+            ValueRef::Text(s) => Some(s),
+            _ => None,
+        }
+    }
+
+    /// Integer content, if this is an integer.
+    pub fn as_integer(self) -> Option<i64> {
+        match self {
+            ValueRef::Integer(i) => Some(i),
+            _ => None,
+        }
+    }
+
+    /// An owned copy.
+    #[inline]
+    pub fn to_value(self) -> Value {
+        match self {
+            ValueRef::Null => Value::Null,
+            ValueRef::Integer(i) => Value::Integer(i),
+            ValueRef::Real(r) => Value::Real(r),
+            ValueRef::Text(s) => Value::Text(s.to_owned()),
+            ValueRef::Blob(b) => Value::Blob(b.to_vec()),
         }
     }
 }

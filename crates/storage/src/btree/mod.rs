@@ -22,8 +22,10 @@
 
 pub mod cursor;
 pub mod node;
+pub mod point;
 
 pub use cursor::Cursor;
+pub use point::PointReader;
 
 use crate::error::{Result, StorageError};
 use crate::page::{page_type, PageId, PAGE_SIZE};
@@ -37,17 +39,18 @@ use node::{
 /// Bytes of payload stored per overflow page.
 const OVERFLOW_CAPACITY: usize = PAGE_SIZE - 8;
 
-/// Fetches a B+tree node page and structurally validates it
-/// ([`node::validate`]): corrupted bytes become a
-/// [`StorageError::Corrupt`] at the fetch boundary — where recovery
-/// and `fsck` can report them — instead of a panic inside the
-/// zero-copy cell accessors. Every traversal goes through this.
+/// Fetches a B+tree node page, checking only that it *is* a node. The
+/// structural validation ([`node::validate`]) that keeps the zero-copy
+/// cell accessors from slicing out of bounds ran once, when the store
+/// loaded the image from disk; images written by this process come out
+/// of [`LeafNode::write`] / [`InteriorNode::write`] and are well-formed
+/// by construction. Every traversal goes through this.
 pub(crate) fn fetch_node<R: PageRead + ?Sized>(
     r: &R,
     id: PageId,
 ) -> Result<std::sync::Arc<crate::page::PageData>> {
     let p = r.page(id)?;
-    node::validate(&p, id)?;
+    node::expect_node(&p, id)?;
     Ok(p)
 }
 
@@ -60,7 +63,7 @@ pub(crate) fn fetch_node_scan<R: PageRead + ?Sized>(
     id: PageId,
 ) -> Result<std::sync::Arc<crate::page::PageData>> {
     let p = r.page_scan(id)?;
-    node::validate(&p, id)?;
+    node::expect_node(&p, id)?;
     Ok(p)
 }
 
@@ -88,44 +91,23 @@ impl BTree {
         self.root
     }
 
+    /// A reusable point reader over this tree at `r`'s snapshot.
+    pub fn point_reader<'r, R: PageRead + ?Sized>(&self, r: &'r R) -> PointReader<'r, R> {
+        PointReader::new(*self, r)
+    }
+
     /// Point lookup. Returns the full value (overflow chains are
-    /// reassembled).
+    /// reassembled). One-shot form of [`PointReader::get`].
     pub fn get<R: PageRead + ?Sized>(&self, r: &R, key: &[u8]) -> Result<Option<Vec<u8>>> {
-        let mut id = self.root;
-        loop {
-            let p = fetch_node(r, id)?;
-            match p.page_type() {
-                page_type::BTREE_INTERIOR => id = node::interior_descend(&p, key),
-                page_type::BTREE_LEAF => {
-                    return match node::leaf_search(&p, key) {
-                        Ok(i) => Ok(Some(read_val(r, node::leaf_val(&p, i))?)),
-                        Err(_) => Ok(None),
-                    };
-                }
-                t => {
-                    return Err(StorageError::Corrupt(format!(
-                        "page {id}: unexpected type {t} during descent"
-                    )))
-                }
-            }
-        }
+        let found = self.point_reader(r).seek(key)?;
+        found
+            .map(|(leaf, i)| read_val(r, node::leaf_val(&leaf, i)))
+            .transpose()
     }
 
     /// Whether `key` is present (no value materialization).
     pub fn contains_key<R: PageRead + ?Sized>(&self, r: &R, key: &[u8]) -> Result<bool> {
-        let mut id = self.root;
-        loop {
-            let p = fetch_node(r, id)?;
-            match p.page_type() {
-                page_type::BTREE_INTERIOR => id = node::interior_descend(&p, key),
-                page_type::BTREE_LEAF => return Ok(node::leaf_search(&p, key).is_ok()),
-                t => {
-                    return Err(StorageError::Corrupt(format!(
-                        "page {id}: unexpected type {t} during descent"
-                    )))
-                }
-            }
-        }
+        Ok(self.point_reader(r).seek(key)?.is_some())
     }
 
     /// Inserts or replaces; returns the previous value if any.
@@ -340,10 +322,25 @@ fn read_overflow<R: PageRead + ?Sized>(
     total: u32,
     scan: bool,
 ) -> Result<Vec<u8>> {
+    let mut out = Vec::new();
+    read_overflow_into(r, head, total, scan, &mut out)?;
+    Ok(out)
+}
+
+/// Reassembles an overflow chain into `out` (cleared first), so a
+/// caller doing many lookups can reuse one buffer.
+pub(crate) fn read_overflow_into<R: PageRead + ?Sized>(
+    r: &R,
+    head: PageId,
+    total: u32,
+    scan: bool,
+    out: &mut Vec<u8>,
+) -> Result<()> {
     // `total` comes from a cell on disk: cap the pre-allocation and
     // bail as soon as the chain outgrows it, so a corrupted length or
     // a cycle in the chain is an error, not an unbounded allocation.
-    let mut out = Vec::with_capacity((total as usize).min(OVERFLOW_CAPACITY * 4));
+    out.clear();
+    out.reserve((total as usize).min(OVERFLOW_CAPACITY * 4));
     let mut id = head;
     while id != 0 {
         let p = if scan { r.page_scan(id)? } else { r.page(id)? };
@@ -365,7 +362,7 @@ fn read_overflow<R: PageRead + ?Sized>(
             out.len()
         )));
     }
-    Ok(out)
+    Ok(())
 }
 
 fn write_overflow(txn: &mut WriteTxn, data: &[u8]) -> Result<PageId> {

@@ -197,12 +197,26 @@ pub fn expect_type(p: &PageData, want: u8, page: PageId) -> Result<()> {
     Ok(())
 }
 
+/// Checks that `p` is a B+tree node of either kind: the per-fetch half
+/// of node checking (one byte compare). The `O(cells)` half,
+/// [`validate`], runs once when the image is loaded from disk.
+#[inline]
+pub fn expect_node(p: &PageData, page: PageId) -> Result<()> {
+    match p.page_type() {
+        page_type::BTREE_LEAF | page_type::BTREE_INTERIOR => Ok(()),
+        t => Err(StorageError::Corrupt(format!(
+            "page {page}: unexpected type {t} during descent"
+        ))),
+    }
+}
+
 /// Structural validation of a node page: every cell pointer, and every
 /// length those cells imply, must stay inside the page. Once a page
 /// passes, the zero-copy accessors above cannot slice out of bounds —
-/// so corrupted bytes surface as [`StorageError::Corrupt`] at the
-/// fetch boundary (where `fsck` and recovery can report them) instead
-/// of panicking mid-traversal. `O(cells)` of u16 reads per call.
+/// so corrupted bytes surface as [`StorageError::Corrupt`] where the
+/// image is loaded (the store's page-load function; `fsck` and recovery
+/// report it from there) instead of panicking mid-traversal.
+/// `O(cells)` of u16 reads, paid once per load, not per fetch.
 pub fn validate(p: &PageData, page: PageId) -> Result<()> {
     let corrupt = |what: &str| {
         Err(StorageError::Corrupt(format!(

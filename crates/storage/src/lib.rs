@@ -52,7 +52,7 @@ pub mod store;
 pub mod vfs;
 pub mod wal;
 
-pub use btree::{BTree, Cursor};
+pub use btree::{BTree, Cursor, PointReader};
 pub use error::{Result, StorageError};
 pub use page::{PageData, PageId, PAGE_SIZE};
 pub use pool::Access;

@@ -70,6 +70,7 @@ use std::time::Instant;
 use micronn_telemetry::{SinkCell, Span};
 use parking_lot::{Mutex, RwLock};
 
+use crate::btree::node;
 use crate::error::{Result, StorageError};
 use crate::page::page_type;
 use crate::page::{PageData, PageId, PAGE_SIZE};
@@ -609,6 +610,46 @@ fn resolve_version(inner: &StoreInner, id: PageId, snapshot: u64) -> (u64, Optio
     }
 }
 
+/// Reads the image [`resolve_version`] located — the WAL frame at
+/// `from_wal`, else the main file — and checks it: the one door through
+/// which bytes from disk reach the buffer pool (demand misses and
+/// readahead alike), so the B+tree's zero-copy accessors never see an
+/// image that was not validated once.
+fn load_page(inner: &StoreInner, id: PageId, from_wal: Option<u64>) -> Result<PageData> {
+    let p = match from_wal {
+        Some(offset) => inner.wal.read_frame(offset)?,
+        None => {
+            let mut p = PageData::zeroed();
+            inner
+                .main
+                .read_exact_at(&mut p[..], id as u64 * PAGE_SIZE as u64)
+                .map_err(|e| {
+                    if e.kind() == std::io::ErrorKind::UnexpectedEof {
+                        StorageError::Corrupt(format!("page {id} missing from main file"))
+                    } else {
+                        StorageError::Io(e)
+                    }
+                })?;
+            p
+        }
+    };
+    checked_image(p, id)
+}
+
+/// Structural validation of an image fresh from disk, keyed on its page
+/// type: B+tree nodes get [`node::validate`] (`O(cells)`, paid once per
+/// load instead of on every fetch); other page kinds carry no offsets
+/// that are followed without a check.
+fn checked_image(p: PageData, id: PageId) -> Result<PageData> {
+    if matches!(
+        p.page_type(),
+        page_type::BTREE_LEAF | page_type::BTREE_INTERIOR
+    ) {
+        node::validate(&p, id)?;
+    }
+    Ok(p)
+}
+
 /// Resolves a page image at `snapshot`, going through the buffer pool.
 /// `access` is the cache-admission hint: `Scan` for bulk sweeps.
 fn resolve_page(
@@ -632,28 +673,11 @@ fn resolve_page(
         if attempt == 0 {
             IoStats::bump(&inner.stats.pool_misses);
         }
-        let read = match from_wal {
-            Some(offset) => {
-                IoStats::bump(&inner.stats.wal_reads);
-                inner.wal.read_frame(offset)
-            }
-            None => {
-                IoStats::bump(&inner.stats.main_reads);
-                let mut p = PageData::zeroed();
-                inner
-                    .main
-                    .read_exact_at(&mut p[..], id as u64 * PAGE_SIZE as u64)
-                    .map_err(|e| {
-                        if e.kind() == std::io::ErrorKind::UnexpectedEof {
-                            StorageError::Corrupt(format!("page {id} missing from main file"))
-                        } else {
-                            StorageError::Io(e)
-                        }
-                    })
-                    .map(|()| p)
-            }
-        };
-        match read {
+        IoStats::bump(match from_wal {
+            Some(_) => &inner.stats.wal_reads,
+            None => &inner.stats.main_reads,
+        });
+        match load_page(inner, id, from_wal) {
             Ok(p) => {
                 let data = Arc::new(p);
                 inner
@@ -703,18 +727,7 @@ fn prefetch_one(inner: &StoreInner, id: PageId, snapshot: u64) {
         IoStats::bump(&inner.stats.prefetch_skipped);
         return;
     }
-    let read = match from_wal {
-        Some(offset) => inner.wal.read_frame(offset),
-        None => {
-            let mut p = PageData::zeroed();
-            inner
-                .main
-                .read_exact_at(&mut p[..], id as u64 * PAGE_SIZE as u64)
-                .map(|()| p)
-                .map_err(StorageError::Io)
-        }
-    };
-    let Ok(page) = read else {
+    let Ok(page) = load_page(inner, id, from_wal) else {
         return; // best-effort: the demand read will surface real errors
     };
     if inner.ckpt_gen.load(Ordering::Acquire) != gen {
@@ -1060,7 +1073,8 @@ impl WriteTxn {
         }
         if let Some(&offset) = self.spilled.get(&id) {
             IoStats::bump(&self.inner.stats.wal_reads);
-            return Ok(Arc::new(self.inner.wal.read_unpublished_frame(offset)?));
+            let p = self.inner.wal.read_unpublished_frame(offset)?;
+            return Ok(Arc::new(checked_image(p, id)?));
         }
         if id >= self.meta.page_count {
             return Err(StorageError::PageOutOfBounds(id));

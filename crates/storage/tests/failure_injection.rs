@@ -309,8 +309,8 @@ fn deleted_wal_falls_back_to_checkpointed_state() {
 fn corrupted_node_pages_error_instead_of_panicking() {
     // Regression (found by driving `fsck` over a byte-corrupted file):
     // garbage inside a B+tree node page used to panic in the zero-copy
-    // cell accessors (out-of-range slice). Structural validation at the
-    // fetch boundary must turn ANY byte corruption into
+    // cell accessors (out-of-range slice). Structural validation where
+    // an image is loaded from disk must turn ANY byte corruption into
     // `StorageError::Corrupt` so fsck can report it and keep walking.
     let dir = tempfile::tempdir().unwrap();
     let path = build_and_crash(dir.path(), 8);

@@ -26,9 +26,10 @@ pub struct SlowQueryRecord {
     pub partitions_scanned: usize,
     /// Vectors whose distance was computed.
     pub vectors_scanned: usize,
-    /// Vectors rejected by the attribute filter.
+    /// Rows whose attributes were probed and failed the filter.
     pub filtered_out: usize,
-    /// Candidate set size of a pre-filtering plan.
+    /// Rows whose attributes were examined (pre-filter candidate set,
+    /// or rows probed by a post-filter scan).
     pub candidates: usize,
     /// Vector-payload bytes read.
     pub bytes_scanned: usize,
