@@ -24,9 +24,7 @@ use std::collections::HashMap;
 
 use micronn_linalg::{merge_all, Neighbor, TopK};
 
-use micronn_storage::ReadTxn;
-
-use crate::db::{Inner, MicroNN, DELTA_PARTITION};
+use crate::db::{MicroNN, DELTA_PARTITION};
 use crate::error::{Error, Result};
 use crate::exec::{rerank_exact, scan_pool_k, PartitionScanner, Queries, ScanMetrics};
 use crate::search::SearchResult;
@@ -48,30 +46,17 @@ pub struct BatchResponse {
     pub bytes_scanned: usize,
 }
 
-impl MicroNN {
-    /// Executes a batch of ANN queries with multi-query optimization.
+impl crate::snapshot::Snapshot {
+    /// [`MicroNN::batch_search`] at this snapshot: the whole batch —
+    /// probe selection, shared partition scans, re-rank — resolves
+    /// every page at the same frozen commit seq.
     pub fn batch_search(
         &self,
         queries: &[Vec<f32>],
         k: usize,
         probes: Option<usize>,
     ) -> Result<BatchResponse> {
-        let r = self.inner.db.begin_read();
-        batch_search_at(&self.inner, &r, queries, k, probes)
-    }
-}
-
-/// [`MicroNN::batch_search`] against a caller-pinned snapshot: the
-/// whole batch — probe selection, shared partition scans, re-rank —
-/// resolves every page at `r`'s commit seq.
-pub(crate) fn batch_search_at(
-    inner: &Inner,
-    r: &ReadTxn,
-    queries: &[Vec<f32>],
-    k: usize,
-    probes: Option<usize>,
-) -> Result<BatchResponse> {
-    {
+        let (inner, r) = (&*self.db.inner, &self.r);
         if queries.is_empty() {
             return Ok(BatchResponse {
                 results: vec![],

@@ -12,14 +12,16 @@
 use std::time::Instant;
 
 use micronn_cluster::{MiniBatchConfig, SourceError, VectorSource};
-use micronn_rel::{analyze_table, blob_into_f32, f32_to_blob, RowDecoder, Table, Value};
 use micronn_storage::PageRead;
 
-use crate::db::{
-    meta_int, set_meta_int, Inner, MicroNN, M_BASELINE_AVG, M_DELTA_COUNT, M_EPOCH, M_NEXT_PID,
-    M_PARTITIONS,
-};
-use crate::error::{Error, Result};
+use crate::catalog::{CentroidRow, Counter, Tables};
+use crate::db::{Inner, MicroNN};
+use crate::error::Result;
+
+/// Mini-batch size for index-construction clustering.
+const CLUSTERING_BATCH_SIZE: usize = 1024;
+/// Clustering iterations; `0` = auto.
+const CLUSTERING_ITERATIONS: usize = 0;
 
 /// Outcome of a full index build.
 #[derive(Debug, Clone, PartialEq)]
@@ -40,10 +42,9 @@ pub struct RebuildReport {
 /// table by `(partition, vid)` key — the bridge between the relational
 /// store and the clustering crate.
 pub(crate) struct TableVectorSource<'a, R: PageRead + ?Sized> {
-    pub table: &'a Table,
+    pub tables: &'a Tables,
     pub reader: &'a R,
     pub keys: &'a [(i64, i64)],
-    pub dim: usize,
 }
 
 impl<R: PageRead + ?Sized> VectorSource for TableVectorSource<'_, R> {
@@ -52,42 +53,23 @@ impl<R: PageRead + ?Sized> VectorSource for TableVectorSource<'_, R> {
     }
 
     fn dim(&self) -> usize {
-        self.dim
+        self.tables.dim()
     }
 
     fn gather(&self, ids: &[usize], out: &mut Vec<f32>) -> std::result::Result<(), SourceError> {
         out.clear();
-        out.reserve(ids.len() * self.dim);
-        let mut tmp: Vec<f32> = Vec::with_capacity(self.dim);
+        out.reserve(ids.len() * self.dim());
+        let mut fetch = self.tables.vector_reader(self.reader);
         for &id in ids {
-            let (partition, vid) = *self
+            let key = *self
                 .keys
                 .get(id)
                 .ok_or_else(|| SourceError::msg(format!("vector index {id} out of range")))?;
-            let row = self
-                .table
-                .get_raw(
-                    self.reader,
-                    &[Value::Integer(partition), Value::Integer(vid)],
-                )
-                .map_err(SourceError::new)?
-                .ok_or_else(|| {
-                    SourceError::msg(format!("vector ({partition},{vid}) vanished mid-build"))
-                })?;
-            let mut dec = RowDecoder::new(&row).map_err(SourceError::new)?;
-            dec.skip().map_err(SourceError::new)?; // partition
-            dec.skip().map_err(SourceError::new)?; // vid
-            dec.skip().map_err(SourceError::new)?; // asset
-            let blob = dec.next_blob().map_err(SourceError::new)?;
-            blob_into_f32(blob, &mut tmp).map_err(SourceError::new)?;
-            if tmp.len() != self.dim {
+            if !fetch.append(key, out).map_err(SourceError::new)? {
                 return Err(SourceError::msg(format!(
-                    "vector ({partition},{vid}) has dim {}, expected {}",
-                    tmp.len(),
-                    self.dim
+                    "vector {key:?} vanished mid-build"
                 )));
             }
-            out.extend_from_slice(&tmp);
         }
         Ok(())
     }
@@ -97,9 +79,9 @@ impl<R: PageRead + ?Sized> VectorSource for TableVectorSource<'_, R> {
 /// mini-batch sweep rebuilds one index under many batch sizes).
 #[derive(Debug, Clone, Default)]
 pub struct RebuildOptions {
-    /// Mini-batch size; `None` = the index config's value.
+    /// Mini-batch size; `None` = the default (1024).
     pub batch_size: Option<usize>,
-    /// Iterations; `None` = the index config's value.
+    /// Iterations; `None` = the default (`0`: chosen automatically).
     pub iterations: Option<usize>,
     /// Train the quantizer with full-memory Lloyd's k-means instead of
     /// mini-batch: buffers the *entire* collection in RAM (the memory
@@ -121,20 +103,14 @@ impl MicroNN {
         let start = Instant::now();
         let span = self.maint_span("maintain_rebuild");
         let inner: &Inner = &self.inner;
-        let mut txn = inner.db.begin_write()?;
+        let t = &inner.tables;
+        let mut w = t.begin_write(&inner.db)?;
 
         // Collect the key list (partition, vid) — metadata only, the
         // vectors themselves stay on disk.
-        let mut keys: Vec<(i64, i64)> = Vec::new();
-        for kv in inner.tables.vectors.scan(&txn)? {
-            let row = kv?;
-            keys.push((
-                row[0].as_integer().unwrap_or(0),
-                row[1].as_integer().unwrap_or(0),
-            ));
-        }
+        let keys = t.vector_keys(&w)?;
         if keys.is_empty() {
-            txn.rollback();
+            w.rollback();
             return Ok(RebuildReport {
                 vectors: 0,
                 partitions: 0,
@@ -147,8 +123,8 @@ impl MicroNN {
         // Train the quantizer (Algorithm 1) over the streaming source.
         let mb = MiniBatchConfig {
             target_cluster_size: inner.cfg.target_partition_size,
-            batch_size: opts.batch_size.unwrap_or(inner.cfg.clustering_batch_size),
-            iterations: opts.iterations.unwrap_or(inner.cfg.clustering_iterations),
+            batch_size: opts.batch_size.unwrap_or(CLUSTERING_BATCH_SIZE),
+            iterations: opts.iterations.unwrap_or(CLUSTERING_ITERATIONS),
             balance_lambda: inner.cfg.balance_lambda,
             balanced_assignment: true,
             seed: inner.cfg.seed,
@@ -157,10 +133,9 @@ impl MicroNN {
         let train_start = Instant::now();
         let (clustering, assignments) = {
             let source = TableVectorSource {
-                table: &inner.tables.vectors,
-                reader: &txn,
+                tables: t,
+                reader: &w,
                 keys: &keys,
-                dim: inner.dim,
             };
             if opts.full_kmeans {
                 // Regular k-means: buffer the whole collection (the
@@ -203,102 +178,53 @@ impl MicroNN {
         let k = clustering.k();
 
         // Replace the centroid table.
-        let old_pids: Vec<i64> = inner
-            .tables
-            .centroids
-            .scan(&txn)?
-            .map(|row| Ok(row?[0].as_integer().unwrap_or(0)))
-            .collect::<Result<_>>()?;
-        for pid in old_pids {
-            inner
-                .tables
-                .centroids
-                .delete(&mut txn, &[Value::Integer(pid)])?;
-        }
         let mut sizes = vec![0i64; k];
         for &a in &assignments {
             sizes[a as usize] += 1;
         }
-        for (c, &size) in sizes.iter().enumerate() {
-            inner.tables.centroids.upsert(
-                &mut txn,
-                vec![
-                    Value::Integer(c as i64 + 1),
-                    Value::Blob(f32_to_blob(clustering.centroid(c))),
-                    Value::Integer(size),
-                ],
-            )?;
-        }
+        let centroids: Vec<CentroidRow> = (sizes.iter().enumerate())
+            .map(|(c, &size)| CentroidRow {
+                partition: c as i64 + 1,
+                centroid: clustering.centroid(c).to_vec(),
+                size,
+            })
+            .collect();
+        w.replace_centroids(&centroids)?;
 
         // Rewrite rows whose partition changed: the clustered key moves
         // the row into its partition's contiguous key range.
         let mut moved = 0usize;
-        for (i, &(old_p, vid)) in keys.iter().enumerate() {
-            let new_p = assignments[i] as i64 + 1;
-            if old_p == new_p {
-                continue;
+        for (&(old_p, vid), &a) in keys.iter().zip(&assignments) {
+            let new_p = a as i64 + 1;
+            if old_p != new_p {
+                w.relocate(old_p, new_p, vid)?;
+                moved += 1;
             }
-            let row = inner
-                .tables
-                .vectors
-                .delete(&mut txn, &[Value::Integer(old_p), Value::Integer(vid)])?
-                .ok_or_else(|| Error::Config("row vanished during rebuild".into()))?;
-            let asset = row[2].clone();
-            let blob = row[3].clone();
-            inner.tables.vectors.upsert(
-                &mut txn,
-                vec![
-                    Value::Integer(new_p),
-                    Value::Integer(vid),
-                    asset.clone(),
-                    blob,
-                ],
-            )?;
-            inner.tables.assets.upsert(
-                &mut txn,
-                vec![asset, Value::Integer(new_p), Value::Integer(vid)],
-            )?;
-            moved += 1;
-            inner
-                .row_changes
-                .fetch_add(3, std::sync::atomic::Ordering::Relaxed);
         }
 
         // Codec-aware epilogue: a rebuild moves rows between
         // partitions, so every partition's quantization ranges are
         // retrained and its codes rewritten from scratch.
         if inner.quantized() {
-            crate::codec::clear_codes(&mut txn, &inner.tables)?;
-            let mut encoded = 0usize;
+            w.clear_codes()?;
             for c in 0..k {
-                encoded += crate::codec::encode_partition(
-                    &mut txn,
-                    &inner.tables,
-                    inner.cfg.codec,
-                    inner.dim,
-                    c as i64 + 1,
-                )?;
+                crate::codec::encode_partition(&mut w, c as i64 + 1)?;
             }
-            inner.row_changes.fetch_add(
-                encoded as u64 + k as u64,
-                std::sync::atomic::Ordering::Relaxed,
-            );
         }
 
         // Refresh statistics for the hybrid optimizer and bump the
         // index epoch (invalidates centroid/stats caches).
-        analyze_table(&mut txn, &inner.tables.attrs)?;
-        let epoch = meta_int(&txn, &inner.tables.meta, M_EPOCH)?;
-        set_meta_int(&mut txn, &inner.tables.meta, M_EPOCH, epoch + 1)?;
-        set_meta_int(&mut txn, &inner.tables.meta, M_PARTITIONS, k as i64)?;
-        set_meta_int(&mut txn, &inner.tables.meta, M_DELTA_COUNT, 0)?;
+        w.analyze_attrs()?;
+        w.bump_epoch()?;
+        w.set_counter(Counter::PARTITIONS, k as i64)?;
+        w.set_counter(Counter::DELTA_COUNT, 0)?;
         // Partition ids 1..=k are in use; splits allocate from here.
-        set_meta_int(&mut txn, &inner.tables.meta, M_NEXT_PID, k as i64 + 1)?;
+        w.set_counter(Counter::NEXT_PID, k as i64 + 1)?;
         // Baseline average partition size, scaled ×1000 for integer
         // storage (the growth trigger compares ratios).
         let avg_x1000 = (keys.len() as f64 / k as f64 * 1000.0) as i64;
-        set_meta_int(&mut txn, &inner.tables.meta, M_BASELINE_AVG, avg_x1000)?;
-        txn.commit()?;
+        w.set_counter(Counter::BASELINE_AVG, avg_x1000)?;
+        w.commit()?;
         // Every partition was re-encoded under fresh ranges.
         inner.clear_drift();
         self.maint_finish(span, keys.len() as u64);

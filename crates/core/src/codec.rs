@@ -12,32 +12,29 @@
 //!   asymmetric kernels of [`micronn_linalg::sq8`], then re-rank the
 //!   top `rerank_factor · k` candidates against the exact vectors.
 //! * [`VectorCodec::Sq4`] — 4-bit fastscan codes (~8× smaller than
-//!   f32). The `codes` table is keyed `(partition, block)` instead of
-//!   `(partition, vid)`: each row is one register-interleaved 32-row
-//!   block ([`micronn_linalg::sq4`]) plus a `members` directory blob
-//!   mapping slots to `(vid, asset)`. Scans score whole blocks via
+//!   f32), stored as register-interleaved 32-row blocks
+//!   ([`micronn_linalg::sq4`]). Scans score whole blocks via
 //!   in-register shuffle lookups and re-rank exactly, like SQ8.
+//!
+//! `catalog.rs` owns how codes and ranges are laid out on disk.
 //!
 //! The codec choice is part of the index catalog (persisted in the
 //! `meta` table at creation, validated when a database is opened) and
 //! is honoured by every layer that touches vector bytes: ingestion,
 //! rebuild, delta flush, single-query search, batch MQO, and hybrid
-//! plans. Per-partition quantization ranges live in the `quants`
-//! table (both quantized codecs share the [`Sq8Params`] affine-range
-//! representation; only the level count differs). Ranges are
+//! plans. Both quantized codecs share the [`Sq8Params`] per-partition
+//! affine-range representation; only the level count differs. Ranges are
 //! retrained whenever maintenance rewrites a partition wholesale
 //! (rebuild, split, merge, drift retrain); a delta flush appends new
 //! rows *under the existing ranges* and reports how many clamped, so
 //! the maintainer can schedule a retrain when ranges drift.
 
 use micronn_linalg::{
-    set_block_code, sq4_block_bytes, sq4_train, Sq8Params, SQ4_BLOCK, SQ4_LEVELS, SQ8_LEVELS,
+    set_block_code, sq4_train, Sq8Encoder, Sq8Params, SQ4_BLOCK, SQ4_LEVELS, SQ8_LEVELS,
 };
-use micronn_rel::{blob_to_f32, RowDecoder, Value};
-use micronn_storage::{PageRead, WriteTxn};
 
-use crate::db::Tables;
-use crate::error::{Error, Result};
+use crate::catalog::{Block, Loc, Member, Writer};
+use crate::error::Result;
 
 /// How vector payloads are stored and scanned.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -101,152 +98,23 @@ impl std::fmt::Display for VectorCodec {
     }
 }
 
-/// Serializes quantization ranges as `min[dim] ++ scale[dim]` (LE f32).
-pub(crate) fn params_to_blob(p: &Sq8Params) -> Vec<u8> {
-    let mut out = Vec::with_capacity(p.dim() * 8);
-    for x in p.min.iter().chain(p.scale.iter()) {
-        out.extend_from_slice(&x.to_le_bytes());
+/// Encodes `m` under `enc` into slot `slot` of `block`; whether any
+/// dimension clamped. `set_block_code` clears the slot's stale nibble
+/// before writing, so tombstone leftovers vanish.
+fn fill_slot(
+    block: &mut Block<'_>,
+    slot: usize,
+    m: &Member,
+    enc: &Sq8Encoder,
+    code_buf: &mut Vec<u8>,
+) -> bool {
+    block.set_slot(slot, m.vid, m.asset);
+    code_buf.clear();
+    let clamped = enc.encode_row(&m.vector, code_buf);
+    for (d, &c) in code_buf.iter().enumerate() {
+        set_block_code(block.packed.to_mut(), d, slot, c);
     }
-    out
-}
-
-/// Deserializes quantization ranges written by [`params_to_blob`].
-pub(crate) fn params_from_blob(blob: &[u8], dim: usize) -> Result<Sq8Params> {
-    let vals = blob_to_f32(blob)?;
-    if vals.len() != dim * 2 {
-        return Err(Error::Config(format!(
-            "quantization params blob has {} floats, expected {}",
-            vals.len(),
-            dim * 2
-        )));
-    }
-    let (min, scale) = vals.split_at(dim);
-    Ok(Sq8Params {
-        min: min.to_vec(),
-        scale: scale.to_vec(),
-    })
-}
-
-/// Loads the quantization ranges of one partition, or `None` when the
-/// partition has never been encoded (e.g. the delta store).
-pub(crate) fn load_params<R: PageRead + ?Sized>(
-    r: &R,
-    tables: &Tables,
-    partition: i64,
-    dim: usize,
-) -> Result<Option<Sq8Params>> {
-    let Some(quants) = &tables.quants else {
-        return Ok(None);
-    };
-    let Some(row) = quants.get(r, &[Value::Integer(partition)])? else {
-        return Ok(None);
-    };
-    let blob = row[1]
-        .as_blob()
-        .ok_or_else(|| Error::Config("quants params column is not a blob".into()))?;
-    params_from_blob(blob, dim).map(Some)
-}
-
-/// Decodes one `codes`-table row into `(asset, code bytes)`,
-/// validating the code length against the index dimension — shared by
-/// the single-query and batch quantized scan loops.
-pub(crate) fn decode_code_row(row_bytes: &[u8], dim: usize) -> Result<(i64, &[u8])> {
-    let mut dec = RowDecoder::new(row_bytes)?;
-    dec.skip()?; // partition
-    dec.skip()?; // vid
-    let asset = dec
-        .next_value()?
-        .as_integer()
-        .ok_or_else(|| Error::Config("code asset column is not an integer".into()))?;
-    let code = dec.next_blob()?;
-    if code.len() != dim {
-        return Err(Error::Config(format!(
-            "stored code has {} bytes, expected {}",
-            code.len(),
-            dim
-        )));
-    }
-    Ok((asset, code))
-}
-
-// ---------------------------------------------------------------------
-// SQ4 block storage.
-//
-// One `codes` row per (partition, block): a `members` directory blob
-// of SQ4_BLOCK slots × 16 bytes (vid i64 LE ++ asset i64 LE; vid 0
-// marks an empty or tombstoned slot — vids start at 1) and the packed
-// nibble payload (16·dim bytes, register-interleaved). Tombstoning a
-// slot leaves its stale nibbles in place; scans and fsck mask dead
-// slots via the directory.
-// ---------------------------------------------------------------------
-
-/// Byte length of an SQ4 block's `members` directory blob.
-pub(crate) const SQ4_MEMBERS_BYTES: usize = SQ4_BLOCK * 16;
-
-/// Reads slot `j` of a members directory as `(vid, asset)`.
-pub(crate) fn sq4_slot(members: &[u8], j: usize) -> (i64, i64) {
-    let off = j * 16;
-    let vid = i64::from_le_bytes(members[off..off + 8].try_into().expect("slot vid"));
-    let asset = i64::from_le_bytes(members[off + 8..off + 16].try_into().expect("slot asset"));
-    (vid, asset)
-}
-
-/// Writes slot `j` of a members directory.
-pub(crate) fn sq4_set_slot(members: &mut [u8], j: usize, vid: i64, asset: i64) {
-    let off = j * 16;
-    members[off..off + 8].copy_from_slice(&vid.to_le_bytes());
-    members[off + 8..off + 16].copy_from_slice(&asset.to_le_bytes());
-}
-
-/// Decodes one SQ4 `codes`-table row into `(block, members, packed)`,
-/// validating both blob lengths — shared by the scan loop, append
-/// path, and fsck.
-pub(crate) fn decode_block_row(row_bytes: &[u8], dim: usize) -> Result<(i64, &[u8], &[u8])> {
-    let mut dec = RowDecoder::new(row_bytes)?;
-    dec.skip()?; // partition
-    let block = dec
-        .next_value()?
-        .as_integer()
-        .ok_or_else(|| Error::Config("sq4 block column is not an integer".into()))?;
-    let members = dec.next_blob()?;
-    if members.len() != SQ4_MEMBERS_BYTES {
-        return Err(Error::Config(format!(
-            "sq4 members blob has {} bytes, expected {}",
-            members.len(),
-            SQ4_MEMBERS_BYTES
-        )));
-    }
-    let packed = dec.next_blob()?;
-    if packed.len() != sq4_block_bytes(dim) {
-        return Err(Error::Config(format!(
-            "sq4 packed blob has {} bytes, expected {}",
-            packed.len(),
-            sq4_block_bytes(dim)
-        )));
-    }
-    Ok((block, members, packed))
-}
-
-/// One partition's SQ4 blocks as owned `(block, members, packed)`
-/// triples, in block order.
-type BlockRows = Vec<(i64, Vec<u8>, Vec<u8>)>;
-
-/// Collects one partition's SQ4 blocks as owned `(block, members,
-/// packed)` triples, in block order.
-fn load_blocks<R: PageRead + ?Sized>(
-    r: &R,
-    codes: &micronn_rel::Table,
-    partition: i64,
-    dim: usize,
-) -> Result<BlockRows> {
-    codes
-        .scan_pk_prefix_raw(r, &[Value::Integer(partition)])?
-        .map(|kv| {
-            let (_, row) = kv?;
-            let (block, members, packed) = decode_block_row(&row, dim)?;
-            Ok((block, members.to_vec(), packed.to_vec()))
-        })
-        .collect()
+    clamped
 }
 
 /// Retrains the quantization ranges of `partition` from its current
@@ -255,33 +123,22 @@ fn load_blocks<R: PageRead + ?Sized>(
 /// wholesale (rebuild, split, merge, drift retrain). Returns the
 /// number of encoded vectors. No-op (returning 0) for non-quantized
 /// catalogs.
-pub(crate) fn encode_partition(
-    txn: &mut WriteTxn,
-    tables: &Tables,
-    codec: VectorCodec,
-    dim: usize,
-    partition: i64,
-) -> Result<usize> {
-    let (Some(codes), Some(quants)) = (&tables.codes, &tables.quants) else {
+pub(crate) fn encode_partition(w: &mut Writer<'_>, partition: i64) -> Result<usize> {
+    let tables = w.tables();
+    let (codec, dim) = (tables.codec(), tables.dim());
+    if !codec.is_quantized() {
         return Ok(0);
-    };
-
+    }
     // Phase 1 (read-only): collect the partition's members (key order
     // → ascending vid, so block/slot assignment is deterministic).
-    let members = crate::db::read_partition_members(txn, &tables.vectors, partition)?;
+    let members = tables.members(w, partition)?;
     // Phase 2 (write): retrain ranges, rewrite the code rows.
     let mut flat = Vec::with_capacity(members.len() * dim);
-    for (_, _, v) in &members {
-        flat.extend_from_slice(v);
+    for m in &members {
+        flat.extend_from_slice(&m.vector);
     }
     let params = codec.train(&flat, dim);
-    quants.upsert(
-        txn,
-        vec![
-            Value::Integer(partition),
-            Value::Blob(params_to_blob(&params)),
-        ],
-    )?;
+    w.put_params(partition, &params)?;
     let enc = params.encoder(codec.levels());
     let mut code_buf = Vec::with_capacity(dim);
     match codec {
@@ -289,33 +146,15 @@ pub(crate) fn encode_partition(
             // Blocks are rewritten wholesale: drop the partition's
             // old blocks (slot occupancy may have shifted), then pack
             // members 32 at a time.
-            let stale: Vec<i64> = load_blocks(txn, codes, partition, dim)?
-                .into_iter()
-                .map(|(b, _, _)| b)
-                .collect();
-            for b in stale {
-                codes.delete(txn, &[Value::Integer(partition), Value::Integer(b)])?;
+            for stale in tables.code_keys(w, partition)? {
+                w.remove_code_row(partition, stale)?;
             }
-            for (block, chunk) in members.chunks(SQ4_BLOCK).enumerate() {
-                let mut dir = vec![0u8; SQ4_MEMBERS_BYTES];
-                let mut packed = vec![0u8; sq4_block_bytes(dim)];
-                for (slot, (vid, asset, v)) in chunk.iter().enumerate() {
-                    sq4_set_slot(&mut dir, slot, *vid, *asset);
-                    code_buf.clear();
-                    enc.encode_row(v, &mut code_buf);
-                    for (d, &c) in code_buf.iter().enumerate() {
-                        set_block_code(&mut packed, d, slot, c);
-                    }
+            for (id, chunk) in members.chunks(SQ4_BLOCK).enumerate() {
+                let mut block = Block::empty(partition, id as i64, dim);
+                for (slot, m) in chunk.iter().enumerate() {
+                    fill_slot(&mut block, slot, m, &enc, &mut code_buf);
                 }
-                codes.upsert(
-                    txn,
-                    vec![
-                        Value::Integer(partition),
-                        Value::Integer(block as i64),
-                        Value::Blob(dir),
-                        Value::Blob(packed),
-                    ],
-                )?;
+                w.put_block(block)?;
             }
         }
         _ => {
@@ -324,18 +163,10 @@ pub(crate) fn encode_partition(
             // only adds rows, and upsert/delete remove a row's code in
             // the same transaction — so upserting by (partition, vid)
             // replaces every live code and no stale sweep is needed.
-            for (vid, asset, v) in &members {
+            for m in &members {
                 code_buf.clear();
-                enc.encode_row(v, &mut code_buf);
-                codes.upsert(
-                    txn,
-                    vec![
-                        Value::Integer(partition),
-                        Value::Integer(*vid),
-                        Value::Integer(*asset),
-                        Value::Blob(code_buf.clone()),
-                    ],
-                )?;
+                enc.encode_row(&m.vector, &mut code_buf);
+                w.put_code((partition, m.vid), m.asset, &code_buf)?;
             }
         }
     }
@@ -344,22 +175,18 @@ pub(crate) fn encode_partition(
 
 /// Encodes newly-flushed rows into `partition`'s code storage *under
 /// its existing ranges* (no retrain — that is the maintainer's drift
-/// decision). `rows` must be the `(vid, asset, vector)` triples just
-/// moved into the partition, in ascending-vid order. Returns
-/// `(appended, clamped)` where `clamped` counts rows with at least one
-/// out-of-range dimension — the quantizer range-drift signal.
+/// decision). `rows` must be the members just moved into the
+/// partition, in ascending-vid order. Returns `(appended, clamped)`
+/// where `clamped` counts rows with at least one out-of-range
+/// dimension — the quantizer range-drift signal.
 pub(crate) fn append_partition(
-    txn: &mut WriteTxn,
-    tables: &Tables,
-    codec: VectorCodec,
-    dim: usize,
+    w: &mut Writer<'_>,
     partition: i64,
     params: &Sq8Params,
-    rows: &[(i64, i64, Vec<f32>)],
+    rows: &[Member],
 ) -> Result<(usize, usize)> {
-    let Some(codes) = &tables.codes else {
-        return Ok((0, 0));
-    };
+    let tables = w.tables();
+    let (codec, dim) = (tables.codec(), tables.dim());
     let enc = params.encoder(codec.levels());
     let mut code_buf = Vec::with_capacity(dim);
     let mut clamped = 0usize;
@@ -367,93 +194,41 @@ pub(crate) fn append_partition(
         VectorCodec::Sq4 => {
             // Fill tombstoned/empty slots of existing blocks in
             // (block, slot) order, then append fresh blocks.
-            let mut blocks = load_blocks(txn, codes, partition, dim)?;
-            let mut next_block = blocks.iter().map(|b| b.0).max().map_or(0, |m| m + 1);
-            let mut queue = rows.iter();
-            let mut pending = queue.next();
-            for (block, dir, packed) in &mut blocks {
-                if pending.is_none() {
-                    break;
-                }
+            let mut blocks = Vec::new();
+            tables.scan_blocks(w, Some(partition), |b| {
+                blocks.push(b.into_owned());
+                Ok(())
+            })?;
+            let mut next_block = blocks.iter().map(|b| b.id).max().map_or(0, |m| m + 1);
+            let mut queue = rows.iter().peekable();
+            for mut block in blocks {
                 let mut dirty = false;
                 for slot in 0..SQ4_BLOCK {
-                    let Some((vid, asset, v)) = pending else {
-                        break;
-                    };
-                    if sq4_slot(dir, slot).0 != 0 {
+                    if block.slot(slot).0 != 0 {
                         continue;
                     }
-                    sq4_set_slot(dir, slot, *vid, *asset);
-                    code_buf.clear();
-                    if enc.encode_row(v, &mut code_buf) {
-                        clamped += 1;
-                    }
-                    // set_block_code clears the slot's stale nibble
-                    // before writing, so tombstone leftovers vanish.
-                    for (d, &c) in code_buf.iter().enumerate() {
-                        set_block_code(packed, d, slot, c);
-                    }
+                    let Some(m) = queue.next() else { break };
+                    clamped += fill_slot(&mut block, slot, m, &enc, &mut code_buf) as usize;
                     dirty = true;
-                    pending = queue.next();
                 }
                 if dirty {
-                    codes.upsert(
-                        txn,
-                        vec![
-                            Value::Integer(partition),
-                            Value::Integer(*block),
-                            Value::Blob(dir.clone()),
-                            Value::Blob(packed.clone()),
-                        ],
-                    )?;
+                    w.put_block(block)?;
                 }
             }
-            while pending.is_some() {
-                let mut dir = vec![0u8; SQ4_MEMBERS_BYTES];
-                let mut packed = vec![0u8; sq4_block_bytes(dim)];
-                let mut slot = 0;
-                while let Some((vid, asset, v)) = pending {
-                    if slot == SQ4_BLOCK {
-                        break;
-                    }
-                    sq4_set_slot(&mut dir, slot, *vid, *asset);
-                    code_buf.clear();
-                    if enc.encode_row(v, &mut code_buf) {
-                        clamped += 1;
-                    }
-                    for (d, &c) in code_buf.iter().enumerate() {
-                        set_block_code(&mut packed, d, slot, c);
-                    }
-                    slot += 1;
-                    pending = queue.next();
+            while queue.peek().is_some() {
+                let mut block = Block::empty(partition, next_block, dim);
+                for (slot, m) in queue.by_ref().take(SQ4_BLOCK).enumerate() {
+                    clamped += fill_slot(&mut block, slot, m, &enc, &mut code_buf) as usize;
                 }
-                codes.upsert(
-                    txn,
-                    vec![
-                        Value::Integer(partition),
-                        Value::Integer(next_block),
-                        Value::Blob(dir),
-                        Value::Blob(packed),
-                    ],
-                )?;
+                w.put_block(block)?;
                 next_block += 1;
             }
         }
         _ => {
-            for (vid, asset, v) in rows {
+            for m in rows {
                 code_buf.clear();
-                if enc.encode_row(v, &mut code_buf) {
-                    clamped += 1;
-                }
-                codes.upsert(
-                    txn,
-                    vec![
-                        Value::Integer(partition),
-                        Value::Integer(*vid),
-                        Value::Integer(*asset),
-                        Value::Blob(code_buf.clone()),
-                    ],
-                )?;
+                clamped += enc.encode_row(&m.vector, &mut code_buf) as usize;
+                w.put_code((partition, m.vid), m.asset, &code_buf)?;
             }
         }
     }
@@ -463,112 +238,29 @@ pub(crate) fn append_partition(
 /// Removes one vector's code when it leaves an indexed partition
 /// (replacement or delete). SQ8 deletes the `(partition, vid)` row;
 /// SQ4 tombstones the vid's slot in its block directory (stale
-/// nibbles stay behind and are masked by liveness). Returns whether a
-/// code existed; no-op `false` for non-quantized catalogs.
-pub(crate) fn remove_code(
-    txn: &mut WriteTxn,
-    tables: &Tables,
-    codec: VectorCodec,
-    dim: usize,
-    partition: i64,
-    vid: i64,
-) -> Result<bool> {
-    let Some(codes) = &tables.codes else {
-        return Ok(false);
-    };
-    match codec {
+/// nibbles stay behind and are masked by liveness). No-op for
+/// non-quantized catalogs.
+pub(crate) fn remove_code(w: &mut Writer<'_>, (partition, vid): Loc) -> Result<()> {
+    let tables = w.tables();
+    match tables.codec() {
+        VectorCodec::F32 => {}
+        VectorCodec::Sq8 => {
+            w.remove_code_row(partition, vid)?;
+        }
         VectorCodec::Sq4 => {
-            let mut hit: Option<(i64, Vec<u8>, Vec<u8>, usize)> = None;
-            for kv in codes.scan_pk_prefix_raw(txn, &[Value::Integer(partition)])? {
-                let (_, row) = kv?;
-                let (block, dir, packed) = decode_block_row(&row, dim)?;
-                if let Some(slot) = (0..SQ4_BLOCK).find(|&j| sq4_slot(dir, j).0 == vid) {
-                    hit = Some((block, dir.to_vec(), packed.to_vec(), slot));
-                    break;
+            let mut hit = None;
+            tables.scan_blocks(w, Some(partition), |block| {
+                if hit.is_none() {
+                    if let Some(slot) = (0..SQ4_BLOCK).find(|&j| block.slot(j).0 == vid) {
+                        hit = Some((block.into_owned(), slot));
+                    }
                 }
+                Ok(())
+            })?;
+            if let Some((mut block, slot)) = hit {
+                block.set_slot(slot, 0, 0);
+                w.put_block(block)?;
             }
-            let Some((block, mut dir, packed, slot)) = hit else {
-                return Ok(false);
-            };
-            sq4_set_slot(&mut dir, slot, 0, 0);
-            codes.upsert(
-                txn,
-                vec![
-                    Value::Integer(partition),
-                    Value::Integer(block),
-                    Value::Blob(dir),
-                    Value::Blob(packed),
-                ],
-            )?;
-            Ok(true)
-        }
-        _ => Ok(codes
-            .delete(txn, &[Value::Integer(partition), Value::Integer(vid)])?
-            .is_some()),
-    }
-}
-
-/// Drops one partition's code rows and its quantization-range row —
-/// the codec-aware half of retiring a partition (lifecycle split and
-/// merge). No-op for non-quantized catalogs.
-pub(crate) fn clear_partition_codes(
-    txn: &mut WriteTxn,
-    tables: &Tables,
-    partition: i64,
-) -> Result<usize> {
-    let mut removed = 0usize;
-    if let Some(codes) = &tables.codes {
-        // Second key column is the vid (SQ8) or block id (SQ4) —
-        // either way an integer, so one sweep serves both layouts.
-        let keys: Vec<i64> = codes
-            .scan_pk_prefix_raw(txn, &[Value::Integer(partition)])?
-            .map(|kv| {
-                let (_, row) = kv?;
-                let mut dec = RowDecoder::new(&row)?;
-                dec.skip()?; // partition
-                dec.next_value()?
-                    .as_integer()
-                    .ok_or_else(|| Error::Config("code key column is not an integer".into()))
-            })
-            .collect::<Result<_>>()?;
-        for key in keys {
-            codes.delete(txn, &[Value::Integer(partition), Value::Integer(key)])?;
-            removed += 1;
-        }
-    }
-    if let Some(quants) = &tables.quants {
-        if quants.delete(txn, &[Value::Integer(partition)])?.is_some() {
-            removed += 1;
-        }
-    }
-    Ok(removed)
-}
-
-/// Drops every code and quantization-range row (a rebuild re-encodes
-/// all partitions from scratch).
-pub(crate) fn clear_codes(txn: &mut WriteTxn, tables: &Tables) -> Result<()> {
-    if let Some(codes) = &tables.codes {
-        let pks: Vec<(i64, i64)> = codes
-            .scan(txn)?
-            .map(|row| {
-                let row = row?;
-                Ok((
-                    row[0].as_integer().unwrap_or(0),
-                    row[1].as_integer().unwrap_or(0),
-                ))
-            })
-            .collect::<Result<_>>()?;
-        for (p, v) in pks {
-            codes.delete(txn, &[Value::Integer(p), Value::Integer(v)])?;
-        }
-    }
-    if let Some(quants) = &tables.quants {
-        let pks: Vec<i64> = quants
-            .scan(txn)?
-            .map(|row| Ok(row?[0].as_integer().unwrap_or(0)))
-            .collect::<Result<_>>()?;
-        for p in pks {
-            quants.delete(txn, &[Value::Integer(p)])?;
         }
     }
     Ok(())
@@ -592,18 +284,5 @@ mod tests {
         assert!(VectorCodec::Sq4.is_quantized());
         assert_eq!(VectorCodec::Sq4.levels(), 15);
         assert_eq!(VectorCodec::Sq8.levels(), 255);
-    }
-
-    #[test]
-    fn params_blob_round_trip() {
-        let p = Sq8Params {
-            min: vec![-1.5, 0.0, 3.25],
-            scale: vec![0.1, 0.0, 2.0],
-        };
-        let blob = params_to_blob(&p);
-        assert_eq!(blob.len(), 3 * 2 * 4);
-        let back = params_from_blob(&blob, 3).unwrap();
-        assert_eq!(back, p);
-        assert!(params_from_blob(&blob, 4).is_err());
     }
 }

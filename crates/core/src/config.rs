@@ -60,19 +60,14 @@ pub struct Config {
     /// Distance metric (fixed at creation).
     pub metric: Metric,
     /// How vector payloads are stored and scanned (fixed at creation):
-    /// full-precision [`VectorCodec::F32`] or quantized
-    /// [`VectorCodec::Sq8`] with exact re-ranking.
+    /// full-precision [`VectorCodec::F32`], or quantized
+    /// [`VectorCodec::Sq8`] / [`VectorCodec::Sq4`] with exact
+    /// re-ranking.
     pub codec: VectorCodec,
     /// Quantized scans keep `rerank_factor × k` candidates and re-rank
     /// them against exact f32 vectors (ignored by [`VectorCodec::F32`];
     /// paper-style default: 4).
     pub rerank_factor: usize,
-    /// Quantizer range-drift threshold for quantized codecs: once the
-    /// fraction of flushed rows that clamped against a partition's
-    /// stored ranges exceeds this limit, the maintainer retrains that
-    /// partition's ranges (in `(0, 1]`; default 0.1). Ignored by
-    /// [`VectorCodec::F32`].
-    pub range_drift_limit: f64,
     /// Target vectors per IVF partition `t` (paper default: 100).
     pub target_partition_size: usize,
     /// Default number of partitions probed per ANN query `n`.
@@ -100,10 +95,6 @@ pub struct Config {
     /// `merge_limit × target_partition_size` vectors (in `[0, 1)`;
     /// `0` disables merging).
     pub merge_limit: f64,
-    /// Mini-batch size for index-construction clustering.
-    pub clustering_batch_size: usize,
-    /// Clustering iterations; `0` = auto.
-    pub clustering_iterations: usize,
     /// Balance-constraint weight λ of Algorithm 1.
     pub balance_lambda: f32,
     /// RNG seed for clustering.
@@ -137,7 +128,6 @@ impl Default for Config {
             metric: Metric::L2,
             codec: VectorCodec::F32,
             rerank_factor: 4,
-            range_drift_limit: 0.1,
             target_partition_size: 100,
             default_probes: 8,
             workers: 0,
@@ -146,8 +136,6 @@ impl Default for Config {
             lifecycle: true,
             split_limit: 1.5,
             merge_limit: 0.25,
-            clustering_batch_size: 1024,
-            clustering_iterations: 0,
             balance_lambda: 0.5,
             seed: 0x5EED,
             centroid_index_threshold: 2048,
@@ -187,11 +175,6 @@ impl Config {
         if self.rerank_factor == 0 {
             return Err(crate::error::Error::Config(
                 "rerank_factor must be positive".into(),
-            ));
-        }
-        if !(self.range_drift_limit > 0.0 && self.range_drift_limit <= 1.0) {
-            return Err(crate::error::Error::Config(
-                "range_drift_limit must be in (0, 1]".into(),
             ));
         }
         if self.split_limit <= 1.0 {
@@ -325,12 +308,6 @@ mod tests {
         let mut c = Config::new(8, Metric::L2);
         c.merge_limit = 1.0;
         assert!(c.validate().is_err(), "merge_limit >= 1");
-        let mut c = Config::new(8, Metric::L2);
-        c.range_drift_limit = 0.0;
-        assert!(c.validate().is_err(), "range_drift_limit 0");
-        let mut c = Config::new(8, Metric::L2);
-        c.range_drift_limit = 1.5;
-        assert!(c.validate().is_err(), "range_drift_limit > 1");
     }
 
     #[test]

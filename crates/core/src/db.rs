@@ -1,65 +1,23 @@
-//! The MicroNN database handle: schema management, streaming updates,
-//! and shared caches.
-//!
-//! Storage schema (mirrors Figure 2 of the paper):
-//!
-//! | table       | primary key         | columns                         |
-//! |-------------|---------------------|---------------------------------|
-//! | `vectors`   | `(partition, vid)`  | `asset`, `vec` (f32 blob)       |
-//! | `assets`    | `(asset)`           | `partition`, `vid`              |
-//! | `centroids` | `(partition)`       | `centroid` (f32 blob), `size`   |
-//! | `attrs`     | `(asset)`           | client-defined attribute columns|
-//! | `meta`      | `(key)`             | `ival`, `tval`                  |
-//! | `codes`*    | `(partition, vid)`  | `asset`, `code` (u8 blob)       |
-//! | `codes`†    | `(partition, block)`| `members`, `packed` (blobs)     |
-//! | `quants`*†  | `(partition)`       | `params` (f32 blob)             |
-//!
-//! `*` only with the [`VectorCodec::Sq8`] catalog, `†` only with
-//! [`VectorCodec::Sq4`] (one row per 32-vector fastscan block):
-//! quantized codes are a *separately clustered* payload so
-//! compressed-domain scans touch ~4× (SQ8) / ~8× (SQ4) fewer bytes
-//! than the f32 rows they mirror.
-//!
-//! The `vectors` table is clustered on `(partition, vid)`, so each IVF
-//! partition is a contiguous key range on disk (§3.2). The delta store
-//! is the reserved partition `0` (§3.6): upserts land there and are
-//! folded into the index by [`crate::maintain`].
+//! The MicroNN database handle: streaming updates and the shared,
+//! snapshot-keyed caches. The storage schema is `catalog.rs`'s.
 
 use std::collections::{BTreeMap, HashMap};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use parking_lot::{Mutex, RwLock};
 
 use micronn_cluster::Clustering;
 use micronn_linalg::{Metric, Sq8Params};
-use micronn_rel::{
-    blob_to_f32, f32_to_blob, ColumnDef, Database, RelError, Table, TableSchema, TableStats, Value,
-    ValueType,
-};
-use micronn_storage::{PageRead, WriteTxn};
+use micronn_rel::{Database, RelError, TableStats, Value};
+use micronn_storage::PageRead;
 
+use crate::catalog::{Counter, Loc, Tables, Writer};
 use crate::codec::VectorCodec;
-use crate::config::{AttributeDef, Config};
+use crate::config::Config;
 use crate::error::{Error, Result};
 
 /// The reserved partition id of the delta store (§3.6).
 pub const DELTA_PARTITION: i64 = 0;
-
-// Meta keys (crate-visible: build/maintain modules read and write them).
-const M_DIM: &str = "dim";
-const M_METRIC: &str = "metric";
-const M_CODEC: &str = "codec";
-pub(crate) const M_NEXT_VID: &str = "next_vid";
-pub(crate) const M_EPOCH: &str = "epoch";
-pub(crate) const M_PARTITIONS: &str = "k";
-pub(crate) const M_DELTA_COUNT: &str = "delta_count";
-pub(crate) const M_BASELINE_AVG: &str = "baseline_avg";
-pub(crate) const M_TARGET: &str = "target_partition_size";
-/// Next partition id to allocate for a split (monotone; rebuild resets
-/// it to `k + 1`). `0` in pre-lifecycle files: consumers fall back to
-/// `max(pid) + 1`.
-pub(crate) const M_NEXT_PID: &str = "next_pid";
 
 /// One vector record: the unit of ingestion.
 #[derive(Debug, Clone, PartialEq)]
@@ -89,20 +47,6 @@ impl VectorRecord {
     }
 }
 
-pub(crate) struct Tables {
-    pub vectors: Table,
-    pub assets: Table,
-    pub centroids: Table,
-    pub attrs: Table,
-    pub meta: Table,
-    /// Quantized vector codes, clustered like `vectors` — present only
-    /// for quantized codecs.
-    pub codes: Option<Table>,
-    /// Per-partition quantization ranges — present only for quantized
-    /// codecs.
-    pub quants: Option<Table>,
-}
-
 /// The loaded IVF quantizer: centroids, their partition ids, and (for
 /// large `k`) the two-level centroid index of §3.2's extension.
 #[derive(Clone)]
@@ -128,19 +72,66 @@ impl LoadedIndex {
     }
 }
 
-pub(crate) struct CentroidCache {
-    /// Index epoch (`M_EPOCH`) the entry was loaded under.
-    pub epoch: i64,
-    /// Commit seq of the snapshot the entry was loaded from. Publish
-    /// policy: only committed snapshots may publish, and an older
-    /// snapshot never clobbers a newer entry.
-    pub seq: u64,
-    pub index: LoadedIndex,
+/// One value derived from a committed snapshot and shared between
+/// readers: the centroid index and quantization ranges are keyed on
+/// the index epoch, attribute statistics on the exact commit seq.
+///
+/// Protocol: only a committed read snapshot may look up or publish — a
+/// mid-transaction writer may have changed rows before its epoch bump,
+/// and a rolled-back writer's view never existed — and an entry
+/// published from an older snapshot never replaces one from a newer.
+pub(crate) struct SnapCache<K, V>(RwLock<Option<(K, u64, V)>>);
+
+impl<K, V> Default for SnapCache<K, V> {
+    fn default() -> Self {
+        SnapCache(RwLock::new(None))
+    }
 }
 
-/// Per-partition quantization ranges (SQ8 catalogs), keyed like
-/// [`CentroidCache`] on `(epoch, snapshot commit seq)`.
-type QuantCache = Option<(i64, u64, HashMap<i64, Arc<Sq8Params>>)>;
+impl<K: PartialEq, V> SnapCache<K, V> {
+    /// What `f` makes of the cached value, if the reader is a committed
+    /// snapshot (`snap`, its [`PageRead::committed_snapshot`]) and one
+    /// was published under `key`.
+    pub fn lookup<T>(
+        &self,
+        snap: Option<u64>,
+        key: &K,
+        f: impl FnOnce(&V) -> Option<T>,
+    ) -> Option<T> {
+        let guard = self.0.read();
+        let entry = guard.as_ref().filter(|e| snap.is_some() && e.0 == *key);
+        entry.and_then(|e| f(&e.2))
+    }
+
+    /// Publishes, under `key`, the value a reader at committed snapshot
+    /// `snap` loaded; no-op for any other reader. `merge` receives the
+    /// entry already cached under the same key, if any (equal keys
+    /// imply equal underlying state, so folding the two together is
+    /// sound); an entry under another key is replaced unless it came
+    /// from a newer snapshot.
+    pub fn publish(&self, snap: Option<u64>, key: K, merge: impl FnOnce(Option<V>) -> V) {
+        let Some(seq) = snap else { return };
+        let mut guard = self.0.write();
+        *guard = match guard.take() {
+            Some((k, s, v)) if k == key => Some((key, s.max(seq), merge(Some(v)))),
+            Some(newer) if newer.1 > seq => Some(newer),
+            _ => Some((key, seq, merge(None))),
+        };
+    }
+
+    pub fn clear(&self) {
+        *self.0.write() = None;
+    }
+
+    /// `(key, seq)` of the cached entry.
+    #[cfg(test)]
+    pub fn entry(&self) -> Option<(K, u64)>
+    where
+        K: Copy,
+    {
+        self.0.read().as_ref().map(|e| (e.0, e.1))
+    }
+}
 
 pub(crate) struct Inner {
     pub db: Database,
@@ -148,22 +139,21 @@ pub(crate) struct Inner {
     pub dim: usize,
     pub metric: Metric,
     pub cfg: Config,
-    pub centroid_cache: RwLock<Option<CentroidCache>>,
+    /// The loaded quantizer, keyed on the index epoch.
+    pub centroid_cache: SnapCache<i64, LoadedIndex>,
+    /// Per-partition quantization ranges, keyed on the index epoch:
+    /// ranges change only under maintenance, which bumps the epoch in
+    /// the same transaction.
+    pub quant_cache: SnapCache<i64, HashMap<i64, Arc<Sq8Params>>>,
     /// Attribute statistics keyed on the *commit seq* of the snapshot
     /// they were loaded from — any committed write (upsert, delete,
     /// flush) can change them, so the epoch alone is not a valid key.
-    pub stats_cache: RwLock<Option<(u64, Arc<TableStats>)>>,
-    /// Per-partition quantization ranges: ranges change only under
-    /// maintenance, which bumps the epoch in the same transaction.
-    pub quant_cache: RwLock<QuantCache>,
+    pub stats_cache: SnapCache<u64, Arc<TableStats>>,
     /// Persistent worker pool for parallel partition scans (Figure 3).
     /// Every query path fans out through its typed
     /// `parallel_indexed` primitive; no call site hand-rolls
     /// dispatch, error capture, or panic handling.
     pub scan_pool: crate::pool::ScanPool,
-    /// Total row-level DB mutations (Figure 10d's "No. of DB row
-    /// changes").
-    pub row_changes: AtomicU64,
     /// Per-partition quantizer range-drift counters, `partition →
     /// (clamped rows, appended rows)`, fed by delta flushes that encode
     /// new rows under a partition's existing ranges. The maintainer
@@ -187,311 +177,49 @@ pub struct MicroNN {
 
 impl MicroNN {
     /// Creates a new index at `path`.
-    pub fn create(path: impl AsRef<std::path::Path>, mut config: Config) -> Result<MicroNN> {
+    pub fn create(path: impl AsRef<std::path::Path>, config: Config) -> Result<MicroNN> {
         config.validate()?;
-        // One trace-sink cell spans the whole stack: mount the hub's
-        // cell into the store options before the store opens, so WAL
-        // group commits and checkpoints land in the same sink as
-        // query stages and maintenance actions.
-        let tel = Arc::new(crate::telemetry::DbTelemetry::new(&config));
-        config.store.trace = Arc::clone(&tel.sink);
-        let db = Database::create(path, config.store.clone())?;
-        db.store()
-            .io()
-            .register_into(&tel.registry, "micronn_store_");
-        let mut txn = db.begin_write()?;
-
-        let meta = db.create_table(
-            &mut txn,
-            TableSchema::new(
-                "meta",
-                vec![
-                    ColumnDef::new("key", ValueType::Text),
-                    ColumnDef::nullable("ival", ValueType::Integer),
-                    ColumnDef::nullable("tval", ValueType::Text),
-                ],
-                &["key"],
-            )
-            .map_err(Error::Rel)?,
-        )?;
-        let vectors = db.create_table(
-            &mut txn,
-            TableSchema::new(
-                "vectors",
-                vec![
-                    ColumnDef::new("partition", ValueType::Integer),
-                    ColumnDef::new("vid", ValueType::Integer),
-                    ColumnDef::new("asset", ValueType::Integer),
-                    ColumnDef::new("vec", ValueType::Blob),
-                ],
-                &["partition", "vid"],
-            )
-            .map_err(Error::Rel)?,
-        )?;
-        let assets = db.create_table(
-            &mut txn,
-            TableSchema::new(
-                "assets",
-                vec![
-                    ColumnDef::new("asset", ValueType::Integer),
-                    ColumnDef::new("partition", ValueType::Integer),
-                    ColumnDef::new("vid", ValueType::Integer),
-                ],
-                &["asset"],
-            )
-            .map_err(Error::Rel)?,
-        )?;
-        let centroids = db.create_table(
-            &mut txn,
-            TableSchema::new(
-                "centroids",
-                vec![
-                    ColumnDef::new("partition", ValueType::Integer),
-                    ColumnDef::new("centroid", ValueType::Blob),
-                    ColumnDef::new("size", ValueType::Integer),
-                ],
-                &["partition"],
-            )
-            .map_err(Error::Rel)?,
-        )?;
-        // Attributes table: asset pk + client-defined columns (all
-        // nullable: a record may omit any attribute).
-        let mut attr_cols = vec![ColumnDef::new("asset", ValueType::Integer)];
-        for a in &config.attributes {
-            attr_cols.push(ColumnDef::nullable(a.name.clone(), a.ty));
-        }
-        let mut attrs = db.create_table(
-            &mut txn,
-            TableSchema::new("attrs", attr_cols, &["asset"]).map_err(Error::Rel)?,
-        )?;
-        for a in &config.attributes {
-            if a.indexed {
-                attrs = db.create_index(&mut txn, &attrs, &format!("by_{}", a.name), &[&a.name])?;
-            }
-            if a.fts {
-                attrs = db.create_fts_index(&mut txn, &attrs, &a.name)?;
-            }
-        }
-        // Quantized catalogs keep codes as a separately clustered
-        // payload plus per-partition quantization ranges. SQ8 stores
-        // one code row per vector; SQ4 stores one row per 32-vector
-        // fastscan block (a slot directory plus the packed nibbles).
-        let (codes, quants) = if config.codec.is_quantized() {
-            let codes_schema = if config.codec == VectorCodec::Sq4 {
-                TableSchema::new(
-                    "codes",
-                    vec![
-                        ColumnDef::new("partition", ValueType::Integer),
-                        ColumnDef::new("block", ValueType::Integer),
-                        ColumnDef::new("members", ValueType::Blob),
-                        ColumnDef::new("packed", ValueType::Blob),
-                    ],
-                    &["partition", "block"],
-                )
-            } else {
-                TableSchema::new(
-                    "codes",
-                    vec![
-                        ColumnDef::new("partition", ValueType::Integer),
-                        ColumnDef::new("vid", ValueType::Integer),
-                        ColumnDef::new("asset", ValueType::Integer),
-                        ColumnDef::new("code", ValueType::Blob),
-                    ],
-                    &["partition", "vid"],
-                )
-            };
-            let codes = db.create_table(&mut txn, codes_schema.map_err(Error::Rel)?)?;
-            let quants = db.create_table(
-                &mut txn,
-                TableSchema::new(
-                    "quants",
-                    vec![
-                        ColumnDef::new("partition", ValueType::Integer),
-                        ColumnDef::new("params", ValueType::Blob),
-                    ],
-                    &["partition"],
-                )
-                .map_err(Error::Rel)?,
-            )?;
-            (Some(codes), Some(quants))
-        } else {
-            (None, None)
-        };
-
-        // Persist immutable index parameters.
-        let set =
-            |txn: &mut WriteTxn, t: &Table, key: &str, ival: Option<i64>, tval: Option<&str>| {
-                t.upsert(
-                    txn,
-                    vec![
-                        Value::text(key),
-                        ival.map(Value::Integer).unwrap_or(Value::Null),
-                        tval.map(Value::text).unwrap_or(Value::Null),
-                    ],
-                )
-                .map(|_| ())
-            };
-        set(&mut txn, &meta, M_DIM, Some(config.dim as i64), None)?;
-        set(
-            &mut txn,
-            &meta,
-            M_METRIC,
-            None,
-            Some(&config.metric.to_string()),
-        )?;
-        set(&mut txn, &meta, M_CODEC, None, Some(config.codec.name()))?;
-        set(&mut txn, &meta, M_NEXT_VID, Some(1), None)?;
-        set(&mut txn, &meta, M_EPOCH, Some(0), None)?;
-        set(&mut txn, &meta, M_PARTITIONS, Some(0), None)?;
-        set(&mut txn, &meta, M_DELTA_COUNT, Some(0), None)?;
-        set(&mut txn, &meta, M_BASELINE_AVG, Some(0), None)?;
-        set(&mut txn, &meta, M_NEXT_PID, Some(1), None)?;
-        set(
-            &mut txn,
-            &meta,
-            M_TARGET,
-            Some(config.target_partition_size as i64),
-            None,
-        )?;
-        txn.commit()?;
-
-        Ok(MicroNN {
-            inner: Arc::new(Inner {
-                tables: Tables {
-                    vectors,
-                    assets,
-                    centroids,
-                    attrs,
-                    meta,
-                    codes,
-                    quants,
-                },
-                dim: config.dim,
-                metric: config.metric,
-                scan_pool: crate::pool::ScanPool::new(config.effective_workers()),
-                cfg: config,
-                db,
-                centroid_cache: RwLock::new(None),
-                stats_cache: RwLock::new(None),
-                quant_cache: RwLock::new(None),
-                row_changes: AtomicU64::new(0),
-                drift: Mutex::new(BTreeMap::new()),
-                tel,
-            }),
-        })
+        MicroNN::start(path.as_ref(), config, true)
     }
 
     /// Opens an existing index. Persisted parameters (dimension,
     /// metric, attribute schema) are loaded from the database; `config`
     /// supplies runtime knobs (probes, workers, thresholds, store
     /// options). A non-zero `config.dim` is validated against the file.
-    pub fn open(path: impl AsRef<std::path::Path>, mut config: Config) -> Result<MicroNN> {
-        // Same cell-sharing as `create`: the store must see the hub's
-        // trace sink from the first page it touches.
+    pub fn open(path: impl AsRef<std::path::Path>, config: Config) -> Result<MicroNN> {
+        MicroNN::start(path.as_ref(), config, false)
+    }
+
+    fn start(path: &std::path::Path, mut config: Config, create: bool) -> Result<MicroNN> {
+        // One trace-sink cell spans the whole stack: mount the hub's
+        // cell into the store options before the store opens, so WAL
+        // group commits and checkpoints land in the same sink as
+        // query stages and maintenance actions.
         let tel = Arc::new(crate::telemetry::DbTelemetry::new(&config));
         config.store.trace = Arc::clone(&tel.sink);
-        let db = Database::open(path, config.store.clone())?;
+        let db = if create {
+            Database::create(path, config.store.clone())?
+        } else {
+            Database::open(path, config.store.clone())?
+        };
         db.store()
             .io()
             .register_into(&tel.registry, "micronn_store_");
-        let r = db.begin_read();
-        let meta = db.open_table(&r, "meta")?;
-        let get_int = |key: &str| -> Result<i64> {
-            meta.get(&r, &[Value::text(key)])?
-                .and_then(|row| row[1].as_integer())
-                .ok_or_else(|| Error::Config(format!("meta key {key} missing")))
-        };
-        let dim = get_int(M_DIM)? as usize;
-        let metric_name = meta
-            .get(&r, &[Value::text(M_METRIC)])?
-            .and_then(|row| row[2].as_text().map(str::to_owned))
-            .ok_or_else(|| Error::Config("meta key metric missing".into()))?;
-        let metric = Metric::parse(&metric_name)
-            .ok_or_else(|| Error::Config(format!("unknown metric {metric_name}")))?;
-        if config.dim != 0 && config.dim != dim {
-            return Err(Error::DimensionMismatch {
-                expected: dim,
-                got: config.dim,
-            });
+        if create {
+            Tables::create(&db, &config)?;
         }
-        // Codec is part of the catalog: files created before the codec
-        // column existed read as plain f32. Asking for a quantized
-        // codec the file does not carry cannot be honoured — the codes
-        // were never written, or were written in the other quantized
-        // layout (SQ8 rows vs SQ4 blocks) — so it is an open-time
-        // error rather than a silent downgrade.
-        let codec = match meta
-            .get(&r, &[Value::text(M_CODEC)])?
-            .and_then(|row| row[2].as_text().map(str::to_owned))
-        {
-            Some(name) => VectorCodec::parse(&name)
-                .ok_or_else(|| Error::Config(format!("unknown vector codec {name}")))?,
-            None => VectorCodec::F32,
-        };
-        if config.codec.is_quantized() && codec != config.codec {
-            return Err(Error::Config(format!(
-                "index was created with codec {codec}; cannot open as {}",
-                config.codec
-            )));
-        }
-        let target = get_int(M_TARGET)? as usize;
-        config.dim = dim;
-        config.metric = metric;
-        config.codec = codec;
-        config.target_partition_size = target;
-        // Reconstruct the attribute definitions from the stored schema.
-        let attrs = db.open_table(&r, "attrs")?;
-        config.attributes = attrs
-            .schema()
-            .columns
-            .iter()
-            .skip(1)
-            .map(|c| {
-                let idx = attrs.schema().column_index(&c.name).expect("own column");
-                AttributeDef {
-                    name: c.name.clone(),
-                    ty: c.ty,
-                    indexed: attrs.index_on(&[idx]).is_some(),
-                    fts: attrs.fts_on(idx).is_some(),
-                }
-            })
-            .collect();
-
-        // Open-time validation: a quantized catalog must carry its
-        // codes and quantization-range tables.
-        let (codes, quants) = if codec.is_quantized() {
-            let codes = db.open_table(&r, "codes").map_err(|_| {
-                Error::Config(format!("{codec} catalog is missing its codes table"))
-            })?;
-            let quants = db.open_table(&r, "quants").map_err(|_| {
-                Error::Config(format!("{codec} catalog is missing its quants table"))
-            })?;
-            (Some(codes), Some(quants))
-        } else {
-            (None, None)
-        };
-        let tables = Tables {
-            vectors: db.open_table(&r, "vectors")?,
-            assets: db.open_table(&r, "assets")?,
-            centroids: db.open_table(&r, "centroids")?,
-            attrs,
-            meta,
-            codes,
-            quants,
-        };
-        drop(r);
+        let tables = Tables::open(&db, &mut config)?;
         Ok(MicroNN {
             inner: Arc::new(Inner {
                 tables,
-                dim,
-                metric,
+                dim: config.dim,
+                metric: config.metric,
                 scan_pool: crate::pool::ScanPool::new(config.effective_workers()),
                 cfg: config,
                 db,
-                centroid_cache: RwLock::new(None),
-                stats_cache: RwLock::new(None),
-                quant_cache: RwLock::new(None),
-                row_changes: AtomicU64::new(0),
+                centroid_cache: SnapCache::default(),
+                quant_cache: SnapCache::default(),
+                stats_cache: SnapCache::default(),
                 drift: Mutex::new(BTreeMap::new()),
                 tel,
             }),
@@ -547,9 +275,10 @@ impl MicroNN {
             return Ok(());
         }
         let inner = &*self.inner;
-        let mut txn = inner.db.begin_write()?;
-        let mut next_vid = meta_int(&txn, &inner.tables.meta, M_NEXT_VID)?;
-        let mut delta = meta_int(&txn, &inner.tables.meta, M_DELTA_COUNT)?;
+        let t = &inner.tables;
+        let mut w = t.begin_write(&inner.db)?;
+        let mut next_vid = t.counter(&w, Counter::NEXT_VID)?;
+        let mut delta = t.counter(&w, Counter::DELTA_COUNT)?;
         for rec in records {
             if rec.vector.len() != inner.dim {
                 return Err(Error::DimensionMismatch {
@@ -558,69 +287,19 @@ impl MicroNN {
                 });
             }
             // Replace: remove the previous vector row wherever it lives.
-            if let Some(prev) = inner
-                .tables
-                .assets
-                .get(&txn, &[Value::Integer(rec.asset_id)])?
-            {
-                let (p, v) = (prev[1].clone(), prev[2].clone());
-                if p.as_integer() == Some(DELTA_PARTITION) {
-                    delta -= 1;
-                } else {
-                    // The replaced vector lived in an indexed
-                    // partition: its quantized code is stale too.
-                    if crate::codec::remove_code(
-                        &mut txn,
-                        &inner.tables,
-                        inner.cfg.codec,
-                        inner.dim,
-                        p.as_integer().unwrap_or(0),
-                        v.as_integer().unwrap_or(0),
-                    )? {
-                        inner.row_changes.fetch_add(1, Ordering::Relaxed);
-                    }
-                    // Keep the per-partition size stats exact: the
-                    // lifecycle policy reads them to pick split/merge
-                    // candidates.
-                    if adjust_partition_size(
-                        &mut txn,
-                        &inner.tables.centroids,
-                        p.as_integer().unwrap_or(0),
-                        -1,
-                    )? {
-                        inner.row_changes.fetch_add(1, Ordering::Relaxed);
-                    }
-                }
-                inner.tables.vectors.delete(&mut txn, &[p, v])?;
-                inner.row_changes.fetch_add(1, Ordering::Relaxed);
+            if let Some(prev) = t.location(&w, rec.asset_id)? {
+                inner.unlink_vector(&mut w, prev, &mut delta)?;
             }
             let vid = next_vid;
             next_vid += 1;
-            inner.tables.vectors.upsert(
-                &mut txn,
-                vec![
-                    Value::Integer(DELTA_PARTITION),
-                    Value::Integer(vid),
-                    Value::Integer(rec.asset_id),
-                    Value::Blob(f32_to_blob(&rec.vector)),
-                ],
-            )?;
+            w.put_vector((DELTA_PARTITION, vid), rec.asset_id, &rec.vector)?;
             delta += 1;
-            inner.tables.assets.upsert(
-                &mut txn,
-                vec![
-                    Value::Integer(rec.asset_id),
-                    Value::Integer(DELTA_PARTITION),
-                    Value::Integer(vid),
-                ],
-            )?;
-            let attr_row = self.build_attr_row(rec)?;
-            inner.tables.attrs.upsert(&mut txn, attr_row)?;
-            inner.row_changes.fetch_add(3, Ordering::Relaxed);
+            w.set_location(rec.asset_id, (DELTA_PARTITION, vid))?;
+            w.put_attrs(self.build_attr_row(rec)?)?;
         }
-        set_meta_int(&mut txn, &inner.tables.meta, M_NEXT_VID, next_vid)?;
-        set_meta_int(&mut txn, &inner.tables.meta, M_DELTA_COUNT, delta)?;
-        txn.commit()?;
+        w.set_counter(Counter::NEXT_VID, next_vid)?;
+        w.set_counter(Counter::DELTA_COUNT, delta)?;
+        w.commit()?;
         Ok(())
     }
 
@@ -636,84 +315,48 @@ impl MicroNN {
             return Ok(0);
         }
         let inner = &*self.inner;
-        let mut txn = inner.db.begin_write()?;
-        let mut delta = meta_int(&txn, &inner.tables.meta, M_DELTA_COUNT)?;
+        let t = &inner.tables;
+        let mut w = t.begin_write(&inner.db)?;
+        let mut delta = t.counter(&w, Counter::DELTA_COUNT)?;
         let mut removed = 0usize;
         for &asset in asset_ids {
-            let Some(prev) = inner
-                .tables
-                .assets
-                .delete(&mut txn, &[Value::Integer(asset)])?
-            else {
+            let Some(prev) = w.take_location(asset)? else {
                 continue;
             };
-            let (p, v) = (prev[1].clone(), prev[2].clone());
-            if p.as_integer() == Some(DELTA_PARTITION) {
-                delta -= 1;
-            } else {
-                if crate::codec::remove_code(
-                    &mut txn,
-                    &inner.tables,
-                    inner.cfg.codec,
-                    inner.dim,
-                    p.as_integer().unwrap_or(0),
-                    v.as_integer().unwrap_or(0),
-                )? {
-                    inner.row_changes.fetch_add(1, Ordering::Relaxed);
-                }
-                if adjust_partition_size(
-                    &mut txn,
-                    &inner.tables.centroids,
-                    p.as_integer().unwrap_or(0),
-                    -1,
-                )? {
-                    inner.row_changes.fetch_add(1, Ordering::Relaxed);
-                }
-            }
-            inner.tables.vectors.delete(&mut txn, &[p, v])?;
-            inner
-                .tables
-                .attrs
-                .delete(&mut txn, &[Value::Integer(asset)])?;
-            inner.row_changes.fetch_add(3, Ordering::Relaxed);
+            inner.unlink_vector(&mut w, prev, &mut delta)?;
+            w.remove_attrs(asset)?;
             removed += 1;
         }
-        set_meta_int(&mut txn, &inner.tables.meta, M_DELTA_COUNT, delta)?;
-        txn.commit()?;
+        w.set_counter(Counter::DELTA_COUNT, delta)?;
+        w.commit()?;
         Ok(removed)
     }
 
     /// Fetches the stored vector of an asset.
     pub fn get_vector(&self, asset_id: i64) -> Result<Option<Vec<f32>>> {
-        let inner = &*self.inner;
-        let r = inner.db.begin_read();
-        let Some(loc) = inner.tables.assets.get(&r, &[Value::Integer(asset_id)])? else {
+        let r = self.inner.db.begin_read();
+        let mut fetch = self.inner.tables.vector_reader(&r);
+        let Some(loc) = fetch.locate(asset_id)? else {
             return Ok(None);
         };
-        let row = inner
-            .tables
-            .vectors
-            .get(&r, &[loc[1].clone(), loc[2].clone()])?
-            .ok_or_else(|| {
-                Error::Rel(RelError::Codec(format!(
-                    "asset {asset_id}: dangling vector reference"
-                )))
-            })?;
-        let blob = row[3]
-            .as_blob()
-            .ok_or_else(|| Error::Rel(RelError::Codec("vector column is not a blob".into())))?;
-        Ok(Some(blob_to_f32(blob).map_err(Error::Rel)?))
+        let mut vector = Vec::with_capacity(self.inner.dim);
+        if !fetch.append(loc, &mut vector)? {
+            return Err(Error::Rel(RelError::Codec(format!(
+                "asset {asset_id}: dangling vector reference"
+            ))));
+        }
+        Ok(Some(vector))
     }
 
     /// Fetches the attributes of an asset as `(name, value)` pairs
     /// (NULLs omitted).
     pub fn get_attributes(&self, asset_id: i64) -> Result<Option<Vec<(String, Value)>>> {
-        let inner = &*self.inner;
-        let r = inner.db.begin_read();
-        let Some(row) = inner.tables.attrs.get(&r, &[Value::Integer(asset_id)])? else {
+        let r = self.inner.db.begin_read();
+        let attrs = self.inner.tables.attrs();
+        let Some(row) = attrs.get(&r, &[Value::Integer(asset_id)])? else {
             return Ok(None);
         };
-        let schema = inner.tables.attrs.schema();
+        let schema = attrs.schema();
         Ok(Some(
             row.into_iter()
                 .enumerate()
@@ -726,31 +369,14 @@ impl MicroNN {
 
     /// True if the asset exists.
     pub fn contains(&self, asset_id: i64) -> Result<bool> {
-        let inner = &*self.inner;
-        let r = inner.db.begin_read();
-        Ok(inner
-            .tables
-            .assets
-            .contains(&r, &[Value::Integer(asset_id)])?)
-    }
-
-    /// Number of stored vectors.
-    pub fn len(&self) -> Result<u64> {
-        let inner = &*self.inner;
-        let r = inner.db.begin_read();
-        Ok(inner.tables.vectors.row_count(&r)?)
-    }
-
-    /// True when no vectors are stored.
-    pub fn is_empty(&self) -> Result<bool> {
-        Ok(self.len()? == 0)
+        let r = self.inner.db.begin_read();
+        Ok(self.inner.tables.location(&r, asset_id)?.is_some())
     }
 
     /// Vectors currently staged in the delta store.
     pub fn delta_len(&self) -> Result<u64> {
-        let inner = &*self.inner;
-        let r = inner.db.begin_read();
-        Ok(meta_int(&r, &inner.tables.meta, M_DELTA_COUNT)? as u64)
+        let r = self.inner.db.begin_read();
+        Ok(self.inner.tables.counter(&r, Counter::DELTA_COUNT)? as u64)
     }
 
     /// Current `(partition id, vector count)` of every indexed
@@ -759,9 +385,8 @@ impl MicroNN {
     /// operations; the lifecycle policy and the `micronnctl status`
     /// histogram read them.
     pub fn partition_sizes(&self) -> Result<Vec<(i64, u64)>> {
-        let inner = &*self.inner;
-        let r = inner.db.begin_read();
-        read_partition_sizes(&r, &inner.tables.centroids)
+        let r = self.inner.db.begin_read();
+        self.inner.tables.partition_sizes(&r)
     }
 
     /// Cumulative storage-layer I/O counters (buffer-pool hit/miss,
@@ -777,9 +402,9 @@ impl MicroNN {
     /// scenario (§4.1.4).
     pub fn purge_caches(&self) {
         self.inner.db.store().purge_cache();
-        *self.inner.centroid_cache.write() = None;
-        *self.inner.stats_cache.write() = None;
-        *self.inner.quant_cache.write() = None;
+        self.inner.centroid_cache.clear();
+        self.inner.quant_cache.clear();
+        self.inner.stats_cache.clear();
     }
 
     /// Checkpoints the WAL into the main database file.
@@ -830,7 +455,7 @@ impl MicroNN {
     }
 
     fn build_attr_row(&self, rec: &VectorRecord) -> Result<Vec<Value>> {
-        let schema = self.inner.tables.attrs.schema();
+        let schema = self.inner.tables.attrs().schema();
         let mut row = vec![Value::Null; schema.arity()];
         row[0] = Value::Integer(rec.asset_id);
         for (name, value) in &rec.attributes {
@@ -883,91 +508,28 @@ fn vfs_copy(
     Ok(())
 }
 
-/// Reads an integer meta value (0 when NULL).
-pub(crate) fn meta_int<R: PageRead + ?Sized>(r: &R, meta: &Table, key: &str) -> Result<i64> {
-    Ok(meta
-        .get(r, &[Value::text(key)])?
-        .and_then(|row| row[1].as_integer())
-        .unwrap_or(0))
-}
-
-/// Writes an integer meta value.
-pub(crate) fn set_meta_int(txn: &mut WriteTxn, meta: &Table, key: &str, v: i64) -> Result<()> {
-    meta.upsert(txn, vec![Value::text(key), Value::Integer(v), Value::Null])?;
-    Ok(())
-}
-
-/// Adjusts the stored size of one indexed partition by `delta`
-/// (clamped at zero). Returns whether the centroid row existed.
-pub(crate) fn adjust_partition_size(
-    txn: &mut WriteTxn,
-    centroids: &Table,
-    partition: i64,
-    delta: i64,
-) -> Result<bool> {
-    let Some(mut row) = centroids.get(txn, &[Value::Integer(partition)])? else {
-        return Ok(false);
-    };
-    let size = row[2].as_integer().unwrap_or(0) + delta;
-    row[2] = Value::Integer(size.max(0));
-    centroids.upsert(txn, row)?;
-    Ok(true)
-}
-
-/// Reads every indexed partition's `(id, size)` from the centroid
-/// table, ascending by partition id (the table's key order).
-pub(crate) fn read_partition_sizes<R: PageRead + ?Sized>(
-    r: &R,
-    centroids: &Table,
-) -> Result<Vec<(i64, u64)>> {
-    let mut sizes = Vec::new();
-    for row in centroids.scan(r)? {
-        let row = row?;
-        sizes.push((
-            row[0].as_integer().unwrap_or(0),
-            row[2].as_integer().unwrap_or(0).max(0) as u64,
-        ));
-    }
-    Ok(sizes)
-}
-
-/// Materializes one partition's rows as `(vid, asset, vector)` — the
-/// shared read behind delta flushes and per-partition re-encoding.
-/// Partitions are bounded (~`target_partition_size`), so buffering one
-/// is cheap.
-pub(crate) fn read_partition_members<R: PageRead + ?Sized>(
-    r: &R,
-    vectors: &Table,
-    partition: i64,
-) -> Result<Vec<(i64, i64, Vec<f32>)>> {
-    use micronn_rel::RowDecoder;
-    let mut members = Vec::new();
-    for kv in vectors.scan_pk_prefix_raw(r, &[Value::Integer(partition)])? {
-        let (_, row) = kv?;
-        let mut dec = RowDecoder::new(&row)?;
-        dec.skip()?; // partition
-        let vid = dec
-            .next_value()?
-            .as_integer()
-            .ok_or_else(|| Error::Config("vid column is not an integer".into()))?;
-        let asset = dec
-            .next_value()?
-            .as_integer()
-            .ok_or_else(|| Error::Config("asset column is not an integer".into()))?;
-        let vec = blob_to_f32(dec.next_blob()?)?;
-        members.push((vid, asset, vec));
-    }
-    Ok(members)
-}
-
 /// Minimum appended rows before a partition's clamped fraction is
 /// trusted as a drift signal (tiny samples are all noise).
 pub(crate) const MIN_DRIFT_SAMPLE: u64 = 16;
 
 impl Inner {
-    /// Whether scans should read quantized codes (SQ8 catalog).
+    /// Whether scans should read quantized codes (SQ8/SQ4 catalogs).
     pub(crate) fn quantized(&self) -> bool {
         self.cfg.codec.is_quantized()
+    }
+
+    /// Detaches the vector row at `(partition, vid)` from the index —
+    /// the shared first half of a replace and a delete: its quantized
+    /// code and its partition's size count (the lifecycle policy reads
+    /// the sizes, so they stay exact), or the delta count, go with it.
+    fn unlink_vector(&self, w: &mut Writer<'_>, at: Loc, delta: &mut i64) -> Result<()> {
+        if at.0 == DELTA_PARTITION {
+            *delta -= 1;
+        } else {
+            crate::codec::remove_code(w, at)?;
+            w.adjust_size(at.0, -1)?;
+        }
+        w.remove_vector(at)
     }
 
     /// Accumulates a flush's clamped/appended counts for `partition`.
@@ -1008,45 +570,31 @@ impl Inner {
     /// configured threshold — the two-level centroid index. `None`
     /// before the first index build.
     ///
-    /// Cache protocol (shared by [`Inner::partition_params`]): the
-    /// epoch is read *under the caller's snapshot*, and the cache is
-    /// used only when the caller is a committed read snapshot
-    /// ([`PageRead::committed_snapshot`] is `Some`) whose epoch matches
-    /// the entry's. Epochs are monotone and every centroid/range
-    /// change commits an epoch bump in the same transaction, so epoch
-    /// equality between two snapshots implies identical centroid
-    /// state. Write transactions never hit or publish the cache: a
-    /// mid-transaction writer may have already changed centroid rows
-    /// (before its epoch bump), and a rolled-back writer must not
-    /// poison readers with data that never committed.
+    /// The epoch is read *under the caller's snapshot*. Epochs are
+    /// monotone and every centroid/range change commits an epoch bump
+    /// in the same transaction, so epoch equality between two
+    /// snapshots implies identical centroid state — the [`SnapCache`]
+    /// key.
     pub(crate) fn clustering<R: PageRead + ?Sized>(&self, r: &R) -> Result<Option<LoadedIndex>> {
-        let epoch = meta_int(r, &self.tables.meta, M_EPOCH)?;
+        let epoch = self.tables.counter(r, Counter::EPOCH)?;
         let snap = r.committed_snapshot();
-        if snap.is_some() {
-            if let Some(cache) = self.centroid_cache.read().as_ref() {
-                if cache.epoch == epoch {
-                    return Ok(Some(cache.index.clone()));
-                }
-            }
+        let cache = &self.centroid_cache;
+        if let Some(index) = cache.lookup(snap, &epoch, |i| Some(i.clone())) {
+            return Ok(Some(index));
         }
         let mut partitions = Vec::new();
         let mut flat: Vec<f32> = Vec::new();
-        for row in self.tables.centroids.scan(r)? {
-            let row = row?;
-            let pid = row[0].as_integer().unwrap_or(0);
-            let blob = row[1]
-                .as_blob()
-                .ok_or_else(|| RelError::Codec("centroid column is not a blob".into()))?;
-            let v = blob_to_f32(blob)?;
-            if v.len() != self.dim {
+        for c in self.tables.centroids(r)? {
+            if c.centroid.len() != self.dim {
                 return Err(Error::Config(format!(
-                    "centroid for partition {pid} has dim {}, index is {}",
-                    v.len(),
+                    "centroid for partition {} has dim {}, index is {}",
+                    c.partition,
+                    c.centroid.len(),
                     self.dim
                 )));
             }
-            partitions.push(pid);
-            flat.extend_from_slice(&v);
+            partitions.push(c.partition);
+            flat.extend_from_slice(&c.centroid);
         }
         if partitions.is_empty() {
             return Ok(None);
@@ -1065,66 +613,38 @@ impl Inner {
             partitions: Arc::new(partitions),
             super_index,
         };
-        if let Some(s) = snap {
-            let mut guard = self.centroid_cache.write();
-            // A reader on an older snapshot must not clobber an entry
-            // published by a newer one.
-            if !guard.as_ref().is_some_and(|c| c.seq > s) {
-                *guard = Some(CentroidCache {
-                    epoch,
-                    seq: s,
-                    index: index.clone(),
-                });
-            }
-        }
+        cache.publish(snap, epoch, |_| index.clone());
         Ok(Some(index))
     }
 
     /// Loads (or returns the cached) quantization ranges of one
-    /// partition (SQ8 catalogs; `None` for unquantized catalogs, the
-    /// delta store, and never-encoded partitions). Ranges only change
-    /// under maintenance — which bumps the epoch in the same
-    /// transaction — so the cache follows the same
-    /// `(epoch, snapshot seq)` protocol as [`Inner::clustering`]:
-    /// committed snapshots with a matching epoch share one map, write
-    /// transactions bypass the cache entirely.
+    /// partition (quantized catalogs; `None` for unquantized catalogs,
+    /// the delta store, and never-encoded partitions). Ranges only
+    /// change under maintenance — which bumps the epoch in the same
+    /// transaction — so committed snapshots with a matching epoch
+    /// share one map.
     pub(crate) fn partition_params<R: PageRead + ?Sized>(
         &self,
         r: &R,
         partition: i64,
     ) -> Result<Option<Arc<Sq8Params>>> {
-        if self.tables.quants.is_none() {
+        if !self.quantized() {
             return Ok(None);
         }
-        let epoch = meta_int(r, &self.tables.meta, M_EPOCH)?;
+        let epoch = self.tables.counter(r, Counter::EPOCH)?;
         let snap = r.committed_snapshot();
-        if snap.is_some() {
-            if let Some((e, _, map)) = self.quant_cache.read().as_ref() {
-                if *e == epoch {
-                    if let Some(p) = map.get(&partition) {
-                        return Ok(Some(p.clone()));
-                    }
-                }
-            }
+        let cache = &self.quant_cache;
+        let hit = |map: &HashMap<i64, Arc<Sq8Params>>| map.get(&partition).cloned();
+        if let Some(p) = cache.lookup(snap, &epoch, hit) {
+            return Ok(Some(p));
         }
-        let loaded = crate::codec::load_params(r, &self.tables, partition, self.dim)?.map(Arc::new);
-        if let (Some(p), Some(s)) = (&loaded, snap) {
-            let mut guard = self.quant_cache.write();
-            match guard.as_mut() {
-                // Same epoch ⇒ same ranges (see `clustering`): merging
-                // into the shared map is sound from any matching
-                // committed snapshot; keep the newest seq as the key.
-                Some((e, seq, map)) if *e == epoch => {
-                    map.insert(partition, p.clone());
-                    *seq = (*seq).max(s);
-                }
-                Some((_, seq, _)) if *seq > s => {} // newer entry wins
-                _ => {
-                    let mut map = HashMap::new();
-                    map.insert(partition, p.clone());
-                    *guard = Some((epoch, s, map));
-                }
-            }
+        let loaded = self.tables.params(r, partition)?.map(Arc::new);
+        if let Some(p) = &loaded {
+            cache.publish(snap, epoch, |map| {
+                let mut map = map.unwrap_or_default();
+                map.insert(partition, p.clone());
+                map
+            });
         }
         Ok(loaded)
     }
@@ -1135,24 +655,15 @@ impl Inner {
     /// change with *every* committed write (upserts and deletes touch
     /// `attrs` without bumping the epoch), so the cache is keyed on
     /// the snapshot's commit seq: a hit requires the reader to be
-    /// pinned at exactly the seq the stats were loaded from. Write
-    /// transactions always load fresh and never publish.
+    /// pinned at exactly the seq the stats were loaded from.
     pub(crate) fn table_stats<R: PageRead + ?Sized>(&self, r: &R) -> Result<Arc<TableStats>> {
         let snap = r.committed_snapshot();
-        if let Some(s) = snap {
-            if let Some((seq, stats)) = self.stats_cache.read().as_ref() {
-                if *seq == s {
-                    return Ok(stats.clone());
-                }
-            }
+        let (cache, seq) = (&self.stats_cache, snap.unwrap_or_default());
+        if let Some(stats) = cache.lookup(snap, &seq, |s| Some(s.clone())) {
+            return Ok(stats);
         }
-        let stats = Arc::new(TableStats::load(r, &self.tables.attrs)?);
-        if let Some(s) = snap {
-            let mut guard = self.stats_cache.write();
-            if !guard.as_ref().is_some_and(|(seq, _)| *seq > s) {
-                *guard = Some((s, stats.clone()));
-            }
-        }
+        let stats = Arc::new(TableStats::load(r, self.tables.attrs())?);
+        cache.publish(snap, seq, |_| stats.clone());
         Ok(stats)
     }
 }
@@ -1160,6 +671,8 @@ impl Inner {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::AttributeDef;
+    use micronn_rel::ValueType;
     use micronn_storage::SyncMode;
 
     fn test_config(dim: usize) -> Config {
@@ -1288,11 +801,11 @@ mod tests {
         assert!(db.inner.clustering(&txn).unwrap().is_some());
         let _ = db.inner.table_stats(&txn).unwrap();
         assert!(
-            db.inner.centroid_cache.read().is_none(),
+            db.inner.centroid_cache.entry().is_none(),
             "writer view must not publish the centroid cache"
         );
         assert!(
-            db.inner.stats_cache.read().is_none(),
+            db.inner.stats_cache.entry().is_none(),
             "writer view must not publish the stats cache"
         );
         txn.rollback();
@@ -1300,9 +813,12 @@ mod tests {
         // A committed read snapshot does publish.
         let r = db.inner.db.begin_read();
         assert!(db.inner.clustering(&r).unwrap().is_some());
-        let cache = db.inner.centroid_cache.read();
-        let cache = cache.as_ref().expect("reader publishes the cache");
-        assert_eq!(Some(cache.seq), r.committed_snapshot());
+        let (_, seq) = db
+            .inner
+            .centroid_cache
+            .entry()
+            .expect("reader publishes the cache");
+        assert_eq!(Some(seq), r.committed_snapshot());
     }
 
     /// Cache-invalidation race regression: a reader pinned *before* an
@@ -1325,21 +841,15 @@ mod tests {
 
         let r_new = db.inner.db.begin_read();
         assert!(db.inner.clustering(&r_new).unwrap().is_some());
-        let (epoch_new, seq_new) = {
-            let g = db.inner.centroid_cache.read();
-            let c = g.as_ref().unwrap();
-            (c.epoch, c.seq)
-        };
+        let (epoch_new, seq_new) = db.inner.centroid_cache.entry().unwrap();
         assert_eq!(Some(seq_new), r_new.committed_snapshot());
 
         // The old reader still gets a working (old-epoch) index…
         assert!(db.inner.clustering(&r_old).unwrap().is_some());
         // …but the shared cache still belongs to the newer snapshot.
-        let g = db.inner.centroid_cache.read();
-        let c = g.as_ref().unwrap();
         assert_eq!(
-            (c.epoch, c.seq),
-            (epoch_new, seq_new),
+            db.inner.centroid_cache.entry(),
+            Some((epoch_new, seq_new)),
             "older snapshot clobbered the newer cache entry"
         );
     }
@@ -1373,10 +883,39 @@ mod tests {
         // The old snapshot still resolves its own (older) view, and
         // doing so does not evict the newer entry.
         assert_eq!(db.inner.table_stats(&r1).unwrap().row_count, 20);
-        let g = db.inner.stats_cache.read();
-        let (seq, stats) = g.as_ref().unwrap();
-        assert_eq!(Some(*seq), r2.committed_snapshot());
-        assert_eq!(stats.row_count, 40);
+        let (seq, _) = db.inner.stats_cache.entry().unwrap();
+        assert_eq!(Some(seq), r2.committed_snapshot());
+        assert_eq!(db.inner.table_stats(&r2).unwrap().row_count, 40);
+    }
+
+    /// `row_changes` counts committed rows only: a batch that fails
+    /// half-way and an explicitly rolled-back transaction leave it
+    /// where it was.
+    #[test]
+    fn row_changes_counts_only_committed_rows() {
+        let dir = tempfile::tempdir().unwrap();
+        let db = MicroNN::create(dir.path().join("x.mnn"), test_config(8)).unwrap();
+        db.upsert(VectorRecord::new(1, vecf(1, 8))).unwrap();
+        assert_eq!(db.stats().unwrap().row_changes, 3);
+
+        let batch = [
+            VectorRecord::new(2, vecf(2, 8)),
+            VectorRecord::new(3, vecf(3, 4)),
+        ];
+        let err = db.upsert_batch(&batch).unwrap_err();
+        assert!(matches!(err, Error::DimensionMismatch { .. }));
+        let mut w = db.inner.tables.begin_write(&db.inner.db).unwrap();
+        w.put_vector((DELTA_PARTITION, 99), 99, &vecf(9, 8))
+            .unwrap();
+        w.rollback();
+        assert_eq!(
+            db.stats().unwrap().row_changes,
+            3,
+            "uncommitted rows counted"
+        );
+
+        db.upsert(VectorRecord::new(2, vecf(2, 8))).unwrap();
+        assert_eq!(db.stats().unwrap().row_changes, 6);
     }
 
     #[test]

@@ -43,12 +43,12 @@ use micronn_linalg::{
     batch_distances, distances_one_to_many, Neighbor, Sq4Scorer, Sq8Params, Sq8Scorer, TopK,
     SQ4_BLOCK,
 };
-use micronn_rel::{RowDecoder, RowReader, Table, Value};
 use micronn_storage::ReadTxn;
 
+use crate::catalog::extend_f32;
 use crate::codec::VectorCodec;
 use crate::db::{Inner, DELTA_PARTITION};
-use crate::error::{Error, Result};
+use crate::error::Result;
 use crate::hybrid::{AttrProbe, FilterCtx};
 use crate::stats::QueryInfo;
 
@@ -273,16 +273,10 @@ impl PartitionScanner<'_> {
     /// it for the *next* partition before scoring the current one.
     /// Best-effort: readahead must never fail or reorder a query.
     pub fn prefetch(&self, partition: i64) {
-        let table = match (self.code_params(partition), &self.inner.tables.codes) {
-            (Ok(Some(_)), Some(codes)) => codes,
-            _ => &self.inner.tables.vectors,
-        };
-        table.prefetch_pk_prefix(self.r, &[Value::Integer(partition)]);
-    }
-
-    fn codes_table(&self) -> Result<&Table> {
-        let codes = self.inner.tables.codes.as_ref();
-        codes.ok_or_else(|| Error::Config("quantized scan without a codes table".into()))
+        let codes = matches!(self.code_params(partition), Ok(Some(_)));
+        self.inner
+            .tables
+            .prefetch_partition(self.r, partition, codes);
     }
 
     /// Full-precision scan frame: decodes f32 rows into `chunk`-row
@@ -312,26 +306,16 @@ impl PartitionScanner<'_> {
         };
         let grouped = matches!(queries, Queries::Group { .. });
         let mut block = F32Block::with_capacity(chunk, dim);
-        for kv in self
-            .inner
+        self.inner
             .tables
-            .vectors
-            .scan_pk_prefix_raw(self.r, &[Value::Integer(partition)])?
-        {
-            let (_, row_bytes) = kv?;
-            let mut dec = RowDecoder::new(&row_bytes)?;
-            dec.skip()?; // partition
-            dec.skip()?; // vid
-            let asset = dec
-                .next_ref()?
-                .as_integer()
-                .ok_or_else(|| Error::Config("asset column is not an integer".into()))?;
-            extend_f32(&mut block.rows, dec.next_blob()?, dim)?;
-            block.ids.push(asset);
-            if block.ids.len() == chunk {
-                flush_f32(self.inner, qmat, grouped, &mut block, heaps, sink)?;
-            }
-        }
+            .scan_vectors(self.r, Some(partition), |_, asset, blob| {
+                extend_f32(&mut block.rows, blob, dim)?;
+                block.ids.push(asset);
+                if block.ids.len() == chunk {
+                    flush_f32(self.inner, qmat, grouped, &mut block, heaps, sink)?;
+                }
+                Ok(())
+            })?;
         flush_f32(self.inner, qmat, grouped, &mut block, heaps, sink)
     }
 
@@ -351,18 +335,16 @@ impl PartitionScanner<'_> {
         let mut ids: Vec<i64> = Vec::with_capacity(SCAN_CHUNK);
         let mut block: Vec<u8> = Vec::with_capacity(SCAN_CHUNK * dim);
         let mut scores: Vec<f32> = Vec::with_capacity(SCAN_CHUNK);
-        for kv in self
-            .codes_table()?
-            .scan_pk_prefix_raw(self.r, &[Value::Integer(partition)])?
-        {
-            let (_, row_bytes) = kv?;
-            let (asset, code) = crate::codec::decode_code_row(&row_bytes, dim)?;
-            ids.push(asset);
-            block.extend_from_slice(code);
-            if ids.len() == SCAN_CHUNK {
-                flush_codes(&scorers, &mut ids, &mut block, &mut scores, heaps, sink)?;
-            }
-        }
+        self.inner
+            .tables
+            .scan_codes(self.r, Some(partition), |_, asset, code| {
+                ids.push(asset);
+                block.extend_from_slice(code);
+                if ids.len() == SCAN_CHUNK {
+                    flush_codes(&scorers, &mut ids, &mut block, &mut scores, heaps, sink)?;
+                }
+                Ok(())
+            })?;
         flush_codes(&scorers, &mut ids, &mut block, &mut scores, heaps, sink)
     }
 
@@ -382,50 +364,31 @@ impl PartitionScanner<'_> {
         let scorers = queries.scorers(dim, |q| Sq4Scorer::new(self.inner.metric, q, params));
         let mut block_scores = [0.0f32; SQ4_BLOCK];
         let mut live: Vec<(usize, i64)> = Vec::with_capacity(SQ4_BLOCK);
-        for kv in self
-            .codes_table()?
-            .scan_pk_prefix_raw(self.r, &[Value::Integer(partition)])?
-        {
-            let (_, row_bytes) = kv?;
-            let (_, members, packed) = crate::codec::decode_block_row(&row_bytes, dim)?;
-            sink.tally.bytes_scanned += packed.len();
-            live.clear();
-            live.extend((0..SQ4_BLOCK).filter_map(|j| {
-                // vid 0 marks an empty or tombstoned slot.
-                let (vid, asset) = crate::codec::sq4_slot(members, j);
-                (vid != 0).then_some((j, asset))
-            }));
-            if live.is_empty() {
-                continue;
-            }
-            sink.tally.vectors_scanned += live.len();
-            sink.tally.distance_computations += scorers.len() * live.len();
-            for (scorer, heap) in scorers.iter().zip(heaps.iter_mut()) {
-                scorer.score_block(packed, &mut block_scores);
-                sink.push_all(
-                    heap,
-                    live.iter().map(|&(j, asset)| (asset, block_scores[j])),
-                )?;
-            }
-        }
-        Ok(())
+        self.inner
+            .tables
+            .scan_blocks(self.r, Some(partition), |block| {
+                sink.tally.bytes_scanned += block.packed.len();
+                live.clear();
+                live.extend((0..SQ4_BLOCK).filter_map(|j| {
+                    // vid 0 marks an empty or tombstoned slot.
+                    let (vid, asset) = block.slot(j);
+                    (vid != 0).then_some((j, asset))
+                }));
+                if live.is_empty() {
+                    return Ok(());
+                }
+                sink.tally.vectors_scanned += live.len();
+                sink.tally.distance_computations += scorers.len() * live.len();
+                for (scorer, heap) in scorers.iter().zip(heaps.iter_mut()) {
+                    scorer.score_block(&block.packed, &mut block_scores);
+                    sink.push_all(
+                        heap,
+                        live.iter().map(|&(j, asset)| (asset, block_scores[j])),
+                    )?;
+                }
+                Ok(())
+            })
     }
-}
-
-/// Appends a stored little-endian f32 vector blob to `out`.
-fn extend_f32(out: &mut Vec<f32>, blob: &[u8], dim: usize) -> Result<()> {
-    if blob.len() != dim * 4 {
-        return Err(Error::Config(format!(
-            "stored vector has {} bytes, expected {}",
-            blob.len(),
-            dim * 4
-        )));
-    }
-    out.extend(
-        blob.chunks_exact(4)
-            .map(|c| f32::from_le_bytes(c.try_into().expect("4-byte chunk"))),
-    );
-    Ok(())
 }
 
 /// Scores one accumulated f32 block against `qmat` and drains it.
@@ -497,53 +460,6 @@ pub(crate) fn scan_pool_k(inner: &Inner, k: usize, use_codec: bool) -> usize {
     }
 }
 
-/// Fetches stored f32 vectors by asset id — `assets` for the location,
-/// `vectors` for the payload — through two pinning point readers: the
-/// shared core of the two fetch-by-key tails below.
-struct VectorFetch<'a> {
-    assets: RowReader<'a, ReadTxn>,
-    vectors: RowReader<'a, ReadTxn>,
-    dim: usize,
-}
-
-impl<'a> VectorFetch<'a> {
-    fn new(inner: &'a Inner, r: &'a ReadTxn) -> VectorFetch<'a> {
-        VectorFetch {
-            assets: inner.tables.assets.reader(r),
-            vectors: inner.tables.vectors.reader(r),
-            dim: inner.dim,
-        }
-    }
-
-    /// `(partition, vid)` of `asset`, or `None` when it has no vector.
-    fn locate(&mut self, asset: i64) -> Result<Option<(i64, i64)>> {
-        let loc = self.assets.get_with(&[Value::Integer(asset)], |row| {
-            let mut dec = RowDecoder::new(row)?;
-            dec.skip()?; // asset
-            Ok((dec.next_ref()?.as_integer(), dec.next_ref()?.as_integer()))
-        })?;
-        match loc.transpose().map_err(Error::Rel)? {
-            None => Ok(None),
-            Some((Some(partition), Some(vid))) => Ok(Some((partition, vid))),
-            Some(_) => Err(Error::Config("asset location is not an integer".into())),
-        }
-    }
-
-    /// Appends the vector stored at `loc` to `out`; `false` if absent.
-    fn append(&mut self, (partition, vid): (i64, i64), out: &mut Vec<f32>) -> Result<bool> {
-        let dim = self.dim;
-        let pk = [Value::Integer(partition), Value::Integer(vid)];
-        let found = self.vectors.get_with(&pk, |row| {
-            let mut dec = RowDecoder::new(row)?;
-            for _ in 0..3 {
-                dec.skip()?; // partition, vid, asset
-            }
-            extend_f32(out, dec.next_blob()?, dim)
-        })?;
-        Ok(found.transpose()?.is_some())
-    }
-}
-
 /// Exact re-rank pass of the quantized pipeline: recomputes full f32
 /// distances for the approximate candidate pool and keeps the best `k`,
 /// with the scalar kernel of the exact scan, so F32-codec and re-ranked
@@ -558,7 +474,7 @@ pub(crate) fn rerank_exact(
 ) -> Result<Vec<Neighbor>> {
     let mut top = TopK::new(k);
     let mut v: Vec<f32> = Vec::with_capacity(inner.dim);
-    let mut fetch = VectorFetch::new(inner, r);
+    let mut fetch = inner.tables.vector_reader(r);
     let mut tally = ScanTotals::default();
     for n in candidates {
         let Some(loc) = fetch.locate(n.id as i64)? else {
@@ -598,7 +514,7 @@ pub(crate) fn score_candidates(
     let mut top = TopK::new(k);
     let heaps = std::slice::from_mut(&mut top);
     let mut block = F32Block::with_capacity(SCAN_CHUNK, inner.dim);
-    let mut fetch = VectorFetch::new(inner, r);
+    let mut fetch = inner.tables.vector_reader(r);
     let mut sink = Sink {
         join: None,
         tally: ScanTotals::default(),

@@ -29,7 +29,8 @@ use micronn_storage::ReadTxn;
 use crate::db::{Inner, MicroNN};
 use crate::error::{Error, Result};
 use crate::exec::{score_candidates, ScanMetrics};
-use crate::search::{ann_search, exact_search, SearchResponse, SearchResult};
+use crate::search::{ivf_search, SearchResponse, SearchResult};
+use crate::snapshot::Snapshot;
 use crate::stats::{PlanUsed, QueryInfo};
 use crate::telemetry::{stage, QueryTrace};
 
@@ -129,24 +130,6 @@ impl SearchRequest {
 }
 
 impl MicroNN {
-    /// Top-`k` approximate nearest neighbours with default parameters.
-    pub fn search(&self, query: &[f32], k: usize) -> Result<SearchResponse> {
-        self.search_with(&SearchRequest::new(query.to_vec(), k))
-    }
-
-    /// Executes a full [`SearchRequest`] (ANN, hybrid, plan control).
-    pub fn search_with(&self, req: &SearchRequest) -> Result<SearchResponse> {
-        let r = self.inner.db.begin_read();
-        search_with_at(&self.inner, &r, req)
-    }
-
-    /// Exact (exhaustive) K-nearest-neighbour search, optionally
-    /// filtered.
-    pub fn exact(&self, query: &[f32], k: usize, filter: Option<&Expr>) -> Result<SearchResponse> {
-        let r = self.inner.db.begin_read();
-        exact_at(&self.inner, &r, query, k, filter)
-    }
-
     /// The plan the optimizer would choose for `filter` at `probes`
     /// partitions (exposed for inspection and benchmarks).
     pub fn explain_plan(&self, filter: &Expr, probes: Option<usize>) -> Result<PlanUsed> {
@@ -168,99 +151,75 @@ impl MicroNN {
         let stats = inner.table_stats(&r)?;
         Ok(estimate_selectivity(
             &r,
-            &inner.tables.attrs,
+            inner.tables.attrs(),
             &stats,
             filter,
         ))
     }
 }
 
-/// [`MicroNN::search_with`] against an explicit pinned snapshot: every
-/// page read, cache lookup, and plan decision resolves at `r`'s commit
-/// seq, so the query sees one consistent index no matter what commits
-/// underneath it. [`crate::Snapshot`] calls this with a long-lived
-/// read transaction.
-pub(crate) fn search_with_at(
-    inner: &Inner,
-    r: &ReadTxn,
-    req: &SearchRequest,
-) -> Result<SearchResponse> {
-    let mut trace = QueryTrace::new(inner.tel.detailed());
-    let probes = req.probes.unwrap_or(inner.cfg.default_probes);
-    let resp = match &req.filter {
-        None => ann_search(
-            inner,
-            r,
-            &req.query,
-            req.k,
-            probes,
-            None,
-            PlanUsed::Ann,
-            &mut trace,
-        )?,
-        Some(expr) => {
-            let plan = match req.plan {
-                PlanPreference::ForcePreFilter => PlanUsed::PreFilter,
-                PlanPreference::ForcePostFilter => PlanUsed::PostFilter,
-                PlanPreference::Auto => choose_plan(inner, r, expr, probes)?,
-            };
-            match plan {
-                PlanUsed::PreFilter => pre_filter_search(inner, r, req, expr, &mut trace)?,
-                _ => {
-                    let compiled = expr
-                        .compile(inner.tables.attrs.schema())
-                        .map_err(Error::Rel)?;
-                    let ctx = FilterCtx {
-                        attrs: &inner.tables.attrs,
-                        compiled,
-                    };
-                    ann_search(
-                        inner,
-                        r,
-                        &req.query,
-                        req.k,
-                        probes,
-                        Some(&ctx),
-                        PlanUsed::PostFilter,
-                        &mut trace,
-                    )?
-                }
-            }
-        }
-    };
-    inner.tel.finish_query(&trace, &resp.info, req.k);
-    Ok(resp)
+/// Compiles `expr` against the attributes table.
+fn filter_ctx<'a>(inner: &'a Inner, expr: &Expr) -> Result<FilterCtx<'a>> {
+    let attrs = inner.tables.attrs();
+    Ok(FilterCtx {
+        attrs,
+        compiled: expr.compile(attrs.schema()).map_err(Error::Rel)?,
+    })
 }
 
-/// [`MicroNN::exact`] against an explicit pinned snapshot.
-pub(crate) fn exact_at(
-    inner: &Inner,
-    r: &ReadTxn,
-    query: &[f32],
-    k: usize,
-    filter: Option<&Expr>,
-) -> Result<SearchResponse> {
-    let mut trace = QueryTrace::new(inner.tel.detailed());
-    let resp = match filter {
-        None => exact_search(inner, r, query, k, None, &mut trace)?,
-        Some(expr) => {
-            let compiled = expr
-                .compile(inner.tables.attrs.schema())
-                .map_err(Error::Rel)?;
-            let ctx = FilterCtx {
-                attrs: &inner.tables.attrs,
-                compiled,
-            };
-            exact_search(inner, r, query, k, Some(&ctx), &mut trace)?
-        }
-    };
-    inner.tel.finish_query(&trace, &resp.info, k);
-    Ok(resp)
+impl Snapshot {
+    /// [`MicroNN::search_with`] at this snapshot: every page read,
+    /// cache lookup, and plan decision resolves at its commit seq, so
+    /// the query sees one consistent index no matter what commits
+    /// underneath it.
+    pub fn search_with(&self, req: &SearchRequest) -> Result<SearchResponse> {
+        let (inner, r) = (&*self.db.inner, &self.r);
+        let mut trace = QueryTrace::new(inner.tel.detailed());
+        let probes = req.probes.unwrap_or(inner.cfg.default_probes);
+        let plan = match (&req.filter, req.plan) {
+            (None, _) => PlanUsed::Ann,
+            (Some(_), PlanPreference::ForcePreFilter) => PlanUsed::PreFilter,
+            (Some(_), PlanPreference::ForcePostFilter) => PlanUsed::PostFilter,
+            (Some(expr), PlanPreference::Auto) => choose_plan(inner, r, expr, probes)?,
+        };
+        let resp = match (&req.filter, plan) {
+            (Some(expr), PlanUsed::PreFilter) => {
+                pre_filter_search(inner, r, req, expr, &mut trace)?
+            }
+            (filter, plan) => {
+                let ctx = filter.as_ref().map(|expr| filter_ctx(inner, expr));
+                let ctx = ctx.transpose()?;
+                ivf_search(
+                    inner,
+                    r,
+                    &req.query,
+                    req.k,
+                    Some(probes),
+                    ctx.as_ref(),
+                    plan,
+                    &mut trace,
+                )?
+            }
+        };
+        inner.tel.finish_query(&trace, &resp.info, req.k);
+        Ok(resp)
+    }
+
+    /// [`MicroNN::exact`] at this snapshot.
+    pub fn exact(&self, query: &[f32], k: usize, filter: Option<&Expr>) -> Result<SearchResponse> {
+        let (inner, r) = (&*self.db.inner, &self.r);
+        let mut trace = QueryTrace::new(inner.tel.detailed());
+        let ctx = filter.map(|expr| filter_ctx(inner, expr)).transpose()?;
+        let ctx = ctx.as_ref();
+        let resp = ivf_search(inner, r, query, k, None, ctx, PlanUsed::Exact, &mut trace)?;
+        inner.tel.finish_query(&trace, &resp.info, k);
+        Ok(resp)
+    }
 }
 
 /// The optimizer of §3.5.1.
 fn choose_plan(inner: &Inner, r: &ReadTxn, expr: &Expr, probes: usize) -> Result<PlanUsed> {
-    let total = inner.tables.vectors.row_count(r)? as f64;
+    let total = inner.tables.vector_count(r)? as f64;
     if total <= 0.0 {
         return Ok(PlanUsed::PostFilter);
     }
@@ -268,7 +227,7 @@ fn choose_plan(inner: &Inner, r: &ReadTxn, expr: &Expr, probes: usize) -> Result
     let f_ivf = (probes as f64 * inner.cfg.target_partition_size as f64 / total).min(1.0);
     // Eq. 3: histogram/FTS estimate of the attribute filter.
     let stats = inner.table_stats(r)?;
-    let f_filters = estimate_selectivity(r, &inner.tables.attrs, &stats, expr);
+    let f_filters = estimate_selectivity(r, inner.tables.attrs(), &stats, expr);
     Ok(if f_filters < f_ivf {
         PlanUsed::PreFilter
     } else {
@@ -292,11 +251,8 @@ fn pre_filter_search(
             got: req.query.len(),
         });
     }
-    let attrs = &inner.tables.attrs;
-    let ctx = FilterCtx {
-        attrs,
-        compiled: expr.compile(attrs.schema()).map_err(Error::Rel)?,
-    };
+    let ctx = filter_ctx(inner, expr)?;
+    let attrs = ctx.attrs;
     let mut info = QueryInfo::new(PlanUsed::PreFilter);
     let mut examined = 0usize;
 
@@ -356,7 +312,7 @@ fn pre_filter_search(
 /// selective indexed side; disjunctions union both sides (both must be
 /// indexable).
 fn index_candidates(inner: &Inner, r: &ReadTxn, expr: &Expr) -> Result<Option<Vec<i64>>> {
-    let attrs = &inner.tables.attrs;
+    let attrs = inner.tables.attrs();
     match expr {
         Expr::Cmp { column, op, value } => {
             let Ok(col) = attrs.schema().column_index(column) else {

@@ -4,7 +4,7 @@
 //! partition split/merge, full rebuild — is one write transaction over
 //! *several* tables (`vectors`, `assets`, `attrs`, `centroids`, `meta`,
 //! and for SQ8 catalogs `codes` + `quants`). The WAL makes each such
-//! transaction atomic; [`MicroNN::verify_integrity`] is the other half
+//! transaction atomic; [`MicroNN::verify_integrity`](crate::MicroNN::verify_integrity) is the other half
 //! of that durability claim: it walks the whole catalog from one read
 //! snapshot and cross-checks every inter-table invariant, so a crash
 //! test (or an operator via `micronnctl fsck`) can prove no partial
@@ -39,14 +39,11 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use micronn_rel::blob_to_f32;
 
-use micronn_storage::ReadTxn;
-
-use crate::db::{
-    meta_int, Inner, MicroNN, DELTA_PARTITION, M_DELTA_COUNT, M_NEXT_PID, M_NEXT_VID, M_PARTITIONS,
-};
+use crate::catalog::Counter;
+use crate::db::DELTA_PARTITION;
 use crate::error::Result;
 
-/// Outcome of [`MicroNN::verify_integrity`]: per-check counters plus
+/// Outcome of [`MicroNN::verify_integrity`](crate::MicroNN::verify_integrity): per-check counters plus
 /// every violation found. `micronnctl fsck` prints it and exits
 /// non-zero unless [`IntegrityReport::is_clean`].
 #[derive(Debug, Clone, Default)]
@@ -99,67 +96,51 @@ impl std::fmt::Display for IntegrityReport {
     }
 }
 
-impl MicroNN {
-    /// Walks the whole catalog from one read snapshot and cross-checks
-    /// every inter-table invariant (see the [module docs](crate::integrity)
-    /// for the list). Returns the counters and violations; errors only
-    /// on I/O or row-decoding failures that prevent the walk itself.
+impl crate::snapshot::Snapshot {
+    /// [`MicroNN::verify_integrity`](crate::MicroNN::verify_integrity)
+    /// at this snapshot: every table is walked at its commit seq, so
+    /// fsck sees one frozen catalog even while writers and maintenance
+    /// commit underneath.
     pub fn verify_integrity(&self) -> Result<IntegrityReport> {
-        let r = self.inner.db.begin_read();
-        verify_integrity_at(&self.inner, &r)
-    }
-}
-
-/// [`MicroNN::verify_integrity`] against an explicit pinned snapshot
-/// ([`crate::Snapshot::verify_integrity`]): every table is walked at
-/// `r`'s commit seq, so fsck sees one frozen catalog even while
-/// writers and maintenance commit underneath.
-pub(crate) fn verify_integrity_at(inner: &Inner, r: &ReadTxn) -> Result<IntegrityReport> {
-    {
+        let (inner, r) = (&*self.db.inner, &self.r);
+        let t = &inner.tables;
         let dim = inner.dim;
         let mut rep = IntegrityReport::default();
 
         // Pass 1 — vectors: decode every row, index (partition, vid) →
-        // asset, count rows per partition. SQ8 catalogs also keep the
-        // decoded f32s for the code re-encoding check below.
+        // asset, count rows per partition. Quantized catalogs also keep
+        // the decoded f32s for the code re-encoding check below.
         let mut by_key: BTreeMap<(i64, i64), i64> = BTreeMap::new();
         let mut f32s: BTreeMap<(i64, i64), Vec<f32>> = BTreeMap::new();
         let mut part_counts: BTreeMap<i64, i64> = BTreeMap::new();
         let mut max_vid = 0i64;
-        for row in inner.tables.vectors.scan(&r)? {
-            let row = row?;
+        t.scan_vectors(r, None, |(p, vid), asset, blob| {
             rep.vectors_checked += 1;
-            let p = row[0].as_integer().unwrap_or(0);
-            let vid = row[1].as_integer().unwrap_or(0);
-            let asset = row[2].as_integer().unwrap_or(0);
             max_vid = max_vid.max(vid);
             *part_counts.entry(p).or_insert(0) += 1;
-            match row[3].as_blob().map(blob_to_f32) {
-                Some(Ok(v)) if v.len() == dim => {
+            match blob_to_f32(blob) {
+                Ok(v) if v.len() == dim => {
                     if inner.quantized() {
                         f32s.insert((p, vid), v);
                     }
                 }
-                Some(Ok(v)) => rep.error(format!(
+                Ok(v) => rep.error(format!(
                     "vector ({p},{vid}): dimension {} != index dimension {dim}",
                     v.len()
                 )),
-                _ => rep.error(format!("vector ({p},{vid}): payload is not an f32 blob")),
+                Err(_) => rep.error(format!("vector ({p},{vid}): payload is not an f32 blob")),
             }
             if by_key.insert((p, vid), asset).is_some() {
                 rep.error(format!("vector ({p},{vid}): duplicate primary key"));
             }
-        }
+            Ok(())
+        })?;
 
         // Pass 2 — assets ↔ vectors bijection, and assets ↔ attrs.
         let mut referenced: BTreeSet<(i64, i64)> = BTreeSet::new();
         let mut asset_ids: BTreeSet<i64> = BTreeSet::new();
-        for row in inner.tables.assets.scan(&r)? {
-            let row = row?;
+        for [asset, p, vid] in t.locations(r)? {
             rep.assets_checked += 1;
-            let asset = row[0].as_integer().unwrap_or(0);
-            let p = row[1].as_integer().unwrap_or(0);
-            let vid = row[2].as_integer().unwrap_or(0);
             asset_ids.insert(asset);
             match by_key.get(&(p, vid)) {
                 Some(&a) if a == asset => {
@@ -181,9 +162,11 @@ pub(crate) fn verify_integrity_at(inner: &Inner, r: &ReadTxn) -> Result<Integrit
             }
         }
         let mut attr_ids: BTreeSet<i64> = BTreeSet::new();
-        for row in inner.tables.attrs.scan(&r)? {
-            let row = row?;
-            attr_ids.insert(row[0].as_integer().unwrap_or(0));
+        for row in t.attrs().scan(r)? {
+            let asset = row?[0].as_integer();
+            attr_ids.insert(asset.ok_or_else(|| {
+                crate::Error::Config("attrs asset column is not an integer".into())
+            })?);
         }
         for &asset in &asset_ids {
             if !attr_ids.contains(&asset) {
@@ -199,24 +182,22 @@ pub(crate) fn verify_integrity_at(inner: &Inner, r: &ReadTxn) -> Result<Integrit
         // Pass 3 — centroids: dimensions, exact sizes, id coverage.
         let mut centroid_pids: BTreeSet<i64> = BTreeSet::new();
         let mut max_pid = 0i64;
-        for row in inner.tables.centroids.scan(&r)? {
-            let row = row?;
+        for c in t.centroids(r)? {
             rep.partitions_walked += 1;
-            let pid = row[0].as_integer().unwrap_or(0);
+            let pid = c.partition;
             centroid_pids.insert(pid);
             max_pid = max_pid.max(pid);
             if pid == DELTA_PARTITION {
                 rep.error("centroid row for the reserved delta partition 0".into());
             }
-            match row[1].as_blob().map(blob_to_f32) {
-                Some(Ok(c)) if c.len() == dim => {}
-                _ => rep.error(format!("centroid {pid}: payload is not a {dim}-d f32 blob")),
+            if c.centroid.len() != dim {
+                rep.error(format!("centroid {pid}: payload is not a {dim}-d f32 blob"));
             }
-            let stored = row[2].as_integer().unwrap_or(0);
             let actual = part_counts.get(&pid).copied().unwrap_or(0);
-            if stored != actual {
+            if c.size != actual {
                 rep.error(format!(
-                    "centroid {pid}: persisted size {stored} != actual row count {actual}"
+                    "centroid {pid}: persisted size {} != actual row count {actual}",
+                    c.size
                 ));
             }
         }
@@ -229,27 +210,27 @@ pub(crate) fn verify_integrity_at(inner: &Inner, r: &ReadTxn) -> Result<Integrit
         }
 
         // Pass 4 — meta consistency.
-        let delta_meta = meta_int(&r, &inner.tables.meta, M_DELTA_COUNT)?;
+        let delta_meta = t.counter(r, Counter::DELTA_COUNT)?;
         let delta_actual = part_counts.get(&DELTA_PARTITION).copied().unwrap_or(0);
         if delta_meta != delta_actual {
             rep.error(format!(
                 "meta delta_count {delta_meta} != delta store row count {delta_actual}"
             ));
         }
-        let k_meta = meta_int(&r, &inner.tables.meta, M_PARTITIONS)?;
+        let k_meta = t.counter(r, Counter::PARTITIONS)?;
         if k_meta != centroid_pids.len() as i64 {
             rep.error(format!(
                 "meta k {k_meta} != centroid row count {}",
                 centroid_pids.len()
             ));
         }
-        let next_pid = meta_int(&r, &inner.tables.meta, M_NEXT_PID)?;
+        let next_pid = t.counter(r, Counter::NEXT_PID)?;
         if next_pid != 0 && next_pid <= max_pid {
             rep.error(format!(
                 "meta next_pid {next_pid} is not past the largest partition id {max_pid}"
             ));
         }
-        let next_vid = meta_int(&r, &inner.tables.meta, M_NEXT_VID)?;
+        let next_vid = t.counter(r, Counter::NEXT_VID)?;
         if next_vid <= max_vid {
             rep.error(format!(
                 "meta next_vid {next_vid} is not past the largest stored vid {max_vid}"
@@ -258,152 +239,76 @@ pub(crate) fn verify_integrity_at(inner: &Inner, r: &ReadTxn) -> Result<Integrit
 
         // Pass 5 — quantized catalogs: the code storage mirrors the
         // indexed vectors bit-for-bit under each partition's stored
-        // ranges (SQ8 row-per-vid, SQ4 blocked slots).
-        if let (Some(codes), Some(quants)) = (&inner.tables.codes, &inner.tables.quants) {
-            let mut params: BTreeMap<i64, micronn_linalg::Sq8Params> = BTreeMap::new();
-            for row in quants.scan(&r)? {
-                let row = row?;
-                let pid = row[0].as_integer().unwrap_or(0);
-                if !centroid_pids.contains(&pid) {
-                    rep.orphan(format!("quantization ranges for unknown partition {pid}"));
-                }
-                match row[1]
-                    .as_blob()
-                    .map(|b| crate::codec::params_from_blob(b, dim))
-                {
-                    Some(Ok(p)) => {
-                        params.insert(pid, p);
-                    }
-                    _ => rep.error(format!("quants {pid}: malformed ranges blob")),
-                }
+        // ranges (SQ8 row-per-vid, SQ4 blocked slots). A code, block or
+        // ranges blob of the wrong length fails the walk itself.
+        if inner.quantized() {
+            // One encoder per encoded partition; re-encoding a vector
+            // must reproduce its stored code exactly.
+            let levels = inner.cfg.codec.levels();
+            let encoders: BTreeMap<i64, micronn_linalg::Sq8Encoder> = (t.all_params(r)?.iter())
+                .map(|(p, ranges)| (*p, ranges.encoder(levels)))
+                .collect();
+            for pid in encoders.keys().filter(|pid| !centroid_pids.contains(pid)) {
+                rep.orphan(format!("quantization ranges for unknown partition {pid}"));
             }
             let mut code_keys: BTreeSet<(i64, i64)> = BTreeSet::new();
             let mut code_buf = Vec::with_capacity(dim);
-            if inner.cfg.codec == crate::VectorCodec::Sq4 {
-                use crate::codec::{sq4_slot, SQ4_MEMBERS_BYTES};
-                use micronn_linalg::{get_block_code, sq4_block_bytes, SQ4_BLOCK, SQ4_LEVELS};
-                // One encoder per encoded partition; re-encoding must
-                // reproduce every live slot's nibbles exactly.
-                let encoders: BTreeMap<i64, micronn_linalg::Sq8Encoder> = params
-                    .iter()
-                    .map(|(&p, pr)| (p, pr.encoder(SQ4_LEVELS)))
-                    .collect();
-                for row in codes.scan(&r)? {
-                    let row = row?;
-                    let p = row[0].as_integer().unwrap_or(0);
-                    let block = row[1].as_integer().unwrap_or(0);
-                    if p == DELTA_PARTITION {
-                        rep.error(format!("sq4 block ({p},{block}) in the delta store"));
-                        continue;
-                    }
-                    let (Some(members), Some(packed)) = (row[2].as_blob(), row[3].as_blob()) else {
-                        rep.error(format!(
-                            "sq4 block ({p},{block}): members/packed is not a blob"
-                        ));
-                        continue;
-                    };
-                    if members.len() != SQ4_MEMBERS_BYTES || packed.len() != sq4_block_bytes(dim) {
-                        rep.error(format!(
-                            "sq4 block ({p},{block}): {} members bytes / {} packed bytes, \
-                             expected {SQ4_MEMBERS_BYTES} / {}",
-                            members.len(),
-                            packed.len(),
-                            sq4_block_bytes(dim)
-                        ));
-                        continue;
-                    }
-                    for slot in 0..SQ4_BLOCK {
-                        let (vid, asset) = sq4_slot(members, slot);
-                        if vid == 0 {
-                            continue; // empty or tombstoned slot
-                        }
-                        rep.codes_checked += 1;
-                        if !code_keys.insert((p, vid)) {
+            // One live code of vector `(p, vid)` — an SQ8 row or an SQ4
+            // slot: `same` compares the stored code with a re-encoding.
+            let mut check = |rep: &mut IntegrityReport,
+                             (p, vid): (i64, i64),
+                             asset: i64,
+                             same: &dyn Fn(&[u8]) -> bool| {
+                rep.codes_checked += 1;
+                if p == DELTA_PARTITION {
+                    return rep.error(format!("code ({p},{vid}) in the delta store"));
+                }
+                if !code_keys.insert((p, vid)) {
+                    return rep.error(format!("vector ({p},{vid}) has more than one live code"));
+                }
+                match by_key.get(&(p, vid)) {
+                    Some(&a) if a == asset => {}
+                    Some(&a) => rep.orphan(format!(
+                        "code ({p},{vid}) carries asset {asset}, vector row says {a}"
+                    )),
+                    None => return rep.orphan(format!("code ({p},{vid}) has no vector row")),
+                }
+                match (encoders.get(&p), f32s.get(&(p, vid))) {
+                    (Some(enc), Some(v)) => {
+                        code_buf.clear();
+                        enc.encode_row(v, &mut code_buf);
+                        if !same(&code_buf) {
                             rep.error(format!(
-                                "vector ({p},{vid}) occupies more than one live sq4 slot"
+                                "code ({p},{vid}) does not re-encode from its f32 row \
+                                 under partition {p}'s stored ranges"
                             ));
-                            continue;
-                        }
-                        match by_key.get(&(p, vid)) {
-                            Some(&a) if a == asset => {}
-                            Some(&a) => rep.orphan(format!(
-                                "sq4 slot of ({p},{vid}) carries asset {asset}, \
-                                 vector row says {a}"
-                            )),
-                            None => {
-                                rep.orphan(format!("live sq4 slot ({p},{vid}) has no vector row"));
-                                continue;
-                            }
-                        }
-                        match (encoders.get(&p), f32s.get(&(p, vid))) {
-                            (Some(enc), Some(v)) => {
-                                code_buf.clear();
-                                enc.encode_row(v, &mut code_buf);
-                                if (0..dim).any(|d| get_block_code(packed, d, slot) != code_buf[d])
-                                {
-                                    rep.error(format!(
-                                        "sq4 code of ({p},{vid}) does not re-encode from \
-                                         its f32 row under partition {p}'s stored ranges"
-                                    ));
-                                }
-                            }
-                            (None, _) => rep.orphan(format!(
-                                "sq4 slot ({p},{vid}) in partition without quantization ranges"
-                            )),
-                            _ => {} // undecodable vector already reported
                         }
                     }
+                    (None, _) => rep.orphan(format!(
+                        "code ({p},{vid}) in partition without quantization ranges"
+                    )),
+                    _ => {} // undecodable vector already reported
                 }
+            };
+            if inner.cfg.codec == crate::VectorCodec::Sq4 {
+                use micronn_linalg::{get_block_code, SQ4_BLOCK};
+                t.scan_blocks(r, None, |block| {
+                    for slot in 0..SQ4_BLOCK {
+                        let (vid, asset) = block.slot(slot);
+                        if vid != 0 {
+                            // (vid 0 is an empty or tombstoned slot)
+                            let nibble = |d| get_block_code(&block.packed, d, slot);
+                            let same = |code: &[u8]| (0..dim).all(|d| nibble(d) == code[d]);
+                            check(&mut rep, (block.partition, vid), asset, &same);
+                        }
+                    }
+                    Ok(())
+                })?;
             } else {
-                for row in codes.scan(&r)? {
-                    let row = row?;
-                    rep.codes_checked += 1;
-                    let p = row[0].as_integer().unwrap_or(0);
-                    let vid = row[1].as_integer().unwrap_or(0);
-                    let asset = row[2].as_integer().unwrap_or(0);
-                    code_keys.insert((p, vid));
-                    if p == DELTA_PARTITION {
-                        rep.error(format!("code row ({p},{vid}) in the delta store"));
-                        continue;
-                    }
-                    match by_key.get(&(p, vid)) {
-                        Some(&a) if a == asset => {}
-                        Some(&a) => rep.orphan(format!(
-                            "code ({p},{vid}) carries asset {asset}, vector row says {a}"
-                        )),
-                        None => {
-                            rep.orphan(format!("code ({p},{vid}) has no vector row"));
-                            continue;
-                        }
-                    }
-                    let Some(code) = row[3].as_blob() else {
-                        rep.error(format!("code ({p},{vid}): payload is not a blob"));
-                        continue;
-                    };
-                    if code.len() != dim {
-                        rep.error(format!(
-                            "code ({p},{vid}): {} bytes, expected {dim}",
-                            code.len()
-                        ));
-                        continue;
-                    }
-                    match (params.get(&p), f32s.get(&(p, vid))) {
-                        (Some(pr), Some(v)) => {
-                            code_buf.clear();
-                            pr.encode_into(v, &mut code_buf);
-                            if code_buf != code {
-                                rep.error(format!(
-                                    "code ({p},{vid}) does not re-encode from its f32 row \
-                                     under partition {p}'s stored ranges"
-                                ));
-                            }
-                        }
-                        (None, _) => rep.orphan(format!(
-                            "code ({p},{vid}) in partition without quantization ranges"
-                        )),
-                        _ => {} // undecodable vector already reported
-                    }
-                }
+                t.scan_codes(r, None, |at, asset, code| {
+                    check(&mut rep, at, asset, &|fresh| fresh == code);
+                    Ok(())
+                })?;
             }
             for &(p, vid) in by_key.keys() {
                 if p != DELTA_PARTITION && !code_keys.contains(&(p, vid)) {
@@ -418,10 +323,10 @@ pub(crate) fn verify_integrity_at(inner: &Inner, r: &ReadTxn) -> Result<Integrit
 
 #[cfg(test)]
 mod tests {
+    use crate::catalog::{Block, Counter};
     use crate::config::Config;
-    use crate::db::{set_meta_int, MicroNN, VectorRecord, M_DELTA_COUNT};
+    use crate::db::{MicroNN, VectorRecord};
     use micronn_linalg::Metric;
-    use micronn_rel::Value;
     use micronn_storage::SyncMode;
 
     fn build(dir: &std::path::Path, codec: crate::VectorCodec) -> MicroNN {
@@ -468,20 +373,11 @@ mod tests {
         let dir = tempfile::tempdir().unwrap();
         let db = build(dir.path(), crate::VectorCodec::F32);
         // Hand-corrupt: delete one vector row without its asset row.
-        let inner = &*db.inner;
-        let mut txn = inner.db.begin_write().unwrap();
-        let loc = inner
-            .tables
-            .assets
-            .get(&txn, &[Value::Integer(7)])
-            .unwrap()
-            .unwrap();
-        inner
-            .tables
-            .vectors
-            .delete(&mut txn, &[loc[1].clone(), loc[2].clone()])
-            .unwrap();
-        txn.commit().unwrap();
+        let t = &db.inner.tables;
+        let mut w = t.begin_write(&db.inner.db).unwrap();
+        let at = t.location(&w, 7).unwrap().unwrap();
+        w.remove_vector(at).unwrap();
+        w.commit().unwrap();
 
         let rep = db.verify_integrity().unwrap();
         assert!(!rep.is_clean());
@@ -497,21 +393,14 @@ mod tests {
     fn wrong_partition_size_and_meta_drift_are_reported() {
         let dir = tempfile::tempdir().unwrap();
         let db = build(dir.path(), crate::VectorCodec::F32);
-        let inner = &*db.inner;
-        let mut txn = inner.db.begin_write().unwrap();
+        let t = &db.inner.tables;
+        let mut w = t.begin_write(&db.inner.db).unwrap();
         // Drift one centroid's persisted size and the delta counter.
-        let mut row = inner
-            .tables
-            .centroids
-            .scan(&txn)
-            .unwrap()
-            .next()
-            .unwrap()
-            .unwrap();
-        row[2] = Value::Integer(row[2].as_integer().unwrap() + 3);
-        inner.tables.centroids.upsert(&mut txn, row).unwrap();
-        set_meta_int(&mut txn, &inner.tables.meta, M_DELTA_COUNT, 99).unwrap();
-        txn.commit().unwrap();
+        let mut row = t.centroids(&w).unwrap().swap_remove(0);
+        row.size += 3;
+        w.put_centroid(&row).unwrap();
+        w.set_counter(Counter::DELTA_COUNT, 99).unwrap();
+        w.commit().unwrap();
 
         let rep = db.verify_integrity().unwrap();
         assert!(!rep.is_clean());
@@ -531,20 +420,23 @@ mod tests {
     fn tombstoned_sq4_slot_with_live_vector_is_reported() {
         let dir = tempfile::tempdir().unwrap();
         let db = build(dir.path(), crate::VectorCodec::Sq4);
-        let inner = &*db.inner;
-        let mut txn = inner.db.begin_write().unwrap();
+        let t = &db.inner.tables;
+        let mut w = t.begin_write(&db.inner.db).unwrap();
         // Hand-corrupt: tombstone one live slot while its vector row
         // stays — the mirror check must flag the missing code.
-        let codes = inner.tables.codes.as_ref().unwrap();
-        let mut row = codes.scan(&txn).unwrap().next().unwrap().unwrap();
-        let mut members = row[2].as_blob().unwrap().to_vec();
+        let mut first: Option<Block<'static>> = None;
+        t.scan_blocks(&w, None, |b| {
+            first.get_or_insert_with(|| b.into_owned());
+            Ok(())
+        })
+        .unwrap();
+        let mut block = first.expect("catalog has a block");
         let slot = (0..micronn_linalg::SQ4_BLOCK)
-            .find(|&j| crate::codec::sq4_slot(&members, j).0 != 0)
+            .find(|&j| block.slot(j).0 != 0)
             .expect("block has a live slot");
-        crate::codec::sq4_set_slot(&mut members, slot, 0, 0);
-        row[2] = Value::Blob(members);
-        codes.upsert(&mut txn, row).unwrap();
-        txn.commit().unwrap();
+        block.set_slot(slot, 0, 0);
+        w.put_block(block).unwrap();
+        w.commit().unwrap();
 
         let rep = db.verify_integrity().unwrap();
         assert!(!rep.is_clean());
@@ -559,16 +451,17 @@ mod tests {
     fn stale_code_row_is_reported() {
         let dir = tempfile::tempdir().unwrap();
         let db = build(dir.path(), crate::VectorCodec::Sq8);
-        let inner = &*db.inner;
-        let mut txn = inner.db.begin_write().unwrap();
-        // Remove one code row: the mirrored tables now disagree.
-        let codes = inner.tables.codes.as_ref().unwrap();
+        let t = &db.inner.tables;
+        let mut w = t.begin_write(&db.inner.db).unwrap();
+        // Remove one code row through the raw table: the mirrored
+        // tables now disagree.
+        let (codes, txn) = w.raw_codes();
         let key = {
-            let row = codes.scan(&txn).unwrap().next().unwrap().unwrap();
+            let row = codes.scan(txn).unwrap().next().unwrap().unwrap();
             [row[0].clone(), row[1].clone()]
         };
-        codes.delete(&mut txn, &key).unwrap();
-        txn.commit().unwrap();
+        codes.delete(txn, &key).unwrap();
+        w.commit().unwrap();
 
         let rep = db.verify_integrity().unwrap();
         assert!(!rep.is_clean());

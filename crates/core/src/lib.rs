@@ -28,7 +28,8 @@
 //! * **Pluggable vector codecs**: the default [`VectorCodec::F32`]
 //!   scans full-precision vectors; [`VectorCodec::Sq8`] scans
 //!   per-partition scalar-quantized u8 codes (~4× fewer payload bytes)
-//!   and re-ranks the top `rerank_factor·k` candidates exactly.
+//!   and [`VectorCodec::Sq4`] 4-bit fastscan blocks (~8× fewer); both
+//!   re-rank the top `rerank_factor·k` candidates exactly.
 //!
 //! ## Quickstart
 //!
@@ -63,6 +64,7 @@
 
 pub mod batch;
 pub mod build;
+mod catalog;
 mod centroid_index;
 pub mod codec;
 pub mod config;

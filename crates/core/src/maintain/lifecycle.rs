@@ -32,13 +32,10 @@
 use std::sync::Arc;
 
 use micronn_cluster::{lloyd, Clustering, LloydConfig};
-use micronn_rel::{blob_to_f32, f32_to_blob, Value};
 
+use crate::catalog::{CentroidRow, Counter};
 use crate::config::Config;
-use crate::db::{
-    meta_int, read_partition_members, set_meta_int, CentroidCache, LoadedIndex, MicroNN,
-    DELTA_PARTITION, M_EPOCH, M_NEXT_PID, M_PARTITIONS,
-};
+use crate::db::{LoadedIndex, MicroNN, DELTA_PARTITION};
 use crate::error::{Error, Result};
 
 /// Outcome of one partition split.
@@ -132,19 +129,14 @@ impl MicroNN {
         }
         let span = self.maint_span("maintain_split");
         let inner = &*self.inner;
-        let mut txn = inner.db.begin_write()?;
-        let old_epoch = meta_int(&txn, &inner.tables.meta, M_EPOCH)?;
-        if inner
-            .tables
-            .centroids
-            .get(&txn, &[Value::Integer(partition)])?
-            .is_none()
-        {
+        let t = &inner.tables;
+        let mut w = t.begin_write(&inner.db)?;
+        if t.centroid(&w, partition)?.is_none() {
             return Err(Error::Config(format!(
                 "cannot split partition {partition}: it does not exist"
             )));
         }
-        let members = read_partition_members(&txn, &inner.tables.vectors, partition)?;
+        let members = t.members(&w, partition)?;
         let n = members.len();
         if n < 2 {
             return Err(Error::Config(format!(
@@ -158,8 +150,8 @@ impl MicroNN {
         let target = inner.cfg.target_partition_size.max(1);
         let k_new = ((n + target / 2) / target).max(2);
         let mut flat = Vec::with_capacity(n * dim);
-        for (_, _, v) in &members {
-            flat.extend_from_slice(v);
+        for m in &members {
+            flat.extend_from_slice(&m.vector);
         }
         let local = lloyd::train(
             &flat,
@@ -189,7 +181,7 @@ impl MicroNN {
                 let c = (i / chunk).min(k_new - 1);
                 *a = c as u32;
                 counts[c] += 1;
-                for (acc, x) in centroids[c].iter_mut().zip(&members[i].2) {
+                for (acc, x) in centroids[c].iter_mut().zip(&members[i].vector) {
                     *acc += x;
                 }
             }
@@ -206,13 +198,11 @@ impl MicroNN {
         // clusterings) get no partition: a split never creates an
         // immediately-mergeable empty partition.
         let keep = (0..k2).max_by_key(|&c| counts[c]).unwrap_or(0);
-        let mut next_pid = meta_int(&txn, &inner.tables.meta, M_NEXT_PID)?;
+        let mut next_pid = t.counter(&w, Counter::NEXT_PID)?;
         if next_pid == 0 {
             // Pre-lifecycle file: derive the counter from the catalog.
-            for row in inner.tables.centroids.scan(&txn)? {
-                next_pid = next_pid.max(row?[0].as_integer().unwrap_or(0));
-            }
-            next_pid += 1;
+            let sizes = t.partition_sizes(&w)?;
+            next_pid = sizes.iter().map(|&(pid, _)| pid).max().unwrap_or(0) + 1;
         }
         let mut pid_of = vec![partition; k2];
         let mut new_partitions = Vec::with_capacity(k2 - 1);
@@ -226,85 +216,38 @@ impl MicroNN {
 
         // Move the rows whose sub-cluster got a new id.
         let mut moved = 0usize;
-        for (i, (vid, asset, vec)) in members.iter().enumerate() {
-            let new_p = pid_of[assignments[i] as usize];
-            if new_p == partition {
-                continue;
+        for (m, &a) in members.iter().zip(&assignments) {
+            let new_p = pid_of[a as usize];
+            if new_p != partition {
+                w.relocate(partition, new_p, m.vid)?;
+                moved += 1;
             }
-            inner
-                .tables
-                .vectors
-                .delete(&mut txn, &[Value::Integer(partition), Value::Integer(*vid)])?;
-            inner.tables.vectors.upsert(
-                &mut txn,
-                vec![
-                    Value::Integer(new_p),
-                    Value::Integer(*vid),
-                    Value::Integer(*asset),
-                    Value::Blob(f32_to_blob(vec)),
-                ],
-            )?;
-            inner.tables.assets.upsert(
-                &mut txn,
-                vec![
-                    Value::Integer(*asset),
-                    Value::Integer(new_p),
-                    Value::Integer(*vid),
-                ],
-            )?;
-            moved += 1;
-            inner
-                .row_changes
-                .fetch_add(3, std::sync::atomic::Ordering::Relaxed);
         }
 
         // Centroid rows: re-centre the surviving partition, insert the
         // new ones (empty sub-clusters excluded).
         let live: Vec<usize> = (0..k2).filter(|&c| c == keep || counts[c] > 0).collect();
         for &c in &live {
-            inner.tables.centroids.upsert(
-                &mut txn,
-                vec![
-                    Value::Integer(pid_of[c]),
-                    Value::Blob(f32_to_blob(&centroids[c])),
-                    Value::Integer(counts[c] as i64),
-                ],
-            )?;
+            let row = CentroidRow {
+                partition: pid_of[c],
+                centroid: centroids[c].clone(),
+                size: counts[c] as i64,
+            };
+            w.put_centroid(&row)?;
         }
-        inner
-            .row_changes
-            .fetch_add(live.len() as u64, std::sync::atomic::Ordering::Relaxed);
 
         // Codec epilogue: every touched partition's content changed, so
         // its quantization ranges are retrained and codes rewritten.
-        if inner.quantized() {
-            let mut encoded =
-                crate::codec::clear_partition_codes(&mut txn, &inner.tables, partition)?;
-            for &c in &live {
-                encoded += crate::codec::encode_partition(
-                    &mut txn,
-                    &inner.tables,
-                    inner.cfg.codec,
-                    dim,
-                    pid_of[c],
-                )?;
-            }
-            inner.row_changes.fetch_add(
-                encoded as u64 + live.len() as u64,
-                std::sync::atomic::Ordering::Relaxed,
-            );
+        w.clear_partition_codes(partition)?;
+        for &c in &live {
+            crate::codec::encode_partition(&mut w, pid_of[c])?;
         }
 
-        let k = meta_int(&txn, &inner.tables.meta, M_PARTITIONS)?;
-        set_meta_int(
-            &mut txn,
-            &inner.tables.meta,
-            M_PARTITIONS,
-            k + new_partitions.len() as i64,
-        )?;
-        set_meta_int(&mut txn, &inner.tables.meta, M_NEXT_PID, next_pid)?;
-        set_meta_int(&mut txn, &inner.tables.meta, M_EPOCH, old_epoch + 1)?;
-        let commit_seq = txn.commit()?;
+        let k = t.counter(&w, Counter::PARTITIONS)?;
+        w.set_counter(Counter::PARTITIONS, k + new_partitions.len() as i64)?;
+        w.set_counter(Counter::NEXT_PID, next_pid)?;
+        let old_epoch = w.bump_epoch()? - 1;
+        let commit_seq = w.commit()?;
         // The split re-encoded every touched partition under fresh
         // ranges: its drift counter starts over.
         inner.reset_drift(partition);
@@ -349,46 +292,30 @@ impl MicroNN {
         }
         let span = self.maint_span("maintain_merge");
         let inner = &*self.inner;
-        let mut txn = inner.db.begin_write()?;
-        let Some(source_row) = inner
-            .tables
-            .centroids
-            .get(&txn, &[Value::Integer(partition)])?
-        else {
+        let t = &inner.tables;
+        let mut w = t.begin_write(&inner.db)?;
+        let Some(source) = t.centroid(&w, partition)? else {
             return Err(Error::Config(format!(
                 "cannot merge partition {partition}: it does not exist"
             )));
         };
-        let source_centroid = blob_to_f32(
-            source_row[1]
-                .as_blob()
-                .ok_or_else(|| Error::Config("centroid column is not a blob".into()))?,
-        )?;
-        let source_size = source_row[2].as_integer().unwrap_or(0).max(0) as u64;
 
         // Nearest surviving neighbour by centroid distance, preferring
         // one the merged rows still fit into.
-        let room = split_threshold(&inner.cfg).saturating_sub(source_size);
+        let room = split_threshold(&inner.cfg).saturating_sub(source.size.max(0) as u64);
         let mut best: Option<(i64, f32)> = None;
         let mut best_fitting: Option<(i64, f32)> = None;
-        for row in inner.tables.centroids.scan(&txn)? {
-            let row = row?;
-            let pid = row[0].as_integer().unwrap_or(0);
-            if pid == partition {
+        for c in t.centroids(&w)? {
+            if c.partition == partition {
                 continue;
             }
-            let c = blob_to_f32(
-                row[1]
-                    .as_blob()
-                    .ok_or_else(|| Error::Config("centroid column is not a blob".into()))?,
-            )?;
-            let d = inner.metric.distance(&source_centroid, &c);
+            let d = inner.metric.distance(&source.centroid, &c.centroid);
             if best.map(|(_, bd)| d < bd).unwrap_or(true) {
-                best = Some((pid, d));
+                best = Some((c.partition, d));
             }
-            let size = row[2].as_integer().unwrap_or(0).max(0) as u64;
-            if size <= room && best_fitting.map(|(_, bd)| d < bd).unwrap_or(true) {
-                best_fitting = Some((pid, d));
+            let fits = c.size.max(0) as u64 <= room;
+            if fits && best_fitting.map(|(_, bd)| d < bd).unwrap_or(true) {
+                best_fitting = Some((c.partition, d));
             }
         }
         let Some((target, _)) = best_fitting.or(best) else {
@@ -398,90 +325,40 @@ impl MicroNN {
         };
 
         // Move every row into the target partition.
-        let members = read_partition_members(&txn, &inner.tables.vectors, partition)?;
-        for (vid, asset, vec) in &members {
-            inner
-                .tables
-                .vectors
-                .delete(&mut txn, &[Value::Integer(partition), Value::Integer(*vid)])?;
-            inner.tables.vectors.upsert(
-                &mut txn,
-                vec![
-                    Value::Integer(target),
-                    Value::Integer(*vid),
-                    Value::Integer(*asset),
-                    Value::Blob(f32_to_blob(vec)),
-                ],
-            )?;
-            inner.tables.assets.upsert(
-                &mut txn,
-                vec![
-                    Value::Integer(*asset),
-                    Value::Integer(target),
-                    Value::Integer(*vid),
-                ],
-            )?;
-            inner
-                .row_changes
-                .fetch_add(3, std::sync::atomic::Ordering::Relaxed);
+        let members = t.members(&w, partition)?;
+        for m in &members {
+            w.relocate(partition, target, m.vid)?;
         }
 
         // Target centroid: size-weighted mean of the two centroids.
         // Sizes stay in integer arithmetic — only the weight is
         // floating-point — so the stored counts remain exact.
-        let mut target_row = inner
-            .tables
-            .centroids
-            .get(&txn, &[Value::Integer(target)])?
+        let mut target_row = t
+            .centroid(&w, target)?
             .ok_or_else(|| Error::Config("merge target centroid vanished".into()))?;
-        let m_t = target_row[2].as_integer().unwrap_or(0).max(0);
+        let m_t = target_row.size.max(0);
         let m_s = members.len() as i64;
         if m_t + m_s > 0 {
-            let mut c_t = blob_to_f32(
-                target_row[1]
-                    .as_blob()
-                    .ok_or_else(|| Error::Config("centroid column is not a blob".into()))?,
-            )?;
             let w_s = m_s as f32 / (m_t + m_s) as f32;
-            for (ct, cs) in c_t.iter_mut().zip(&source_centroid) {
+            for (ct, cs) in target_row.centroid.iter_mut().zip(&source.centroid) {
                 *ct += w_s * (cs - *ct);
             }
-            target_row[1] = Value::Blob(f32_to_blob(&c_t));
         }
-        target_row[2] = Value::Integer(m_t + m_s);
-        inner.tables.centroids.upsert(&mut txn, target_row)?;
-        inner
-            .tables
-            .centroids
-            .delete(&mut txn, &[Value::Integer(partition)])?;
-        inner
-            .row_changes
-            .fetch_add(2, std::sync::atomic::Ordering::Relaxed);
+        target_row.size = m_t + m_s;
+        w.put_centroid(&target_row)?;
+        w.remove_centroid(partition)?;
 
         // Codec epilogue: the dissolved partition's codes and ranges go
         // away; the grown target is re-encoded under fresh ranges.
-        if inner.quantized() {
-            let mut encoded =
-                crate::codec::clear_partition_codes(&mut txn, &inner.tables, partition)?;
-            if !members.is_empty() {
-                encoded += crate::codec::encode_partition(
-                    &mut txn,
-                    &inner.tables,
-                    inner.cfg.codec,
-                    inner.dim,
-                    target,
-                )?;
-            }
-            inner
-                .row_changes
-                .fetch_add(encoded as u64 + 1, std::sync::atomic::Ordering::Relaxed);
+        w.clear_partition_codes(partition)?;
+        if !members.is_empty() {
+            crate::codec::encode_partition(&mut w, target)?;
         }
 
-        let k = meta_int(&txn, &inner.tables.meta, M_PARTITIONS)?;
-        set_meta_int(&mut txn, &inner.tables.meta, M_PARTITIONS, (k - 1).max(1))?;
-        let epoch = meta_int(&txn, &inner.tables.meta, M_EPOCH)?;
-        set_meta_int(&mut txn, &inner.tables.meta, M_EPOCH, epoch + 1)?;
-        txn.commit()?;
+        let k = t.counter(&w, Counter::PARTITIONS)?;
+        w.set_counter(Counter::PARTITIONS, (k - 1).max(1))?;
+        w.bump_epoch()?;
+        w.commit()?;
         // The dissolved partition is gone and the target was re-encoded
         // under fresh ranges: both drift counters start over.
         inner.reset_drift(partition);
@@ -490,7 +367,7 @@ impl MicroNN {
         // Removing a centroid shifts every later centroid's index, so
         // the cached super-index cannot be patched in place; drop the
         // cache and let the next query reload at the new epoch.
-        *inner.centroid_cache.write() = None;
+        inner.centroid_cache.clear();
         self.maint_finish(span, members.len() as u64);
 
         Ok(MergeReport {
@@ -518,56 +395,46 @@ impl MicroNN {
         new_centroids: &[(i64, Vec<f32>)],
     ) {
         let inner = &*self.inner;
-        let mut guard = inner.centroid_cache.write();
-        let Some(cache) = guard.as_mut() else {
-            return;
-        };
-        if cache.epoch != old_epoch {
-            *guard = None;
-            return;
-        }
-        let idx = &cache.index;
-        let Some(pos) = idx.partitions.iter().position(|&p| p == partition) else {
-            *guard = None;
-            return;
-        };
+        let cache = &inner.centroid_cache;
         let dim = inner.dim;
-        let old_k = idx.partitions.len();
-        let new_k = old_k + new_centroids.len();
-        if idx.super_index.is_none() && new_k >= inner.cfg.centroid_index_threshold {
-            // Crossing the super-index threshold: let the reload path
-            // build the hierarchy.
-            *guard = None;
-            return;
-        }
-        let mut flat = idx.clustering.centroids().to_vec();
-        flat[pos * dim..(pos + 1) * dim].copy_from_slice(kept_centroid);
-        let mut partitions = (*idx.partitions).clone();
-        for (pid, c) in new_centroids {
-            partitions.push(*pid);
-            flat.extend_from_slice(c);
-        }
-        let clustering = Arc::new(Clustering::new(flat, dim, inner.metric));
-        let super_index = idx.super_index.as_ref().map(|si| {
-            let mut si = (**si).clone();
-            si.note_moved(&clustering, pos);
-            for ci in old_k..new_k {
-                si.insert(&clustering, ci);
+        let patched = cache.lookup(Some(commit_seq), &old_epoch, |idx| {
+            let pos = idx.partitions.iter().position(|&p| p == partition)?;
+            let old_k = idx.partitions.len();
+            let new_k = old_k + new_centroids.len();
+            if idx.super_index.is_none() && new_k >= inner.cfg.centroid_index_threshold {
+                // Crossing the super-index threshold: let the reload
+                // path build the hierarchy.
+                return None;
             }
-            Arc::new(si)
-        });
-        // The patched view is exactly the committed state at the
-        // split's commit seq, which is newer than anything published
-        // so far — safe to install unconditionally.
-        *guard = Some(CentroidCache {
-            epoch: old_epoch + 1,
-            seq: commit_seq,
-            index: LoadedIndex {
+            let mut flat = idx.clustering.centroids().to_vec();
+            flat[pos * dim..(pos + 1) * dim].copy_from_slice(kept_centroid);
+            let mut partitions = (*idx.partitions).clone();
+            for (pid, c) in new_centroids {
+                partitions.push(*pid);
+                flat.extend_from_slice(c);
+            }
+            let clustering = Arc::new(Clustering::new(flat, dim, inner.metric));
+            let super_index = idx.super_index.as_ref().map(|si| {
+                let mut si = (**si).clone();
+                si.note_moved(&clustering, pos);
+                for ci in old_k..new_k {
+                    si.insert(&clustering, ci);
+                }
+                Arc::new(si)
+            });
+            Some(LoadedIndex {
                 clustering,
                 partitions: Arc::new(partitions),
                 super_index,
-            },
+            })
         });
+        match patched {
+            // The patched view is exactly the committed state at the
+            // split's commit seq; only an entry from a later commit
+            // outranks it.
+            Some(index) => cache.publish(Some(commit_seq), old_epoch + 1, |_| index),
+            None => cache.clear(),
+        }
     }
 }
 

@@ -134,7 +134,7 @@ impl MicroNN {
                 let mut healthy_at: Option<u64> = None;
                 let mut skipped = 0u32;
                 while !thread_shared.stop.load(Ordering::Acquire) {
-                    let quiet = healthy_at == Some(db.inner.row_changes.load(Ordering::Relaxed))
+                    let quiet = healthy_at == Some(db.inner.tables.row_changes())
                         && skipped < FORCE_FULL_EVERY;
                     if quiet {
                         skipped += 1;
@@ -151,7 +151,7 @@ impl MicroNN {
                                 thread_shared.retrains.add(report.retrains() as u64);
                                 healthy_at = (report.status
                                     == crate::maintain::MaintenanceStatus::Healthy)
-                                    .then(|| db.inner.row_changes.load(Ordering::Relaxed));
+                                    .then(|| db.inner.tables.row_changes());
                             }
                             Err(e) => {
                                 thread_shared.errors.inc();

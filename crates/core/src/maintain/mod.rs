@@ -25,7 +25,7 @@
 //!    fallback rather than the only answer to growth;
 //! 4. **quantizer retrain** — for quantized codecs, a partition whose
 //!    stored ranges have drifted (too many flushed rows clamped during
-//!    encoding, see [`crate::Config::range_drift_limit`]) gets its
+//!    encoding — more than a tenth of them) gets its
 //!    ranges retrained and codes rewritten, restoring quantization
 //!    quality without touching any other partition.
 //!
@@ -44,14 +44,16 @@ pub mod maintainer;
 pub use lifecycle::{MergeReport, SplitReport};
 pub use maintainer::{IndexMaintainer, MaintainerOptions, MaintainerStats};
 
-use micronn_rel::{f32_to_blob, Value};
-
-use crate::db::{
-    meta_int, read_partition_sizes, set_meta_int, MicroNN, DELTA_PARTITION, M_BASELINE_AVG,
-    M_DELTA_COUNT, M_EPOCH, M_PARTITIONS,
-};
+use crate::catalog::{CentroidRow, Counter, Member};
+use crate::db::{MicroNN, DELTA_PARTITION};
 use crate::error::{Error, Result};
 use crate::RebuildReport;
+
+/// Quantizer range-drift threshold for quantized codecs: once the
+/// fraction of flushed rows that clamped against a partition's stored
+/// ranges exceeds this, the maintainer retrains that partition's
+/// ranges.
+const RANGE_DRIFT_LIMIT: f64 = 0.1;
 
 /// What the index monitor thinks should happen next.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -175,8 +177,9 @@ impl MicroNN {
         let start = std::time::Instant::now();
         let span = self.maint_span("maintain_flush");
         let inner = &*self.inner;
-        let mut txn = inner.db.begin_write()?;
-        let Some(index) = inner.clustering(&txn)? else {
+        let t = &inner.tables;
+        let mut w = t.begin_write(&inner.db)?;
+        let Some(index) = inner.clustering(&w)? else {
             return Err(Error::Config(
                 "cannot flush delta: index has never been built".into(),
             ));
@@ -184,17 +187,14 @@ impl MicroNN {
         let partitions = index.partitions.clone();
         let mut clustering = (*index.clustering).clone();
 
-        // Load current partition sizes.
-        let mut sizes = vec![0i64; clustering.k()];
-        for (ci, &pid) in partitions.iter().enumerate() {
-            if let Some(row) = inner.tables.centroids.get(&txn, &[Value::Integer(pid)])? {
-                sizes[ci] = row[2].as_integer().unwrap_or(0);
-            }
-        }
+        // Current partition sizes, in the centroid-scan order the
+        // (uncached, in-transaction) index load above produced.
+        let mut sizes: Vec<i64> = (t.partition_sizes(&w)?.iter())
+            .map(|&(_, size)| size as i64)
+            .collect();
 
         // Materialize the (small) delta store.
-        let staged =
-            crate::db::read_partition_members(&txn, &inner.tables.vectors, DELTA_PARTITION)?;
+        let staged = t.members(&w, DELTA_PARTITION)?;
         let flushed = staged.len();
 
         // BTreeMap: centroid/code rows are persisted in ascending
@@ -203,59 +203,30 @@ impl MicroNN {
         // stream deterministic (the crash-injection harness enumerates
         // its operations). Each bucket keeps its rows in staged (vid)
         // order for the codec append below.
-        let mut dest: std::collections::BTreeMap<usize, Vec<(i64, i64, Vec<f32>)>> =
+        let mut dest: std::collections::BTreeMap<usize, Vec<Member>> =
             std::collections::BTreeMap::new();
-        for (vid, asset, vec) in staged {
-            let (ci, _) = clustering.nearest(&vec);
-            let pid = partitions[ci];
-            inner.tables.vectors.delete(
-                &mut txn,
-                &[Value::Integer(DELTA_PARTITION), Value::Integer(vid)],
-            )?;
-            inner.tables.vectors.upsert(
-                &mut txn,
-                vec![
-                    Value::Integer(pid),
-                    Value::Integer(vid),
-                    Value::Integer(asset),
-                    Value::Blob(f32_to_blob(&vec)),
-                ],
-            )?;
-            inner.tables.assets.upsert(
-                &mut txn,
-                vec![
-                    Value::Integer(asset),
-                    Value::Integer(pid),
-                    Value::Integer(vid),
-                ],
-            )?;
-            inner
-                .row_changes
-                .fetch_add(3, std::sync::atomic::Ordering::Relaxed);
+        for m in staged {
+            let (ci, _) = clustering.nearest(&m.vector);
+            w.relocate(DELTA_PARTITION, partitions[ci], m.vid)?;
             // Running-mean centroid update [1]: c ← c + (x − c)/(m+1).
-            let m = sizes[ci];
+            let n = sizes[ci];
             let centroid = clustering.centroid_mut(ci);
-            let eta = 1.0 / (m as f32 + 1.0);
-            for (cv, xv) in centroid.iter_mut().zip(&vec) {
+            let eta = 1.0 / (n as f32 + 1.0);
+            for (cv, xv) in centroid.iter_mut().zip(&m.vector) {
                 *cv += eta * (xv - *cv);
             }
-            sizes[ci] = m + 1;
-            dest.entry(ci).or_default().push((vid, asset, vec));
+            sizes[ci] = n + 1;
+            dest.entry(ci).or_default().push(m);
         }
 
         // Persist the moved centroids and sizes.
         for &ci in dest.keys() {
-            inner.tables.centroids.upsert(
-                &mut txn,
-                vec![
-                    Value::Integer(partitions[ci]),
-                    Value::Blob(f32_to_blob(clustering.centroid(ci))),
-                    Value::Integer(sizes[ci]),
-                ],
-            )?;
-            inner
-                .row_changes
-                .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            let row = CentroidRow {
+                partition: partitions[ci],
+                centroid: clustering.centroid(ci).to_vec(),
+                size: sizes[ci],
+            };
+            w.put_centroid(&row)?;
         }
         // Codec-aware epilogue: the rows just moved into each touched
         // partition are encoded *under its existing ranges* — a flush
@@ -263,48 +234,29 @@ impl MicroNN {
         // retrain. Rows that clamp against the stored ranges feed the
         // per-partition drift counters (after commit); the maintainer
         // retrains a partition once its clamped fraction crosses
-        // `Config::range_drift_limit`. A partition with no stored
-        // ranges yet (first flush after its creation) gets a full
-        // encode, which trains them.
+        // `RANGE_DRIFT_LIMIT`. A partition with no stored ranges yet
+        // (first flush after its creation) gets a full encode, which
+        // trains them.
         let mut drift_updates: Vec<(i64, u64, u64)> = Vec::new();
         if inner.quantized() {
-            let mut code_rows = 0usize;
             for (&ci, rows) in &dest {
                 let pid = partitions[ci];
-                match crate::codec::load_params(&txn, &inner.tables, pid, inner.dim)? {
+                match t.params(&w, pid)? {
                     Some(params) => {
-                        let (appended, clamped) = crate::codec::append_partition(
-                            &mut txn,
-                            &inner.tables,
-                            inner.cfg.codec,
-                            inner.dim,
-                            pid,
-                            &params,
-                            rows,
-                        )?;
-                        code_rows += appended;
+                        let (appended, clamped) =
+                            crate::codec::append_partition(&mut w, pid, &params, rows)?;
                         drift_updates.push((pid, clamped as u64, appended as u64));
                     }
                     None => {
-                        code_rows += 1 + crate::codec::encode_partition(
-                            &mut txn,
-                            &inner.tables,
-                            inner.cfg.codec,
-                            inner.dim,
-                            pid,
-                        )?;
+                        crate::codec::encode_partition(&mut w, pid)?;
                     }
                 }
             }
-            inner
-                .row_changes
-                .fetch_add(code_rows as u64, std::sync::atomic::Ordering::Relaxed);
         }
-        set_meta_int(&mut txn, &inner.tables.meta, M_DELTA_COUNT, 0)?;
-        let epoch = meta_int(&txn, &inner.tables.meta, M_EPOCH)?;
-        set_meta_int(&mut txn, &inner.tables.meta, M_EPOCH, epoch + 1)?;
+        w.set_counter(Counter::DELTA_COUNT, 0)?;
+        w.bump_epoch()?;
         let partitions_touched = dest.len();
-        txn.commit()?;
+        w.commit()?;
         // Drift counters reflect only committed appends: fold them in
         // after the transaction is durable.
         for (pid, clamped, appended) in drift_updates {
@@ -336,10 +288,11 @@ impl MicroNN {
     /// from one snapshot so status and candidate can never disagree.
     fn maintenance_verdict(&self) -> Result<(MaintenanceStatus, Option<i64>)> {
         let inner = &*self.inner;
+        let t = &inner.tables;
         let r = inner.db.begin_read();
-        let k = meta_int(&r, &inner.tables.meta, M_PARTITIONS)?;
-        let delta = meta_int(&r, &inner.tables.meta, M_DELTA_COUNT)? as u64;
-        let total = inner.tables.vectors.row_count(&r)?;
+        let k = t.counter(&r, Counter::PARTITIONS)?;
+        let delta = t.counter(&r, Counter::DELTA_COUNT)? as u64;
+        let total = t.vector_count(&r)?;
         if k == 0 {
             return Ok(if total > 0 {
                 (MaintenanceStatus::NeedsBuild, None)
@@ -347,7 +300,7 @@ impl MicroNN {
                 (MaintenanceStatus::Healthy, None)
             });
         }
-        let baseline = meta_int(&r, &inner.tables.meta, M_BASELINE_AVG)? as f64 / 1000.0;
+        let baseline = t.counter(&r, Counter::BASELINE_AVG)? as f64 / 1000.0;
         let current_avg = (total - delta.min(total)) as f64 / k as f64;
         let growing = baseline > 0.0 && current_avg >= inner.cfg.growth_limit * baseline;
         if growing && !inner.cfg.lifecycle {
@@ -357,7 +310,7 @@ impl MicroNN {
             return Ok((MaintenanceStatus::NeedsFlush, None));
         }
         if inner.cfg.lifecycle {
-            let sizes = read_partition_sizes(&r, &inner.tables.centroids)?;
+            let sizes = t.partition_sizes(&r)?;
             if let Some(pid) = lifecycle::pick_split(&inner.cfg, &sizes) {
                 return Ok((MaintenanceStatus::NeedsSplit, Some(pid)));
             }
@@ -373,7 +326,7 @@ impl MicroNN {
         // retired since its counter accumulated); `retrain_partition`
         // self-heals by discarding the counter.
         if inner.quantized() {
-            if let Some((pid, _)) = inner.drift_candidate(inner.cfg.range_drift_limit) {
+            if let Some((pid, _)) = inner.drift_candidate(RANGE_DRIFT_LIMIT) {
                 return Ok((MaintenanceStatus::NeedsRetrain, Some(pid)));
             }
         }
@@ -394,16 +347,12 @@ impl MicroNN {
                 "codec f32 has no quantization ranges to retrain".into(),
             ));
         }
-        let mut txn = inner.db.begin_write()?;
-        if inner
-            .tables
-            .centroids
-            .get(&txn, &[Value::Integer(partition)])?
-            .is_none()
-        {
+        let t = &inner.tables;
+        let mut w = t.begin_write(&inner.db)?;
+        if t.centroid(&w, partition)?.is_none() {
             // Partition retired (split/merge/rebuild) after its drift
             // counter accumulated: nothing to retrain.
-            txn.rollback();
+            w.rollback();
             inner.reset_drift(partition);
             return Ok(RetrainReport {
                 partition,
@@ -411,19 +360,9 @@ impl MicroNN {
                 total_time: start.elapsed(),
             });
         }
-        let encoded = crate::codec::encode_partition(
-            &mut txn,
-            &inner.tables,
-            inner.cfg.codec,
-            inner.dim,
-            partition,
-        )?;
-        let epoch = meta_int(&txn, &inner.tables.meta, M_EPOCH)?;
-        set_meta_int(&mut txn, &inner.tables.meta, M_EPOCH, epoch + 1)?;
-        inner
-            .row_changes
-            .fetch_add(encoded as u64 + 1, std::sync::atomic::Ordering::Relaxed);
-        txn.commit()?;
+        let encoded = crate::codec::encode_partition(&mut w, partition)?;
+        w.bump_epoch()?;
+        w.commit()?;
         inner.reset_drift(partition);
         self.maint_finish(span, encoded as u64);
         Ok(RetrainReport {
@@ -514,25 +453,25 @@ impl MicroNN {
     /// Rebuilds attribute statistics (`ANALYZE`) for the hybrid query
     /// optimizer without touching the index.
     pub fn analyze(&self) -> Result<()> {
-        let inner = &*self.inner;
-        let mut txn = inner.db.begin_write()?;
-        micronn_rel::analyze_table(&mut txn, &inner.tables.attrs)?;
-        let epoch = meta_int(&txn, &inner.tables.meta, M_EPOCH)?;
-        set_meta_int(&mut txn, &inner.tables.meta, M_EPOCH, epoch + 1)?;
-        txn.commit()?;
+        let t = &self.inner.tables;
+        let mut w = t.begin_write(&self.inner.db)?;
+        w.analyze_attrs()?;
+        w.bump_epoch()?;
+        w.commit()?;
         Ok(())
     }
 
     /// Point-in-time statistics of the index.
     pub fn stats(&self) -> Result<crate::stats::DbStats> {
         let inner = &*self.inner;
+        let t = &inner.tables;
         let r = inner.db.begin_read();
-        let total = inner.tables.vectors.row_count(&r)?;
-        let delta = meta_int(&r, &inner.tables.meta, M_DELTA_COUNT)? as u64;
-        let k = meta_int(&r, &inner.tables.meta, M_PARTITIONS)? as u64;
-        let epoch = meta_int(&r, &inner.tables.meta, M_EPOCH)?;
-        let baseline = meta_int(&r, &inner.tables.meta, M_BASELINE_AVG)? as f64 / 1000.0;
-        let sizes = read_partition_sizes(&r, &inner.tables.centroids)?;
+        let total = t.vector_count(&r)?;
+        let delta = t.counter(&r, Counter::DELTA_COUNT)? as u64;
+        let k = t.counter(&r, Counter::PARTITIONS)? as u64;
+        let epoch = t.counter(&r, Counter::EPOCH)?;
+        let baseline = t.counter(&r, Counter::BASELINE_AVG)? as f64 / 1000.0;
+        let sizes = t.partition_sizes(&r)?;
         Ok(crate::stats::DbStats {
             total_vectors: total,
             delta_vectors: delta,
@@ -546,7 +485,7 @@ impl MicroNN {
             max_partition_size: sizes.iter().map(|&(_, s)| s).max().unwrap_or(0),
             baseline_partition_size: baseline,
             epoch,
-            row_changes: inner.row_changes.load(std::sync::atomic::Ordering::Relaxed),
+            row_changes: t.row_changes(),
             store: inner.db.store().stats(),
             resident_bytes: inner.db.store().resident_bytes(),
         })

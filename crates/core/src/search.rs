@@ -67,7 +67,7 @@ pub struct SearchResponse {
 /// the rest. No job reads another's state, so what is probed — and
 /// with it `QueryInfo` — is the same for every worker count.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn scan_partitions(
+fn scan_partitions(
     inner: &Inner,
     r: &ReadTxn,
     partitions: &[i64],
@@ -121,15 +121,20 @@ pub(crate) fn scan_partitions(
     Ok(merge_all(heaps, scan_k))
 }
 
-/// ANN search (Algorithm 2): probe the `n` nearest partitions plus the
-/// delta store.
+/// One IVF search at snapshot `r`. `probes = Some(n)` is ANN search
+/// (Algorithm 2): the `n` nearest partitions plus the delta store,
+/// scored in the compressed domain where the catalog is quantized and
+/// re-ranked exactly. `probes = None` is exact KNN: an exhaustive scan
+/// over every partition (§3.3 "trivial but resource intensive") that
+/// always reads full-precision vectors — exact semantics are
+/// codec-independent.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn ann_search(
+pub(crate) fn ivf_search(
     inner: &Inner,
     r: &ReadTxn,
     query: &[f32],
     k: usize,
-    probes: usize,
+    probes: Option<usize>,
     filter: Option<&FilterCtx<'_>>,
     plan: PlanUsed,
     trace: &mut QueryTrace,
@@ -140,80 +145,22 @@ pub(crate) fn ann_search(
             got: query.len(),
         });
     }
-    let mut partitions: Vec<i64> = match inner.clustering(r)? {
-        Some(index) => index.nearest_partitions(query, probes),
-        // Unbuilt index: everything lives in the delta store.
-        None => Vec::new(),
+    // An unbuilt index keeps everything in the delta store.
+    let mut partitions: Vec<i64> = match (inner.clustering(r)?, probes) {
+        (None, _) => Vec::new(),
+        (Some(index), Some(n)) => index.nearest_partitions(query, n),
+        (Some(index), None) => index.partitions.as_ref().clone(),
     };
     partitions.push(DELTA_PARTITION);
     trace.stage(stage::PROBE_SELECT);
-    run_scan(
-        inner,
-        r,
-        &partitions,
-        query,
-        k,
-        inner.quantized(),
-        filter,
-        plan,
-        trace,
-    )
-}
 
-/// Exact KNN: exhaustive scan over every partition (§3.3 "trivial but
-/// resource intensive"). Always reads full-precision vectors — exact
-/// semantics are codec-independent.
-pub(crate) fn exact_search(
-    inner: &Inner,
-    r: &ReadTxn,
-    query: &[f32],
-    k: usize,
-    filter: Option<&FilterCtx<'_>>,
-    trace: &mut QueryTrace,
-) -> Result<SearchResponse> {
-    if query.len() != inner.dim {
-        return Err(Error::DimensionMismatch {
-            expected: inner.dim,
-            got: query.len(),
-        });
-    }
-    let mut partitions: Vec<i64> = match inner.clustering(r)? {
-        Some(index) => index.partitions.as_ref().clone(),
-        None => Vec::new(),
-    };
-    partitions.push(DELTA_PARTITION);
-    trace.stage(stage::PROBE_SELECT);
-    run_scan(
-        inner,
-        r,
-        &partitions,
-        query,
-        k,
-        false,
-        filter,
-        PlanUsed::Exact,
-        trace,
-    )
-}
-
-#[allow(clippy::too_many_arguments)]
-fn run_scan(
-    inner: &Inner,
-    r: &ReadTxn,
-    partitions: &[i64],
-    query: &[f32],
-    k: usize,
-    use_codec: bool,
-    filter: Option<&FilterCtx<'_>>,
-    plan: PlanUsed,
-    trace: &mut QueryTrace,
-) -> Result<SearchResponse> {
+    let use_codec = probes.is_some() && inner.quantized();
     let metrics = ScanMetrics::default();
     let time_filter = trace.detailed && filter.is_some();
     let mut neighbors = scan_partitions(
         inner,
         r,
-        partitions,
+        &partitions,
         query,
         k,
         use_codec,
@@ -222,7 +169,7 @@ fn run_scan(
         time_filter,
     )?;
     trace.stage(stage::PARTITION_SCAN);
-    if use_codec && inner.quantized() {
+    if use_codec {
         neighbors = rerank_exact(inner, r, query, neighbors, k, &metrics)?;
         trace.stage(stage::RERANK);
     }

@@ -19,20 +19,22 @@
 use micronn_rel::Expr;
 use micronn_storage::{PageRead, ReadTxn};
 
+use crate::batch::BatchResponse;
 use crate::db::MicroNN;
 use crate::error::Result;
-use crate::hybrid::{exact_at, search_with_at, SearchRequest};
-use crate::integrity::{verify_integrity_at, IntegrityReport};
+use crate::hybrid::SearchRequest;
+use crate::integrity::IntegrityReport;
 use crate::search::SearchResponse;
 
 /// One frozen, committed view of the index (see the [module
 /// docs](crate::snapshot)). Created by [`MicroNN::snapshot`]; holds a
 /// registered reader at the store layer until dropped.
 pub struct Snapshot {
-    db: MicroNN,
-    r: ReadTxn,
+    pub(crate) db: MicroNN,
+    pub(crate) r: ReadTxn,
 }
 
+// Every read below pins its own snapshot for the one call.
 impl MicroNN {
     /// Pins the current committed state and returns a handle that
     /// answers queries against it, unaffected by concurrent writes and
@@ -42,6 +44,50 @@ impl MicroNN {
             db: self.clone(),
             r: self.inner.db.begin_read(),
         }
+    }
+
+    /// Top-`k` approximate nearest neighbours with default parameters.
+    pub fn search(&self, query: &[f32], k: usize) -> Result<SearchResponse> {
+        self.snapshot().search(query, k)
+    }
+
+    /// Executes a full [`SearchRequest`] (ANN, hybrid, plan control).
+    pub fn search_with(&self, req: &SearchRequest) -> Result<SearchResponse> {
+        self.snapshot().search_with(req)
+    }
+
+    /// Exact (exhaustive) K-nearest-neighbour search, optionally
+    /// filtered.
+    pub fn exact(&self, query: &[f32], k: usize, filter: Option<&Expr>) -> Result<SearchResponse> {
+        self.snapshot().exact(query, k, filter)
+    }
+
+    /// Executes a batch of ANN queries with multi-query optimization.
+    pub fn batch_search(
+        &self,
+        queries: &[Vec<f32>],
+        k: usize,
+        probes: Option<usize>,
+    ) -> Result<BatchResponse> {
+        self.snapshot().batch_search(queries, k, probes)
+    }
+
+    /// Walks the whole catalog from one read snapshot and cross-checks
+    /// every inter-table invariant (see the [module docs](crate::integrity)
+    /// for the list). Returns the counters and violations; errors only
+    /// on I/O or row-decoding failures that prevent the walk itself.
+    pub fn verify_integrity(&self) -> Result<IntegrityReport> {
+        self.snapshot().verify_integrity()
+    }
+
+    /// Number of stored vectors.
+    pub fn len(&self) -> Result<u64> {
+        self.snapshot().len()
+    }
+
+    /// True when no vectors are stored.
+    pub fn is_empty(&self) -> Result<bool> {
+        self.snapshot().is_empty()
     }
 }
 
@@ -57,37 +103,9 @@ impl Snapshot {
         self.search_with(&SearchRequest::new(query.to_vec(), k))
     }
 
-    /// [`MicroNN::search_with`] at this snapshot.
-    pub fn search_with(&self, req: &SearchRequest) -> Result<SearchResponse> {
-        search_with_at(&self.db.inner, &self.r, req)
-    }
-
-    /// [`MicroNN::batch_search`] at this snapshot: every shared
-    /// partition scan of the multi-query plan reads the same frozen
-    /// commit seq.
-    pub fn batch_search(
-        &self,
-        queries: &[Vec<f32>],
-        k: usize,
-        probes: Option<usize>,
-    ) -> Result<crate::batch::BatchResponse> {
-        crate::batch::batch_search_at(&self.db.inner, &self.r, queries, k, probes)
-    }
-
-    /// [`MicroNN::exact`] at this snapshot.
-    pub fn exact(&self, query: &[f32], k: usize, filter: Option<&Expr>) -> Result<SearchResponse> {
-        exact_at(&self.db.inner, &self.r, query, k, filter)
-    }
-
-    /// [`MicroNN::verify_integrity`] at this snapshot: the fsck walk
-    /// sees one frozen catalog even while maintenance churns.
-    pub fn verify_integrity(&self) -> Result<IntegrityReport> {
-        verify_integrity_at(&self.db.inner, &self.r)
-    }
-
     /// Number of vectors visible at this snapshot.
     pub fn len(&self) -> Result<u64> {
-        Ok(self.db.inner.tables.vectors.row_count(&self.r)?)
+        self.db.inner.tables.vector_count(&self.r)
     }
 
     /// True when no vectors are visible at this snapshot.
