@@ -26,7 +26,7 @@ use micronn_linalg::{merge_all, Neighbor, TopK};
 
 use crate::db::{MicroNN, DELTA_PARTITION};
 use crate::error::{Error, Result};
-use crate::exec::{rerank_exact, scan_pool_k, PartitionScanner, Queries, ScanMetrics};
+use crate::exec::{rerank_exact, scan_pool_k, BlockPool, PartitionScanner, Queries, ScanMetrics};
 use crate::search::SearchResult;
 use crate::telemetry::{stage, QueryTrace};
 
@@ -90,8 +90,8 @@ impl crate::snapshot::Snapshot {
         // query order, keeping the grouping deterministic regardless
         // of worker count.
         let mut groups: HashMap<i64, Vec<u32>> = HashMap::new();
-        if let Some(index) = inner.clustering(r)? {
-            let index = &index;
+        let index = inner.clustering(r)?;
+        if let Some(index) = &index {
             let queries_flat = &queries_flat;
             let probe_lists: Vec<Vec<i64>> = inner.scan_pool.parallel_indexed(nq, |qi| {
                 Ok(index.nearest_partitions(&queries_flat[qi * dim..(qi + 1) * dim], probes))
@@ -114,13 +114,15 @@ impl crate::snapshot::Snapshot {
         // the shared scan frame. Quantized scans keep enlarged
         // per-query pools for the re-rank pass.
         let scan_k = scan_pool_k(inner, k, true);
-        let metrics = ScanMetrics::default();
+        let (metrics, blocks) = (ScanMetrics::default(), BlockPool::default());
         let scanner = PartitionScanner {
             inner,
             r,
             filter: None,
             metrics: &metrics,
+            blocks: &blocks,
             use_codec: true,
+            epoch: index.map_or(0, |index| index.epoch),
             time_filter: false,
             prune_above: f32::INFINITY,
         };

@@ -48,8 +48,8 @@ use std::sync::Arc;
 
 use micronn_linalg::{sq4_block_bytes, Metric, Sq8Params, SQ4_BLOCK};
 use micronn_rel::{
-    analyze_table, blob_to_f32, f32_to_blob, ColumnDef, Database, RowDecoder, RowReader, Table,
-    TableSchema, Value, ValueType,
+    analyze_table, blob_to_f32, f32_to_blob, ints_then_blob, ColumnDef, Database, RowDecoder,
+    RowReader, Table, TableSchema, Value, ValueType,
 };
 use micronn_storage::{PageData, PageId, PageRead, StorageError, WriteTxn};
 
@@ -207,18 +207,17 @@ fn int_of(v: &Value, col: &str) -> Result<i64> {
     v.as_integer().ok_or_else(|| not_integer(col))
 }
 
-/// Walks `table`'s raw rows in key order — one partition's, or all.
+/// Walks `table`'s encoded rows in key order — one partition's, or all
+/// — each lent to `f` straight out of its pinned leaf page
+/// ([`Table::visit_pk_prefix`]): the one body under every scan below.
 fn scan_rows<R: PageRead + ?Sized>(
     table: &Table,
     r: &R,
     partition: Option<i64>,
-    mut f: impl FnMut(&mut RowDecoder<'_>) -> Result<()>,
+    mut f: impl FnMut(&[u8]) -> Result<()>,
 ) -> Result<()> {
     let prefix = partition.map(Value::Integer);
-    for kv in table.scan_pk_prefix_raw(r, prefix.as_slice())? {
-        f(&mut RowDecoder::new(&kv?.1)?)?;
-    }
-    Ok(())
+    table.visit_pk_prefix(r, prefix.as_slice(), |_, row| f(row))
 }
 
 /// The leading `N` integer columns of every row, without decoding the
@@ -229,12 +228,13 @@ fn int_cols<const N: usize, R: PageRead + ?Sized>(
     partition: Option<i64>,
 ) -> Result<Vec<[i64; N]>> {
     let mut rows = Vec::new();
-    scan_rows(table, r, partition, |dec| {
-        let mut row = [0i64; N];
-        for col in &mut row {
+    scan_rows(table, r, partition, |row| {
+        let dec = &mut RowDecoder::new(row)?;
+        let mut cols = [0i64; N];
+        for col in &mut cols {
             *col = int(dec, "key")?;
         }
-        rows.push(row);
+        rows.push(cols);
         Ok(())
     })?;
     Ok(rows)
@@ -242,16 +242,16 @@ fn int_cols<const N: usize, R: PageRead + ?Sized>(
 
 /// Visits the rows of a `(partition, vid) → (asset, payload)` table —
 /// `vectors` and SQ8 `codes` share the shape — as `(location, asset,
-/// payload)`.
+/// payload)`. The shape is fixed, so a row is read at constant offsets.
 fn scan_payloads<R: PageRead + ?Sized>(
     table: &Table,
     r: &R,
     partition: Option<i64>,
     mut f: impl FnMut(Loc, i64, &[u8]) -> Result<()>,
 ) -> Result<()> {
-    scan_rows(table, r, partition, |dec| {
-        let at = (int(dec, "partition")?, int(dec, "vid")?);
-        f(at, int(dec, "asset")?, dec.next_blob()?)
+    scan_rows(table, r, partition, |row| {
+        let ([p, vid, asset], payload) = ints_then_blob(row)?;
+        f((p, vid), asset, payload)
     })
 }
 
@@ -589,8 +589,8 @@ impl Tables {
     /// are the caller's to check against the index dimension.
     pub fn centroids<R: PageRead + ?Sized>(&self, r: &R) -> Result<Vec<CentroidRow>> {
         let mut rows = Vec::new();
-        scan_rows(&self.centroids, r, None, |dec| {
-            rows.push(Self::centroid_row(dec)?);
+        scan_rows(&self.centroids, r, None, |row| {
+            rows.push(Self::centroid_row(&mut RowDecoder::new(row)?)?);
             Ok(())
         })?;
         Ok(rows)
@@ -600,7 +600,8 @@ impl Tables {
     /// id, without decoding the centroids.
     pub fn partition_sizes<R: PageRead + ?Sized>(&self, r: &R) -> Result<Vec<(i64, u64)>> {
         let mut sizes = Vec::new();
-        scan_rows(&self.centroids, r, None, |dec| {
+        scan_rows(&self.centroids, r, None, |row| {
+            let dec = &mut RowDecoder::new(row)?;
             let partition = int(dec, "partition")?;
             dec.skip()?; // centroid
             sizes.push((partition, int(dec, "size")?.max(0) as u64));
@@ -638,7 +639,8 @@ impl Tables {
         mut f: impl FnMut(Block<'_>) -> Result<()>,
     ) -> Result<()> {
         let want = (SQ4_BLOCK * SLOT_BYTES, sq4_block_bytes(self.dim));
-        scan_rows(&self.quantized()?.0, r, partition, |dec| {
+        scan_rows(&self.quantized()?.0, r, partition, |row| {
+            let dec = &mut RowDecoder::new(row)?;
             let (partition, id) = (int(dec, "partition")?, int(dec, "block")?);
             let (dir, packed) = (dec.next_blob()?, dec.next_blob()?);
             let got = (dir.len(), packed.len());
@@ -684,8 +686,8 @@ impl Tables {
     /// Every `(partition, ranges)` row, ascending by partition id.
     pub fn all_params<R: PageRead + ?Sized>(&self, r: &R) -> Result<Vec<(i64, Sq8Params)>> {
         let mut all = Vec::new();
-        scan_rows(&self.quantized()?.1, r, None, |dec| {
-            all.push(self.ranges_row(dec)?);
+        scan_rows(&self.quantized()?.1, r, None, |row| {
+            all.push(self.ranges_row(&mut RowDecoder::new(row)?)?);
             Ok(())
         })?;
         Ok(all)
@@ -711,6 +713,9 @@ impl PageRead for Writer<'_> {
     }
     fn prefetch_pages(&self, ids: &[PageId]) {
         self.txn.prefetch_pages(ids)
+    }
+    fn wants_prefetch(&self) -> bool {
+        self.txn.wants_prefetch()
     }
     fn root(&self, slot: usize) -> PageId {
         self.txn.root(slot)

@@ -55,6 +55,9 @@ pub(crate) struct LoadedIndex {
     /// Partition id per centroid index.
     pub partitions: Arc<Vec<i64>>,
     pub super_index: Option<Arc<crate::centroid_index::CentroidIndex>>,
+    /// The index epoch this quantizer is the state of: what a scan
+    /// hands to [`Inner::partition_params`], so it reads the epoch once.
+    pub epoch: i64,
 }
 
 impl LoadedIndex {
@@ -612,6 +615,7 @@ impl Inner {
             clustering,
             partitions: Arc::new(partitions),
             super_index,
+            epoch,
         };
         cache.publish(snap, epoch, |_| index.clone());
         Ok(Some(index))
@@ -622,16 +626,17 @@ impl Inner {
     /// the delta store, and never-encoded partitions). Ranges only
     /// change under maintenance — which bumps the epoch in the same
     /// transaction — so committed snapshots with a matching epoch
-    /// share one map.
+    /// share one map. `epoch` is the index epoch at `r`
+    /// ([`LoadedIndex::epoch`]).
     pub(crate) fn partition_params<R: PageRead + ?Sized>(
         &self,
         r: &R,
+        epoch: i64,
         partition: i64,
     ) -> Result<Option<Arc<Sq8Params>>> {
         if !self.quantized() {
             return Ok(None);
         }
-        let epoch = self.tables.counter(r, Counter::EPOCH)?;
         let snap = r.committed_snapshot();
         let cache = &self.quant_cache;
         let hit = |map: &HashMap<i64, Arc<Sq8Params>>| map.get(&partition).cloned();

@@ -5,7 +5,8 @@
 //! to the machinery in this module:
 //!
 //! * [`PartitionScanner`] is the shared partition-scan frame. It owns
-//!   row iteration over the clustered payload tables, header decode,
+//!   the walk over the clustered payload tables (rows are lent from
+//!   their pinned leaf pages, never copied: `Table::visit_pk_prefix`)
 //!   and block-at-a-time scoring for every codec (f32 rows through the
 //!   batched one-to-many / GEMM kernels, SQ8 codes through
 //!   [`Sq8Scorer::score_chunk`], SQ4 fastscan blocks through
@@ -164,9 +165,13 @@ pub(crate) struct PartitionScanner<'a> {
     /// Optional §3.5 post-filter; `None` scans every row.
     pub filter: Option<&'a FilterCtx<'a>>,
     pub metrics: &'a ScanMetrics,
+    pub blocks: &'a BlockPool,
     /// Score quantized codes where the catalog has them. Exact KNN
     /// passes `false`: exact semantics are codec-independent.
     pub use_codec: bool,
+    /// The index epoch at `r` (`LoadedIndex::epoch`), read once per
+    /// scan: the key of every partition's cached quantization ranges.
+    pub epoch: i64,
     /// Clock the post-filter probes into [`ScanTotals::filter_nanos`].
     /// Callers set it from `tel.detailed()` (a trace sink is listening
     /// or the slow-query log is armed): the untraced join reads no clock.
@@ -179,6 +184,7 @@ pub(crate) struct PartitionScanner<'a> {
 
 /// Where one job's scored rows go: the lazy half of the §3.5 join in
 /// front of the result heaps, plus the job's counters.
+#[derive(Default)]
 struct Sink<'a> {
     join: Option<(AttrProbe<'a>, f32, bool)>,
     tally: ScanTotals,
@@ -217,21 +223,17 @@ impl Sink<'_> {
 }
 
 /// One accumulated block of f32 rows awaiting a batched kernel call.
+#[derive(Default)]
 struct F32Block {
     ids: Vec<i64>,
     rows: Vec<f32>,
     scores: Vec<f32>,
 }
 
-impl F32Block {
-    fn with_capacity(rows: usize, dim: usize) -> F32Block {
-        F32Block {
-            ids: Vec::with_capacity(rows),
-            rows: Vec::with_capacity(rows * dim),
-            scores: Vec::new(),
-        }
-    }
-}
+/// Drained blocks of one scan operation: a partition scan takes one and
+/// puts it back, so a job allocates buffers once, not once per partition.
+#[derive(Default)]
+pub(crate) struct BlockPool(parking_lot::Mutex<Vec<F32Block>>);
 
 impl PartitionScanner<'_> {
     /// Scans one partition, offering every qualifying row to the
@@ -261,11 +263,10 @@ impl PartitionScanner<'_> {
     /// The partition's trained ranges when this scan reads its codes;
     /// `None` when it reads full-precision rows.
     fn code_params(&self, partition: i64) -> Result<Option<Arc<Sq8Params>>> {
-        if self.use_codec && self.inner.quantized() && partition != DELTA_PARTITION {
-            self.inner.partition_params(self.r, partition)
-        } else {
-            Ok(None)
+        if !self.use_codec || partition == DELTA_PARTITION {
+            return Ok(None);
         }
+        self.inner.partition_params(self.r, self.epoch, partition)
     }
 
     /// Queues background readahead of the leaf pages
@@ -292,8 +293,8 @@ impl PartitionScanner<'_> {
         // The group path gathers its queries into a contiguous
         // sub-matrix once per scan, then runs the §3.4 GEMM per block.
         let gathered: Vec<f32>;
-        let (qmat, chunk) = match queries {
-            Queries::One(q) => (*q, SCAN_CHUNK),
+        let (qmat, chunk, grouped) = match queries {
+            Queries::One(q) => (*q, SCAN_CHUNK, false),
             Queries::Group { flat, members } => {
                 let mut sub = Vec::with_capacity(members.len() * dim);
                 for &qi in *members {
@@ -301,11 +302,10 @@ impl PartitionScanner<'_> {
                     sub.extend_from_slice(&flat[qi * dim..(qi + 1) * dim]);
                 }
                 gathered = sub;
-                (&gathered[..], BATCH_ROW_CHUNK)
+                (&gathered[..], BATCH_ROW_CHUNK, true)
             }
         };
-        let grouped = matches!(queries, Queries::Group { .. });
-        let mut block = F32Block::with_capacity(chunk, dim);
+        let mut block = self.blocks.0.lock().pop().unwrap_or_default();
         self.inner
             .tables
             .scan_vectors(self.r, Some(partition), |_, asset, blob| {
@@ -316,7 +316,9 @@ impl PartitionScanner<'_> {
                 }
                 Ok(())
             })?;
-        flush_f32(self.inner, qmat, grouped, &mut block, heaps, sink)
+        flush_f32(self.inner, qmat, grouped, &mut block, heaps, sink)?;
+        self.blocks.0.lock().push(block);
+        Ok(())
     }
 
     /// Compressed-domain scan frame: scores `SCAN_CHUNK`-row blocks of
@@ -513,12 +515,10 @@ pub(crate) fn score_candidates(
 ) -> Result<Vec<Neighbor>> {
     let mut top = TopK::new(k);
     let heaps = std::slice::from_mut(&mut top);
-    let mut block = F32Block::with_capacity(SCAN_CHUNK, inner.dim);
+    let mut block = F32Block::default();
+    block.rows.reserve(SCAN_CHUNK * inner.dim);
     let mut fetch = inner.tables.vector_reader(r);
-    let mut sink = Sink {
-        join: None,
-        tally: ScanTotals::default(),
-    };
+    let mut sink = Sink::default();
     for &asset in assets {
         // An attribute row without a vector is skipped.
         let Some(loc) = fetch.locate(asset)? else {

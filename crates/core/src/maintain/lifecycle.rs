@@ -426,6 +426,7 @@ impl MicroNN {
                 clustering,
                 partitions: Arc::new(partitions),
                 super_index,
+                epoch: old_epoch + 1,
             })
         });
         match patched {

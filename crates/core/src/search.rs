@@ -32,7 +32,7 @@ use micronn_storage::ReadTxn;
 
 use crate::db::{Inner, DELTA_PARTITION};
 use crate::error::{Error, Result};
-use crate::exec::{rerank_exact, scan_pool_k, PartitionScanner, Queries, ScanMetrics};
+use crate::exec::{rerank_exact, scan_pool_k, BlockPool, PartitionScanner, Queries, ScanMetrics};
 use crate::hybrid::FilterCtx;
 use crate::stats::{PlanUsed, QueryInfo};
 use crate::telemetry::{stage, QueryTrace};
@@ -53,12 +53,13 @@ pub struct SearchResponse {
     pub info: QueryInfo,
 }
 
-/// Scans `partitions` at snapshot `r`, returning the per-codec
-/// candidate list (Algorithm 2 lines 3–11). `use_codec` selects the
-/// compressed-domain scan for quantized catalogs; callers needing exact
-/// semantics (exhaustive KNN) pass `false`. With the codec path active
-/// the returned list holds `rerank_factor·k` *approximate* candidates
-/// that must go through [`rerank_exact`](crate::exec::rerank_exact).
+/// Scans `partitions` through `scanner`, returning the per-codec
+/// candidate list (Algorithm 2 lines 3–11). `scanner.use_codec` selects
+/// the compressed-domain scan for quantized catalogs; callers needing
+/// exact semantics (exhaustive KNN) pass `false`. With the codec path
+/// active the returned list holds `rerank_factor·k` *approximate*
+/// candidates that must go through
+/// [`rerank_exact`](crate::exec::rerank_exact).
 ///
 /// Unfiltered, every partition is one fan-out job. Filtered, the
 /// partitions are first scanned in the given (nearest-first) order,
@@ -66,28 +67,14 @@ pub struct SearchResponse {
 /// threshold then becomes the fixed `prune_above` of the fan-out over
 /// the rest. No job reads another's state, so what is probed — and
 /// with it `QueryInfo` — is the same for every worker count.
-#[allow(clippy::too_many_arguments)]
 fn scan_partitions(
-    inner: &Inner,
-    r: &ReadTxn,
+    mut scanner: PartitionScanner<'_>,
     partitions: &[i64],
     query: &[f32],
     k: usize,
-    use_codec: bool,
-    filter: Option<&FilterCtx<'_>>,
-    metrics: &ScanMetrics,
-    time_filter: bool,
 ) -> Result<Vec<Neighbor>> {
-    let scan_k = scan_pool_k(inner, k, use_codec);
-    let mut scanner = PartitionScanner {
-        inner,
-        r,
-        filter,
-        metrics,
-        use_codec,
-        time_filter,
-        prune_above: f32::INFINITY,
-    };
+    let inner = scanner.inner;
+    let scan_k = scan_pool_k(inner, k, scanner.use_codec);
     let queries = Queries::One(query);
     let scan_one = |scanner: &PartitionScanner<'_>, i: usize, top: &mut TopK| {
         // Probe readahead: queue the next partition's leaves before
@@ -98,7 +85,7 @@ fn scan_partitions(
         scanner.scan(partitions[i], &queries, std::slice::from_mut(top))
     };
     let mut seeded = 0;
-    let seed = match filter {
+    let seed = match scanner.filter {
         None => None,
         Some(_) => {
             let mut seed = TopK::new(scan_k);
@@ -146,7 +133,8 @@ pub(crate) fn ivf_search(
         });
     }
     // An unbuilt index keeps everything in the delta store.
-    let mut partitions: Vec<i64> = match (inner.clustering(r)?, probes) {
+    let index = inner.clustering(r)?;
+    let mut partitions: Vec<i64> = match (&index, probes) {
         (None, _) => Vec::new(),
         (Some(index), Some(n)) => index.nearest_partitions(query, n),
         (Some(index), None) => index.partitions.as_ref().clone(),
@@ -155,19 +143,19 @@ pub(crate) fn ivf_search(
     trace.stage(stage::PROBE_SELECT);
 
     let use_codec = probes.is_some() && inner.quantized();
-    let metrics = ScanMetrics::default();
-    let time_filter = trace.detailed && filter.is_some();
-    let mut neighbors = scan_partitions(
+    let (metrics, blocks) = (ScanMetrics::default(), BlockPool::default());
+    let scanner = PartitionScanner {
         inner,
         r,
-        &partitions,
-        query,
-        k,
-        use_codec,
         filter,
-        &metrics,
-        time_filter,
-    )?;
+        metrics: &metrics,
+        blocks: &blocks,
+        use_codec,
+        epoch: index.map_or(0, |index| index.epoch),
+        time_filter: trace.detailed && filter.is_some(),
+        prune_above: f32::INFINITY,
+    };
+    let mut neighbors = scan_partitions(scanner, &partitions, query, k)?;
     trace.stage(stage::PARTITION_SCAN);
     if use_codec {
         neighbors = rerank_exact(inner, r, query, neighbors, k, &metrics)?;

@@ -97,28 +97,49 @@ struct Plane {
     delta: f32,
 }
 
+/// `x.round().clamp(0.0, 255.0) as u8` without the libm call: the cast
+/// truncates and saturates (NaN and negatives to 0, anything above to
+/// 255) and `x − trunc(x)` is exact, so comparing it to one half rounds
+/// half away from zero exactly as `round` does.
+#[inline]
+fn round_to_u8(x: f32) -> u8 {
+    let t = x as u8;
+    t.saturating_add((x - t as f32 >= 0.5) as u8)
+}
+
+/// Quantizes one plane of `dim` 16-entry tables. Built once per (query,
+/// probed partition), so it is on the query path: no libm calls, and
+/// plain compares for the per-table extremes — like `f32::min`/`max`
+/// they never pick a NaN. The tests hold it, bit for bit, to the
+/// straightforward `quantize_plane_reference`.
 fn quantize_plane(entries: &[f32], dim: usize) -> Plane {
     // u16 accumulation headroom assumes `dim` is far below the sum
     // budget; real vector dims are.
     debug_assert!(dim < 32_768);
-    let mut mins = vec![0.0f32; dim];
+    debug_assert_eq!(entries.len(), dim * 16);
+    let mut mins = Vec::with_capacity(dim);
     let mut bias = 0.0f32;
     let mut max_range = 0.0f32;
     let mut total_range = 0.0f32;
     let mut finite = true;
-    for d in 0..dim {
-        let row = &entries[d * 16..d * 16 + 16];
+    for row in entries.chunks_exact(16) {
         let mut lo = f32::INFINITY;
         let mut hi = f32::NEG_INFINITY;
         for &v in row {
-            lo = lo.min(v);
-            hi = hi.max(v);
+            if v < lo {
+                lo = v;
+            }
+            if v > hi {
+                hi = v;
+            }
         }
         finite &= lo.is_finite() && hi.is_finite();
-        mins[d] = lo;
+        mins.push(lo);
         bias += lo;
         let r = hi - lo;
-        max_range = max_range.max(r);
+        if r > max_range {
+            max_range = r;
+        }
         total_range += r;
     }
     if dim == 0 {
@@ -146,13 +167,27 @@ fn quantize_plane(entries: &[f32], dim: usize) -> Plane {
     }
     let inv = 1.0 / delta;
     let mut lut = vec![0u8; dim * 16];
-    for d in 0..dim {
-        for c in 0..16 {
-            let q = ((entries[d * 16 + c] - mins[d]) * inv).round();
-            lut[d * 16 + c] = q.clamp(0.0, 255.0) as u8;
+    let tables = lut.chunks_exact_mut(16).zip(entries.chunks_exact(16));
+    for ((codes, row), &lo) in tables.zip(&mins) {
+        for (code, &e) in codes.iter_mut().zip(row) {
+            *code = round_to_u8((e - lo) * inv);
         }
     }
     Plane { lut, bias, delta }
+}
+
+/// The quantized plane of per-dimension tables `entry(q_d, x)` over the
+/// 16 decoded values `x = min_d + scale_d·c` of dimension `d`.
+fn plane_of(query: &[f32], params: &Sq8Params, entry: impl Fn(f32, f32) -> f32) -> Plane {
+    let dim = params.dim();
+    let mut entries = vec![0.0f32; dim * 16];
+    let dims = query.iter().zip(params.min.iter().zip(&params.scale));
+    for (table, (&q, (&min, &scale))) in entries.chunks_exact_mut(16).zip(dims) {
+        for (c, e) in table.iter_mut().enumerate() {
+            *e = entry(q, min + scale * c as f32);
+        }
+    }
+    quantize_plane(&entries, dim)
 }
 
 /// A query prepared against one partition's 4-bit ranges: scores
@@ -199,43 +234,16 @@ impl Sq4Scorer {
     ) -> Sq4Scorer {
         let dim = params.dim();
         debug_assert_eq!(query.len(), dim);
-        let decode = |d: usize, c: usize| params.min[d] + params.scale[d] * c as f32;
-        let mut main = vec![0.0f32; dim * 16];
-        match metric {
-            Metric::L2 => {
-                for d in 0..dim {
-                    for c in 0..16 {
-                        let r = query[d] - decode(d, c);
-                        main[d * 16 + c] = r * r;
-                    }
-                }
-            }
-            Metric::Dot | Metric::Cosine => {
-                for d in 0..dim {
-                    for c in 0..16 {
-                        main[d * 16 + c] = query[d] * decode(d, c);
-                    }
-                }
-            }
-        }
-        let norm2 = match metric {
-            Metric::Cosine => {
-                let mut e = vec![0.0f32; dim * 16];
-                for d in 0..dim {
-                    for c in 0..16 {
-                        let x = decode(d, c);
-                        e[d * 16 + c] = x * x;
-                    }
-                }
-                Some(quantize_plane(&e, dim))
-            }
-            _ => None,
+        let main = match metric {
+            Metric::L2 => plane_of(query, params, |q, x| (q - x) * (q - x)),
+            Metric::Dot | Metric::Cosine => plane_of(query, params, |q, x| q * x),
         };
+        let norm2 = (metric == Metric::Cosine).then(|| plane_of(query, params, |_, x| x * x));
         Sq4Scorer {
             metric,
             dim,
             kernels,
-            main: quantize_plane(&main, dim),
+            main,
             norm2,
             qnorm: (kernels.dot)(query, query).sqrt(),
         }
@@ -322,6 +330,170 @@ impl Sq4Scorer {
 mod tests {
     use super::*;
     use crate::simd::scalar_kernels;
+    use proptest::prelude::*;
+
+    /// The LUT build as first written — libm `round`, `f32::min`/`max`,
+    /// indexed loops — kept as the oracle for [`quantize_plane`].
+    fn quantize_plane_reference(entries: &[f32], dim: usize) -> Plane {
+        debug_assert!(dim < 32_768);
+        let mut mins = vec![0.0f32; dim];
+        let mut bias = 0.0f32;
+        let mut max_range = 0.0f32;
+        let mut total_range = 0.0f32;
+        let mut finite = true;
+        for d in 0..dim {
+            let row = &entries[d * 16..d * 16 + 16];
+            let mut lo = f32::INFINITY;
+            let mut hi = f32::NEG_INFINITY;
+            for &v in row {
+                lo = lo.min(v);
+                hi = hi.max(v);
+            }
+            finite &= lo.is_finite() && hi.is_finite();
+            mins[d] = lo;
+            bias += lo;
+            let r = hi - lo;
+            max_range = max_range.max(r);
+            total_range += r;
+        }
+        if dim == 0 {
+            return Plane {
+                lut: Vec::new(),
+                bias: 0.0,
+                delta: 0.0,
+            };
+        }
+        let delta = (max_range / 255.0).max(total_range / (65_535 - dim) as f32);
+        if !finite || !delta.is_finite() || delta <= 0.0 {
+            return Plane {
+                lut: vec![0u8; dim * 16],
+                bias,
+                delta: 0.0,
+            };
+        }
+        let inv = 1.0 / delta;
+        let mut lut = vec![0u8; dim * 16];
+        for d in 0..dim {
+            for c in 0..16 {
+                let q = ((entries[d * 16 + c] - mins[d]) * inv).round();
+                lut[d * 16 + c] = q.clamp(0.0, 255.0) as u8;
+            }
+        }
+        Plane { lut, bias, delta }
+    }
+
+    /// The planes [`Sq4Scorer::with_kernels`] used to build, table
+    /// loops included: `(main, norm²)`.
+    fn reference_planes(
+        metric: Metric,
+        query: &[f32],
+        params: &Sq8Params,
+    ) -> (Plane, Option<Plane>) {
+        let dim = params.dim();
+        let decode = |d: usize, c: usize| params.min[d] + params.scale[d] * c as f32;
+        let plane = |entry: &dyn Fn(usize, usize) -> f32| {
+            let mut e = vec![0.0f32; dim * 16];
+            for d in 0..dim {
+                for c in 0..16 {
+                    e[d * 16 + c] = entry(d, c);
+                }
+            }
+            quantize_plane_reference(&e, dim)
+        };
+        let main = match metric {
+            Metric::L2 => plane(&|d, c| {
+                let r = query[d] - decode(d, c);
+                r * r
+            }),
+            Metric::Dot | Metric::Cosine => plane(&|d, c| query[d] * decode(d, c)),
+        };
+        let norm2 = (metric == Metric::Cosine).then(|| plane(&|d, c| decode(d, c) * decode(d, c)));
+        (main, norm2)
+    }
+
+    /// A float from every regime the LUT build must survive: ordinary,
+    /// tiny, huge (products overflow), signed zeros, ±inf and NaN.
+    fn any_float() -> impl Strategy<Value = f32> {
+        prop_oneof![
+            8 => -10.0f32..10.0,
+            2 => -1e-30f32..1e-30,
+            2 => -3e38f32..3e38,
+            1 => Just(0.0f32),
+            1 => Just(-0.0f32),
+            1 => Just(f32::INFINITY),
+            1 => Just(f32::NEG_INFINITY),
+            1 => Just(f32::NAN),
+        ]
+    }
+
+    /// Mostly ordinary floats with the occasional hostile one, or one
+    /// constant (a degenerate range).
+    fn floats() -> impl Strategy<Value = Vec<f32>> {
+        prop_oneof![
+            4 => proptest::collection::vec(-10.0f32..10.0, 300..=300),
+            2 => proptest::collection::vec(prop_oneof![20 => -10.0f32..10.0, 1 => any_float()], 300..=300),
+            1 => proptest::collection::vec(any_float(), 300..=300),
+            1 => any_float().prop_map(|x| vec![x; 300]),
+        ]
+    }
+
+    fn assert_same_plane(got: &Plane, want: &Plane, what: &str) {
+        assert_eq!(got.lut, want.lut, "{what}: lut");
+        assert_eq!(got.bias.to_bits(), want.bias.to_bits(), "{what}: bias");
+        assert_eq!(got.delta.to_bits(), want.delta.to_bits(), "{what}: delta");
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 256, ..ProptestConfig::default() })]
+
+        #[test]
+        fn lut_build_is_bit_identical_to_the_reference(
+            dim in 1usize..=300,
+            query in floats(),
+            min in floats(),
+            scale in floats(),
+        ) {
+            let params = Sq8Params {
+                min: min[..dim].to_vec(),
+                scale: scale[..dim].to_vec(),
+            };
+            for metric in [Metric::L2, Metric::Dot, Metric::Cosine] {
+                let scorer = Sq4Scorer::new(metric, &query[..dim], &params);
+                let (main, norm2) = reference_planes(metric, &query[..dim], &params);
+                assert_same_plane(&scorer.main, &main, &format!("{metric} main"));
+                prop_assert_eq!(scorer.norm2.is_some(), norm2.is_some());
+                if let (Some(got), Some(want)) = (&scorer.norm2, &norm2) {
+                    assert_same_plane(got, want, "cosine norm²");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn round_to_u8_is_round_then_clamp() {
+        let reference = |x: f32| x.round().clamp(0.0, 255.0) as u8;
+        // Every multiple of 1/1024 across the range and a step past it…
+        for i in 0..=(257 * 1024) {
+            let x = i as f32 / 1024.0;
+            assert_eq!(round_to_u8(x), reference(x), "{x}");
+        }
+        // …the floats either side of each tie, and a sweep of all bit
+        // patterns (negatives, huge values, infinities, NaNs).
+        for k in 0..=256 {
+            let tie = k as f32 + 0.5;
+            for x in [
+                f32::from_bits(tie.to_bits() - 1),
+                tie,
+                f32::from_bits(tie.to_bits() + 1),
+            ] {
+                assert_eq!(round_to_u8(x), reference(x), "{x}");
+            }
+        }
+        for bits in (0..=u32::MAX).step_by(65_521) {
+            let x = f32::from_bits(bits);
+            assert_eq!(round_to_u8(x), reference(x), "{x} ({bits:#x})");
+        }
+    }
 
     fn pseudo_vec(seed: u64, dim: usize) -> Vec<f32> {
         let mut s = seed.wrapping_mul(0x9E3779B97F4A7C15) | 1;

@@ -62,7 +62,8 @@ pub use error::{RelError, Result};
 pub use keys::{decode_key, encode_key, encode_key_into};
 pub use predicate::{CmpOp, Columns, Compiled, Expr};
 pub use row::{
-    blob_into_f32, blob_to_f32, decode_row, encode_row, f32_to_blob, EncodedRow, RowDecoder,
+    blob_into_f32, blob_to_f32, decode_row, encode_row, f32_to_blob, ints_then_blob, EncodedRow,
+    RowDecoder,
 };
 pub use schema::{ColumnDef, TableSchema};
 pub use stats::{

@@ -172,6 +172,29 @@ impl<'a> RowDecoder<'a> {
     }
 }
 
+/// Reads a row of exactly `N` INTEGER columns followed by one BLOB —
+/// the shape of the clustered payload tables, `(partition, vid, asset,
+/// vec)` — by one shape check and constant offsets instead of a
+/// [`RowDecoder`] pass: this is what a partition scan pays per row.
+/// Any other shape (a NULL, another type, a blob length that disagrees
+/// with the row's) is an error.
+pub fn ints_then_blob<const N: usize>(data: &[u8]) -> Result<([i64; N], &[u8])> {
+    let blob_at = 2 + 9 * N + 5;
+    let shaped = data.len() >= blob_at
+        && data[..2] == (N as u16 + 1).to_le_bytes()
+        && (0..N).all(|i| data[2 + 9 * i] == 0x01)
+        && data[2 + 9 * N] == 0x04
+        && u32::from_le_bytes(data[blob_at - 4..blob_at].try_into().unwrap()) as usize
+            == data.len() - blob_at;
+    if !shaped {
+        return Err(RelError::Codec(format!(
+            "row is not {N} integers and a blob"
+        )));
+    }
+    let int = |i: usize| i64::from_le_bytes(data[3 + 9 * i..11 + 9 * i].try_into().unwrap());
+    Ok((std::array::from_fn(int), &data[blob_at..]))
+}
+
 /// An encoded row checked once ([`EncodedRow::new`] walks every column)
 /// and then read column by column in place: what a predicate evaluates
 /// against when the row came straight out of a leaf page and building a
@@ -305,6 +328,35 @@ mod tests {
         let mut bad_utf8 = encode_row(&[Value::text("ab")]);
         *bad_utf8.last_mut().unwrap() = 0xFF;
         assert!(EncodedRow::new(&bad_utf8).is_err());
+    }
+
+    #[test]
+    fn ints_then_blob_agrees_with_the_decoder_and_rejects_other_shapes() {
+        let blob = vec![7u8; 12];
+        let row = |asset: Value, payload: Value| {
+            encode_row(&[Value::Integer(3), Value::Integer(-9), asset, payload])
+        };
+        let good = row(Value::Integer(i64::MAX), Value::blob(blob.clone()));
+        let (ints, payload) = ints_then_blob::<3>(&good).unwrap();
+        assert_eq!((ints, payload), ([3, -9, i64::MAX], &blob[..]));
+        let empty = row(Value::Integer(0), Value::blob(vec![]));
+        let (ints, payload) = ints_then_blob::<3>(&empty).unwrap();
+        assert_eq!((ints, payload), ([3, -9, 0], &[][..]));
+
+        assert!(ints_then_blob::<2>(&good).is_err(), "wrong column count");
+        assert!(ints_then_blob::<3>(&good[..good.len() - 1]).is_err());
+        assert!(ints_then_blob::<3>(&good[..20]).is_err());
+        let mut long = good.clone();
+        long.push(0);
+        assert!(ints_then_blob::<3>(&long).is_err(), "trailing bytes");
+        for bad in [
+            row(Value::Null, Value::blob(blob.clone())),
+            row(Value::Real(1.0), Value::blob(blob.clone())),
+            row(Value::Integer(1), Value::text("twelve bytes")),
+            row(Value::Integer(1), Value::Null),
+        ] {
+            assert!(ints_then_blob::<3>(&bad).is_err());
+        }
     }
 
     #[test]

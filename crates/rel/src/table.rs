@@ -414,8 +414,29 @@ impl Table {
         }))
     }
 
-    /// Scan of rows whose primary key starts with `prefix` (e.g. all
-    /// vectors of one partition), yielding raw `(key, row)` bytes.
+    /// Visits the rows whose primary key starts with `prefix` (e.g. all
+    /// vectors of one partition) in key order, lending each raw `(key,
+    /// row)` to `f` straight out of the pinned leaf page. This is the
+    /// hot path of every partition scan: nothing is copied or allocated
+    /// per row (an overflow-valued row is reassembled in one buffer
+    /// reused for the whole visit). The first error — the walk's or
+    /// `f`'s — ends the visit.
+    pub fn visit_pk_prefix<R: PageRead + ?Sized, E: From<RelError>>(
+        &self,
+        r: &R,
+        prefix: &[Value],
+        mut f: impl FnMut(&[u8], &[u8]) -> std::result::Result<(), E>,
+    ) -> std::result::Result<(), E> {
+        let rows = self.data.scan_prefix(r, &encode_key(prefix));
+        let mut rows = rows.map_err(RelError::from)?;
+        while let Some(visited) = rows.next_with(&mut f).map_err(RelError::from)? {
+            visited?;
+        }
+        Ok(())
+    }
+
+    /// [`Table::visit_pk_prefix`] as an iterator of owned `(key, row)`
+    /// copies, for callers that hold rows; not a query path.
     pub fn scan_pk_prefix_raw<'r, R: PageRead + ?Sized>(
         &self,
         r: &'r R,
@@ -440,16 +461,21 @@ impl Table {
     }
 
     /// Queues background readahead of the leaf pages holding rows
-    /// whose primary key starts with `prefix`. Discovery touches
-    /// interior pages only; the leaves themselves are fetched by the
-    /// store's prefetch worker with the scan admission hint, so a
-    /// subsequent [`Table::scan_pk_prefix_raw`] of the same prefix hits
-    /// the buffer pool instead of the disk. Best-effort: errors are
-    /// swallowed (readahead must never fail a query).
+    /// whose primary key starts with `prefix`, when `r` has a readahead
+    /// worker to hand them to ([`PageRead::wants_prefetch`]; otherwise
+    /// nothing is read). Discovery touches interior pages only; the
+    /// leaves themselves are fetched by the store's prefetch worker
+    /// with the scan admission hint, so a subsequent
+    /// [`Table::visit_pk_prefix`] of the same prefix hits the buffer
+    /// pool instead of the disk. Best-effort: errors are swallowed
+    /// (readahead must never fail a query).
     pub fn prefetch_pk_prefix<R: PageRead + ?Sized>(&self, r: &R, prefix: &[Value]) {
         // Bounds the discovery walk; the store additionally caps its
         // own prefetch backlog.
         const MAX_LEAVES: usize = 1024;
+        if !r.wants_prefetch() {
+            return;
+        }
         if let Ok(ids) = self
             .data
             .prefix_leaf_pages(r, &encode_key(prefix), MAX_LEAVES)
@@ -676,9 +702,9 @@ mod tests {
         );
     }
 
-    #[test]
-    fn composite_pk_clusters_scans() {
-        let (_d, db) = db();
+    /// A committed `(partition_id, vector_id) -> embedding` table of
+    /// `partitions × rows` rows.
+    fn vectors(db: &Database, partitions: i64, rows: i64) -> Table {
         let mut txn = db.begin_write().unwrap();
         let t = db
             .create_table(
@@ -695,8 +721,8 @@ mod tests {
                 .unwrap(),
             )
             .unwrap();
-        for p in 0..5i64 {
-            for v in 0..30i64 {
+        for p in 0..partitions {
+            for v in 0..rows {
                 t.upsert(
                     &mut txn,
                     vec![
@@ -709,6 +735,13 @@ mod tests {
             }
         }
         txn.commit().unwrap();
+        t
+    }
+
+    #[test]
+    fn composite_pk_clusters_scans() {
+        let (_d, db) = db();
+        let t = vectors(&db, 5, 30);
         let r = db.begin_read();
         // A partition prefix scan yields exactly that partition's rows,
         // in vector_id order.
@@ -723,6 +756,77 @@ mod tests {
             assert_eq!(row[1], Value::Integer(i as i64));
         }
         assert_eq!(t.row_count(&r).unwrap(), 150);
+    }
+
+    #[test]
+    fn visit_lends_the_scanned_rows_and_stops_at_the_first_error() {
+        let (_d, db) = db();
+        let t = vectors(&db, 5, 300);
+        let r = db.begin_read();
+        for prefix in [vec![], vec![Value::Integer(3)], vec![Value::Integer(9)]] {
+            let owned: Vec<_> = t
+                .scan_pk_prefix_raw(&r, &prefix)
+                .unwrap()
+                .collect::<Result<Vec<_>>>()
+                .unwrap();
+            let mut lent = Vec::new();
+            t.visit_pk_prefix(&r, &prefix, |key, row| {
+                lent.push((key.to_vec(), row.to_vec()));
+                Ok::<(), RelError>(())
+            })
+            .unwrap();
+            assert_eq!(lent, owned, "{prefix:?}");
+        }
+        let mut calls = 0;
+        let refused = t.visit_pk_prefix(&r, &[Value::Integer(3)], |_, _| {
+            calls += 1;
+            if calls == 6 {
+                return Err(RelError::Codec("refused".into()));
+            }
+            Ok(())
+        });
+        assert!(matches!(refused, Err(RelError::Codec(m)) if m == "refused"));
+        assert_eq!(calls, 6, "nothing is visited after the error");
+    }
+
+    #[test]
+    fn prefetch_discovers_leaves_only_for_a_readahead_worker() {
+        for queue_pages in [0, 256] {
+            let dir = tempfile::tempdir().unwrap();
+            let opts = StoreOptions {
+                sync: SyncMode::Off,
+                prefetch_queue_pages: queue_pages,
+                ..Default::default()
+            };
+            let db = Database::create(dir.path().join("db"), opts).unwrap();
+            let t = vectors(&db, 5, 300);
+            let r = db.begin_read();
+            assert_eq!(r.wants_prefetch(), queue_pages > 0);
+            let prefix = [Value::Integer(3)];
+            let tree = t.data_tree();
+            let leaves = tree.prefix_leaf_pages(&r, &encode_key(&prefix), usize::MAX);
+            let leaves = leaves.unwrap();
+            assert!(leaves.len() > 1, "the partition spans several leaves");
+
+            let before = db.store().stats();
+            let handled = || {
+                let now = db.store().stats().since(&before);
+                now.prefetch_reads + now.prefetch_skipped
+            };
+            t.prefetch_pk_prefix(&r, &prefix);
+            if queue_pages == 0 {
+                // Nobody to hand leaves to: not one page is referenced.
+                let now = db.store().stats().since(&before);
+                assert_eq!(now.pool_hits + now.pool_misses, 0);
+            } else {
+                // The worker is handed exactly the partition's leaves.
+                let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
+                while handled() < leaves.len() as u64 && std::time::Instant::now() < deadline {
+                    std::thread::sleep(std::time::Duration::from_millis(1));
+                }
+            }
+            assert_eq!(handled(), leaves.len() as u64 * (queue_pages > 0) as u64);
+        }
     }
 
     #[test]

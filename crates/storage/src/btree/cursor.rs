@@ -5,6 +5,14 @@
 //! paper's Algorithm 2) touches each leaf page exactly once and in
 //! on-disk order — this is the data-locality property the clustered
 //! layout exists to provide.
+//!
+//! There is one walk, [`Cursor::next_with`]: it lends each `(key,
+//! value)` pair to a closure as slices of the pinned leaf image (of the
+//! cursor's one reassembly buffer when the value lives in an overflow
+//! chain), so a scan copies nothing and allocates nothing per row. It is
+//! the hot path — every partition scan of the vector layer runs on it.
+//! The owning [`Iterator`] is that same walk with a copy of each pair
+//! taken, kept for callers that want to hold rows.
 
 use std::ops::Bound;
 use std::sync::Arc;
@@ -14,19 +22,23 @@ use crate::page::{page_type, PageData, PageId};
 use crate::store::PageRead;
 
 use super::node;
-use super::{fetch_node, fetch_node_scan, read_val_scan, BTree};
+use super::{fetch_node, fetch_node_scan, val_bytes, BTree};
 
-/// A forward iterator over `(key, value)` pairs in key order.
+/// A forward walk over `(key, value)` pairs in key order; see the
+/// module docs for its two forms.
 pub struct Cursor<'r, R: PageRead + ?Sized> {
     reader: &'r R,
-    /// Current leaf image (kept alive while iterating its cells).
+    /// Current leaf image, pinned while its cells are visited; `None`
+    /// once the walk is over (bound passed, chain exhausted, or an I/O
+    /// error).
     leaf: Option<Arc<PageData>>,
     /// Next cell index within the current leaf.
     idx: usize,
     /// Exclusive/inclusive upper bound.
     end: Bound<Vec<u8>>,
-    /// Set after the first bound violation or I/O error.
-    done: bool,
+    /// Reassembly buffer for values stored in overflow chains, reused
+    /// for the whole walk.
+    scratch: Vec<u8>,
 }
 
 impl BTree {
@@ -100,7 +112,7 @@ impl BTree {
             leaf: Some(leaf),
             idx,
             end,
-            done: false,
+            scratch: Vec::new(),
         })
     }
 }
@@ -121,38 +133,45 @@ pub fn prefix_successor(prefix: &[u8]) -> Option<Vec<u8>> {
 }
 
 impl<R: PageRead + ?Sized> Cursor<'_, R> {
-    fn within_end(&self, key: &[u8]) -> bool {
-        match &self.end {
-            Bound::Unbounded => true,
-            Bound::Included(e) => key <= e.as_slice(),
-            Bound::Excluded(e) => key < e.as_slice(),
+    /// Visits the next pair in range: passes its key and value to `f`
+    /// as borrowed slices and returns what `f` made of them, or `None`
+    /// when the walk is over. An I/O or corruption error is returned
+    /// once and ends the walk.
+    pub fn next_with<T>(&mut self, f: impl FnOnce(&[u8], &[u8]) -> T) -> Result<Option<T>> {
+        let visited = self.visit_next(f);
+        if !matches!(visited, Ok(Some(_))) {
+            self.leaf = None;
         }
+        visited
     }
 
-    fn advance(&mut self) -> Result<Option<(Vec<u8>, Vec<u8>)>> {
+    fn visit_next<T>(&mut self, f: impl FnOnce(&[u8], &[u8]) -> T) -> Result<Option<T>> {
         loop {
             let Some(leaf) = &self.leaf else {
                 return Ok(None);
             };
             if self.idx < node::ncells(leaf) {
                 let key = node::leaf_key(leaf, self.idx);
-                if !self.within_end(key) {
-                    self.done = true;
+                let within_end = match &self.end {
+                    Bound::Unbounded => true,
+                    Bound::Included(e) => key <= e.as_slice(),
+                    Bound::Excluded(e) => key < e.as_slice(),
+                };
+                if !within_end {
                     return Ok(None);
                 }
-                let key = key.to_vec();
-                // Scan-hinted: cursor reads are sequential by
-                // construction, so leaves and their overflow chains
-                // must not displace the pool's protected segment.
-                let value = read_val_scan(self.reader, node::leaf_val(leaf, self.idx))?;
+                // Scan-hinted, like the sibling fetch below: cursor
+                // reads are sequential by construction, and spilled
+                // vector blobs are the bulk of a partition scan's bytes,
+                // so neither leaves nor their overflow chains may
+                // displace the pool's protected segment.
+                let value = node::leaf_val(leaf, self.idx);
+                let value = val_bytes(self.reader, value, true, &mut self.scratch)?;
                 self.idx += 1;
-                return Ok(Some((key, value)));
+                return Ok(Some(f(key, value)));
             }
-            // Exhausted this leaf: follow the sibling chain with the
-            // scan admission hint.
             let next = node::right_ptr(leaf);
             if next == 0 {
-                self.leaf = None;
                 return Ok(None);
             }
             self.leaf = Some(fetch_node_scan(self.reader, next)?);
@@ -165,20 +184,8 @@ impl<R: PageRead + ?Sized> Iterator for Cursor<'_, R> {
     type Item = Result<(Vec<u8>, Vec<u8>)>;
 
     fn next(&mut self) -> Option<Self::Item> {
-        if self.done {
-            return None;
-        }
-        match self.advance() {
-            Ok(Some(kv)) => Some(Ok(kv)),
-            Ok(None) => {
-                self.done = true;
-                None
-            }
-            Err(e) => {
-                self.done = true;
-                Some(Err(e))
-            }
-        }
+        self.next_with(|key, value| (key.to_vec(), value.to_vec()))
+            .transpose()
     }
 }
 

@@ -301,30 +301,33 @@ pub(crate) fn leftmost_leaf<R: PageRead + ?Sized>(r: &R, mut id: PageId) -> Resu
 pub(crate) fn read_val<R: PageRead + ?Sized>(r: &R, v: ValRef<'_>) -> Result<Vec<u8>> {
     match v {
         ValRef::Inline(b) => Ok(b.to_vec()),
-        ValRef::Overflow { total, head } => read_overflow(r, head, total, false),
+        ValRef::Overflow { total, head } => read_overflow(r, head, total),
     }
 }
 
-/// [`read_val`] with the scan admission hint on overflow pages. Spilled
-/// vector blobs are the bulk of a partition scan's bytes, so cursors
-/// must tag their overflow reads too or the scan would still evict the
-/// protected set through the chain pages.
-pub(crate) fn read_val_scan<R: PageRead + ?Sized>(r: &R, v: ValRef<'_>) -> Result<Vec<u8>> {
-    match v {
-        ValRef::Inline(b) => Ok(b.to_vec()),
-        ValRef::Overflow { total, head } => read_overflow(r, head, total, true),
-    }
-}
-
-fn read_overflow<R: PageRead + ?Sized>(
-    r: &R,
-    head: PageId,
-    total: u32,
-    scan: bool,
-) -> Result<Vec<u8>> {
+fn read_overflow<R: PageRead + ?Sized>(r: &R, head: PageId, total: u32) -> Result<Vec<u8>> {
     let mut out = Vec::new();
-    read_overflow_into(r, head, total, scan, &mut out)?;
+    read_overflow_into(r, head, total, false, &mut out)?;
     Ok(out)
+}
+
+/// The bytes of a leaf value, borrowed: the slice of the leaf image
+/// itself when it is stored inline, else `scratch` refilled from its
+/// overflow chain (`scan`: read with the scan admission hint).
+#[inline]
+pub(crate) fn val_bytes<'a, R: PageRead + ?Sized>(
+    r: &R,
+    v: ValRef<'a>,
+    scan: bool,
+    scratch: &'a mut Vec<u8>,
+) -> Result<&'a [u8]> {
+    match v {
+        ValRef::Inline(b) => Ok(b),
+        ValRef::Overflow { total, head } => {
+            read_overflow_into(r, head, total, scan, scratch)?;
+            Ok(scratch)
+        }
+    }
 }
 
 /// Reassembles an overflow chain into `out` (cleared first), so a
@@ -419,7 +422,7 @@ fn take_val(txn: &mut WriteTxn, v: OwnedVal) -> Result<Vec<u8>> {
     match v {
         OwnedVal::Inline(b) => Ok(b),
         OwnedVal::Overflow { total, head } => {
-            let bytes = read_overflow(txn, head, total, false)?;
+            let bytes = read_overflow(txn, head, total)?;
             free_overflow(txn, head)?;
             Ok(bytes)
         }

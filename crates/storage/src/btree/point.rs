@@ -19,8 +19,8 @@ use crate::error::{Result, StorageError};
 use crate::page::{page_type, PageData, PageId};
 use crate::store::PageRead;
 
-use super::node::{self, ValRef};
-use super::{fetch_node, read_overflow_into, BTree};
+use super::node;
+use super::{fetch_node, val_bytes, BTree};
 
 /// Interior pages one reader keeps pinned. Trees here are 2–4 levels
 /// deep, so the root and the hot second-level nodes fit; past the cap
@@ -83,13 +83,9 @@ impl<'r, R: PageRead + ?Sized> PointReader<'r, R> {
         let Some((leaf, i)) = self.seek(key)? else {
             return Ok(None);
         };
-        Ok(Some(match node::leaf_val(&leaf, i) {
-            ValRef::Inline(v) => f(v),
-            ValRef::Overflow { total, head } => {
-                read_overflow_into(self.reader, head, total, false, &mut self.scratch)?;
-                f(&self.scratch)
-            }
-        }))
+        let value = node::leaf_val(&leaf, i);
+        let value = val_bytes(self.reader, value, false, &mut self.scratch)?;
+        Ok(Some(f(value)))
     }
 }
 

@@ -305,6 +305,13 @@ pub trait PageRead {
     /// Hints that `ids` are likely to be read soon; implementations
     /// may warm a cache asynchronously. Best-effort, default no-op.
     fn prefetch_pages(&self, _ids: &[PageId]) {}
+    /// Whether [`PageRead::prefetch_pages`] does anything with its
+    /// hints. Working out *which* pages a scan will read costs an
+    /// interior walk, so callers ask first and skip it when nobody is
+    /// listening.
+    fn wants_prefetch(&self) -> bool {
+        false
+    }
     /// Root page stored in header slot `slot`.
     fn root(&self, slot: usize) -> PageId;
     /// When this transaction's view is *exactly* the committed state at
@@ -326,6 +333,9 @@ impl<R: PageRead + ?Sized> PageRead for &R {
     }
     fn prefetch_pages(&self, ids: &[PageId]) {
         (**self).prefetch_pages(ids)
+    }
+    fn wants_prefetch(&self) -> bool {
+        (**self).wants_prefetch()
     }
     fn root(&self, slot: usize) -> PageId {
         (**self).root(slot)
@@ -949,6 +959,10 @@ impl PageRead for ReadTxn {
             // Worker already gone (shutdown path): undo the accounting.
             inner.prefetch_backlog.fetch_sub(n, Ordering::Relaxed);
         }
+    }
+
+    fn wants_prefetch(&self) -> bool {
+        self.guard.inner.prefetch_tx.is_some()
     }
 
     fn root(&self, slot: usize) -> PageId {

@@ -1,12 +1,15 @@
 //! Property-based tests: the B+tree against a `BTreeMap` model under
-//! random operation sequences (including commit/reopen boundaries), and
-//! WAL recovery returning exactly the committed prefix.
+//! random operation sequences (including commit/reopen boundaries), the
+//! cursor's borrowed walk against its owning iterator, and WAL recovery
+//! returning exactly the committed prefix.
 
 use std::collections::BTreeMap;
+use std::ops::Bound;
 
 use proptest::prelude::*;
 
-use micronn_storage::{BTree, PageRead, Store, StoreOptions, SyncMode};
+use micronn_storage::page::page_type;
+use micronn_storage::{BTree, PageRead, StorageError, Store, StoreOptions, SyncMode};
 
 #[derive(Debug, Clone)]
 enum Op {
@@ -31,6 +34,41 @@ fn val_strategy() -> impl Strategy<Value = Vec<u8>> {
         // Occasional overflow-sized values.
         proptest::collection::vec(any::<u8>(), 2000..4000),
     ]
+}
+
+/// Inline values, single-page overflow chains and chains of several
+/// pages, mixed.
+fn mixed_val_strategy() -> impl Strategy<Value = Vec<u8>> {
+    prop_oneof![
+        6 => proptest::collection::vec(any::<u8>(), 0..64),
+        2 => proptest::collection::vec(any::<u8>(), 2000..4000),
+        1 => proptest::collection::vec(any::<u8>(), 9000..14000),
+    ]
+}
+
+fn bound_strategy() -> impl Strategy<Value = Bound<Vec<u8>>> {
+    prop_oneof![
+        1 => Just(Bound::Unbounded),
+        2 => key_strategy().prop_map(Bound::Included),
+        2 => key_strategy().prop_map(Bound::Excluded),
+    ]
+}
+
+/// The `(key, value)` sequence of the borrowed walk over `[start, end]`.
+fn borrowed_walk<R: PageRead>(
+    tree: &BTree,
+    r: &R,
+    start: &Bound<Vec<u8>>,
+    end: &Bound<Vec<u8>>,
+) -> Vec<(Vec<u8>, Vec<u8>)> {
+    let mut cursor = tree.range(r, start.clone(), end.clone()).unwrap();
+    let mut seen = Vec::new();
+    while let Some(kv) = cursor.next_with(|k, v| (k.to_vec(), v.to_vec())).unwrap() {
+        seen.push(kv);
+    }
+    // Over is over.
+    assert!(cursor.next_with(|_, _| ()).unwrap().is_none());
+    seen
 }
 
 fn op_strategy() -> impl Strategy<Value = Op> {
@@ -169,6 +207,70 @@ proptest! {
     }
 
     #[test]
+    fn borrowed_walk_yields_the_iterators_sequence(
+        initial in proptest::collection::btree_map(key_strategy(), mixed_val_strategy(), 0..120),
+        later in proptest::collection::vec((key_strategy(), mixed_val_strategy()), 1..40),
+        bounds in proptest::collection::vec((bound_strategy(), bound_strategy()), 1..6),
+    ) {
+        let dir = tempfile::tempdir().unwrap();
+        let store = Store::create(dir.path().join("db"), opts()).unwrap();
+        let mut txn = store.begin_write().unwrap();
+        let tree = BTree::create(&mut txn).unwrap();
+        // An empty tree walks to nothing, both ways.
+        prop_assert!(borrowed_walk(&tree, &txn, &Bound::Unbounded, &Bound::Unbounded).is_empty());
+        prop_assert_eq!(tree.scan_all(&txn).unwrap().count(), 0);
+        for (k, v) in &initial {
+            tree.insert(&mut txn, k, v).unwrap();
+        }
+        txn.commit().unwrap();
+
+        // The pinned snapshot is walked only after a later commit has
+        // rewritten and removed pages under it.
+        let pinned = store.begin_read();
+        let mut txn = store.begin_write().unwrap();
+        for (k, v) in &later {
+            tree.insert(&mut txn, k, v).unwrap();
+        }
+        for k in initial.keys().take(initial.len() / 2) {
+            tree.delete(&mut txn, k).unwrap();
+        }
+        txn.commit().unwrap();
+        let current = store.begin_read();
+
+        let whole = (Bound::Unbounded, Bound::Unbounded);
+        for (start, end) in bounds.iter().chain([&whole]) {
+            for r in [&pinned, &current] {
+                let owned: Vec<_> = tree
+                    .range(r, start.clone(), end.clone())
+                    .unwrap()
+                    .map(|kv| kv.unwrap())
+                    .collect();
+                prop_assert_eq!(&borrowed_walk(&tree, r, start, end), &owned);
+            }
+            // And the sequence is the model's, at the pinned snapshot.
+            let in_range = |k: &&Vec<u8>| {
+                let after_start = match start {
+                    Bound::Unbounded => true,
+                    Bound::Included(s) => *k >= s,
+                    Bound::Excluded(s) => *k > s,
+                };
+                let before_end = match end {
+                    Bound::Unbounded => true,
+                    Bound::Included(e) => *k <= e,
+                    Bound::Excluded(e) => *k < e,
+                };
+                after_start && before_end
+            };
+            let want: Vec<_> = initial
+                .iter()
+                .filter(|(k, _)| in_range(k))
+                .map(|(k, v)| (k.clone(), v.clone()))
+                .collect();
+            prop_assert_eq!(borrowed_walk(&tree, &pinned, start, end), want);
+        }
+    }
+
+    #[test]
     fn recovery_preserves_committed_prefix(
         batches in proptest::collection::vec(
             proptest::collection::vec((key_strategy(), val_strategy()), 1..10),
@@ -214,4 +316,46 @@ proptest! {
         let want: Vec<_> = model.iter().map(|(k, v)| (k.clone(), v.clone())).collect();
         prop_assert_eq!(got, want);
     }
+}
+
+/// A corrupt overflow chain surfaces as one `Err`, after which the
+/// cursor — either form of it — yields nothing more. (What a failing
+/// closure does to a walk is its caller's loop to decide:
+/// `rel::Table::visit_pk_prefix` has that test.)
+#[test]
+fn a_corrupt_overflow_chain_surfaces_once_and_ends_the_walk() {
+    let dir = tempfile::tempdir().unwrap();
+    let store = Store::create(dir.path().join("db"), opts()).unwrap();
+    let mut txn = store.begin_write().unwrap();
+    let tree = BTree::create(&mut txn).unwrap();
+    for i in 0..40u32 {
+        let len = if i == 25 { 9000 } else { 20 };
+        tree.insert(&mut txn, format!("k{i:05}").as_bytes(), &vec![i as u8; len])
+            .unwrap();
+    }
+
+    // Break the middle of key 25's three-page chain: zero the chunk
+    // length of its second overflow page.
+    let chain: Vec<u32> = (1..txn.page_count())
+        .filter(|&id| txn.page(id).unwrap().page_type() == page_type::OVERFLOW)
+        .collect();
+    assert_eq!(chain.len(), 3, "9000 bytes spill to three overflow pages");
+    txn.page_mut(chain[1]).unwrap().put_u16(2, 0);
+
+    let mut cursor = tree.scan_all(&txn).unwrap();
+    let mut seen = 0;
+    let err = loop {
+        match cursor.next_with(|_, _| ()) {
+            Ok(Some(())) => seen += 1,
+            Ok(None) => panic!("the corrupt chain went unnoticed"),
+            Err(e) => break e,
+        }
+    };
+    assert_eq!(seen, 25, "rows before the corrupt one are visited");
+    assert!(matches!(err, StorageError::Corrupt(_)), "{err}");
+    assert!(cursor.next_with(|_, _| ()).unwrap().is_none());
+
+    let outcomes: Vec<bool> = tree.scan_all(&txn).unwrap().map(|kv| kv.is_ok()).collect();
+    assert_eq!(outcomes.len(), 26, "25 rows, one error, then nothing");
+    assert!(outcomes[..25].iter().all(|ok| *ok) && !outcomes[25]);
 }
