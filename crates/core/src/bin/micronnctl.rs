@@ -7,9 +7,9 @@
 //! micronnctl search  <db> --query "v1,..,vD" [-k N] [--probes N] [--filter EXPR] [--exact]
 //! micronnctl trace   <db> --query "v1,..,vD" [-k N] [--probes N] [--filter EXPR] [--exact]
 //! micronnctl stats   <db> [--format table|json|prometheus]
-//! micronnctl status  <db>                   # monitor verdict + partition histogram
+//! micronnctl status  <db>                   # monitor verdict, leaf fill per tree, partition histogram
 //! micronnctl maintain <db>                  # run the maintenance ladder to Healthy
-//! micronnctl fsck    <db>                   # cross-check all tables; exit 1 on corruption
+//! micronnctl fsck    <db>                   # cross-check all tables, leaf fill per tree; exit 1 on corruption
 //! micronnctl rebuild <db>
 //! micronnctl flush   <db>
 //! micronnctl analyze <db>
@@ -142,6 +142,7 @@ fn cmd_status(args: &[String]) -> Result<(), String> {
             println!("  {name:<44} {v}");
         }
     }
+    print_tree_fill(&db.tree_fill().map_err(stringify)?);
     let sizes = db.partition_sizes().map_err(stringify)?;
     if sizes.is_empty() {
         println!("histogram:           (index not built)");
@@ -227,6 +228,7 @@ fn cmd_fsck(args: &[String]) -> Result<(), String> {
     println!("assets cross-checked:{:>5}", report.assets_checked);
     println!("codes checked:       {}", report.codes_checked);
     println!("orphans:             {}", report.orphans);
+    print_tree_fill(&report.tree_fill);
     if report.is_clean() {
         println!("ok: no corruption found");
         Ok(())
@@ -238,6 +240,21 @@ fn cmd_fsck(args: &[String]) -> Result<(), String> {
             "fsck found {} violation(s) in {path}",
             report.errors.len()
         ))
+    }
+}
+
+/// One `leaf fill` line per B+tree: used ÷ capacity bytes over its
+/// leaves, then its page counts. A probed partition reads one page per
+/// leaf its rows span, so a low `vectors` fill is pages read for air.
+fn print_tree_fill(trees: &[(String, micronn::Occupancy)]) {
+    for (tree, occ) in trees {
+        println!(
+            "leaf fill {tree}: {:.3} ({} leaf, {} interior, {} overflow pages)",
+            occ.leaf_fill(),
+            occ.leaf_pages,
+            occ.interior_pages,
+            occ.overflow_pages
+        );
     }
 }
 

@@ -51,7 +51,7 @@ use micronn_rel::{
     analyze_table, blob_to_f32, f32_to_blob, ints_then_blob, ColumnDef, Database, RowDecoder,
     RowReader, Table, TableSchema, Value, ValueType,
 };
-use micronn_storage::{PageData, PageId, PageRead, StorageError, WriteTxn};
+use micronn_storage::{Occupancy, PageData, PageId, PageRead, StorageError, WriteTxn};
 
 use crate::codec::VectorCodec;
 use crate::config::{AttributeDef, Config};
@@ -495,6 +495,33 @@ impl Tables {
     /// Reads a counter (0 when the row is absent or NULL).
     pub fn counter<R: PageRead + ?Sized>(&self, r: &R, c: Counter) -> Result<i64> {
         Ok(read_meta(&self.meta, r, c.0)?.0.unwrap_or(0))
+    }
+
+    /// Page counts and leaf fill of every B+tree of the index — each
+    /// table's clustered tree under the table's name, each secondary
+    /// index under `table.index` — in catalog order.
+    pub fn occupancy<R: PageRead + ?Sized>(&self, r: &R) -> Result<Vec<(String, Occupancy)>> {
+        let quantized = self
+            .quantized
+            .iter()
+            .flat_map(|(codes, quants)| [codes, quants]);
+        let always = [
+            &self.vectors,
+            &self.assets,
+            &self.centroids,
+            &self.attrs,
+            &self.meta,
+        ];
+        let mut out = Vec::new();
+        for table in always.into_iter().chain(quantized) {
+            let name = &table.schema().name;
+            out.push((name.clone(), table.data_tree().occupancy(r)?));
+            for index in table.indexes() {
+                let fill = index.tree.occupancy(r)?;
+                out.push((format!("{name}.{}", index.name), fill));
+            }
+        }
+        Ok(out)
     }
 
     /// Number of stored vectors (O(1)).

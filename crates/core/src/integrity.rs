@@ -38,6 +38,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use micronn_rel::blob_to_f32;
+use micronn_storage::Occupancy;
 
 use crate::catalog::Counter;
 use crate::db::DELTA_PARTITION;
@@ -62,6 +63,10 @@ pub struct IntegrityReport {
     pub orphans: u64,
     /// Human-readable description of every violation, in walk order.
     pub errors: Vec<String>,
+    /// Page counts and leaf fill of every B+tree at the snapshot
+    /// ([`Snapshot::tree_fill`](crate::Snapshot::tree_fill)): why a
+    /// query reads as many pages as it does.
+    pub tree_fill: Vec<(String, Occupancy)>,
 }
 
 impl IntegrityReport {
@@ -97,6 +102,14 @@ impl std::fmt::Display for IntegrityReport {
 }
 
 impl crate::snapshot::Snapshot {
+    /// Page counts and leaf fill of every B+tree of the index at this
+    /// snapshot, as `(tree, occupancy)` — a table's clustered tree
+    /// under the table's name, a secondary index under `table.index`.
+    /// A walk of each tree's leaf chain; no row is decoded.
+    pub fn tree_fill(&self) -> Result<Vec<(String, Occupancy)>> {
+        self.db.inner.tables.occupancy(&self.r)
+    }
+
     /// [`MicroNN::verify_integrity`](crate::MicroNN::verify_integrity)
     /// at this snapshot: every table is walked at its commit seq, so
     /// fsck sees one frozen catalog even while writers and maintenance
@@ -105,7 +118,10 @@ impl crate::snapshot::Snapshot {
         let (inner, r) = (&*self.db.inner, &self.r);
         let t = &inner.tables;
         let dim = inner.dim;
-        let mut rep = IntegrityReport::default();
+        let mut rep = IntegrityReport {
+            tree_fill: self.tree_fill()?,
+            ..Default::default()
+        };
 
         // Pass 1 — vectors: decode every row, index (partition, vid) →
         // asset, count rows per partition. Quantized catalogs also keep

@@ -101,7 +101,7 @@ pub use stats::{DbStats, PlanUsed, QueryInfo};
 // Re-export the vocabulary types callers need from the substrates.
 pub use micronn_linalg::Metric;
 pub use micronn_rel::{Expr, Value, ValueType};
-pub use micronn_storage::{StoreOptions, SyncMode};
+pub use micronn_storage::{Occupancy, StoreOptions, SyncMode};
 pub use micronn_telemetry::{
     CollectingSink, HistogramSnapshot, MetricSnapshot, RegistrySnapshot, SlowQueryRecord, Span,
     TraceSink,

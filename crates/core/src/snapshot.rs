@@ -17,7 +17,7 @@
 //! deregisters the reader and lets version GC advance.
 
 use micronn_rel::Expr;
-use micronn_storage::{PageRead, ReadTxn};
+use micronn_storage::{Occupancy, PageRead, ReadTxn};
 
 use crate::batch::BatchResponse;
 use crate::db::MicroNN;
@@ -78,6 +78,11 @@ impl MicroNN {
     /// on I/O or row-decoding failures that prevent the walk itself.
     pub fn verify_integrity(&self) -> Result<IntegrityReport> {
         self.snapshot().verify_integrity()
+    }
+
+    /// [`Snapshot::tree_fill`] at the current committed state.
+    pub fn tree_fill(&self) -> Result<Vec<(String, Occupancy)>> {
+        self.snapshot().tree_fill()
     }
 
     /// Number of stored vectors.

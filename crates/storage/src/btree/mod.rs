@@ -32,8 +32,8 @@ use crate::page::{page_type, PageId, PAGE_SIZE};
 use crate::store::{PageRead, WriteTxn};
 
 use node::{
-    expect_type, InteriorNode, LeafNode, OwnedVal, ValRef, MAX_INLINE_CELL, MAX_KEY_LEN,
-    NODE_CAPACITY, UNDERFLOW_BYTES,
+    expect_type, InteriorNode, LeafNode, ValRef, MAX_INLINE_CELL, MAX_KEY_LEN, NODE_CAPACITY,
+    UNDERFLOW_BYTES,
 };
 
 /// Bytes of payload stored per overflow page.
@@ -43,8 +43,9 @@ const OVERFLOW_CAPACITY: usize = PAGE_SIZE - 8;
 /// structural validation ([`node::validate`]) that keeps the zero-copy
 /// cell accessors from slicing out of bounds ran once, when the store
 /// loaded the image from disk; images written by this process come out
-/// of [`LeafNode::write`] / [`InteriorNode::write`] and are well-formed
-/// by construction. Every traversal goes through this.
+/// of [`LeafNode::write`] / [`InteriorNode::write`] and the in-place
+/// leaf edits of [`node`], and are well-formed by construction. Every
+/// traversal goes through this.
 pub(crate) fn fetch_node<R: PageRead + ?Sized>(
     r: &R,
     id: PageId,
@@ -65,6 +66,27 @@ pub(crate) fn fetch_node_scan<R: PageRead + ?Sized>(
     let p = r.page_scan(id)?;
     node::expect_node(&p, id)?;
     Ok(p)
+}
+
+/// Page counts and leaf fill of one tree; see [`BTree::occupancy`].
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Occupancy {
+    /// Leaf pages.
+    pub leaf_pages: u64,
+    /// Interior pages.
+    pub interior_pages: u64,
+    /// Pages of the overflow chains hanging off the leaves.
+    pub overflow_pages: u64,
+    /// Bytes of leaf capacity that live cells occupy.
+    pub leaf_used_bytes: u64,
+}
+
+impl Occupancy {
+    /// Used ÷ capacity bytes over all leaves (`0.0` for no leaves).
+    pub fn leaf_fill(&self) -> f64 {
+        let capacity = self.leaf_pages * NODE_CAPACITY as u64;
+        self.leaf_used_bytes as f64 / capacity.max(1) as f64
+    }
 }
 
 /// A handle to a B+tree rooted at a fixed page.
@@ -205,6 +227,41 @@ impl BTree {
         let hi = cursor::prefix_successor(prefix);
         collect_leaves(r, self.root, prefix, hi.as_deref(), max, depth, &mut out)?;
         Ok(out)
+    }
+
+    /// How full the tree's pages are: a walk of the interior levels and
+    /// of the leaf sibling chain (overflow chains are sized from their
+    /// cells, not read). Diagnostic — `fsck`'s `leaf fill` line and the
+    /// fill-factor tests read it.
+    pub fn occupancy<R: PageRead + ?Sized>(&self, r: &R) -> Result<Occupancy> {
+        let mut occ = Occupancy::default();
+        // Interior pages, level by level, down to the parents of leaves.
+        let mut level = vec![self.root];
+        for _ in 1..self.depth(r)? {
+            occ.interior_pages += level.len() as u64;
+            let mut below = Vec::new();
+            for id in level {
+                let p = fetch_node(r, id)?;
+                expect_type(&p, page_type::BTREE_INTERIOR, id)?;
+                below.extend((0..node::ncells(&p)).map(|i| node::interior_child(&p, i)));
+                below.push(node::right_ptr(&p));
+            }
+            level = below;
+        }
+        let mut id = leftmost_leaf(r, self.root)?;
+        while id != 0 {
+            let p = fetch_node(r, id)?;
+            expect_type(&p, page_type::BTREE_LEAF, id)?;
+            occ.leaf_pages += 1;
+            occ.leaf_used_bytes += node::leaf_used_bytes(&p) as u64;
+            for i in 0..node::ncells(&p) {
+                if let ValRef::Overflow { total, .. } = node::leaf_val(&p, i) {
+                    occ.overflow_pages += (total as u64).div_ceil(OVERFLOW_CAPACITY as u64);
+                }
+            }
+            id = node::right_ptr(&p);
+        }
+        Ok(occ)
     }
 
     /// Number of entries, by full scan. Diagnostic; the relational
@@ -405,12 +462,12 @@ fn free_overflow(txn: &mut WriteTxn, head: PageId) -> Result<()> {
 
 /// Converts a value into its stored representation, spilling large
 /// values to an overflow chain.
-fn make_val(txn: &mut WriteTxn, key_len: usize, val: &[u8]) -> Result<OwnedVal> {
+fn make_val<'v>(txn: &mut WriteTxn, key_len: usize, val: &'v [u8]) -> Result<ValRef<'v>> {
     if node::LEAF_INLINE_OVERHEAD + key_len + val.len() <= MAX_INLINE_CELL {
-        Ok(OwnedVal::Inline(val.to_vec()))
+        Ok(ValRef::Inline(val))
     } else {
         let head = write_overflow(txn, val)?;
-        Ok(OwnedVal::Overflow {
+        Ok(ValRef::Overflow {
             total: val.len() as u32,
             head,
         })
@@ -418,21 +475,23 @@ fn make_val(txn: &mut WriteTxn, key_len: usize, val: &[u8]) -> Result<OwnedVal> 
 }
 
 /// Consumes a stored value: returns its bytes and frees any chain.
-fn take_val(txn: &mut WriteTxn, v: OwnedVal) -> Result<Vec<u8>> {
-    match v {
-        OwnedVal::Inline(b) => Ok(b),
-        OwnedVal::Overflow { total, head } => {
-            let bytes = read_overflow(txn, head, total)?;
-            free_overflow(txn, head)?;
-            Ok(bytes)
-        }
+fn take_val(txn: &mut WriteTxn, v: ValRef<'_>) -> Result<Vec<u8>> {
+    let bytes = read_val(txn, v)?;
+    if let ValRef::Overflow { head, .. } = v {
+        free_overflow(txn, head)?;
     }
+    Ok(bytes)
 }
+
+/// Steps of an insertion run ([`node::run_at`]) that count as evidence
+/// of one when a leaf splits.
+const RUN_EVIDENCE: u8 = 2;
 
 enum Ins {
     Done(Option<Vec<u8>>),
     Split {
-        /// Max key remaining in the (left) split node.
+        /// Bound between the halves: the (left) split node keeps keys
+        /// `<= sep`.
         sep: Vec<u8>,
         /// Newly allocated right node.
         right: PageId,
@@ -440,32 +499,83 @@ enum Ins {
     },
 }
 
+/// The one insert path.
+///
+/// **Leaf edits.** A cell that fits the leaf's gap is written in place
+/// ([`node::leaf_insert_at`] / [`node::leaf_replace_at`]). Otherwise
+/// the leaf is materialized and rewritten — which compacts the holes
+/// earlier removals left — and split if it is full.
+///
+/// **Split rule.** `(partition, vid)` rows, index entries and most other
+/// keys arrive as ascending runs, and a run must leave full pages
+/// behind, not half-full ones. The evidence of a run is kept in the
+/// leaf's header ([`node::run_at`]): the new cell directly follows the
+/// cell the previous insert into this leaf put there, which directly
+/// followed the one before it ([`RUN_EVIDENCE`] steps; one adjacent
+/// pair happens by chance in one split in eight of a seven-cell leaf
+/// under random keys). With that evidence [`LeafNode::split_off`] cuts
+/// at the new cell (see there); without it — random keys, descending
+/// keys, the first inserts into a page written before the header field
+/// existed — it cuts the bytes in half as it always did.
+///
+/// **Separator contract.** The separator promoted between two leaves is
+/// [`node::separator`]`(left_max, right_min)`: `left_max <= s <
+/// right_min`, a proper prefix of `right_min` where one qualifies. The
+/// interior convention is unchanged — the left child holds keys `<= s`
+/// — but `s` is no longer a key of the tree, only a bound, and being
+/// short it leaves the rest of a run ending at `left_max` on the left
+/// page. Redistribution after a delete promotes through the same
+/// function.
 fn insert_rec(txn: &mut WriteTxn, id: PageId, key: &[u8], val: &[u8]) -> Result<Ins> {
     let p = fetch_node(txn, id)?;
     match p.page_type() {
         page_type::BTREE_LEAF => {
-            let mut leaf = LeafNode::parse(&p);
+            let pos = node::leaf_search(&p, key);
+            let old = match pos {
+                Ok(i) => Some(take_val(txn, node::leaf_val(&p, i))?),
+                Err(_) => None,
+            };
+            // A new cell: the slot it lands in and the run it extends.
+            let landed = pos.err().map(|i| (i, node::run_at(&p, i)));
+            // Release the image before `page_mut`, or it is copied.
             drop(p);
             let stored = make_val(txn, key.len(), val)?;
-            let mut old = None;
-            match leaf.cells.binary_search_by(|(k, _)| k.as_slice().cmp(key)) {
-                Ok(i) => {
-                    let prev = std::mem::replace(&mut leaf.cells[i].1, stored);
-                    old = Some(take_val(txn, prev)?);
-                }
-                Err(i) => leaf.cells.insert(i, (key.to_vec(), stored)),
-            }
-            if leaf.fits() {
-                leaf.write(txn.page_mut(id)?);
+            let page = txn.page_mut(id)?;
+            let fitted = match pos {
+                Ok(i) => node::leaf_replace_at(page, i, stored),
+                Err(i) => node::leaf_insert_at(page, i, key, stored),
+            };
+            if fitted {
                 return Ok(Ins::Done(old));
             }
-            let mut right = leaf.split_off();
+            let mut leaf = LeafNode::parse(page);
+            match pos {
+                Ok(i) => leaf.cells[i].1 = stored.to_owned(),
+                Err(i) => leaf.cells.insert(i, (key.to_vec(), stored.to_owned())),
+            }
+            if leaf.fits() {
+                leaf.write(page);
+                node::note_insert(page, landed);
+                return Ok(Ins::Done(old));
+            }
+            let run_at = landed.and_then(|(i, run)| (run >= RUN_EVIDENCE).then_some(i));
+            let mut right = leaf.split_off(run_at);
             let right_id = txn.allocate_page()?;
             right.right_sibling = leaf.right_sibling;
             leaf.right_sibling = right_id;
-            let sep = leaf.cells.last().expect("left half non-empty").0.clone();
-            right.write(txn.page_mut(right_id)?);
-            leaf.write(txn.page_mut(id)?);
+            let left_max = &leaf.cells.last().expect("left part non-empty").0;
+            let sep = node::separator(left_max, &right.cells[0].0).to_vec();
+            // The new cell's slot moves with it to whichever page got it.
+            let cut = leaf.cells.len();
+            let page = txn.page_mut(right_id)?;
+            right.write(page);
+            node::note_insert(
+                page,
+                landed.and_then(|(i, run)| Some((i.checked_sub(cut)?, run))),
+            );
+            let page = txn.page_mut(id)?;
+            leaf.write(page);
+            node::note_insert(page, landed.filter(|&(i, _)| i < cut));
             Ok(Ins::Split {
                 sep,
                 right: right_id,
@@ -531,24 +641,21 @@ fn delete_rec(txn: &mut WriteTxn, id: PageId, key: &[u8], is_root: bool) -> Resu
     let p = fetch_node(txn, id)?;
     match p.page_type() {
         page_type::BTREE_LEAF => {
-            let mut leaf = LeafNode::parse(&p);
-            drop(p);
-            match leaf.cells.binary_search_by(|(k, _)| k.as_slice().cmp(key)) {
-                Err(_) => Ok(Removed {
+            let Ok(i) = node::leaf_search(&p, key) else {
+                return Ok(Removed {
                     old: None,
                     underflow: false,
-                }),
-                Ok(i) => {
-                    let (_, v) = leaf.cells.remove(i);
-                    let old = take_val(txn, v)?;
-                    let underflow = !is_root && leaf.used_bytes() < UNDERFLOW_BYTES;
-                    leaf.write(txn.page_mut(id)?);
-                    Ok(Removed {
-                        old: Some(old),
-                        underflow,
-                    })
-                }
-            }
+                });
+            };
+            let old = take_val(txn, node::leaf_val(&p, i))?;
+            // Release the image before `page_mut`, or it is copied.
+            drop(p);
+            let page = txn.page_mut(id)?;
+            node::leaf_remove_at(page, i);
+            Ok(Removed {
+                old: Some(old),
+                underflow: !is_root && node::leaf_used_bytes(page) < UNDERFLOW_BYTES,
+            })
         }
         page_type::BTREE_INTERIOR => {
             let idx = node::interior_descend_index(&p, key);
@@ -586,7 +693,8 @@ fn delete_rec(txn: &mut WriteTxn, id: PageId, key: &[u8], is_root: bool) -> Resu
 
 /// Rebalances the child at position `pos` of `parent` (positions run
 /// `0..=ncells`, with `ncells` = rightmost child) by merging with or
-/// borrowing from an adjacent sibling. Mutates `parent` in memory; the
+/// borrowing from an adjacent sibling, where `parent` has room for the
+/// outcome ([`holds_separator`]). Mutates `parent` in memory; the
 /// caller writes it back.
 fn rebalance_child(txn: &mut WriteTxn, parent: &mut InteriorNode, pos: usize) -> Result<()> {
     let n = parent.cells.len();
@@ -628,11 +736,16 @@ fn rebalance_child(txn: &mut WriteTxn, parent: &mut InteriorNode, pos: usize) ->
                 right_sibling: right_id,
             };
             combined.cells.extend(right.cells);
-            let mut new_right = combined.split_off();
+            let mut new_right = combined.split_off(None);
             new_right.right_sibling = right.right_sibling;
+            let left_max = &combined.cells.last().expect("non-empty").0;
+            let sep = node::separator(left_max, &new_right.cells[0].0);
+            if !holds_separator(parent, left_pos, sep) {
+                return Ok(());
+            }
+            parent.cells[left_pos].1 = sep.to_vec();
             combined.write(txn.page_mut(left_id)?);
             new_right.write(txn.page_mut(right_id)?);
-            parent.cells[left_pos].1 = combined.cells.last().expect("non-empty").0.clone();
         }
     } else {
         let mut left = InteriorNode::parse(&lp);
@@ -656,12 +769,25 @@ fn rebalance_child(txn: &mut WriteTxn, parent: &mut InteriorNode, pos: usize) ->
             remove_child(parent, left_pos, left_id);
         } else {
             let (promoted, new_right) = combined.split_off();
+            if !holds_separator(parent, left_pos, &promoted) {
+                return Ok(());
+            }
+            parent.cells[left_pos].1 = promoted;
             combined.write(txn.page_mut(left_id)?);
             new_right.write(txn.page_mut(right_id)?);
-            parent.cells[left_pos].1 = promoted;
         }
     }
     Ok(())
+}
+
+/// Whether `parent` still fits its page with the separator at `pos`
+/// replaced by `sep`. A redistribution moves the boundary between two
+/// children, and the separator at the new boundary can be longer than
+/// the one it replaces; the delete path cannot split `parent`, so a
+/// redistribution that would overflow it is skipped and the child stays
+/// underfull — legal, and retried by the next delete that finds it so.
+fn holds_separator(parent: &InteriorNode, pos: usize, sep: &[u8]) -> bool {
+    parent.used_bytes() - parent.cells[pos].1.len() + sep.len() <= NODE_CAPACITY
 }
 
 /// After merging children `pos` and `pos+1` into the page of child
@@ -683,10 +809,8 @@ fn free_subtree(txn: &mut WriteTxn, id: PageId, free_self: bool) -> Result<()> {
     let p = fetch_node(txn, id)?;
     match p.page_type() {
         page_type::BTREE_LEAF => {
-            let leaf = LeafNode::parse(&p);
-            drop(p);
-            for (_, v) in leaf.cells {
-                if let OwnedVal::Overflow { head, .. } = v {
+            for i in 0..node::ncells(&p) {
+                if let ValRef::Overflow { head, .. } = node::leaf_val(&p, i) {
                     free_overflow(txn, head)?;
                 }
             }
@@ -714,6 +838,7 @@ fn free_subtree(txn: &mut WriteTxn, id: PageId, free_self: bool) -> Result<()> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::btree::node::OwnedVal;
     use crate::store::{Store, StoreOptions, SyncMode};
 
     fn mem_store() -> (tempfile::TempDir, Store) {
@@ -735,6 +860,110 @@ mod tests {
 
     fn val(i: u32) -> Vec<u8> {
         format!("value-{i}-{}", "x".repeat((i % 37) as usize)).into_bytes()
+    }
+
+    #[test]
+    fn occupancy_counts_every_page_of_the_tree() {
+        let (_d, store) = mem_store();
+        let mut txn = store.begin_write().unwrap();
+        let before = txn.page_count();
+        let tree = BTree::create(&mut txn).unwrap();
+        let pages = |o: Occupancy| o.leaf_pages + o.interior_pages + o.overflow_pages;
+        let empty = tree.occupancy(&txn).unwrap();
+        assert_eq!((pages(empty), empty.leaf_used_bytes), (1, 0));
+        for i in 0..3000 {
+            // Every tenth value spills to a two-page overflow chain.
+            let len = if i % 10 == 0 { 6000 } else { 40 };
+            tree.insert(&mut txn, &key(i), &vec![1u8; len]).unwrap();
+        }
+        let occ = tree.occupancy(&txn).unwrap();
+        assert!(tree.depth(&txn).unwrap() >= 2 && occ.interior_pages >= 1);
+        assert_eq!(occ.overflow_pages, 300 * 2);
+        assert_eq!(pages(occ), (txn.page_count() - before) as u64);
+        assert!(occ.leaf_fill() > 0.9, "ascending keys: {occ:?}");
+    }
+
+    /// A redistribution moves a boundary, and the separator at the new
+    /// boundary can be far longer than the short one it replaces. The
+    /// delete path cannot split the parent, so when the parent has no
+    /// room the pair is left as it is rather than the parent overflowed.
+    #[test]
+    fn a_redistribution_the_parent_cannot_hold_is_skipped() {
+        let (_d, store) = mem_store();
+        let mut txn = store.begin_write().unwrap();
+        let tree = BTree::create(&mut txn).unwrap();
+        let long_key = |fill: u8, j: u8| [&[b'a'][..], &[fill; 300], &[j]].concat();
+        let leaf_of = |keys: Vec<Vec<u8>>, right_sibling| LeafNode {
+            cells: (keys.into_iter())
+                .map(|k| (k, OwnedVal::Inline(vec![])))
+                .collect(),
+            right_sibling,
+        };
+        // Left: four 309-byte cells, underfull once one goes. Right:
+        // thirteen, so the pair cannot merge and any even cut of it
+        // falls between two keys that share 301 bytes.
+        let [left_id, right_id, rest_id] = [(); 3].map(|_| txn.allocate_page().unwrap());
+        let left = leaf_of((0..4).map(|j| long_key(0x10, j)).collect(), right_id);
+        let right = leaf_of((10..23).map(|j| long_key(0x55, j)).collect(), rest_id);
+        left.write(txn.page_mut(left_id).unwrap());
+        right.write(txn.page_mut(right_id).unwrap());
+        leaf_of(vec![b"zz".to_vec()], 0).write(txn.page_mut(rest_id).unwrap());
+        // The root bounds them with two-byte separators and is
+        // otherwise full of (here childless) two-byte separators.
+        let mut root = InteriorNode {
+            cells: vec![(left_id, b"a\x20".to_vec()), (right_id, b"b".to_vec())],
+            rightmost: rest_id,
+        };
+        for hi in b'c'..=b'd' {
+            root.cells
+                .extend((0..200).map(|lo| (rest_id, vec![hi, lo])));
+        }
+        assert!(
+            NODE_CAPACITY - root.used_bytes() < 100,
+            "no room for 300 more bytes"
+        );
+        root.write(txn.page_mut(tree.root()).unwrap());
+
+        assert!(tree.delete(&mut txn, &long_key(0x10, 0)).unwrap().is_some());
+        let root_page = txn.page(tree.root()).unwrap();
+        assert!(node::validate(&root_page, tree.root()).is_ok());
+        assert_eq!(
+            InteriorNode::parse(&root_page).cells,
+            root.cells,
+            "left alone"
+        );
+        for j in 1..4 {
+            assert!(tree.contains_key(&txn, &long_key(0x10, j)).unwrap());
+        }
+        for j in 10..23 {
+            assert!(tree.contains_key(&txn, &long_key(0x55, j)).unwrap());
+        }
+        assert_eq!(tree.count(&txn).unwrap(), 3 + 13 + 1);
+    }
+
+    /// Deletes leave holes; an insert that no hole and not the gap can
+    /// take, but the page's total free space can, compacts the leaf
+    /// instead of splitting it.
+    #[test]
+    fn a_fragmented_leaf_compacts_instead_of_splitting() {
+        let (_d, store) = mem_store();
+        let mut txn = store.begin_write().unwrap();
+        let tree = BTree::create(&mut txn).unwrap();
+        // 13 cells of 2 + 5 + 12 + 290 = 309 bytes leave a 63-byte gap.
+        for i in 0..13 {
+            tree.insert(&mut txn, &key(i), &[i as u8; 290]).unwrap();
+        }
+        for i in (0..13).step_by(2) {
+            tree.delete(&mut txn, &key(i)).unwrap();
+        }
+        let big = vec![0xEE; 900];
+        tree.insert(&mut txn, &key(100), &big).unwrap();
+        assert_eq!(tree.depth(&txn).unwrap(), 1, "one leaf still");
+        assert_eq!(tree.get(&txn, &key(100)).unwrap(), Some(big));
+        for i in (1..13).step_by(2) {
+            assert_eq!(tree.get(&txn, &key(i)).unwrap(), Some(vec![i as u8; 290]));
+        }
+        assert_eq!(tree.count(&txn).unwrap(), 7);
     }
 
     #[test]
@@ -857,40 +1086,51 @@ mod tests {
 
     #[test]
     fn mixed_ops_match_btreemap_model() {
-        let (_d, store) = mem_store();
-        let mut txn = store.begin_write().unwrap();
-        let tree = BTree::create(&mut txn).unwrap();
-        let mut model = std::collections::BTreeMap::<Vec<u8>, Vec<u8>>::new();
-        let mut state = 0x12345678u64;
-        let mut next = || {
-            state = state
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            (state >> 33) as u32
+        // Fixed-width keys, then ragged ones: ids behind shared runs of
+        // filler up to 240 bytes long, so neighbouring separators differ
+        // widely in length and a redistribution can lengthen one.
+        let ragged = |i: u32| {
+            let filler = (i % 13 * 20) as usize;
+            [&[(i % 7) as u8][..], &vec![0xAA; filler], &i.to_be_bytes()].concat()
         };
-        for _ in 0..8000 {
-            let op = next() % 10;
-            let k = key(next() % 700);
-            if op < 6 {
-                let v = val(next() % 1000);
-                let a = tree.insert(&mut txn, &k, &v).unwrap();
-                let b = model.insert(k, v);
-                assert_eq!(a, b);
-            } else if op < 9 {
-                let a = tree.delete(&mut txn, &k).unwrap();
-                let b = model.remove(&k);
-                assert_eq!(a, b);
-            } else {
-                let a = tree.get(&txn, &k).unwrap();
-                let b = model.get(&k).cloned();
-                assert_eq!(a, b);
+        type KeyOf<'a> = &'a dyn Fn(u32) -> Vec<u8>;
+        let shapes: [(KeyOf, u32, u32); 2] = [(&key, 700, 8000), (&ragged, 9000, 60_000)];
+        for (key_of, universe, ops) in shapes {
+            let (_d, store) = mem_store();
+            let mut txn = store.begin_write().unwrap();
+            let tree = BTree::create(&mut txn).unwrap();
+            let mut model = std::collections::BTreeMap::<Vec<u8>, Vec<u8>>::new();
+            let mut state = 0x12345678u64;
+            let mut next = || {
+                state = state
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                (state >> 33) as u32
+            };
+            for _ in 0..ops {
+                let op = next() % 10;
+                let k = key_of(next() % universe);
+                if op < 6 {
+                    let v = val(next() % 1000);
+                    let a = tree.insert(&mut txn, &k, &v).unwrap();
+                    let b = model.insert(k, v);
+                    assert_eq!(a, b);
+                } else if op < 9 {
+                    let a = tree.delete(&mut txn, &k).unwrap();
+                    let b = model.remove(&k);
+                    assert_eq!(a, b);
+                } else {
+                    let a = tree.get(&txn, &k).unwrap();
+                    let b = model.get(&k).cloned();
+                    assert_eq!(a, b);
+                }
             }
+            assert_eq!(tree.count(&txn).unwrap(), model.len() as u64);
+            for (k, v) in &model {
+                assert_eq!(tree.get(&txn, k).unwrap().as_ref(), Some(v));
+            }
+            txn.commit().unwrap();
         }
-        assert_eq!(tree.count(&txn).unwrap(), model.len() as u64);
-        for (k, v) in &model {
-            assert_eq!(tree.get(&txn, k).unwrap().as_ref(), Some(v));
-        }
-        txn.commit().unwrap();
     }
 
     #[test]

@@ -44,6 +44,7 @@
 pub mod btree;
 pub mod checksum;
 pub mod error;
+mod hash;
 pub mod page;
 pub mod pool;
 pub mod sim;
@@ -52,7 +53,7 @@ pub mod store;
 pub mod vfs;
 pub mod wal;
 
-pub use btree::{BTree, Cursor, PointReader};
+pub use btree::{BTree, Cursor, Occupancy, PointReader};
 pub use error::{Result, StorageError};
 pub use page::{PageData, PageId, PAGE_SIZE};
 pub use pool::Access;

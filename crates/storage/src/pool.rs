@@ -45,12 +45,13 @@
 //! Small/Large device profiles (Figures 4, 5, 8), and `purge` implements
 //! the ColdStart scenario of §4.1.4.
 
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashSet, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
 
+use crate::hash::PageMap;
 use crate::page::{PageData, PageId, PAGE_SIZE};
 
 /// Cache key: page number plus the WAL version of its image.
@@ -82,7 +83,7 @@ struct Entry {
 }
 
 struct PoolInner {
-    map: HashMap<PoolKey, Entry>,
+    map: PageMap<PoolKey, Entry>,
     /// Probationary hand order; keys may be stale (removed from `map`
     /// or since promoted to the protected segment).
     probation: VecDeque<PoolKey>,
@@ -121,7 +122,7 @@ impl BufferPool {
     pub fn new(capacity_bytes: usize) -> Self {
         BufferPool {
             inner: Mutex::new(PoolInner {
-                map: HashMap::new(),
+                map: PageMap::default(),
                 probation: VecDeque::new(),
                 protected: VecDeque::new(),
                 bytes: 0,
@@ -301,7 +302,7 @@ impl BufferPool {
         let mut seen: HashSet<PoolKey> = HashSet::with_capacity(inner.map.len());
         let rebuild = |queue: &mut VecDeque<PoolKey>,
                        want_protected: bool,
-                       map: &HashMap<PoolKey, Entry>,
+                       map: &PageMap<PoolKey, Entry>,
                        seen: &mut HashSet<PoolKey>| {
             let mut fresh = VecDeque::with_capacity(map.len());
             for key in queue.drain(..) {

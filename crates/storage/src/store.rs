@@ -61,7 +61,7 @@
 //! never poison the pool with a mismatched version.
 
 use std::collections::btree_map::Entry;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -72,6 +72,7 @@ use parking_lot::{Mutex, RwLock};
 
 use crate::btree::node;
 use crate::error::{Result, StorageError};
+use crate::hash::PageMap;
 use crate::page::page_type;
 use crate::page::{PageData, PageId, PAGE_SIZE};
 use crate::pool::{Access, BufferPool, PoolKey};
@@ -251,7 +252,7 @@ struct StoreInner {
     /// For each page copied into the main file by a checkpoint, the WAL
     /// seq of the image now in the main file. Pages absent here carry
     /// version `0` (unchanged since open).
-    base_version: RwLock<HashMap<PageId, u64>>,
+    base_version: RwLock<PageMap<PageId, u64>>,
     /// Queue into the background readahead worker; `None` when
     /// prefetching is disabled.
     prefetch_tx: Option<crossbeam::channel::Sender<PrefetchBatch>>,
@@ -442,7 +443,7 @@ impl Store {
                 writer: Arc::new(Mutex::new(())),
                 next_txid: AtomicU64::new(1),
                 readers: Mutex::new(BTreeMap::new()),
-                base_version: RwLock::new(HashMap::new()),
+                base_version: RwLock::new(PageMap::default()),
                 prefetch_tx,
                 prefetch_backlog: AtomicUsize::new(0),
                 ckpt_gen: AtomicU64::new(0),
@@ -502,8 +503,8 @@ impl Store {
             txid,
             snapshot,
             meta,
-            dirty: HashMap::new(),
-            spilled: HashMap::new(),
+            dirty: PageMap::default(),
+            spilled: PageMap::default(),
             done: false,
         })
     }
@@ -988,9 +989,9 @@ pub struct WriteTxn {
     txid: u64,
     snapshot: u64,
     meta: Meta,
-    dirty: HashMap<PageId, Arc<PageData>>,
+    dirty: PageMap<PageId, Arc<PageData>>,
     /// Pages spilled to unpublished WAL records: `page -> image offset`.
-    spilled: HashMap<PageId, u64>,
+    spilled: PageMap<PageId, u64>,
     done: bool,
 }
 

@@ -50,11 +50,11 @@
 //! published-but-not-yet-synced commit is visible to concurrent
 //! readers but unacked, exactly the window a power cut may lose.
 
-use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 
 use crate::checksum::fnv1a;
 use crate::error::{Result, StorageError};
+use crate::hash::PageMap;
 use crate::page::{PageData, PageId, PAGE_SIZE};
 use crate::vfs::{OpenMode, Vfs, VfsFile};
 
@@ -92,7 +92,7 @@ pub struct WalIndex {
     /// Committed `PagePut` records in file order.
     frames: Vec<FrameMeta>,
     /// Frame indexes per page, ascending (and therefore ascending in seq).
-    by_page: HashMap<PageId, Vec<u32>>,
+    by_page: PageMap<PageId, Vec<u32>>,
     /// Sequence number of the newest committed record; `0` = empty log.
     committed_seq: u64,
     /// Database size in pages after the newest commit; `0` = unknown
@@ -106,7 +106,7 @@ impl Default for WalIndex {
     fn default() -> Self {
         WalIndex {
             frames: Vec::new(),
-            by_page: HashMap::new(),
+            by_page: PageMap::default(),
             committed_seq: 0,
             db_size: 0,
             published_end: WAL_HEADER,
