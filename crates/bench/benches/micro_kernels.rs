@@ -148,6 +148,25 @@ fn bench_simd_dispatch(c: &mut Criterion) {
             })
         });
     }
+    // The SQ4 plane build at 128d — the fixed cost a scan pays per
+    // (query, probed partition) before it scores a block — re-preparing
+    // one scorer in place as the scan frame does.
+    let sq4_params = sq4_train(&data, dim);
+    g.throughput(Throughput::Elements(dim as u64));
+    for (name, kernels) in [
+        ("dispatched", micronn_linalg::kernels()),
+        ("scalar", scalar),
+    ] {
+        let mut scorer = Sq4Scorer::with_kernels(Metric::L2, &query, &sq4_params, kernels);
+        g.bench_with_input(BenchmarkId::new("sq4_plane_128d", name), &name, |bch, _| {
+            bch.iter(|| {
+                scorer.prepare(
+                    std::hint::black_box(&query),
+                    std::hint::black_box(&sq4_params),
+                )
+            })
+        });
+    }
     g.finish();
 }
 

@@ -24,9 +24,12 @@ use std::collections::HashMap;
 
 use micronn_linalg::{merge_all, Neighbor, TopK};
 
+use crate::catalog::Loc;
 use crate::db::{MicroNN, DELTA_PARTITION};
 use crate::error::{Error, Result};
-use crate::exec::{rerank_exact, scan_pool_k, BlockPool, PartitionScanner, Queries, ScanMetrics};
+use crate::exec::{
+    rerank_exact, scan_pool_k, BlockPool, PartitionScanner, Payload, Queries, ScanMetrics,
+};
 use crate::search::SearchResult;
 use crate::telemetry::{stage, QueryTrace};
 
@@ -110,89 +113,48 @@ impl crate::snapshot::Snapshot {
         trace.stage(stage::PROBE_SELECT);
 
         // Phase 2: scan each partition once; per-partition GEMM (or
-        // batched SQ8 code scoring) against its query group through
-        // the shared scan frame. Quantized scans keep enlarged
+        // batched code scoring) against its query group through the
+        // shared scan frame. Quantized scans keep enlarged, located
         // per-query pools for the re-rank pass.
-        let scan_k = scan_pool_k(inner, k, true);
-        let (metrics, blocks) = (ScanMetrics::default(), BlockPool::default());
+        let metrics = ScanMetrics::default();
         let scanner = PartitionScanner {
             inner,
             r,
             filter: None,
             metrics: &metrics,
-            blocks: &blocks,
+            blocks: &BlockPool::default(),
             use_codec: true,
             epoch: index.map_or(0, |index| index.epoch),
             time_filter: false,
             prune_above: f32::INFINITY,
         };
-        let partials: Vec<Vec<TopK>> = {
-            let groups = &groups;
-            let partitions = &partitions;
-            let queries_flat = &queries_flat;
-            inner.scan_pool.parallel_indexed(partitions.len(), |i| {
-                // Probe readahead: overlap the next partition's I/O
-                // with this partition's GEMM / code scoring.
-                if let Some(&next) = partitions.get(i + 1) {
-                    scanner.prefetch(next);
-                }
-                let group = &groups[&partitions[i]];
-                let mut heaps: Vec<TopK> = group.iter().map(|_| TopK::new(scan_k)).collect();
-                scanner.scan(
-                    partitions[i],
-                    &Queries::Group {
-                        flat: queries_flat,
-                        members: group,
-                    },
-                    &mut heaps,
-                )?;
-                Ok(heaps)
-            })?
-        };
-        trace.stage(stage::PARTITION_SCAN);
-
-        // Phase 3: merge per-partition heaps per query, then sort;
-        // quantized catalogs re-rank each query's merged pool against
-        // the exact f32 vectors (the same pass as single-query
-        // search), fanned out across the scan pool like the other
-        // phases — the per-query pools are independent.
-        let mut per_query: Vec<Vec<TopK>> = (0..nq).map(|_| Vec::new()).collect();
-        for (i, heaps) in partials.into_iter().enumerate() {
-            let group = &groups[&partitions[i]];
-            for (&qi, top) in group.iter().zip(heaps) {
-                per_query[qi as usize].push(top);
-            }
-        }
-        let quantized = inner.quantized();
-        let mut merged: Vec<Vec<Neighbor>> = per_query
-            .into_iter()
-            .map(|heaps| merge_all(heaps, scan_k))
-            .collect();
-        let mut distance_computations = metrics.totals().distance_computations;
-        if quantized {
-            let pools = std::mem::take(&mut merged);
+        let merged: Vec<Vec<Neighbor>> = if inner.quantized() {
+            let pools = scan_groups::<Loc>(&scanner, &groups, &partitions, &queries_flat, nq, k)?;
+            trace.stage(stage::PARTITION_SCAN);
+            // Phase 3: quantized catalogs re-rank each query's merged
+            // pool against the exact f32 vectors (the same pass as
+            // single-query search), fanned out across the scan pool
+            // like the other phases — the per-query pools are
+            // independent.
             let pools = &pools;
-            let queries_flat = &queries_flat;
-            let metrics = &metrics;
-            merged = inner.scan_pool.parallel_indexed(nq, |qi| {
-                rerank_exact(
-                    inner,
-                    r,
-                    &queries_flat[qi * dim..(qi + 1) * dim],
-                    pools[qi].clone(),
-                    k,
-                    metrics,
-                )
+            let ranked = inner.scan_pool.parallel_indexed(nq, |qi| {
+                let query = &queries_flat[qi * dim..(qi + 1) * dim];
+                rerank_exact(inner, r, query, &pools[qi], k, &metrics)
             })?;
-            // Exact re-rank recomputations count as distance work.
-            distance_computations += metrics.totals().reranked;
             trace.stage(stage::RERANK);
-        }
+            ranked
+        } else {
+            let merged = scan_groups::<()>(&scanner, &groups, &partitions, &queries_flat, nq, k)?;
+            trace.stage(stage::PARTITION_SCAN);
+            merged
+        };
+        // Exact re-rank recomputations count as distance work.
+        let totals = metrics.totals();
+        let distance_computations = totals.distance_computations + totals.reranked;
         inner
             .tel
             .distance_computations
             .add(distance_computations as u64);
-        let totals = metrics.totals();
         inner.tel.finish_batch(
             &trace,
             nq,
@@ -220,6 +182,48 @@ impl crate::snapshot::Snapshot {
             bytes_scanned: totals.bytes_scanned,
         })
     }
+}
+
+/// Phase 2 and the merge half of phase 3: every probed partition (the
+/// keys of `groups`, ascending) scanned once for the queries that probe
+/// it, rows of the `nq × dim` batch `flat`, then each query's
+/// per-partition heaps merged into its candidate list.
+fn scan_groups<P: Payload>(
+    scanner: &PartitionScanner<'_>,
+    groups: &HashMap<i64, Vec<u32>>,
+    partitions: &[i64],
+    flat: &[f32],
+    nq: usize,
+    k: usize,
+) -> Result<Vec<Vec<Neighbor<P>>>> {
+    let scan_k = scan_pool_k(scanner.inner, k, true);
+    let partials: Vec<Vec<TopK<P>>> =
+        scanner
+            .inner
+            .scan_pool
+            .parallel_indexed(partitions.len(), |i| {
+                // Probe readahead: overlap the next partition's I/O
+                // with this partition's GEMM / code scoring.
+                if let Some(&next) = partitions.get(i + 1) {
+                    scanner.prefetch(next);
+                }
+                let members = &groups[&partitions[i]];
+                let mut heaps: Vec<TopK<P>> =
+                    members.iter().map(|_| TopK::with_payload(scan_k)).collect();
+                let queries = Queries::Group { flat, members };
+                scanner.scan(partitions[i], &queries, &mut heaps)?;
+                Ok(heaps)
+            })?;
+    let mut per_query: Vec<Vec<TopK<P>>> = (0..nq).map(|_| Vec::new()).collect();
+    for (i, heaps) in partials.into_iter().enumerate() {
+        for (&qi, top) in groups[&partitions[i]].iter().zip(heaps) {
+            per_query[qi as usize].push(top);
+        }
+    }
+    Ok(per_query
+        .into_iter()
+        .map(|heaps| merge_all(heaps, scan_k))
+        .collect())
 }
 
 impl MicroNN {

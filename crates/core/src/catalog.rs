@@ -46,7 +46,7 @@ use std::borrow::Cow;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use micronn_linalg::{sq4_block_bytes, Metric, Sq8Params, SQ4_BLOCK};
+use micronn_linalg::{sq4_block_bytes, Metric, Sq8Params, SQ4_BLOCK, SQ4_MAX_DIM};
 use micronn_rel::{
     analyze_table, blob_to_f32, f32_to_blob, ints_then_blob, ColumnDef, Database, RowDecoder,
     RowReader, Table, TableSchema, Value, ValueType,
@@ -424,6 +424,13 @@ impl Tables {
                 "index was created with codec {codec}; cannot open as {asked}"
             )));
         }
+        // The stored dim comes from the file: an SQ4 catalog past the
+        // scorer's u16 headroom would score silently wrong.
+        if codec == VectorCodec::Sq4 && dim >= SQ4_MAX_DIM {
+            return Err(Error::Config(format!(
+                "sq4 catalog has dim {dim}; sq4 supports dim < {SQ4_MAX_DIM}"
+            )));
+        }
         (cfg.dim, cfg.metric, cfg.codec, cfg.target_partition_size) = (dim, metric, codec, target);
         // Reconstruct the attribute definitions from the stored schema.
         let attrs = db.open_table(&r, "attrs")?;
@@ -570,19 +577,24 @@ impl Tables {
         table.prefetch_pk_prefix(r, &[Value::Integer(partition)]);
     }
 
-    /// A reusable fetch-by-asset reader (see [`VectorReader`]).
+    /// A reusable fetch-by-location reader over `vectors` (see
+    /// [`VectorReader`]).
     pub fn vector_reader<'r, R: PageRead + ?Sized>(&self, r: &'r R) -> VectorReader<'r, R> {
-        let (assets, vectors) = (self.assets.reader(r), self.vectors.reader(r));
         VectorReader {
-            assets,
-            vectors,
+            vectors: self.vectors.reader(r),
             dim: self.dim,
         }
     }
 
+    /// A reusable asset → location reader over `assets` (see
+    /// [`LocationReader`]).
+    pub fn location_reader<'r, R: PageRead + ?Sized>(&self, r: &'r R) -> LocationReader<'r, R> {
+        LocationReader(self.assets.reader(r))
+    }
+
     /// Where `asset`'s vector lives, or `None` when it is not stored.
     pub fn location<R: PageRead + ?Sized>(&self, r: &R, asset: i64) -> Result<Option<Loc>> {
-        self.vector_reader(r).locate(asset)
+        self.location_reader(r).locate(asset)
     }
 
     /// Every `[asset, partition, vid]` location row, in asset order.
@@ -980,25 +992,30 @@ impl<'a> Writer<'a> {
     }
 }
 
-/// Fetches stored f32 vectors by asset id — `assets` for the location,
-/// `vectors` for the payload — through two pinning point readers.
-pub(crate) struct VectorReader<'r, R: PageRead + ?Sized> {
-    assets: RowReader<'r, R>,
-    vectors: RowReader<'r, R>,
-    dim: usize,
-}
+/// Looks up where assets' vectors live, through a pinning point reader
+/// over `assets`.
+pub(crate) struct LocationReader<'r, R: PageRead + ?Sized>(RowReader<'r, R>);
 
-impl<R: PageRead + ?Sized> VectorReader<'_, R> {
+impl<R: PageRead + ?Sized> LocationReader<'_, R> {
     /// Where `asset`'s vector lives, or `None` when it has none.
     pub fn locate(&mut self, asset: i64) -> Result<Option<Loc>> {
-        let loc = self.assets.get_with(&[Value::Integer(asset)], |row| {
+        let loc = self.0.get_with(&[Value::Integer(asset)], |row| {
             let mut dec = RowDecoder::new(row)?;
             dec.skip()?; // asset
             Ok((int(&mut dec, "partition")?, int(&mut dec, "vid")?))
         })?;
         loc.transpose()
     }
+}
 
+/// Fetches stored f32 vectors by location, through a pinning point
+/// reader over `vectors`.
+pub(crate) struct VectorReader<'r, R: PageRead + ?Sized> {
+    vectors: RowReader<'r, R>,
+    dim: usize,
+}
+
+impl<R: PageRead + ?Sized> VectorReader<'_, R> {
     /// Appends the vector stored at `(p, vid)` to `out`; `false` if
     /// there is no such row.
     pub fn append(&mut self, (p, vid): Loc, out: &mut Vec<f32>) -> Result<bool> {
@@ -1241,6 +1258,23 @@ mod tests {
             Blob(packed.clone()),
         ]];
         assert_rejected(&mut w, codes, &[Int(3), Int(0)], &row, &bad, scan);
+    }
+
+    #[test]
+    fn an_sq4_file_past_the_scorer_headroom_does_not_open() {
+        let dir = tempfile::tempdir().unwrap();
+        for (dim, ok) in [(SQ4_MAX_DIM - 1, true), (SQ4_MAX_DIM, false)] {
+            let mut cfg = Config::new(dim, Metric::L2);
+            cfg.codec = VectorCodec::Sq4;
+            let path = dir.path().join(format!("{dim}.mnn"));
+            let db = Database::create(path, cfg.store.clone()).unwrap();
+            // `Config::validate` refuses the second at create time;
+            // write its catalog anyway, as a file from elsewhere could.
+            Tables::create(&db, &cfg).unwrap();
+            let opened = Tables::open(&db, &mut Config::default());
+            assert_eq!(opened.is_ok(), ok, "dim {dim}");
+            assert!(ok || matches!(opened, Err(Error::Config(_))), "dim {dim}");
+        }
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Configuration: index parameters, attribute schema, and device
 //! profiles.
 
-use micronn_linalg::Metric;
+use micronn_linalg::{Metric, SQ4_MAX_DIM};
 use micronn_rel::ValueType;
 use micronn_storage::{StoreOptions, SyncMode};
 
@@ -172,6 +172,12 @@ impl Config {
                 "growth_limit must exceed 1.0".into(),
             ));
         }
+        if self.codec == VectorCodec::Sq4 && self.dim >= SQ4_MAX_DIM {
+            return Err(crate::error::Error::Config(format!(
+                "sq4 supports dim < {SQ4_MAX_DIM}, got {}",
+                self.dim
+            )));
+        }
         if self.rerank_factor == 0 {
             return Err(crate::error::Error::Config(
                 "rerank_factor must be positive".into(),
@@ -308,6 +314,25 @@ mod tests {
         let mut c = Config::new(8, Metric::L2);
         c.merge_limit = 1.0;
         assert!(c.validate().is_err(), "merge_limit >= 1");
+    }
+
+    #[test]
+    fn sq4_dim_is_bounded_by_the_scorer_headroom() {
+        for (codec, dim, ok) in [
+            (VectorCodec::Sq4, SQ4_MAX_DIM - 1, true),
+            (VectorCodec::Sq4, SQ4_MAX_DIM, false),
+            (VectorCodec::Sq4, 65_536, false),
+            (VectorCodec::Sq8, SQ4_MAX_DIM, true),
+            (VectorCodec::F32, 65_536, true),
+        ] {
+            let mut c = Config::new(dim, Metric::L2);
+            c.codec = codec;
+            let got = c.validate();
+            assert_eq!(got.is_ok(), ok, "{codec} dim {dim}: {got:?}");
+            if let Err(e) = got {
+                assert!(matches!(e, crate::error::Error::Config(_)), "{e:?}");
+            }
+        }
     }
 
     #[test]

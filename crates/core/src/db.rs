@@ -338,12 +338,16 @@ impl MicroNN {
     /// Fetches the stored vector of an asset.
     pub fn get_vector(&self, asset_id: i64) -> Result<Option<Vec<f32>>> {
         let r = self.inner.db.begin_read();
-        let mut fetch = self.inner.tables.vector_reader(&r);
-        let Some(loc) = fetch.locate(asset_id)? else {
+        let Some(loc) = self.inner.tables.location(&r, asset_id)? else {
             return Ok(None);
         };
         let mut vector = Vec::with_capacity(self.inner.dim);
-        if !fetch.append(loc, &mut vector)? {
+        if !self
+            .inner
+            .tables
+            .vector_reader(&r)
+            .append(loc, &mut vector)?
+        {
             return Err(Error::Rel(RelError::Codec(format!(
                 "asset {asset_id}: dangling vector reference"
             ))));

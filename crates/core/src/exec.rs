@@ -29,7 +29,12 @@
 //! * [`rerank_exact`] and [`score_candidates`] are the two
 //!   fetch-by-key scoring tails: the exact re-rank pass of the
 //!   quantized pipeline and the brute-force tail of the pre-filtering
-//!   plan.
+//!   plan. The re-rank needs no location lookup: a quantized scan's
+//!   candidate pool carries each row's `(partition, vid)` from the row
+//!   it scored (a [`Payload`] of the heap entries — the SQ8 code row's
+//!   key, an SQ4 block's partition plus the directory slot's vid), so
+//!   the re-rank reads `vectors` alone. Exact scans carry `()`, which
+//!   costs their heaps nothing.
 //!
 //! Fan-out across partitions or queries is *not* handled here: call
 //! sites pass per-index jobs to
@@ -46,7 +51,7 @@ use micronn_linalg::{
 };
 use micronn_storage::ReadTxn;
 
-use crate::catalog::extend_f32;
+use crate::catalog::{extend_f32, Loc};
 use crate::codec::VectorCodec;
 use crate::db::{Inner, DELTA_PARTITION};
 use crate::error::Result;
@@ -140,15 +145,40 @@ impl Queries<'_> {
         }
     }
 
-    /// One prepared scorer per query, in heap order.
-    fn scorers<S>(&self, dim: usize, make: impl Fn(&[f32]) -> S) -> Vec<S> {
+    /// Query `i` of the scan, in heap order.
+    fn vector(&self, i: usize, dim: usize) -> &[f32] {
         match self {
-            Queries::One(q) => vec![make(q)],
-            Queries::Group { flat, members } => members
-                .iter()
-                .map(|&qi| make(&flat[qi as usize * dim..(qi as usize + 1) * dim]))
-                .collect(),
+            Queries::One(q) => q,
+            Queries::Group { flat, members } => &flat[members[i] as usize * dim..][..dim],
         }
+    }
+}
+
+/// What a scan's heaps carry beside `(distance, asset)`: `()` for
+/// scans whose distances are final, the row's `(partition, vid)` for
+/// the quantized candidate pool that [`rerank_exact`] fetches by.
+pub(crate) trait Payload: Copy + PartialEq + Send {
+    /// The payload of the row stored at `loc`.
+    fn of(loc: Loc) -> Self;
+    /// This payload's drained f32 blocks in `pool`.
+    fn blocks(pool: &BlockPool) -> &parking_lot::Mutex<Vec<F32Block<Self>>>;
+}
+
+impl Payload for () {
+    #[inline(always)]
+    fn of(_: Loc) {}
+    fn blocks(pool: &BlockPool) -> &parking_lot::Mutex<Vec<F32Block>> {
+        &pool.exact
+    }
+}
+
+impl Payload for Loc {
+    #[inline(always)]
+    fn of(loc: Loc) -> Loc {
+        loc
+    }
+    fn blocks(pool: &BlockPool) -> &parking_lot::Mutex<Vec<F32Block<Loc>>> {
+        &pool.located
     }
 }
 
@@ -196,21 +226,25 @@ impl Sink<'_> {
     /// would still retain it and it is not above the scan-wide bound;
     /// the heap therefore sees exactly the passing rows a filter-first
     /// scan would have pushed successfully, in the same order.
-    fn push_all(&mut self, heap: &mut TopK, rows: impl Iterator<Item = (i64, f32)>) -> Result<()> {
+    fn push_all<P: Payload>(
+        &mut self,
+        heap: &mut TopK<P>,
+        rows: impl Iterator<Item = ((i64, P), f32)>,
+    ) -> Result<()> {
         let Some((probe, prune_above, timed)) = &mut self.join else {
-            for (id, d) in rows {
-                heap.push(id as u64, d);
+            for ((id, at), d) in rows {
+                heap.push_with(id as u64, d, at);
             }
             return Ok(());
         };
-        for (id, d) in rows {
+        for ((id, at), d) in rows {
             if d > *prune_above || !heap.accepts(id as u64, d) {
                 continue;
             }
             let t0 = timed.then(Instant::now);
             self.tally.candidates += 1;
             if probe.passes(id)? {
-                heap.push(id as u64, d);
+                heap.push_with(id as u64, d, at);
             } else {
                 self.tally.filtered_out += 1;
             }
@@ -222,18 +256,35 @@ impl Sink<'_> {
     }
 }
 
-/// One accumulated block of f32 rows awaiting a batched kernel call.
-#[derive(Default)]
-struct F32Block {
-    ids: Vec<i64>,
+/// One accumulated block of f32 rows awaiting a batched kernel call,
+/// with each row's asset id and payload.
+pub(crate) struct F32Block<P = ()> {
+    ids: Vec<(i64, P)>,
     rows: Vec<f32>,
     scores: Vec<f32>,
 }
 
-/// Drained blocks of one scan operation: a partition scan takes one and
-/// puts it back, so a job allocates buffers once, not once per partition.
+impl<P> Default for F32Block<P> {
+    fn default() -> Self {
+        F32Block {
+            ids: Vec::new(),
+            rows: Vec::new(),
+            scores: Vec::new(),
+        }
+    }
+}
+
+/// Drained buffers of one scan operation: a partition scan takes a
+/// block (or a set of SQ4 scorers) and puts it back, so a job allocates
+/// buffers once, not once per partition.
 #[derive(Default)]
-pub(crate) struct BlockPool(parking_lot::Mutex<Vec<F32Block>>);
+pub(crate) struct BlockPool {
+    exact: parking_lot::Mutex<Vec<F32Block>>,
+    located: parking_lot::Mutex<Vec<F32Block<Loc>>>,
+    /// Per-query SQ4 scorers, re-prepared for each partition
+    /// ([`Sq4Scorer::prepare`]).
+    sq4: parking_lot::Mutex<Vec<Vec<Sq4Scorer>>>,
+}
 
 impl PartitionScanner<'_> {
     /// Scans one partition, offering every qualifying row to the
@@ -242,7 +293,12 @@ impl PartitionScanner<'_> {
     /// Quantized catalogs scan the partition's u8 codes when it has
     /// trained ranges; the delta store (and any partition not yet
     /// encoded by maintenance) falls through to full precision.
-    pub fn scan(&self, partition: i64, queries: &Queries<'_>, heaps: &mut [TopK]) -> Result<()> {
+    pub fn scan<P: Payload>(
+        &self,
+        partition: i64,
+        queries: &Queries<'_>,
+        heaps: &mut [TopK<P>],
+    ) -> Result<()> {
         debug_assert_eq!(queries.len(), heaps.len());
         let join = self.filter.map(|f| f.probe(self.r));
         let sink = &mut Sink {
@@ -282,11 +338,11 @@ impl PartitionScanner<'_> {
 
     /// Full-precision scan frame: decodes f32 rows into `chunk`-row
     /// blocks and scores each block with one batched kernel call.
-    fn scan_vectors(
+    fn scan_vectors<P: Payload>(
         &self,
         partition: i64,
         queries: &Queries<'_>,
-        heaps: &mut [TopK],
+        heaps: &mut [TopK<P>],
         sink: &mut Sink<'_>,
     ) -> Result<()> {
         let dim = self.inner.dim;
@@ -305,42 +361,44 @@ impl PartitionScanner<'_> {
                 (&gathered[..], BATCH_ROW_CHUNK, true)
             }
         };
-        let mut block = self.blocks.0.lock().pop().unwrap_or_default();
+        let mut block = P::blocks(self.blocks).lock().pop().unwrap_or_default();
         self.inner
             .tables
-            .scan_vectors(self.r, Some(partition), |_, asset, blob| {
+            .scan_vectors(self.r, Some(partition), |at, asset, blob| {
                 extend_f32(&mut block.rows, blob, dim)?;
-                block.ids.push(asset);
+                block.ids.push((asset, P::of(at)));
                 if block.ids.len() == chunk {
                     flush_f32(self.inner, qmat, grouped, &mut block, heaps, sink)?;
                 }
                 Ok(())
             })?;
         flush_f32(self.inner, qmat, grouped, &mut block, heaps, sink)?;
-        self.blocks.0.lock().push(block);
+        P::blocks(self.blocks).lock().push(block);
         Ok(())
     }
 
     /// Compressed-domain scan frame: scores `SCAN_CHUNK`-row blocks of
     /// u8 codes with the batched asymmetric SQ8 kernel, never touching
     /// the f32 payload.
-    fn scan_codes(
+    fn scan_codes<P: Payload>(
         &self,
         partition: i64,
         queries: &Queries<'_>,
         params: &Sq8Params,
-        heaps: &mut [TopK],
+        heaps: &mut [TopK<P>],
         sink: &mut Sink<'_>,
     ) -> Result<()> {
         let dim = self.inner.dim;
-        let scorers = queries.scorers(dim, |q| Sq8Scorer::new(self.inner.metric, q, params));
-        let mut ids: Vec<i64> = Vec::with_capacity(SCAN_CHUNK);
+        let scorers: Vec<Sq8Scorer> = (0..queries.len())
+            .map(|i| Sq8Scorer::new(self.inner.metric, queries.vector(i, dim), params))
+            .collect();
+        let mut ids: Vec<(i64, P)> = Vec::with_capacity(SCAN_CHUNK);
         let mut block: Vec<u8> = Vec::with_capacity(SCAN_CHUNK * dim);
         let mut scores: Vec<f32> = Vec::with_capacity(SCAN_CHUNK);
         self.inner
             .tables
-            .scan_codes(self.r, Some(partition), |_, asset, code| {
-                ids.push(asset);
+            .scan_codes(self.r, Some(partition), |at, asset, code| {
+                ids.push((asset, P::of(at)));
                 block.extend_from_slice(code);
                 if ids.len() == SCAN_CHUNK {
                     flush_codes(&scorers, &mut ids, &mut block, &mut scores, heaps, sink)?;
@@ -353,20 +411,31 @@ impl PartitionScanner<'_> {
     /// SQ4 fastscan frame: each `codes` row is one packed 32-vector
     /// block; a single in-register LUT pass scores every slot, then the
     /// block's directory masks tombstoned slots (their scores are
-    /// computed but discarded — that is the fastscan trade-off).
-    fn scan_codes4(
+    /// computed but discarded — that is the fastscan trade-off). The
+    /// per-query scorers come from the scan's [`BlockPool`] and are
+    /// re-prepared in place for this partition's ranges.
+    fn scan_codes4<P: Payload>(
         &self,
         partition: i64,
         queries: &Queries<'_>,
         params: &Sq8Params,
-        heaps: &mut [TopK],
+        heaps: &mut [TopK<P>],
         sink: &mut Sink<'_>,
     ) -> Result<()> {
-        let dim = self.inner.dim;
-        let scorers = queries.scorers(dim, |q| Sq4Scorer::new(self.inner.metric, q, params));
+        let (dim, metric) = (self.inner.dim, self.inner.metric);
+        let mut scorers = self.blocks.sq4.lock().pop().unwrap_or_default();
+        scorers.truncate(queries.len());
+        for i in 0..queries.len() {
+            let query = queries.vector(i, dim);
+            match scorers.get_mut(i) {
+                Some(scorer) => scorer.prepare(query, params),
+                None => scorers.push(Sq4Scorer::new(metric, query, params)),
+            }
+        }
         let mut block_scores = [0.0f32; SQ4_BLOCK];
-        let mut live: Vec<(usize, i64)> = Vec::with_capacity(SQ4_BLOCK);
-        self.inner
+        let mut live: Vec<(usize, (i64, P))> = Vec::with_capacity(SQ4_BLOCK);
+        let scanned = self
+            .inner
             .tables
             .scan_blocks(self.r, Some(partition), |block| {
                 sink.tally.bytes_scanned += block.packed.len();
@@ -374,7 +443,7 @@ impl PartitionScanner<'_> {
                 live.extend((0..SQ4_BLOCK).filter_map(|j| {
                     // vid 0 marks an empty or tombstoned slot.
                     let (vid, asset) = block.slot(j);
-                    (vid != 0).then_some((j, asset))
+                    (vid != 0).then(|| (j, (asset, P::of((block.partition, vid)))))
                 }));
                 if live.is_empty() {
                     return Ok(());
@@ -383,23 +452,22 @@ impl PartitionScanner<'_> {
                 sink.tally.distance_computations += scorers.len() * live.len();
                 for (scorer, heap) in scorers.iter().zip(heaps.iter_mut()) {
                     scorer.score_block(&block.packed, &mut block_scores);
-                    sink.push_all(
-                        heap,
-                        live.iter().map(|&(j, asset)| (asset, block_scores[j])),
-                    )?;
+                    sink.push_all(heap, live.iter().map(|&(j, row)| (row, block_scores[j])))?;
                 }
                 Ok(())
-            })
+            });
+        self.blocks.sq4.lock().push(scorers);
+        scanned
     }
 }
 
 /// Scores one accumulated f32 block against `qmat` and drains it.
-fn flush_f32(
+fn flush_f32<P: Payload>(
     inner: &Inner,
     qmat: &[f32],
     grouped: bool,
-    block: &mut F32Block,
-    heaps: &mut [TopK],
+    block: &mut F32Block<P>,
+    heaps: &mut [TopK<P>],
     sink: &mut Sink<'_>,
 ) -> Result<()> {
     let (nr, nq, dim) = (block.ids.len(), heaps.len(), inner.dim);
@@ -431,12 +499,12 @@ fn flush_f32(
 
 /// Scores one accumulated code block against every prepared scorer and
 /// drains the buffers.
-fn flush_codes(
+fn flush_codes<P: Payload>(
     scorers: &[Sq8Scorer],
-    ids: &mut Vec<i64>,
+    ids: &mut Vec<(i64, P)>,
     block: &mut Vec<u8>,
     scores: &mut Vec<f32>,
-    heaps: &mut [TopK],
+    heaps: &mut [TopK<P>],
     sink: &mut Sink<'_>,
 ) -> Result<()> {
     for (scorer, heap) in scorers.iter().zip(heaps.iter_mut()) {
@@ -466,11 +534,18 @@ pub(crate) fn scan_pool_k(inner: &Inner, k: usize, use_codec: bool) -> usize {
 /// distances for the approximate candidate pool and keeps the best `k`,
 /// with the scalar kernel of the exact scan, so F32-codec and re-ranked
 /// results agree bit-for-bit on shared candidates.
+///
+/// Each candidate is fetched at the `(partition, vid)` its scan read it
+/// from — the location is part of the snapshot `r` the scan ran at, so
+/// it is the location `assets` would give — through the `vectors` point
+/// reader alone: no `assets` lookup, no second reader. The heap order
+/// is the scan's `(distance, asset)`, so the answer is the one the
+/// `assets` lookup gave.
 pub(crate) fn rerank_exact(
     inner: &Inner,
     r: &ReadTxn,
     query: &[f32],
-    candidates: Vec<Neighbor>,
+    candidates: &[Neighbor<Loc>],
     k: usize,
     metrics: &ScanMetrics,
 ) -> Result<Vec<Neighbor>> {
@@ -479,26 +554,115 @@ pub(crate) fn rerank_exact(
     let mut fetch = inner.tables.vector_reader(r);
     let mut tally = ScanTotals::default();
     for n in candidates {
-        let Some(loc) = fetch.locate(n.id as i64)? else {
-            continue;
-        };
         // Delta-store candidates were scanned in full precision with
         // the same kernels: their distances are already exact, so
         // re-fetching the vector would only repeat work (and
         // double-count its bytes).
-        if loc.0 == DELTA_PARTITION {
+        if n.payload.0 == DELTA_PARTITION {
             top.push(n.id, n.distance);
             continue;
         }
         v.clear();
-        if fetch.append(loc, &mut v)? {
+        if fetch.append(n.payload, &mut v)? {
             top.push(n.id, inner.metric.distance(query, &v));
             tally.reranked += 1;
             tally.bytes_scanned += inner.dim * 4;
         }
     }
     metrics.absorb(&tally);
-    Ok(top.into_sorted())
+    let top = top.into_sorted();
+    #[cfg(feature = "rerank-oracle")]
+    rerank_oracle::check(inner, r, query, candidates, k, &top);
+    Ok(top)
+}
+
+/// The re-rank as it was before candidates carried their location —
+/// each candidate located through `assets` — kept as the oracle the
+/// tests hold [`rerank_exact`] to. Compiled only with the
+/// `rerank-oracle` feature (the crate's own tests enable it); armed
+/// only by a test that asks, so other tests pay one atomic load per
+/// re-rank.
+#[cfg(feature = "rerank-oracle")]
+pub mod rerank_oracle {
+    use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+
+    use micronn_linalg::{Neighbor, TopK};
+    use micronn_storage::ReadTxn;
+
+    use crate::catalog::Loc;
+    use crate::db::{Inner, DELTA_PARTITION};
+    use crate::error::Result;
+
+    static ARMED: AtomicBool = AtomicBool::new(false);
+    static CHECKED: AtomicUsize = AtomicUsize::new(0);
+    static MISMATCHES: parking_lot::Mutex<Vec<String>> = parking_lot::Mutex::new(Vec::new());
+
+    /// From now on, every re-rank in this process is re-run through
+    /// `assets` and compared bit for bit.
+    pub fn arm() {
+        ARMED.store(true, Ordering::SeqCst);
+    }
+
+    /// Re-ranks compared so far.
+    pub fn checked() -> usize {
+        CHECKED.load(Ordering::SeqCst)
+    }
+
+    /// Every disagreement so far, described; drained.
+    pub fn take_mismatches() -> Vec<String> {
+        std::mem::take(&mut MISMATCHES.lock())
+    }
+
+    fn rerank_by_assets(
+        inner: &Inner,
+        r: &ReadTxn,
+        query: &[f32],
+        candidates: &[Neighbor<Loc>],
+        k: usize,
+    ) -> Result<Vec<Neighbor>> {
+        let mut top = TopK::new(k);
+        let mut v: Vec<f32> = Vec::with_capacity(inner.dim);
+        let mut locate = inner.tables.location_reader(r);
+        let mut fetch = inner.tables.vector_reader(r);
+        for n in candidates {
+            let Some(loc) = locate.locate(n.id as i64)? else {
+                continue;
+            };
+            if loc.0 == DELTA_PARTITION {
+                top.push(n.id, n.distance);
+                continue;
+            }
+            v.clear();
+            if fetch.append(loc, &mut v)? {
+                top.push(n.id, inner.metric.distance(query, &v));
+            }
+        }
+        Ok(top.into_sorted())
+    }
+
+    pub(super) fn check(
+        inner: &Inner,
+        r: &ReadTxn,
+        query: &[f32],
+        candidates: &[Neighbor<Loc>],
+        k: usize,
+        got: &[Neighbor],
+    ) {
+        if !ARMED.load(Ordering::SeqCst) {
+            return;
+        }
+        CHECKED.fetch_add(1, Ordering::SeqCst);
+        let bits = |ns: &[Neighbor]| -> Vec<(u64, u32)> {
+            ns.iter().map(|n| (n.id, n.distance.to_bits())).collect()
+        };
+        let want = rerank_by_assets(inner, r, query, candidates, k).map(|w| bits(&w));
+        if want.as_ref().ok() != Some(&bits(got)) {
+            let got = bits(got);
+            MISMATCHES
+                .lock()
+                .push(format!("rerank {got:?} != oracle {want:?}"));
+        }
+    }
 }
 
 /// Brute-force tail of the pre-filtering plan (§3.5): fetches each
@@ -517,15 +681,18 @@ pub(crate) fn score_candidates(
     let heaps = std::slice::from_mut(&mut top);
     let mut block = F32Block::default();
     block.rows.reserve(SCAN_CHUNK * inner.dim);
-    let mut fetch = inner.tables.vector_reader(r);
+    let (mut locate, mut fetch) = (
+        inner.tables.location_reader(r),
+        inner.tables.vector_reader(r),
+    );
     let mut sink = Sink::default();
     for &asset in assets {
         // An attribute row without a vector is skipped.
-        let Some(loc) = fetch.locate(asset)? else {
+        let Some(loc) = locate.locate(asset)? else {
             continue;
         };
         if fetch.append(loc, &mut block.rows)? {
-            block.ids.push(asset);
+            block.ids.push((asset, ()));
             if block.ids.len() == SCAN_CHUNK {
                 flush_f32(inner, query, false, &mut block, heaps, &mut sink)?;
             }

@@ -87,6 +87,9 @@ pub use codec::VectorCodec;
 pub use config::{AttributeDef, Config, DeviceProfile};
 pub use db::{MicroNN, VectorRecord, DELTA_PARTITION};
 pub use error::{Error, Result};
+#[cfg(feature = "rerank-oracle")]
+#[doc(hidden)]
+pub use exec::rerank_oracle;
 pub use hybrid::{PlanPreference, SearchRequest};
 pub use inmemory::InMemoryIndex;
 pub use integrity::IntegrityReport;

@@ -10,13 +10,14 @@
 //! Sort" in Figure 3).
 //!
 //! Under [`crate::codec::VectorCodec::F32`] (the default) the frame
-//! decodes raw f32 rows, exactly as before. Under
-//! [`crate::codec::VectorCodec::Sq8`] it scans the separately
-//! clustered `codes` table — ~4× fewer payload bytes — scoring u8
-//! codes with the batched asymmetric kernels, keeps an enlarged
-//! `rerank_factor·k` candidate pool, and a final re-rank pass
-//! recomputes exact f32 distances for the survivors. The delta
-//! partition never has codes and is always scanned in full precision.
+//! decodes raw f32 rows, exactly as before. Under the quantized codecs
+//! it scans the separately clustered `codes` table — ~4× (SQ8) / ~8×
+//! (SQ4) fewer payload bytes — scoring codes in the compressed domain,
+//! keeps an enlarged `rerank_factor·k` candidate pool whose entries
+//! carry the `(partition, vid)` they were read at, and a final re-rank
+//! pass fetches the survivors there and recomputes exact f32
+//! distances. The delta partition never has codes and is always
+//! scanned in full precision.
 //!
 //! The post-filtering join of §3.5 happens *inside* the scan frame
 //! ("vectors in the requested partitions that don't satisfy the
@@ -30,9 +31,12 @@
 use micronn_linalg::{merge_all, Neighbor, TopK};
 use micronn_storage::ReadTxn;
 
+use crate::catalog::Loc;
 use crate::db::{Inner, DELTA_PARTITION};
 use crate::error::{Error, Result};
-use crate::exec::{rerank_exact, scan_pool_k, BlockPool, PartitionScanner, Queries, ScanMetrics};
+use crate::exec::{
+    rerank_exact, scan_pool_k, BlockPool, PartitionScanner, Payload, Queries, ScanMetrics,
+};
 use crate::hybrid::FilterCtx;
 use crate::stats::{PlanUsed, QueryInfo};
 use crate::telemetry::{stage, QueryTrace};
@@ -58,7 +62,7 @@ pub struct SearchResponse {
 /// the compressed-domain scan for quantized catalogs; callers needing
 /// exact semantics (exhaustive KNN) pass `false`. With the codec path
 /// active the returned list holds `rerank_factor·k` *approximate*
-/// candidates that must go through
+/// candidates, located (`P = Loc`), that must go through
 /// [`rerank_exact`](crate::exec::rerank_exact).
 ///
 /// Unfiltered, every partition is one fan-out job. Filtered, the
@@ -67,16 +71,16 @@ pub struct SearchResponse {
 /// threshold then becomes the fixed `prune_above` of the fan-out over
 /// the rest. No job reads another's state, so what is probed — and
 /// with it `QueryInfo` — is the same for every worker count.
-fn scan_partitions(
+fn scan_partitions<P: Payload>(
     mut scanner: PartitionScanner<'_>,
     partitions: &[i64],
     query: &[f32],
     k: usize,
-) -> Result<Vec<Neighbor>> {
+) -> Result<Vec<Neighbor<P>>> {
     let inner = scanner.inner;
     let scan_k = scan_pool_k(inner, k, scanner.use_codec);
     let queries = Queries::One(query);
-    let scan_one = |scanner: &PartitionScanner<'_>, i: usize, top: &mut TopK| {
+    let scan_one = |scanner: &PartitionScanner<'_>, i: usize, top: &mut TopK<P>| {
         // Probe readahead: queue the next partition's leaves before
         // scoring this one, so its I/O overlaps our compute.
         if let Some(&next) = partitions.get(i + 1) {
@@ -88,7 +92,7 @@ fn scan_partitions(
     let seed = match scanner.filter {
         None => None,
         Some(_) => {
-            let mut seed = TopK::new(scan_k);
+            let mut seed = TopK::with_payload(scan_k);
             while seeded < partitions.len() && seed.len() < scan_k {
                 scan_one(&scanner, seeded, &mut seed)?;
                 seeded += 1;
@@ -100,7 +104,7 @@ fn scan_partitions(
     let mut heaps = inner
         .scan_pool
         .parallel_indexed(partitions.len() - seeded, |i| {
-            let mut top = TopK::new(scan_k);
+            let mut top = TopK::with_payload(scan_k);
             scan_one(&scanner, seeded + i, &mut top)?;
             Ok(top)
         })?;
@@ -155,12 +159,17 @@ pub(crate) fn ivf_search(
         time_filter: trace.detailed && filter.is_some(),
         prune_above: f32::INFINITY,
     };
-    let mut neighbors = scan_partitions(scanner, &partitions, query, k)?;
-    trace.stage(stage::PARTITION_SCAN);
-    if use_codec {
-        neighbors = rerank_exact(inner, r, query, neighbors, k, &metrics)?;
+    let neighbors = if use_codec {
+        let pool = scan_partitions::<Loc>(scanner, &partitions, query, k)?;
+        trace.stage(stage::PARTITION_SCAN);
+        let top = rerank_exact(inner, r, query, &pool, k, &metrics)?;
         trace.stage(stage::RERANK);
-    }
+        top
+    } else {
+        let top = scan_partitions::<()>(scanner, &partitions, query, k)?;
+        trace.stage(stage::PARTITION_SCAN);
+        top
+    };
     // The filter share is nested inside the parallel partition scan;
     // report it as its own stage without subtracting (wall-clock vs
     // summed-across-workers differ anyway).

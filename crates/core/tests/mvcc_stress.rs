@@ -326,6 +326,7 @@ fn writers_never_wait_for_readers() {
     let snap = db.snapshot();
     let len_before = snap.len().unwrap();
     let stop = AtomicBool::new(false);
+    let (reading, first_read) = std::sync::mpsc::channel();
     std::thread::scope(|s| {
         let reader = {
             let snap = &snap;
@@ -336,12 +337,17 @@ fn writers_never_wait_for_readers() {
                 while !stop.load(Ordering::Relaxed) {
                     let q = ds.query(i % ds.spec.n_queries);
                     check_well_formed(&snap.search(q, K).unwrap().results);
+                    if i == 0 {
+                        reading.send(()).unwrap();
+                    }
                     i += 1;
                 }
                 i
             })
         };
-        // 50 commits while the snapshot reads hot.
+        // 50 commits while the snapshot reads hot — from its first
+        // answer on, so the writer cannot finish before it starts.
+        first_read.recv().unwrap();
         for i in 0..50i64 {
             db.upsert(VectorRecord::new(
                 80_000 + i,

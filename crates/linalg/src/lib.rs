@@ -36,6 +36,7 @@ pub use matrix::{batch_distances, gemm_nt, Matrix};
 pub use simd::{backend, kernels, scalar_kernels, Kernels};
 pub use sq4::{
     get_block_code, set_block_code, sq4_block_bytes, sq4_train, Sq4Scorer, SQ4_BLOCK, SQ4_LEVELS,
+    SQ4_MAX_DIM,
 };
 pub use sq8::{dot_norm_u8, dot_u8, l2_sq_u8, Sq8Encoder, Sq8Params, Sq8Scorer, SQ8_LEVELS};
 pub use topk::{merge_all, Neighbor, TopK};

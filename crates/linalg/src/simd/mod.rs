@@ -17,11 +17,18 @@
 //! eight independent lanes (`LANES = 8`), and the vector forms perform
 //! the same per-lane multiply-then-add sequence (no FMA contraction),
 //! reduce the eight partial sums in the same left-to-right order, and
-//! share the same scalar tail loop. The SQ4 kernel is integer-only
-//! (u8 lookups summed into u16), so it is exact on every backend by
-//! construction. Consequently query results do not depend on which
-//! backend the dispatcher picked — the proptests in
-//! `tests/proptest_linalg.rs` assert `f32::to_bits` equality across
+//! share the same scalar tail loop. The SQ4 block kernel is
+//! integer-only (u8 lookups summed into u16), so it is exact on every
+//! backend by construction. The SQ4 plane builder is held to the same
+//! standard: every backend evaluates each table entry with the scalar
+//! operation sequence, finds the per-table extremes without ever
+//! picking a NaN (the only freedom a vector min / max takes is the sign
+//! of a zero extreme, which cannot reach the output), sums them in
+//! dimension order through the one shared `PlaneSums`, and rounds with
+//! the scalar `round_to_u8` rule — so `lut` bytes, `bias` bits and
+//! `delta` bits match. Consequently query results do not depend on
+//! which backend the dispatcher picked — the proptests in
+//! `tests/proptest_linalg.rs` and `sq4.rs` assert bit equality across
 //! backends.
 //!
 //! # Forcing a backend
@@ -37,12 +44,17 @@ mod neon;
 #[cfg(target_arch = "x86_64")]
 mod x86;
 
-use crate::sq4::SQ4_BLOCK;
+use crate::sq4::{PlaneEntry, SQ4_BLOCK};
+use crate::sq8::Sq8Params;
 use std::sync::OnceLock;
 
 /// Signature of the fused SQ8 dot + decoded-norm kernel:
 /// `(qs, min, scale, codes) -> (dot, decoded ‖v‖²)`.
 pub type DotNormU8Fn = fn(&[f32], &[f32], &[f32], &[u8]) -> (f32, f32);
+
+/// Signature of the SQ4 plane build:
+/// `(entry, query, ranges, mins scratch, lut) -> (bias, delta)`.
+pub type Sq4PlaneFn = fn(PlaneEntry, &[f32], &Sq8Params, &mut [f32], &mut [u8]) -> (f32, f32);
 
 /// Dispatch table of hot kernels, selected once per process.
 ///
@@ -70,6 +82,14 @@ pub struct Kernels {
     /// for each of the 32 rows. Integer-exact on every backend; LUT
     /// construction (`crate::sq4`) guarantees the sums fit in u16.
     pub sq4_accumulate: fn(&[u8], &[u8], usize, &mut [u16; SQ4_BLOCK]),
+    /// SQ4 plane build: one quantized 16-entry table per dimension.
+    ///
+    /// `(entry, query, params, mins, lut)` — writes the `16·dim` u8
+    /// entries of `round((entry(q_d, x_c) − min_d)/delta)` into `lut`
+    /// (all zeros for a degenerate plane) and returns `(bias, delta)`;
+    /// `mins` is `dim` floats of scratch. See `crate::sq4` for the
+    /// quantization and [`scalar::sq4_plane`] for the reference loop.
+    pub sq4_plane: Sq4PlaneFn,
 }
 
 impl std::fmt::Debug for Kernels {
@@ -88,6 +108,7 @@ static SCALAR: Kernels = Kernels {
     dot_u8: scalar::dot_u8,
     dot_norm_u8: scalar::dot_norm_u8,
     sq4_accumulate: scalar::sq4_accumulate,
+    sq4_plane: scalar::sq4_plane,
 };
 
 /// The portable scalar reference table (always available).

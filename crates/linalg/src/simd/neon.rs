@@ -14,11 +14,20 @@
 //! The SQ4 kernel uses `vqtbl1q_u8` to look up all 16 low (then high)
 //! nibbles of a dimension's packed byte row in one shot, widening into
 //! four u16×8 accumulators (rows 0..8, 8..16, 16..24, 24..32).
+//!
+//! The SQ4 plane builder evaluates one dimension's 16 table entries as
+//! four `float32x4_t` with the scalar operation sequence. NEON's
+//! `vminq_f32` / `vmaxq_f32` propagate NaN, so NaN lanes are first
+//! replaced by the ±∞ seed of the scalar `if v < lo` loop; the lane
+//! reductions then see numbers only. The rounding does the same before
+//! clamping to `[0, 255]`, truncates, and compares the exact remainder
+//! to one half, as `round_to_u8` does.
 
 #![allow(unsafe_code)]
 
 use super::Kernels;
-use crate::sq4::SQ4_BLOCK;
+use crate::sq4::{PlaneEntry, PlaneSums, SQ4_BLOCK};
+use crate::sq8::Sq8Params;
 use core::arch::aarch64::*;
 
 pub(super) static NEON: Kernels = Kernels {
@@ -29,6 +38,7 @@ pub(super) static NEON: Kernels = Kernels {
     dot_u8,
     dot_norm_u8,
     sq4_accumulate,
+    sq4_plane,
 };
 
 fn dot(a: &[f32], b: &[f32]) -> f32 {
@@ -59,6 +69,17 @@ fn dot_norm_u8(qs: &[f32], min: &[f32], scale: &[f32], codes: &[u8]) -> (f32, f3
 fn sq4_accumulate(lut: &[u8], packed: &[u8], dim: usize, out: &mut [u16; SQ4_BLOCK]) {
     // SAFETY: as above.
     unsafe { sq4_accumulate_impl(lut, packed, dim, out) }
+}
+
+fn sq4_plane(
+    entry: PlaneEntry,
+    query: &[f32],
+    params: &Sq8Params,
+    mins: &mut [f32],
+    lut: &mut [u8],
+) -> (f32, f32) {
+    // SAFETY: as above.
+    unsafe { sq4_plane_impl(entry, query, params, mins, lut) }
 }
 
 /// Spills the two 4-lane accumulators (scalar lanes 0..4 and 4..8)
@@ -237,4 +258,109 @@ unsafe fn sq4_accumulate_impl(lut: &[u8], packed: &[u8], dim: usize, out: &mut [
     for (q, a) in acc.iter().enumerate() {
         vst1q_u16(out.as_mut_ptr().add(q * 8), *a);
     }
+}
+
+/// Four entries of one dimension's table for the codes in `c`:
+/// `x = min + scale·c` (multiply, then add), then the entry.
+#[target_feature(enable = "neon")]
+unsafe fn plane_entries4(
+    entry: PlaneEntry,
+    q: float32x4_t,
+    min: float32x4_t,
+    scale: float32x4_t,
+    c: float32x4_t,
+) -> float32x4_t {
+    let x = vaddq_f32(min, vmulq_f32(scale, c));
+    match entry {
+        PlaneEntry::Residual => {
+            let r = vsubq_f32(q, x);
+            vmulq_f32(r, r)
+        }
+        PlaneEntry::Product => vmulq_f32(q, x),
+        PlaneEntry::Square => vmulq_f32(x, x),
+    }
+}
+
+/// `x` with every NaN lane replaced by the matching lane of `fill`.
+#[target_feature(enable = "neon")]
+unsafe fn unnan(x: float32x4_t, fill: float32x4_t) -> float32x4_t {
+    vbslq_f32(vceqq_f32(x, x), x, fill)
+}
+
+/// `round_to_u8` of four lanes, as u32 in `0..=255`.
+#[target_feature(enable = "neon")]
+unsafe fn round_to_u8x4(x: float32x4_t) -> uint32x4_t {
+    let zero = vdupq_n_f32(0.0);
+    let x = vminq_f32(vmaxq_f32(unnan(x, zero), zero), vdupq_n_f32(255.0));
+    let t = vcvtq_u32_f32(x);
+    let frac = vsubq_f32(x, vcvtq_f32_u32(t));
+    // A true compare is all ones, i.e. u32::MAX: subtracting it (with
+    // wrap-around) rounds up.
+    vsubq_u32(t, vcgeq_f32(frac, vdupq_n_f32(0.5)))
+}
+
+#[target_feature(enable = "neon")]
+unsafe fn sq4_plane_impl(
+    entry: PlaneEntry,
+    query: &[f32],
+    params: &Sq8Params,
+    mins: &mut [f32],
+    lut: &mut [u8],
+) -> (f32, f32) {
+    let dim = query.len();
+    debug_assert_eq!(params.dim(), dim);
+    debug_assert_eq!(mins.len(), dim);
+    debug_assert_eq!(lut.len(), dim * 16);
+    let code_values: [f32; 16] = core::array::from_fn(|c| c as f32);
+    let c0 = vld1q_f32(code_values.as_ptr());
+    let c1 = vld1q_f32(code_values.as_ptr().add(4));
+    let c2 = vld1q_f32(code_values.as_ptr().add(8));
+    let c3 = vld1q_f32(code_values.as_ptr().add(12));
+    let (inf, ninf) = (vdupq_n_f32(f32::INFINITY), vdupq_n_f32(f32::NEG_INFINITY));
+    let ranges = || params.min.iter().zip(&params.scale);
+    let mut sums = PlaneSums::new();
+    for ((&q, (&min, &scale)), lo_out) in query.iter().zip(ranges()).zip(mins.iter_mut()) {
+        let (q, min, scale) = (vdupq_n_f32(q), vdupq_n_f32(min), vdupq_n_f32(scale));
+        let e0 = plane_entries4(entry, q, min, scale, c0);
+        let e1 = plane_entries4(entry, q, min, scale, c1);
+        let e2 = plane_entries4(entry, q, min, scale, c2);
+        let e3 = plane_entries4(entry, q, min, scale, c3);
+        let lo = vminq_f32(
+            vminq_f32(unnan(e0, inf), unnan(e1, inf)),
+            vminq_f32(unnan(e2, inf), unnan(e3, inf)),
+        );
+        let hi = vmaxq_f32(
+            vmaxq_f32(unnan(e0, ninf), unnan(e1, ninf)),
+            vmaxq_f32(unnan(e2, ninf), unnan(e3, ninf)),
+        );
+        let (lo, hi) = (vminvq_f32(lo), vmaxvq_f32(hi));
+        *lo_out = lo;
+        sums.add(lo, hi);
+    }
+    let Some(delta) = sums.delta(dim) else {
+        lut.fill(0);
+        return (sums.bias, 0.0);
+    };
+    let inv = vdupq_n_f32(1.0 / delta);
+    let dims = query.iter().zip(ranges()).zip(mins.iter());
+    for (codes, ((&q, (&min, &scale)), &lo)) in lut.chunks_exact_mut(16).zip(dims) {
+        let (q, min, scale) = (vdupq_n_f32(q), vdupq_n_f32(min), vdupq_n_f32(scale));
+        let lo = vdupq_n_f32(lo);
+        let e0 = plane_entries4(entry, q, min, scale, c0);
+        let e1 = plane_entries4(entry, q, min, scale, c1);
+        let e2 = plane_entries4(entry, q, min, scale, c2);
+        let e3 = plane_entries4(entry, q, min, scale, c3);
+        let t0 = round_to_u8x4(vmulq_f32(vsubq_f32(e0, lo), inv));
+        let t1 = round_to_u8x4(vmulq_f32(vsubq_f32(e1, lo), inv));
+        let t2 = round_to_u8x4(vmulq_f32(vsubq_f32(e2, lo), inv));
+        let t3 = round_to_u8x4(vmulq_f32(vsubq_f32(e3, lo), inv));
+        let w0 = vcombine_u16(vmovn_u32(t0), vmovn_u32(t1));
+        let w1 = vcombine_u16(vmovn_u32(t2), vmovn_u32(t3));
+        // `codes` is a 16-byte chunk of `lut`.
+        vst1q_u8(
+            codes.as_mut_ptr(),
+            vcombine_u8(vmovn_u16(w0), vmovn_u16(w1)),
+        );
+    }
+    (sums.bias, delta)
 }

@@ -6,7 +6,8 @@
 //! ground truth: every SIMD backend must reproduce their results
 //! bit-for-bit (see the [module docs](super) for why that holds).
 
-use crate::sq4::SQ4_BLOCK;
+use crate::sq4::{round_to_u8, PlaneEntry, PlaneSums, SQ4_BLOCK};
+use crate::sq8::Sq8Params;
 
 /// Accumulator width. Eight lanes matches one AVX2 register of f32
 /// (and two NEON registers), which is what makes the vector forms
@@ -148,4 +149,66 @@ pub fn sq4_accumulate(lut: &[u8], packed: &[u8], dim: usize, out: &mut [u16; SQ4
             out[j + 16] += l[(b >> 4) as usize] as u16;
         }
     }
+}
+
+/// SQ4 plane build reference: fills `lut` (`16·dim` bytes) with the
+/// quantized tables `entry(q_d, min_d + scale_d·c)` and returns the
+/// plane's `(bias, delta)`; `mins` (`dim` floats) is scratch. The
+/// entries are evaluated twice — once for the per-table extremes, once
+/// to quantize against them — rather than stored. Extremes are plain
+/// compares, so like `f32::min`/`max` they never pick a NaN.
+pub fn sq4_plane(
+    entry: PlaneEntry,
+    query: &[f32],
+    params: &Sq8Params,
+    mins: &mut [f32],
+    lut: &mut [u8],
+) -> (f32, f32) {
+    match entry {
+        PlaneEntry::Residual => plane(query, params, mins, lut, |q, x| (q - x) * (q - x)),
+        PlaneEntry::Product => plane(query, params, mins, lut, |q, x| q * x),
+        PlaneEntry::Square => plane(query, params, mins, lut, |_, x| x * x),
+    }
+}
+
+#[inline(always)]
+fn plane(
+    query: &[f32],
+    params: &Sq8Params,
+    mins: &mut [f32],
+    lut: &mut [u8],
+    entry: impl Fn(f32, f32) -> f32,
+) -> (f32, f32) {
+    let dim = query.len();
+    debug_assert_eq!(params.dim(), dim);
+    debug_assert_eq!(mins.len(), dim);
+    debug_assert_eq!(lut.len(), dim * 16);
+    let ranges = || params.min.iter().zip(&params.scale);
+    let mut sums = PlaneSums::new();
+    for ((&q, (&min, &scale)), lo_out) in query.iter().zip(ranges()).zip(mins.iter_mut()) {
+        let (mut lo, mut hi) = (f32::INFINITY, f32::NEG_INFINITY);
+        for c in 0..16 {
+            let v = entry(q, min + scale * c as f32);
+            if v < lo {
+                lo = v;
+            }
+            if v > hi {
+                hi = v;
+            }
+        }
+        *lo_out = lo;
+        sums.add(lo, hi);
+    }
+    let Some(delta) = sums.delta(dim) else {
+        lut.fill(0);
+        return (sums.bias, 0.0);
+    };
+    let inv = 1.0 / delta;
+    let dims = query.iter().zip(ranges()).zip(mins.iter());
+    for (codes, ((&q, (&min, &scale)), &lo)) in lut.chunks_exact_mut(16).zip(dims) {
+        for (c, code) in codes.iter_mut().enumerate() {
+            *code = round_to_u8((entry(q, min + scale * c as f32) - lo) * inv);
+        }
+    }
+    (sums.bias, delta)
 }

@@ -17,11 +17,21 @@
 //! 4-bit codes in the broadcast 16-entry LUT at once, and the u8
 //! values widen into two u16×16 accumulators. Integer math — exact by
 //! construction, no rounding concerns.
+//!
+//! The SQ4 plane builder evaluates one dimension's 16 table entries as
+//! two `__m256` with the scalar operation sequence. Its extremes rely
+//! on `_mm256_min_ps(a, b)` returning `b` unless `a < b` (and
+//! `_mm256_max_ps` likewise): folding the entries in as the *first*
+//! operand against a ±∞ seed never lets a NaN in, exactly like the
+//! scalar `if v < lo`. The rounding clamps to `[0, 255]` first (NaN
+//! lands on 0 by the same operand rule), then truncates and compares
+//! the exact remainder to one half, as `round_to_u8` does.
 
 #![allow(unsafe_code)]
 
 use super::Kernels;
-use crate::sq4::SQ4_BLOCK;
+use crate::sq4::{PlaneEntry, PlaneSums, SQ4_BLOCK};
+use crate::sq8::Sq8Params;
 use core::arch::x86_64::*;
 
 pub(super) static AVX2: Kernels = Kernels {
@@ -32,6 +42,7 @@ pub(super) static AVX2: Kernels = Kernels {
     dot_u8,
     dot_norm_u8,
     sq4_accumulate,
+    sq4_plane,
 };
 
 fn dot(a: &[f32], b: &[f32]) -> f32 {
@@ -62,6 +73,17 @@ fn dot_norm_u8(qs: &[f32], min: &[f32], scale: &[f32], codes: &[u8]) -> (f32, f3
 fn sq4_accumulate(lut: &[u8], packed: &[u8], dim: usize, out: &mut [u16; SQ4_BLOCK]) {
     // SAFETY: as above.
     unsafe { sq4_accumulate_impl(lut, packed, dim, out) }
+}
+
+fn sq4_plane(
+    entry: PlaneEntry,
+    query: &[f32],
+    params: &Sq8Params,
+    mins: &mut [f32],
+    lut: &mut [u8],
+) -> (f32, f32) {
+    // SAFETY: as above.
+    unsafe { sq4_plane_impl(entry, query, params, mins, lut) }
 }
 
 /// Spills an 8-lane accumulator and reduces it in scalar lane order.
@@ -219,4 +241,100 @@ unsafe fn sq4_accumulate_impl(lut: &[u8], packed: &[u8], dim: usize, out: &mut [
     out[8..16].copy_from_slice(&hi16[..8]);
     out[16..24].copy_from_slice(&lo16[8..]);
     out[24..32].copy_from_slice(&hi16[8..]);
+}
+
+/// Eight entries of one dimension's table for the codes in `c`:
+/// `x = min + scale·c` (multiply, then add), then the entry.
+#[target_feature(enable = "avx2")]
+unsafe fn plane_entries8(
+    entry: PlaneEntry,
+    q: __m256,
+    min: __m256,
+    scale: __m256,
+    c: __m256,
+) -> __m256 {
+    let x = _mm256_add_ps(min, _mm256_mul_ps(scale, c));
+    match entry {
+        PlaneEntry::Residual => {
+            let r = _mm256_sub_ps(q, x);
+            _mm256_mul_ps(r, r)
+        }
+        PlaneEntry::Product => _mm256_mul_ps(q, x),
+        PlaneEntry::Square => _mm256_mul_ps(x, x),
+    }
+}
+
+/// `round_to_u8` of eight lanes, as i32 in `0..=255`.
+#[target_feature(enable = "avx2")]
+unsafe fn round_to_u8x8(x: __m256) -> __m256i {
+    let x = _mm256_min_ps(_mm256_max_ps(x, _mm256_setzero_ps()), _mm256_set1_ps(255.0));
+    let t = _mm256_cvttps_epi32(x);
+    let frac = _mm256_sub_ps(x, _mm256_cvtepi32_ps(t));
+    let up = _mm256_cmp_ps::<_CMP_GE_OQ>(frac, _mm256_set1_ps(0.5));
+    // A true compare is all ones, i.e. −1: subtracting it rounds up.
+    _mm256_sub_epi32(t, _mm256_castps_si256(up))
+}
+
+#[target_feature(enable = "avx2")]
+unsafe fn sq4_plane_impl(
+    entry: PlaneEntry,
+    query: &[f32],
+    params: &Sq8Params,
+    mins: &mut [f32],
+    lut: &mut [u8],
+) -> (f32, f32) {
+    let dim = query.len();
+    debug_assert_eq!(params.dim(), dim);
+    debug_assert_eq!(mins.len(), dim);
+    debug_assert_eq!(lut.len(), dim * 16);
+    let c0 = _mm256_setr_ps(0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0);
+    let c1 = _mm256_setr_ps(8.0, 9.0, 10.0, 11.0, 12.0, 13.0, 14.0, 15.0);
+    let ranges = || params.min.iter().zip(&params.scale);
+    let mut sums = PlaneSums::new();
+    for ((&q, (&min, &scale)), lo_out) in query.iter().zip(ranges()).zip(mins.iter_mut()) {
+        let (q, min, scale) = (
+            _mm256_set1_ps(q),
+            _mm256_set1_ps(min),
+            _mm256_set1_ps(scale),
+        );
+        let e0 = plane_entries8(entry, q, min, scale, c0);
+        let e1 = plane_entries8(entry, q, min, scale, c1);
+        let lo = _mm256_min_ps(e0, _mm256_min_ps(e1, _mm256_set1_ps(f32::INFINITY)));
+        let hi = _mm256_max_ps(e0, _mm256_max_ps(e1, _mm256_set1_ps(f32::NEG_INFINITY)));
+        // No lane is NaN any more, so the lane reductions below pick
+        // the extremes' values whatever the operand order.
+        let lo = _mm_min_ps(_mm256_castps256_ps128(lo), _mm256_extractf128_ps::<1>(lo));
+        let hi = _mm_max_ps(_mm256_castps256_ps128(hi), _mm256_extractf128_ps::<1>(hi));
+        let lo = _mm_min_ps(lo, _mm_movehl_ps(lo, lo));
+        let hi = _mm_max_ps(hi, _mm_movehl_ps(hi, hi));
+        let lo = _mm_cvtss_f32(_mm_min_ss(lo, _mm_shuffle_ps::<1>(lo, lo)));
+        let hi = _mm_cvtss_f32(_mm_max_ss(hi, _mm_shuffle_ps::<1>(hi, hi)));
+        *lo_out = lo;
+        sums.add(lo, hi);
+    }
+    let Some(delta) = sums.delta(dim) else {
+        lut.fill(0);
+        return (sums.bias, 0.0);
+    };
+    let inv = _mm256_set1_ps(1.0 / delta);
+    let dims = query.iter().zip(ranges()).zip(mins.iter());
+    for (codes, ((&q, (&min, &scale)), &lo)) in lut.chunks_exact_mut(16).zip(dims) {
+        let (q, min, scale) = (
+            _mm256_set1_ps(q),
+            _mm256_set1_ps(min),
+            _mm256_set1_ps(scale),
+        );
+        let lo = _mm256_set1_ps(lo);
+        let e0 = plane_entries8(entry, q, min, scale, c0);
+        let e1 = plane_entries8(entry, q, min, scale, c1);
+        let t0 = round_to_u8x8(_mm256_mul_ps(_mm256_sub_ps(e0, lo), inv));
+        let t1 = round_to_u8x8(_mm256_mul_ps(_mm256_sub_ps(e1, lo), inv));
+        // u16 lanes [t0 0..4, t1 0..4 | t0 4..8, t1 4..8], put in code
+        // order, then narrowed to the 16 bytes of the table.
+        let w = _mm256_permute4x64_epi64::<0b11_01_10_00>(_mm256_packus_epi32(t0, t1));
+        let bytes = _mm_packus_epi16(_mm256_castsi256_si128(w), _mm256_extracti128_si256::<1>(w));
+        // `codes` is a 16-byte chunk of `lut`; the store is unaligned.
+        _mm_storeu_si128(codes.as_mut_ptr() as *mut __m128i, bytes);
+    }
+    (sums.bias, delta)
 }

@@ -36,6 +36,23 @@
 //! quantization error of at most `delta·dim/2` per plane
 //! ([`Sq4Scorer::lut_error_bound`]), absorbed by the exact f32 re-rank
 //! like the 4-bit quantization error itself.
+//!
+//! # What a plane costs
+//!
+//! A scan builds one plane per (query, probed partition) — twice that
+//! for cosine — so the build is a per-partition fixed cost, paid before
+//! the first block is scored. It is the `sq4_plane` entry of the
+//! dispatched [`Kernels`] table: the AVX2 and NEON forms evaluate a
+//! dimension's 16 entries in vector registers, take the NaN-ignoring
+//! table extremes with vector min / max, and round the quantized
+//! entries in vector registers too; only the dimension-ordered sums of
+//! `PlaneSums` stay scalar. At dim 128 that is ≈ 2.0 µs on AVX2
+//! against ≈ 7.7 µs for the scalar loop (`micro_kernels`,
+//! `sq4_plane_128d`), and it writes into buffers the
+//! scorer owns ([`Sq4Scorer::prepare`]), so a scan that re-targets one
+//! scorer across its partitions allocates nothing per partition. Every
+//! backend is held bit for bit — `lut` bytes, `bias` and `delta` bits,
+//! NaN / ±∞ / −0.0 included — to the libm reference in the tests.
 
 use crate::distance::Metric;
 use crate::simd::{self, Kernels};
@@ -46,6 +63,13 @@ pub const SQ4_LEVELS: u32 = 15;
 
 /// Rows per packed block.
 pub const SQ4_BLOCK: usize = 32;
+
+/// SQ4 supports dimensions strictly below this. The LUT step keeps
+/// every row sum under `65 535`, with `dim/2` of that budget reserved
+/// for rounding (see [`Sq4Scorer::prepare`]); past this bound the
+/// reserve would eat half the budget and, at `dim ≥ 65 535`, the u16
+/// sums would overflow outright.
+pub const SQ4_MAX_DIM: usize = 32_768;
 
 /// Packed payload size of one block: 16 bytes per dimension.
 pub fn sq4_block_bytes(dim: usize) -> usize {
@@ -86,7 +110,10 @@ pub fn get_block_code(packed: &[u8], d: usize, slot: usize) -> u8 {
 }
 
 /// One quantized lookup-table plane: u8 entries plus the affine
-/// `(bias, delta)` that maps integer row sums back to floats.
+/// `(bias, delta)` that maps integer row sums back to floats. A scorer
+/// rebuilds its planes in place for every partition it is prepared
+/// against, so `lut` is allocated once per scorer, not per partition.
+#[derive(Default)]
 struct Plane {
     /// 16 u8 entries per dimension (`16·dim` bytes).
     lut: Vec<u8>,
@@ -97,101 +124,109 @@ struct Plane {
     delta: f32,
 }
 
+impl Plane {
+    /// Rebuilds this plane for `query` against `params` with the
+    /// backend's plane kernel; `mins` is the kernel's per-dimension
+    /// scratch.
+    fn build(
+        &mut self,
+        kernels: &Kernels,
+        entry: PlaneEntry,
+        query: &[f32],
+        params: &Sq8Params,
+        mins: &mut Vec<f32>,
+    ) {
+        let dim = params.dim();
+        self.lut.resize(dim * 16, 0);
+        mins.resize(dim, 0.0);
+        (self.bias, self.delta) = (kernels.sq4_plane)(entry, query, params, mins, &mut self.lut);
+    }
+}
+
+/// What one plane tabulates: the per-dimension term `entry(q_d, x)` of
+/// a metric, for the 16 decoded values `x = min_d + scale_d·c` of
+/// dimension `d`. Every backend evaluates `x` and the entry with these
+/// exact operations (multiply, then add; no FMA), so a plane's floats
+/// are the same bits everywhere.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum PlaneEntry {
+    /// `(q − x)²`: L2 residuals.
+    Residual,
+    /// `q·x`: the Dot and Cosine numerator.
+    Product,
+    /// `x²`: the Cosine decoded squared norm.
+    Square,
+}
+
+/// The sequential half of a plane build, shared by every backend: the
+/// per-dimension extremes arrive in dimension order and are summed in
+/// that order, so `bias` and `delta` cannot depend on how a backend
+/// found the extremes (only on their values). Extremes ignore NaN
+/// entries, like `if v < lo`; all-NaN tables give `(+∞, −∞)`.
+pub(crate) struct PlaneSums {
+    pub bias: f32,
+    max_range: f32,
+    total_range: f32,
+    finite: bool,
+}
+
+impl PlaneSums {
+    pub fn new() -> PlaneSums {
+        PlaneSums {
+            bias: 0.0,
+            max_range: 0.0,
+            total_range: 0.0,
+            finite: true,
+        }
+    }
+
+    /// Folds in the next dimension's table minimum `lo` and maximum
+    /// `hi`.
+    #[inline(always)]
+    pub fn add(&mut self, lo: f32, hi: f32) {
+        self.finite &= lo.is_finite() && hi.is_finite();
+        self.bias += lo;
+        let r = hi - lo;
+        if r > self.max_range {
+            self.max_range = r;
+        }
+        self.total_range += r;
+    }
+
+    /// The LUT step of a `dim`-dimension plane, or `None` when the
+    /// plane is degenerate (constant entries, or non-finite query /
+    /// range products): then every lookup decodes to the per-dimension
+    /// minimum, scores collapse to `bias`, and re-rank still fixes the
+    /// final answer.
+    ///
+    /// `delta ≥ max_range/255` keeps every entry in u8; `delta ≥
+    /// total_range/(65535 − dim)` keeps every possible row sum (≤
+    /// `Σ_d round(range_d/delta)` ≤ `total/delta + dim/2`) in u16 — so
+    /// the integer kernel can never overflow, even on corrupt codes.
+    /// That needs `dim < SQ4_MAX_DIM` ([`Sq4Scorer::prepare`] asserts it).
+    #[inline]
+    pub fn delta(&self, dim: usize) -> Option<f32> {
+        debug_assert!(dim < SQ4_MAX_DIM);
+        let delta = (self.max_range / 255.0).max(self.total_range / (65_535 - dim) as f32);
+        (self.finite && delta.is_finite() && delta > 0.0).then_some(delta)
+    }
+}
+
 /// `x.round().clamp(0.0, 255.0) as u8` without the libm call: the cast
 /// truncates and saturates (NaN and negatives to 0, anything above to
 /// 255) and `x − trunc(x)` is exact, so comparing it to one half rounds
-/// half away from zero exactly as `round` does.
-#[inline]
-fn round_to_u8(x: f32) -> u8 {
+/// half away from zero exactly as `round` does. The SIMD plane kernels
+/// clamp to `[0, 255]` first and then do the same.
+#[inline(always)]
+pub(crate) fn round_to_u8(x: f32) -> u8 {
     let t = x as u8;
     t.saturating_add((x - t as f32 >= 0.5) as u8)
 }
 
-/// Quantizes one plane of `dim` 16-entry tables. Built once per (query,
-/// probed partition), so it is on the query path: no libm calls, and
-/// plain compares for the per-table extremes — like `f32::min`/`max`
-/// they never pick a NaN. The tests hold it, bit for bit, to the
-/// straightforward `quantize_plane_reference`.
-fn quantize_plane(entries: &[f32], dim: usize) -> Plane {
-    // u16 accumulation headroom assumes `dim` is far below the sum
-    // budget; real vector dims are.
-    debug_assert!(dim < 32_768);
-    debug_assert_eq!(entries.len(), dim * 16);
-    let mut mins = Vec::with_capacity(dim);
-    let mut bias = 0.0f32;
-    let mut max_range = 0.0f32;
-    let mut total_range = 0.0f32;
-    let mut finite = true;
-    for row in entries.chunks_exact(16) {
-        let mut lo = f32::INFINITY;
-        let mut hi = f32::NEG_INFINITY;
-        for &v in row {
-            if v < lo {
-                lo = v;
-            }
-            if v > hi {
-                hi = v;
-            }
-        }
-        finite &= lo.is_finite() && hi.is_finite();
-        mins.push(lo);
-        bias += lo;
-        let r = hi - lo;
-        if r > max_range {
-            max_range = r;
-        }
-        total_range += r;
-    }
-    if dim == 0 {
-        return Plane {
-            lut: Vec::new(),
-            bias: 0.0,
-            delta: 0.0,
-        };
-    }
-    // `delta ≥ max_range/255` keeps every entry in u8;
-    // `delta ≥ total_range/(65535 − dim)` keeps every possible row sum
-    // (≤ Σ_d round(range_d/delta) ≤ total/delta + dim/2) in u16 — so
-    // the integer kernel can never overflow, even on corrupt codes.
-    let delta = (max_range / 255.0).max(total_range / (65_535 - dim) as f32);
-    if !finite || !delta.is_finite() || delta <= 0.0 {
-        // Degenerate plane (constant entries, or non-finite query /
-        // range products): all lookups decode to the per-dimension
-        // minimum. Scores collapse to `bias`; re-rank still fixes the
-        // final answer.
-        return Plane {
-            lut: vec![0u8; dim * 16],
-            bias,
-            delta: 0.0,
-        };
-    }
-    let inv = 1.0 / delta;
-    let mut lut = vec![0u8; dim * 16];
-    let tables = lut.chunks_exact_mut(16).zip(entries.chunks_exact(16));
-    for ((codes, row), &lo) in tables.zip(&mins) {
-        for (code, &e) in codes.iter_mut().zip(row) {
-            *code = round_to_u8((e - lo) * inv);
-        }
-    }
-    Plane { lut, bias, delta }
-}
-
-/// The quantized plane of per-dimension tables `entry(q_d, x)` over the
-/// 16 decoded values `x = min_d + scale_d·c` of dimension `d`.
-fn plane_of(query: &[f32], params: &Sq8Params, entry: impl Fn(f32, f32) -> f32) -> Plane {
-    let dim = params.dim();
-    let mut entries = vec![0.0f32; dim * 16];
-    let dims = query.iter().zip(params.min.iter().zip(&params.scale));
-    for (table, (&q, (&min, &scale))) in entries.chunks_exact_mut(16).zip(dims) {
-        for (c, e) in table.iter_mut().enumerate() {
-            *e = entry(q, min + scale * c as f32);
-        }
-    }
-    quantize_plane(&entries, dim)
-}
-
 /// A query prepared against one partition's 4-bit ranges: scores
-/// packed 32-row blocks without decoding them.
+/// packed 32-row blocks without decoding them. [`Sq4Scorer::prepare`]
+/// re-targets it at another partition in place, so a scan builds one
+/// scorer per query and reuses its tables across partitions.
 #[derive(Debug)]
 pub struct Sq4Scorer {
     metric: Metric,
@@ -205,6 +240,8 @@ pub struct Sq4Scorer {
     norm2: Option<Plane>,
     /// Cosine: `‖q‖`.
     qnorm: f32,
+    /// The plane kernel's per-dimension scratch.
+    mins: Vec<f32>,
 }
 
 impl std::fmt::Debug for Plane {
@@ -225,27 +262,53 @@ impl Sq4Scorer {
 
     /// [`Sq4Scorer::new`] pinned to an explicit backend (bench /
     /// cross-backend test hook). All backends produce bit-identical
-    /// scores regardless — the kernel is integer-exact.
+    /// planes and scores regardless — the plane build is held to one
+    /// reference bit for bit and the block kernel is integer-exact.
     pub fn with_kernels(
         metric: Metric,
         query: &[f32],
         params: &Sq8Params,
         kernels: &'static Kernels,
     ) -> Sq4Scorer {
-        let dim = params.dim();
-        debug_assert_eq!(query.len(), dim);
-        let main = match metric {
-            Metric::L2 => plane_of(query, params, |q, x| (q - x) * (q - x)),
-            Metric::Dot | Metric::Cosine => plane_of(query, params, |q, x| q * x),
-        };
-        let norm2 = (metric == Metric::Cosine).then(|| plane_of(query, params, |_, x| x * x));
-        Sq4Scorer {
+        let mut scorer = Sq4Scorer {
             metric,
-            dim,
+            dim: 0,
             kernels,
-            main,
-            norm2,
-            qnorm: (kernels.dot)(query, query).sqrt(),
+            main: Plane::default(),
+            norm2: (metric == Metric::Cosine).then(Plane::default),
+            qnorm: 0.0,
+            mins: Vec::new(),
+        };
+        scorer.prepare(query, params);
+        scorer
+    }
+
+    /// Re-prepares this scorer for `query` against `params` (another
+    /// partition's ranges, or another query), rebuilding its planes in
+    /// the buffers it already owns: once they have grown to the
+    /// dimension, preparing allocates nothing.
+    ///
+    /// # Panics
+    ///
+    /// If `params.dim() ≥` [`SQ4_MAX_DIM`]: the u16 row sums of the
+    /// block kernel have no headroom left there.
+    pub fn prepare(&mut self, query: &[f32], params: &Sq8Params) {
+        let dim = params.dim();
+        assert!(
+            dim < SQ4_MAX_DIM,
+            "SQ4 supports dim < {SQ4_MAX_DIM}, got {dim}"
+        );
+        debug_assert_eq!(query.len(), dim);
+        self.dim = dim;
+        let main = match self.metric {
+            Metric::L2 => PlaneEntry::Residual,
+            Metric::Dot | Metric::Cosine => PlaneEntry::Product,
+        };
+        let (kernels, mins) = (self.kernels, &mut self.mins);
+        self.main.build(kernels, main, query, params, mins);
+        if let Some(norm2) = &mut self.norm2 {
+            norm2.build(kernels, PlaneEntry::Square, query, params, mins);
+            self.qnorm = (kernels.dot)(query, query).sqrt();
         }
     }
 
@@ -333,7 +396,8 @@ mod tests {
     use proptest::prelude::*;
 
     /// The LUT build as first written — libm `round`, `f32::min`/`max`,
-    /// indexed loops — kept as the oracle for [`quantize_plane`].
+    /// indexed loops — kept as the oracle for every backend's
+    /// `sq4_plane`.
     fn quantize_plane_reference(entries: &[f32], dim: usize) -> Plane {
         debug_assert!(dim < 32_768);
         let mut mins = vec![0.0f32; dim];
@@ -437,10 +501,38 @@ mod tests {
         ]
     }
 
-    fn assert_same_plane(got: &Plane, want: &Plane, what: &str) {
-        assert_eq!(got.lut, want.lut, "{what}: lut");
-        assert_eq!(got.bias.to_bits(), want.bias.to_bits(), "{what}: bias");
-        assert_eq!(got.delta.to_bits(), want.delta.to_bits(), "{what}: delta");
+    /// Which part of `got` differs from `want`, if any.
+    fn plane_diff(got: &Plane, want: &Plane) -> Option<&'static str> {
+        if got.lut != want.lut {
+            Some("lut")
+        } else if got.bias.to_bits() != want.bias.to_bits() {
+            Some("bias")
+        } else if got.delta.to_bits() != want.delta.to_bits() {
+            Some("delta")
+        } else {
+            None
+        }
+    }
+
+    /// The first way `scorer`'s planes differ from the reference planes
+    /// of `query` against `params`, if any.
+    fn plane_mismatch(scorer: &Sq4Scorer, query: &[f32], params: &Sq8Params) -> Option<String> {
+        let (main, norm2) = reference_planes(scorer.metric, query, params);
+        let what = format!("{} {}", scorer.kernels.backend, scorer.metric);
+        if let Some(part) = plane_diff(&scorer.main, &main) {
+            return Some(format!("{what} main: {part}"));
+        }
+        match (&scorer.norm2, &norm2) {
+            (Some(got), Some(want)) => plane_diff(got, want).map(|p| format!("{what} norm²: {p}")),
+            (None, None) => None,
+            _ => Some(format!("{what}: norm² plane presence")),
+        }
+    }
+
+    /// Every backend available in this process: the dispatched one and
+    /// the scalar reference (the same table when dispatch is scalar).
+    fn backends() -> [&'static Kernels; 2] {
+        [simd::kernels(), scalar_kernels()]
     }
 
     proptest! {
@@ -448,7 +540,11 @@ mod tests {
 
         #[test]
         fn lut_build_is_bit_identical_to_the_reference(
-            dim in 1usize..=300,
+            // Never a multiple of 8 on the fixed picks: a vector
+            // backend may not lean on whole registers of dimensions.
+            dim in prop_oneof![
+                Just(1usize), Just(3), Just(17), Just(130), Just(300), 1usize..=300
+            ],
             query in floats(),
             min in floats(),
             scale in floats(),
@@ -457,14 +553,176 @@ mod tests {
                 min: min[..dim].to_vec(),
                 scale: scale[..dim].to_vec(),
             };
-            for metric in [Metric::L2, Metric::Dot, Metric::Cosine] {
-                let scorer = Sq4Scorer::new(metric, &query[..dim], &params);
-                let (main, norm2) = reference_planes(metric, &query[..dim], &params);
-                assert_same_plane(&scorer.main, &main, &format!("{metric} main"));
-                prop_assert_eq!(scorer.norm2.is_some(), norm2.is_some());
-                if let (Some(got), Some(want)) = (&scorer.norm2, &norm2) {
-                    assert_same_plane(got, want, "cosine norm²");
+            let query = &query[..dim];
+            // The planes a scorer last built for other ranges — another
+            // dimension, other bytes — must not leak into a re-prepare.
+            let other = Sq8Params {
+                min: scale.clone(),
+                scale: min.clone(),
+            };
+            for kernels in backends() {
+                for metric in [Metric::L2, Metric::Dot, Metric::Cosine] {
+                    let mut scorer = Sq4Scorer::with_kernels(metric, query, &params, kernels);
+                    prop_assert_eq!(plane_mismatch(&scorer, query, &params), None);
+                    scorer.prepare(&min, &other);
+                    scorer.prepare(query, &params);
+                    prop_assert_eq!(plane_mismatch(&scorer, query, &params), None);
                 }
+            }
+        }
+    }
+
+    /// `scalar::sq4_plane` with its extremes taken the way
+    /// `_mm256_min_ps(lo, v)` / `_mm256_max_ps(hi, v)` take them: the
+    /// second operand wins unless the first compares strictly better, so
+    /// a NaN entry *replaces* the running extreme. `zero_pick` decides a
+    /// tie between zeros of either sign.
+    fn mutant_plane(
+        entry: PlaneEntry,
+        query: &[f32],
+        params: &Sq8Params,
+        mins: &mut [f32],
+        lut: &mut [u8],
+        nan_pick: bool,
+        zero_pick: fn(f32, f32) -> f32,
+    ) -> (f32, f32) {
+        let value = |d: usize, c: usize| {
+            let (q, x) = (query[d], params.min[d] + params.scale[d] * c as f32);
+            match entry {
+                PlaneEntry::Residual => (q - x) * (q - x),
+                PlaneEntry::Product => q * x,
+                PlaneEntry::Square => x * x,
+            }
+        };
+        // The running extreme is kept unless the entry compares
+        // strictly better — or, NaN-picking, unless it compares strictly
+        // worse.
+        type Fold = fn(f32, f32) -> f32;
+        let (lo_of, hi_of): (Fold, Fold) = if nan_pick {
+            (
+                |lo, v| if lo < v { lo } else { v },
+                |hi, v| if hi > v { hi } else { v },
+            )
+        } else {
+            (
+                |lo, v| if v < lo { v } else { lo },
+                |hi, v| if v > hi { v } else { hi },
+            )
+        };
+        let mut sums = PlaneSums::new();
+        for (d, lo_out) in mins.iter_mut().enumerate() {
+            let (mut lo, mut hi) = (f32::INFINITY, f32::NEG_INFINITY);
+            for c in 0..16 {
+                let v = value(d, c);
+                let zeros = |acc: f32| v == 0.0 && acc == 0.0;
+                lo = if zeros(lo) {
+                    zero_pick(lo, v)
+                } else {
+                    lo_of(lo, v)
+                };
+                hi = if zeros(hi) {
+                    zero_pick(hi, v)
+                } else {
+                    hi_of(hi, v)
+                };
+            }
+            *lo_out = lo;
+            sums.add(lo, hi);
+        }
+        let Some(delta) = sums.delta(query.len()) else {
+            lut.fill(0);
+            return (sums.bias, 0.0);
+        };
+        for (d, (codes, &lo)) in lut.chunks_exact_mut(16).zip(mins.iter()).enumerate() {
+            for (c, code) in codes.iter_mut().enumerate() {
+                *code = round_to_u8((value(d, c) - lo) * (1.0 / delta));
+            }
+        }
+        (sums.bias, delta)
+    }
+
+    fn mutant(name: &'static str, sq4_plane: crate::simd::Sq4PlaneFn) -> &'static Kernels {
+        Box::leak(Box::new(Kernels {
+            backend: name,
+            sq4_plane,
+            ..*scalar_kernels()
+        }))
+    }
+
+    /// A product plane whose first table is `[0, 0, NaN × 14]` (`0·x`
+    /// with `x` overflowing to ∞ from code 2 on) next to an ordinary
+    /// table: the reference skips the NaNs, a NaN-picking port ends
+    /// that table on NaN.
+    fn nan_table_case() -> ([f32; 2], Sq8Params) {
+        let params = Sq8Params {
+            min: vec![1.0, 1.0],
+            scale: vec![3e38, 0.5],
+        };
+        ([0.0, 1.0], params)
+    }
+
+    #[test]
+    fn the_plane_check_catches_a_nan_picking_extreme() {
+        let nan_picking = mutant("nan-pick", |e, q, p, m, l| {
+            mutant_plane(e, q, p, m, l, true, |kept, _| kept)
+        });
+        let faithful = mutant("faithful", |e, q, p, m, l| {
+            mutant_plane(e, q, p, m, l, false, |kept, _| kept)
+        });
+        let (query, params) = nan_table_case();
+        for metric in [Metric::Dot, Metric::Cosine] {
+            for kernels in backends().into_iter().chain([faithful]) {
+                let scorer = Sq4Scorer::with_kernels(metric, &query, &params, kernels);
+                assert_eq!(plane_mismatch(&scorer, &query, &params), None, "{metric}");
+            }
+            let scorer = Sq4Scorer::with_kernels(metric, &query, &params, nan_picking);
+            let caught = plane_mismatch(&scorer, &query, &params);
+            // The NaN-ended table makes the whole plane degenerate.
+            assert_eq!(
+                caught.as_deref(),
+                Some(&*format!("nan-pick {metric} main: lut"))
+            );
+        }
+    }
+
+    /// Which zero a backend keeps as a table's extreme when `−0.0` and
+    /// `+0.0` tie (a vector min / max is free to pick either) is not
+    /// observable: `bias` accumulates from `+0.0`, so a `−0.0` term
+    /// leaves it unchanged, and the extreme otherwise enters only
+    /// differences (`hi − lo`, `entry − lo`) whose zero sign rounds to
+    /// code 0 either way. So the check above cannot catch a
+    /// sign-of-zero drift; this test pins why it need not.
+    #[test]
+    fn the_sign_of_a_zero_extreme_cannot_reach_the_plane() {
+        let negative = mutant("zero-neg", |e, q, p, m, l| {
+            mutant_plane(e, q, p, m, l, false, |a, b| {
+                if b.is_sign_negative() {
+                    b
+                } else {
+                    a
+                }
+            })
+        });
+        let positive = mutant("zero-pos", |e, q, p, m, l| {
+            mutant_plane(e, q, p, m, l, false, |a, b| {
+                if b.is_sign_positive() {
+                    b
+                } else {
+                    a
+                }
+            })
+        });
+        // `q = ±0` against ranges straddling zero: every entry of those
+        // tables is a zero of either sign; the last table is ordinary.
+        let query = [0.0, -0.0, 0.0, 1.5];
+        let params = Sq8Params {
+            min: vec![-2.0, -7.0, 3.0, -1.0],
+            scale: vec![1.0, 0.5, -1.0, 0.25],
+        };
+        for kernels in [negative, positive].into_iter().chain(backends()) {
+            for metric in [Metric::Dot, Metric::Cosine] {
+                let scorer = Sq4Scorer::with_kernels(metric, &query, &params, kernels);
+                assert_eq!(plane_mismatch(&scorer, &query, &params), None);
             }
         }
     }

@@ -9,41 +9,61 @@
 
 use std::collections::BinaryHeap;
 
-/// One search result: a vector id and its distance to the query.
+/// One search result: a vector id and its distance to the query, plus
+/// an optional caller payload that rides along without taking part in
+/// the order (a quantized scan carries each candidate's storage
+/// location this way; plain heaps carry `()`, which costs nothing).
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Neighbor {
+pub struct Neighbor<P = ()> {
     pub id: u64,
     pub distance: f32,
+    pub payload: P,
 }
 
-impl Eq for Neighbor {}
+impl<P: PartialEq> Eq for Neighbor<P> {}
 
-impl Ord for Neighbor {
+impl<P: PartialEq> Ord for Neighbor<P> {
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
         // Total order: distance first (NaN sorts greatest), then id for
-        // determinism across runs and thread counts.
+        // determinism across runs and thread counts. The payload is
+        // not compared.
         self.distance
             .total_cmp(&other.distance)
             .then(self.id.cmp(&other.id))
     }
 }
 
-impl PartialOrd for Neighbor {
+impl<P: PartialEq> PartialOrd for Neighbor<P> {
     fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
         Some(self.cmp(other))
     }
 }
 
-/// A bounded max-heap retaining the `k` smallest-distance candidates.
+/// A bounded max-heap retaining the `k` smallest-distance candidates,
+/// each with its payload `P`.
 #[derive(Debug, Clone)]
-pub struct TopK {
+pub struct TopK<P = ()> {
     k: usize,
-    heap: BinaryHeap<Neighbor>,
+    heap: BinaryHeap<Neighbor<P>>,
 }
 
 impl TopK {
     /// A heap retaining at most `k` neighbours.
     pub fn new(k: usize) -> TopK {
+        TopK::with_payload(k)
+    }
+
+    /// Offers a candidate (Algorithm 2 lines 7–10). Returns `true` if
+    /// it was retained.
+    #[inline]
+    pub fn push(&mut self, id: u64, distance: f32) -> bool {
+        self.push_with(id, distance, ())
+    }
+}
+
+impl<P: PartialEq> TopK<P> {
+    /// A heap retaining at most `k` neighbours and their payloads.
+    pub fn with_payload(k: usize) -> TopK<P> {
         TopK {
             k,
             heap: BinaryHeap::with_capacity(k + 1),
@@ -77,8 +97,8 @@ impl TopK {
         }
     }
 
-    /// Whether [`TopK::push`] would retain this candidate right now:
-    /// the heap has room, or the candidate beats the worst retained one
+    /// Whether a push of this candidate would retain it right now: the
+    /// heap has room, or the candidate beats the worst retained one
     /// under the total `(distance, id)` order. Lets a scan run an
     /// expensive per-row check only for rows that can still matter.
     #[inline]
@@ -86,34 +106,41 @@ impl TopK {
         if self.heap.len() < self.k {
             return true;
         }
-        self.heap
-            .peek()
-            .is_some_and(|worst| (Neighbor { id, distance }) < *worst)
+        self.heap.peek().is_some_and(|worst| {
+            distance
+                .total_cmp(&worst.distance)
+                .then(id.cmp(&worst.id))
+                .is_lt()
+        })
     }
 
-    /// Offers a candidate (Algorithm 2 lines 7–10). Returns `true` if
-    /// it was retained.
+    /// Offers a candidate with its payload. Returns `true` if it was
+    /// retained.
     #[inline]
-    pub fn push(&mut self, id: u64, distance: f32) -> bool {
+    pub fn push_with(&mut self, id: u64, distance: f32, payload: P) -> bool {
         if !self.accepts(id, distance) {
             return false;
         }
         if self.heap.len() == self.k {
             self.heap.pop();
         }
-        self.heap.push(Neighbor { id, distance });
+        self.heap.push(Neighbor {
+            id,
+            distance,
+            payload,
+        });
         true
     }
 
     /// Absorbs another heap (the pairwise step of the parallel merge).
-    pub fn merge(&mut self, other: TopK) {
+    pub fn merge(&mut self, other: TopK<P>) {
         for n in other.heap {
-            self.push(n.id, n.distance);
+            self.push_with(n.id, n.distance, n.payload);
         }
     }
 
     /// Extracts the retained candidates sorted by ascending distance.
-    pub fn into_sorted(self) -> Vec<Neighbor> {
+    pub fn into_sorted(self) -> Vec<Neighbor<P>> {
         let mut v = self.heap.into_vec();
         v.sort_unstable();
         v
@@ -123,7 +150,7 @@ impl TopK {
 /// Merges per-thread heaps into one, then sorts: the "parallel heap
 /// merge" + "parallel sort" tail of the query pipeline (Figure 3).
 /// Merging is pairwise-tree shaped so work is `O(t·k·log k)`.
-pub fn merge_all(mut heaps: Vec<TopK>, k: usize) -> Vec<Neighbor> {
+pub fn merge_all<P: PartialEq>(mut heaps: Vec<TopK<P>>, k: usize) -> Vec<Neighbor<P>> {
     if heaps.is_empty() {
         return Vec::new();
     }
@@ -213,7 +240,11 @@ mod tests {
             let got = t.into_sorted();
             let mut want: Vec<Neighbor> = items
                 .iter()
-                .map(|&(id, distance)| Neighbor { id, distance })
+                .map(|&(id, distance)| Neighbor {
+                    id,
+                    distance,
+                    payload: (),
+                })
                 .collect();
             want.sort_unstable();
             want.truncate(k);
@@ -246,7 +277,7 @@ mod tests {
 
     #[test]
     fn merge_all_edge_cases() {
-        assert!(merge_all(vec![], 5).is_empty());
+        assert!(merge_all(Vec::<TopK>::new(), 5).is_empty());
         let empty = TopK::new(5);
         assert!(merge_all(vec![empty], 5).is_empty());
         let mut one = TopK::new(5);

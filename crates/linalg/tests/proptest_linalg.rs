@@ -273,7 +273,11 @@ proptest! {
         // And it really is the k smallest of the full multiset.
         let mut want: Vec<micronn_linalg::Neighbor> = items
             .iter()
-            .map(|&(id, distance)| micronn_linalg::Neighbor { id, distance })
+            .map(|&(id, distance)| micronn_linalg::Neighbor {
+                id,
+                distance,
+                payload: (),
+            })
             .collect();
         want.sort_unstable();
         want.truncate(k);

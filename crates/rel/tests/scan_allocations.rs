@@ -1,11 +1,12 @@
 //! `Table::visit_pk_prefix` allocates nothing per row.
 //!
-//! The partition scan's hot path lends rows out of pinned leaf pages, so
-//! the heap traffic of a warm visit is a constant (the encoded prefix
-//! and its bounds) whatever the number of rows, plus — for rows stored
-//! in overflow chains — one growth of the reassembly buffer each time a
-//! longer row than any before it turns up. This binary counts with its
-//! own allocator, so it holds one test only.
+//! The partition scan's hot path lends rows out of pinned pages — the
+//! leaf, or the one overflow page a spilled row fits in — so the heap
+//! traffic of a warm visit is a constant (the encoded prefix and its
+//! bounds) whatever the number of rows, plus — for rows stored in
+//! multi-page overflow chains — one growth of the reassembly buffer each
+//! time a longer row than any before it turns up. This binary counts
+//! with its own allocator, so it holds one test only.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -126,12 +127,12 @@ fn a_prefix_visit_allocates_a_constant_not_per_row() {
     let db = Database::create(dir.path().join("db"), opts).unwrap();
 
     // Inline rows: partition 1 holds 1 000 of them, partition 2 four
-    // times as many (and four times the leaves).
+    // times as many (and four times the leaves), partition 4 200.
     let inline = table(
         &db,
         "inline",
-        4,
-        |p| 1000 * [1, 1, 4, 1][p as usize],
+        5,
+        |p| [1000, 1000, 4000, 1000, 200][p as usize],
         |_, _| 64,
     );
     let (rows_1k, bytes_1k, allocs_1k) = visit(&db, &inline, 1);
@@ -168,5 +169,18 @@ fn a_prefix_visit_allocates_a_constant_not_per_row() {
     assert!(
         allocs_50 <= allocs_1k + lengths.len(),
         "{allocs_50} allocations: more than the buffer's growths"
+    );
+
+    // One-page overflow rows (an SQ4 block's size at dim 128) are lent
+    // from their overflow page: the reassembly buffer never grows, so
+    // 200 of them cost what 200 inline rows do.
+    let one_page = table(&db, "one_page", 2, |_| 200, |_, _| 2600);
+    let (rows_inline, _, allocs_inline) = visit(&db, &inline, 4);
+    let (rows_spilled, bytes_spilled, allocs_spilled) = visit(&db, &one_page, 1);
+    assert_eq!((rows_inline, rows_spilled), (200, 200));
+    assert!(bytes_spilled > 200 * 2600, "every row was seen whole");
+    assert!(
+        allocs_spilled <= allocs_inline,
+        "{allocs_spilled} allocations for one-page rows, {allocs_inline} for inline rows"
     );
 }

@@ -7,10 +7,12 @@
 //! layout exists to provide.
 //!
 //! There is one walk, [`Cursor::next_with`]: it lends each `(key,
-//! value)` pair to a closure as slices of the pinned leaf image (of the
-//! cursor's one reassembly buffer when the value lives in an overflow
-//! chain), so a scan copies nothing and allocates nothing per row. It is
-//! the hot path — every partition scan of the vector layer runs on it.
+//! value)` pair to a closure as slices of pinned page images — the leaf,
+//! or the overflow page of a value that spilled to a one-page chain —
+//! so a scan copies nothing and allocates nothing per row. Only a value
+//! whose chain spans several pages is reassembled, into the cursor's
+//! one scratch buffer. It is the hot path — every partition scan of the
+//! vector layer runs on it.
 //! The owning [`Iterator`] is that same walk with a copy of each pair
 //! taken, kept for callers that want to hold rows.
 
@@ -22,7 +24,7 @@ use crate::page::{page_type, PageData, PageId};
 use crate::store::PageRead;
 
 use super::node;
-use super::{fetch_node, fetch_node_scan, val_bytes, BTree};
+use super::{fetch_node, fetch_node_scan, val_bytes, BTree, ValBuf};
 
 /// A forward walk over `(key, value)` pairs in key order; see the
 /// module docs for its two forms.
@@ -36,9 +38,8 @@ pub struct Cursor<'r, R: PageRead + ?Sized> {
     idx: usize,
     /// Exclusive/inclusive upper bound.
     end: Bound<Vec<u8>>,
-    /// Reassembly buffer for values stored in overflow chains, reused
-    /// for the whole walk.
-    scratch: Vec<u8>,
+    /// Where spilled values are lent from, reused for the whole walk.
+    buf: ValBuf,
 }
 
 impl BTree {
@@ -112,7 +113,7 @@ impl BTree {
             leaf: Some(leaf),
             idx,
             end,
-            scratch: Vec::new(),
+            buf: ValBuf::default(),
         })
     }
 }
@@ -166,7 +167,7 @@ impl<R: PageRead + ?Sized> Cursor<'_, R> {
                 // so neither leaves nor their overflow chains may
                 // displace the pool's protected segment.
                 let value = node::leaf_val(leaf, self.idx);
-                let value = val_bytes(self.reader, value, true, &mut self.scratch)?;
+                let value = val_bytes(self.reader, value, true, &mut self.buf)?;
                 self.idx += 1;
                 return Ok(Some(f(key, value)));
             }
@@ -330,6 +331,58 @@ mod tests {
         let (_d, store, tree) = setup(0);
         let r = store.begin_read();
         assert_eq!(tree.scan_all(&r).unwrap().count(), 0);
+    }
+
+    /// A value spilled to a one-page chain is lent straight from that
+    /// page's image — the slice lies inside the pinned overflow page —
+    /// and the reassembly buffer is never grown; only the multi-page
+    /// value goes through it. The point reader lends the same way.
+    #[test]
+    fn a_one_page_overflow_value_is_lent_in_place() {
+        let (_d, store, tree) = setup(0);
+        let mut txn = store.begin_write().unwrap();
+        let sizes = [2600usize, 20, 4000, 9000, 3000];
+        let value = |i: usize| vec![i as u8 + 1; sizes[i]];
+        for i in 0..sizes.len() {
+            tree.insert(&mut txn, format!("k{i}").as_bytes(), &value(i))
+                .unwrap();
+        }
+        txn.commit().unwrap();
+        let r = store.begin_read();
+        let lent_from_page = |buf: &ValBuf, (ptr, len): (usize, usize)| {
+            buf.page.as_ref().is_some_and(|page| {
+                let start = page.as_ptr() as usize;
+                page.page_type() == page_type::OVERFLOW
+                    && start < ptr
+                    && ptr + len <= start + crate::page::PAGE_SIZE
+            })
+        };
+        let mut cursor = tree.scan_all(&r).unwrap();
+        for (i, &size) in sizes.iter().enumerate() {
+            let (at, bytes) = cursor
+                .next_with(|_, v| ((v.as_ptr() as usize, v.len()), v.to_vec()))
+                .unwrap()
+                .unwrap();
+            assert_eq!(bytes, value(i), "value {i}");
+            let one_page = size > 1024 && size <= super::super::OVERFLOW_CAPACITY;
+            assert_eq!(lent_from_page(&cursor.buf, at), one_page, "value {i}");
+            if i < 3 {
+                assert_eq!(cursor.buf.scratch.capacity(), 0, "grown by value {i}");
+            }
+        }
+        assert!(cursor.buf.scratch.capacity() >= 9000, "the chain used it");
+
+        let mut reader = tree.point_reader(&r);
+        for i in [0, 2, 4] {
+            let at = reader
+                .get(format!("k{i}").as_bytes(), |v| {
+                    (v.as_ptr() as usize, v.len())
+                })
+                .unwrap()
+                .unwrap();
+            assert!(lent_from_page(&reader.buf, at), "value {i}");
+        }
+        assert_eq!(reader.buf.scratch.capacity(), 0);
     }
 
     #[test]

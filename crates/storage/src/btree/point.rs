@@ -20,7 +20,7 @@ use crate::page::{page_type, PageData, PageId};
 use crate::store::PageRead;
 
 use super::node;
-use super::{fetch_node, val_bytes, BTree};
+use super::{fetch_node, val_bytes, BTree, ValBuf};
 
 /// Interior pages one reader keeps pinned. Trees here are 2–4 levels
 /// deep, so the root and the hot second-level nodes fit; past the cap
@@ -36,8 +36,8 @@ pub struct PointReader<'r, R: PageRead + ?Sized> {
     reader: &'r R,
     root: PageId,
     pinned: [Option<(PageId, Arc<PageData>)>; MAX_PINNED],
-    /// Reassembly buffer for values stored in overflow chains.
-    scratch: Vec<u8>,
+    /// Where spilled values are lent from.
+    pub(super) buf: ValBuf,
 }
 
 impl<'r, R: PageRead + ?Sized> PointReader<'r, R> {
@@ -46,7 +46,7 @@ impl<'r, R: PageRead + ?Sized> PointReader<'r, R> {
             reader,
             root: tree.root(),
             pinned: Default::default(),
-            scratch: Vec::new(),
+            buf: ValBuf::default(),
         }
     }
 
@@ -77,14 +77,15 @@ impl<'r, R: PageRead + ?Sized> PointReader<'r, R> {
     }
 
     /// Looks `key` up and passes its value to `f` as a slice of the
-    /// leaf image (of the reader's scratch buffer when the value lives
-    /// in an overflow chain). `None` when the key is absent.
+    /// leaf image, or of the overflow page when the value spilled to a
+    /// one-page chain (of the reader's scratch buffer only for longer
+    /// chains). `None` when the key is absent.
     pub fn get<T>(&mut self, key: &[u8], f: impl FnOnce(&[u8]) -> T) -> Result<Option<T>> {
         let Some((leaf, i)) = self.seek(key)? else {
             return Ok(None);
         };
         let value = node::leaf_val(&leaf, i);
-        let value = val_bytes(self.reader, value, false, &mut self.scratch)?;
+        let value = val_bytes(self.reader, value, false, &mut self.buf)?;
         Ok(Some(f(value)))
     }
 }

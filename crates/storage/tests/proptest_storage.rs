@@ -15,7 +15,7 @@ use proptest::prelude::*;
 use micronn_storage::btree::node::{self, LeafNode, OwnedVal};
 use micronn_storage::page::page_type;
 use micronn_storage::{
-    BTree, PageData, PageRead, StorageError, Store, StoreOptions, SyncMode, PAGE_SIZE,
+    BTree, PageData, PageRead, StorageError, Store, StoreOptions, SyncMode, WriteTxn, PAGE_SIZE,
 };
 
 #[derive(Debug, Clone)]
@@ -560,29 +560,30 @@ proptest! {
     }
 }
 
-/// A corrupt overflow chain surfaces as one `Err`, after which the
-/// cursor — either form of it — yields nothing more. (What a failing
-/// closure does to a walk is its caller's loop to decide:
-/// `rel::Table::visit_pk_prefix` has that test.)
-#[test]
-fn a_corrupt_overflow_chain_surfaces_once_and_ends_the_walk() {
+/// Builds 40 rows whose row 25 spills `len` bytes to an overflow chain,
+/// lets `corrupt` damage that chain (given its pages in order), and
+/// checks the damage surfaces as one `Err(Corrupt)` after the 25 rows
+/// before it, after which the cursor — either form of it — yields
+/// nothing more.
+fn assert_corrupt_chain_surfaces_once(len: usize, corrupt: impl Fn(&mut WriteTxn, &[u32])) {
     let dir = tempfile::tempdir().unwrap();
     let store = Store::create(dir.path().join("db"), opts()).unwrap();
     let mut txn = store.begin_write().unwrap();
     let tree = BTree::create(&mut txn).unwrap();
     for i in 0..40u32 {
-        let len = if i == 25 { 9000 } else { 20 };
+        let len = if i == 25 { len } else { 20 };
         tree.insert(&mut txn, format!("k{i:05}").as_bytes(), &vec![i as u8; len])
             .unwrap();
     }
-
-    // Break the middle of key 25's three-page chain: zero the chunk
-    // length of its second overflow page.
     let chain: Vec<u32> = (1..txn.page_count())
         .filter(|&id| txn.page(id).unwrap().page_type() == page_type::OVERFLOW)
         .collect();
-    assert_eq!(chain.len(), 3, "9000 bytes spill to three overflow pages");
-    txn.page_mut(chain[1]).unwrap().put_u16(2, 0);
+    assert_eq!(
+        chain.len(),
+        len.div_ceil(4088),
+        "{len} bytes of overflow pages"
+    );
+    corrupt(&mut txn, &chain);
 
     let mut cursor = tree.scan_all(&txn).unwrap();
     let mut seen = 0;
@@ -600,6 +601,41 @@ fn a_corrupt_overflow_chain_surfaces_once_and_ends_the_walk() {
     let outcomes: Vec<bool> = tree.scan_all(&txn).unwrap().map(|kv| kv.is_ok()).collect();
     assert_eq!(outcomes.len(), 26, "25 rows, one error, then nothing");
     assert!(outcomes[..25].iter().all(|ok| *ok) && !outcomes[25]);
+    let mut reader = tree.point_reader(&txn);
+    let got = reader.get(b"k00025", |_| ());
+    assert!(matches!(got, Err(StorageError::Corrupt(_))), "{got:?}");
+}
+
+/// A corrupt overflow chain surfaces as one `Err`, after which the
+/// cursor yields nothing more — for a multi-page chain reassembled in
+/// scratch, and for every way a one-page chunk, which the walk lends in
+/// place, can lie about itself. (What a failing closure does to a walk
+/// is its caller's loop to decide: `rel::Table::visit_pk_prefix` has
+/// that test.)
+#[test]
+fn a_corrupt_overflow_chain_surfaces_once_and_ends_the_walk() {
+    // The middle of a three-page chain: chunk length zeroed.
+    assert_corrupt_chain_surfaces_once(9000, |txn, chain| {
+        txn.page_mut(chain[1]).unwrap().put_u16(2, 0);
+    });
+    let one_page = 2600;
+    let set_len = |len: u16| {
+        move |txn: &mut WriteTxn, chain: &[u32]| txn.page_mut(chain[0]).unwrap().put_u16(2, len)
+    };
+    // A one-page chunk of length 0, over the page's capacity, or
+    // short / long of the value's total.
+    assert_corrupt_chain_surfaces_once(one_page, set_len(0));
+    assert_corrupt_chain_surfaces_once(one_page, set_len(4089));
+    assert_corrupt_chain_surfaces_once(one_page, set_len(one_page as u16 - 1));
+    assert_corrupt_chain_surfaces_once(one_page, set_len(one_page as u16 + 1));
+    // A one-page chain that claims a next page: itself.
+    assert_corrupt_chain_surfaces_once(one_page, |txn, chain| {
+        txn.page_mut(chain[0]).unwrap().put_u32(4, chain[0]);
+    });
+    // A one-page chain whose page is not an overflow page.
+    assert_corrupt_chain_surfaces_once(one_page, |txn, chain| {
+        txn.page_mut(chain[0]).unwrap()[0] = page_type::BTREE_LEAF;
+    });
 }
 
 /// A `(group, seq)` key shaped like the relational layer's
