@@ -15,7 +15,8 @@
 //! `nearest_partitions` routine of the single-query path, so probe
 //! sets match it bit for bit), phase 2 fans out the shared partition
 //! scans through the executor's `PartitionScanner` frame, and phase 3
-//! fans out the per-query exact re-rank under the SQ8 codec.
+//! fans out the per-query exact re-rank under a quantized codec (SQ8
+//! or SQ4).
 //! Results return in index order and the first error (by partition or
 //! query index) is reported deterministically, whatever the worker
 //! count.
@@ -122,7 +123,6 @@ impl crate::snapshot::Snapshot {
             r,
             filter: None,
             metrics: &metrics,
-            blocks: &BlockPool::default(),
             use_codec: true,
             epoch: index.map_or(0, |index| index.epoch),
             time_filter: false,
@@ -196,7 +196,7 @@ fn scan_groups<P: Payload>(
     nq: usize,
     k: usize,
 ) -> Result<Vec<Vec<Neighbor<P>>>> {
-    let scan_k = scan_pool_k(scanner.inner, k, true);
+    let (scan_k, blocks) = (scan_pool_k(scanner.inner, k, true), BlockPool::default());
     let partials: Vec<Vec<TopK<P>>> =
         scanner
             .inner
@@ -211,7 +211,7 @@ fn scan_groups<P: Payload>(
                 let mut heaps: Vec<TopK<P>> =
                     members.iter().map(|_| TopK::with_payload(scan_k)).collect();
                 let queries = Queries::Group { flat, members };
-                scanner.scan(partitions[i], &queries, &mut heaps)?;
+                scanner.scan(partitions[i], &queries, &mut heaps, &blocks)?;
                 Ok(heaps)
             })?;
     let mut per_query: Vec<Vec<TopK<P>>> = (0..nq).map(|_| Vec::new()).collect();

@@ -202,14 +202,12 @@ impl MicroNN {
             }
         }
 
-        // Codec-aware epilogue: a rebuild moves rows between
-        // partitions, so every partition's quantization ranges are
-        // retrained and its codes rewritten from scratch.
-        if inner.quantized() {
-            w.clear_codes()?;
-            for c in 0..k {
-                crate::codec::encode_partition(&mut w, c as i64 + 1)?;
-            }
+        // Codec-aware epilogue (a no-op under F32): a rebuild moves rows
+        // between partitions, so every partition's quantization ranges
+        // are retrained and its codes rewritten from scratch.
+        w.clear_codes()?;
+        for c in 0..k {
+            crate::codec::encode_partition(&mut w, c as i64 + 1)?;
         }
 
         // Refresh statistics for the hybrid optimizer and bump the

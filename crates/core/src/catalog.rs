@@ -172,6 +172,14 @@ impl Block<'_> {
         (le(vid), le(asset))
     }
 
+    /// `(slot, vid, asset)` of every live slot, in slot order.
+    pub fn live(&self) -> impl Iterator<Item = (usize, i64, i64)> + '_ {
+        (0..SQ4_BLOCK).filter_map(|j| {
+            let (vid, asset) = self.slot(j);
+            (vid != 0).then_some((j, vid, asset))
+        })
+    }
+
     /// Writes slot `j` of the directory (`(0, 0)` tombstones it).
     pub fn set_slot(&mut self, j: usize, vid: i64, asset: i64) {
         let slot = &mut self.dir.to_mut()[j * SLOT_BYTES..(j + 1) * SLOT_BYTES];

@@ -3,8 +3,7 @@
 //! A [`VectorCodec`] decides how partition scans read vectors:
 //!
 //! * [`VectorCodec::F32`] — scans decode the raw f32 payload exactly
-//!   as the paper's §3.3 loop does (the default; bit-identical to the
-//!   un-refactored behaviour).
+//!   as the paper's §3.3 loop does (the default).
 //! * [`VectorCodec::Sq8`] — each indexed partition additionally keeps
 //!   per-dimension scalar-quantized u8 codes in a *separate* clustered
 //!   table (`codes`), laid out independently from the f32 payload so a
@@ -16,7 +15,8 @@
 //!   ([`micronn_linalg::sq4`]). Scans score whole blocks via
 //!   in-register shuffle lookups and re-rank exactly, like SQ8.
 //!
-//! `catalog.rs` owns how codes and ranges are laid out on disk.
+//! `catalog.rs` owns how codes and ranges are laid out on disk; this
+//! module is the only other one that tells SQ8 and SQ4 apart.
 //!
 //! The codec choice is part of the index catalog (persisted in the
 //! `meta` table at creation, validated when a database is opened) and
@@ -30,10 +30,11 @@
 //! the maintainer can schedule a retrain when ranges drift.
 
 use micronn_linalg::{
-    set_block_code, sq4_train, Sq8Encoder, Sq8Params, SQ4_BLOCK, SQ4_LEVELS, SQ8_LEVELS,
+    get_block_code, set_block_code, sq4_train, Sq8Params, SQ4_BLOCK, SQ4_LEVELS, SQ8_LEVELS,
 };
+use micronn_storage::PageRead;
 
-use crate::catalog::{Block, Loc, Member, Writer};
+use crate::catalog::{Block, Loc, Member, Tables, Writer};
 use crate::error::Result;
 
 /// How vector payloads are stored and scanned.
@@ -75,6 +76,12 @@ impl VectorCodec {
         matches!(self, VectorCodec::Sq8 | VectorCodec::Sq4)
     }
 
+    /// Whether codes are 32-slot fastscan blocks, one `(partition,
+    /// block)` row each (SQ4), rather than one row per vector (SQ8).
+    pub(crate) fn blocked(&self) -> bool {
+        *self == VectorCodec::Sq4
+    }
+
     /// Code levels per dimension for quantized codecs.
     pub(crate) fn levels(&self) -> u32 {
         match self {
@@ -98,31 +105,11 @@ impl std::fmt::Display for VectorCodec {
     }
 }
 
-/// Encodes `m` under `enc` into slot `slot` of `block`; whether any
-/// dimension clamped. `set_block_code` clears the slot's stale nibble
-/// before writing, so tombstone leftovers vanish.
-fn fill_slot(
-    block: &mut Block<'_>,
-    slot: usize,
-    m: &Member,
-    enc: &Sq8Encoder,
-    code_buf: &mut Vec<u8>,
-) -> bool {
-    block.set_slot(slot, m.vid, m.asset);
-    code_buf.clear();
-    let clamped = enc.encode_row(&m.vector, code_buf);
-    for (d, &c) in code_buf.iter().enumerate() {
-        set_block_code(block.packed.to_mut(), d, slot, c);
-    }
-    clamped
-}
-
 /// Retrains the quantization ranges of `partition` from its current
-/// f32 rows and rewrites the partition's code rows — the codec-aware
-/// half of every maintenance operation that rewrites a partition
-/// wholesale (rebuild, split, merge, drift retrain). Returns the
-/// number of encoded vectors. No-op (returning 0) for non-quantized
-/// catalogs.
+/// f32 rows and rewrites the partition's codes — the codec-aware half
+/// of every maintenance operation that rewrites a partition wholesale
+/// (rebuild, split, merge, drift retrain). Returns the number of
+/// encoded vectors. No-op (returning 0) for non-quantized catalogs.
 pub(crate) fn encode_partition(w: &mut Writer<'_>, partition: i64) -> Result<usize> {
     let tables = w.tables();
     let (codec, dim) = (tables.codec(), tables.dim());
@@ -132,59 +119,42 @@ pub(crate) fn encode_partition(w: &mut Writer<'_>, partition: i64) -> Result<usi
     // Phase 1 (read-only): collect the partition's members (key order
     // → ascending vid, so block/slot assignment is deterministic).
     let members = tables.members(w, partition)?;
-    // Phase 2 (write): retrain ranges, rewrite the code rows.
+    // Phase 2 (write): retrain ranges, then append every member to a
+    // partition without codes.
     let mut flat = Vec::with_capacity(members.len() * dim);
     for m in &members {
         flat.extend_from_slice(&m.vector);
     }
     let params = codec.train(&flat, dim);
     w.put_params(partition, &params)?;
-    let enc = params.encoder(codec.levels());
-    let mut code_buf = Vec::with_capacity(dim);
-    match codec {
-        VectorCodec::Sq4 => {
-            // Blocks are rewritten wholesale: drop the partition's
-            // old blocks (slot occupancy may have shifted), then pack
-            // members 32 at a time.
-            for stale in tables.code_keys(w, partition)? {
-                w.remove_code_row(partition, stale)?;
-            }
-            for (id, chunk) in members.chunks(SQ4_BLOCK).enumerate() {
-                let mut block = Block::empty(partition, id as i64, dim);
-                for (slot, m) in chunk.iter().enumerate() {
-                    fill_slot(&mut block, slot, m, &enc, &mut code_buf);
-                }
-                w.put_block(block)?;
-            }
-        }
-        _ => {
-            // SQ8: code rows are always a subset of the partition's
-            // current members — rebuild wipes them all first, a flush
-            // only adds rows, and upsert/delete remove a row's code in
-            // the same transaction — so upserting by (partition, vid)
-            // replaces every live code and no stale sweep is needed.
-            for m in &members {
-                code_buf.clear();
-                enc.encode_row(&m.vector, &mut code_buf);
-                w.put_code((partition, m.vid), m.asset, &code_buf)?;
-            }
+    if codec.blocked() {
+        // Blocks are rewritten wholesale: drop the partition's old
+        // blocks (slot occupancy may have shifted), so the append packs
+        // members 32 at a time from block 0.
+        for stale in tables.code_keys(w, partition)? {
+            w.remove_code_row(partition, stale)?;
         }
     }
+    // SQ8 code rows are always a subset of the partition's current
+    // members — rebuild wipes them all first, a flush only adds rows,
+    // and upsert/delete remove a row's code in the same transaction —
+    // so upserting by (partition, vid) replaces every live code and no
+    // stale sweep is needed.
+    append_partition(w, partition, &params, &members)?;
     Ok(members.len())
 }
 
 /// Encodes newly-flushed rows into `partition`'s code storage *under
 /// its existing ranges* (no retrain — that is the maintainer's drift
 /// decision). `rows` must be the members just moved into the
-/// partition, in ascending-vid order. Returns `(appended, clamped)`
-/// where `clamped` counts rows with at least one out-of-range
-/// dimension — the quantizer range-drift signal.
+/// partition, in ascending-vid order. Returns how many rows clamp in
+/// at least one dimension — the quantizer range-drift signal.
 pub(crate) fn append_partition(
     w: &mut Writer<'_>,
     partition: i64,
     params: &Sq8Params,
     rows: &[Member],
-) -> Result<(usize, usize)> {
+) -> Result<usize> {
     let tables = w.tables();
     let (codec, dim) = (tables.codec(), tables.dim());
     let enc = params.encoder(codec.levels());
@@ -194,34 +164,35 @@ pub(crate) fn append_partition(
         VectorCodec::Sq4 => {
             // Fill tombstoned/empty slots of existing blocks in
             // (block, slot) order, then append fresh blocks.
-            let mut blocks = Vec::new();
+            let (mut open, mut fresh) = (Vec::new(), 0);
             tables.scan_blocks(w, Some(partition), |b| {
-                blocks.push(b.into_owned());
+                fresh = b.id + 1; // key order: the last block has the largest id
+                if b.live().count() < SQ4_BLOCK {
+                    open.push(b.into_owned());
+                }
                 Ok(())
             })?;
-            let mut next_block = blocks.iter().map(|b| b.id).max().map_or(0, |m| m + 1);
-            let mut queue = rows.iter().peekable();
-            for mut block in blocks {
-                let mut dirty = false;
+            let (mut open, mut queue) = (open.into_iter(), rows.iter());
+            while queue.len() > 0 {
+                let mut block = open.next().unwrap_or_else(|| {
+                    fresh += 1;
+                    Block::empty(partition, fresh - 1, dim)
+                });
                 for slot in 0..SQ4_BLOCK {
                     if block.slot(slot).0 != 0 {
                         continue;
                     }
                     let Some(m) = queue.next() else { break };
-                    clamped += fill_slot(&mut block, slot, m, &enc, &mut code_buf) as usize;
-                    dirty = true;
-                }
-                if dirty {
-                    w.put_block(block)?;
-                }
-            }
-            while queue.peek().is_some() {
-                let mut block = Block::empty(partition, next_block, dim);
-                for (slot, m) in queue.by_ref().take(SQ4_BLOCK).enumerate() {
-                    clamped += fill_slot(&mut block, slot, m, &enc, &mut code_buf) as usize;
+                    block.set_slot(slot, m.vid, m.asset);
+                    code_buf.clear();
+                    clamped += enc.encode_row(&m.vector, &mut code_buf) as usize;
+                    // `set_block_code` clears the slot's stale nibble
+                    // before writing, so tombstone leftovers vanish.
+                    for (d, &c) in code_buf.iter().enumerate() {
+                        set_block_code(block.packed.to_mut(), d, slot, c);
+                    }
                 }
                 w.put_block(block)?;
-                next_block += 1;
             }
         }
         _ => {
@@ -232,7 +203,7 @@ pub(crate) fn append_partition(
             }
         }
     }
-    Ok((rows.len(), clamped))
+    Ok(clamped)
 }
 
 /// Removes one vector's code when it leaves an indexed partition
@@ -250,10 +221,9 @@ pub(crate) fn remove_code(w: &mut Writer<'_>, (partition, vid): Loc) -> Result<(
         VectorCodec::Sq4 => {
             let mut hit = None;
             tables.scan_blocks(w, Some(partition), |block| {
-                if hit.is_none() {
-                    if let Some(slot) = (0..SQ4_BLOCK).find(|&j| block.slot(j).0 == vid) {
-                        hit = Some((block.into_owned(), slot));
-                    }
+                let slot = (0..SQ4_BLOCK).find(|&j| block.slot(j).0 == vid);
+                if let (None, Some(slot)) = (&hit, slot) {
+                    hit = Some((block.into_owned(), slot));
                 }
                 Ok(())
             })?;
@@ -264,6 +234,31 @@ pub(crate) fn remove_code(w: &mut Writer<'_>, (partition, vid): Loc) -> Result<(
         }
     }
     Ok(())
+}
+
+/// Visits every live code of a quantized catalog in key order as
+/// `(location, asset, code)`, one byte per dimension (an SQ8 row as
+/// stored, an SQ4 slot's nibbles unpacked), for `verify_integrity`.
+pub(crate) fn visit_codes<R: PageRead + ?Sized>(
+    tables: &Tables,
+    r: &R,
+    mut f: impl FnMut(Loc, i64, &[u8]),
+) -> Result<()> {
+    if !tables.codec().blocked() {
+        return tables.scan_codes(r, None, |at, asset, code| {
+            f(at, asset, code);
+            Ok(())
+        });
+    }
+    let mut code = Vec::with_capacity(tables.dim());
+    tables.scan_blocks(r, None, |block| {
+        for (slot, vid, asset) in block.live() {
+            code.clear();
+            code.extend((0..tables.dim()).map(|d| get_block_code(&block.packed, d, slot)));
+            f((block.partition, vid), asset, &code);
+        }
+        Ok(())
+    })
 }
 
 #[cfg(test)]

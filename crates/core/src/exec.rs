@@ -4,19 +4,19 @@
 //! KNN, batch-MQO group scans, and both hybrid plans — compiles down
 //! to the machinery in this module:
 //!
-//! * [`PartitionScanner`] is the shared partition-scan frame. It owns
-//!   the walk over the clustered payload tables (rows are lent from
-//!   their pinned leaf pages, never copied: `Table::visit_pk_prefix`)
-//!   and block-at-a-time scoring for every codec (f32 rows through the
-//!   batched one-to-many / GEMM kernels, SQ8 codes through
-//!   [`Sq8Scorer::score_chunk`], SQ4 fastscan blocks through
-//!   [`Sq4Scorer::score_block`]). The §3.5 post-filter join runs
-//!   *after* scoring, in the one push loop (`Sink::push_all`): a row's
-//!   attributes are probed only if its score could still enter the
-//!   top-k. Top-k over the passing rows is unique under the total
-//!   `(distance, id)` order and a row is skipped only when `k` passing
-//!   rows already beat it, so the result is bit-identical to filtering
-//!   first, for a fraction of the attribute lookups.
+//! * [`PartitionScanner`] is the shared partition-scan frame: a catalog
+//!   walk lends rows from their pinned leaf pages into one chunk, and
+//!   one flush scores it for every query. A codec picks only the walk
+//!   (f32 rows, SQ8 code rows, or SQ4 blocks lent in place) and the
+//!   kernel (the batched one-to-many / GEMM kernels,
+//!   [`Sq8Scorer::score_chunk`], or [`Sq4Scorer::score_block`]). The
+//!   §3.5 post-filter join runs *after* scoring, in the one push loop
+//!   (`Sink::push_all`): a row's attributes are probed only if its
+//!   score could still enter the top-k. Top-k over the passing rows is
+//!   unique under the total `(distance, id)` order and a row is skipped
+//!   only when `k` passing rows already beat it, so the result is
+//!   bit-identical to filtering first, for a fraction of the attribute
+//!   lookups.
 //! * [`Queries`] selects the query side of a scan: one vector
 //!   (single-query search, exact KNN) or a batch group addressing rows
 //!   of a flat query matrix (MQO phase 2). The f32 kernels differ by
@@ -52,7 +52,6 @@ use micronn_linalg::{
 use micronn_storage::ReadTxn;
 
 use crate::catalog::{extend_f32, Loc};
-use crate::codec::VectorCodec;
 use crate::db::{Inner, DELTA_PARTITION};
 use crate::error::Result;
 use crate::hybrid::{AttrProbe, FilterCtx};
@@ -157,28 +156,20 @@ impl Queries<'_> {
 /// What a scan's heaps carry beside `(distance, asset)`: `()` for
 /// scans whose distances are final, the row's `(partition, vid)` for
 /// the quantized candidate pool that [`rerank_exact`] fetches by.
-pub(crate) trait Payload: Copy + PartialEq + Send {
+pub(crate) trait Payload: Copy + Default + PartialEq + Send {
     /// The payload of the row stored at `loc`.
     fn of(loc: Loc) -> Self;
-    /// This payload's drained f32 blocks in `pool`.
-    fn blocks(pool: &BlockPool) -> &parking_lot::Mutex<Vec<F32Block<Self>>>;
 }
 
 impl Payload for () {
     #[inline(always)]
     fn of(_: Loc) {}
-    fn blocks(pool: &BlockPool) -> &parking_lot::Mutex<Vec<F32Block>> {
-        &pool.exact
-    }
 }
 
 impl Payload for Loc {
     #[inline(always)]
     fn of(loc: Loc) -> Loc {
         loc
-    }
-    fn blocks(pool: &BlockPool) -> &parking_lot::Mutex<Vec<F32Block<Loc>>> {
-        &pool.located
     }
 }
 
@@ -195,7 +186,6 @@ pub(crate) struct PartitionScanner<'a> {
     /// Optional §3.5 post-filter; `None` scans every row.
     pub filter: Option<&'a FilterCtx<'a>>,
     pub metrics: &'a ScanMetrics,
-    pub blocks: &'a BlockPool,
     /// Score quantized codes where the catalog has them. Exact KNN
     /// passes `false`: exact semantics are codec-independent.
     pub use_codec: bool,
@@ -256,48 +246,148 @@ impl Sink<'_> {
     }
 }
 
-/// One accumulated block of f32 rows awaiting a batched kernel call,
-/// with each row's asset id and payload.
-pub(crate) struct F32Block<P = ()> {
+/// The kernel a partition's chunks are scored with. With the catalog
+/// walk that fills the chunk, it is all a codec changes in the frame.
+#[derive(Default)]
+enum Kernel {
+    /// f32 rows, one query: the direct one-to-many kernel (bit-exact
+    /// with the scalar `Metric::distance` used by re-ranking).
+    #[default]
+    One,
+    /// f32 rows, a batch group: §3.4's norm-identity GEMM, one matrix
+    /// multiplication per (chunk, query group).
+    Group,
+    /// SQ8 code rows: the batched asymmetric [`Sq8Scorer::score_chunk`]
+    /// of one scorer per query, never touching the f32 payload.
+    Sq8(Vec<Sq8Scorer>),
+    /// One SQ4 fastscan block: [`Sq4Scorer::score_block`] of each of
+    /// [`Chunk`]'s `sq4` scorers scores every slot in one in-register
+    /// LUT pass and the block's directory keeps the live slots' scores
+    /// (a tombstoned slot is scored and discarded — the fastscan
+    /// trade-off).
+    Sq4,
+}
+
+/// The one chunk of a partition scan: the rows awaiting a batched
+/// kernel call, and the kernel's per-partition query state. A scan
+/// takes a chunk from its [`BlockPool`] and puts it back, so a job
+/// allocates buffers and scorers once, not once per partition.
+#[derive(Default)]
+pub(crate) struct Chunk<P = ()> {
+    kernel: Kernel,
+    /// One SQ4 scorer per query, re-prepared in place for each SQ4
+    /// partition ([`Sq4Scorer::prepare`]); kept apart from `kernel` so
+    /// an f32 or SQ8 partition in between does not drop them.
+    sq4: Vec<Sq4Scorer>,
+    /// The scan's queries, row-major: what the f32 kernels read.
+    queries: Vec<f32>,
+    /// Each row's asset and payload, in scan order.
     ids: Vec<(i64, P)>,
+    /// The rows' f32 components, row-major.
     rows: Vec<f32>,
+    /// The rows' SQ8 codes, row-major.
+    codes: Vec<u8>,
+    /// The directory slots the rows occupy in the SQ4 block, which is
+    /// lent to [`Chunk::flush`] from its page instead of copied in.
+    slots: Vec<usize>,
+    /// The `nq × rows` score matrix.
     scores: Vec<f32>,
 }
 
-impl<P> Default for F32Block<P> {
-    fn default() -> Self {
-        F32Block {
-            ids: Vec::new(),
-            rows: Vec::new(),
-            scores: Vec::new(),
-        }
-    }
-}
+/// The chunks of one scan operation (see [`Chunk`]).
+pub(crate) type BlockPool<P> = parking_lot::Mutex<Vec<Chunk<P>>>;
 
-/// Drained buffers of one scan operation: a partition scan takes a
-/// block (or a set of SQ4 scorers) and puts it back, so a job allocates
-/// buffers once, not once per partition.
-#[derive(Default)]
-pub(crate) struct BlockPool {
-    exact: parking_lot::Mutex<Vec<F32Block>>,
-    located: parking_lot::Mutex<Vec<F32Block<Loc>>>,
-    /// Per-query SQ4 scorers, re-prepared for each partition
-    /// ([`Sq4Scorer::prepare`]).
-    sq4: parking_lot::Mutex<Vec<Vec<Sq4Scorer>>>,
+impl<P: Payload> Chunk<P> {
+    /// Adds a row whose payload is already in `rows` or `codes`; flushes
+    /// at `SCAN_CHUNK` rows (`BATCH_ROW_CHUNK` for the GEMM).
+    fn push(
+        &mut self,
+        (asset, at): (i64, Loc),
+        inner: &Inner,
+        heaps: &mut [TopK<P>],
+        sink: &mut Sink<'_>,
+    ) -> Result<()> {
+        self.ids.push((asset, P::of(at)));
+        let full = match self.kernel {
+            Kernel::Group => BATCH_ROW_CHUNK,
+            _ => SCAN_CHUNK,
+        };
+        if self.ids.len() < full {
+            return Ok(());
+        }
+        self.flush(inner, &[], heaps, sink)
+    }
+
+    /// Scores the chunk for every query into the `nq × rows` score
+    /// matrix, offers each query's row to its heap, tallies the work and
+    /// empties the chunk. `block` is the SQ4 block that `slots` index;
+    /// the other kernels read the chunk's own rows and pass `&[]`.
+    fn flush(
+        &mut self,
+        inner: &Inner,
+        block: &[u8],
+        heaps: &mut [TopK<P>],
+        sink: &mut Sink<'_>,
+    ) -> Result<()> {
+        let (nr, nq, dim, metric) = (self.ids.len(), heaps.len(), inner.dim, inner.metric);
+        let tally = &mut sink.tally;
+        tally.vectors_scanned += nr;
+        tally.distance_computations += nq * nr;
+        // `4·dim` bytes per f32 row, `dim` per SQ8 code, and the whole
+        // SQ4 block even when none of its slots is live.
+        tally.bytes_scanned += self.rows.len() * 4 + self.codes.len() + block.len();
+        if nr == 0 {
+            return Ok(());
+        }
+        self.scores.clear();
+        match &self.kernel {
+            Kernel::One => {
+                distances_one_to_many(metric, &self.queries, &self.rows, dim, &mut self.scores)
+            }
+            Kernel::Group => {
+                self.scores.resize(nq * nr, 0.0);
+                let (queries, rows) = (&self.queries, &self.rows);
+                batch_distances(metric, queries, nq, rows, nr, dim, &mut self.scores);
+            }
+            Kernel::Sq8(scorers) => {
+                for scorer in scorers {
+                    scorer.score_chunk(&self.codes, &mut self.scores);
+                }
+            }
+            Kernel::Sq4 => {
+                let mut lanes = [0.0f32; SQ4_BLOCK];
+                for scorer in &self.sq4 {
+                    scorer.score_block(block, &mut lanes);
+                    self.scores.extend(self.slots.iter().map(|&j| lanes[j]));
+                }
+            }
+        }
+        for (heap, scores) in heaps.iter_mut().zip(self.scores.chunks_exact(nr)) {
+            sink.push_all(heap, self.ids.iter().copied().zip(scores.iter().copied()))?;
+        }
+        self.ids.clear();
+        self.rows.clear();
+        self.codes.clear();
+        self.slots.clear();
+        Ok(())
+    }
 }
 
 impl PartitionScanner<'_> {
     /// Scans one partition, offering every qualifying row to the
-    /// query-aligned `heaps` (`heaps.len() == queries.len()`).
+    /// query-aligned `heaps` (`heaps.len() == queries.len()`), in a
+    /// chunk borrowed from `blocks`.
     ///
-    /// Quantized catalogs scan the partition's u8 codes when it has
-    /// trained ranges; the delta store (and any partition not yet
-    /// encoded by maintenance) falls through to full precision.
+    /// Quantized catalogs score the partition's codes (SQ8 code rows or
+    /// SQ4 blocks) when it has trained ranges; the delta store (and any
+    /// partition not yet encoded by maintenance) falls through to full
+    /// precision.
     pub fn scan<P: Payload>(
         &self,
         partition: i64,
         queries: &Queries<'_>,
         heaps: &mut [TopK<P>],
+        blocks: &BlockPool<P>,
     ) -> Result<()> {
         debug_assert_eq!(queries.len(), heaps.len());
         let join = self.filter.map(|f| f.probe(self.r));
@@ -305,15 +395,56 @@ impl PartitionScanner<'_> {
             join: join.map(|probe| (probe, self.prune_above, self.time_filter)),
             tally: ScanTotals::default(),
         };
-        let scanned = match self.code_params(partition)? {
-            Some(p) if self.inner.cfg.codec == VectorCodec::Sq4 => {
-                self.scan_codes4(partition, queries, &p, heaps, sink)
+        let mut c = blocks.lock().pop().unwrap_or_default();
+        let (inner, r, only) = (self.inner, self.r, Some(partition));
+        let (tables, dim, metric) = (&inner.tables, inner.dim, inner.metric);
+        let vectors = (0..queries.len()).map(|i| queries.vector(i, dim));
+        match self.code_params(partition)? {
+            None => {
+                // The f32 kernels read the queries as one row-major
+                // matrix (the GEMM's group gathered once per scan).
+                c.queries.clear();
+                vectors.for_each(|q| c.queries.extend_from_slice(q));
+                c.kernel = match queries {
+                    Queries::One(_) => Kernel::One,
+                    Queries::Group { .. } => Kernel::Group,
+                };
+                tables.scan_vectors(r, only, |at, asset, blob| {
+                    extend_f32(&mut c.rows, blob, dim)?;
+                    c.push((asset, at), inner, heaps, sink)
+                })?;
             }
-            Some(p) => self.scan_codes(partition, queries, &p, heaps, sink),
-            None => self.scan_vectors(partition, queries, heaps, sink),
-        };
+            Some(params) if inner.cfg.codec.blocked() => {
+                c.kernel = Kernel::Sq4;
+                c.sq4.truncate(queries.len());
+                for (i, query) in vectors.enumerate() {
+                    match c.sq4.get_mut(i) {
+                        Some(scorer) => scorer.prepare(query, &params),
+                        None => c.sq4.push(Sq4Scorer::new(metric, query, &params)),
+                    }
+                }
+                tables.scan_blocks(r, only, |block| {
+                    for (slot, vid, asset) in block.live() {
+                        c.ids.push((asset, P::of((block.partition, vid))));
+                        c.slots.push(slot);
+                    }
+                    c.flush(inner, &block.packed, heaps, sink)
+                })?;
+            }
+            Some(params) => {
+                let scorers = vectors.map(|query| Sq8Scorer::new(metric, query, &params));
+                c.kernel = Kernel::Sq8(scorers.collect());
+                tables.scan_codes(r, only, |at, asset, code| {
+                    c.codes.extend_from_slice(code);
+                    c.push((asset, at), inner, heaps, sink)
+                })?;
+            }
+        }
+        c.flush(inner, &[], heaps, sink)?;
         self.metrics.absorb(&sink.tally);
-        scanned
+        // A failed scan drops its chunk: it may hold rows.
+        blocks.lock().push(c);
+        Ok(())
     }
 
     /// The partition's trained ranges when this scan reads its codes;
@@ -335,189 +466,6 @@ impl PartitionScanner<'_> {
             .tables
             .prefetch_partition(self.r, partition, codes);
     }
-
-    /// Full-precision scan frame: decodes f32 rows into `chunk`-row
-    /// blocks and scores each block with one batched kernel call.
-    fn scan_vectors<P: Payload>(
-        &self,
-        partition: i64,
-        queries: &Queries<'_>,
-        heaps: &mut [TopK<P>],
-        sink: &mut Sink<'_>,
-    ) -> Result<()> {
-        let dim = self.inner.dim;
-        // The group path gathers its queries into a contiguous
-        // sub-matrix once per scan, then runs the §3.4 GEMM per block.
-        let gathered: Vec<f32>;
-        let (qmat, chunk, grouped) = match queries {
-            Queries::One(q) => (*q, SCAN_CHUNK, false),
-            Queries::Group { flat, members } => {
-                let mut sub = Vec::with_capacity(members.len() * dim);
-                for &qi in *members {
-                    let qi = qi as usize;
-                    sub.extend_from_slice(&flat[qi * dim..(qi + 1) * dim]);
-                }
-                gathered = sub;
-                (&gathered[..], BATCH_ROW_CHUNK, true)
-            }
-        };
-        let mut block = P::blocks(self.blocks).lock().pop().unwrap_or_default();
-        self.inner
-            .tables
-            .scan_vectors(self.r, Some(partition), |at, asset, blob| {
-                extend_f32(&mut block.rows, blob, dim)?;
-                block.ids.push((asset, P::of(at)));
-                if block.ids.len() == chunk {
-                    flush_f32(self.inner, qmat, grouped, &mut block, heaps, sink)?;
-                }
-                Ok(())
-            })?;
-        flush_f32(self.inner, qmat, grouped, &mut block, heaps, sink)?;
-        P::blocks(self.blocks).lock().push(block);
-        Ok(())
-    }
-
-    /// Compressed-domain scan frame: scores `SCAN_CHUNK`-row blocks of
-    /// u8 codes with the batched asymmetric SQ8 kernel, never touching
-    /// the f32 payload.
-    fn scan_codes<P: Payload>(
-        &self,
-        partition: i64,
-        queries: &Queries<'_>,
-        params: &Sq8Params,
-        heaps: &mut [TopK<P>],
-        sink: &mut Sink<'_>,
-    ) -> Result<()> {
-        let dim = self.inner.dim;
-        let scorers: Vec<Sq8Scorer> = (0..queries.len())
-            .map(|i| Sq8Scorer::new(self.inner.metric, queries.vector(i, dim), params))
-            .collect();
-        let mut ids: Vec<(i64, P)> = Vec::with_capacity(SCAN_CHUNK);
-        let mut block: Vec<u8> = Vec::with_capacity(SCAN_CHUNK * dim);
-        let mut scores: Vec<f32> = Vec::with_capacity(SCAN_CHUNK);
-        self.inner
-            .tables
-            .scan_codes(self.r, Some(partition), |at, asset, code| {
-                ids.push((asset, P::of(at)));
-                block.extend_from_slice(code);
-                if ids.len() == SCAN_CHUNK {
-                    flush_codes(&scorers, &mut ids, &mut block, &mut scores, heaps, sink)?;
-                }
-                Ok(())
-            })?;
-        flush_codes(&scorers, &mut ids, &mut block, &mut scores, heaps, sink)
-    }
-
-    /// SQ4 fastscan frame: each `codes` row is one packed 32-vector
-    /// block; a single in-register LUT pass scores every slot, then the
-    /// block's directory masks tombstoned slots (their scores are
-    /// computed but discarded — that is the fastscan trade-off). The
-    /// per-query scorers come from the scan's [`BlockPool`] and are
-    /// re-prepared in place for this partition's ranges.
-    fn scan_codes4<P: Payload>(
-        &self,
-        partition: i64,
-        queries: &Queries<'_>,
-        params: &Sq8Params,
-        heaps: &mut [TopK<P>],
-        sink: &mut Sink<'_>,
-    ) -> Result<()> {
-        let (dim, metric) = (self.inner.dim, self.inner.metric);
-        let mut scorers = self.blocks.sq4.lock().pop().unwrap_or_default();
-        scorers.truncate(queries.len());
-        for i in 0..queries.len() {
-            let query = queries.vector(i, dim);
-            match scorers.get_mut(i) {
-                Some(scorer) => scorer.prepare(query, params),
-                None => scorers.push(Sq4Scorer::new(metric, query, params)),
-            }
-        }
-        let mut block_scores = [0.0f32; SQ4_BLOCK];
-        let mut live: Vec<(usize, (i64, P))> = Vec::with_capacity(SQ4_BLOCK);
-        let scanned = self
-            .inner
-            .tables
-            .scan_blocks(self.r, Some(partition), |block| {
-                sink.tally.bytes_scanned += block.packed.len();
-                live.clear();
-                live.extend((0..SQ4_BLOCK).filter_map(|j| {
-                    // vid 0 marks an empty or tombstoned slot.
-                    let (vid, asset) = block.slot(j);
-                    (vid != 0).then(|| (j, (asset, P::of((block.partition, vid)))))
-                }));
-                if live.is_empty() {
-                    return Ok(());
-                }
-                sink.tally.vectors_scanned += live.len();
-                sink.tally.distance_computations += scorers.len() * live.len();
-                for (scorer, heap) in scorers.iter().zip(heaps.iter_mut()) {
-                    scorer.score_block(&block.packed, &mut block_scores);
-                    sink.push_all(heap, live.iter().map(|&(j, row)| (row, block_scores[j])))?;
-                }
-                Ok(())
-            });
-        self.blocks.sq4.lock().push(scorers);
-        scanned
-    }
-}
-
-/// Scores one accumulated f32 block against `qmat` and drains it.
-fn flush_f32<P: Payload>(
-    inner: &Inner,
-    qmat: &[f32],
-    grouped: bool,
-    block: &mut F32Block<P>,
-    heaps: &mut [TopK<P>],
-    sink: &mut Sink<'_>,
-) -> Result<()> {
-    let (nr, nq, dim) = (block.ids.len(), heaps.len(), inner.dim);
-    if nr == 0 {
-        return Ok(());
-    }
-    let F32Block { ids, rows, scores } = block;
-    scores.clear();
-    if grouped {
-        // §3.4: one matrix multiplication per (partition block, query
-        // group) — the norm-identity kernel.
-        scores.resize(nq * nr, 0.0);
-        batch_distances(inner.metric, qmat, nq, rows, nr, dim, scores);
-    } else {
-        // Single query: the direct one-to-many kernel (bit-exact with
-        // the scalar `Metric::distance` used by re-ranking).
-        distances_one_to_many(inner.metric, qmat, rows, dim, scores);
-    }
-    for (heap, scores) in heaps.iter_mut().zip(scores.chunks_exact(nr)) {
-        sink.push_all(heap, ids.iter().copied().zip(scores.iter().copied()))?;
-    }
-    sink.tally.vectors_scanned += nr;
-    sink.tally.bytes_scanned += nr * dim * 4;
-    sink.tally.distance_computations += nq * nr;
-    ids.clear();
-    rows.clear();
-    Ok(())
-}
-
-/// Scores one accumulated code block against every prepared scorer and
-/// drains the buffers.
-fn flush_codes<P: Payload>(
-    scorers: &[Sq8Scorer],
-    ids: &mut Vec<(i64, P)>,
-    block: &mut Vec<u8>,
-    scores: &mut Vec<f32>,
-    heaps: &mut [TopK<P>],
-    sink: &mut Sink<'_>,
-) -> Result<()> {
-    for (scorer, heap) in scorers.iter().zip(heaps.iter_mut()) {
-        scores.clear();
-        scorer.score_chunk(block, scores);
-        sink.push_all(heap, ids.iter().copied().zip(scores.iter().copied()))?;
-    }
-    sink.tally.vectors_scanned += ids.len();
-    sink.tally.bytes_scanned += block.len();
-    sink.tally.distance_computations += scorers.len() * ids.len();
-    ids.clear();
-    block.clear();
-    Ok(())
 }
 
 /// Candidate-pool size per scan: `k` for exact payloads,
@@ -679,8 +627,9 @@ pub(crate) fn score_candidates(
 ) -> Result<Vec<Neighbor>> {
     let mut top = TopK::new(k);
     let heaps = std::slice::from_mut(&mut top);
-    let mut block = F32Block::default();
-    block.rows.reserve(SCAN_CHUNK * inner.dim);
+    let mut chunk = Chunk::<()>::default(); // `Kernel::One`
+    chunk.queries.extend_from_slice(query);
+    chunk.rows.reserve(SCAN_CHUNK * inner.dim);
     let (mut locate, mut fetch) = (
         inner.tables.location_reader(r),
         inner.tables.vector_reader(r),
@@ -691,14 +640,11 @@ pub(crate) fn score_candidates(
         let Some(loc) = locate.locate(asset)? else {
             continue;
         };
-        if fetch.append(loc, &mut block.rows)? {
-            block.ids.push((asset, ()));
-            if block.ids.len() == SCAN_CHUNK {
-                flush_f32(inner, query, false, &mut block, heaps, &mut sink)?;
-            }
+        if fetch.append(loc, &mut chunk.rows)? {
+            chunk.push((asset, loc), inner, heaps, &mut sink)?;
         }
     }
-    flush_f32(inner, query, false, &mut block, heaps, &mut sink)?;
+    chunk.flush(inner, &[], heaps, &mut sink)?;
     metrics.absorb(&sink.tally);
     Ok(top.into_sorted())
 }

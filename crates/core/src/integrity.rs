@@ -3,7 +3,7 @@
 //! Every mutating operation in MicroNN — upsert, delete, delta flush,
 //! partition split/merge, full rebuild — is one write transaction over
 //! *several* tables (`vectors`, `assets`, `attrs`, `centroids`, `meta`,
-//! and for SQ8 catalogs `codes` + `quants`). The WAL makes each such
+//! and for quantized catalogs `codes` + `quants`). The WAL makes each such
 //! transaction atomic; [`MicroNN::verify_integrity`](crate::MicroNN::verify_integrity) is the other half
 //! of that durability claim: it walks the whole catalog from one read
 //! snapshot and cross-checks every inter-table invariant, so a crash
@@ -255,8 +255,9 @@ impl crate::snapshot::Snapshot {
 
         // Pass 5 — quantized catalogs: the code storage mirrors the
         // indexed vectors bit-for-bit under each partition's stored
-        // ranges (SQ8 row-per-vid, SQ4 blocked slots). A code, block or
-        // ranges blob of the wrong length fails the walk itself.
+        // ranges, one live code per vector whatever the layout (SQ8
+        // row-per-vid, SQ4 blocked slots). A code, block or ranges blob
+        // of the wrong length fails the walk itself.
         if inner.quantized() {
             // One encoder per encoded partition; re-encoding a vector
             // must reproduce its stored code exactly.
@@ -268,13 +269,8 @@ impl crate::snapshot::Snapshot {
                 rep.orphan(format!("quantization ranges for unknown partition {pid}"));
             }
             let mut code_keys: BTreeSet<(i64, i64)> = BTreeSet::new();
-            let mut code_buf = Vec::with_capacity(dim);
-            // One live code of vector `(p, vid)` — an SQ8 row or an SQ4
-            // slot: `same` compares the stored code with a re-encoding.
-            let mut check = |rep: &mut IntegrityReport,
-                             (p, vid): (i64, i64),
-                             asset: i64,
-                             same: &dyn Fn(&[u8]) -> bool| {
+            let mut fresh = Vec::with_capacity(dim);
+            crate::codec::visit_codes(t, r, |(p, vid), asset, code| {
                 rep.codes_checked += 1;
                 if p == DELTA_PARTITION {
                     return rep.error(format!("code ({p},{vid}) in the delta store"));
@@ -291,9 +287,9 @@ impl crate::snapshot::Snapshot {
                 }
                 match (encoders.get(&p), f32s.get(&(p, vid))) {
                     (Some(enc), Some(v)) => {
-                        code_buf.clear();
-                        enc.encode_row(v, &mut code_buf);
-                        if !same(&code_buf) {
+                        fresh.clear();
+                        enc.encode_row(v, &mut fresh);
+                        if fresh != code {
                             rep.error(format!(
                                 "code ({p},{vid}) does not re-encode from its f32 row \
                                  under partition {p}'s stored ranges"
@@ -305,27 +301,7 @@ impl crate::snapshot::Snapshot {
                     )),
                     _ => {} // undecodable vector already reported
                 }
-            };
-            if inner.cfg.codec == crate::VectorCodec::Sq4 {
-                use micronn_linalg::{get_block_code, SQ4_BLOCK};
-                t.scan_blocks(r, None, |block| {
-                    for slot in 0..SQ4_BLOCK {
-                        let (vid, asset) = block.slot(slot);
-                        if vid != 0 {
-                            // (vid 0 is an empty or tombstoned slot)
-                            let nibble = |d| get_block_code(&block.packed, d, slot);
-                            let same = |code: &[u8]| (0..dim).all(|d| nibble(d) == code[d]);
-                            check(&mut rep, (block.partition, vid), asset, &same);
-                        }
-                    }
-                    Ok(())
-                })?;
-            } else {
-                t.scan_codes(r, None, |at, asset, code| {
-                    check(&mut rep, at, asset, &|fresh| fresh == code);
-                    Ok(())
-                })?;
-            }
+            })?;
             for &(p, vid) in by_key.keys() {
                 if p != DELTA_PARTITION && !code_keys.contains(&(p, vid)) {
                     rep.orphan(format!("indexed vector ({p},{vid}) has no code row"));
@@ -447,9 +423,7 @@ mod tests {
         })
         .unwrap();
         let mut block = first.expect("catalog has a block");
-        let slot = (0..micronn_linalg::SQ4_BLOCK)
-            .find(|&j| block.slot(j).0 != 0)
-            .expect("block has a live slot");
+        let (slot, ..) = block.live().next().expect("block has a live slot");
         block.set_slot(slot, 0, 0);
         w.put_block(block).unwrap();
         w.commit().unwrap();

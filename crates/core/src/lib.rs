@@ -25,11 +25,11 @@
 //!   optimizer choosing pre- vs post-filtering (§3.5).
 //! * **Batch multi-query optimization**: partition scans shared across
 //!   a query batch via blocked matrix multiplication (§3.4).
-//! * **Pluggable vector codecs**: the default [`VectorCodec::F32`]
-//!   scans full-precision vectors; [`VectorCodec::Sq8`] scans
-//!   per-partition scalar-quantized u8 codes (~4× fewer payload bytes)
-//!   and [`VectorCodec::Sq4`] 4-bit fastscan blocks (~8× fewer); both
-//!   re-rank the top `rerank_factor·k` candidates exactly.
+//! * **Pluggable vector codecs** ([`VectorCodec`]): the default `F32`
+//!   scans full-precision vectors; `Sq8` scans per-partition
+//!   scalar-quantized u8 codes (~4× fewer payload bytes) and `Sq4`
+//!   4-bit fastscan blocks (~8× fewer); both re-rank the top
+//!   `rerank_factor·k` candidates exactly.
 //!
 //! ## Quickstart
 //!

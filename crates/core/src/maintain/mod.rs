@@ -236,20 +236,18 @@ impl MicroNN {
         // retrains a partition once its clamped fraction crosses
         // `RANGE_DRIFT_LIMIT`. A partition with no stored ranges yet
         // (first flush after its creation) gets a full encode, which
-        // trains them.
+        // trains them. F32 catalogs have no ranges, and the encode is a
+        // no-op.
         let mut drift_updates: Vec<(i64, u64, u64)> = Vec::new();
-        if inner.quantized() {
-            for (&ci, rows) in &dest {
-                let pid = partitions[ci];
-                match t.params(&w, pid)? {
-                    Some(params) => {
-                        let (appended, clamped) =
-                            crate::codec::append_partition(&mut w, pid, &params, rows)?;
-                        drift_updates.push((pid, clamped as u64, appended as u64));
-                    }
-                    None => {
-                        crate::codec::encode_partition(&mut w, pid)?;
-                    }
+        for (&ci, rows) in &dest {
+            let pid = partitions[ci];
+            match t.params(&w, pid)? {
+                Some(params) => {
+                    let clamped = crate::codec::append_partition(&mut w, pid, &params, rows)?;
+                    drift_updates.push((pid, clamped as u64, rows.len() as u64));
+                }
+                None => {
+                    crate::codec::encode_partition(&mut w, pid)?;
                 }
             }
         }

@@ -79,14 +79,14 @@ fn scan_partitions<P: Payload>(
 ) -> Result<Vec<Neighbor<P>>> {
     let inner = scanner.inner;
     let scan_k = scan_pool_k(inner, k, scanner.use_codec);
-    let queries = Queries::One(query);
+    let (queries, blocks) = (Queries::One(query), BlockPool::default());
     let scan_one = |scanner: &PartitionScanner<'_>, i: usize, top: &mut TopK<P>| {
         // Probe readahead: queue the next partition's leaves before
         // scoring this one, so its I/O overlaps our compute.
         if let Some(&next) = partitions.get(i + 1) {
             scanner.prefetch(next);
         }
-        scanner.scan(partitions[i], &queries, std::slice::from_mut(top))
+        scanner.scan(partitions[i], &queries, std::slice::from_mut(top), &blocks)
     };
     let mut seeded = 0;
     let seed = match scanner.filter {
@@ -147,13 +147,12 @@ pub(crate) fn ivf_search(
     trace.stage(stage::PROBE_SELECT);
 
     let use_codec = probes.is_some() && inner.quantized();
-    let (metrics, blocks) = (ScanMetrics::default(), BlockPool::default());
+    let metrics = ScanMetrics::default();
     let scanner = PartitionScanner {
         inner,
         r,
         filter,
         metrics: &metrics,
-        blocks: &blocks,
         use_codec,
         epoch: index.map_or(0, |index| index.epoch),
         time_filter: trace.detailed && filter.is_some(),

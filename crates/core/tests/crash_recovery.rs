@@ -28,7 +28,7 @@ use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 
 use micronn::{Config, Metric, MicroNN, SyncMode, VectorCodec, VectorRecord};
-use micronn_storage::{CrashPlan, PowerCut, SimVfs};
+use micronn_storage::{CrashPlan, OpenMode, PowerCut, SimVfs, Vfs};
 
 const DIM: usize = 8;
 
@@ -328,6 +328,57 @@ fn operation_stream_is_stable() {
     let a = measure(VectorCodec::F32);
     let b = measure(VectorCodec::F32);
     assert_eq!(a, b, "two clean runs must issue the same operation stream");
+}
+
+/// 64-bit FNV-1a of `bytes`.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    (bytes.iter()).fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// One clean run of the crash script: `(ops, writes, syncs)` as the
+/// VFS counted them, then the main file's and the WAL's bytes.
+fn script_bytes(codec: VectorCodec) -> ((u64, u64, u64), Vec<u8>, Vec<u8>) {
+    let sim = SimVfs::new();
+    let db = MicroNN::create(db_path(), cfg(codec, &sim)).unwrap();
+    sim.arm(CrashPlan {
+        at_op: u64::MAX,
+        torn_eighths: None,
+    });
+    let (_, _, _, err) = run_workload(&db);
+    assert_eq!(err, None, "clean run must not fail");
+    let read = |path: &Path| {
+        let file = sim.open(path, OpenMode::Open).unwrap();
+        let mut bytes = vec![0; file.len().unwrap() as usize];
+        file.read_exact_at(&mut bytes, 0).unwrap();
+        bytes
+    };
+    let (writes, syncs, _) = sim.recorded();
+    let wal = read(Path::new("/sim/crash.mnn-wal"));
+    ((sim.ops(), writes, syncs), read(&db_path()), wal)
+}
+
+/// The crash script writes the same bytes every time, per codec. Run
+/// with `--nocapture`, the fingerprint lines it prints are the
+/// byte-level comparison of two builds: a refactor that must not change
+/// the file format prints the same lines before and after.
+#[test]
+fn script_is_byte_deterministic() {
+    for codec in [VectorCodec::F32, VectorCodec::Sq8, VectorCodec::Sq4] {
+        let (counts, main, wal) = script_bytes(codec);
+        let again = script_bytes(codec);
+        assert!(again == (counts, main.clone(), wal.clone()), "{codec}");
+        let (ops, writes, syncs) = counts;
+        println!(
+            "fingerprint {codec}: ops {ops} writes {writes} syncs {syncs} \
+             main {} {:016x} wal {} {:016x}",
+            main.len(),
+            fnv1a(&main),
+            wal.len(),
+            fnv1a(&wal)
+        );
+    }
 }
 
 /// Backups copy through the configured VFS (not the host file system),
