@@ -1,4 +1,4 @@
-//! Ablations of MicroNN design choices (DESIGN.md §4):
+//! Ablations of MicroNN design choices (MicroNN §3):
 //!
 //! 1. **Balance constraint** (Algorithm 1's size penalty): partition
 //!    size variance and recall with λ = 0 vs λ > 0.

@@ -10,7 +10,7 @@
 //! matrix dominates (the paper observes this on DEEPImage's ≈100k
 //! centroids).
 
-use micronn::DeviceProfile;
+use micronn::{DeviceProfile, SearchRequest};
 use micronn_bench::{build_micronn, scaled_specs};
 use micronn_datasets::generate;
 
@@ -55,8 +55,11 @@ fn main() {
         let warmup = make_batch(8);
         db.batch_search(&warmup, K, None).unwrap();
         let single_batch = make_batch(16);
-        let (_, d) =
-            micronn_bench::time(|| db.batch_search_sequential(&single_batch, K, None).unwrap());
+        let (_, d) = micronn_bench::time(|| {
+            for q in &single_batch {
+                db.search_with(&SearchRequest::new(q.clone(), K)).unwrap();
+            }
+        });
         let single_ms = d.as_secs_f64() * 1e3 / single_batch.len() as f64;
 
         for &bs in &BATCHES {

@@ -1,8 +1,8 @@
 //! Table 2: datasets used in the evaluation.
 //!
 //! Prints the paper's dataset inventory next to the synthetic stand-ins
-//! actually generated at the current bench scale (see DESIGN.md §3 for
-//! the substitution rationale).
+//! actually generated at the current bench scale (see
+//! `micronn_datasets::synthetic` for the substitution rationale).
 
 use micronn_datasets::table2_specs;
 

@@ -15,8 +15,11 @@
 //! | `fig8_minibatch`      | Fig. 8 (mini-batch size vs recall/memory)    |
 //! | `fig9_batch_mqo`      | Fig. 9 (batch scaling + amortized latency)   |
 //! | `fig10_updates`       | Fig. 10 (full vs incremental rebuild)        |
-//! | `ablations`           | design-choice ablations (DESIGN.md §4)       |
-//! | `micro_kernels`       | criterion micro-benchmarks                   |
+//! | `ablations`           | design-choice ablations (MicroNN §3)         |
+//!
+//! Kernel, B+tree, WAL and telemetry costs have no bench target here:
+//! the ledger (`ledger/`) times them as its `linalg.*`, `storage.*` and
+//! `telemetry.*` layer rows.
 //!
 //! Scale: `MICRONN_BENCH_SCALE` (fraction of the paper's row counts,
 //! default 0.01) or `FULL_SCALE=1` for paper-scale datasets.

@@ -26,7 +26,7 @@ use std::collections::HashMap;
 use micronn_linalg::{merge_all, Neighbor, TopK};
 
 use crate::catalog::Loc;
-use crate::db::{MicroNN, DELTA_PARTITION};
+use crate::db::DELTA_PARTITION;
 use crate::error::{Error, Result};
 use crate::exec::{
     rerank_exact, scan_pool_k, BlockPool, PartitionScanner, Payload, Queries, ScanMetrics,
@@ -51,9 +51,10 @@ pub struct BatchResponse {
 }
 
 impl crate::snapshot::Snapshot {
-    /// [`MicroNN::batch_search`] at this snapshot: the whole batch —
-    /// probe selection, shared partition scans, re-rank — resolves
-    /// every page at the same frozen commit seq.
+    /// [`MicroNN::batch_search`](crate::MicroNN::batch_search) at this
+    /// snapshot: the whole batch — probe selection, shared partition
+    /// scans, re-rank — resolves every page at the same frozen commit
+    /// seq.
     pub fn batch_search(
         &self,
         queries: &[Vec<f32>],
@@ -224,23 +225,4 @@ fn scan_groups<P: Payload>(
         .into_iter()
         .map(|heaps| merge_all(heaps, scan_k))
         .collect())
-}
-
-impl MicroNN {
-    /// Naive baseline: the same batch processed one query at a time
-    /// (used by the Figure 9 comparison).
-    pub fn batch_search_sequential(
-        &self,
-        queries: &[Vec<f32>],
-        k: usize,
-        probes: Option<usize>,
-    ) -> Result<Vec<Vec<SearchResult>>> {
-        let mut out = Vec::with_capacity(queries.len());
-        for q in queries {
-            let mut req = crate::hybrid::SearchRequest::new(q.clone(), k);
-            req.probes = probes;
-            out.push(self.search_with(&req)?.results);
-        }
-        Ok(out)
-    }
 }

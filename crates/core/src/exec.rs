@@ -49,7 +49,7 @@ use micronn_linalg::{
     batch_distances, distances_one_to_many, Neighbor, Sq4Scorer, Sq8Params, Sq8Scorer, TopK,
     SQ4_BLOCK,
 };
-use micronn_storage::ReadTxn;
+use micronn_storage::{PageRead, ReadTxn};
 
 use crate::catalog::{extend_f32, Loc};
 use crate::db::{Inner, DELTA_PARTITION};
@@ -459,8 +459,12 @@ impl PartitionScanner<'_> {
     /// Queues background readahead of the leaf pages
     /// [`PartitionScanner::scan`] would read for `partition`; jobs call
     /// it for the *next* partition before scoring the current one.
-    /// Best-effort: readahead must never fail or reorder a query.
+    /// Best-effort: readahead must never fail or reorder a query, and
+    /// without a readahead worker it costs nothing.
     pub fn prefetch(&self, partition: i64) {
+        if !self.r.wants_prefetch() {
+            return;
+        }
         let codes = matches!(self.code_params(partition), Ok(Some(_)));
         self.inner
             .tables

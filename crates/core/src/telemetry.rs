@@ -15,10 +15,11 @@
 //!
 //! Overhead discipline: with no sink and no slow-query threshold, a
 //! query costs two `Instant::now` calls plus a handful of relaxed
-//! counter adds and one histogram record — the `micro_kernels`
-//! `telemetry_overhead` group keeps that under 2 % of an SQ8 chunk
-//! scan. Stage timing, span construction, and slow-log records only
-//! happen when [`DbTelemetry::detailed`] is true.
+//! counter adds and one histogram record (the ledger's
+//! `telemetry.hist_record_ns` row times the record). Stage timing, span
+//! construction, and slow-log records only happen when
+//! [`DbTelemetry::detailed`] is true; `telemetry.trace_overhead_ratio`
+//! is a traced query's latency over an untraced one's.
 
 use std::collections::HashMap;
 use std::sync::Arc;

@@ -1,8 +1,9 @@
 //! Buffer-pool behaviour observed through the public API: scan
-//! resistance with a pool smaller than one partition, and probe
-//! readahead warming the pool during multi-probe searches.
+//! resistance with a pool smaller than one partition, pages read by a
+//! clustered scan vs point lookups, and probe readahead warming the
+//! pool during multi-probe searches.
 
-use micronn::{Config, Metric, MicroNN, SyncMode, VectorRecord};
+use micronn::{Config, Metric, MicroNN, SearchRequest, SyncMode, VectorRecord};
 
 const DIM: usize = 64;
 
@@ -85,6 +86,45 @@ fn full_scan_does_not_evict_point_working_set() {
     );
     assert!(lookup.pool_hits > 0);
     assert_eq!(lookup.pool_misses, 0);
+}
+
+/// The reason `vectors` is clustered on `(partition, vid)` (§3.1):
+/// scanning the probed partitions reads fewer pages than fetching the
+/// same number of rows by point lookup. Readahead and extra workers
+/// are off, so both sides are exact page counts.
+#[test]
+fn clustered_scan_reads_fewer_pages_than_point_lookups() {
+    let dir = tempfile::tempdir().unwrap();
+    let mut c = Config::new(DIM, Metric::L2);
+    c.store.sync = SyncMode::Off;
+    c.store.prefetch_queue_pages = 0;
+    c.workers = 1;
+    c.target_partition_size = 100;
+    let db = MicroNN::create(dir.path().join("db.mnn"), c).unwrap();
+    let vectors = clustered(2000, 8, 5);
+    populate(&db, &vectors);
+    db.rebuild().unwrap();
+    db.checkpoint().unwrap();
+
+    db.purge_caches();
+    let before = db.io_stats();
+    let req = SearchRequest::new(vectors[0].clone(), 100).with_probes(4);
+    let rows = db.search_with(&req).unwrap().info.vectors_scanned;
+    let scan_reads = db.io_stats().since(&before).disk_reads();
+
+    db.purge_caches();
+    let before = db.io_stats();
+    for i in 0..rows {
+        let id = (i * 7919 % vectors.len()) as i64;
+        assert!(db.get_vector(id).unwrap().is_some());
+    }
+    let lookup_reads = db.io_stats().since(&before).disk_reads();
+    println!("{rows} rows: scan {scan_reads} pages, point lookups {lookup_reads} pages");
+    assert!(scan_reads > 0);
+    assert!(
+        lookup_reads > 2 * scan_reads,
+        "clustered layout must win: scan {scan_reads} vs lookups {lookup_reads}"
+    );
 }
 
 /// Multi-probe searches queue readahead for the next probe partition;

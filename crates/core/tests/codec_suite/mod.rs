@@ -283,9 +283,10 @@ impl Suite {
             .map(|qi| ds.query(qi).to_vec())
             .collect();
         let batched = db.batch_search(&queries, K, Some(16)).unwrap();
-        let sequential = db.batch_search_sequential(&queries, K, Some(16)).unwrap();
         assert!(batched.bytes_scanned > 0);
-        for (b, s) in batched.results.iter().zip(&sequential) {
+        for (b, q) in batched.results.iter().zip(&queries) {
+            let req = SearchRequest::new(q.clone(), K).with_probes(16);
+            let s = &db.search_with(&req).unwrap().results;
             // Identical probe sets, identical quantized scoring, identical
             // exact re-rank: the MQO path must reproduce the single-query
             // pipeline exactly.

@@ -282,9 +282,10 @@ fn batch_mqo_matches_sequential_results() {
 
     let queries: Vec<Vec<f32>> = (0..64).map(|i| vectors[i * 23].clone()).collect();
     let batched = db.batch_search(&queries, 10, Some(4)).unwrap();
-    let sequential = db.batch_search_sequential(&queries, 10, Some(4)).unwrap();
     assert_eq!(batched.results.len(), 64);
-    for (b, s) in batched.results.iter().zip(&sequential) {
+    for (b, q) in batched.results.iter().zip(&queries) {
+        let req = SearchRequest::new(q.clone(), 10).with_probes(4);
+        let s = &db.search_with(&req).unwrap().results;
         // The GEMM path computes L2 via the norm identity, which
         // rounds differently from the scalar kernel: near-ties may
         // swap. Compare as sets with distance tolerance.

@@ -6,8 +6,9 @@
 //! (InternalA), and the Big-ANN Filtered Search track (Figure 7). None
 //! of those can ship here, so this crate provides seeded synthetic
 //! stand-ins with matching dimensionality, metric and (scalable) row
-//! counts, plus exact ground truth and recall computation. DESIGN.md §3
-//! documents why each substitution preserves the behaviour under test.
+//! counts, plus exact ground truth and recall computation. The
+//! [`synthetic`] and [`tags`] module docs say why each substitution
+//! preserves the behaviour under test.
 
 pub mod ground_truth;
 pub mod synthetic;

@@ -7,7 +7,7 @@
 //! behaviour — recall vs probes, partition locality, batch scaling —
 //! is driven by dimension, metric and clusterability, all of which the
 //! generator reproduces; absolute latencies differ from the paper's
-//! hardware anyway. See DESIGN.md §3 for the substitution rationale.
+//! hardware anyway.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};

@@ -33,7 +33,7 @@ pub mod topk;
 
 pub use distance::{cosine_distance, distances_one_to_many, dot, l2_sq, norm, normalize, Metric};
 pub use matrix::{batch_distances, gemm_nt, Matrix};
-pub use simd::{backend, kernels, scalar_kernels, Kernels};
+pub use simd::{kernels, scalar_kernels, Kernels};
 pub use sq4::{
     get_block_code, set_block_code, sq4_block_bytes, sq4_train, Sq4Scorer, SQ4_BLOCK, SQ4_LEVELS,
     SQ4_MAX_DIM,

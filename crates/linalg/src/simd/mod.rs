@@ -35,7 +35,8 @@
 //!
 //! Set `MICRONN_KERNELS=scalar` in the environment before first use to
 //! pin the portable reference path (CI runs the whole suite once per
-//! arm; benches use [`scalar_kernels`] directly for in-process A/B).
+//! arm; two traced ledger runs, one pinned, compare the `linalg.*`
+//! rows). Tests use [`scalar_kernels`] directly for in-process A/B.
 
 pub mod scalar;
 
@@ -123,12 +124,6 @@ pub fn scalar_kernels() -> &'static Kernels {
 pub fn kernels() -> &'static Kernels {
     static SELECTED: OnceLock<&'static Kernels> = OnceLock::new();
     SELECTED.get_or_init(select)
-}
-
-/// Name of the backend the dispatcher selected (`"avx2"`, `"neon"`,
-/// or `"scalar"`); benches print this in their headers.
-pub fn backend() -> &'static str {
-    kernels().backend
 }
 
 fn select() -> &'static Kernels {
@@ -233,6 +228,6 @@ mod tests {
 
     #[test]
     fn backend_name_is_reported() {
-        assert!(["avx2", "neon", "scalar"].contains(&backend()));
+        assert!(["avx2", "neon", "scalar"].contains(&kernels().backend));
     }
 }

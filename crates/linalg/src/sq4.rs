@@ -47,9 +47,8 @@
 //! table extremes with vector min / max, and round the quantized
 //! entries in vector registers too; only the dimension-ordered sums of
 //! `PlaneSums` stay scalar. At dim 128 that is ≈ 2.0 µs on AVX2
-//! against ≈ 7.7 µs for the scalar loop (`micro_kernels`,
-//! `sq4_plane_128d`), and it writes into buffers the
-//! scorer owns ([`Sq4Scorer::prepare`]), so a scan that re-targets one
+//! against ≈ 7.7 µs for the scalar loop, and it writes into buffers
+//! the scorer owns ([`Sq4Scorer::prepare`]), so a scan that re-targets one
 //! scorer across its partitions allocates nothing per partition. Every
 //! backend is held bit for bit — `lut` bytes, `bias` and `delta` bits,
 //! NaN / ±∞ / −0.0 included — to the libm reference in the tests.

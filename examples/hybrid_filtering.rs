@@ -16,7 +16,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     std::fs::create_dir_all(&dir)?;
 
     // Tagged corpus with Zipfian tag frequencies (stand-in for the
-    // Big-ANN Filtered Search track; see DESIGN.md §3).
+    // Big-ANN Filtered Search track; see `micronn_datasets::tags`).
     println!("generating tagged corpus...");
     let workload = filtered_tags(20_000, 64, 300, 6, 5, 0xF17);
 
