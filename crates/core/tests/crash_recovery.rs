@@ -94,6 +94,10 @@ fn workload() -> Vec<Step> {
         Step::Maintain,
         Step::Checkpoint,
         Step::Upsert(recs(72..82)),
+        // Re-upsert live assets with identical vectors, from a partition
+        // and from the delta: commits that leave pages they dirtied
+        // (the header, the row-count leaf) out of the log.
+        Step::Upsert(recs([2, 3, 72, 73].into_iter())),
         Step::Rebuild,
     ]
 }

@@ -366,3 +366,61 @@ fn version_gc_counters_flat_on_a_quiescent_index_and_move_after_an_upsert() {
         Some(db.io_stats().version_gc_examined)
     );
 }
+
+// ---------------------------------------------------------------------------
+// A commit logs only the pages it changed: an identical replace-upsert
+// leaves the header, the `vectors` row-count leaf and the `attrs` leaf
+// unlogged, and the tally reaches the registry and the CLI.
+// ---------------------------------------------------------------------------
+
+#[test]
+fn identical_replace_upsert_elides_pages_and_the_cli_lists_the_tally() {
+    let dir = tempfile::tempdir().unwrap();
+    let path = dir.path().join("elide.mnn");
+    let mut cfg = config(VectorCodec::F32);
+    cfg.attributes = vec![micronn::AttributeDef::indexed(
+        "g",
+        micronn::ValueType::Integer,
+    )];
+    let db = MicroNN::create(&path, cfg).unwrap();
+    let ds = dataset(300, 4);
+    let record = |i: usize| {
+        VectorRecord::new(i as i64, ds.vector(i).to_vec()).with_attr("g", (i % 4) as i64)
+    };
+    db.upsert_batch(&(0..300).map(record).collect::<Vec<_>>())
+        .unwrap();
+    db.rebuild().unwrap();
+    // The first replace moves asset 7 into the delta; the second is the
+    // steady state a streaming re-upsert sees.
+    db.upsert(record(7)).unwrap();
+    let before = db.io_stats();
+    db.upsert(record(7)).unwrap();
+    let delta = db.io_stats().since(&before);
+    assert_eq!(delta.commits, 1);
+    assert!(
+        delta.commit_pages_elided >= 3,
+        "header, row-count leaf and attrs leaf: {delta:?}"
+    );
+    assert_eq!(
+        db.telemetry().counter("micronn_store_commit_pages_elided"),
+        Some(db.io_stats().commit_pages_elided)
+    );
+    drop(db);
+
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_micronnctl"))
+        .arg("stats")
+        .arg(&path)
+        .args(["--format", "json"])
+        .output()
+        .unwrap();
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let json = String::from_utf8(out.stdout).unwrap();
+    assert!(
+        json.contains("\"micronn_store_commit_pages_elided\""),
+        "{json}"
+    );
+}

@@ -49,6 +49,14 @@ impl IndexDef {
         Ok(())
     }
 
+    /// Whether rows `a` and `b` of one primary key map to the same
+    /// entry: their indexed columns encode to the same bytes.
+    fn same_entry(&self, a: &[Value], b: &[Value]) -> bool {
+        let cols =
+            |row: &[Value]| -> Vec<Value> { self.cols.iter().map(|&c| row[c].clone()).collect() };
+        encode_key(&cols(a)) == encode_key(&cols(b))
+    }
+
     /// Scans index entries whose indexed columns equal `vals`,
     /// yielding decoded primary keys.
     pub fn lookup_eq<R: PageRead + ?Sized>(
@@ -333,6 +341,9 @@ impl Table {
 
     /// Inserts or replaces the row with the same primary key; returns
     /// the previous row if any. Maintains all indexes and the counter.
+    /// A replace leaves alone every index entry and full-text document
+    /// whose column it does not change: removing and re-inserting the
+    /// same key dirties pages without guaranteeing identical bytes.
     pub fn upsert(&self, txn: &mut WriteTxn, row: Vec<Value>) -> Result<Option<Vec<Value>>> {
         self.schema.check_row(&row)?;
         let pk_vals = self.schema.pk_values(&row);
@@ -342,20 +353,24 @@ impl Table {
             Some(b) => Some(decode_row(&b)?),
             None => None,
         };
+        let mut indexes: Vec<&IndexDef> = self.indexes.iter().collect();
+        let mut fts: Vec<&FtsDef> = self.fts.iter().collect();
         if let Some(old) = &old_row {
-            for idx in &self.indexes {
+            indexes.retain(|idx| !idx.same_entry(old, &row));
+            fts.retain(|f| old[f.column] != row[f.column]);
+            for idx in &indexes {
                 idx.remove_entry(txn, old, &pk_vals)?;
             }
-            for f in &self.fts {
+            for f in &fts {
                 f.remove_doc(txn, old, &pk_vals)?;
             }
         } else {
             self.bump_count(txn, 1)?;
         }
-        for idx in &self.indexes {
+        for idx in indexes {
             idx.insert_entry(txn, &row, &pk_vals)?;
         }
-        for f in &self.fts {
+        for f in fts {
             f.add_doc(txn, &row, &pk_vals)?;
         }
         Ok(old_row)
@@ -700,6 +715,77 @@ mod tests {
             f.match_pks(&r, "sunset").unwrap(),
             vec![vec![Value::Integer(1)]]
         );
+    }
+
+    #[test]
+    fn replace_touches_only_the_indexes_whose_columns_change() {
+        let (_d, db) = db();
+        let mut txn = db.begin_write().unwrap();
+        let schema = TableSchema::new(
+            "notes",
+            vec![
+                ColumnDef::new("id", ValueType::Integer),
+                ColumnDef::new("cat", ValueType::Text),
+                ColumnDef::new("tags", ValueType::Text),
+                ColumnDef::new("n", ValueType::Integer),
+            ],
+            &["id"],
+        );
+        let t = db.create_table(&mut txn, schema.unwrap()).unwrap();
+        let t = db.create_index(&mut txn, &t, "by_cat", &["cat"]).unwrap();
+        let t = db.create_fts_index(&mut txn, &t, "tags").unwrap();
+        let note = |id: i64, cat: &str, tags: &str, n: i64| {
+            vec![
+                Value::Integer(id),
+                Value::text(cat),
+                Value::text(tags),
+                Value::Integer(n),
+            ]
+        };
+        for id in 0..20 {
+            t.upsert(&mut txn, note(id, "red", "cat yarn", id)).unwrap();
+        }
+        txn.commit().unwrap();
+        let (idx, f) = (t.index_on(&[1]).unwrap(), t.fts_on(2).unwrap());
+        let pks = |cat: &str| {
+            let r = db.begin_read();
+            let mut pks = idx.lookup_eq(&r, &[Value::text(cat)]).unwrap();
+            pks.sort_by_key(|pk| pk[0].as_integer());
+            pks
+        };
+        let df = |token: &str| f.df(&db.begin_read(), token).unwrap();
+        let all_red = pks("red");
+        let replace = |row: Vec<Value>| {
+            let before = db.store().stats();
+            let mut txn = db.begin_write().unwrap();
+            assert!(t.upsert(&mut txn, row).unwrap().is_some());
+            txn.commit().unwrap();
+            db.store().stats().since(&before).wal_writes
+        };
+
+        // Only the unindexed column changes: the data leaf is the one
+        // page logged; no index, FTS or catalog page is dirtied.
+        assert_eq!(replace(note(3, "red", "cat yarn", 99)), 1);
+        assert_eq!(pks("red"), all_red);
+        assert_eq!((df("cat"), df("yarn")), (20, 20));
+
+        // A changed indexed value moves the entry.
+        assert!(replace(note(3, "blue", "cat yarn", 99)) > 1);
+        assert!(!pks("red").contains(&vec![Value::Integer(3)]));
+        assert_eq!(pks("red").len(), 19);
+        assert_eq!(pks("blue"), vec![vec![Value::Integer(3)]]);
+        assert_eq!((df("cat"), df("yarn")), (20, 20));
+
+        // Changed text moves postings and document frequencies.
+        assert!(replace(note(3, "blue", "cat ball", 99)) > 1);
+        assert_eq!((df("cat"), df("yarn"), df("ball")), (20, 19, 1));
+        let r = db.begin_read();
+        assert_eq!(
+            f.match_pks(&r, "ball").unwrap(),
+            vec![vec![Value::Integer(3)]]
+        );
+        assert_eq!(f.match_pks(&r, "yarn").unwrap().len(), 19);
+        assert_eq!(f.match_pks(&r, "cat").unwrap().len(), 20);
     }
 
     /// A committed `(partition_id, vector_id) -> embedding` table of

@@ -66,13 +66,16 @@ proptest! {
     }
 }
 
+/// The full-text column's values: few tokens, so documents share them.
+const TAGS: [&str; 6] = ["x", "y", "z", "x y", "y z", "x z"];
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 16, ..ProptestConfig::default() })]
 
     #[test]
     fn table_and_index_stay_consistent(
         ops in proptest::collection::vec(
-            (0u8..3, 0i64..60, "[a-c]{1}", proptest::option::of(0i64..5)),
+            (0u8..4, 0i64..60, "[a-c]{1}", 0usize..TAGS.len(), proptest::option::of(0i64..5)),
             1..120,
         )
     ) {
@@ -88,23 +91,33 @@ proptest! {
                 ColumnDef::new("id", ValueType::Integer),
                 ColumnDef::new("cat", ValueType::Text),
                 ColumnDef::nullable("n", ValueType::Integer),
+                ColumnDef::new("tags", ValueType::Text),
             ],
             &["id"],
         ).unwrap()).unwrap();
         let t = db.create_index(&mut txn, &t, "by_cat", &["cat"]).unwrap();
+        let t = db.create_fts_index(&mut txn, &t, "tags").unwrap();
 
-        let mut model: std::collections::BTreeMap<i64, (String, Option<i64>)> =
-            std::collections::BTreeMap::new();
-        for (op, id, cat, n) in ops {
+        type Row = (String, Option<i64>, String);
+        let mut model: std::collections::BTreeMap<i64, Row> = std::collections::BTreeMap::new();
+        for (op, id, cat, tags, n) in ops {
             match op {
-                0 | 1 => {
+                0..=2 => {
+                    // Op 2 re-upserts an existing row with only `n`
+                    // changed, so replaces that keep the indexed and
+                    // full-text values are common.
+                    let (cat, tags) = match model.get(&id) {
+                        Some((c, _, t)) if op == 2 => (c.clone(), t.clone()),
+                        _ => (cat, TAGS[tags].to_string()),
+                    };
                     let row = vec![
                         Value::Integer(id),
                         Value::text(cat.clone()),
                         n.map(Value::Integer).unwrap_or(Value::Null),
+                        Value::text(tags.clone()),
                     ];
                     let old = t.upsert(&mut txn, row).unwrap();
-                    let model_old = model.insert(id, (cat, n));
+                    let model_old = model.insert(id, (cat, n, tags));
                     prop_assert_eq!(old.is_some(), model_old.is_some());
                 }
                 _ => {
@@ -119,16 +132,32 @@ proptest! {
         prop_assert_eq!(rows.len(), model.len());
         for row in &rows {
             let id = row[0].as_integer().unwrap();
-            let (cat, n) = model.get(&id).unwrap();
+            let (cat, n, tags) = model.get(&id).unwrap();
             prop_assert_eq!(row[1].as_text().unwrap(), cat);
             prop_assert_eq!(row[2].as_integer(), *n);
+            prop_assert_eq!(row[3].as_text().unwrap(), tags);
         }
-        // Index agrees per category.
+        let ids = |mut pks: Vec<Vec<Value>>| {
+            pks.sort_by_key(|pk| pk[0].as_integer());
+            pks.into_iter().map(|pk| pk[0].as_integer().unwrap()).collect::<Vec<_>>()
+        };
+        // The index holds exactly the model's primary keys per category.
         let idx = t.index_on(&[1]).unwrap();
         for cat in ["a", "b", "c"] {
-            let got = idx.lookup_eq(&txn, &[Value::text(cat)]).unwrap();
-            let want = model.iter().filter(|(_, (c, _))| c == cat).count();
-            prop_assert_eq!(got.len(), want, "category {}", cat);
+            let got = ids(idx.lookup_eq(&txn, &[Value::text(cat)]).unwrap());
+            let want: Vec<i64> = model.iter().filter(|(_, r)| r.0 == cat).map(|(id, _)| *id).collect();
+            prop_assert_eq!(got, want, "category {}", cat);
+        }
+        // Postings and document frequencies match per token.
+        let fts = t.fts_on(3).unwrap();
+        for token in ["x", "y", "z"] {
+            let want: Vec<i64> = model
+                .iter()
+                .filter(|(_, r)| r.2.split(' ').any(|w| w == token))
+                .map(|(id, _)| *id)
+                .collect();
+            prop_assert_eq!(fts.df(&txn, token).unwrap(), want.len() as u64, "df {}", token);
+            prop_assert_eq!(ids(fts.match_pks(&txn, token).unwrap()), want, "token {}", token);
         }
         txn.commit().unwrap();
     }

@@ -61,6 +61,10 @@ pub struct IoStats {
     /// (resident or not): the work version GC did. Flat on a read-only
     /// stretch.
     pub version_gc_examined: Arc<Counter>,
+    /// Dirty pages a commit did not log because their bytes equalled
+    /// the begin-snapshot image, plus one per commit whose header page
+    /// was skipped (meta unchanged).
+    pub commit_pages_elided: Arc<Counter>,
 }
 
 impl IoStats {
@@ -95,6 +99,7 @@ impl IoStats {
             writer_lock_waits: self.writer_lock_waits.get(),
             version_gc_pages: self.version_gc_pages.get(),
             version_gc_examined: self.version_gc_examined.get(),
+            commit_pages_elided: self.commit_pages_elided.get(),
         }
     }
 
@@ -103,7 +108,7 @@ impl IoStats {
     /// Registry snapshots then observe the store's live traffic — the
     /// same atomics, not copies.
     pub fn register_into(&self, registry: &Registry, prefix: &str) {
-        let entries: [(&str, &Arc<Counter>); 18] = [
+        let entries: [(&str, &Arc<Counter>); 19] = [
             ("main_reads", &self.main_reads),
             ("main_writes", &self.main_writes),
             ("wal_reads", &self.wal_reads),
@@ -122,6 +127,7 @@ impl IoStats {
             ("writer_lock_waits", &self.writer_lock_waits),
             ("version_gc_pages", &self.version_gc_pages),
             ("version_gc_examined", &self.version_gc_examined),
+            ("commit_pages_elided", &self.commit_pages_elided),
         ];
         for (name, counter) in entries {
             registry.register_counter(&format!("{prefix}{name}"), Arc::clone(counter));
@@ -150,6 +156,7 @@ pub struct StoreStats {
     pub writer_lock_waits: u64,
     pub version_gc_pages: u64,
     pub version_gc_examined: u64,
+    pub commit_pages_elided: u64,
 }
 
 impl StoreStats {
@@ -194,6 +201,7 @@ impl StoreStats {
             writer_lock_waits: self.writer_lock_waits - earlier.writer_lock_waits,
             version_gc_pages: self.version_gc_pages - earlier.version_gc_pages,
             version_gc_examined: self.version_gc_examined - earlier.version_gc_examined,
+            commit_pages_elided: self.commit_pages_elided - earlier.commit_pages_elided,
         }
     }
 }

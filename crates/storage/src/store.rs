@@ -20,9 +20,12 @@
 //!   writer mutex (write transactions are fully serialized, as in the
 //!   paper); readers never touch that mutex, so searches and
 //!   maintenance never wait on each other. Mutations are copy-on-write
-//!   into a private dirty set; [`WriteTxn::commit`] appends the dirty
-//!   pages to the WAL as one `Begin`/`PagePut`.../`Commit` record run
-//!   and returns the commit sequence number. Dropping the transaction
+//!   into a private dirty set; [`WriteTxn::commit`] appends the pages
+//!   whose bytes changed to the WAL as one `Begin`/`PagePut`.../`Commit`
+//!   record run and returns the commit sequence number. A dirty page
+//!   still equal to its begin-snapshot image is not logged, and the
+//!   header page is logged only when the page count, freelist or roots
+//!   moved (or the transaction spilled). Dropping the transaction
 //!   without committing discards it (rollback).
 //! * The buffer pool keys entries by `(page, version)`, so many
 //!   versions of one page coexist. [`WriteTxn::commit`] queues, under
@@ -176,7 +179,7 @@ impl std::fmt::Debug for StoreOptions {
 }
 
 /// Durable header metadata, mirrored in memory for fast access.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Meta {
     page_count: u32,
     freelist_head: u32,
@@ -502,8 +505,10 @@ impl Store {
             _guard: guard,
             txid,
             snapshot,
+            begin_meta: meta,
             meta,
             dirty: PageMap::default(),
+            pre: PageMap::default(),
             spilled: PageMap::default(),
             done: false,
         })
@@ -988,8 +993,15 @@ pub struct WriteTxn {
     /// Transaction id stamped into this transaction's WAL records.
     txid: u64,
     snapshot: u64,
+    /// Header metadata at the begin snapshot: commit writes the header
+    /// page only when `meta` has moved away from it.
+    begin_meta: Meta,
     meta: Meta,
     dirty: PageMap<PageId, Arc<PageData>>,
+    /// The begin-snapshot image of each dirty page [`WriteTxn::page_mut`]
+    /// copied in: commit drops a dirty page still equal to it. Allocated,
+    /// freed and spilled pages have none, and a spill clears the map.
+    pre: PageMap<PageId, Arc<PageData>>,
     /// Pages spilled to unpublished WAL records: `page -> image offset`.
     spilled: PageMap<PageId, u64>,
     done: bool,
@@ -1010,6 +1022,9 @@ impl WriteTxn {
                 return Err(StorageError::PageOutOfBounds(id));
             }
             let data = self.read_page_internal(id)?;
+            if !self.spilled.contains_key(&id) {
+                self.pre.insert(id, Arc::clone(&data));
+            }
             self.dirty.insert(id, data);
         }
         let arc = self.dirty.get_mut(&id).expect("just inserted");
@@ -1025,6 +1040,7 @@ impl WriteTxn {
         if threshold == 0 || self.dirty.len() < threshold {
             return Ok(());
         }
+        self.pre.clear();
         let mut pages: Vec<(PageId, Arc<PageData>)> = self.dirty.drain().collect();
         pages.sort_by_key(|(id, _)| *id);
         let refs: Vec<(PageId, &PageData)> = pages.iter().map(|(id, p)| (*id, &**p)).collect();
@@ -1047,6 +1063,7 @@ impl WriteTxn {
             debug_assert_eq!(head.page_type(), page_type::FREE);
             self.meta.freelist_head = head.get_u32(4);
             self.meta.freelist_count -= 1;
+            self.pre.remove(&id);
             self.dirty.insert(id, Arc::new(PageData::zeroed()));
             return Ok(id);
         }
@@ -1065,6 +1082,7 @@ impl WriteTxn {
         let mut p = PageData::zeroed();
         p[0] = page_type::FREE;
         p.put_u32(4, next);
+        self.pre.remove(&id);
         self.dirty.insert(id, Arc::new(p));
         self.meta.freelist_head = id;
         self.meta.freelist_count += 1;
@@ -1103,20 +1121,35 @@ impl WriteTxn {
     /// the fsync wait, so the next committer appends concurrently and
     /// shares a sync with this one instead of issuing its own.
     ///
+    /// Only pages whose bytes changed are logged: a dirty page equal to
+    /// its begin-snapshot image is dropped, and the header page is
+    /// written only when the meta (page count, freelist, roots) moved or
+    /// the transaction spilled. The newest header image on disk therefore
+    /// always carries the committed meta, which is what reopen reads.
+    ///
     /// Returns the commit sequence number — the snapshot at which this
-    /// transaction's effects become visible. A transaction that dirtied
-    /// nothing commits as a no-op and returns its begin snapshot.
+    /// transaction's effects become visible. A transaction left with
+    /// nothing to log commits as a no-op and returns its begin snapshot.
     pub fn commit(mut self) -> Result<u64> {
-        if self.dirty.is_empty() && self.spilled.is_empty() {
+        let touched = !self.dirty.is_empty() || !self.spilled.is_empty();
+        let pre = std::mem::take(&mut self.pre);
+        let before = self.dirty.len();
+        self.dirty
+            .retain(|id, data| pre.get(id).map_or(true, |old| old != data));
+        let mut elided = before - self.dirty.len();
+        if self.meta != self.begin_meta || !self.spilled.is_empty() {
+            let mut header = PageData::zeroed();
+            self.meta.encode(&mut header);
+            self.dirty.insert(0, Arc::new(header));
+        } else if touched {
+            elided += 1;
+        }
+        IoStats::add(&self.inner.stats.commit_pages_elided, elided as u64);
+        if self.dirty.is_empty() {
             self.done = true;
             return Ok(self.snapshot);
         }
         let trace_start = self.inner.trace_start();
-        // The header page rides along with every commit so reopen sees
-        // consistent meta (page count, freelist, roots).
-        let mut header = PageData::zeroed();
-        self.meta.encode(&mut header);
-        self.dirty.insert(0, Arc::new(header));
 
         let mut pages: Vec<(PageId, Arc<PageData>)> = self.dirty.drain().collect();
         pages.sort_by_key(|(id, _)| *id);
@@ -1388,6 +1421,162 @@ mod tests {
         }
         let store = Store::open(&path, opts()).unwrap();
         assert_eq!(store.begin_read().page(1).unwrap()[100], 9);
+    }
+
+    /// Seq of the newest WAL image of `id`, if the WAL holds one.
+    fn logged_at(store: &Store, id: PageId) -> Option<u64> {
+        let index = store.inner.wal.index();
+        index.find_versioned(id, u64::MAX).map(|(_, seq)| seq)
+    }
+
+    #[test]
+    fn rewriting_a_page_to_its_bytes_commits_as_a_noop() {
+        let dir = tempfile::tempdir().unwrap();
+        let store = Store::create(dir.path().join("db"), opts()).unwrap();
+        let mut txn = store.begin_write().unwrap();
+        let p = txn.allocate_page().unwrap();
+        fill(&mut txn, p, 5);
+        let seq = txn.commit().unwrap();
+
+        let before = store.stats();
+        let frames = store.wal_frames();
+        // Same bytes, written straight or through an intermediate value.
+        for detour in [None, Some(9)] {
+            let mut txn = store.begin_write().unwrap();
+            if let Some(b) = detour {
+                fill(&mut txn, p, b);
+            }
+            fill(&mut txn, p, 5);
+            assert_eq!(txn.commit().unwrap(), seq, "the begin snapshot");
+        }
+        let delta = store.stats().since(&before);
+        assert_eq!((delta.wal_writes, delta.commits), (0, 0));
+        assert_eq!(store.wal_frames(), frames);
+        assert_eq!(store.committed_seq(), seq);
+        assert_eq!(
+            delta.commit_pages_elided, 4,
+            "the page and the header, twice"
+        );
+        assert_eq!(store.begin_read().page(p).unwrap()[100], 5);
+    }
+
+    #[test]
+    fn one_page_edit_logs_one_frame_and_survives_reopen_and_a_torn_tail() {
+        let dir = tempfile::tempdir().unwrap();
+        let path = dir.path().join("db");
+        let (a, b) = {
+            let store = Store::create(&path, opts()).unwrap();
+            let mut txn = store.begin_write().unwrap();
+            let (a, b, c) = (
+                txn.allocate_page().unwrap(),
+                txn.allocate_page().unwrap(),
+                txn.allocate_page().unwrap(),
+            );
+            for id in [a, b, c] {
+                fill(&mut txn, id, 1);
+            }
+            txn.set_root(0, a);
+            txn.set_root(3, b);
+            txn.commit().unwrap();
+            let mut txn = store.begin_write().unwrap();
+            txn.free_page(c).unwrap();
+            txn.commit().unwrap();
+            let header = logged_at(&store, 0);
+            for v in 2..=4u8 {
+                let before = store.stats();
+                let mut txn = store.begin_write().unwrap();
+                fill(&mut txn, a, v);
+                txn.commit().unwrap();
+                let delta = store.stats().since(&before);
+                assert_eq!(delta.wal_writes, 1, "one frame, no header");
+                assert_eq!(delta.commit_pages_elided, 1, "the header");
+            }
+            assert_eq!(logged_at(&store, 0), header, "no header since the free");
+            (a, b)
+            // Dropped without a checkpoint: the WAL carries everything.
+        };
+        let check = |want: u8| {
+            let store = Store::open(&path, opts()).unwrap();
+            assert_eq!(store.page_count(), 4);
+            assert_eq!(store.freelist_len(), 1);
+            let r = store.begin_read();
+            assert_eq!((r.root(0), r.root(3)), (a, b));
+            assert_eq!(r.page(a).unwrap()[100], want);
+        };
+        check(4);
+        // Tear the last commit: reopen falls back one commit, and the
+        // header it reads is still the one the free logged.
+        let wal = wal_path(&path);
+        let len = std::fs::metadata(&wal).unwrap().len();
+        let f = std::fs::OpenOptions::new().write(true).open(&wal).unwrap();
+        f.set_len(len - 100).unwrap();
+        drop(f);
+        check(3);
+    }
+
+    #[test]
+    fn allocate_free_and_set_root_each_write_the_header() {
+        let dir = tempfile::tempdir().unwrap();
+        let store = Store::create(dir.path().join("db"), opts()).unwrap();
+        type Op = fn(&mut WriteTxn);
+        let ops: [(Op, u64); 3] = [
+            (
+                |t| {
+                    t.allocate_page().unwrap();
+                },
+                2,
+            ),
+            (|t| t.free_page(1).unwrap(), 2),
+            (|t| t.set_root(2, 7), 1),
+        ];
+        for (op, frames) in ops {
+            let (header, before) = (logged_at(&store, 0), store.stats());
+            let mut txn = store.begin_write().unwrap();
+            op(&mut txn);
+            txn.commit().unwrap();
+            assert_eq!(store.stats().since(&before).wal_writes, frames);
+            assert!(logged_at(&store, 0) > header, "the header is logged");
+        }
+        assert_eq!((store.page_count(), store.freelist_len()), (2, 1));
+        assert_eq!(store.begin_read().root(2), 7);
+    }
+
+    #[test]
+    fn spilled_pages_are_never_elided() {
+        let dir = tempfile::tempdir().unwrap();
+        let mut o = opts();
+        o.spill_after_pages = 2;
+        let store = Store::create(dir.path().join("db"), o).unwrap();
+        let mut txn = store.begin_write().unwrap();
+        let ids: Vec<PageId> = (0..5).map(|_| txn.allocate_page().unwrap()).collect();
+        for &id in &ids {
+            fill(&mut txn, id, 7);
+        }
+        let seq = txn.commit().unwrap();
+
+        // Rewrite all five to their own bytes. Pages 1–4 spill (two at a
+        // time) and are logged as they are; page 5 is still in memory at
+        // commit and is dropped. Page 1, touched again after its spill,
+        // has no pre-image and is logged again.
+        let before = store.stats();
+        let mut txn = store.begin_write().unwrap();
+        for &id in ids.iter().chain(&ids[..1]) {
+            fill(&mut txn, id, 7);
+        }
+        txn.commit().unwrap();
+        let delta = store.stats().since(&before);
+        assert_eq!(delta.wal_writes, 4 + 1 + 1, "spilled, page 1 again, header");
+        assert_eq!(delta.commit_pages_elided, 1);
+        for &id in &ids[..4] {
+            assert!(logged_at(&store, id) > Some(seq), "page {id} was spilled");
+        }
+        assert!(logged_at(&store, ids[4]) < Some(seq), "page 5 was elided");
+        assert!(
+            logged_at(&store, 0) > Some(seq),
+            "a spilled txn logs the header"
+        );
+        let r = store.begin_read();
+        assert!(ids.iter().all(|&id| r.page(id).unwrap()[100] == 7));
     }
 
     #[test]

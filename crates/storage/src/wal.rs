@@ -184,13 +184,29 @@ impl WalIndex {
 }
 
 /// Unpublished tail state: the physical end of the file (which may
-/// extend past the published index with spilled records) and the txid
-/// whose `Begin` record opens the unpublished run, if any.
+/// extend past the published index with spilled records), the txid
+/// whose `Begin` record opens the unpublished run, if any, and the
+/// `PagePut`s appended since the last publish.
+#[derive(Default)]
 struct PendingTail {
     /// Byte offset one past the last appended record.
     end: u64,
     /// Transaction whose `Begin` is already in the unpublished region.
     begun: Option<u64>,
+    /// The unpublished `PagePut` records in file order, as
+    /// [`Wal::append_records`] placed them: [`Wal::publish`] indexes
+    /// these instead of reading the record headers back.
+    frames: Vec<FrameMeta>,
+}
+
+impl PendingTail {
+    /// An empty tail ending at `end`.
+    fn at(end: u64) -> PendingTail {
+        PendingTail {
+            end,
+            ..PendingTail::default()
+        }
+    }
 }
 
 /// The write-ahead log: an append-only record file plus the in-memory
@@ -264,10 +280,7 @@ impl Wal {
             path: path.to_owned(),
             index: parking_lot::RwLock::new(WalIndex::default()),
             next_seq: parking_lot::Mutex::new(1),
-            pending_tail: parking_lot::Mutex::new(PendingTail {
-                end: WAL_HEADER,
-                begun: None,
-            }),
+            pending_tail: parking_lot::Mutex::new(PendingTail::at(WAL_HEADER)),
             group: GroupCommit::new(0),
         })
     }
@@ -398,10 +411,7 @@ impl Wal {
                 path: path.to_owned(),
                 index: parking_lot::RwLock::new(index),
                 next_seq: parking_lot::Mutex::new(next),
-                pending_tail: parking_lot::Mutex::new(PendingTail {
-                    end: committed_end,
-                    begun: None,
-                }),
+                pending_tail: parking_lot::Mutex::new(PendingTail::at(committed_end)),
                 group: GroupCommit::new(synced),
             },
             discarded_frames: discarded,
@@ -425,7 +435,7 @@ impl Wal {
         assert!(!pages.is_empty(), "empty commits are elided by the store");
         let (placed, commit_seq) = self.append_records(txid, pages, Some(db_size))?;
         let commit_seq = commit_seq.expect("commit record was appended");
-        self.publish(db_size, commit_seq)?;
+        self.publish(db_size, commit_seq);
         Ok((commit_seq, placed))
     }
 
@@ -522,9 +532,8 @@ impl Wal {
         let mut tail = self.pending_tail.lock();
         if tail.end > published_end {
             self.file.set_len(published_end)?;
-            tail.end = published_end;
         }
-        tail.begun = None;
+        *tail = PendingTail::at(published_end);
         Ok(())
     }
 
@@ -560,15 +569,15 @@ impl Wal {
             pages.len() * PAGE_RECORD_SIZE as usize + 2 * RECORD_HEADER as usize,
         );
         let mut seq = base_seq;
-        let mut out = Vec::with_capacity(pages.len());
+        let mut frames = Vec::with_capacity(pages.len());
         if need_begin {
             push_record(&mut buf, KIND_BEGIN, 0, 0, txid, seq, &[]);
             seq += 1;
         }
-        for (page, data) in pages {
-            let image_off = start_off + buf.len() as u64 + RECORD_HEADER;
-            push_record(&mut buf, KIND_PAGE_PUT, *page, 0, txid, seq, &data[..]);
-            out.push((image_off, seq));
+        for &(page, data) in pages {
+            let offset = start_off + buf.len() as u64 + RECORD_HEADER;
+            push_record(&mut buf, KIND_PAGE_PUT, page, 0, txid, seq, &data[..]);
+            frames.push(FrameMeta { page, seq, offset });
             seq += 1;
         }
         let commit_seq = commit_db_size.map(|db_size| {
@@ -576,44 +585,28 @@ impl Wal {
             seq
         });
         self.file.write_all_at(&buf, start_off)?;
-        Ok((out, commit_seq))
+        let placed = frames.iter().map(|m| (m.offset, m.seq)).collect();
+        self.pending_tail.lock().frames.extend(frames);
+        Ok((placed, commit_seq))
     }
 
     /// Publishes every appended-but-unpublished record up to the
     /// current pending tail: readers beginning after this see the new
-    /// snapshot.
-    fn publish(&self, db_size: u32, commit_seq: u64) -> Result<()> {
+    /// snapshot. The `PagePut`s to index (spilled ones included) come
+    /// from the list [`Wal::append_records`] kept, so publishing reads
+    /// nothing back from the file.
+    fn publish(&self, db_size: u32, commit_seq: u64) {
         let mut tail = self.pending_tail.lock();
-        let end = tail.end;
         tail.begun = None;
         let mut index = self.index.write();
-        let mut pos = index.published_end;
-        let mut rh = [0u8; RECORD_HEADER as usize];
-        while pos < end {
-            // Re-read the record header to learn kind/page/seq; cheaper
-            // to track in memory, but commit is not the hot path and
-            // this keeps spill bookkeeping entirely inside the WAL.
-            self.file.read_exact_at(&mut rh, pos)?;
-            let kind = u32::from_le_bytes(rh[0..4].try_into().unwrap());
-            let page = u32::from_le_bytes(rh[4..8].try_into().unwrap());
-            let seq = u64::from_le_bytes(rh[24..32].try_into().unwrap());
-            if kind == KIND_PAGE_PUT {
-                let fi = index.frames.len() as u32;
-                index.by_page.entry(page).or_default().push(fi);
-                index.frames.push(FrameMeta {
-                    page,
-                    seq,
-                    offset: pos + RECORD_HEADER,
-                });
-                pos += PAGE_RECORD_SIZE;
-            } else {
-                pos += RECORD_HEADER;
-            }
+        for m in tail.frames.drain(..) {
+            let fi = index.frames.len() as u32;
+            index.by_page.entry(m.page).or_default().push(fi);
+            index.frames.push(m);
         }
         index.committed_seq = commit_seq;
         index.db_size = db_size;
-        index.published_end = end;
-        Ok(())
+        index.published_end = tail.end;
     }
 
     /// Reads the page image at `image_offset` (from
@@ -637,9 +630,7 @@ impl Wal {
         if sync {
             self.file.sync()?;
         }
-        let mut tail = self.pending_tail.lock();
-        tail.end = WAL_HEADER;
-        tail.begun = None;
+        *self.pending_tail.lock() = PendingTail::at(WAL_HEADER);
         let mut index = self.index.write();
         let committed = index.committed_seq;
         let db_size = index.db_size;
@@ -886,6 +877,45 @@ mod tests {
         assert!(c2 > c1);
         let opened = reopen(wal.path());
         assert_eq!(opened.wal.index().frame_count(), 2);
+    }
+
+    /// `(page, seq, offset)` of every indexed record, in file order.
+    fn indexed(wal: &Wal) -> Vec<(PageId, u64, u64)> {
+        let idx = wal.index();
+        idx.frames
+            .iter()
+            .map(|m| (m.page, m.seq, m.offset))
+            .collect()
+    }
+
+    #[test]
+    fn publishing_from_memory_indexes_what_recovery_reads() {
+        use crate::sim::SimVfs;
+        let sim = SimVfs::new();
+        let path = Path::new("/w.wal");
+        let wal = Wal::create(&sim, path, false).unwrap();
+        let writes = || sim.recorded().0;
+        wal.commit(1, &[(1, &page_filled(1)), (2, &page_filled(2))], 3, false)
+            .unwrap();
+        wal.spill(2, &[(3, &page_filled(3))]).unwrap();
+        wal.truncate_unpublished().unwrap(); // rolled back: never indexed
+        wal.spill(3, &[(4, &page_filled(4)), (5, &page_filled(5))])
+            .unwrap();
+        wal.spill(3, &[(6, &page_filled(6))]).unwrap();
+        let before = writes();
+        wal.commit(3, &[(7, &page_filled(7))], 8, false).unwrap();
+        assert_eq!(writes() - before, 1, "a commit is one pwrite");
+        wal.commit(4, &[(1, &page_filled(9))], 8, false).unwrap();
+        assert_eq!(indexed(&wal).len(), 7);
+        let recovered = Wal::open(&sim, path, false).unwrap().wal;
+        assert_eq!(indexed(&wal), indexed(&recovered));
+
+        wal.reset(false).unwrap();
+        wal.spill(5, &[(3, &page_filled(3))]).unwrap();
+        wal.commit(5, &[(2, &page_filled(2))], 8, false).unwrap();
+        let recovered = Wal::open(&sim, path, false).unwrap().wal;
+        assert_eq!(indexed(&wal).len(), 2);
+        assert_eq!(indexed(&wal), indexed(&recovered));
     }
 
     #[test]
