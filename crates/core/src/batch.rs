@@ -122,12 +122,9 @@ impl crate::snapshot::Snapshot {
         let scanner = PartitionScanner {
             inner,
             r,
-            filter: None,
             metrics: &metrics,
             use_codec: true,
             epoch: index.map_or(0, |index| index.epoch),
-            time_filter: false,
-            prune_above: f32::INFINITY,
         };
         let merged: Vec<Vec<Neighbor>> = if inner.quantized() {
             let pools = scan_groups::<Loc>(&scanner, &groups, &partitions, &queries_flat, nq, k)?;

@@ -6,17 +6,15 @@
 //!
 //! * [`PartitionScanner`] is the shared partition-scan frame: a catalog
 //!   walk lends rows from their pinned leaf pages into one chunk, and
-//!   one flush scores it for every query. A codec picks only the walk
-//!   (f32 rows, SQ8 code rows, or SQ4 blocks lent in place) and the
-//!   kernel (the batched one-to-many / GEMM kernels,
-//!   [`Sq8Scorer::score_chunk`], or [`Sq4Scorer::score_block`]). The
-//!   §3.5 post-filter join runs *after* scoring, in the one push loop
-//!   (`Sink::push_all`): a row's attributes are probed only if its
-//!   score could still enter the top-k. Top-k over the passing rows is
-//!   unique under the total `(distance, id)` order and a row is skipped
-//!   only when `k` passing rows already beat it, so the result is
-//!   bit-identical to filtering first, for a fraction of the attribute
-//!   lookups.
+//!   one flush scores it for every query and offers each row to that
+//!   query's [`Collect`]. A codec picks only the walk (f32 rows, SQ8
+//!   code rows, or SQ4 blocks lent in place) and the kernel (the
+//!   batched one-to-many / GEMM kernels, [`Sq8Scorer::score_chunk`], or
+//!   [`Sq4Scorer::score_block`]). The frame never reads attributes: an
+//!   unfiltered scan collects into result heaps, a filtered one into
+//!   [`Below`] — the rows its one heap would still accept, unprobed —
+//!   and the §3.5 join ([`AttrProbe::join`](crate::hybrid::AttrProbe::join))
+//!   probes those nearest first once a wave of partitions is scored.
 //! * [`Queries`] selects the query side of a scan: one vector
 //!   (single-query search, exact KNN) or a batch group addressing rows
 //!   of a flat query matrix (MQO phase 2). The f32 kernels differ by
@@ -43,7 +41,6 @@
 //! first-error capture.
 
 use std::sync::Arc;
-use std::time::Instant;
 
 use micronn_linalg::{
     batch_distances, distances_one_to_many, Neighbor, Sq4Scorer, Sq8Params, Sq8Scorer, TopK,
@@ -54,7 +51,6 @@ use micronn_storage::{PageRead, ReadTxn};
 use crate::catalog::{extend_f32, Loc};
 use crate::db::{Inner, DELTA_PARTITION};
 use crate::error::Result;
-use crate::hybrid::{AttrProbe, FilterCtx};
 use crate::stats::QueryInfo;
 
 /// Rows per batched distance computation in single-query scans.
@@ -69,8 +65,9 @@ pub(crate) const BATCH_ROW_CHUNK: usize = 1024;
 pub(crate) struct ScanTotals {
     /// Vectors whose distance was computed.
     pub vectors_scanned: usize,
-    /// Rows a post-filter scan probed in the attribute table: those
-    /// that survived score-first pruning.
+    /// Rows the post-filter join probed in the attribute table: each
+    /// wave's rows taken nearest first, up to the first one the heap
+    /// rejected.
     pub candidates: usize,
     /// Probed rows that failed the predicate (post-filter scans).
     pub filtered_out: usize,
@@ -84,9 +81,8 @@ pub(crate) struct ScanTotals {
     /// included, re-rank recomputations excluded — callers add
     /// `reranked` when they want them counted).
     pub distance_computations: usize,
-    /// Nanoseconds spent probing attributes in the post-filter join,
-    /// summed across scan workers; clocked only when the scanner's
-    /// `time_filter` is set.
+    /// Nanoseconds the post-filter join spent ordering its waves' rows
+    /// and probing them; clocked only for a traced query.
     pub filter_nanos: u64,
 }
 
@@ -98,7 +94,7 @@ pub(crate) struct ScanTotals {
 pub(crate) struct ScanMetrics(parking_lot::Mutex<ScanTotals>);
 
 impl ScanMetrics {
-    fn absorb(&self, t: &ScanTotals) {
+    pub fn absorb(&self, t: &ScanTotals) {
         let mut sum = self.0.lock();
         sum.vectors_scanned += t.vectors_scanned;
         sum.candidates += t.candidates;
@@ -156,7 +152,7 @@ impl Queries<'_> {
 /// What a scan's heaps carry beside `(distance, asset)`: `()` for
 /// scans whose distances are final, the row's `(partition, vid)` for
 /// the quantized candidate pool that [`rerank_exact`] fetches by.
-pub(crate) trait Payload: Copy + Default + PartialEq + Send {
+pub(crate) trait Payload: Copy + Default + PartialEq + Send + Sync {
     /// The payload of the row stored at `loc`.
     fn of(loc: Loc) -> Self;
 }
@@ -173,18 +169,51 @@ impl Payload for Loc {
     }
 }
 
-/// The shared chunked partition-scan frame (Algorithm 2 lines 3–11,
-/// §3.4's shared group scan, and the §3.5 post-filter join). One
-/// scanner is built per scan operation and [`PartitionScanner::scan`]
-/// runs once per partition, typically from `parallel_indexed` jobs: the
-/// scanner holds only shared state, and what a job mutates lives in its
-/// own [`Sink`].
+/// Where a scan offers its scored rows, one per query: a result heap,
+/// or a filtered scan's [`Below`] list.
+pub(crate) trait Collect<P> {
+    /// Takes one scored row, or drops it.
+    fn offer(&mut self, id: u64, distance: f32, payload: P);
+}
+
+impl<P: Payload> Collect<P> for TopK<P> {
+    #[inline(always)]
+    fn offer(&mut self, id: u64, distance: f32, payload: P) {
+        self.push_with(id, distance, payload);
+    }
+}
+
+/// The scoring half of a filtered scan: one partition's rows that
+/// `bound` — the scan's one result heap, as it stood when the wave
+/// began — would accept, in scan order and unprobed. The join then
+/// takes them nearest first.
+pub(crate) struct Below<'h, P> {
+    pub bound: &'h TopK<P>,
+    pub rows: Vec<Neighbor<P>>,
+}
+
+impl<P: Payload> Collect<P> for Below<'_, P> {
+    #[inline(always)]
+    fn offer(&mut self, id: u64, distance: f32, payload: P) {
+        if self.bound.accepts(id, distance) {
+            self.rows.push(Neighbor {
+                id,
+                distance,
+                payload,
+            });
+        }
+    }
+}
+
+/// The shared chunked partition-scan frame (Algorithm 2 lines 3–11 and
+/// §3.4's shared group scan). One scanner is built per scan operation
+/// and [`PartitionScanner::scan`] runs once per partition, typically
+/// from `parallel_indexed` jobs: the scanner holds only shared state,
+/// and what a job mutates is its own collectors and counters.
 #[derive(Clone, Copy)]
 pub(crate) struct PartitionScanner<'a> {
     pub inner: &'a Inner,
     pub r: &'a ReadTxn,
-    /// Optional §3.5 post-filter; `None` scans every row.
-    pub filter: Option<&'a FilterCtx<'a>>,
     pub metrics: &'a ScanMetrics,
     /// Score quantized codes where the catalog has them. Exact KNN
     /// passes `false`: exact semantics are codec-independent.
@@ -192,58 +221,6 @@ pub(crate) struct PartitionScanner<'a> {
     /// The index epoch at `r` (`LoadedIndex::epoch`), read once per
     /// scan: the key of every partition's cached quantization ranges.
     pub epoch: i64,
-    /// Clock the post-filter probes into [`ScanTotals::filter_nanos`].
-    /// Callers set it from `tel.detailed()` (a trace sink is listening
-    /// or the slow-query log is armed): the untraced join reads no clock.
-    pub time_filter: bool,
-    /// With a filter: rows scoring strictly above this are not probed.
-    /// Must be the k-th distance of `k` rows already known to pass (or
-    /// `+∞`), so a pruned row cannot be in the top-k.
-    pub prune_above: f32,
-}
-
-/// Where one job's scored rows go: the lazy half of the §3.5 join in
-/// front of the result heaps, plus the job's counters.
-#[derive(Default)]
-struct Sink<'a> {
-    join: Option<(AttrProbe<'a>, f32, bool)>,
-    tally: ScanTotals,
-}
-
-impl Sink<'_> {
-    /// The single push loop of every frame. Unfiltered, each scored row
-    /// is offered to `heap`. Filtered, a row is probed only if the heap
-    /// would still retain it and it is not above the scan-wide bound;
-    /// the heap therefore sees exactly the passing rows a filter-first
-    /// scan would have pushed successfully, in the same order.
-    fn push_all<P: Payload>(
-        &mut self,
-        heap: &mut TopK<P>,
-        rows: impl Iterator<Item = ((i64, P), f32)>,
-    ) -> Result<()> {
-        let Some((probe, prune_above, timed)) = &mut self.join else {
-            for ((id, at), d) in rows {
-                heap.push_with(id as u64, d, at);
-            }
-            return Ok(());
-        };
-        for ((id, at), d) in rows {
-            if d > *prune_above || !heap.accepts(id as u64, d) {
-                continue;
-            }
-            let t0 = timed.then(Instant::now);
-            self.tally.candidates += 1;
-            if probe.passes(id)? {
-                heap.push_with(id as u64, d, at);
-            } else {
-                self.tally.filtered_out += 1;
-            }
-            if let Some(t0) = t0 {
-                self.tally.filter_nanos += t0.elapsed().as_nanos() as u64;
-            }
-        }
-        Ok(())
-    }
 }
 
 /// The kernel a partition's chunks are scored with. With the catalog
@@ -304,40 +281,38 @@ impl<P: Payload> Chunk<P> {
         &mut self,
         (asset, at): (i64, Loc),
         inner: &Inner,
-        heaps: &mut [TopK<P>],
-        sink: &mut Sink<'_>,
-    ) -> Result<()> {
+        heaps: &mut [impl Collect<P>],
+        tally: &mut ScanTotals,
+    ) {
         self.ids.push((asset, P::of(at)));
         let full = match self.kernel {
             Kernel::Group => BATCH_ROW_CHUNK,
             _ => SCAN_CHUNK,
         };
-        if self.ids.len() < full {
-            return Ok(());
+        if self.ids.len() >= full {
+            self.flush(inner, &[], heaps, tally);
         }
-        self.flush(inner, &[], heaps, sink)
     }
 
     /// Scores the chunk for every query into the `nq × rows` score
-    /// matrix, offers each query's row to its heap, tallies the work and
-    /// empties the chunk. `block` is the SQ4 block that `slots` index;
-    /// the other kernels read the chunk's own rows and pass `&[]`.
+    /// matrix, offers each query's rows to its collector, tallies the
+    /// work and empties the chunk. `block` is the SQ4 block that `slots`
+    /// index; the other kernels read the chunk's own rows and pass `&[]`.
     fn flush(
         &mut self,
         inner: &Inner,
         block: &[u8],
-        heaps: &mut [TopK<P>],
-        sink: &mut Sink<'_>,
-    ) -> Result<()> {
+        heaps: &mut [impl Collect<P>],
+        tally: &mut ScanTotals,
+    ) {
         let (nr, nq, dim, metric) = (self.ids.len(), heaps.len(), inner.dim, inner.metric);
-        let tally = &mut sink.tally;
         tally.vectors_scanned += nr;
         tally.distance_computations += nq * nr;
         // `4·dim` bytes per f32 row, `dim` per SQ8 code, and the whole
         // SQ4 block even when none of its slots is live.
         tally.bytes_scanned += self.rows.len() * 4 + self.codes.len() + block.len();
         if nr == 0 {
-            return Ok(());
+            return;
         }
         self.scores.clear();
         match &self.kernel {
@@ -363,18 +338,19 @@ impl<P: Payload> Chunk<P> {
             }
         }
         for (heap, scores) in heaps.iter_mut().zip(self.scores.chunks_exact(nr)) {
-            sink.push_all(heap, self.ids.iter().copied().zip(scores.iter().copied()))?;
+            for (&(id, at), &d) in self.ids.iter().zip(scores) {
+                heap.offer(id as u64, d, at);
+            }
         }
         self.ids.clear();
         self.rows.clear();
         self.codes.clear();
         self.slots.clear();
-        Ok(())
     }
 }
 
 impl PartitionScanner<'_> {
-    /// Scans one partition, offering every qualifying row to the
+    /// Scans one partition, offering every live row to the
     /// query-aligned `heaps` (`heaps.len() == queries.len()`), in a
     /// chunk borrowed from `blocks`.
     ///
@@ -386,15 +362,11 @@ impl PartitionScanner<'_> {
         &self,
         partition: i64,
         queries: &Queries<'_>,
-        heaps: &mut [TopK<P>],
+        heaps: &mut [impl Collect<P>],
         blocks: &BlockPool<P>,
     ) -> Result<()> {
         debug_assert_eq!(queries.len(), heaps.len());
-        let join = self.filter.map(|f| f.probe(self.r));
-        let sink = &mut Sink {
-            join: join.map(|probe| (probe, self.prune_above, self.time_filter)),
-            tally: ScanTotals::default(),
-        };
+        let tally = &mut ScanTotals::default();
         let mut c = blocks.lock().pop().unwrap_or_default();
         let (inner, r, only) = (self.inner, self.r, Some(partition));
         let (tables, dim, metric) = (&inner.tables, inner.dim, inner.metric);
@@ -411,7 +383,8 @@ impl PartitionScanner<'_> {
                 };
                 tables.scan_vectors(r, only, |at, asset, blob| {
                     extend_f32(&mut c.rows, blob, dim)?;
-                    c.push((asset, at), inner, heaps, sink)
+                    c.push((asset, at), inner, heaps, tally);
+                    Ok(())
                 })?;
             }
             Some(params) if inner.cfg.codec.blocked() => {
@@ -428,7 +401,8 @@ impl PartitionScanner<'_> {
                         c.ids.push((asset, P::of((block.partition, vid))));
                         c.slots.push(slot);
                     }
-                    c.flush(inner, &block.packed, heaps, sink)
+                    c.flush(inner, &block.packed, heaps, tally);
+                    Ok(())
                 })?;
             }
             Some(params) => {
@@ -436,12 +410,13 @@ impl PartitionScanner<'_> {
                 c.kernel = Kernel::Sq8(scorers.collect());
                 tables.scan_codes(r, only, |at, asset, code| {
                     c.codes.extend_from_slice(code);
-                    c.push((asset, at), inner, heaps, sink)
+                    c.push((asset, at), inner, heaps, tally);
+                    Ok(())
                 })?;
             }
         }
-        c.flush(inner, &[], heaps, sink)?;
-        self.metrics.absorb(&sink.tally);
+        c.flush(inner, &[], heaps, tally);
+        self.metrics.absorb(tally);
         // A failed scan drops its chunk: it may hold rows.
         blocks.lock().push(c);
         Ok(())
@@ -638,17 +613,17 @@ pub(crate) fn score_candidates(
         inner.tables.location_reader(r),
         inner.tables.vector_reader(r),
     );
-    let mut sink = Sink::default();
+    let mut tally = ScanTotals::default();
     for &asset in assets {
         // An attribute row without a vector is skipped.
         let Some(loc) = locate.locate(asset)? else {
             continue;
         };
         if fetch.append(loc, &mut chunk.rows)? {
-            chunk.push((asset, loc), inner, heaps, &mut sink)?;
+            chunk.push((asset, loc), inner, heaps, &mut tally);
         }
     }
-    chunk.flush(inner, &[], heaps, &mut sink)?;
-    metrics.absorb(&sink.tally);
+    chunk.flush(inner, &[], heaps, &mut tally);
+    metrics.absorb(&tally);
     Ok(top.into_sorted())
 }

@@ -8,19 +8,25 @@
 //!   qualifying vectors — 100% recall, latency proportional to the
 //!   qualifying set.
 //! * **Post-filtering** runs the ANN scan with the predicate applied
-//!   during partition scans — fast, but recall suffers when the
-//!   predicate is highly selective. The join is score-first: every
-//!   scanned row is scored, and attributes are probed only for rows
-//!   whose score could still enter the top-k. That returns exactly the
-//!   filter-first answer (top-k over the passing rows is unique under
-//!   the `(distance, id)` order; a skipped row has `k` passing rows
-//!   ahead of it) for a fraction of the attribute lookups.
+//!   to the partitions' rows — fast, but recall suffers when the
+//!   predicate is highly selective. The join is score-first: a wave of
+//!   partitions is scored without a single probe, then
+//!   `AttrProbe::join` takes the wave's rows nearest first and probes
+//!   each until the result heap is full and rejects the next row. It
+//!   probes exactly the rows ranked up to the `k`-th passing one, and
+//!   returns the filter-first answer (top-k over the passing rows is
+//!   unique under the `(distance, id)` order; every unprobed row has
+//!   `k` passing rows ahead of it).
 //!
 //! The optimizer compares the estimated filter selectivity `F̂_filters`
 //! (Eq. 3, from per-column histograms and FTS document frequencies)
 //! against the IVF scan's own "selectivity" `F̂_IVF = n·t/|R|` (Eq. 2)
 //! and picks pre-filtering iff `F̂_filters < F̂_IVF`.
 
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
+
+use micronn_linalg::{Neighbor, TopK};
 use micronn_rel::{
     estimate_selectivity, CmpOp, Compiled, EncodedRow, Expr, RowReader, Table, Value,
 };
@@ -28,21 +34,21 @@ use micronn_storage::ReadTxn;
 
 use crate::db::{Inner, MicroNN};
 use crate::error::{Error, Result};
-use crate::exec::{score_candidates, ScanMetrics};
+use crate::exec::{score_candidates, Payload, ScanMetrics, ScanTotals};
 use crate::search::{ivf_search, SearchResponse, SearchResult};
 use crate::snapshot::Snapshot;
 use crate::stats::{PlanUsed, QueryInfo};
 use crate::telemetry::{stage, QueryTrace};
 
 /// Attribute-filter context of a hybrid query: `compiled` is evaluated
-/// against rows of `attrs`, through one [`AttrProbe`] per job.
+/// against rows of `attrs`, through one [`AttrProbe`] per query.
 pub(crate) struct FilterCtx<'a> {
     pub attrs: &'a Table,
     pub compiled: Compiled,
 }
 
 impl FilterCtx<'_> {
-    /// A prober at snapshot `r` for one job's worth of lookups.
+    /// A prober at snapshot `r` for one query's worth of lookups.
     pub fn probe<'a>(&'a self, r: &'a ReadTxn) -> AttrProbe<'a> {
         AttrProbe {
             rows: self.attrs.reader(r),
@@ -68,6 +74,35 @@ impl AttrProbe<'_> {
             EncodedRow::new(row).map(|row| compiled.eval_columns(&row))
         })?;
         Ok(hit.transpose()?.unwrap_or(false))
+    }
+
+    /// The join half of a filtered scan (§3.5): takes one wave's scored
+    /// rows nearest first under the `(distance, id)` order, probing each
+    /// and pushing the passing ones into `top`, and stops at the first
+    /// row `top` rejects — every later row would be rejected too. In
+    /// ascending order no row pushed here is evicted by a later one, so
+    /// only rows ranked ahead of the `top.k()`-th passing row are probed.
+    /// The order comes from one heapify and a pop per probe: the join
+    /// usually stops long before the wave's end, where a sort would not.
+    pub fn join<P: Payload>(
+        &mut self,
+        rows: impl IntoIterator<Item = Neighbor<P>>,
+        top: &mut TopK<P>,
+        tally: &mut ScanTotals,
+    ) -> Result<()> {
+        let mut rows: BinaryHeap<Reverse<Neighbor<P>>> = rows.into_iter().map(Reverse).collect();
+        while let Some(Reverse(n)) = rows.pop() {
+            if !top.accepts(n.id, n.distance) {
+                break;
+            }
+            tally.candidates += 1;
+            if self.passes(n.id as i64)? {
+                top.push_with(n.id, n.distance, n.payload);
+            } else {
+                tally.filtered_out += 1;
+            }
+        }
+        Ok(())
     }
 }
 

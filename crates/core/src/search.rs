@@ -19,14 +19,22 @@
 //! distances. The delta partition never has codes and is always
 //! scanned in full precision.
 //!
-//! The post-filtering join of §3.5 happens *inside* the scan frame
-//! ("vectors in the requested partitions that don't satisfy the
-//! predicate filter are therefore filtered before being considered in
-//! the top-K"), score first: every row is scored, and its attributes
-//! are probed only if the score could still enter the top-k. Top-k over
-//! the passing rows is unique under the total `(distance, id)` order
-//! and a row is skipped only when `k` passing rows already beat it, so
-//! the answer is the filter-first answer, bit for bit.
+//! The post-filtering join of §3.5 ("vectors in the requested
+//! partitions that don't satisfy the predicate filter are therefore
+//! filtered before being considered in the top-K") runs score first,
+//! in waves of `default_probes + 1` partitions taken nearest first —
+//! one wave for an ANN query at the default probe count, delta
+//! included. A wave is scored in parallel without a single attribute
+//! probe; then one sequential join takes its rows nearest first and
+//! probes each until the result heap is full and rejects the next row.
+//! So a one-wave query probes (`QueryInfo::candidates`) exactly the
+//! rows ranked up to the candidate pool's last passing row, and none
+//! that a later passing row evicts. Top-k over the passing rows is unique
+//! under the total `(distance, id)` order and every unprobed row has
+//! `k` passing rows ahead of it, so the answer is the filter-first
+//! answer, bit for bit.
+
+use std::time::Instant;
 
 use micronn_linalg::{merge_all, Neighbor, TopK};
 use micronn_storage::ReadTxn;
@@ -35,7 +43,8 @@ use crate::catalog::Loc;
 use crate::db::{Inner, DELTA_PARTITION};
 use crate::error::{Error, Result};
 use crate::exec::{
-    rerank_exact, scan_pool_k, BlockPool, PartitionScanner, Payload, Queries, ScanMetrics,
+    rerank_exact, scan_pool_k, Below, BlockPool, Collect, PartitionScanner, Payload, Queries,
+    ScanMetrics, ScanTotals,
 };
 use crate::hybrid::FilterCtx;
 use crate::stats::{PlanUsed, QueryInfo};
@@ -65,51 +74,74 @@ pub struct SearchResponse {
 /// candidates, located (`P = Loc`), that must go through
 /// [`rerank_exact`](crate::exec::rerank_exact).
 ///
-/// Unfiltered, every partition is one fan-out job. Filtered, the
-/// partitions are first scanned in the given (nearest-first) order,
-/// inline, into one heap until it holds `scan_k` passing rows; its
-/// threshold then becomes the fixed `prune_above` of the fan-out over
-/// the rest. No job reads another's state, so what is probed — and
-/// with it `QueryInfo` — is the same for every worker count.
+/// Unfiltered, every partition is one fan-out job into its own heap,
+/// and the heaps merge. Filtered, the partitions go in waves of
+/// `default_probes + 1`, in the given order (nearest first for ANN), into one
+/// heap: each partition of a wave is one job that collects, unprobed,
+/// the rows the heap would accept as the wave begins ([`Below`]), and
+/// [`AttrProbe::join`](crate::hybrid::AttrProbe::join) then probes the
+/// wave's rows nearest first. The waves are fixed and the join is
+/// sequential, so what is probed — and with it `QueryInfo` — is the
+/// same for every worker count. A `timed` scan clocks each join (its
+/// ordering and its probes) into [`ScanTotals::filter_nanos`].
 fn scan_partitions<P: Payload>(
-    mut scanner: PartitionScanner<'_>,
+    scanner: &PartitionScanner<'_>,
     partitions: &[i64],
     query: &[f32],
     k: usize,
+    filter: Option<&FilterCtx<'_>>,
+    timed: bool,
 ) -> Result<Vec<Neighbor<P>>> {
     let inner = scanner.inner;
     let scan_k = scan_pool_k(inner, k, scanner.use_codec);
-    let (queries, blocks) = (Queries::One(query), BlockPool::default());
-    let scan_one = |scanner: &PartitionScanner<'_>, i: usize, top: &mut TopK<P>| {
-        // Probe readahead: queue the next partition's leaves before
-        // scoring this one, so its I/O overlaps our compute.
-        if let Some(&next) = partitions.get(i + 1) {
-            scanner.prefetch(next);
-        }
-        scanner.scan(partitions[i], &queries, std::slice::from_mut(top), &blocks)
-    };
-    let mut seeded = 0;
-    let seed = match scanner.filter {
-        None => None,
-        Some(_) => {
-            let mut seed = TopK::with_payload(scan_k);
-            while seeded < partitions.len() && seed.len() < scan_k {
-                scan_one(&scanner, seeded, &mut seed)?;
-                seeded += 1;
-            }
-            scanner.prune_above = seed.threshold();
-            Some(seed)
-        }
-    };
-    let mut heaps = inner
-        .scan_pool
-        .parallel_indexed(partitions.len() - seeded, |i| {
+    let blocks = BlockPool::default();
+    let Some(filter) = filter else {
+        let heaps = inner.scan_pool.parallel_indexed(partitions.len(), |i| {
             let mut top = TopK::with_payload(scan_k);
-            scan_one(&scanner, seeded + i, &mut top)?;
+            scan_into(scanner, partitions, i, query, &mut top, &blocks)?;
             Ok(top)
         })?;
-    heaps.extend(seed);
-    Ok(merge_all(heaps, scan_k))
+        return Ok(merge_all(heaps, scan_k));
+    };
+    let mut top = TopK::with_payload(scan_k);
+    let mut probe = filter.probe(scanner.r);
+    let wave = inner.cfg.default_probes + 1;
+    for start in (0..partitions.len()).step_by(wave) {
+        let bound = &top;
+        let n = wave.min(partitions.len() - start);
+        let lists = inner.scan_pool.parallel_indexed(n, |i| {
+            let mut below = Below {
+                bound,
+                rows: Vec::new(),
+            };
+            scan_into(scanner, partitions, start + i, query, &mut below, &blocks)?;
+            Ok(below.rows)
+        })?;
+        let t0 = timed.then(Instant::now);
+        let mut tally = ScanTotals::default();
+        probe.join(lists.into_iter().flatten(), &mut top, &mut tally)?;
+        tally.filter_nanos = t0.map_or(0, |t0| t0.elapsed().as_nanos() as u64);
+        scanner.metrics.absorb(&tally);
+    }
+    Ok(top.into_sorted())
+}
+
+/// Scans `partitions[i]` for `query` into `out`, first queueing
+/// readahead of the next partition's leaves so that its I/O overlaps
+/// this partition's compute.
+fn scan_into<P: Payload>(
+    scanner: &PartitionScanner<'_>,
+    partitions: &[i64],
+    i: usize,
+    query: &[f32],
+    out: &mut impl Collect<P>,
+    blocks: &BlockPool<P>,
+) -> Result<()> {
+    if let Some(&next) = partitions.get(i + 1) {
+        scanner.prefetch(next);
+    }
+    let queries = Queries::One(query);
+    scanner.scan(partitions[i], &queries, std::slice::from_mut(out), blocks)
 }
 
 /// One IVF search at snapshot `r`. `probes = Some(n)` is ANN search
@@ -148,30 +180,27 @@ pub(crate) fn ivf_search(
 
     let use_codec = probes.is_some() && inner.quantized();
     let metrics = ScanMetrics::default();
-    let scanner = PartitionScanner {
+    let scanner = &PartitionScanner {
         inner,
         r,
-        filter,
         metrics: &metrics,
         use_codec,
         epoch: index.map_or(0, |index| index.epoch),
-        time_filter: trace.detailed && filter.is_some(),
-        prune_above: f32::INFINITY,
     };
+    let timed = trace.detailed;
     let neighbors = if use_codec {
-        let pool = scan_partitions::<Loc>(scanner, &partitions, query, k)?;
+        let pool = scan_partitions::<Loc>(scanner, &partitions, query, k, filter, timed)?;
         trace.stage(stage::PARTITION_SCAN);
         let top = rerank_exact(inner, r, query, &pool, k, &metrics)?;
         trace.stage(stage::RERANK);
         top
     } else {
-        let top = scan_partitions::<()>(scanner, &partitions, query, k)?;
+        let top = scan_partitions::<()>(scanner, &partitions, query, k, filter, timed)?;
         trace.stage(stage::PARTITION_SCAN);
         top
     };
-    // The filter share is nested inside the parallel partition scan;
-    // report it as its own stage without subtracting (wall-clock vs
-    // summed-across-workers differ anyway).
+    // The joins run between the waves of the partition scan; report
+    // their share as its own stage without subtracting it.
     let totals = metrics.totals();
     trace.stage_external(
         stage::FILTER_JOIN,

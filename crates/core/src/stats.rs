@@ -36,13 +36,16 @@ impl std::fmt::Display for PlanUsed {
 /// executor's scan counters (one block fed by every scan worker,
 /// whatever the path — single-query, batch, or hybrid).
 ///
-/// A post-filter scan scores every live row of the probed partitions
-/// and probes attributes only for rows whose score could still enter
-/// the top-k, so on that plan `vectors_scanned` and `bytes_scanned`
+/// A post-filter scan scores every live row of the probed partitions,
+/// in waves of `default_probes + 1` partitions, and then probes each
+/// wave's rows nearest first until its top-k is full and rejects the
+/// next row. So on that plan `vectors_scanned` and `bytes_scanned`
 /// equal the unfiltered scan of the same partitions, `candidates` rows
-/// were probed, `filtered_out` of them failed, `candidates −
-/// filtered_out` passed, and `vectors_scanned − candidates` were pruned
-/// without touching the attribute table.
+/// were probed — in a one-wave query, exactly the rows ranked up to
+/// and including the pool's last passing row, or every row when fewer
+/// rows pass than the pool holds — `filtered_out` of them failed,
+/// `candidates − filtered_out` passed, and `vectors_scanned −
+/// candidates` were never looked up in the attribute table.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct QueryInfo {
     /// The plan that executed.
@@ -55,8 +58,8 @@ pub struct QueryInfo {
     /// (post-filtering path; a pre-filter plan reports 0).
     pub filtered_out: usize,
     /// Rows whose attributes were examined: the candidate set of a
-    /// pre-filtering plan, the rows probed by a post-filtering scan
-    /// (0 without a filter).
+    /// pre-filtering plan, the rows the join of a post-filtering (or a
+    /// filtered exact) scan probed (0 without a filter).
     pub candidates: usize,
     /// Vector-payload bytes read by the scan: `4·dim` per f32 row,
     /// `dim` per SQ8 code row, `16·dim` per scanned SQ4 interleaved

@@ -33,7 +33,7 @@ use parking_lot::Mutex;
 
 use crate::config::Config;
 use crate::db::MicroNN;
-use crate::stats::QueryInfo;
+use crate::stats::{PlanUsed, QueryInfo};
 
 /// Number of slow-query records retained (oldest evicted first).
 const SLOW_LOG_CAPACITY: usize = 128;
@@ -48,7 +48,8 @@ pub(crate) mod stage {
     /// Exact re-ranking of quantized candidates.
     pub const RERANK: &str = "rerank";
     /// Attribute-predicate evaluation: candidate collection of a
-    /// pre-filter plan, or the filter share of a post-filter scan.
+    /// pre-filter plan, or a post-filter scan's joins (each wave's
+    /// ordering plus its probes).
     pub const FILTER_JOIN: &str = "filter_join";
 }
 
@@ -110,10 +111,15 @@ pub(crate) struct DbTelemetry {
     vectors_scanned: Arc<Counter>,
     bytes_scanned: Arc<Counter>,
     /// `micronn_filtered_out_total`: rows a post-filter scan probed in
-    /// the attribute table and rejected. Rows pruned by score before
-    /// any probe are not in it (they are `vectors_scanned − candidates`
-    /// in the query's `QueryInfo`).
+    /// the attribute table and rejected. Rows the join never reached
+    /// are not in it (they are `vectors_scanned − candidates` in the
+    /// query's `QueryInfo`).
     filtered_out: Arc<Counter>,
+    /// `micronn_filter_probes_total`: rows the post-filter join looked
+    /// up in the attribute table, passing or not — the sum of
+    /// `QueryInfo::candidates` over post-filter queries (and filtered
+    /// exact scans, which run the same join; unfiltered ones add 0).
+    filter_probes: Arc<Counter>,
     reranked: Arc<Counter>,
     partitions_scanned: Arc<Counter>,
     pub distance_computations: Arc<Counter>,
@@ -139,6 +145,7 @@ impl DbTelemetry {
             vectors_scanned: registry.counter("micronn_vectors_scanned_total"),
             bytes_scanned: registry.counter("micronn_bytes_scanned_total"),
             filtered_out: registry.counter("micronn_filtered_out_total"),
+            filter_probes: registry.counter("micronn_filter_probes_total"),
             reranked: registry.counter("micronn_reranked_total"),
             partitions_scanned: registry.counter("micronn_partitions_scanned_total"),
             distance_computations: registry.counter("micronn_distance_computations_total"),
@@ -166,10 +173,17 @@ impl DbTelemetry {
         let total = trace.total();
         self.queries.inc();
         self.query_latency.record(total.as_nanos() as u64);
+        // A pre-filter plan's `candidates` is the set its access path
+        // examined, not probes of the join.
+        let probes = match info.plan {
+            PlanUsed::PreFilter => 0,
+            _ => info.candidates,
+        };
         self.flow_scan_counters(
             info.vectors_scanned,
             info.bytes_scanned,
             info.filtered_out,
+            probes,
             info.reranked,
             info.partitions_scanned,
         );
@@ -225,6 +239,7 @@ impl DbTelemetry {
         self.flow_scan_counters(
             vectors_scanned,
             bytes_scanned,
+            0,
             0,
             reranked,
             partitions_scanned,
@@ -292,12 +307,14 @@ impl DbTelemetry {
         vectors: usize,
         bytes: usize,
         filtered: usize,
+        probes: usize,
         reranked: usize,
         partitions: usize,
     ) {
         self.vectors_scanned.add(vectors as u64);
         self.bytes_scanned.add(bytes as u64);
         self.filtered_out.add(filtered as u64);
+        self.filter_probes.add(probes as u64);
         self.reranked.add(reranked as u64);
         self.partitions_scanned.add(partitions as u64);
     }

@@ -99,16 +99,17 @@ fn workers_are_bit_identical(codec: VectorCodec) {
         let b = w8.search(q, K).unwrap();
         assert_bit_identical(&a.results, &b.results, "plain");
         assert_eq!(a.info.bytes_scanned, b.info.bytes_scanned, "plain bytes");
-        // Filtered, post-filter plan forced (the filter runs inside
-        // the parallel scan frame).
+        // Filtered, post-filter plan forced (a wave's partitions are
+        // scored in parallel, then joined).
         let req = SearchRequest::new(q.to_vec(), K)
             .with_filter(filter.clone())
             .with_plan(PlanPreference::ForcePostFilter);
         let a = w1.search_with(&req).unwrap();
         let b = w8.search_with(&req).unwrap();
         assert_bit_identical(&a.results, &b.results, "post-filter");
-        // What the score-first join probes depends only on the fixed
-        // seed bound and each job's own heap, never on scheduling.
+        // What the join probes depends only on the fixed waves and the
+        // heap as each wave begins, and the join itself is sequential:
+        // never on scheduling.
         assert_eq!(a.info, b.info, "post-filter counters");
         // Filtered, optimizer's choice.
         let req = SearchRequest::new(q.to_vec(), K).with_filter(filter.clone());

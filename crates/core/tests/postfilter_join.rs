@@ -1,7 +1,8 @@
 //! The score-first post-filter join returns the filter-first answer.
 //!
-//! The scan frame scores every row and probes attributes only for rows
-//! that could still enter the top-k. The reference here never runs that
+//! A filtered scan scores a wave of partitions without probing, then
+//! probes the wave's rows nearest first until the top-k is full and
+//! rejects the next row. The reference here never runs that
 //! code: it is a copy of the index with the *failing rows deleted*
 //! (a delete touches neither centroids nor quantization ranges),
 //! queried **unfiltered** with the same probes — "rows that fail the
@@ -160,10 +161,10 @@ proptest! {
     }
 }
 
-/// Rows tied with the pruning bound are still probed: with the same
+/// Rows tied with the heap's bound are still probed: with the same
 /// vector stored under many ids — some indexed, some in the delta, some
-/// failing the filter — the lowest passing ids win, whichever partition
-/// set the bound.
+/// failing the filter — the lowest passing ids win, whether the twins
+/// share one wave or the delta's come a wave after the bound is set.
 #[test]
 fn ties_at_the_bound_keep_the_lower_id() {
     for codec in [VectorCodec::F32, VectorCodec::Sq8, VectorCodec::Sq4] {
@@ -180,17 +181,27 @@ fn ties_at_the_bound_keep_the_lower_id() {
         db.upsert_batch(&rows).unwrap();
         db.rebuild().unwrap();
         // … and under the interleaved even ids in the delta, which is
-        // scanned last, after the bound is already at distance zero.
+        // scanned last: in the one wave of four probes, or — with every
+        // partition probed, more than one wave of the default eight plus
+        // the delta — a wave after the twins' partition has put the
+        // bound at distance zero.
         let staged: Vec<VectorRecord> = (0..20)
             .map(|i| VectorRecord::new(1000 + 2 * i, twin.clone()).with_attr("bucket", i % 2))
             .collect();
         db.upsert_batch(&staged).unwrap();
         // `bucket < 1` passes twins with even `i`: ids 1000, 1001,
         // 1004, 1005, 1008, … — the five lowest are expected.
-        let got = db.search_with(&post_filter(&twin, 5, 4, 1)).unwrap();
-        let ids: Vec<i64> = got.results.iter().map(|r| r.asset_id).collect();
-        assert_eq!(ids, vec![1000, 1001, 1004, 1005, 1008], "{codec:?}");
-        assert!(got.results.iter().all(|r| r.distance == 0.0), "{codec:?}");
+        for probes in [4, usize::MAX] {
+            let got = db.search_with(&post_filter(&twin, 5, probes, 1)).unwrap();
+            let ids: Vec<i64> = got.results.iter().map(|r| r.asset_id).collect();
+            assert_eq!(
+                ids,
+                vec![1000, 1001, 1004, 1005, 1008],
+                "{codec:?} {probes}"
+            );
+            assert!(got.results.iter().all(|r| r.distance == 0.0), "{codec:?}");
+            assert_eq!(got.info.partitions_scanned > 9, probes > 4, "{codec:?}");
+        }
     }
 }
 
@@ -212,44 +223,65 @@ fn k_zero_probes_nothing() {
     assert!(got.info.vectors_scanned > 0, "rows are still scored");
 }
 
-/// The join is lazy: at 30 % selectivity, far fewer than half of the
-/// scanned rows are ever looked up in the attribute table, and the
-/// scan-side counters equal the unfiltered scan of the same partitions.
+/// The join probes nearest first and stops at the `k`-th passing row.
+/// With eight probes at the default eight (one wave, delta included),
+/// the rows that pass are exactly the candidate pool, and under F32 the
+/// rows probed are exactly those an unfiltered ranking of the same
+/// partitions puts up to and including its `k`-th passing row. The
+/// scan-side counters equal the unfiltered scan's.
 #[test]
 fn most_scanned_rows_are_never_probed() {
+    const K: usize = 10;
+    let passes = |asset: i64| row(11, asset as usize).1 < 300;
     for codec in [VectorCodec::F32, VectorCodec::Sq8, VectorCodec::Sq4] {
         let dir = tempfile::tempdir().unwrap();
         // Partitions of ~125 rows: eight probes scan about a thousand.
         let mut cfg = config(codec, Metric::L2, 1);
         cfg.target_partition_size = 125;
+        let scan_k = match codec {
+            VectorCodec::F32 => K,
+            _ => K * cfg.rerank_factor,
+        };
         let db = MicroNN::create(dir.path().join("lazy.mnn"), cfg).unwrap();
         db.upsert_batch(&records(11, 0..2000)).unwrap();
         db.rebuild().unwrap();
         for qi in 0..8 {
             let q = row(11, qi * 37).0;
-            let got = db.search_with(&post_filter(&q, 10, 8, 300)).unwrap();
+            let got = db.search_with(&post_filter(&q, K, 8, 300)).unwrap();
             let plain = db
-                .search_with(&SearchRequest::new(q, 10).with_probes(8))
+                .search_with(&SearchRequest::new(q.clone(), K).with_probes(8))
                 .unwrap();
             let (f, p) = (got.info, plain.info);
-            assert_eq!(got.results.len(), 10, "{codec:?}");
+            assert_eq!(got.results.len(), K, "{codec:?}");
             assert_eq!(f.vectors_scanned, p.vectors_scanned, "{codec:?}");
             assert_eq!(
                 f.bytes_scanned - f.reranked * DIM * 4,
                 p.bytes_scanned - p.reranked * DIM * 4,
                 "{codec:?}: scan bytes, re-rank fetches aside"
             );
-            assert!(
-                f.candidates * 2 < f.vectors_scanned,
-                "{codec:?}: probed {} of {} scanned rows",
-                f.candidates,
-                f.vectors_scanned
-            );
-            assert!(
-                f.candidates - f.filtered_out >= 10,
-                "{codec:?}: ten rows passed"
-            );
             assert_eq!(p.candidates, 0, "no filter, no probes");
+            // Every scanned row, ranked: the candidate pool is wide
+            // enough to hold them all, so every codec returns them.
+            let ranked = db
+                .search_with(&SearchRequest::new(q, f.vectors_scanned).with_probes(8))
+                .unwrap()
+                .results;
+            assert_eq!(ranked.len(), f.vectors_scanned, "{codec:?}");
+            let passing = ranked.iter().filter(|r| passes(r.asset_id)).count();
+            assert_eq!(
+                f.candidates - f.filtered_out,
+                scan_k.min(passing),
+                "{codec:?} q{qi}: the passing probes fill the pool and stop"
+            );
+            if codec == VectorCodec::F32 {
+                let kth = ranked
+                    .iter()
+                    .enumerate()
+                    .filter(|(_, r)| passes(r.asset_id))
+                    .nth(K - 1)
+                    .map_or(ranked.len(), |(rank, _)| rank + 1);
+                assert_eq!(f.candidates, kth, "q{qi}: rows ranked up to the k-th pass");
+            }
         }
     }
 }

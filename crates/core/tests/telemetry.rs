@@ -264,6 +264,48 @@ fn filter_join_stage_appears_for_hybrid_plans() {
     }
 }
 
+/// `micronn_filter_probes_total` is the sum of the post-filter join's
+/// `QueryInfo::candidates`, beside `micronn_filtered_out_total`; a
+/// pre-filter plan's examined set and an unfiltered query add nothing.
+#[test]
+fn filter_probes_counter_sums_the_join_candidates() {
+    let dir = tempfile::tempdir().unwrap();
+    let mut cfg = config(VectorCodec::Sq4);
+    cfg.attributes = vec![micronn::AttributeDef::indexed(
+        "g",
+        micronn::ValueType::Integer,
+    )];
+    let db = MicroNN::create(dir.path().join("p.mnn"), cfg).unwrap();
+    let ds = dataset(400, 9);
+    let records: Vec<VectorRecord> = (0..400)
+        .map(|i| VectorRecord::new(i as i64, ds.vector(i).to_vec()).with_attr("g", (i % 4) as i64))
+        .collect();
+    db.upsert_batch(&records).unwrap();
+    db.rebuild().unwrap();
+
+    let filter = micronn::Expr::eq("g", micronn::Value::Integer(2));
+    let (mut probes, mut rejected) = (0, 0);
+    for qi in 0..4 {
+        let q = ds.query(qi).to_vec();
+        let post = SearchRequest::new(q.clone(), K)
+            .with_filter(filter.clone())
+            .with_plan(micronn::PlanPreference::ForcePostFilter);
+        let info = db.search_with(&post).unwrap().info;
+        assert!(info.candidates > info.filtered_out, "q{qi}: some rows pass");
+        probes += info.candidates as u64;
+        rejected += info.filtered_out as u64;
+        let pre = post.with_plan(micronn::PlanPreference::ForcePreFilter);
+        assert!(db.search_with(&pre).unwrap().info.candidates > 0);
+        db.search(&q, K).unwrap();
+    }
+    let snap = db.telemetry();
+    assert_eq!(snap.counter("micronn_filter_probes_total"), Some(probes));
+    assert_eq!(snap.counter("micronn_filtered_out_total"), Some(rejected));
+    assert!(snap
+        .to_prometheus()
+        .contains("# TYPE micronn_filter_probes_total counter"));
+}
+
 #[test]
 fn slow_log_is_a_bounded_ring() {
     let dir = tempfile::tempdir().unwrap();

@@ -48,20 +48,6 @@ impl BTree {
         self.range(reader, Bound::Unbounded, Bound::Unbounded)
     }
 
-    /// Scans keys in `[start, end)`.
-    pub fn scan_range<'r, R: PageRead + ?Sized>(
-        &self,
-        reader: &'r R,
-        start: &[u8],
-        end: &[u8],
-    ) -> Result<Cursor<'r, R>> {
-        self.range(
-            reader,
-            Bound::Included(start.to_vec()),
-            Bound::Excluded(end.to_vec()),
-        )
-    }
-
     /// Scans keys beginning with `prefix`.
     pub fn scan_prefix<'r, R: PageRead + ?Sized>(
         &self,
@@ -277,7 +263,11 @@ mod tests {
         let r = store.begin_read();
         assert!(tree.depth(&r).unwrap() >= 2);
         let got: Vec<_> = tree
-            .scan_range(&r, b"k001000", b"k004000")
+            .range(
+                &r,
+                Bound::Included(b"k001000".to_vec()),
+                Bound::Excluded(b"k004000".to_vec()),
+            )
             .unwrap()
             .map(|kv| kv.unwrap())
             .collect();

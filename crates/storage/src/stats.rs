@@ -42,7 +42,11 @@ pub struct IoStats {
     pub pages_allocated: Arc<Counter>,
     /// Pages returned to the freelist.
     pub pages_freed: Arc<Counter>,
-    /// fsync calls issued.
+    /// fsync calls issued — on create and open, by group commits and by
+    /// checkpoints — except the WAL's fsync after a durable checkpoint
+    /// truncates it, so the VFS sees `syncs + checkpoints` under a
+    /// durable [`crate::SyncMode`]. The benchmark ledger pins that
+    /// relation; a checkpoint span's `fsyncs` counts both.
     pub syncs: Arc<Counter>,
     /// Pages loaded into the pool by the readahead worker.
     pub prefetch_reads: Arc<Counter>,

@@ -364,15 +364,14 @@ impl Store {
         let mut header = PageData::zeroed();
         meta.encode(&mut header);
         main.write_all_at(&header[..], 0)?;
-        if !matches!(opts.sync, SyncMode::Off) {
+        let durable = !matches!(opts.sync, SyncMode::Off);
+        if durable {
             main.sync()?;
         }
-        let wal = Wal::create(
-            &*opts.vfs,
-            &wal_path(&path),
-            matches!(opts.sync, SyncMode::Full),
-        )?;
-        Ok(Store::assemble(main, path, wal, meta, 0, opts))
+        let full = matches!(opts.sync, SyncMode::Full);
+        let wal = Wal::create(&*opts.vfs, &wal_path(&path), full)?;
+        let syncs = u64::from(durable) + u64::from(full);
+        Ok(Store::assemble(main, path, wal, meta, 0, syncs, opts))
     }
 
     /// Opens an existing database, running WAL crash recovery.
@@ -397,7 +396,10 @@ impl Store {
             }
         };
         let meta = Meta::decode(&header)?;
-        Ok(Store::assemble(main, path, wal, meta, snapshot, opts))
+        let syncs = opened.syncs;
+        Ok(Store::assemble(
+            main, path, wal, meta, snapshot, syncs, opts,
+        ))
     }
 
     /// Opens `path`, creating it first if it does not exist.
@@ -409,12 +411,15 @@ impl Store {
         }
     }
 
+    /// Wires up a store over an opened main file and WAL; `syncs` is
+    /// what opening them fsynced, the first entry of the tally.
     fn assemble(
         main: Box<dyn VfsFile>,
         path: PathBuf,
         wal: Wal,
         meta: Meta,
         seq: u64,
+        syncs: u64,
         opts: StoreOptions,
     ) -> Store {
         let channel = if opts.prefetch_queue_pages > 0 {
@@ -426,6 +431,8 @@ impl Store {
             Some((tx, rx)) => (Some(tx), Some(rx)),
             None => (None, None),
         };
+        let stats = IoStats::default();
+        IoStats::add(&stats.syncs, syncs);
         // The worker holds only a Weak reference: dropping the last
         // Store handle drops the Sender inside StoreInner, which
         // disconnects the channel and lets the worker exit.
@@ -441,7 +448,7 @@ impl Store {
                 main,
                 path,
                 pool: BufferPool::new(opts.pool_bytes),
-                stats: IoStats::default(),
+                stats,
                 committed: RwLock::new(Committed { seq, meta }),
                 writer: Arc::new(Mutex::new(())),
                 next_txid: AtomicU64::new(1),
@@ -801,7 +808,12 @@ fn checkpoint_locked(inner: &StoreInner) -> Result<bool> {
     // Every live snapshot is at or above the watermark now, so cached
     // page versions superseded below it are unreachable: collect them.
     gc_page_versions(inner, mx);
-    let fsyncs = u64::from(!matches!(inner.opts.sync, SyncMode::Off));
+    // The main file's fsync, then the WAL's after its truncation.
+    let fsyncs = if matches!(inner.opts.sync, SyncMode::Off) {
+        0
+    } else {
+        2
+    };
     inner.record_span(trace_start, "checkpoint", targets.len() as u64, fsyncs);
     Ok(true)
 }
@@ -838,6 +850,8 @@ fn checkpoint_copy(inner: &StoreInner, targets: &[(PageId, u64, u64)]) -> Result
         inner.main.sync()?;
         IoStats::bump(&inner.stats.syncs);
     }
+    // The WAL's own fsync after truncation stays out of
+    // `StoreStats::syncs` (see `IoStats::syncs`).
     inner.wal.reset(!matches!(inner.opts.sync, SyncMode::Off))?;
     Ok(())
 }
@@ -1800,6 +1814,60 @@ mod tests {
         );
         // Every commit's allocation landed.
         assert_eq!(store.page_count(), 2 + total as u32);
+    }
+
+    /// `StoreStats::syncs` tallies every fsync the VFS sees except the
+    /// WAL's after a checkpoint truncates it — through create, commits
+    /// under `Normal` and `Full`, a checkpoint, and reopens, one of them
+    /// over a torn WAL header that the open recreates and syncs.
+    #[test]
+    fn sync_tally_matches_the_vfs() {
+        use crate::sim::SimVfs;
+        let sim = SimVfs::new();
+        let opts = |sync| StoreOptions {
+            sync,
+            checkpoint_after_frames: 0,
+            vfs: sim.handle(),
+            ..Default::default()
+        };
+        let synced = || sim.recorded().1;
+        // The VFS's syncs since the store was opened at `base`.
+        let check = |store: &Store, base: u64, what: &str| {
+            let s = store.stats();
+            assert_eq!(s.syncs + s.checkpoints, synced() - base, "{what}: {s:?}");
+        };
+        let commit = |store: &Store, byte: u8| {
+            let mut txn = store.begin_write().unwrap();
+            let p = txn.allocate_page().unwrap();
+            fill(&mut txn, p, byte);
+            txn.commit().unwrap();
+        };
+
+        let store = Store::create("/sync-db", opts(SyncMode::Normal)).unwrap();
+        assert_eq!(store.stats().syncs, 1, "the main file's");
+        check(&store, 0, "create");
+        (0..3).for_each(|i| commit(&store, i));
+        check(&store, 0, "normal commits");
+        drop(store);
+
+        let base = synced();
+        let store = Store::open("/sync-db", opts(SyncMode::Full)).unwrap();
+        check(&store, base, "reopen");
+        (3..6).for_each(|i| commit(&store, i));
+        check(&store, base, "full commits");
+        assert!(store.checkpoint().unwrap());
+        check(&store, base, "checkpoint");
+        drop(store);
+
+        let wal = sim.handle().open(Path::new("/sync-db-wal"), OpenMode::Open);
+        wal.unwrap().set_len(8).unwrap();
+        let base = synced();
+        let store = Store::open("/sync-db", opts(SyncMode::Full)).unwrap();
+        assert_eq!(store.stats().syncs, 1, "the recreated WAL header's");
+        check(&store, base, "reopen over a torn WAL header");
+        commit(&store, 6);
+        check(&store, base, "commit after recovery");
+        assert_eq!(store.page_count(), 8, "header and seven pages");
     }
 
     #[test]

@@ -259,6 +259,9 @@ pub struct WalOpen {
     pub wal: Wal,
     /// Number of torn/uncommitted page records discarded by recovery.
     pub discarded_frames: u64,
+    /// fsyncs issued while opening: one when a missing or torn log was
+    /// recreated with a synced header.
+    pub syncs: u64,
 }
 
 impl Wal {
@@ -289,21 +292,22 @@ impl Wal {
     /// index (crash recovery). Creates the file if missing
     /// (`sync_header` as in [`Wal::create`]).
     pub fn open(vfs: &dyn Vfs, path: &Path, sync_header: bool) -> Result<WalOpen> {
-        if !vfs.exists(path) {
-            return Ok(WalOpen {
+        let fresh = || -> Result<WalOpen> {
+            Ok(WalOpen {
                 wal: Wal::create(vfs, path, sync_header)?,
                 discarded_frames: 0,
-            });
+                syncs: u64::from(sync_header),
+            })
+        };
+        if !vfs.exists(path) {
+            return fresh();
         }
         let file = vfs.open(path, OpenMode::Open)?;
         let len = file.len()?;
         if len < WAL_HEADER {
             // Torn header: treat as empty.
             drop(file);
-            return Ok(WalOpen {
-                wal: Wal::create(vfs, path, sync_header)?,
-                discarded_frames: 0,
-            });
+            return fresh();
         }
         let mut hdr = [0u8; WAL_HEADER as usize];
         file.read_exact_at(&mut hdr, 0)?;
@@ -415,6 +419,7 @@ impl Wal {
                 group: GroupCommit::new(synced),
             },
             discarded_frames: discarded,
+            syncs: 0,
         })
     }
 
