@@ -52,7 +52,6 @@ fn run_strategy(dataset: &Dataset, incremental: bool) -> Vec<EpochRow> {
     cfg.store = DeviceProfile::Large.store_options();
     cfg.target_partition_size = 100;
     cfg.default_probes = 8;
-    cfg.growth_limit = 1.5;
     cfg.delta_flush_threshold = 1;
     // The paper's protocol: growth has exactly one answer (a full
     // rebuild). The lifecycle split/merge alternative is measured by

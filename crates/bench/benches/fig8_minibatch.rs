@@ -72,7 +72,6 @@ fn main() {
         let (report, dur) = micronn_bench::time(|| {
             db.rebuild_with(&RebuildOptions {
                 batch_size: Some(batch),
-                iterations: None,
                 // 100% "resembles a regular k-means algorithm" (§4.3.2):
                 // buffer everything and run Lloyd's.
                 full_kmeans: pct >= 100.0,

@@ -32,6 +32,7 @@ use crate::exec::{
     rerank_exact, scan_pool_k, BlockPool, PartitionScanner, Payload, Queries, ScanMetrics,
 };
 use crate::search::SearchResult;
+use crate::stats::{PlanUsed, QueryInfo};
 use crate::telemetry::{stage, QueryTrace};
 
 /// Results of a batch search plus aggregate execution counters.
@@ -153,15 +154,14 @@ impl crate::snapshot::Snapshot {
             .tel
             .distance_computations
             .add(distance_computations as u64);
-        inner.tel.finish_batch(
-            &trace,
-            nq,
-            k,
-            partitions.len(),
-            totals.vectors_scanned,
-            totals.bytes_scanned,
-            totals.reranked,
-        );
+        let info = QueryInfo {
+            partitions_scanned: partitions.len(),
+            vectors_scanned: totals.vectors_scanned,
+            bytes_scanned: totals.bytes_scanned,
+            reranked: totals.reranked,
+            ..QueryInfo::new(PlanUsed::Ann)
+        };
+        inner.tel.finish(&trace, &info, k, Some(nq));
         let results = merged
             .into_iter()
             .map(|top| {

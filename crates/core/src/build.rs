@@ -22,6 +22,11 @@ use crate::error::Result;
 const CLUSTERING_BATCH_SIZE: usize = 1024;
 /// Clustering iterations; `0` = auto.
 const CLUSTERING_ITERATIONS: usize = 0;
+/// Balance-constraint weight λ of Algorithm 1.
+const BALANCE_LAMBDA: f32 = 0.5;
+/// RNG seed of every clustering the index runs: the build, a split's
+/// local re-clustering (xor the partition id) and the centroid index.
+pub(crate) const CLUSTERING_SEED: u64 = 0x5EED;
 
 /// Outcome of a full index build.
 #[derive(Debug, Clone, PartialEq)]
@@ -81,8 +86,6 @@ impl<R: PageRead + ?Sized> VectorSource for TableVectorSource<'_, R> {
 pub struct RebuildOptions {
     /// Mini-batch size; `None` = the default (1024).
     pub batch_size: Option<usize>,
-    /// Iterations; `None` = the default (`0`: chosen automatically).
-    pub iterations: Option<usize>,
     /// Train the quantizer with full-memory Lloyd's k-means instead of
     /// mini-batch: buffers the *entire* collection in RAM (the memory
     /// cost the paper's Figure 8b shows for a "100% batch"), in
@@ -124,10 +127,10 @@ impl MicroNN {
         let mb = MiniBatchConfig {
             target_cluster_size: inner.cfg.target_partition_size,
             batch_size: opts.batch_size.unwrap_or(CLUSTERING_BATCH_SIZE),
-            iterations: opts.iterations.unwrap_or(CLUSTERING_ITERATIONS),
-            balance_lambda: inner.cfg.balance_lambda,
+            iterations: CLUSTERING_ITERATIONS,
+            balance_lambda: BALANCE_LAMBDA,
             balanced_assignment: true,
-            seed: inner.cfg.seed,
+            seed: CLUSTERING_SEED,
             metric: inner.metric,
         };
         let train_start = Instant::now();
@@ -148,7 +151,7 @@ impl MicroNN {
                     inner.dim,
                     &micronn_cluster::LloydConfig {
                         target_cluster_size: inner.cfg.target_partition_size,
-                        seed: inner.cfg.seed,
+                        seed: CLUSTERING_SEED,
                         metric: inner.metric,
                         ..Default::default()
                     },
@@ -161,16 +164,8 @@ impl MicroNN {
                 // vectors, keeping construction memory near the
                 // mini-batch bound the paper claims (Figure 6b).
                 let chunk = (2 * 1024 * 1024 / (inner.dim * 4)).clamp(64, 4096);
-                let assignments = micronn_cluster::assign_all(
-                    &source,
-                    &clustering,
-                    if mb.balanced_assignment {
-                        mb.balance_lambda
-                    } else {
-                        0.0
-                    },
-                    chunk,
-                )?;
+                let assignments =
+                    micronn_cluster::assign_all(&source, &clustering, BALANCE_LAMBDA, chunk)?;
                 (clustering, assignments)
             }
         };

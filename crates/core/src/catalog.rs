@@ -779,14 +779,13 @@ impl<'a> Writer<'a> {
         self.tables
     }
 
-    /// Commits and publishes the row-change tally; returns the commit
-    /// seq.
-    pub fn commit(self) -> Result<u64> {
-        let seq = self.txn.commit()?;
+    /// Commits and publishes the row-change tally.
+    pub fn commit(self) -> Result<()> {
+        self.txn.commit()?;
         self.tables
             .row_changes
             .fetch_add(self.changes, Ordering::Relaxed);
-        Ok(seq)
+        Ok(())
     }
 
     /// Abandons the transaction.
@@ -816,11 +815,9 @@ impl<'a> Writer<'a> {
     /// Advances the index epoch — every transaction that changes
     /// centroid rows, quantization ranges or attribute statistics does
     /// this once, which is what invalidates the epoch-keyed caches.
-    /// Returns the new epoch.
-    pub fn bump_epoch(&mut self) -> Result<i64> {
+    pub fn bump_epoch(&mut self) -> Result<()> {
         let epoch = self.tables.counter(self, Counter::EPOCH)? + 1;
-        self.set_counter(Counter::EPOCH, epoch)?;
-        Ok(epoch)
+        self.set_counter(Counter::EPOCH, epoch)
     }
 
     /// Writes one vector row.

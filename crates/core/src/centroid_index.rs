@@ -20,13 +20,15 @@
 use micronn_cluster::{lloyd, Clustering, LloydConfig};
 use micronn_linalg::TopK;
 
+/// Partition count from which the loaded quantizer carries a
+/// [`CentroidIndex`]; below it, probe selection scans every centroid.
+pub(crate) const THRESHOLD: usize = 2048;
 /// Over-expansion factor: candidate pool size relative to `n` probes.
 const EXPANSION: usize = 4;
 /// Minimum candidate pool regardless of `n`.
 const MIN_POOL: usize = 64;
 
 /// A super-clustering over the IVF centroids.
-#[derive(Clone)]
 pub(crate) struct CentroidIndex {
     supers: Clustering,
     /// Member centroid indexes per super-cluster.
@@ -76,38 +78,6 @@ impl CentroidIndex {
     #[cfg_attr(not(test), allow(dead_code))]
     pub fn super_count(&self) -> usize {
         self.supers.k()
-    }
-
-    /// Incrementally registers a brand-new centroid `ci` (appended at
-    /// the end of `clustering`) without retraining the super-clusters:
-    /// the centroid joins its nearest super-cluster and the cluster's
-    /// radius grows to cover it. Used by lifecycle splits so a
-    /// maintenance op costs `O(√k)` super-index work instead of a full
-    /// `O(k√k)` retrain; pruning stays sound because radii only grow.
-    pub fn insert(&mut self, clustering: &Clustering, ci: usize) {
-        let (si, d) = self.supers.nearest(clustering.centroid(ci));
-        self.members[si].push(ci as u32);
-        self.radii[si] = self.radii[si].max(d);
-    }
-
-    /// Re-covers an existing centroid `ci` after maintenance moved it
-    /// (e.g. a split re-centred the surviving partition). The centroid
-    /// keeps its super-cluster membership; the radius grows so the
-    /// pruning bound still upper-bounds its distance. Radii never
-    /// shrink here — a conservative (larger) radius only costs pruning
-    /// opportunities, never correctness.
-    pub fn note_moved(&mut self, clustering: &Clustering, ci: usize) {
-        let target = ci as u32;
-        for (si, members) in self.members.iter().enumerate() {
-            if members.contains(&target) {
-                let d = self
-                    .supers
-                    .metric()
-                    .distance(self.supers.centroid(si), clustering.centroid(ci));
-                self.radii[si] = self.radii[si].max(d);
-                return;
-            }
-        }
     }
 
     /// The `n` nearest centroids to `x`, ascending by distance,
@@ -301,41 +271,6 @@ mod tests {
             0.0,
             0.0
         ));
-    }
-
-    #[test]
-    fn incremental_insert_finds_new_centroid() {
-        let c = big_clustering(256, 8);
-        let mut idx = CentroidIndex::build(&c, 1);
-        // Append a brand-new centroid far from every blob and register
-        // it incrementally, as a lifecycle split does.
-        let mut flat = c.centroids().to_vec();
-        flat.extend(std::iter::repeat(500.0f32).take(8));
-        let grown = Clustering::new(flat, 8, Metric::L2);
-        idx.insert(&grown, 256);
-        let total: usize = idx.members.iter().map(Vec::len).sum();
-        assert_eq!(total, 257);
-        let got = idx.nearest_n(&grown, &[500.0; 8], 3);
-        assert_eq!(got[0].0, 256, "inserted centroid must be reachable");
-        assert_eq!(got[0].1, 0.0);
-    }
-
-    #[test]
-    fn note_moved_grows_radius_to_cover_drift() {
-        let c = big_clustering(256, 8);
-        let mut idx = CentroidIndex::build(&c, 1);
-        // Move centroid 0 a long way and re-cover it: a query at the
-        // new position must still find it through the hierarchy.
-        let mut flat = c.centroids().to_vec();
-        for x in &mut flat[0..8] {
-            *x += 40.0;
-        }
-        let moved = Clustering::new(flat, 8, Metric::L2);
-        idx.note_moved(&moved, 0);
-        let q: Vec<f32> = moved.centroid(0).to_vec();
-        let got = idx.nearest_n(&moved, &q, 4);
-        assert_eq!(got[0].0, 0, "moved centroid must stay reachable");
-        assert_eq!(got[0].1, 0.0);
     }
 
     #[test]

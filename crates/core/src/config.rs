@@ -76,17 +76,15 @@ pub struct Config {
     /// available core (capped at 8, an on-device-friendly bound).
     pub workers: usize,
     /// Flush the delta store into the IVF index once it holds this many
-    /// vectors (`maybe_maintain`).
+    /// vectors (`maybe_maintain`; must be positive).
     pub delta_flush_threshold: usize,
-    /// Trigger a full rebuild when the average partition size exceeds
-    /// this multiple of its post-build baseline (paper: 1.5 = +50%).
-    /// With [`Config::lifecycle`] enabled this becomes a rare fallback:
-    /// local splits keep partition growth in check first.
-    pub growth_limit: f64,
     /// Enable local partition lifecycle maintenance (§3.6 extended):
     /// oversized partitions are split by local re-clustering and
     /// undersized partitions merged into their nearest neighbour, so
-    /// growth rarely escalates to a full rebuild.
+    /// growth rarely escalates to a full rebuild. The paper's growth
+    /// trigger, a rebuild once the average partition size reaches 1.5×
+    /// its post-build baseline, is then a rare fallback; without
+    /// lifecycle maintenance it is the only answer to growth.
     pub lifecycle: bool,
     /// Split a partition once it holds more than
     /// `split_limit × target_partition_size` vectors (must exceed 1.0).
@@ -95,15 +93,6 @@ pub struct Config {
     /// `merge_limit × target_partition_size` vectors (in `[0, 1)`;
     /// `0` disables merging).
     pub merge_limit: f64,
-    /// Balance-constraint weight λ of Algorithm 1.
-    pub balance_lambda: f32,
-    /// RNG seed for clustering.
-    pub seed: u64,
-    /// Build a two-level index over the centroids once the partition
-    /// count reaches this threshold (§3.2's "the centroid table itself
-    /// could also be indexed"); probe selection then costs `O(√k)`
-    /// instead of `O(k)` centroid distances.
-    pub centroid_index_threshold: usize,
     /// Client-defined filterable attributes.
     pub attributes: Vec<AttributeDef>,
     /// Queries slower than this many milliseconds are captured (with
@@ -132,13 +121,9 @@ impl Default for Config {
             default_probes: 8,
             workers: 0,
             delta_flush_threshold: 1024,
-            growth_limit: 1.5,
             lifecycle: true,
             split_limit: 1.5,
             merge_limit: 0.25,
-            balance_lambda: 0.5,
-            seed: 0x5EED,
-            centroid_index_threshold: 2048,
             attributes: Vec::new(),
             slow_query_ms: None,
             trace: std::env::var("MICRONN_TRACE").is_ok_and(|v| !v.is_empty() && v != "0"),
@@ -157,7 +142,9 @@ impl Config {
         }
     }
 
-    /// Validates creation-time invariants.
+    /// Checks the invariants [`MicroNN::create`](crate::MicroNN::create)
+    /// and [`MicroNN::open`](crate::MicroNN::open) both enforce (`open`
+    /// after loading the persisted parameters).
     pub fn validate(&self) -> crate::error::Result<()> {
         if self.dim == 0 {
             return Err(crate::error::Error::Config("dim must be positive".into()));
@@ -167,9 +154,9 @@ impl Config {
                 "target_partition_size must be positive".into(),
             ));
         }
-        if self.growth_limit <= 1.0 {
+        if self.delta_flush_threshold == 0 {
             return Err(crate::error::Error::Config(
-                "growth_limit must exceed 1.0".into(),
+                "delta_flush_threshold must be positive".into(),
             ));
         }
         if self.codec == VectorCodec::Sq4 && self.dim >= SQ4_MAX_DIM {
@@ -286,8 +273,8 @@ mod tests {
         c.target_partition_size = 0;
         assert!(c.validate().is_err());
         let mut c = Config::new(8, Metric::L2);
-        c.growth_limit = 1.0;
-        assert!(c.validate().is_err());
+        c.delta_flush_threshold = 0;
+        assert!(c.validate().is_err(), "delta_flush_threshold 0");
         let mut c = Config::new(8, Metric::L2);
         c.attributes = vec![
             AttributeDef::new("a", ValueType::Integer),

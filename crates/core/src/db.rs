@@ -11,7 +11,9 @@ use micronn_linalg::{Metric, Sq8Params};
 use micronn_rel::{Database, RelError, TableStats, Value};
 use micronn_storage::PageRead;
 
+use crate::build::CLUSTERING_SEED;
 use crate::catalog::{Counter, Loc, Tables, Writer};
+use crate::centroid_index::{self, CentroidIndex};
 use crate::codec::VectorCodec;
 use crate::config::Config;
 use crate::error::{Error, Result};
@@ -54,7 +56,7 @@ pub(crate) struct LoadedIndex {
     pub clustering: Arc<Clustering>,
     /// Partition id per centroid index.
     pub partitions: Arc<Vec<i64>>,
-    pub super_index: Option<Arc<crate::centroid_index::CentroidIndex>>,
+    pub super_index: Option<Arc<CentroidIndex>>,
     /// The index epoch this quantizer is the state of: what a scan
     /// hands to [`Inner::partition_params`], so it reads the epoch once.
     pub epoch: i64,
@@ -188,7 +190,8 @@ impl MicroNN {
     /// Opens an existing index. Persisted parameters (dimension,
     /// metric, attribute schema) are loaded from the database; `config`
     /// supplies runtime knobs (probes, workers, thresholds, store
-    /// options). A non-zero `config.dim` is validated against the file.
+    /// options). A non-zero `config.dim` is validated against the file,
+    /// and the knobs are then checked by [`Config::validate`].
     pub fn open(path: impl AsRef<std::path::Path>, config: Config) -> Result<MicroNN> {
         MicroNN::start(path.as_ref(), config, false)
     }
@@ -212,6 +215,9 @@ impl MicroNN {
             Tables::create(&db, &config)?;
         }
         let tables = Tables::open(&db, &mut config)?;
+        // `open`'s runtime knobs meet the same rules as `create`'s, with
+        // the persisted parameters loaded.
+        config.validate()?;
         Ok(MicroNN {
             inner: Arc::new(Inner {
                 tables,
@@ -573,9 +579,11 @@ impl Inner {
     }
 
     /// Loads (or returns the cached) IVF quantizer: the centroid matrix
-    /// plus the partition id per centroid, and — once `k` crosses the
-    /// configured threshold — the two-level centroid index. `None`
-    /// before the first index build.
+    /// plus the partition id per centroid, and — once `k` reaches
+    /// [`centroid_index::THRESHOLD`] — the two-level centroid index.
+    /// `None` before the first index build. This is the only way the
+    /// cache is filled: every maintenance action bumps the epoch, and
+    /// the next reader reloads from the committed centroid table.
     ///
     /// The epoch is read *under the caller's snapshot*. Epochs are
     /// monotone and every centroid/range change commits an epoch bump
@@ -607,14 +615,8 @@ impl Inner {
             return Ok(None);
         }
         let clustering = Arc::new(Clustering::new(flat, self.dim, self.metric));
-        let super_index = if partitions.len() >= self.cfg.centroid_index_threshold {
-            Some(Arc::new(crate::centroid_index::CentroidIndex::build(
-                &clustering,
-                self.cfg.seed,
-            )))
-        } else {
-            None
-        };
+        let super_index = (partitions.len() >= centroid_index::THRESHOLD)
+            .then(|| Arc::new(CentroidIndex::build(&clustering, CLUSTERING_SEED)));
         let index = LoadedIndex {
             clustering,
             partitions: Arc::new(partitions),
@@ -789,6 +791,23 @@ mod tests {
             ..Config::default()
         };
         assert!(MicroNN::open(&path, bad).is_err());
+    }
+
+    /// A zero flush threshold makes every `maybe_maintain` pass commit
+    /// 32 empty flushes: `create` refuses it, and so does `open`, whose
+    /// runtime knobs the file does not persist.
+    #[test]
+    fn zero_delta_flush_threshold_rejected() {
+        let dir = tempfile::tempdir().unwrap();
+        let path = dir.path().join("x.mnn");
+        let mut zero = test_config(8);
+        zero.delta_flush_threshold = 0;
+        let err = MicroNN::create(&path, zero.clone()).unwrap_err();
+        assert!(matches!(err, Error::Config(_)), "{err}");
+        drop(MicroNN::create(&path, test_config(8)).unwrap());
+        let err = MicroNN::open(&path, zero).unwrap_err();
+        assert!(matches!(err, Error::Config(_)), "{err}");
+        MicroNN::open(&path, test_config(8)).unwrap();
     }
 
     /// Writer-rollback poisoning regression: a write transaction must

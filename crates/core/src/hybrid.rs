@@ -236,7 +236,7 @@ impl Snapshot {
                 )?
             }
         };
-        inner.tel.finish_query(&trace, &resp.info, req.k);
+        inner.tel.finish(&trace, &resp.info, req.k, None);
         Ok(resp)
     }
 
@@ -247,7 +247,7 @@ impl Snapshot {
         let ctx = filter.map(|expr| filter_ctx(inner, expr)).transpose()?;
         let ctx = ctx.as_ref();
         let resp = ivf_search(inner, r, query, k, None, ctx, PlanUsed::Exact, &mut trace)?;
-        inner.tel.finish_query(&trace, &resp.info, k);
+        inner.tel.finish(&trace, &resp.info, k, None);
         Ok(resp)
     }
 }

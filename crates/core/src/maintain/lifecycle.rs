@@ -24,18 +24,15 @@
 //! their code rows in the same transaction, so compressed-domain scans
 //! never see codes encoded under stale ranges. The index epoch is
 //! bumped on commit, invalidating the shared centroid/quant/stats
-//! caches; a split additionally refreshes the in-process centroid cache
-//! incrementally (appending new centroids to the cached super-index)
-//! so steady-state maintenance does not force an `O(k √k)` super-index
-//! retrain per operation.
+//! caches: the next query reloads the quantizer from the committed
+//! centroid table, as after a flush, retrain or rebuild.
 
-use std::sync::Arc;
+use micronn_cluster::{lloyd, LloydConfig};
 
-use micronn_cluster::{lloyd, Clustering, LloydConfig};
-
+use crate::build::CLUSTERING_SEED;
 use crate::catalog::{CentroidRow, Counter};
 use crate::config::Config;
-use crate::db::{LoadedIndex, MicroNN, DELTA_PARTITION};
+use crate::db::{MicroNN, DELTA_PARTITION};
 use crate::error::{Error, Result};
 
 /// Outcome of one partition split.
@@ -158,7 +155,7 @@ impl MicroNN {
             dim,
             &LloydConfig {
                 target_cluster_size: (n / k_new).max(1),
-                seed: inner.cfg.seed ^ partition as u64,
+                seed: CLUSTERING_SEED ^ partition as u64,
                 metric: inner.metric,
                 ..Default::default()
             },
@@ -246,26 +243,14 @@ impl MicroNN {
         let k = t.counter(&w, Counter::PARTITIONS)?;
         w.set_counter(Counter::PARTITIONS, k + new_partitions.len() as i64)?;
         w.set_counter(Counter::NEXT_PID, next_pid)?;
-        let old_epoch = w.bump_epoch()? - 1;
-        let commit_seq = w.commit()?;
+        w.bump_epoch()?;
+        w.commit()?;
         // The split re-encoded every touched partition under fresh
         // ranges: its drift counter starts over.
         inner.reset_drift(partition);
-
-        // Post-commit: refresh the in-process centroid cache in place
-        // (append-only super-index update) instead of dropping it.
-        let new_centroids: Vec<(i64, Vec<f32>)> = live
-            .iter()
-            .filter(|&&c| c != keep)
-            .map(|&c| (pid_of[c], centroids[c].clone()))
-            .collect();
-        self.refresh_cache_after_split(
-            old_epoch,
-            commit_seq,
-            partition,
-            &centroids[keep],
-            &new_centroids,
-        );
+        // Free the stale quantizer now; the next query reloads it at
+        // the new epoch.
+        inner.centroid_cache.clear();
         self.maint_finish(span, moved as u64);
 
         Ok(SplitReport {
@@ -363,10 +348,7 @@ impl MicroNN {
         // under fresh ranges: both drift counters start over.
         inner.reset_drift(partition);
         inner.reset_drift(target);
-
-        // Removing a centroid shifts every later centroid's index, so
-        // the cached super-index cannot be patched in place; drop the
-        // cache and let the next query reload at the new epoch.
+        // As after a split: the next query reloads at the new epoch.
         inner.centroid_cache.clear();
         self.maint_finish(span, members.len() as u64);
 
@@ -376,66 +358,6 @@ impl MicroNN {
             rows_moved: members.len(),
             total_time: start.elapsed(),
         })
-    }
-
-    /// Patches the shared centroid cache after a committed split: the
-    /// surviving partition's centroid is overwritten in place and the
-    /// new centroids appended (new partition ids are strictly larger
-    /// than every existing id, so append order matches the centroid
-    /// table's scan order). The cached super-index absorbs the change
-    /// incrementally — `O(√k)` instead of a full retrain. Falls back to
-    /// dropping the cache whenever the in-place picture could diverge
-    /// from a fresh load.
-    fn refresh_cache_after_split(
-        &self,
-        old_epoch: i64,
-        commit_seq: u64,
-        partition: i64,
-        kept_centroid: &[f32],
-        new_centroids: &[(i64, Vec<f32>)],
-    ) {
-        let inner = &*self.inner;
-        let cache = &inner.centroid_cache;
-        let dim = inner.dim;
-        let patched = cache.lookup(Some(commit_seq), &old_epoch, |idx| {
-            let pos = idx.partitions.iter().position(|&p| p == partition)?;
-            let old_k = idx.partitions.len();
-            let new_k = old_k + new_centroids.len();
-            if idx.super_index.is_none() && new_k >= inner.cfg.centroid_index_threshold {
-                // Crossing the super-index threshold: let the reload
-                // path build the hierarchy.
-                return None;
-            }
-            let mut flat = idx.clustering.centroids().to_vec();
-            flat[pos * dim..(pos + 1) * dim].copy_from_slice(kept_centroid);
-            let mut partitions = (*idx.partitions).clone();
-            for (pid, c) in new_centroids {
-                partitions.push(*pid);
-                flat.extend_from_slice(c);
-            }
-            let clustering = Arc::new(Clustering::new(flat, dim, inner.metric));
-            let super_index = idx.super_index.as_ref().map(|si| {
-                let mut si = (**si).clone();
-                si.note_moved(&clustering, pos);
-                for ci in old_k..new_k {
-                    si.insert(&clustering, ci);
-                }
-                Arc::new(si)
-            });
-            Some(LoadedIndex {
-                clustering,
-                partitions: Arc::new(partitions),
-                super_index,
-                epoch: old_epoch + 1,
-            })
-        });
-        match patched {
-            // The patched view is exactly the committed state at the
-            // split's commit seq; only an entry from a later commit
-            // outranks it.
-            Some(index) => cache.publish(Some(commit_seq), old_epoch + 1, |_| index),
-            None => cache.clear(),
-        }
     }
 }
 

@@ -21,7 +21,7 @@
 //!    oversized partition, or fold one undersized partition into its
 //!    nearest neighbour, touching only that partition's rows;
 //! 3. **full rebuild** — the paper's growth trigger (average partition
-//!    size past `growth_limit ×` its post-build baseline), now a rare
+//!    size past 1.5 × its post-build baseline), now a rare
 //!    fallback rather than the only answer to growth;
 //! 4. **quantizer retrain** — for quantized codecs, a partition whose
 //!    stored ranges have drifted (too many flushed rows clamped during
@@ -55,6 +55,11 @@ use crate::RebuildReport;
 /// ranges.
 const RANGE_DRIFT_LIMIT: f64 = 0.1;
 
+/// The paper's growth trigger: a full rebuild is due once the average
+/// partition size reaches this multiple of its post-build baseline
+/// (+50 %).
+const GROWTH_LIMIT: f64 = 1.5;
+
 /// What the index monitor thinks should happen next.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MaintenanceStatus {
@@ -72,7 +77,7 @@ pub enum MaintenanceStatus {
     /// target_partition_size` vectors: a local merge is due (lifecycle
     /// maintenance only).
     NeedsMerge,
-    /// Average partition size grew past `growth_limit ×` its post-build
+    /// Average partition size grew past 1.5 × its post-build
     /// baseline and no local operation can fix it: a full rebuild is
     /// due.
     NeedsRebuild,
@@ -300,7 +305,7 @@ impl MicroNN {
         }
         let baseline = t.counter(&r, Counter::BASELINE_AVG)? as f64 / 1000.0;
         let current_avg = (total - delta.min(total)) as f64 / k as f64;
-        let growing = baseline > 0.0 && current_avg >= inner.cfg.growth_limit * baseline;
+        let growing = baseline > 0.0 && current_avg >= GROWTH_LIMIT * baseline;
         if growing && !inner.cfg.lifecycle {
             return Ok((MaintenanceStatus::NeedsRebuild, None));
         }

@@ -167,26 +167,29 @@ impl DbTelemetry {
         self.sink.enabled() || self.slow_query_ms.is_some()
     }
 
-    /// Flows one finished single query into the registry, the sink,
-    /// and (past the threshold) the slow-query log.
-    pub fn finish_query(&self, trace: &QueryTrace, info: &QueryInfo, k: usize) {
+    /// Flows one finished query into the registry, the sink, and (past
+    /// the threshold) the slow-query log. `batch` is `Some(nq)` for a
+    /// shared-scan batch of `nq` queries, whose `info` sums the batch.
+    pub fn finish(&self, trace: &QueryTrace, info: &QueryInfo, k: usize, batch: Option<usize>) {
         let total = trace.total();
-        self.queries.inc();
-        self.query_latency.record(total.as_nanos() as u64);
+        let (count, latency) = match batch {
+            None => (&self.queries, &self.query_latency),
+            Some(_) => (&self.batches, &self.batch_latency),
+        };
+        count.inc();
+        latency.record(total.as_nanos() as u64);
         // A pre-filter plan's `candidates` is the set its access path
         // examined, not probes of the join.
         let probes = match info.plan {
             PlanUsed::PreFilter => 0,
             _ => info.candidates,
         };
-        self.flow_scan_counters(
-            info.vectors_scanned,
-            info.bytes_scanned,
-            info.filtered_out,
-            probes,
-            info.reranked,
-            info.partitions_scanned,
-        );
+        self.vectors_scanned.add(info.vectors_scanned as u64);
+        self.bytes_scanned.add(info.bytes_scanned as u64);
+        self.filtered_out.add(info.filtered_out as u64);
+        self.filter_probes.add(probes as u64);
+        self.reranked.add(info.reranked as u64);
+        self.partitions_scanned.add(info.partitions_scanned as u64);
         if !trace.detailed {
             return;
         }
@@ -194,19 +197,30 @@ impl DbTelemetry {
             for &(name, d) in &trace.stages {
                 self.sink.record(Span::new(name, d));
             }
+            let (name, items, detail) = match batch {
+                None => (
+                    "query",
+                    info.vectors_scanned,
+                    format!("plan={} k={k}", info.plan),
+                ),
+                Some(nq) => ("batch", nq, format!("queries={nq} k={k}")),
+            };
             self.sink.record(Span {
-                name: "query",
+                name,
                 duration: total,
                 bytes: info.bytes_scanned as u64,
-                items: info.vectors_scanned as u64,
+                items: items as u64,
                 fsyncs: 0,
-                detail: format!("plan={} k={k}", info.plan),
+                detail,
             });
         }
         if self.over_threshold(total) {
             self.slow_queries.inc();
             self.slow_log.push(SlowQueryRecord {
-                plan: info.plan.to_string(),
+                plan: match batch {
+                    None => info.plan.to_string(),
+                    Some(nq) => format!("batch[{nq}]"),
+                },
                 k,
                 total,
                 stages: trace.stages.clone(),
@@ -216,63 +230,6 @@ impl DbTelemetry {
                 candidates: info.candidates,
                 bytes_scanned: info.bytes_scanned,
                 reranked: info.reranked,
-            });
-        }
-    }
-
-    /// Flows one finished batch query (shared-scan fan-out of `nq`
-    /// queries) into the registry, the sink, and the slow-query log.
-    #[allow(clippy::too_many_arguments)]
-    pub fn finish_batch(
-        &self,
-        trace: &QueryTrace,
-        nq: usize,
-        k: usize,
-        partitions_scanned: usize,
-        vectors_scanned: usize,
-        bytes_scanned: usize,
-        reranked: usize,
-    ) {
-        let total = trace.total();
-        self.batches.inc();
-        self.batch_latency.record(total.as_nanos() as u64);
-        self.flow_scan_counters(
-            vectors_scanned,
-            bytes_scanned,
-            0,
-            0,
-            reranked,
-            partitions_scanned,
-        );
-        if !trace.detailed {
-            return;
-        }
-        if self.sink.enabled() {
-            for &(name, d) in &trace.stages {
-                self.sink.record(Span::new(name, d));
-            }
-            self.sink.record(Span {
-                name: "batch",
-                duration: total,
-                bytes: bytes_scanned as u64,
-                items: nq as u64,
-                fsyncs: 0,
-                detail: format!("queries={nq} k={k}"),
-            });
-        }
-        if self.over_threshold(total) {
-            self.slow_queries.inc();
-            self.slow_log.push(SlowQueryRecord {
-                plan: format!("batch[{nq}]"),
-                k,
-                total,
-                stages: trace.stages.clone(),
-                partitions_scanned,
-                vectors_scanned,
-                filtered_out: 0,
-                candidates: 0,
-                bytes_scanned,
-                reranked,
             });
         }
     }
@@ -300,23 +257,6 @@ impl DbTelemetry {
                 detail: String::new(),
             });
         }
-    }
-
-    fn flow_scan_counters(
-        &self,
-        vectors: usize,
-        bytes: usize,
-        filtered: usize,
-        probes: usize,
-        reranked: usize,
-        partitions: usize,
-    ) {
-        self.vectors_scanned.add(vectors as u64);
-        self.bytes_scanned.add(bytes as u64);
-        self.filtered_out.add(filtered as u64);
-        self.filter_probes.add(probes as u64);
-        self.reranked.add(reranked as u64);
-        self.partitions_scanned.add(partitions as u64);
     }
 
     fn over_threshold(&self, total: Duration) -> bool {
