@@ -3,7 +3,9 @@
 //! Building streams the vector collection through mini-batch k-means
 //! (Algorithm 1) — never buffering more than one mini-batch of vectors
 //! — then rewrites each row's `partition` component of the clustered
-//! primary key so partitions become contiguous on disk. The whole
+//! primary key so each partition becomes one contiguous key range: one
+//! run of the `vectors` leaf chain, whose pages are wherever the
+//! B+tree allocated them (not adjacent in the file). The whole
 //! rebuild is **one write transaction**: concurrent readers keep their
 //! snapshots of the old index and flip atomically to the new one at
 //! commit (the consistency requirement of §2.1). Transactions larger

@@ -21,7 +21,8 @@
 //! than the f32 rows they mirror.
 //!
 //! The `vectors` table is clustered on `(partition, vid)`, so each IVF
-//! partition is a contiguous key range on disk (§3.2). The delta store
+//! partition is a contiguous key range (§3.2): a scan walks one run of
+//! leaves, though not pages adjacent in the file. The delta store
 //! is the reserved partition `0` (§3.6): upserts land there and are
 //! folded into the index by [`crate::maintain`].
 //!
@@ -48,8 +49,8 @@ use std::sync::Arc;
 
 use micronn_linalg::{sq4_block_bytes, Metric, Sq8Params, SQ4_BLOCK, SQ4_MAX_DIM};
 use micronn_rel::{
-    analyze_table, blob_to_f32, f32_to_blob, ints_then_blob, ColumnDef, Database, RowDecoder,
-    RowReader, Table, TableSchema, Value, ValueType,
+    analyze_table, blob_to_f32, f32_to_blob, ints_then_blob, ColumnDef, Database, RelError,
+    RowDecoder, RowReader, Table, TableSchema, Value, ValueType,
 };
 use micronn_storage::{Occupancy, PageData, PageId, PageRead, StorageError, WriteTxn};
 
@@ -267,17 +268,25 @@ fn payload_row((p, vid): Loc, asset: i64, payload: Vec<u8>) -> Vec<Value> {
     vec![p.into(), vid.into(), asset.into(), Value::Blob(payload)]
 }
 
-/// Appends a stored little-endian f32 vector blob to `out`; `Err`
-/// unless it holds exactly `dim` components.
-pub(crate) fn extend_f32(out: &mut Vec<f32>, blob: &[u8], dim: usize) -> Result<()> {
-    if blob.len() != dim * 4 {
-        let (got, want) = (blob.len(), dim * 4);
-        return Err(Error::Config(format!(
-            "stored vector has {got} bytes, expected {want}"
-        )));
+/// `blob`, the stored vector of row `at`, if it holds exactly `dim`
+/// little-endian f32s; otherwise the corruption error naming the row.
+/// Every reader of a vector blob checks it here before a kernel or a
+/// decode touches it.
+pub(crate) fn f32_row(at: Loc, blob: &[u8], dim: usize) -> Result<&[u8]> {
+    if blob.len() == dim * 4 {
+        return Ok(blob);
     }
+    let ((p, vid), got, want) = (at, blob.len(), dim * 4);
+    Err(Error::Rel(RelError::Codec(format!(
+        "vector row ({p},{vid}) has {got} bytes, expected {want}"
+    ))))
+}
+
+/// Appends the stored vector of row `at` to `out`, decoded; `Err`
+/// (see [`f32_row`]) unless it holds exactly `dim` components.
+pub(crate) fn extend_f32(out: &mut Vec<f32>, at: Loc, blob: &[u8], dim: usize) -> Result<()> {
     let le = |c: &[u8]| f32::from_le_bytes(c.try_into().expect("4-byte chunk"));
-    out.extend(blob.chunks_exact(4).map(le));
+    out.extend(f32_row(at, blob, dim)?.chunks_exact(4).map(le));
     Ok(())
 }
 
@@ -545,8 +554,9 @@ impl Tables {
     }
 
     /// Visits the vector rows of one partition (or all), in key order,
-    /// as `(location, asset, f32 blob)` — [`extend_f32`] decodes and
-    /// length-checks the blob.
+    /// as `(location, asset, f32 blob)`, each blob lent from its pinned
+    /// leaf unchecked: [`f32_row`] length-checks it, [`extend_f32`]
+    /// also decodes it.
     pub fn scan_vectors<R: PageRead + ?Sized>(
         &self,
         r: &R,
@@ -562,8 +572,10 @@ impl Tables {
     /// one is cheap.
     pub fn members<R: PageRead + ?Sized>(&self, r: &R, partition: i64) -> Result<Vec<Member>> {
         let mut members = Vec::new();
-        self.scan_vectors(r, Some(partition), |(_, vid), asset, blob| {
-            let vector = blob_to_f32(blob)?;
+        let dim = self.dim;
+        self.scan_vectors(r, Some(partition), |at @ (_, vid), asset, blob| {
+            let mut vector = Vec::with_capacity(dim);
+            extend_f32(&mut vector, at, blob, dim)?;
             members.push(Member { vid, asset, vector });
             Ok(())
         })?;
@@ -1021,20 +1033,25 @@ pub(crate) struct VectorReader<'r, R: PageRead + ?Sized> {
 }
 
 impl<R: PageRead + ?Sized> VectorReader<'_, R> {
-    /// Appends the vector stored at `(p, vid)` to `out`; `false` if
-    /// there is no such row.
-    pub fn append(&mut self, (p, vid): Loc, out: &mut Vec<f32>) -> Result<bool> {
+    /// Lends the vector stored at `at` to `f` as its `4·dim`
+    /// little-endian bytes, straight from the pinned page (checked by
+    /// [`f32_row`]); `None` if there is no such row.
+    pub fn with<T>(&mut self, at: Loc, f: impl FnOnce(&[u8]) -> T) -> Result<Option<T>> {
         let dim = self.dim;
-        let found = self
-            .vectors
-            .get_with(&[Value::Integer(p), Value::Integer(vid)], |row| {
-                let mut dec = RowDecoder::new(row)?;
-                for _ in 0..3 {
-                    dec.skip()?; // partition, vid, asset
-                }
-                extend_f32(out, dec.next_blob()?, dim)
-            })?;
-        Ok(found.transpose()?.is_some())
+        let key = [Value::Integer(at.0), Value::Integer(at.1)];
+        let found = self.vectors.get_with(&key, |row| {
+            let (_, blob) = ints_then_blob::<3>(row)?;
+            Ok(f(f32_row(at, blob, dim)?))
+        })?;
+        found.transpose()
+    }
+
+    /// Appends the vector stored at `at` to `out`, decoded; `false` if
+    /// there is no such row.
+    pub fn append(&mut self, at: Loc, out: &mut Vec<f32>) -> Result<bool> {
+        let dim = self.dim;
+        let found = self.with(at, |blob| extend_f32(out, at, blob, dim))?;
+        found.transpose().map(|found| found.is_some())
     }
 }
 

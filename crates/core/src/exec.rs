@@ -5,29 +5,35 @@
 //! to the machinery in this module:
 //!
 //! * [`PartitionScanner`] is the shared partition-scan frame: a catalog
-//!   walk lends rows from their pinned leaf pages into one chunk, and
-//!   one flush scores it for every query and offers each row to that
-//!   query's [`Collect`]. A codec picks only the walk (f32 rows, SQ8
-//!   code rows, or SQ4 blocks lent in place) and the kernel (the
-//!   batched one-to-many / GEMM kernels, [`Sq8Scorer::score_chunk`], or
-//!   [`Sq4Scorer::score_block`]). The frame never reads attributes: an
-//!   unfiltered scan collects into result heaps, a filtered one into
-//!   [`Below`] — the rows its one heap would still accept, unprobed —
-//!   and the §3.5 join ([`AttrProbe::join`](crate::hybrid::AttrProbe::join))
-//!   probes those nearest first once a wave of partitions is scored.
+//!   walk lends rows from their pinned leaf pages, each is scored, and
+//!   each query's [`Collect`] is offered its rows in scan order. A codec
+//!   picks only the walk (f32 rows, SQ8 code rows, or SQ4 blocks lent
+//!   in place) and the kernel. One query's f32 rows are scored where
+//!   they lie, by [`RowScorer`]'s byte-row kernels, and offered at once.
+//!   The batched kernels — the GEMM of a query group,
+//!   [`Sq8Scorer::score_chunk`], [`Sq4Scorer::score_block`] — score a
+//!   chunk: only the GEMM copies f32 rows into it. The frame never
+//!   reads attributes: an unfiltered scan collects into result heaps, a
+//!   filtered one into [`Below`] — the rows its one heap would still
+//!   accept, unprobed — and the §3.5 join
+//!   ([`AttrProbe::join`](crate::hybrid::AttrProbe::join)) probes those
+//!   nearest first once a wave of partitions is scored.
 //! * [`Queries`] selects the query side of a scan: one vector
 //!   (single-query search, exact KNN) or a batch group addressing rows
 //!   of a flat query matrix (MQO phase 2). The f32 kernels differ by
-//!   design — `Queries::One` uses the direct one-to-many kernel,
-//!   `Queries::Group` the norm-identity GEMM of §3.4 — so each path
-//!   keeps its historical bit-exact behaviour.
+//!   design — `Queries::One` scores each row in place, bit-identical to
+//!   the direct one-to-many kernel on the decoded row, and
+//!   `Queries::Group` uses the norm-identity GEMM of §3.4 — so each
+//!   path keeps its historical bit-exact behaviour.
 //! * [`ScanMetrics`] is the one counter block every path feeds, once
 //!   per partition scan from job-local [`ScanTotals`]; it flows into
 //!   [`QueryInfo`] and [`BatchResponse`](crate::batch::BatchResponse).
 //! * [`rerank_exact`] and [`score_candidates`] are the two
 //!   fetch-by-key scoring tails: the exact re-rank pass of the
 //!   quantized pipeline and the brute-force tail of the pre-filtering
-//!   plan. The re-rank needs no location lookup: a quantized scan's
+//!   plan. Both score each row on the page the point reader pinned
+//!   ([`VectorReader::with`](crate::catalog::VectorReader::with)). The
+//!   re-rank needs no location lookup: a quantized scan's
 //!   candidate pool carries each row's `(partition, vid)` from the row
 //!   it scored (a [`Payload`] of the heap entries — the SQ8 code row's
 //!   key, an SQ4 block's partition plus the directory slot's vid), so
@@ -43,17 +49,16 @@
 use std::sync::Arc;
 
 use micronn_linalg::{
-    batch_distances, distances_one_to_many, Neighbor, Sq4Scorer, Sq8Params, Sq8Scorer, TopK,
-    SQ4_BLOCK,
+    batch_distances, Neighbor, RowScorer, Sq4Scorer, Sq8Params, Sq8Scorer, TopK, SQ4_BLOCK,
 };
 use micronn_storage::{PageRead, ReadTxn};
 
-use crate::catalog::{extend_f32, Loc};
+use crate::catalog::{extend_f32, f32_row, Loc};
 use crate::db::{Inner, DELTA_PARTITION};
 use crate::error::Result;
 use crate::stats::QueryInfo;
 
-/// Rows per batched distance computation in single-query scans.
+/// Rows per batched SQ8 code-scoring call.
 pub(crate) const SCAN_CHUNK: usize = 256;
 
 /// Rows per matrix-multiplication block in batch group scans.
@@ -84,6 +89,15 @@ pub(crate) struct ScanTotals {
     /// Nanoseconds the post-filter join spent ordering its waves' rows
     /// and probing them; clocked only for a traced query.
     pub filter_nanos: u64,
+}
+
+impl ScanTotals {
+    /// Counts `rows` f32 rows of `dim` components scored for one query.
+    fn scored_f32(&mut self, rows: usize, dim: usize) {
+        self.vectors_scanned += rows;
+        self.distance_computations += rows;
+        self.bytes_scanned += rows * dim * 4;
+    }
 }
 
 /// The unified scan counters, shared by every worker of a scan
@@ -205,7 +219,7 @@ impl<P: Payload> Collect<P> for Below<'_, P> {
     }
 }
 
-/// The shared chunked partition-scan frame (Algorithm 2 lines 3–11 and
+/// The shared partition-scan frame (Algorithm 2 lines 3–11 and
 /// §3.4's shared group scan). One scanner is built per scan operation
 /// and [`PartitionScanner::scan`] runs once per partition, typically
 /// from `parallel_indexed` jobs: the scanner holds only shared state,
@@ -225,14 +239,13 @@ pub(crate) struct PartitionScanner<'a> {
 
 /// The kernel a partition's chunks are scored with. With the catalog
 /// walk that fills the chunk, it is all a codec changes in the frame.
+/// (One query's f32 rows never reach a chunk: [`PartitionScanner::scan`]
+/// scores each on its pinned leaf.)
 #[derive(Default)]
 enum Kernel {
-    /// f32 rows, one query: the direct one-to-many kernel (bit-exact
-    /// with the scalar `Metric::distance` used by re-ranking).
-    #[default]
-    One,
     /// f32 rows, a batch group: §3.4's norm-identity GEMM, one matrix
     /// multiplication per (chunk, query group).
+    #[default]
     Group,
     /// SQ8 code rows: the batched asymmetric [`Sq8Scorer::score_chunk`]
     /// of one scorer per query, never touching the f32 payload.
@@ -256,11 +269,12 @@ pub(crate) struct Chunk<P = ()> {
     /// partition ([`Sq4Scorer::prepare`]); kept apart from `kernel` so
     /// an f32 or SQ8 partition in between does not drop them.
     sq4: Vec<Sq4Scorer>,
-    /// The scan's queries, row-major: what the f32 kernels read.
+    /// The group's queries, row-major: what the GEMM reads.
     queries: Vec<f32>,
     /// Each row's asset and payload, in scan order.
     ids: Vec<(i64, P)>,
-    /// The rows' f32 components, row-major.
+    /// The rows' f32 components, row-major: the GEMM's copy, filled
+    /// only by a group scan.
     rows: Vec<f32>,
     /// The rows' SQ8 codes, row-major.
     codes: Vec<u8>,
@@ -316,9 +330,6 @@ impl<P: Payload> Chunk<P> {
         }
         self.scores.clear();
         match &self.kernel {
-            Kernel::One => {
-                distances_one_to_many(metric, &self.queries, &self.rows, dim, &mut self.scores)
-            }
             Kernel::Group => {
                 self.scores.resize(nq * nr, 0.0);
                 let (queries, rows) = (&self.queries, &self.rows);
@@ -351,8 +362,8 @@ impl<P: Payload> Chunk<P> {
 
 impl PartitionScanner<'_> {
     /// Scans one partition, offering every live row to the
-    /// query-aligned `heaps` (`heaps.len() == queries.len()`), in a
-    /// chunk borrowed from `blocks`.
+    /// query-aligned `heaps` (`heaps.len() == queries.len()`); a
+    /// batched kernel scores in a chunk borrowed from `blocks`.
     ///
     /// Quantized catalogs score the partition's codes (SQ8 code rows or
     /// SQ4 blocks) when it has trained ranges; the delta store (and any
@@ -371,23 +382,33 @@ impl PartitionScanner<'_> {
         let (inner, r, only) = (self.inner, self.r, Some(partition));
         let (tables, dim, metric) = (&inner.tables, inner.dim, inner.metric);
         let vectors = (0..queries.len()).map(|i| queries.vector(i, dim));
-        match self.code_params(partition)? {
-            None => {
-                // The f32 kernels read the queries as one row-major
-                // matrix (the GEMM's group gathered once per scan).
+        match (self.code_params(partition)?, queries) {
+            (None, Queries::One(query)) => {
+                // Each row is scored on its pinned leaf and offered at
+                // once: the one-query scan copies no vector.
+                let scorer = RowScorer::new(metric, query);
+                let (heap, mut rows) = (&mut heaps[0], 0);
+                tables.scan_vectors(r, only, |at, asset, blob| {
+                    let d = scorer.distance(f32_row(at, blob, dim)?);
+                    heap.offer(asset as u64, d, P::of(at));
+                    rows += 1;
+                    Ok(())
+                })?;
+                tally.scored_f32(rows, dim);
+            }
+            (None, Queries::Group { .. }) => {
+                // The GEMM reads the group's queries as one row-major
+                // matrix, gathered once per scan, and copies the rows.
                 c.queries.clear();
                 vectors.for_each(|q| c.queries.extend_from_slice(q));
-                c.kernel = match queries {
-                    Queries::One(_) => Kernel::One,
-                    Queries::Group { .. } => Kernel::Group,
-                };
+                c.kernel = Kernel::Group;
                 tables.scan_vectors(r, only, |at, asset, blob| {
-                    extend_f32(&mut c.rows, blob, dim)?;
+                    extend_f32(&mut c.rows, at, blob, dim)?;
                     c.push((asset, at), inner, heaps, tally);
                     Ok(())
                 })?;
             }
-            Some(params) if inner.cfg.codec.blocked() => {
+            (Some(params), _) if inner.cfg.codec.blocked() => {
                 c.kernel = Kernel::Sq4;
                 c.sq4.truncate(queries.len());
                 for (i, query) in vectors.enumerate() {
@@ -405,7 +426,7 @@ impl PartitionScanner<'_> {
                     Ok(())
                 })?;
             }
-            Some(params) => {
+            (Some(params), _) => {
                 let scorers = vectors.map(|query| Sq8Scorer::new(metric, query, &params));
                 c.kernel = Kernel::Sq8(scorers.collect());
                 tables.scan_codes(r, only, |at, asset, code| {
@@ -459,8 +480,9 @@ pub(crate) fn scan_pool_k(inner: &Inner, k: usize, use_codec: bool) -> usize {
 
 /// Exact re-rank pass of the quantized pipeline: recomputes full f32
 /// distances for the approximate candidate pool and keeps the best `k`,
-/// with the scalar kernel of the exact scan, so F32-codec and re-ranked
-/// results agree bit-for-bit on shared candidates.
+/// with the kernel of the exact scan, each row scored on its pinned
+/// page, so F32-codec and re-ranked results agree bit-for-bit on shared
+/// candidates.
 ///
 /// Each candidate is fetched at the `(partition, vid)` its scan read it
 /// from — the location is part of the snapshot `r` the scan ran at, so
@@ -477,7 +499,7 @@ pub(crate) fn rerank_exact(
     metrics: &ScanMetrics,
 ) -> Result<Vec<Neighbor>> {
     let mut top = TopK::new(k);
-    let mut v: Vec<f32> = Vec::with_capacity(inner.dim);
+    let scorer = RowScorer::new(inner.metric, query);
     let mut fetch = inner.tables.vector_reader(r);
     let mut tally = ScanTotals::default();
     for n in candidates {
@@ -489,9 +511,8 @@ pub(crate) fn rerank_exact(
             top.push(n.id, n.distance);
             continue;
         }
-        v.clear();
-        if fetch.append(n.payload, &mut v)? {
-            top.push(n.id, inner.metric.distance(query, &v));
+        if let Some(d) = fetch.with(n.payload, |row| scorer.distance(row))? {
+            top.push(n.id, d);
             tally.reranked += 1;
             tally.bytes_scanned += inner.dim * 4;
         }
@@ -593,9 +614,9 @@ pub mod rerank_oracle {
 }
 
 /// Brute-force tail of the pre-filtering plan (§3.5): fetches each
-/// qualifying asset's vector by key and scores `SCAN_CHUNK`-row blocks
-/// through the same chunked kernel as the partition frame. 100% recall
-/// within the candidate list.
+/// qualifying asset's vector by key and scores it on its pinned page
+/// with the partition scan's kernel. 100% recall within the candidate
+/// list.
 pub(crate) fn score_candidates(
     inner: &Inner,
     r: &ReadTxn,
@@ -605,25 +626,161 @@ pub(crate) fn score_candidates(
     metrics: &ScanMetrics,
 ) -> Result<Vec<Neighbor>> {
     let mut top = TopK::new(k);
-    let heaps = std::slice::from_mut(&mut top);
-    let mut chunk = Chunk::<()>::default(); // `Kernel::One`
-    chunk.queries.extend_from_slice(query);
-    chunk.rows.reserve(SCAN_CHUNK * inner.dim);
+    let scorer = RowScorer::new(inner.metric, query);
     let (mut locate, mut fetch) = (
         inner.tables.location_reader(r),
         inner.tables.vector_reader(r),
     );
-    let mut tally = ScanTotals::default();
+    let mut rows = 0;
     for &asset in assets {
         // An attribute row without a vector is skipped.
         let Some(loc) = locate.locate(asset)? else {
             continue;
         };
-        if fetch.append(loc, &mut chunk.rows)? {
-            chunk.push((asset, loc), inner, heaps, &mut tally);
+        if let Some(d) = fetch.with(loc, |row| scorer.distance(row))? {
+            top.push(asset as u64, d);
+            rows += 1;
         }
     }
-    chunk.flush(inner, &[], heaps, &mut tally);
+    let mut tally = ScanTotals::default();
+    tally.scored_f32(rows, inner.dim);
     metrics.absorb(&tally);
     Ok(top.into_sorted())
+}
+
+#[cfg(test)]
+mod tests {
+    use micronn_linalg::Metric;
+    use micronn_rel::{Expr, RelError, ValueType};
+    use micronn_storage::SyncMode;
+
+    use super::*;
+    use crate::codec::VectorCodec;
+    use crate::config::{AttributeDef, Config};
+    use crate::db::{MicroNN, VectorRecord};
+    use crate::error::Error;
+    use crate::hybrid::{PlanPreference, SearchRequest};
+
+    const DIM: usize = 8;
+    const K: usize = 5;
+
+    fn vector(i: i64) -> Vec<f32> {
+        (0..DIM as i64)
+            .map(|d| ((i * 7 + d * 13) % 23) as f32)
+            .collect()
+    }
+
+    /// A built `codec` index of 300 vectors, each with an indexed
+    /// integer attribute `n`.
+    fn built(dir: &tempfile::TempDir, codec: VectorCodec) -> MicroNN {
+        let mut cfg = Config::new(DIM, Metric::L2);
+        cfg.store.sync = SyncMode::Off;
+        (cfg.codec, cfg.target_partition_size) = (codec, 30);
+        cfg.attributes = vec![AttributeDef::indexed("n", ValueType::Integer)];
+        let db = MicroNN::create(dir.path().join(format!("{codec}.mnn")), cfg).unwrap();
+        let records: Vec<_> = (0..300)
+            .map(|i| VectorRecord::new(i, vector(i)).with_attr("n", i % 3))
+            .collect();
+        db.upsert_batch(&records).unwrap();
+        db.rebuild().unwrap();
+        db
+    }
+
+    /// The copy a one-query f32 scan no longer makes. An ANN scan of an
+    /// F32 catalog, an exact scan (full precision) of a quantized one
+    /// and a post-filter wave over either leave the chunk's `rows`
+    /// buffer unallocated; a group scan over the same pool, the GEMM
+    /// path, does allocate it.
+    #[test]
+    fn single_query_scans_copy_no_vector_into_the_chunk() {
+        let dir = tempfile::tempdir().unwrap();
+        let query = vector(5);
+        for (codec, use_codec) in [(VectorCodec::F32, true), (VectorCodec::Sq4, false)] {
+            let db = built(&dir, codec);
+            let inner = &*db.inner;
+            let r = inner.db.begin_read();
+            let index = inner.clustering(&r).unwrap().expect("a built index");
+            let metrics = ScanMetrics::default();
+            let scanner = PartitionScanner {
+                inner,
+                r: &r,
+                metrics: &metrics,
+                use_codec,
+                epoch: index.epoch,
+            };
+            let blocks = BlockPool::<()>::default();
+            let rows_capacity = || {
+                let pool = blocks.lock();
+                assert_eq!(pool.len(), 1, "{codec}: one chunk, reused");
+                pool[0].rows.capacity()
+            };
+            let one = Queries::One(&query);
+
+            let mut top = TopK::new(K);
+            for &p in index.partitions.iter() {
+                scanner
+                    .scan(p, &one, std::slice::from_mut(&mut top), &blocks)
+                    .unwrap();
+            }
+            assert_eq!(top.len(), K, "{codec}");
+            assert_eq!(rows_capacity(), 0, "{codec}: scan of every partition");
+
+            let bound = TopK::new(K);
+            let mut wave = Below {
+                bound: &bound,
+                rows: Vec::new(),
+            };
+            let first = index.partitions[0];
+            scanner
+                .scan(first, &one, std::slice::from_mut(&mut wave), &blocks)
+                .unwrap();
+            assert!(!wave.rows.is_empty(), "{codec}");
+            assert_eq!(rows_capacity(), 0, "{codec}: post-filter wave");
+
+            let flat = [query.clone(), vector(6)].concat();
+            let group = Queries::Group {
+                flat: &flat,
+                members: &[0, 1],
+            };
+            let mut heaps = [TopK::new(K), TopK::new(K)];
+            scanner.scan(first, &group, &mut heaps, &blocks).unwrap();
+            assert!(rows_capacity() > 0, "{codec}: the GEMM copies");
+        }
+    }
+
+    /// A vector blob of the wrong length — 4 floats in a dim-8 catalog,
+    /// committed straight through the writer — is a typed corruption
+    /// error naming its row on every read path: the F32 scan, the exact
+    /// scan, the pre-filter tail, the quantized re-rank and the point
+    /// read. Never a panic, never a read past the blob.
+    #[test]
+    fn a_wrong_length_vector_is_a_typed_error_naming_its_row() {
+        let dir = tempfile::tempdir().unwrap();
+        let victim = 5;
+        for codec in [VectorCodec::F32, VectorCodec::Sq4] {
+            let db = built(&dir, codec);
+            let inner = &*db.inner;
+            let at = inner.tables.location(&inner.db.begin_read(), victim);
+            let (p, vid) = at.unwrap().expect("stored");
+            let mut w = inner.tables.begin_write(&inner.db).unwrap();
+            w.put_vector((p, vid), victim, &[1.0; 4]).unwrap();
+            w.commit().unwrap();
+
+            let named = format!("vector row ({p},{vid}) has 16 bytes, expected 32");
+            let check = |what: &str, got: Result<()>| match got {
+                Err(Error::Rel(RelError::Codec(m))) => assert_eq!(m, named, "{codec} {what}"),
+                other => panic!("{codec} {what}: {other:?}"),
+            };
+            // ANN: F32 scores the row in place; SQ4 scores its code,
+            // which ranks it first, then re-ranks it.
+            let query = vector(victim);
+            check("search", db.search(&query, K).map(drop));
+            check("exact", db.exact(&query, K, None).map(drop));
+            let pre = SearchRequest::new(query, K)
+                .with_filter(Expr::eq("n", victim % 3))
+                .with_plan(PlanPreference::ForcePreFilter);
+            check("pre-filter", db.search_with(&pre).map(drop));
+            check("get_vector", db.get_vector(victim).map(drop));
+        }
+    }
 }

@@ -271,8 +271,8 @@ fn choose_plan(inner: &Inner, r: &ReadTxn, expr: &Expr, probes: usize) -> Result
 }
 
 /// Pre-filtering plan: evaluate the predicate, then brute-force the
-/// qualifying vectors through the executor's chunked fetch-by-key
-/// scoring tail. Guarantees 100% recall within the filter.
+/// qualifying vectors through the executor's fetch-by-key scoring
+/// tail. Guarantees 100% recall within the filter.
 fn pre_filter_search(
     inner: &Inner,
     r: &ReadTxn,
@@ -319,8 +319,8 @@ fn pre_filter_search(
 
     trace.stage(stage::FILTER_JOIN);
 
-    // Brute-force NN over the qualifying set (chunked, same kernels as
-    // the partition scan frame).
+    // Brute-force NN over the qualifying set, each vector scored on its
+    // pinned page with the partition scan's kernel.
     let metrics = ScanMetrics::default();
     let neighbors = score_candidates(inner, r, &req.query, &qualifying, req.k, &metrics)?;
     trace.stage(stage::PARTITION_SCAN);

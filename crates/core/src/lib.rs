@@ -6,9 +6,9 @@
 //! environments:
 //!
 //! * **Disk-resident IVF index** over relational storage: vectors live
-//!   in a table clustered on `(partition, vid)` so each partition is
-//!   contiguous on disk; queries run in bounded memory through a page
-//!   cache (§3.1–3.3).
+//!   in a table clustered on `(partition, vid)` so each partition is one
+//!   contiguous key range (a run of B+tree leaves); queries run in
+//!   bounded memory through a page cache (§3.1–3.3).
 //! * **Streaming updates** with upsert/delete semantics through a delta
 //!   store that every query scans, plus incremental maintenance: delta
 //!   flushes, local partition splits/merges (the [`maintain::lifecycle`]

@@ -162,6 +162,59 @@ pub fn distances_one_to_many(
     }
 }
 
+/// One query's distances to stored rows, each read where it lies: a
+/// row is `4·dim` little-endian bytes at any alignment (an f32 vector
+/// blob lent from its page), scored by the byte-row kernels without
+/// being decoded or copied. Bit-identical to [`Metric::distance`] and
+/// [`distances_one_to_many`] on the decoded row.
+pub struct RowScorer<'q> {
+    kernels: &'static crate::simd::Kernels,
+    metric: Metric,
+    query: &'q [f32],
+    /// `‖query‖`, for cosine.
+    query_norm: f32,
+}
+
+impl<'q> RowScorer<'q> {
+    /// A scorer of rows against `query` under `metric`, with the
+    /// process's kernel table.
+    pub fn new(metric: Metric, query: &'q [f32]) -> RowScorer<'q> {
+        let query_norm = if metric.needs_norms() {
+            norm(query)
+        } else {
+            0.0
+        };
+        RowScorer {
+            kernels: crate::simd::kernels(),
+            metric,
+            query,
+            query_norm,
+        }
+    }
+
+    /// The distance from the query to `row`.
+    ///
+    /// # Panics
+    /// Unless `row` holds exactly `query.len()` f32s; callers check a
+    /// stored blob's length first and report a bad one as an error.
+    #[inline]
+    pub fn distance(&self, row: &[u8]) -> f32 {
+        let k = self.kernels;
+        match self.metric {
+            Metric::L2 => (k.l2_sq_le)(self.query, row),
+            Metric::Dot => -(k.dot_le)(self.query, row),
+            Metric::Cosine => {
+                let denom = self.query_norm * (k.norm_sq_le)(row).sqrt();
+                if denom <= f32::EPSILON {
+                    1.0
+                } else {
+                    1.0 - (k.dot_le)(self.query, row) / denom
+                }
+            }
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -254,6 +307,36 @@ mod tests {
                     "{metric} row {i}"
                 );
             }
+        }
+    }
+
+    #[test]
+    fn row_scorer_is_bit_identical_to_the_decoded_row() {
+        let dim = 37;
+        let q = pseudo_vec(11, dim);
+        let rows: Vec<f32> = (0..6).flat_map(|i| pseudo_vec(200 + i, dim)).collect();
+        let zero = vec![0.0f32; dim];
+        for metric in [Metric::L2, Metric::Cosine, Metric::Dot] {
+            let mut batched = Vec::new();
+            distances_one_to_many(metric, &q, &rows, dim, &mut batched);
+            let scorer = RowScorer::new(metric, &q);
+            for (row, &want) in rows.chunks_exact(dim).zip(&batched) {
+                let bytes: Vec<u8> = row.iter().flat_map(|x| x.to_le_bytes()).collect();
+                let got = scorer.distance(&bytes);
+                assert_eq!(got.to_bits(), want.to_bits(), "{metric}");
+                assert_eq!(
+                    got.to_bits(),
+                    metric.distance(&q, row).to_bits(),
+                    "{metric}"
+                );
+            }
+            let zero_bytes = vec![0u8; 4 * dim];
+            let want = metric.distance(&q, &zero).to_bits();
+            assert_eq!(
+                scorer.distance(&zero_bytes).to_bits(),
+                want,
+                "{metric} zero row"
+            );
         }
     }
 

@@ -31,7 +31,9 @@ pub mod sq4;
 pub mod sq8;
 pub mod topk;
 
-pub use distance::{cosine_distance, distances_one_to_many, dot, l2_sq, norm, normalize, Metric};
+pub use distance::{
+    cosine_distance, distances_one_to_many, dot, l2_sq, norm, normalize, Metric, RowScorer,
+};
 pub use matrix::{batch_distances, gemm_nt, Matrix};
 pub use simd::{kernels, scalar_kernels, Kernels};
 pub use sq4::{

@@ -5,8 +5,8 @@
 //! This module supplies that acceleration portably: every hot kernel
 //! exists in a scalar reference form ([`scalar`]) and, where the build
 //! target supports it, a hand-written `std::arch` form (AVX2 on
-//! x86_64, NEON on aarch64). One [`Kernels`] table of function
-//! pointers is selected at first use — via
+//! x86_64, NEON on little-endian aarch64). One [`Kernels`] table of
+//! function pointers is selected at first use — via
 //! `is_x86_feature_detected!("avx2")` on x86_64, unconditionally on
 //! aarch64 (NEON is baseline there) — and cached in a `OnceLock`.
 //!
@@ -17,7 +17,13 @@
 //! eight independent lanes (`LANES = 8`), and the vector forms perform
 //! the same per-lane multiply-then-add sequence (no FMA contraction),
 //! reduce the eight partial sums in the same left-to-right order, and
-//! share the same scalar tail loop. The SQ4 block kernel is
+//! share the same scalar tail loop. Each backend's byte-row kernels
+//! (`l2_sq_le`, `dot_le`, `norm_sq_le`) score a stored little-endian
+//! row where it lies, at any alignment, and are bit-identical to that
+//! backend's `l2_sq` / `dot` on the decoded row: the scalar reference
+//! keeps both forms, and a vector backend runs its f32 kernels through
+//! the byte-row bodies (the proptest below holds every backend to
+//! both). The SQ4 block kernel is
 //! integer-only (u8 lookups summed into u16), so it is exact on every
 //! backend by construction. The SQ4 plane builder is held to the same
 //! standard: every backend evaluates each table entry with the scalar
@@ -40,10 +46,24 @@
 
 pub mod scalar;
 
-#[cfg(target_arch = "aarch64")]
+#[cfg(all(target_arch = "aarch64", target_endian = "little"))]
 mod neon;
 #[cfg(target_arch = "x86_64")]
 mod x86;
+
+/// The bytes of `v`: on a little-endian target, the stored row `v`
+/// encodes to, so the vector backends run their f32 kernels through
+/// the byte-row bodies.
+#[cfg(any(
+    target_arch = "x86_64",
+    all(target_arch = "aarch64", target_endian = "little")
+))]
+#[allow(unsafe_code)]
+fn as_le_bytes(v: &[f32]) -> &[u8] {
+    // SAFETY: an f32 is 4 initialized bytes, u8 needs no alignment, and
+    // the borrow keeps `v` alive and unchanged.
+    unsafe { std::slice::from_raw_parts(v.as_ptr().cast(), 4 * v.len()) }
+}
 
 use crate::sq4::{PlaneEntry, SQ4_BLOCK};
 use crate::sq8::Sq8Params;
@@ -69,6 +89,15 @@ pub struct Kernels {
     pub dot: fn(&[f32], &[f32]) -> f32,
     /// Squared Euclidean distance `Σ (aᵢ−bᵢ)²`.
     pub l2_sq: fn(&[f32], &[f32]) -> f32,
+    /// `l2_sq(query, row)` of a stored row: `row` holds `query.len()`
+    /// little-endian f32s at any alignment (a blob lent from its page)
+    /// and is scored where it lies, bit-identical to `l2_sq` on the
+    /// decoded row. Panics on any other length.
+    pub l2_sq_le: fn(&[f32], &[u8]) -> f32,
+    /// `dot(query, row)` of a stored row, likewise.
+    pub dot_le: fn(&[f32], &[u8]) -> f32,
+    /// `dot(row, row)` of a stored row (the cosine norm), likewise.
+    pub norm_sq_le: fn(&[u8]) -> f32,
     /// Asymmetric SQ8 L2: `Σ (qmᵢ − scaleᵢ·cᵢ)²` against u8 codes.
     pub l2_sq_u8: fn(&[f32], &[f32], &[u8]) -> f32,
     /// Asymmetric SQ8 inner product `Σ qsᵢ·cᵢ` against u8 codes.
@@ -105,6 +134,9 @@ static SCALAR: Kernels = Kernels {
     backend: "scalar",
     dot: scalar::dot,
     l2_sq: scalar::l2_sq,
+    l2_sq_le: scalar::l2_sq_le,
+    dot_le: scalar::dot_le,
+    norm_sq_le: scalar::norm_sq_le,
     l2_sq_u8: scalar::l2_sq_u8,
     dot_u8: scalar::dot_u8,
     dot_norm_u8: scalar::dot_norm_u8,
@@ -138,7 +170,7 @@ fn select() -> &'static Kernels {
             return &x86::AVX2;
         }
     }
-    #[cfg(target_arch = "aarch64")]
+    #[cfg(all(target_arch = "aarch64", target_endian = "little"))]
     {
         // NEON is mandatory on aarch64; no runtime probe needed.
         return &neon::NEON;
@@ -150,6 +182,7 @@ fn select() -> &'static Kernels {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn pseudo_vec(seed: u64, dim: usize) -> Vec<f32> {
         let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
@@ -224,6 +257,78 @@ mod tests {
             (s.sq4_accumulate)(&lut, &packed, dim, &mut b);
             assert_eq!(a, b, "sq4 dim {dim} backend {}", k.backend);
         }
+    }
+
+    /// A float from every regime the byte-row kernels must agree on:
+    /// ordinary, denormal, huge (squares overflow), signed zeros, ±inf
+    /// and NaN of either sign.
+    fn any_float() -> impl Strategy<Value = f32> {
+        prop_oneof![
+            8 => -10.0f32..10.0,
+            2 => -1e-38f32..1e-38,
+            1 => Just(f32::from_bits(1)),
+            2 => -3e38f32..3e38,
+            1 => Just(0.0f32),
+            1 => Just(-0.0f32),
+            1 => Just(f32::INFINITY),
+            1 => Just(f32::NEG_INFINITY),
+            1 => Just(f32::NAN),
+            1 => Just(-f32::NAN),
+        ]
+    }
+
+    /// Mostly ordinary floats with the occasional hostile one, or all
+    /// hostile.
+    fn floats() -> impl Strategy<Value = Vec<f32>> {
+        prop_oneof![
+            4 => proptest::collection::vec(-10.0f32..10.0, 300..=300),
+            2 => proptest::collection::vec(prop_oneof![20 => -10.0f32..10.0, 1 => any_float()], 300..=300),
+            1 => proptest::collection::vec(any_float(), 300..=300),
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 256, ..ProptestConfig::default() })]
+
+        #[test]
+        fn byte_row_kernels_are_bit_identical_to_the_f32_kernels(
+            dim in prop_oneof![
+                Just(1usize), Just(7), Just(8), Just(9), Just(129), Just(300), 1usize..=300
+            ],
+            offset in 0usize..4,
+            query in floats(),
+            row in floats(),
+        ) {
+            let (query, row) = (&query[..dim], &row[..dim]);
+            // The row's bytes start `offset` bytes into the buffer, so
+            // every alignment of a lent blob is covered.
+            let mut buf = vec![0xA5u8; offset];
+            buf.extend(row.iter().flat_map(|x| x.to_le_bytes()));
+            let bytes = &buf[offset..];
+            let s = scalar_kernels();
+            for k in [kernels(), s] {
+                let b = k.backend;
+                for (what, got, own, reference) in [
+                    ("l2", (k.l2_sq_le)(query, bytes), (k.l2_sq)(query, row), (s.l2_sq)(query, row)),
+                    ("dot", (k.dot_le)(query, bytes), (k.dot)(query, row), (s.dot)(query, row)),
+                    ("norm", (k.norm_sq_le)(bytes), (k.dot)(row, row), (s.dot)(row, row)),
+                ] {
+                    // Bit for bit, except a NaN's sign and payload: Rust
+                    // leaves those unspecified, and the optimizer may
+                    // commute an add and carry the other NaN through.
+                    let same = |x: f32, y: f32| x.to_bits() == y.to_bits() || x.is_nan() && y.is_nan();
+                    prop_assert!(same(got, own), "{} {} {} vs {}", b, what, got, own);
+                    prop_assert!(same(got, reference), "{} {} {} vs scalar {}", b, what, got, reference);
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "is not 16 f32s")]
+    fn a_short_row_is_refused_before_any_load() {
+        let query = [1.0f32; 16];
+        (kernels().l2_sq_le)(&query, &[0u8; 60]);
     }
 
     #[test]

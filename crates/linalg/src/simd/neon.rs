@@ -9,7 +9,11 @@
 //! intermediate rounding and break bit-identity), the reduction spills
 //! both registers to `[f32; 8]` and sums left-to-right, and the tail
 //! loop is the same scalar code. u8→f32 widening (`vmovl_u8` →
-//! `vmovl_u16` → `vcvtq_f32_u32`) is exact.
+//! `vmovl_u16` → `vcvtq_f32_u32`) is exact. The f32 and byte-row
+//! kernels share one body per operation, which loads bytes and
+//! reinterprets them: on little-endian aarch64 an `&[f32]` viewed as
+//! bytes is a stored row. The module is compiled for little-endian
+//! aarch64 only (big-endian targets keep the scalar table).
 //!
 //! The SQ4 kernel uses `vqtbl1q_u8` to look up all 16 low (then high)
 //! nibbles of a dimension's packed byte row in one shot, widening into
@@ -25,7 +29,8 @@
 
 #![allow(unsafe_code)]
 
-use super::Kernels;
+use super::scalar::{assert_row_len, le_at};
+use super::{as_le_bytes, Kernels};
 use crate::sq4::{PlaneEntry, PlaneSums, SQ4_BLOCK};
 use crate::sq8::Sq8Params;
 use core::arch::aarch64::*;
@@ -34,6 +39,9 @@ pub(super) static NEON: Kernels = Kernels {
     backend: "neon",
     dot,
     l2_sq,
+    l2_sq_le,
+    dot_le,
+    norm_sq_le,
     l2_sq_u8,
     dot_u8,
     dot_norm_u8,
@@ -42,17 +50,34 @@ pub(super) static NEON: Kernels = Kernels {
 };
 
 fn dot(a: &[f32], b: &[f32]) -> f32 {
-    // SAFETY: NEON is baseline on aarch64.
-    unsafe { dot_impl(a, b) }
+    dot_le(a, as_le_bytes(b))
 }
 
 fn l2_sq(a: &[f32], b: &[f32]) -> f32 {
+    l2_sq_le(a, as_le_bytes(b))
+}
+
+fn l2_sq_le(a: &[f32], row: &[u8]) -> f32 {
+    assert_row_len(row, a.len());
+    // SAFETY: NEON is baseline on aarch64, and both rows hold
+    // `a.len()` f32s (asserted).
+    unsafe { l2_sq_impl(as_le_bytes(a), row) }
+}
+
+fn dot_le(a: &[f32], row: &[u8]) -> f32 {
+    assert_row_len(row, a.len());
     // SAFETY: as above.
-    unsafe { l2_sq_impl(a, b) }
+    unsafe { dot_impl(as_le_bytes(a), row) }
+}
+
+fn norm_sq_le(row: &[u8]) -> f32 {
+    assert_row_len(row, row.len() / 4);
+    // SAFETY: as above.
+    unsafe { dot_impl(row, row) }
 }
 
 fn l2_sq_u8(qm: &[f32], scale: &[f32], codes: &[u8]) -> f32 {
-    // SAFETY: as above.
+    // SAFETY: NEON is baseline on aarch64.
     unsafe { l2_sq_u8_impl(qm, scale, codes) }
 }
 
@@ -101,49 +126,63 @@ unsafe fn load_codes4(p: *const u8) -> float32x4_t {
     vcvtq_f32_u32(wide)
 }
 
+/// Four f32s from the 16 bytes at `p`, at any alignment: loaded as
+/// bytes (a misaligned `*const f32` would be undefined behaviour) and
+/// reinterpreted, which on a little-endian target yields the stored
+/// components.
 #[target_feature(enable = "neon")]
-unsafe fn dot_impl(a: &[f32], b: &[f32]) -> f32 {
-    debug_assert_eq!(a.len(), b.len());
-    let n = a.len() - a.len() % 8;
+unsafe fn load4(p: *const u8) -> float32x4_t {
+    vreinterpretq_f32_u8(vld1q_u8(p))
+}
+
+/// `Σ aᵢ·bᵢ` over two rows of little-endian f32s.
+///
+/// # Safety
+/// `a.len() == b.len()`, a multiple of 4.
+#[target_feature(enable = "neon")]
+unsafe fn dot_impl(a: &[u8], b: &[u8]) -> f32 {
+    let dim = a.len() / 4;
+    let n = dim - dim % 8;
+    let (pa, pb) = (a.as_ptr(), b.as_ptr());
     let mut acc0 = vdupq_n_f32(0.0);
     let mut acc1 = vdupq_n_f32(0.0);
     let mut i = 0;
     while i < n {
-        let a0 = vld1q_f32(a.as_ptr().add(i));
-        let a1 = vld1q_f32(a.as_ptr().add(i + 4));
-        let b0 = vld1q_f32(b.as_ptr().add(i));
-        let b1 = vld1q_f32(b.as_ptr().add(i + 4));
+        let (a0, a1) = (load4(pa.add(4 * i)), load4(pa.add(4 * i + 16)));
+        let (b0, b1) = (load4(pb.add(4 * i)), load4(pb.add(4 * i + 16)));
         acc0 = vaddq_f32(acc0, vmulq_f32(a0, b0));
         acc1 = vaddq_f32(acc1, vmulq_f32(a1, b1));
         i += 8;
     }
     let mut sum = hsum(acc0, acc1);
-    for j in n..a.len() {
-        sum += a[j] * b[j];
+    for j in n..dim {
+        sum += le_at(a, j) * le_at(b, j);
     }
     sum
 }
 
+/// `Σ (aᵢ−bᵢ)²` over two rows of little-endian f32s.
+///
+/// # Safety
+/// As for [`dot_impl`].
 #[target_feature(enable = "neon")]
-unsafe fn l2_sq_impl(a: &[f32], b: &[f32]) -> f32 {
-    debug_assert_eq!(a.len(), b.len());
-    let n = a.len() - a.len() % 8;
+unsafe fn l2_sq_impl(a: &[u8], b: &[u8]) -> f32 {
+    let dim = a.len() / 4;
+    let n = dim - dim % 8;
+    let (pa, pb) = (a.as_ptr(), b.as_ptr());
     let mut acc0 = vdupq_n_f32(0.0);
     let mut acc1 = vdupq_n_f32(0.0);
     let mut i = 0;
     while i < n {
-        let d0 = vsubq_f32(vld1q_f32(a.as_ptr().add(i)), vld1q_f32(b.as_ptr().add(i)));
-        let d1 = vsubq_f32(
-            vld1q_f32(a.as_ptr().add(i + 4)),
-            vld1q_f32(b.as_ptr().add(i + 4)),
-        );
+        let d0 = vsubq_f32(load4(pa.add(4 * i)), load4(pb.add(4 * i)));
+        let d1 = vsubq_f32(load4(pa.add(4 * i + 16)), load4(pb.add(4 * i + 16)));
         acc0 = vaddq_f32(acc0, vmulq_f32(d0, d0));
         acc1 = vaddq_f32(acc1, vmulq_f32(d1, d1));
         i += 8;
     }
     let mut sum = hsum(acc0, acc1);
-    for j in n..a.len() {
-        let d = a[j] - b[j];
+    for j in n..dim {
+        let d = le_at(a, j) - le_at(b, j);
         sum += d * d;
     }
     sum

@@ -50,6 +50,77 @@ pub fn l2_sq(a: &[f32], b: &[f32]) -> f32 {
     sum
 }
 
+/// Component `i` of a row of little-endian f32s.
+#[inline(always)]
+pub(crate) fn le_at(row: &[u8], i: usize) -> f32 {
+    f32::from_le_bytes(row[4 * i..4 * i + 4].try_into().expect("4-byte component"))
+}
+
+/// Panics unless `row` holds exactly `dim` f32s: the SIMD kernels load
+/// it unchecked.
+#[inline(always)]
+pub(crate) fn assert_row_len(row: &[u8], dim: usize) {
+    let len = row.len();
+    assert_eq!(len, 4 * dim, "row of {len} bytes is not {dim} f32s");
+}
+
+/// [`l2_sq`] of `a` and a row of `a.len()` little-endian f32s at any
+/// alignment, bit-identical to [`l2_sq`] on the decoded row.
+pub fn l2_sq_le(a: &[f32], row: &[u8]) -> f32 {
+    assert_row_len(row, a.len());
+    let n = a.len() - a.len() % LANES;
+    let mut acc = [0.0f32; LANES];
+    for (ca, cb) in a[..n].chunks_exact(LANES).zip(row.chunks_exact(4 * LANES)) {
+        for i in 0..LANES {
+            let d = ca[i] - le_at(cb, i);
+            acc[i] += d * d;
+        }
+    }
+    let mut sum: f32 = acc.iter().sum();
+    for (i, &x) in a.iter().enumerate().skip(n) {
+        let d = x - le_at(row, i);
+        sum += d * d;
+    }
+    sum
+}
+
+/// [`dot`] of `a` and a row of `a.len()` little-endian f32s, likewise.
+pub fn dot_le(a: &[f32], row: &[u8]) -> f32 {
+    assert_row_len(row, a.len());
+    let n = a.len() - a.len() % LANES;
+    let mut acc = [0.0f32; LANES];
+    for (ca, cb) in a[..n].chunks_exact(LANES).zip(row.chunks_exact(4 * LANES)) {
+        for i in 0..LANES {
+            acc[i] += ca[i] * le_at(cb, i);
+        }
+    }
+    let mut sum: f32 = acc.iter().sum();
+    for (i, &x) in a.iter().enumerate().skip(n) {
+        sum += x * le_at(row, i);
+    }
+    sum
+}
+
+/// A row's own squared norm: [`dot`] of the decoded row with itself.
+pub fn norm_sq_le(row: &[u8]) -> f32 {
+    assert_row_len(row, row.len() / 4);
+    let dim = row.len() / 4;
+    let n = dim - dim % LANES;
+    let mut acc = [0.0f32; LANES];
+    for c in row[..4 * n].chunks_exact(4 * LANES) {
+        for (i, acc) in acc.iter_mut().enumerate() {
+            let x = le_at(c, i);
+            *acc += x * x;
+        }
+    }
+    let mut sum: f32 = acc.iter().sum();
+    for i in n..dim {
+        let x = le_at(row, i);
+        sum += x * x;
+    }
+    sum
+}
+
 /// Asymmetric L2 between a prepared query (`qm = query − min`) and one
 /// u8 code row: `Σ (qmᵢ − scaleᵢ·cᵢ)²`.
 pub fn l2_sq_u8(qm: &[f32], scale: &[f32], codes: &[u8]) -> f32 {

@@ -9,7 +9,10 @@
 //! would break bit-identity), the horizontal reduction spills to
 //! `[f32; 8]` and sums left-to-right like `acc.iter().sum()`, and the
 //! tail loop is the same scalar code. u8→f32 widening uses
-//! `_mm256_cvtepu8_epi32` + `_mm256_cvtepi32_ps`, both exact.
+//! `_mm256_cvtepu8_epi32` + `_mm256_cvtepi32_ps`, both exact. The f32
+//! and byte-row kernels share one body per operation: x86 is
+//! little-endian, so an `&[f32]` viewed as bytes is a stored row, and
+//! `loadu` reads either at any alignment.
 //!
 //! The SQ4 kernel is the fastscan shuffle: 16 packed code bytes hold
 //! one dimension of all 32 rows (low nibbles = rows 0..16, high
@@ -29,7 +32,8 @@
 
 #![allow(unsafe_code)]
 
-use super::Kernels;
+use super::scalar::{assert_row_len, le_at};
+use super::{as_le_bytes, Kernels};
 use crate::sq4::{PlaneEntry, PlaneSums, SQ4_BLOCK};
 use crate::sq8::Sq8Params;
 use core::arch::x86_64::*;
@@ -38,6 +42,9 @@ pub(super) static AVX2: Kernels = Kernels {
     backend: "avx2",
     dot,
     l2_sq,
+    l2_sq_le,
+    dot_le,
+    norm_sq_le,
     l2_sq_u8,
     dot_u8,
     dot_norm_u8,
@@ -46,13 +53,30 @@ pub(super) static AVX2: Kernels = Kernels {
 };
 
 fn dot(a: &[f32], b: &[f32]) -> f32 {
-    // SAFETY: this table is only installed after AVX2 detection.
-    unsafe { dot_impl(a, b) }
+    dot_le(a, as_le_bytes(b))
 }
 
 fn l2_sq(a: &[f32], b: &[f32]) -> f32 {
+    l2_sq_le(a, as_le_bytes(b))
+}
+
+fn l2_sq_le(a: &[f32], row: &[u8]) -> f32 {
+    assert_row_len(row, a.len());
+    // SAFETY: this table is only installed after AVX2 detection, and
+    // both rows hold `a.len()` f32s (asserted).
+    unsafe { l2_sq_impl(as_le_bytes(a), row) }
+}
+
+fn dot_le(a: &[f32], row: &[u8]) -> f32 {
+    assert_row_len(row, a.len());
     // SAFETY: as above.
-    unsafe { l2_sq_impl(a, b) }
+    unsafe { dot_impl(as_le_bytes(a), row) }
+}
+
+fn norm_sq_le(row: &[u8]) -> f32 {
+    assert_row_len(row, row.len() / 4);
+    // SAFETY: as above.
+    unsafe { dot_impl(row, row) }
 }
 
 fn l2_sq_u8(qm: &[f32], scale: &[f32], codes: &[u8]) -> f32 {
@@ -101,41 +125,56 @@ unsafe fn load_codes8(p: *const u8) -> __m256 {
     _mm256_cvtepi32_ps(_mm256_cvtepu8_epi32(bytes))
 }
 
+/// Eight f32s from the 32 bytes at `p`: `loadu` takes any alignment,
+/// and x86 is little-endian, so the lanes are the stored components.
 #[target_feature(enable = "avx2")]
-unsafe fn dot_impl(a: &[f32], b: &[f32]) -> f32 {
-    debug_assert_eq!(a.len(), b.len());
-    let n = a.len() - a.len() % 8;
+unsafe fn load8(p: *const u8) -> __m256 {
+    _mm256_loadu_ps(p as *const f32)
+}
+
+/// `Σ aᵢ·bᵢ` over two rows of little-endian f32s.
+///
+/// # Safety
+/// AVX2 is available and `a.len() == b.len()`, a multiple of 4.
+#[target_feature(enable = "avx2")]
+unsafe fn dot_impl(a: &[u8], b: &[u8]) -> f32 {
+    let dim = a.len() / 4;
+    let n = dim - dim % 8;
     let mut acc = _mm256_setzero_ps();
     let mut i = 0;
     while i < n {
-        let va = _mm256_loadu_ps(a.as_ptr().add(i));
-        let vb = _mm256_loadu_ps(b.as_ptr().add(i));
+        let va = load8(a.as_ptr().add(4 * i));
+        let vb = load8(b.as_ptr().add(4 * i));
         acc = _mm256_add_ps(acc, _mm256_mul_ps(va, vb));
         i += 8;
     }
     let mut sum = hsum(acc);
-    for j in n..a.len() {
-        sum += a[j] * b[j];
+    for j in n..dim {
+        sum += le_at(a, j) * le_at(b, j);
     }
     sum
 }
 
+/// `Σ (aᵢ−bᵢ)²` over two rows of little-endian f32s.
+///
+/// # Safety
+/// As for [`dot_impl`].
 #[target_feature(enable = "avx2")]
-unsafe fn l2_sq_impl(a: &[f32], b: &[f32]) -> f32 {
-    debug_assert_eq!(a.len(), b.len());
-    let n = a.len() - a.len() % 8;
+unsafe fn l2_sq_impl(a: &[u8], b: &[u8]) -> f32 {
+    let dim = a.len() / 4;
+    let n = dim - dim % 8;
     let mut acc = _mm256_setzero_ps();
     let mut i = 0;
     while i < n {
-        let va = _mm256_loadu_ps(a.as_ptr().add(i));
-        let vb = _mm256_loadu_ps(b.as_ptr().add(i));
+        let va = load8(a.as_ptr().add(4 * i));
+        let vb = load8(b.as_ptr().add(4 * i));
         let d = _mm256_sub_ps(va, vb);
         acc = _mm256_add_ps(acc, _mm256_mul_ps(d, d));
         i += 8;
     }
     let mut sum = hsum(acc);
-    for j in n..a.len() {
-        let d = a[j] - b[j];
+    for j in n..dim {
+        let d = le_at(a, j) - le_at(b, j);
         sum += d * d;
     }
     sum

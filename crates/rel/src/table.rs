@@ -2,9 +2,11 @@
 //! maintenance.
 //!
 //! Rows are stored in a B+tree keyed by the memcomparable encoding of
-//! the primary key, so a table keyed `(partition_id, vector_id)` lays
-//! its partitions out contiguously on disk — the clustered-index
-//! property MicroNN relies on for partition-scan locality (§3.2).
+//! the primary key, so a table keyed `(partition_id, vector_id)` keeps
+//! each partition in one contiguous run of leaves — the clustered-index
+//! property MicroNN relies on for partition-scan locality (§3.2). The
+//! run is contiguous in key order, not in the file: its leaves' page
+//! ids are scattered.
 //! Every mutation keeps all secondary and full-text indexes and the
 //! persistent row counter transactionally consistent.
 
@@ -463,18 +465,6 @@ impl Table {
             .map(|kv| kv.map_err(RelError::from)))
     }
 
-    /// Decoded variant of [`Table::scan_pk_prefix_raw`].
-    pub fn scan_pk_prefix<'r, R: PageRead + ?Sized>(
-        &self,
-        r: &'r R,
-        prefix: &[Value],
-    ) -> Result<impl Iterator<Item = Result<Vec<Value>>> + 'r> {
-        Ok(self.scan_pk_prefix_raw(r, prefix)?.map(|kv| {
-            let (_, v) = kv?;
-            decode_row(&v)
-        }))
-    }
-
     /// Queues background readahead of the leaf pages holding rows
     /// whose primary key starts with `prefix`, when `r` has a readahead
     /// worker to hand them to ([`PageRead::wants_prefetch`]; otherwise
@@ -832,8 +822,9 @@ mod tests {
         // A partition prefix scan yields exactly that partition's rows,
         // in vector_id order.
         let rows: Vec<_> = t
-            .scan_pk_prefix(&r, &[Value::Integer(3)])
+            .scan_pk_prefix_raw(&r, &[Value::Integer(3)])
             .unwrap()
+            .map(|kv| decode_row(&kv?.1))
             .collect::<Result<Vec<_>>>()
             .unwrap();
         assert_eq!(rows.len(), 30);

@@ -2,9 +2,11 @@
 //!
 //! A cursor descends once to the first qualifying leaf and then walks
 //! the leaf sibling chain, so a partition scan (the inner loop of the
-//! paper's Algorithm 2) touches each leaf page exactly once and in
-//! on-disk order — this is the data-locality property the clustered
-//! layout exists to provide.
+//! paper's Algorithm 2) touches each leaf page exactly once and in key
+//! order — the locality the clustered layout provides. Key order is not
+//! page-id order: leaves are allocated as splits need them, so the
+//! chain's page ids are scattered, and consecutive leaves of one scan
+//! are rarely adjacent in the file.
 //!
 //! There is one walk, [`Cursor::next_with`]: it lends each `(key,
 //! value)` pair to a closure as slices of pinned page images — the leaf,

@@ -18,7 +18,8 @@
 //!   overflow chains for large values, and delete rebalancing. Tables in
 //!   `micronn-rel` cluster rows on their encoded primary key through this
 //!   tree, which is how the IVF partition locality of the paper is
-//!   realized on disk.
+//!   realized: a partition is one run of leaves in key order (their
+//!   page ids are not adjacent in the file).
 //!
 //! # Example
 //!
