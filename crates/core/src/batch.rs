@@ -9,6 +9,13 @@
 //! (the I/O amortization of Figure 9), and per-(partition, query)
 //! results merge through the usual heap machinery.
 //!
+//! One deviation: no matrix multiplication. A group scan decodes each
+//! f32 row once and scores it for every member of the group with the
+//! single-query kernels (quantized codes are scored by the same
+//! batched code kernels as a single query's), so a batch answers
+//! exactly what [`search`](crate::MicroNN::search_with) answers at the
+//! same probe count — ids, distance bits and order.
+//!
 //! All three MQO phases are one-liners over the scan pool's typed
 //! `parallel_indexed` primitive: phase 1 fans the per-query probe
 //! selections out (each query still goes through the exact
@@ -115,10 +122,11 @@ impl crate::snapshot::Snapshot {
         partitions.sort_unstable();
         trace.stage(stage::PROBE_SELECT);
 
-        // Phase 2: scan each partition once; per-partition GEMM (or
-        // batched code scoring) against its query group through the
-        // shared scan frame. Quantized scans keep enlarged, located
-        // per-query pools for the re-rank pass.
+        // Phase 2: scan each partition once for its query group through
+        // the shared scan frame: each f32 row decoded once and scored
+        // per member, or each chunk of codes scored per member.
+        // Quantized scans keep enlarged, located per-query pools for
+        // the re-rank pass.
         let metrics = ScanMetrics::default();
         let scanner = PartitionScanner {
             inner,
@@ -201,7 +209,7 @@ fn scan_groups<P: Payload>(
             .scan_pool
             .parallel_indexed(partitions.len(), |i| {
                 // Probe readahead: overlap the next partition's I/O
-                // with this partition's GEMM / code scoring.
+                // with this partition's scoring.
                 if let Some(&next) = partitions.get(i + 1) {
                     scanner.prefetch(next);
                 }

@@ -8,23 +8,26 @@
 //!   walk lends rows from their pinned leaf pages, each is scored, and
 //!   each query's [`Collect`] is offered its rows in scan order. A codec
 //!   picks only the walk (f32 rows, SQ8 code rows, or SQ4 blocks lent
-//!   in place) and the kernel. One query's f32 rows are scored where
-//!   they lie, by [`RowScorer`]'s byte-row kernels, and offered at once.
-//!   The batched kernels — the GEMM of a query group,
+//!   in place) and the kernel. f32 rows are scored one at a time and
+//!   offered at once: one query's where they lie, by [`RowScorer`]'s
+//!   byte-row kernels; a group's decoded once into a one-row buffer and
+//!   scored there for every member. The batched code kernels —
 //!   [`Sq8Scorer::score_chunk`], [`Sq4Scorer::score_block`] — score a
-//!   chunk: only the GEMM copies f32 rows into it. The frame never
-//!   reads attributes: an unfiltered scan collects into result heaps, a
-//!   filtered one into [`Below`] — the rows its one heap would still
-//!   accept, unprobed — and the §3.5 join
-//!   ([`AttrProbe::join`](crate::hybrid::AttrProbe::join)) probes those
-//!   nearest first once a wave of partitions is scored.
+//!   chunk of codes. The frame never reads attributes: an unfiltered
+//!   scan collects into result heaps, a filtered one into [`Below`] —
+//!   the rows its one heap would still accept, unprobed — and the §3.5
+//!   join ([`AttrProbe::join`](crate::hybrid::AttrProbe::join)) probes
+//!   those nearest first once a wave of partitions is scored.
 //! * [`Queries`] selects the query side of a scan: one vector
 //!   (single-query search, exact KNN) or a batch group addressing rows
-//!   of a flat query matrix (MQO phase 2). The f32 kernels differ by
-//!   design — `Queries::One` scores each row in place, bit-identical to
-//!   the direct one-to-many kernel on the decoded row, and
-//!   `Queries::Group` uses the norm-identity GEMM of §3.4 — so each
-//!   path keeps its historical bit-exact behaviour.
+//!   of a flat query matrix (MQO phase 2). Both score f32 rows with the
+//!   same arithmetic —
+//!   [`Metric::distance_with_norms`](micronn_linalg::Metric::distance_with_norms)
+//!   on the decoded row is [`RowScorer::distance`] on its bytes, bit for
+//!   bit — so a batch answers exactly what single-query search answers.
+//!   Where §3.4 computes a group's distances as one matrix
+//!   multiplication, a group scan here still reads each partition once,
+//!   but decodes each row once and scores it per member.
 //! * [`ScanMetrics`] is the one counter block every path feeds, once
 //!   per partition scan from job-local [`ScanTotals`]; it flows into
 //!   [`QueryInfo`] and [`BatchResponse`](crate::batch::BatchResponse).
@@ -48,9 +51,7 @@
 
 use std::sync::Arc;
 
-use micronn_linalg::{
-    batch_distances, Neighbor, RowScorer, Sq4Scorer, Sq8Params, Sq8Scorer, TopK, SQ4_BLOCK,
-};
+use micronn_linalg::{norm, Neighbor, RowScorer, Sq4Scorer, Sq8Params, Sq8Scorer, TopK, SQ4_BLOCK};
 use micronn_storage::{PageRead, ReadTxn};
 
 use crate::catalog::{extend_f32, f32_row, Loc};
@@ -60,9 +61,6 @@ use crate::stats::QueryInfo;
 
 /// Rows per batched SQ8 code-scoring call.
 pub(crate) const SCAN_CHUNK: usize = 256;
-
-/// Rows per matrix-multiplication block in batch group scans.
-pub(crate) const BATCH_ROW_CHUNK: usize = 1024;
 
 /// What a scan did, in the units [`QueryInfo`] and
 /// [`BatchResponse`](crate::batch::BatchResponse) report.
@@ -92,10 +90,11 @@ pub(crate) struct ScanTotals {
 }
 
 impl ScanTotals {
-    /// Counts `rows` f32 rows of `dim` components scored for one query.
-    fn scored_f32(&mut self, rows: usize, dim: usize) {
+    /// Counts `rows` f32 rows of `dim` components, each read once and
+    /// scored for `queries` queries.
+    fn scored_f32(&mut self, rows: usize, queries: usize, dim: usize) {
         self.vectors_scanned += rows;
-        self.distance_computations += rows;
+        self.distance_computations += queries * rows;
         self.bytes_scanned += rows * dim * 4;
     }
 }
@@ -237,16 +236,12 @@ pub(crate) struct PartitionScanner<'a> {
     pub epoch: i64,
 }
 
-/// The kernel a partition's chunks are scored with. With the catalog
-/// walk that fills the chunk, it is all a codec changes in the frame.
-/// (One query's f32 rows never reach a chunk: [`PartitionScanner::scan`]
-/// scores each on its pinned leaf.)
+/// The kernel a partition's code chunks are scored with. With the
+/// catalog walk that fills the chunk, it is all a codec changes in the
+/// frame. (f32 rows are never batched: [`PartitionScanner::scan`]
+/// scores each as the walk lends it.)
 #[derive(Default)]
 enum Kernel {
-    /// f32 rows, a batch group: §3.4's norm-identity GEMM, one matrix
-    /// multiplication per (chunk, query group).
-    #[default]
-    Group,
     /// SQ8 code rows: the batched asymmetric [`Sq8Scorer::score_chunk`]
     /// of one scorer per query, never touching the f32 payload.
     Sq8(Vec<Sq8Scorer>),
@@ -255,10 +250,11 @@ enum Kernel {
     /// LUT pass and the block's directory keeps the live slots' scores
     /// (a tombstoned slot is scored and discarded — the fastscan
     /// trade-off).
+    #[default]
     Sq4,
 }
 
-/// The one chunk of a partition scan: the rows awaiting a batched
+/// The one chunk of a partition scan: the codes awaiting a batched
 /// kernel call, and the kernel's per-partition query state. A scan
 /// takes a chunk from its [`BlockPool`] and puts it back, so a job
 /// allocates buffers and scorers once, not once per partition.
@@ -269,13 +265,11 @@ pub(crate) struct Chunk<P = ()> {
     /// partition ([`Sq4Scorer::prepare`]); kept apart from `kernel` so
     /// an f32 or SQ8 partition in between does not drop them.
     sq4: Vec<Sq4Scorer>,
-    /// The group's queries, row-major: what the GEMM reads.
-    queries: Vec<f32>,
+    /// The one f32 row a group scan has decoded, scored for every
+    /// member before the next row replaces it.
+    row: Vec<f32>,
     /// Each row's asset and payload, in scan order.
     ids: Vec<(i64, P)>,
-    /// The rows' f32 components, row-major: the GEMM's copy, filled
-    /// only by a group scan.
-    rows: Vec<f32>,
     /// The rows' SQ8 codes, row-major.
     codes: Vec<u8>,
     /// The directory slots the rows occupy in the SQ4 block, which is
@@ -289,52 +283,36 @@ pub(crate) struct Chunk<P = ()> {
 pub(crate) type BlockPool<P> = parking_lot::Mutex<Vec<Chunk<P>>>;
 
 impl<P: Payload> Chunk<P> {
-    /// Adds a row whose payload is already in `rows` or `codes`; flushes
-    /// at `SCAN_CHUNK` rows (`BATCH_ROW_CHUNK` for the GEMM).
+    /// Adds a row whose code is already in `codes`; flushes at
+    /// `SCAN_CHUNK` rows.
     fn push(
         &mut self,
         (asset, at): (i64, Loc),
-        inner: &Inner,
         heaps: &mut [impl Collect<P>],
         tally: &mut ScanTotals,
     ) {
         self.ids.push((asset, P::of(at)));
-        let full = match self.kernel {
-            Kernel::Group => BATCH_ROW_CHUNK,
-            _ => SCAN_CHUNK,
-        };
-        if self.ids.len() >= full {
-            self.flush(inner, &[], heaps, tally);
+        if self.ids.len() >= SCAN_CHUNK {
+            self.flush(&[], heaps, tally);
         }
     }
 
     /// Scores the chunk for every query into the `nq × rows` score
     /// matrix, offers each query's rows to its collector, tallies the
     /// work and empties the chunk. `block` is the SQ4 block that `slots`
-    /// index; the other kernels read the chunk's own rows and pass `&[]`.
-    fn flush(
-        &mut self,
-        inner: &Inner,
-        block: &[u8],
-        heaps: &mut [impl Collect<P>],
-        tally: &mut ScanTotals,
-    ) {
-        let (nr, nq, dim, metric) = (self.ids.len(), heaps.len(), inner.dim, inner.metric);
+    /// index; SQ8 reads the chunk's own codes and passes `&[]`.
+    fn flush(&mut self, block: &[u8], heaps: &mut [impl Collect<P>], tally: &mut ScanTotals) {
+        let (nr, nq) = (self.ids.len(), heaps.len());
         tally.vectors_scanned += nr;
         tally.distance_computations += nq * nr;
-        // `4·dim` bytes per f32 row, `dim` per SQ8 code, and the whole
-        // SQ4 block even when none of its slots is live.
-        tally.bytes_scanned += self.rows.len() * 4 + self.codes.len() + block.len();
+        // `dim` bytes per SQ8 code, and the whole SQ4 block even when
+        // none of its slots is live.
+        tally.bytes_scanned += self.codes.len() + block.len();
         if nr == 0 {
             return;
         }
         self.scores.clear();
         match &self.kernel {
-            Kernel::Group => {
-                self.scores.resize(nq * nr, 0.0);
-                let (queries, rows) = (&self.queries, &self.rows);
-                batch_distances(metric, queries, nq, rows, nr, dim, &mut self.scores);
-            }
             Kernel::Sq8(scorers) => {
                 for scorer in scorers {
                     scorer.score_chunk(&self.codes, &mut self.scores);
@@ -354,7 +332,6 @@ impl<P: Payload> Chunk<P> {
             }
         }
         self.ids.clear();
-        self.rows.clear();
         self.codes.clear();
         self.slots.clear();
     }
@@ -363,7 +340,8 @@ impl<P: Payload> Chunk<P> {
 impl PartitionScanner<'_> {
     /// Scans one partition, offering every live row to the
     /// query-aligned `heaps` (`heaps.len() == queries.len()`); a
-    /// batched kernel scores in a chunk borrowed from `blocks`.
+    /// batched code kernel scores, and a group scan decodes, in a chunk
+    /// borrowed from `blocks`.
     ///
     /// Quantized catalogs score the partition's codes (SQ8 code rows or
     /// SQ4 blocks) when it has trained ranges; the delta store (and any
@@ -394,19 +372,28 @@ impl PartitionScanner<'_> {
                     rows += 1;
                     Ok(())
                 })?;
-                tally.scored_f32(rows, dim);
+                tally.scored_f32(rows, 1, dim);
             }
             (None, Queries::Group { .. }) => {
-                // The GEMM reads the group's queries as one row-major
-                // matrix, gathered once per scan, and copies the rows.
-                c.queries.clear();
-                vectors.for_each(|q| c.queries.extend_from_slice(q));
-                c.kernel = Kernel::Group;
+                // Each row is decoded once and scored for every member
+                // with the arithmetic `RowScorer` runs on its bytes, so
+                // each member's distances are its single-query ones.
+                let cosine = metric.needs_norms();
+                let norm_of = |v: &[f32]| if cosine { norm(v) } else { 0.0 };
+                let members: Vec<_> = vectors.map(|q| (q, norm_of(q))).collect();
+                let mut rows = 0;
                 tables.scan_vectors(r, only, |at, asset, blob| {
-                    extend_f32(&mut c.rows, at, blob, dim)?;
-                    c.push((asset, at), inner, heaps, tally);
+                    c.row.clear();
+                    extend_f32(&mut c.row, at, blob, dim)?;
+                    let row_norm = norm_of(&c.row);
+                    for (heap, &(query, query_norm)) in heaps.iter_mut().zip(&members) {
+                        let d = metric.distance_with_norms(query, &c.row, query_norm, row_norm);
+                        heap.offer(asset as u64, d, P::of(at));
+                    }
+                    rows += 1;
                     Ok(())
                 })?;
+                tally.scored_f32(rows, members.len(), dim);
             }
             (Some(params), _) if inner.cfg.codec.blocked() => {
                 c.kernel = Kernel::Sq4;
@@ -422,7 +409,7 @@ impl PartitionScanner<'_> {
                         c.ids.push((asset, P::of((block.partition, vid))));
                         c.slots.push(slot);
                     }
-                    c.flush(inner, &block.packed, heaps, tally);
+                    c.flush(&block.packed, heaps, tally);
                     Ok(())
                 })?;
             }
@@ -431,12 +418,12 @@ impl PartitionScanner<'_> {
                 c.kernel = Kernel::Sq8(scorers.collect());
                 tables.scan_codes(r, only, |at, asset, code| {
                     c.codes.extend_from_slice(code);
-                    c.push((asset, at), inner, heaps, tally);
+                    c.push((asset, at), heaps, tally);
                     Ok(())
                 })?;
             }
         }
-        c.flush(inner, &[], heaps, tally);
+        c.flush(&[], heaps, tally);
         self.metrics.absorb(tally);
         // A failed scan drops its chunk: it may hold rows.
         blocks.lock().push(c);
@@ -643,7 +630,7 @@ pub(crate) fn score_candidates(
         }
     }
     let mut tally = ScanTotals::default();
-    tally.scored_f32(rows, inner.dim);
+    tally.scored_f32(rows, 1, inner.dim);
     metrics.absorb(&tally);
     Ok(top.into_sorted())
 }
@@ -686,13 +673,13 @@ mod tests {
         db
     }
 
-    /// The copy a one-query f32 scan no longer makes. An ANN scan of an
+    /// No f32 scan holds more than one decoded row. An ANN scan of an
     /// F32 catalog, an exact scan (full precision) of a quantized one
-    /// and a post-filter wave over either leave the chunk's `rows`
-    /// buffer unallocated; a group scan over the same pool, the GEMM
-    /// path, does allocate it.
+    /// and a post-filter wave over either decode none; a group scan
+    /// over the same pool decodes one row at a time into the chunk's
+    /// one-row buffer, for every partition.
     #[test]
-    fn single_query_scans_copy_no_vector_into_the_chunk() {
+    fn no_scan_holds_more_than_one_decoded_row() {
         let dir = tempfile::tempdir().unwrap();
         let query = vector(5);
         for (codec, use_codec) in [(VectorCodec::F32, true), (VectorCodec::Sq4, false)] {
@@ -709,10 +696,10 @@ mod tests {
                 epoch: index.epoch,
             };
             let blocks = BlockPool::<()>::default();
-            let rows_capacity = || {
+            let row_capacity = || {
                 let pool = blocks.lock();
                 assert_eq!(pool.len(), 1, "{codec}: one chunk, reused");
-                pool[0].rows.capacity()
+                pool[0].row.capacity()
             };
             let one = Queries::One(&query);
 
@@ -723,7 +710,7 @@ mod tests {
                     .unwrap();
             }
             assert_eq!(top.len(), K, "{codec}");
-            assert_eq!(rows_capacity(), 0, "{codec}: scan of every partition");
+            assert_eq!(row_capacity(), 0, "{codec}: scan of every partition");
 
             let bound = TopK::new(K);
             let mut wave = Below {
@@ -735,7 +722,7 @@ mod tests {
                 .scan(first, &one, std::slice::from_mut(&mut wave), &blocks)
                 .unwrap();
             assert!(!wave.rows.is_empty(), "{codec}");
-            assert_eq!(rows_capacity(), 0, "{codec}: post-filter wave");
+            assert_eq!(row_capacity(), 0, "{codec}: post-filter wave");
 
             let flat = [query.clone(), vector(6)].concat();
             let group = Queries::Group {
@@ -743,8 +730,15 @@ mod tests {
                 members: &[0, 1],
             };
             let mut heaps = [TopK::new(K), TopK::new(K)];
-            scanner.scan(first, &group, &mut heaps, &blocks).unwrap();
-            assert!(rows_capacity() > 0, "{codec}: the GEMM copies");
+            for &p in index.partitions.iter() {
+                scanner.scan(p, &group, &mut heaps, &blocks).unwrap();
+            }
+            assert_eq!(heaps[0].len(), K, "{codec}");
+            let held = row_capacity();
+            assert!(
+                held > 0 && held < 2 * DIM,
+                "{codec}: group scan held {held}"
+            );
         }
     }
 

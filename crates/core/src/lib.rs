@@ -24,7 +24,9 @@
 //!   `MATCH`) combined with vector search, with a selectivity-based
 //!   optimizer choosing pre- vs post-filtering (§3.5).
 //! * **Batch multi-query optimization**: partition scans shared across
-//!   a query batch via blocked matrix multiplication (§3.4).
+//!   a query batch (§3.4); each row is decoded once and scored per
+//!   query with the single-query kernels, not by a matrix
+//!   multiplication, so batch and single-query answers are identical.
 //! * **Pluggable vector codecs** ([`VectorCodec`]): the default `F32`
 //!   scans full-precision vectors; `Sq8` scans per-partition
 //!   scalar-quantized u8 codes (~4× fewer payload bytes) and `Sq4`

@@ -6,8 +6,9 @@
 //! returns **bit-identical** ids and distances whatever the scan-pool
 //! size, for both codecs; (2) a failing partition surfaces a *stable*
 //! error — the first by partition/query index — rather than whichever
-//! worker lost the race; and (3) searches running concurrently with
-//! streaming updates observe consistent snapshots.
+//! worker lost the race; (3) searches running concurrently with
+//! streaming updates observe consistent snapshots; and (4) a batch
+//! answers each query exactly as single-query search does.
 
 use micronn::{
     AttributeDef, Config, Expr, Metric, MicroNN, PlanPreference, SearchRequest, SyncMode,
@@ -224,6 +225,58 @@ fn workers_1_and_8_bit_identical_sq4() {
     // CI re-runs this suite with MICRONN_KERNELS=scalar to pin the
     // cross-dispatch half of the invariant.
     workers_are_bit_identical(VectorCodec::Sq4);
+}
+
+/// `batch_search` answers exactly what `search` answers: for every
+/// metric and codec, with a live delta, each query's batch list is its
+/// single-query list at the same probe count — ids, distance bits and
+/// order. A group scan scores each decoded row with the arithmetic a
+/// single-query scan runs on the stored bytes.
+#[test]
+fn batch_answers_are_the_single_query_answers() {
+    let ds = generate(&DatasetSpec {
+        name: "synthetic-batch",
+        dim: DIM,
+        n_vectors: 1500,
+        n_queries: 44,
+        metric: Metric::L2,
+        clusters: 12,
+        spread: 0.08,
+        seed: 5,
+    });
+    // The delta's clusters are its own, and a third of the queries
+    // aim at them: its full-precision rows reach every codec's answers.
+    let staged = dataset(120, 6);
+    let probes = 4;
+    let queries: Vec<Vec<f32>> = (0..ds.spec.n_queries)
+        .map(|qi| ds.query(qi).to_vec())
+        .chain((0..staged.spec.n_queries).map(|qi| staged.query(qi).to_vec()))
+        .collect();
+    let records = |ds: &micronn_datasets::Dataset, base: i64| -> Vec<VectorRecord> {
+        (0..ds.len())
+            .map(|i| VectorRecord::new(base + i as i64, ds.vector(i).to_vec()))
+            .collect()
+    };
+    let (indexed, delta) = (records(&ds, 0), records(&staged, 90_000));
+    for metric in [Metric::L2, Metric::Cosine, Metric::Dot] {
+        for codec in [VectorCodec::F32, VectorCodec::Sq8, VectorCodec::Sq4] {
+            let dir = tempfile::tempdir().unwrap();
+            let mut cfg = config(codec, 2);
+            cfg.metric = metric;
+            let db = MicroNN::create(dir.path().join("batch.mnn"), cfg).unwrap();
+            db.upsert_batch(&indexed).unwrap();
+            db.rebuild().unwrap();
+            db.upsert_batch(&delta).unwrap();
+            assert!(db.stats().unwrap().delta_vectors > 0, "a live delta");
+
+            let batch = db.batch_search(&queries, K, Some(probes)).unwrap();
+            for (qi, (got, q)) in batch.results.iter().zip(&queries).enumerate() {
+                let req = SearchRequest::new(q.clone(), K).with_probes(probes);
+                let want = db.search_with(&req).unwrap().results;
+                assert_bit_identical(got, &want, &format!("{metric} {codec} q{qi}"));
+            }
+        }
+    }
 }
 
 /// Returns the two smallest indexed (non-delta) partition ids.

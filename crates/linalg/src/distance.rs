@@ -35,8 +35,12 @@ impl Metric {
         }
     }
 
-    /// Distance using precomputed norms (cosine fast path used by
-    /// batched scans; other metrics ignore the norms).
+    /// Distance using precomputed norms: cosine divides by
+    /// `norm_a · norm_b`, the other metrics ignore them. With
+    /// `norm_a = norm(a)` and `norm_b = norm(b)` it is, bit for bit,
+    /// [`Metric::distance`] and [`RowScorer::distance`] of `b`'s bytes;
+    /// a batch group scan scores each decoded row with it, computing
+    /// each norm once.
     #[inline]
     pub fn distance_with_norms(&self, a: &[f32], b: &[f32], norm_a: f32, norm_b: f32) -> f32 {
         match self {
@@ -53,7 +57,7 @@ impl Metric {
         }
     }
 
-    /// Whether batched evaluation needs per-row norms.
+    /// Whether [`Metric::distance_with_norms`] reads its norms.
     #[inline]
     pub fn needs_norms(&self) -> bool {
         matches!(self, Metric::Cosine)

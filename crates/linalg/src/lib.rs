@@ -7,10 +7,11 @@
 //!
 //! * [`distance`] — scalar and one-to-many distance kernels (L2,
 //!   cosine, inner product) written as multi-accumulator loops that
-//!   LLVM autovectorizes;
-//! * [`matrix`] — row-major matrices and the blocked `Q·Rᵀ` kernel
-//!   ([`gemm_nt`] / [`batch_distances`]) behind the batch multi-query
-//!   optimization of §3.4;
+//!   LLVM autovectorizes, and [`RowScorer`], which scores a stored row
+//!   in place; every query path, batch groups of §3.4 included, scores
+//!   f32 rows with these;
+//! * [`matrix`] — the strip `Q·Rᵀ` kernel [`gemm_nt`], which no query
+//!   path runs (the ledger times it);
 //! * [`topk`] — bounded per-thread top-k heaps and the parallel merge
 //!   of Algorithm 2;
 //! * [`simd`] — the runtime dispatch layer: hand-written AVX2 (x86_64)
@@ -34,7 +35,7 @@ pub mod topk;
 pub use distance::{
     cosine_distance, distances_one_to_many, dot, l2_sq, norm, normalize, Metric, RowScorer,
 };
-pub use matrix::{batch_distances, gemm_nt, Matrix};
+pub use matrix::gemm_nt;
 pub use simd::{kernels, scalar_kernels, Kernels};
 pub use sq4::{
     get_block_code, set_block_code, sq4_block_bytes, sq4_train, Sq4Scorer, SQ4_BLOCK, SQ4_LEVELS,

@@ -1,78 +1,15 @@
-//! Dense row-major matrices and the blocked `A·Bᵀ` kernel behind batch
-//! query processing.
+//! The strip `A·Bᵀ` kernel, timed by the ledger.
 //!
 //! The paper's multi-query optimization computes "distances between
 //! queries and the vectors in the partition … via a single matrix
-//! multiplication" (§3.4). [`gemm_nt`] is that multiplication: queries
-//! `Q (q×d)` against partition rows `R (n×d)` producing the `q×n` inner
-//! product matrix, blocked so each partition row is loaded once for a
-//! whole strip of queries.
+//! multiplication" (§3.4). No query path here runs one: a batch group
+//! scan reads each partition once for its whole group, decodes each row
+//! once and scores it for every member with the single-query kernels,
+//! so a batch answers exactly what single-query search answers.
+//! [`gemm_nt`] stays for the ledger's `linalg.gemm_nt_gflops` row,
+//! which calls it.
 
-use crate::distance::{dot, norm, Metric};
-
-/// A dense row-major `rows × cols` matrix of `f32`.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Matrix {
-    data: Vec<f32>,
-    rows: usize,
-    cols: usize,
-}
-
-impl Matrix {
-    /// Creates a matrix from row-major data.
-    pub fn from_vec(data: Vec<f32>, rows: usize, cols: usize) -> Matrix {
-        assert_eq!(data.len(), rows * cols, "shape mismatch");
-        Matrix { data, rows, cols }
-    }
-
-    /// A zero matrix.
-    pub fn zeros(rows: usize, cols: usize) -> Matrix {
-        Matrix {
-            data: vec![0.0; rows * cols],
-            rows,
-            cols,
-        }
-    }
-
-    /// Number of rows.
-    pub fn rows(&self) -> usize {
-        self.rows
-    }
-
-    /// Number of columns.
-    pub fn cols(&self) -> usize {
-        self.cols
-    }
-
-    /// Borrowed row `i`.
-    #[inline]
-    pub fn row(&self, i: usize) -> &[f32] {
-        &self.data[i * self.cols..(i + 1) * self.cols]
-    }
-
-    /// Mutable row `i`.
-    #[inline]
-    pub fn row_mut(&mut self, i: usize) -> &mut [f32] {
-        &mut self.data[i * self.cols..(i + 1) * self.cols]
-    }
-
-    /// The flat row-major buffer.
-    pub fn as_slice(&self) -> &[f32] {
-        &self.data
-    }
-
-    /// Appends a row (matrix builder for streaming scans).
-    pub fn push_row(&mut self, row: &[f32]) {
-        assert_eq!(row.len(), self.cols);
-        self.data.extend_from_slice(row);
-        self.rows += 1;
-    }
-
-    /// Per-row Euclidean norms.
-    pub fn row_norms(&self) -> Vec<f32> {
-        (0..self.rows).map(|i| norm(self.row(i))).collect()
-    }
-}
+use crate::distance::dot;
 
 /// Strip width: how many A-rows (queries) share one pass over B. Large
 /// enough to amortize B traffic, small enough that the strip of
@@ -81,6 +18,9 @@ const STRIP: usize = 8;
 
 /// `out[i * b_rows + j] = ⟨a_i, b_j⟩` for row-major `a (a_rows × dim)`
 /// and `b (b_rows × dim)`. `out` must have length `a_rows * b_rows`.
+///
+/// A strip loop of [`dot`] calls, not a blocked GEMM. No query path
+/// calls it; it is kept for the ledger's `linalg.gemm_nt_gflops` row.
 pub fn gemm_nt(a: &[f32], a_rows: usize, b: &[f32], b_rows: usize, dim: usize, out: &mut [f32]) {
     debug_assert_eq!(a.len(), a_rows * dim);
     debug_assert_eq!(b.len(), b_rows * dim);
@@ -98,58 +38,6 @@ pub fn gemm_nt(a: &[f32], a_rows: usize, b: &[f32], b_rows: usize, dim: usize, o
     }
 }
 
-/// Batched distances: for queries `Q (q×d)` and rows `R (n×d)`, fills
-/// `out (q×n)` with `metric` distances via one inner-product pass plus
-/// norm corrections. This is the MQO kernel of §3.4.
-pub fn batch_distances(
-    metric: Metric,
-    queries: &[f32],
-    n_queries: usize,
-    rows: &[f32],
-    n_rows: usize,
-    dim: usize,
-    out: &mut [f32],
-) {
-    debug_assert_eq!(out.len(), n_queries * n_rows);
-    match metric {
-        Metric::Dot => {
-            gemm_nt(queries, n_queries, rows, n_rows, dim, out);
-            for v in out.iter_mut() {
-                *v = -*v;
-            }
-        }
-        Metric::Cosine => {
-            gemm_nt(queries, n_queries, rows, n_rows, dim, out);
-            let qn: Vec<f32> = queries.chunks_exact(dim).map(norm).collect();
-            let rn: Vec<f32> = rows.chunks_exact(dim).map(norm).collect();
-            for qi in 0..n_queries {
-                for rj in 0..n_rows {
-                    let denom = qn[qi] * rn[rj];
-                    let v = &mut out[qi * n_rows + rj];
-                    *v = if denom <= f32::EPSILON {
-                        1.0
-                    } else {
-                        1.0 - *v / denom
-                    };
-                }
-            }
-        }
-        Metric::L2 => {
-            // ‖q − r‖² = ‖q‖² − 2⟨q,r⟩ + ‖r‖²: one GEMM plus two norm
-            // vectors, instead of n_queries × n_rows subtractions.
-            gemm_nt(queries, n_queries, rows, n_rows, dim, out);
-            let qs: Vec<f32> = queries.chunks_exact(dim).map(|q| dot(q, q)).collect();
-            let rs: Vec<f32> = rows.chunks_exact(dim).map(|r| dot(r, r)).collect();
-            for qi in 0..n_queries {
-                for rj in 0..n_rows {
-                    let v = &mut out[qi * n_rows + rj];
-                    *v = (qs[qi] - 2.0 * *v + rs[rj]).max(0.0);
-                }
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -164,25 +52,6 @@ mod tests {
                 ((s >> 40) as f32 / (1u64 << 24) as f32) - 0.5
             })
             .collect()
-    }
-
-    #[test]
-    fn matrix_basics() {
-        let m = Matrix::from_vec(vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0], 2, 3);
-        assert_eq!(m.rows(), 2);
-        assert_eq!(m.cols(), 3);
-        assert_eq!(m.row(1), &[4.0, 5.0, 6.0]);
-        let mut m = Matrix::zeros(0, 3);
-        m.push_row(&[1.0, 0.0, 0.0]);
-        m.push_row(&[0.0, 2.0, 0.0]);
-        assert_eq!(m.rows(), 2);
-        assert_eq!(m.row_norms(), vec![1.0, 2.0]);
-    }
-
-    #[test]
-    #[should_panic(expected = "shape mismatch")]
-    fn shape_mismatch_panics() {
-        Matrix::from_vec(vec![1.0; 5], 2, 3);
     }
 
     #[test]
@@ -210,36 +79,5 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn batch_distances_match_scalar_kernels() {
-        let (q, n, d) = (5, 13, 48);
-        let a: Vec<f32> = (0..q).flat_map(|i| pseudo_vec(i as u64, d)).collect();
-        let b: Vec<f32> = (0..n).flat_map(|j| pseudo_vec(500 + j as u64, d)).collect();
-        for metric in [Metric::L2, Metric::Cosine, Metric::Dot] {
-            let mut out = vec![0.0; q * n];
-            batch_distances(metric, &a, q, &b, n, d, &mut out);
-            for i in 0..q {
-                for j in 0..n {
-                    let want = metric.distance(&a[i * d..(i + 1) * d], &b[j * d..(j + 1) * d]);
-                    assert!(
-                        (out[i * n + j] - want).abs() < 1e-3,
-                        "{metric} at ({i},{j}): {} vs {want}",
-                        out[i * n + j]
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn l2_batch_is_nonnegative_despite_cancellation() {
-        // Identical vectors: the norm identity cancels to ~0 and must
-        // not go negative.
-        let v = pseudo_vec(3, 64);
-        let mut out = vec![0.0; 1];
-        batch_distances(Metric::L2, &v, 1, &v, 1, 64, &mut out);
-        assert!(out[0] >= 0.0 && out[0] < 1e-3);
     }
 }

@@ -23,10 +23,11 @@
 //! backend's `l2_sq` / `dot` on the decoded row: the scalar reference
 //! keeps both forms, and a vector backend runs its f32 kernels through
 //! the byte-row bodies (the proptest below holds every backend to
-//! both). The SQ4 block kernel is
-//! integer-only (u8 lookups summed into u16), so it is exact on every
-//! backend by construction. The SQ4 plane builder is held to the same
-//! standard: every backend evaluates each table entry with the scalar
+//! both, and holds `Metric::distance_with_norms` on a decoded row — a
+//! batch group's kernel — to `RowScorer::distance` on its bytes). The
+//! SQ4 block kernel is integer-only (u8 lookups summed into u16), so it
+//! is exact on every backend by construction. The SQ4 plane build is
+//! held to the same standard: every backend evaluates each table entry with the scalar
 //! operation sequence, finds the per-table extremes without ever
 //! picking a NaN (the only freedom a vector min / max takes is the sign
 //! of a zero extreme, which cannot reach the output), sums them in
@@ -182,6 +183,7 @@ fn select() -> &'static Kernels {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::distance::{norm, Metric, RowScorer};
     use proptest::prelude::*;
 
     fn pseudo_vec(seed: u64, dim: usize) -> Vec<f32> {
@@ -305,6 +307,10 @@ mod tests {
             let mut buf = vec![0xA5u8; offset];
             buf.extend(row.iter().flat_map(|x| x.to_le_bytes()));
             let bytes = &buf[offset..];
+            // Bit for bit, except a NaN's sign and payload: Rust leaves
+            // those unspecified, and the optimizer may commute an add
+            // and carry the other NaN through.
+            let same = |x: f32, y: f32| x.to_bits() == y.to_bits() || x.is_nan() && y.is_nan();
             let s = scalar_kernels();
             for k in [kernels(), s] {
                 let b = k.backend;
@@ -313,13 +319,17 @@ mod tests {
                     ("dot", (k.dot_le)(query, bytes), (k.dot)(query, row), (s.dot)(query, row)),
                     ("norm", (k.norm_sq_le)(bytes), (k.dot)(row, row), (s.dot)(row, row)),
                 ] {
-                    // Bit for bit, except a NaN's sign and payload: Rust
-                    // leaves those unspecified, and the optimizer may
-                    // commute an add and carry the other NaN through.
-                    let same = |x: f32, y: f32| x.to_bits() == y.to_bits() || x.is_nan() && y.is_nan();
                     prop_assert!(same(got, own), "{} {} {} vs {}", b, what, got, own);
                     prop_assert!(same(got, reference), "{} {} {} vs scalar {}", b, what, got, reference);
                 }
+            }
+            // A batch group scores the decoded row with its operands'
+            // norms; a single query scores the stored bytes in place.
+            // Both answer the same.
+            for metric in [Metric::L2, Metric::Cosine, Metric::Dot] {
+                let decoded = metric.distance_with_norms(query, row, norm(query), norm(row));
+                let in_place = RowScorer::new(metric, query).distance(bytes);
+                prop_assert!(same(decoded, in_place), "{} {} vs {}", metric, decoded, in_place);
             }
         }
     }

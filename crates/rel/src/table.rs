@@ -336,11 +336,6 @@ impl Table {
         self.fts.iter().find(|f| f.column == column)
     }
 
-    /// Encodes a primary key tuple for this table.
-    pub fn encode_pk(&self, pk: &[Value]) -> Vec<u8> {
-        encode_key(pk)
-    }
-
     /// Inserts or replaces the row with the same primary key; returns
     /// the previous row if any. Maintains all indexes and the counter.
     /// A replace leaves alone every index entry and full-text document

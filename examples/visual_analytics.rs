@@ -4,9 +4,9 @@
 //! A background analytics job processes *many* target assets at once to
 //! build topically-related groups. The batch multi-query optimizer
 //! shares partition scans across the whole batch (one disk pass per
-//! partition + one matrix multiplication per partition/query group),
-//! which is where the paper's ≥30% amortized latency cut at batch 512
-//! comes from.
+//! partition, each row decoded once and scored for every query of its
+//! group), which is where the paper's ≥30% amortized latency cut at
+//! batch 512 comes from.
 //!
 //! ```sh
 //! cargo run --release --example visual_analytics
