@@ -208,11 +208,6 @@ fn scan_groups<P: Payload>(
             .inner
             .scan_pool
             .parallel_indexed(partitions.len(), |i| {
-                // Probe readahead: overlap the next partition's I/O
-                // with this partition's scoring.
-                if let Some(&next) = partitions.get(i + 1) {
-                    scanner.prefetch(next);
-                }
                 let members = &groups[&partitions[i]];
                 let mut heaps: Vec<TopK<P>> =
                     members.iter().map(|_| TopK::with_payload(scan_k)).collect();

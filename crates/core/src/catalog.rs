@@ -589,14 +589,6 @@ impl Tables {
         Ok(keys.into_iter().map(|[p, vid]| (p, vid)).collect())
     }
 
-    /// Queues readahead of one partition's leaf pages, in the codes
-    /// table when `codes` is set and the catalog has one.
-    pub fn prefetch_partition<R: PageRead + ?Sized>(&self, r: &R, partition: i64, codes: bool) {
-        let codes = self.quantized.as_ref().filter(|_| codes);
-        let table = codes.map_or(&self.vectors, |(codes, _)| codes);
-        table.prefetch_pk_prefix(r, &[Value::Integer(partition)]);
-    }
-
     /// A reusable fetch-by-location reader over `vectors` (see
     /// [`VectorReader`]).
     pub fn vector_reader<'r, R: PageRead + ?Sized>(&self, r: &'r R) -> VectorReader<'r, R> {
@@ -769,12 +761,6 @@ impl PageRead for Writer<'_> {
     }
     fn page_scan(&self, id: PageId) -> std::result::Result<Arc<PageData>, StorageError> {
         self.txn.page_scan(id)
-    }
-    fn prefetch_pages(&self, ids: &[PageId]) {
-        self.txn.prefetch_pages(ids)
-    }
-    fn wants_prefetch(&self) -> bool {
-        self.txn.wants_prefetch()
     }
     fn root(&self, slot: usize) -> PageId {
         self.txn.root(slot)

@@ -403,10 +403,9 @@ impl MicroNN {
     }
 
     /// Cumulative storage-layer I/O counters (buffer-pool hit/miss,
-    /// evictions, WAL/main reads and writes, fsyncs, prefetch
-    /// activity). Benchmarks diff two snapshots via
-    /// [`micronn_storage::StoreStats::since`] to report cache hit
-    /// rates per phase.
+    /// evictions, WAL/main reads and writes, fsyncs). Benchmarks diff
+    /// two snapshots via [`micronn_storage::StoreStats::since`] to
+    /// report cache hit rates per phase.
     pub fn io_stats(&self) -> micronn_storage::StoreStats {
         self.inner.db.store().stats()
     }

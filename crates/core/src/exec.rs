@@ -52,7 +52,7 @@
 use std::sync::Arc;
 
 use micronn_linalg::{norm, Neighbor, RowScorer, Sq4Scorer, Sq8Params, Sq8Scorer, TopK, SQ4_BLOCK};
-use micronn_storage::{PageRead, ReadTxn};
+use micronn_storage::ReadTxn;
 
 use crate::catalog::{extend_f32, f32_row, Loc};
 use crate::db::{Inner, DELTA_PARTITION};
@@ -437,21 +437,6 @@ impl PartitionScanner<'_> {
             return Ok(None);
         }
         self.inner.partition_params(self.r, self.epoch, partition)
-    }
-
-    /// Queues background readahead of the leaf pages
-    /// [`PartitionScanner::scan`] would read for `partition`; jobs call
-    /// it for the *next* partition before scoring the current one.
-    /// Best-effort: readahead must never fail or reorder a query, and
-    /// without a readahead worker it costs nothing.
-    pub fn prefetch(&self, partition: i64) {
-        if !self.r.wants_prefetch() {
-            return;
-        }
-        let codes = matches!(self.code_params(partition), Ok(Some(_)));
-        self.inner
-            .tables
-            .prefetch_partition(self.r, partition, codes);
     }
 }
 

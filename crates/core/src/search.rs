@@ -43,8 +43,8 @@ use crate::catalog::Loc;
 use crate::db::{Inner, DELTA_PARTITION};
 use crate::error::{Error, Result};
 use crate::exec::{
-    rerank_exact, scan_pool_k, Below, BlockPool, Collect, PartitionScanner, Payload, Queries,
-    ScanMetrics, ScanTotals,
+    rerank_exact, scan_pool_k, Below, BlockPool, PartitionScanner, Payload, Queries, ScanMetrics,
+    ScanTotals,
 };
 use crate::hybrid::FilterCtx;
 use crate::stats::{PlanUsed, QueryInfo};
@@ -95,10 +95,12 @@ fn scan_partitions<P: Payload>(
     let inner = scanner.inner;
     let scan_k = scan_pool_k(inner, k, scanner.use_codec);
     let blocks = BlockPool::default();
+    let queries = Queries::One(query);
     let Some(filter) = filter else {
         let heaps = inner.scan_pool.parallel_indexed(partitions.len(), |i| {
             let mut top = TopK::with_payload(scan_k);
-            scan_into(scanner, partitions, i, query, &mut top, &blocks)?;
+            let out = std::slice::from_mut(&mut top);
+            scanner.scan(partitions[i], &queries, out, &blocks)?;
             Ok(top)
         })?;
         return Ok(merge_all(heaps, scan_k));
@@ -114,7 +116,8 @@ fn scan_partitions<P: Payload>(
                 bound,
                 rows: Vec::new(),
             };
-            scan_into(scanner, partitions, start + i, query, &mut below, &blocks)?;
+            let out = std::slice::from_mut(&mut below);
+            scanner.scan(partitions[start + i], &queries, out, &blocks)?;
             Ok(below.rows)
         })?;
         let t0 = timed.then(Instant::now);
@@ -124,24 +127,6 @@ fn scan_partitions<P: Payload>(
         scanner.metrics.absorb(&tally);
     }
     Ok(top.into_sorted())
-}
-
-/// Scans `partitions[i]` for `query` into `out`, first queueing
-/// readahead of the next partition's leaves so that its I/O overlaps
-/// this partition's compute.
-fn scan_into<P: Payload>(
-    scanner: &PartitionScanner<'_>,
-    partitions: &[i64],
-    i: usize,
-    query: &[f32],
-    out: &mut impl Collect<P>,
-    blocks: &BlockPool<P>,
-) -> Result<()> {
-    if let Some(&next) = partitions.get(i + 1) {
-        scanner.prefetch(next);
-    }
-    let queries = Queries::One(query);
-    scanner.scan(partitions[i], &queries, std::slice::from_mut(out), blocks)
 }
 
 /// One IVF search at snapshot `r`. `probes = Some(n)` is ANN search

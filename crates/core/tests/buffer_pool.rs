@@ -1,7 +1,7 @@
 //! Buffer-pool behaviour observed through the public API: scan
 //! resistance with a pool smaller than one partition, pages read by a
-//! clustered scan vs point lookups, and probe readahead warming the
-//! pool during multi-probe searches.
+//! clustered scan vs point lookups, and a cold search reading exactly
+//! the pages it misses.
 
 use micronn::{Config, Metric, MicroNN, SearchRequest, SyncMode, VectorRecord};
 
@@ -46,9 +46,6 @@ fn full_scan_does_not_evict_point_working_set() {
     // ~15 cached pages; one partition (500 rows x ~280 B) spans ~35+
     // leaf pages, so a single partition scan overflows the pool.
     c.store.pool_bytes = 64 * 1024;
-    // Keep the readahead worker quiet: this test reasons about exact
-    // disk-read deltas, and background reads would blur them.
-    c.store.prefetch_queue_pages = 0;
     c.target_partition_size = 500;
     let db = MicroNN::create(dir.path().join("db.mnn"), c).unwrap();
     let vectors = clustered(2000, 4, 7);
@@ -90,14 +87,13 @@ fn full_scan_does_not_evict_point_working_set() {
 
 /// The reason `vectors` is clustered on `(partition, vid)` (§3.1):
 /// scanning the probed partitions reads fewer pages than fetching the
-/// same number of rows by point lookup. Readahead and extra workers
-/// are off, so both sides are exact page counts.
+/// same number of rows by point lookup. Extra workers are off, so both
+/// sides are exact page counts.
 #[test]
 fn clustered_scan_reads_fewer_pages_than_point_lookups() {
     let dir = tempfile::tempdir().unwrap();
     let mut c = Config::new(DIM, Metric::L2);
     c.store.sync = SyncMode::Off;
-    c.store.prefetch_queue_pages = 0;
     c.workers = 1;
     c.target_partition_size = 100;
     let db = MicroNN::create(dir.path().join("db.mnn"), c).unwrap();
@@ -127,37 +123,35 @@ fn clustered_scan_reads_fewer_pages_than_point_lookups() {
     );
 }
 
-/// Multi-probe searches queue readahead for the next probe partition;
-/// the background worker's activity is visible in the prefetch
-/// counters.
+/// Every page a search reads comes from one of its own pool misses,
+/// read on the thread that missed it: with the store's default options
+/// a cold multi-probe search reads exactly the pages it misses, and
+/// repeating it from cold moves every counter by the same amount.
 #[test]
-fn multi_probe_search_issues_readahead() {
+fn cold_search_reads_exactly_what_it_misses() {
     let dir = tempfile::tempdir().unwrap();
     let mut c = Config::new(DIM, Metric::L2);
-    c.store.sync = SyncMode::Off;
     c.target_partition_size = 100;
     c.default_probes = 6;
+    // One scan worker: two workers missing the same interior page at
+    // once would both read it, and the two deltas could differ.
+    c.workers = 1;
     let db = MicroNN::create(dir.path().join("db.mnn"), c).unwrap();
     let vectors = clustered(2000, 8, 11);
     populate(&db, &vectors);
     db.rebuild().unwrap();
     db.checkpoint().unwrap();
-    db.purge_caches();
 
-    let before = db.io_stats();
-    let resp = db.search(&vectors[3], 10).unwrap();
-    assert_eq!(resp.results.len(), 10);
-    // The worker runs asynchronously; poll until its counters move.
-    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
-    loop {
-        let d = db.io_stats().since(&before);
-        if d.prefetch_reads + d.prefetch_skipped > 0 {
-            break;
-        }
-        assert!(
-            std::time::Instant::now() < deadline,
-            "readahead never ran: {d:?}"
-        );
-        std::thread::sleep(std::time::Duration::from_millis(10));
-    }
+    let cold_search = || {
+        db.purge_caches();
+        let before = db.io_stats();
+        let resp = db.search(&vectors[3], 10).unwrap();
+        assert_eq!(resp.results.len(), 10);
+        assert!(resp.info.partitions_scanned > 1, "{:?}", resp.info);
+        db.io_stats().since(&before)
+    };
+    let first = cold_search();
+    assert!(first.pool_misses > 0, "a cold search misses: {first:?}");
+    assert_eq!(first.disk_reads(), first.pool_misses, "{first:?}");
+    assert_eq!(cold_search(), first);
 }

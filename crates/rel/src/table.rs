@@ -460,30 +460,6 @@ impl Table {
             .map(|kv| kv.map_err(RelError::from)))
     }
 
-    /// Queues background readahead of the leaf pages holding rows
-    /// whose primary key starts with `prefix`, when `r` has a readahead
-    /// worker to hand them to ([`PageRead::wants_prefetch`]; otherwise
-    /// nothing is read). Discovery touches interior pages only; the
-    /// leaves themselves are fetched by the store's prefetch worker
-    /// with the scan admission hint, so a subsequent
-    /// [`Table::visit_pk_prefix`] of the same prefix hits the buffer
-    /// pool instead of the disk. Best-effort: errors are swallowed
-    /// (readahead must never fail a query).
-    pub fn prefetch_pk_prefix<R: PageRead + ?Sized>(&self, r: &R, prefix: &[Value]) {
-        // Bounds the discovery walk; the store additionally caps its
-        // own prefetch backlog.
-        const MAX_LEAVES: usize = 1024;
-        if !r.wants_prefetch() {
-            return;
-        }
-        if let Ok(ids) = self
-            .data
-            .prefix_leaf_pages(r, &encode_key(prefix), MAX_LEAVES)
-        {
-            r.prefetch_pages(&ids);
-        }
-    }
-
     /// Persistent row count (O(1): reads the catalog counter).
     pub fn row_count<R: PageRead + ?Sized>(&self, r: &R) -> Result<u64> {
         Ok(match self.catalog.get(r, &self.count_key)? {
@@ -859,46 +835,6 @@ mod tests {
         });
         assert!(matches!(refused, Err(RelError::Codec(m)) if m == "refused"));
         assert_eq!(calls, 6, "nothing is visited after the error");
-    }
-
-    #[test]
-    fn prefetch_discovers_leaves_only_for_a_readahead_worker() {
-        for queue_pages in [0, 256] {
-            let dir = tempfile::tempdir().unwrap();
-            let opts = StoreOptions {
-                sync: SyncMode::Off,
-                prefetch_queue_pages: queue_pages,
-                ..Default::default()
-            };
-            let db = Database::create(dir.path().join("db"), opts).unwrap();
-            let t = vectors(&db, 5, 300);
-            let r = db.begin_read();
-            assert_eq!(r.wants_prefetch(), queue_pages > 0);
-            let prefix = [Value::Integer(3)];
-            let tree = t.data_tree();
-            let leaves = tree.prefix_leaf_pages(&r, &encode_key(&prefix), usize::MAX);
-            let leaves = leaves.unwrap();
-            assert!(leaves.len() > 1, "the partition spans several leaves");
-
-            let before = db.store().stats();
-            let handled = || {
-                let now = db.store().stats().since(&before);
-                now.prefetch_reads + now.prefetch_skipped
-            };
-            t.prefetch_pk_prefix(&r, &prefix);
-            if queue_pages == 0 {
-                // Nobody to hand leaves to: not one page is referenced.
-                let now = db.store().stats().since(&before);
-                assert_eq!(now.pool_hits + now.pool_misses, 0);
-            } else {
-                // The worker is handed exactly the partition's leaves.
-                let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
-                while handled() < leaves.len() as u64 && std::time::Instant::now() < deadline {
-                    std::thread::sleep(std::time::Duration::from_millis(1));
-                }
-            }
-            assert_eq!(handled(), leaves.len() as u64 * (queue_pages > 0) as u64);
-        }
     }
 
     #[test]

@@ -120,8 +120,6 @@ fn a_prefix_visit_allocates_a_constant_not_per_row() {
     let dir = tempfile::tempdir().unwrap();
     let opts = StoreOptions {
         sync: SyncMode::Off,
-        // No readahead worker: one thread does all the allocating.
-        prefetch_queue_pages: 0,
         ..Default::default()
     };
     let db = Database::create(dir.path().join("db"), opts).unwrap();

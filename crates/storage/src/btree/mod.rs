@@ -207,30 +207,6 @@ impl BTree {
         }
     }
 
-    /// Collects the page ids of the leaves that cover keys with the
-    /// given `prefix`, reading **interior pages only** — the returned
-    /// leaves are never fetched. This is the discovery half of probe
-    /// readahead: a scanner hands these ids to
-    /// [`PageRead::prefetch_pages`] so the next partition's leaves are
-    /// already resident when its scan starts. At most `max` ids are
-    /// returned (overflow chains hanging off the leaves are not
-    /// discoverable without reading them, so they stay demand-paged).
-    pub fn prefix_leaf_pages<R: PageRead + ?Sized>(
-        &self,
-        r: &R,
-        prefix: &[u8],
-        max: usize,
-    ) -> Result<Vec<PageId>> {
-        let mut out = Vec::new();
-        if max == 0 {
-            return Ok(out);
-        }
-        let depth = self.depth(r)?;
-        let hi = cursor::prefix_successor(prefix);
-        collect_leaves(r, self.root, prefix, hi.as_deref(), max, depth, &mut out)?;
-        Ok(out)
-    }
-
     /// How full the tree's pages are: a walk of the interior levels and
     /// of the leaf sibling chain (overflow chains are sized from their
     /// cells, not read). Diagnostic — `fsck`'s `leaf fill` line and the
@@ -281,57 +257,6 @@ impl BTree {
             id = next;
         }
     }
-}
-
-/// Recursive helper for [`BTree::prefix_leaf_pages`]: walks the
-/// interior levels of the subtree rooted at `id` (whose height is
-/// `depth`), appending the page ids of leaves intersecting
-/// `[lo, hi)` without fetching them. Interior fetches use the normal
-/// point hint — interior pages are exactly the reusable working set
-/// the pool's protected segment exists to keep.
-fn collect_leaves<R: PageRead + ?Sized>(
-    r: &R,
-    id: PageId,
-    lo: &[u8],
-    hi: Option<&[u8]>,
-    max: usize,
-    depth: usize,
-    out: &mut Vec<PageId>,
-) -> Result<()> {
-    if out.len() >= max {
-        return Ok(());
-    }
-    if depth <= 1 {
-        // Single-leaf tree: the root itself is the only leaf.
-        out.push(id);
-        return Ok(());
-    }
-    let p = fetch_node(r, id)?;
-    expect_type(&p, page_type::BTREE_INTERIOR, id)?;
-    let n = node::ncells(&p);
-    let i0 = node::interior_descend_index(&p, lo);
-    // The child that would contain `hi` can still hold keys below it,
-    // so the (exclusive) upper bound is inclusive at child granularity.
-    let i1 = match hi {
-        Some(h) => node::interior_descend_index(&p, h),
-        None => n,
-    };
-    for i in i0..=i1 {
-        if out.len() >= max {
-            break;
-        }
-        let child = if i < n {
-            node::interior_child(&p, i)
-        } else {
-            node::right_ptr(&p)
-        };
-        if depth == 2 {
-            out.push(child);
-        } else {
-            collect_leaves(r, child, lo, hi, max, depth - 1, out)?;
-        }
-    }
-    Ok(())
 }
 
 /// Finds the leftmost leaf under `id`.
@@ -1211,61 +1136,6 @@ mod tests {
         let ok = vec![1u8; MAX_KEY_LEN];
         tree.insert(&mut txn, &ok, b"v").unwrap();
         assert_eq!(tree.get(&txn, &ok).unwrap(), Some(b"v".to_vec()));
-    }
-
-    #[test]
-    fn prefix_leaf_pages_covers_all_matching_keys() {
-        let (_d, store) = mem_store();
-        let mut txn = store.begin_write().unwrap();
-        let tree = BTree::create(&mut txn).unwrap();
-        for p in 0..4u32 {
-            for i in 0..2000u32 {
-                tree.insert(
-                    &mut txn,
-                    format!("p{p}-{i:06}").as_bytes(),
-                    format!("v{p}-{i}").as_bytes(),
-                )
-                .unwrap();
-            }
-        }
-        txn.commit().unwrap();
-        let r = store.begin_read();
-        assert!(tree.depth(&r).unwrap() >= 2);
-
-        let ids = tree.prefix_leaf_pages(&r, b"p1-", usize::MAX).unwrap();
-        assert!(!ids.is_empty());
-        // Every key under the prefix must live in one of the returned
-        // leaves: reading them back reassembles the full key set.
-        let mut found = std::collections::BTreeSet::new();
-        for id in &ids {
-            let p = fetch_node(&r, *id).unwrap();
-            assert_eq!(p.page_type(), page_type::BTREE_LEAF);
-            for i in 0..node::ncells(&p) {
-                let k = node::leaf_key(&p, i);
-                if k.starts_with(b"p1-") {
-                    found.insert(k.to_vec());
-                }
-            }
-        }
-        assert_eq!(found.len(), 2000, "all prefix keys covered");
-
-        // The cap bounds the result.
-        assert_eq!(tree.prefix_leaf_pages(&r, b"p1-", 3).unwrap().len(), 3);
-        assert!(tree.prefix_leaf_pages(&r, b"p1-", 0).unwrap().is_empty());
-    }
-
-    #[test]
-    fn prefix_leaf_pages_single_leaf_tree_returns_root() {
-        let (_d, store) = mem_store();
-        let mut txn = store.begin_write().unwrap();
-        let tree = BTree::create(&mut txn).unwrap();
-        tree.insert(&mut txn, b"a", b"1").unwrap();
-        txn.commit().unwrap();
-        let r = store.begin_read();
-        assert_eq!(
-            tree.prefix_leaf_pages(&r, b"a", usize::MAX).unwrap(),
-            vec![tree.root()]
-        );
     }
 
     #[test]

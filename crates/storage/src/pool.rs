@@ -12,7 +12,7 @@
 //!   sweep) never displace the hot set.
 //! * Callers tag accesses with [`Access`]: `Point` for demand reads on
 //!   the query path, `Scan` for bulk sequential reads (partition
-//!   sweeps, checkpoints, readahead). Scan-tagged entries are admitted
+//!   sweeps, checkpoints). Scan-tagged entries are admitted
 //!   probationary with *no* second chance, so a scan of any length
 //!   recycles a small probationary window instead of flushing the pool.
 //!   A later point access "rescues" a scan page onto the normal
@@ -36,10 +36,8 @@
 //! garbage; with nothing due it is one atomic load. The queue holds
 //! 16 bytes per WAL frame published since the floor last passed it, so
 //! a long-pinned reader grows it by that much and its drop releases it.
-//! One case outlives its queue entry: a readahead batch still carrying
-//! the snapshot of a reader that has gone can cache a version after its
-//! commit was popped; the image is unreachable and leaves by ordinary
-//! eviction (scan-admitted, so among the first).
+//! Every image is cached by a live reader or writer resolving it at its
+//! own snapshot, so no version is cached after its commit was popped.
 //!
 //! The pool's byte budget is the main lever behind the paper's
 //! Small/Large device profiles (Figures 4, 5, 8), and `purge` implements
@@ -61,7 +59,7 @@ pub type PoolKey = (PageId, u64);
 ///
 /// `Point` is the default for demand reads on the query path. `Scan`
 /// marks bulk sequential access — full-partition sweeps, checkpoint
-/// reads, prefetch — whose pages should cycle through a probationary
+/// reads — whose pages should cycle through a probationary
 /// window without displacing the protected working set.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Access {
@@ -172,7 +170,8 @@ impl BufferPool {
 
     /// Whether `key` is resident, without touching reference bits or
     /// segment membership.
-    pub fn contains(&self, key: PoolKey) -> bool {
+    #[cfg(test)]
+    pub(crate) fn contains(&self, key: PoolKey) -> bool {
         self.inner.lock().map.contains_key(&key)
     }
 

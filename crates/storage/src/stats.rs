@@ -48,10 +48,6 @@ pub struct IoStats {
     /// durable [`crate::SyncMode`]. The benchmark ledger pins that
     /// relation; a checkpoint span's `fsyncs` counts both.
     pub syncs: Arc<Counter>,
-    /// Pages loaded into the pool by the readahead worker.
-    pub prefetch_reads: Arc<Counter>,
-    /// Readahead requests skipped because the page was already resident.
-    pub prefetch_skipped: Arc<Counter>,
     /// Read transactions begun (snapshot pins).
     pub reader_pins: Arc<Counter>,
     /// Contended writer-lock acquisitions (another writer or checkpoint
@@ -97,8 +93,7 @@ impl IoStats {
             pages_allocated: self.pages_allocated.get(),
             pages_freed: self.pages_freed.get(),
             syncs: self.syncs.get(),
-            prefetch_reads: self.prefetch_reads.get(),
-            prefetch_skipped: self.prefetch_skipped.get(),
+            prefetch_reads: 0,
             reader_pins: self.reader_pins.get(),
             writer_lock_waits: self.writer_lock_waits.get(),
             version_gc_pages: self.version_gc_pages.get(),
@@ -112,7 +107,7 @@ impl IoStats {
     /// Registry snapshots then observe the store's live traffic — the
     /// same atomics, not copies.
     pub fn register_into(&self, registry: &Registry, prefix: &str) {
-        let entries: [(&str, &Arc<Counter>); 19] = [
+        let entries: [(&str, &Arc<Counter>); 17] = [
             ("main_reads", &self.main_reads),
             ("main_writes", &self.main_writes),
             ("wal_reads", &self.wal_reads),
@@ -125,8 +120,6 @@ impl IoStats {
             ("pages_allocated", &self.pages_allocated),
             ("pages_freed", &self.pages_freed),
             ("syncs", &self.syncs),
-            ("prefetch_reads", &self.prefetch_reads),
-            ("prefetch_skipped", &self.prefetch_skipped),
             ("reader_pins", &self.reader_pins),
             ("writer_lock_waits", &self.writer_lock_waits),
             ("version_gc_pages", &self.version_gc_pages),
@@ -154,8 +147,10 @@ pub struct StoreStats {
     pub pages_allocated: u64,
     pub pages_freed: u64,
     pub syncs: u64,
+    /// Always `0`: the store has no readahead worker. Kept only so
+    /// callers that still read it compile; the next benchmark change
+    /// (ROADMAP item 11(e)) removes it.
     pub prefetch_reads: u64,
-    pub prefetch_skipped: u64,
     pub reader_pins: u64,
     pub writer_lock_waits: u64,
     pub version_gc_pages: u64,
@@ -199,8 +194,7 @@ impl StoreStats {
             pages_allocated: self.pages_allocated - earlier.pages_allocated,
             pages_freed: self.pages_freed - earlier.pages_freed,
             syncs: self.syncs - earlier.syncs,
-            prefetch_reads: self.prefetch_reads - earlier.prefetch_reads,
-            prefetch_skipped: self.prefetch_skipped - earlier.prefetch_skipped,
+            prefetch_reads: 0,
             reader_pins: self.reader_pins - earlier.reader_pins,
             writer_lock_waits: self.writer_lock_waits - earlier.writer_lock_waits,
             version_gc_pages: self.version_gc_pages - earlier.version_gc_pages,

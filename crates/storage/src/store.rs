@@ -53,20 +53,17 @@
 //! acknowledged commit is always durable, while a published-but-
 //! unsynced commit may be lost (it was never acked).
 //!
-//! ## Readahead
+//! ## Reads
 //!
-//! [`ReadTxn::prefetch_pages`] hands page ids to a background worker
-//! that loads them into the buffer pool with the `Scan` admission
-//! hint. The worker performs reads only — never writes or fsyncs — so
-//! it cannot perturb the deterministic mutation stream the crash
-//! harness depends on, and every image it caches is validated against
-//! a checkpoint generation counter so a concurrent checkpoint can
-//! never poison the pool with a mismatched version.
+//! Every page is read on the thread that needs it: a buffer-pool miss
+//! is served by the transaction that hit it, and a `Store` spawns no
+//! thread of its own. Scans tag their reads `Scan` so sweeps recycle
+//! the pool's probationary window instead of the hot set.
 
 use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -133,10 +130,10 @@ pub struct StoreOptions {
     /// spill SQLite performs for transactions larger than its page
     /// cache. `0` disables spilling.
     pub spill_after_pages: usize,
-    /// Upper bound on page ids queued for background readahead
-    /// ([`ReadTxn::prefetch_pages`]); requests past the bound are
-    /// dropped rather than queued. `0` disables the prefetch worker
-    /// entirely.
+    /// Ignored: the store has no readahead worker and reads every page
+    /// on the thread that needs it. Kept, defaulting to `0`, only so
+    /// callers that still set it compile; the next benchmark change
+    /// (ROADMAP item 11(e)) removes it.
     pub prefetch_queue_pages: usize,
     /// The file system every byte of store I/O goes through:
     /// [`StdVfs`] in production, [`crate::sim::SimVfs`] in the
@@ -157,7 +154,7 @@ impl Default for StoreOptions {
             sync: SyncMode::Normal,
             checkpoint_after_frames: 2048,
             spill_after_pages: 4096,
-            prefetch_queue_pages: 256,
+            prefetch_queue_pages: 0,
             vfs: StdVfs::handle(),
             trace: Arc::new(SinkCell::new()),
         }
@@ -171,7 +168,6 @@ impl std::fmt::Debug for StoreOptions {
             .field("sync", &self.sync)
             .field("checkpoint_after_frames", &self.checkpoint_after_frames)
             .field("spill_after_pages", &self.spill_after_pages)
-            .field("prefetch_queue_pages", &self.prefetch_queue_pages)
             .field("vfs", &self.vfs.name())
             .field("trace", &self.trace.enabled())
             .finish()
@@ -256,17 +252,6 @@ struct StoreInner {
     /// seq of the image now in the main file. Pages absent here carry
     /// version `0` (unchanged since open).
     base_version: RwLock<PageMap<PageId, u64>>,
-    /// Queue into the background readahead worker; `None` when
-    /// prefetching is disabled.
-    prefetch_tx: Option<crossbeam::channel::Sender<PrefetchBatch>>,
-    /// Pages queued but not yet processed by the readahead worker;
-    /// bounds the queue at `opts.prefetch_queue_pages`.
-    prefetch_backlog: AtomicUsize,
-    /// Checkpoint generation seqlock: odd while a checkpoint is
-    /// rewriting the main file / resetting the WAL. The prefetch
-    /// worker rejects any image whose read overlapped a checkpoint,
-    /// since the image may no longer match its resolved version.
-    ckpt_gen: AtomicU64,
 }
 
 impl StoreInner {
@@ -288,12 +273,6 @@ impl StoreInner {
     }
 }
 
-/// One readahead request: page ids to warm at a reader's snapshot.
-struct PrefetchBatch {
-    snapshot: u64,
-    pages: Vec<PageId>,
-}
-
 /// Read access to pages at some transaction's snapshot. Implemented by
 /// both [`ReadTxn`] and [`WriteTxn`] so the B+tree and everything above
 /// it work identically in either context.
@@ -305,16 +284,6 @@ pub trait PageRead {
     /// scan hint so sweeps cannot displace the hot working set.
     fn page_scan(&self, id: PageId) -> Result<Arc<PageData>> {
         self.page(id)
-    }
-    /// Hints that `ids` are likely to be read soon; implementations
-    /// may warm a cache asynchronously. Best-effort, default no-op.
-    fn prefetch_pages(&self, _ids: &[PageId]) {}
-    /// Whether [`PageRead::prefetch_pages`] does anything with its
-    /// hints. Working out *which* pages a scan will read costs an
-    /// interior walk, so callers ask first and skip it when nobody is
-    /// listening.
-    fn wants_prefetch(&self) -> bool {
-        false
     }
     /// Root page stored in header slot `slot`.
     fn root(&self, slot: usize) -> PageId;
@@ -334,12 +303,6 @@ impl<R: PageRead + ?Sized> PageRead for &R {
     }
     fn page_scan(&self, id: PageId) -> Result<Arc<PageData>> {
         (**self).page_scan(id)
-    }
-    fn prefetch_pages(&self, ids: &[PageId]) {
-        (**self).prefetch_pages(ids)
-    }
-    fn wants_prefetch(&self) -> bool {
-        (**self).wants_prefetch()
     }
     fn root(&self, slot: usize) -> PageId {
         (**self).root(slot)
@@ -422,29 +385,10 @@ impl Store {
         syncs: u64,
         opts: StoreOptions,
     ) -> Store {
-        let channel = if opts.prefetch_queue_pages > 0 {
-            Some(crossbeam::channel::unbounded::<PrefetchBatch>())
-        } else {
-            None
-        };
-        let (prefetch_tx, prefetch_rx) = match channel {
-            Some((tx, rx)) => (Some(tx), Some(rx)),
-            None => (None, None),
-        };
         let stats = IoStats::default();
         IoStats::add(&stats.syncs, syncs);
-        // The worker holds only a Weak reference: dropping the last
-        // Store handle drops the Sender inside StoreInner, which
-        // disconnects the channel and lets the worker exit.
-        let inner = Arc::new_cyclic(|weak: &std::sync::Weak<StoreInner>| {
-            if let Some(rx) = prefetch_rx {
-                let weak = weak.clone();
-                // Spawn failure just leaves prefetching inert.
-                let _ = std::thread::Builder::new()
-                    .name("micronn-prefetch".into())
-                    .spawn(move || prefetch_worker(rx, weak));
-            }
-            StoreInner {
+        Store {
+            inner: Arc::new(StoreInner {
                 main,
                 path,
                 pool: BufferPool::new(opts.pool_bytes),
@@ -454,14 +398,10 @@ impl Store {
                 next_txid: AtomicU64::new(1),
                 readers: Mutex::new(BTreeMap::new()),
                 base_version: RwLock::new(PageMap::default()),
-                prefetch_tx,
-                prefetch_backlog: AtomicUsize::new(0),
-                ckpt_gen: AtomicU64::new(0),
                 wal,
                 opts,
-            }
-        });
-        Store { inner }
+            }),
+        }
     }
 
     /// Begins a snapshot-isolated read transaction. Never blocks: the
@@ -635,9 +575,10 @@ fn resolve_version(inner: &StoreInner, id: PageId, snapshot: u64) -> (u64, Optio
 
 /// Reads the image [`resolve_version`] located — the WAL frame at
 /// `from_wal`, else the main file — and checks it: the one door through
-/// which bytes from disk reach the buffer pool (demand misses and
-/// readahead alike), so the B+tree's zero-copy accessors never see an
-/// image that was not validated once.
+/// which bytes from disk reach the buffer pool, so the B+tree's
+/// zero-copy accessors never see an image that was not validated once.
+/// Kept out of line so the pool-hit path of [`resolve_page`] stays small.
+#[inline(never)]
 fn load_page(inner: &StoreInner, id: PageId, from_wal: Option<u64>) -> Result<PageData> {
     let p = match from_wal {
         Some(offset) => inner.wal.read_frame(offset)?,
@@ -714,59 +655,6 @@ fn resolve_page(
     Err(last_err.expect("two attempts always record an error"))
 }
 
-/// Background readahead: drains [`PrefetchBatch`]es, loading each page
-/// into the pool with the `Scan` hint. Performs reads only. Exits when
-/// the channel disconnects (the last `Store` handle dropped) or the
-/// store is gone.
-fn prefetch_worker(
-    rx: crossbeam::channel::Receiver<PrefetchBatch>,
-    weak: std::sync::Weak<StoreInner>,
-) {
-    // Never hold a strong reference while blocked on `recv`: the
-    // Sender lives inside StoreInner, so that would deadlock shutdown.
-    while let Ok(batch) = rx.recv() {
-        let Some(inner) = weak.upgrade() else { return };
-        for &id in &batch.pages {
-            prefetch_one(&inner, id, batch.snapshot);
-        }
-        inner
-            .prefetch_backlog
-            .fetch_sub(batch.pages.len(), Ordering::Relaxed);
-    }
-}
-
-/// Loads one page at `snapshot` into the pool, best-effort. Validated
-/// by the checkpoint-generation seqlock: resolving a version and
-/// reading its image are not atomic against a checkpoint rewriting the
-/// main file or resetting the WAL, so any overlap discards the image
-/// instead of risking a (page, version) -> wrong-bytes cache entry.
-fn prefetch_one(inner: &StoreInner, id: PageId, snapshot: u64) {
-    let gen = inner.ckpt_gen.load(Ordering::Acquire);
-    if gen & 1 == 1 {
-        return; // checkpoint in flight
-    }
-    let (version, from_wal) = resolve_version(inner, id, snapshot);
-    if inner.pool.contains((id, version)) {
-        IoStats::bump(&inner.stats.prefetch_skipped);
-        return;
-    }
-    let Ok(page) = load_page(inner, id, from_wal) else {
-        return; // best-effort: the demand read will surface real errors
-    };
-    if inner.ckpt_gen.load(Ordering::Acquire) != gen {
-        return;
-    }
-    IoStats::bump(&inner.stats.prefetch_reads);
-    IoStats::bump(if from_wal.is_some() {
-        &inner.stats.wal_reads
-    } else {
-        &inner.stats.main_reads
-    });
-    inner
-        .pool
-        .insert_with((id, version), Arc::new(page), Access::Scan);
-}
-
 /// Folds WAL frames into the main file. Caller holds the writer lock.
 fn checkpoint_locked(inner: &StoreInner) -> Result<bool> {
     let mx = {
@@ -792,37 +680,8 @@ fn checkpoint_locked(inner: &StoreInner) -> Result<bool> {
     // index map being unordered — a deterministic operation stream for
     // the crash-injection harness.
     targets.sort_unstable_by_key(|&(page, _, _)| page);
-    // Seqlock around the mutating section (odd = in progress): the
-    // prefetch worker discards any image whose read overlapped it.
-    inner.ckpt_gen.fetch_add(1, Ordering::AcqRel);
-    let res = checkpoint_copy(inner, &targets);
-    inner.ckpt_gen.fetch_add(1, Ordering::Release);
-    res?;
-    if !matches!(inner.opts.sync, SyncMode::Off) {
-        // Frames up to the watermark are now durable via the main
-        // file; committers waiting on a group fsync for them can ack
-        // without one.
-        inner.wal.note_durable(mx);
-    }
-    IoStats::bump(&inner.stats.checkpoints);
-    // Every live snapshot is at or above the watermark now, so cached
-    // page versions superseded below it are unreachable: collect them.
-    gc_page_versions(inner, mx);
-    // The main file's fsync, then the WAL's after its truncation.
-    let fsyncs = if matches!(inner.opts.sync, SyncMode::Off) {
-        0
-    } else {
-        2
-    };
-    inner.record_span(trace_start, "checkpoint", targets.len() as u64, fsyncs);
-    Ok(true)
-}
-
-/// The mutating body of a checkpoint: copy page images into the main
-/// file, sync it, then truncate the WAL. Split out so the caller can
-/// wrap it in the checkpoint-generation seqlock on all exit paths.
-fn checkpoint_copy(inner: &StoreInner, targets: &[(PageId, u64, u64)]) -> Result<()> {
-    for &(page, offset, seq) in targets {
+    let durable = !matches!(inner.opts.sync, SyncMode::Off);
+    for &(page, offset, seq) in &targets {
         // Scan access: folding frames back must not perturb which
         // entries the pool considers hot.
         let data = match inner.pool.get_with((page, seq), Access::Scan) {
@@ -845,15 +704,28 @@ fn checkpoint_copy(inner: &StoreInner, targets: &[(PageId, u64, u64)]) -> Result
     if inner.main.len()? < want_len {
         inner.main.set_len(want_len)?;
     }
-    if !matches!(inner.opts.sync, SyncMode::Off) {
+    if durable {
         // The main file must be durable before the WAL disappears.
         inner.main.sync()?;
         IoStats::bump(&inner.stats.syncs);
     }
     // The WAL's own fsync after truncation stays out of
     // `StoreStats::syncs` (see `IoStats::syncs`).
-    inner.wal.reset(!matches!(inner.opts.sync, SyncMode::Off))?;
-    Ok(())
+    inner.wal.reset(durable)?;
+    if durable {
+        // Frames up to the watermark are now durable via the main
+        // file; committers waiting on a group fsync for them can ack
+        // without one.
+        inner.wal.note_durable(mx);
+    }
+    IoStats::bump(&inner.stats.checkpoints);
+    // Every live snapshot is at or above the watermark now, so cached
+    // page versions superseded below it are unreachable: collect them.
+    gc_page_versions(inner, mx);
+    // The main file's fsync, then the WAL's after its truncation.
+    let fsyncs = if durable { 2 } else { 0 };
+    inner.record_span(trace_start, "checkpoint", targets.len() as u64, fsyncs);
+    Ok(true)
 }
 
 // ---------------------------------------------------------------------------
@@ -946,43 +818,6 @@ impl PageRead for ReadTxn {
             return Err(StorageError::PageOutOfBounds(id));
         }
         resolve_page(&self.guard.inner, id, self.guard.snapshot, Access::Scan)
-    }
-
-    fn prefetch_pages(&self, ids: &[PageId]) {
-        let inner = &self.guard.inner;
-        let Some(tx) = &inner.prefetch_tx else {
-            return;
-        };
-        let limit = inner.opts.prefetch_queue_pages;
-        let backlog = inner.prefetch_backlog.load(Ordering::Relaxed);
-        if backlog >= limit {
-            return; // best-effort: drop rather than queue unboundedly
-        }
-        let pages: Vec<PageId> = ids
-            .iter()
-            .copied()
-            .filter(|&id| id < self.meta.page_count)
-            .take(limit - backlog)
-            .collect();
-        if pages.is_empty() {
-            return;
-        }
-        inner
-            .prefetch_backlog
-            .fetch_add(pages.len(), Ordering::Relaxed);
-        let n = pages.len();
-        let batch = PrefetchBatch {
-            snapshot: self.guard.snapshot,
-            pages,
-        };
-        if tx.send(batch).is_err() {
-            // Worker already gone (shutdown path): undo the accounting.
-            inner.prefetch_backlog.fetch_sub(n, Ordering::Relaxed);
-        }
-    }
-
-    fn wants_prefetch(&self) -> bool {
-        self.guard.inner.prefetch_tx.is_some()
     }
 
     fn root(&self, slot: usize) -> PageId {
@@ -1885,40 +1720,6 @@ mod tests {
         txn.commit().unwrap(); // warming the pool overflows the budget
         let evicted = store.stats().since(&before).pool_evictions;
         assert!(evicted > 0, "evictions must surface in StoreStats");
-    }
-
-    #[test]
-    fn prefetch_warms_pool_in_background() {
-        let dir = tempfile::tempdir().unwrap();
-        let store = Store::create(dir.path().join("db"), opts()).unwrap();
-        let mut txn = store.begin_write().unwrap();
-        let mut ids = Vec::new();
-        for i in 0..16u8 {
-            let p = txn.allocate_page().unwrap();
-            fill(&mut txn, p, i);
-            ids.push(p);
-        }
-        txn.commit().unwrap();
-        store.checkpoint().unwrap();
-        store.purge_cache();
-
-        let r = store.begin_read();
-        r.prefetch_pages(&ids);
-        let deadline = Instant::now() + std::time::Duration::from_secs(5);
-        while Instant::now() < deadline {
-            let s = store.stats();
-            if s.prefetch_reads + s.prefetch_skipped >= ids.len() as u64 {
-                break;
-            }
-            std::thread::sleep(std::time::Duration::from_millis(1));
-        }
-        let warm = store.stats();
-        assert!(warm.prefetch_reads > 0, "worker loaded pages");
-        for (i, &p) in ids.iter().enumerate() {
-            assert_eq!(r.page(p).unwrap()[100], i as u8);
-        }
-        let after = store.stats().since(&warm);
-        assert_eq!(after.disk_reads(), 0, "prefetched pages served from pool");
     }
 
     #[test]

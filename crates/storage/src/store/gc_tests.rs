@@ -107,7 +107,6 @@ impl Harness {
             sync: SyncMode::Off,
             checkpoint_after_frames: 0, // checkpoints are explicit steps
             spill_after_pages: 3,       // commits wider than this spill
-            prefetch_queue_pages: 0,    // readahead can cache behind the queue
             vfs: SimVfs::new().handle(),
             ..Default::default()
         };
