@@ -1,8 +1,8 @@
 //! Figure 4: mean ANN query latency at 90% recall@100 across all
 //! datasets, for three scenarios (§4.2.1):
 //!
-//! * **InMemory** — fully memory-resident IVF baseline (latency lower
-//!   bound);
+//! * **InMemory** — the same MicroNN index with a page cache larger
+//!   than the file and every page resident (latency lower bound);
 //! * **MicroNN-WarmCache** — disk-resident MicroNN with a warmed page
 //!   cache (the long-lived-application pattern);
 //! * **MicroNN-ColdStart** — every query starts with purged caches (the
@@ -21,12 +21,12 @@
 //! the exact `percentile` of the raw samples to within one bucket
 //! width on every row printed.
 
-use micronn::{DeviceProfile, InMemoryIndex, SearchRequest};
+use micronn::{DeviceProfile, MicroNN, SearchRequest};
 use micronn_bench::{
-    build_micronn, hist_percentile_ms, latency_histogram_ns, sample_ground_truth, scaled_specs,
-    tune_probes,
+    build_micronn, build_resident, hist_percentile_ms, latency_histogram_ns, sample_ground_truth,
+    scaled_specs, tune_probes,
 };
-use micronn_datasets::{generate, recall};
+use micronn_datasets::generate;
 
 #[global_allocator]
 static ALLOC: micronn_bench::TrackingAlloc = micronn_bench::TrackingAlloc;
@@ -60,38 +60,22 @@ fn main() {
             let dataset = generate(spec);
             let gt = sample_ground_truth(&dataset, K, nq);
 
-            // --- InMemory baseline (Lloyd quantizer, all in RAM) -----
-            let ids: Vec<i64> = (0..dataset.len() as i64).collect();
-            let mem = InMemoryIndex::build(
-                ids,
-                dataset.vectors.clone(),
-                spec.dim,
-                spec.metric,
-                100,
-                spec.seed,
-            )
-            .expect("inmemory build");
-            // Tune probes for the baseline independently.
-            let mut mem_probes = 1usize;
-            loop {
-                let mut r = 0.0;
-                for (qi, truth) in gt.iter().enumerate() {
-                    let got = mem.search(dataset.query(qi), K, mem_probes).unwrap();
-                    let ids: Vec<i64> = got.iter().map(|x| x.asset_id).collect();
-                    r += recall(&ids, truth);
-                }
-                r /= gt.len() as f64;
-                if r >= 0.9 || mem_probes >= mem.partitions() {
-                    break;
-                }
-                mem_probes = (mem_probes * 2).min(mem.partitions());
-            }
-            let mut mem_lat = Vec::new();
-            for qi in 0..gt.len() {
-                let (_, d) =
-                    micronn_bench::time(|| mem.search(dataset.query(qi), K, mem_probes).unwrap());
-                mem_lat.push(d.as_secs_f64() * 1e3);
-            }
+            // One query's latency in ms.
+            let query_ms = |db: &MicroNN, qi: usize, probes: usize| {
+                let req = SearchRequest::new(dataset.query(qi).to_vec(), K).with_probes(probes);
+                micronn_bench::time(|| db.search_with(&req).unwrap())
+                    .1
+                    .as_secs_f64()
+                    * 1e3
+            };
+
+            // --- InMemory baseline: the same index, every page resident
+            let (mem, _) = build_resident(&dataset, profile, 100);
+            let (mem_probes, _) = tune_probes(&mem.db, &dataset, &gt, K, nq, 0.9);
+            let mem_lat: Vec<f64> = (0..gt.len())
+                .map(|qi| query_ms(&mem.db, qi, mem_probes))
+                .collect();
+            drop(mem);
 
             // --- MicroNN disk-resident -------------------------------
             let bench = build_micronn(&dataset, profile, 100);
@@ -100,22 +84,10 @@ fn main() {
 
             // WarmCache: run the query set once to warm, then measure.
             for qi in 0..gt.len() {
-                db.search_with(
-                    &SearchRequest::new(dataset.query(qi).to_vec(), K).with_probes(probes),
-                )
-                .unwrap();
+                query_ms(db, qi, probes);
             }
-            let mut warm_lat = Vec::new();
             let warm_io_start = db.io_stats();
-            for qi in 0..gt.len() {
-                let (_, d) = micronn_bench::time(|| {
-                    db.search_with(
-                        &SearchRequest::new(dataset.query(qi).to_vec(), K).with_probes(probes),
-                    )
-                    .unwrap()
-                });
-                warm_lat.push(d.as_secs_f64() * 1e3);
-            }
+            let warm_lat: Vec<f64> = (0..gt.len()).map(|qi| query_ms(db, qi, probes)).collect();
             let warm_io = db.io_stats().since(&warm_io_start);
 
             // ColdStart: purge all caches before each query; the paper
@@ -126,13 +98,7 @@ fn main() {
             let cold_io_start = db.io_stats();
             for qi in 0..gt.len().min(10) {
                 db.purge_caches();
-                let (_, d) = micronn_bench::time(|| {
-                    db.search_with(
-                        &SearchRequest::new(dataset.query(qi).to_vec(), K).with_probes(probes),
-                    )
-                    .unwrap()
-                });
-                cold_lat.push(d.as_secs_f64() * 1e3);
+                cold_lat.push(query_ms(db, qi, probes));
             }
             let cold_io = db.io_stats().since(&cold_io_start);
 

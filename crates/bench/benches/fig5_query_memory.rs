@@ -1,10 +1,10 @@
 //! Figure 5: memory usage during query processing (§4.2.1).
 //!
-//! For each dataset: the InMemory baseline must hold every vector in
-//! RAM, while MicroNN serves the same queries out of its bounded page
-//! cache — "two orders of magnitude less" memory at paper scale. Peak
-//! heap bytes are measured with the tracking allocator; MicroNN's
-//! buffer-pool residency is reported alongside.
+//! For each dataset: the InMemory baseline (the same index with every
+//! page resident) holds every vector in RAM, while MicroNN serves the
+//! same queries out of its bounded page cache — "two orders of
+//! magnitude less" memory at paper scale. Peak heap bytes are measured
+//! with the tracking allocator; MicroNN's pool residency is alongside.
 //!
 //! A second table compares vector-payload bytes scanned per query
 //! under the F32, SQ8, and SQ4 codecs: quantized scans read u8 codes
@@ -12,10 +12,10 @@
 //! pool instead of full f32 rows, so the same probe budget touches
 //! ≥ 3× fewer bytes under SQ8 and ≥ 6× fewer scan bytes under SQ4.
 
-use micronn::{DeviceProfile, InMemoryIndex, SearchRequest, VectorCodec};
+use micronn::{DeviceProfile, MicroNN, SearchRequest, VectorCodec};
 use micronn_bench::{
-    build_micronn, build_micronn_codec, mib, sample_ground_truth, scaled_specs, tune_probes,
-    TrackingAlloc,
+    build_micronn, build_micronn_codec, build_resident, mib, sample_ground_truth, scaled_specs,
+    tune_probes, TrackingAlloc,
 };
 use micronn_datasets::generate;
 
@@ -52,26 +52,21 @@ fn main() {
             let dataset = generate(spec);
             let gt = sample_ground_truth(&dataset, K, nq.min(15));
 
-            // --- InMemory: query-phase peak includes the resident data.
-            let mem_peak;
-            {
-                let ids: Vec<i64> = (0..dataset.len() as i64).collect();
-                let mem = InMemoryIndex::build(
-                    ids,
-                    dataset.vectors.clone(),
-                    spec.dim,
-                    spec.metric,
-                    100,
-                    spec.seed,
-                )
-                .expect("build");
-                TrackingAlloc::reset_peak();
+            let run_queries = |db: &MicroNN, probes: usize| {
                 for qi in 0..gt.len() {
-                    mem.search(dataset.query(qi), K, 8).unwrap();
+                    let req = SearchRequest::new(dataset.query(qi).to_vec(), K);
+                    db.search_with(&req.with_probes(probes)).unwrap();
                 }
-                // The index itself is live during queries: count it.
-                mem_peak = TrackingAlloc::peak().max(mem.resident_bytes());
-            }
+            };
+
+            // --- InMemory: the query-phase peak counts the resident
+            // pages, which are live during queries.
+            let base = TrackingAlloc::live();
+            let (mem, _) = build_resident(&dataset, profile, 100);
+            TrackingAlloc::reset_peak();
+            run_queries(&mem.db, 8);
+            let mem_peak = TrackingAlloc::peak().saturating_sub(base);
+            drop(mem);
 
             // --- MicroNN: build, then measure only the query phase.
             let bench = build_micronn(&dataset, profile, 100);
@@ -80,12 +75,7 @@ fn main() {
             db.purge_caches(); // start the phase from a cold cache
             TrackingAlloc::reset_peak();
             let live_before = TrackingAlloc::live();
-            for qi in 0..gt.len() {
-                db.search_with(
-                    &SearchRequest::new(dataset.query(qi).to_vec(), K).with_probes(probes),
-                )
-                .unwrap();
-            }
+            run_queries(db, probes);
             let micro_peak = TrackingAlloc::peak() - live_before.min(TrackingAlloc::peak());
             let pool = db.stats().unwrap().resident_bytes;
 

@@ -1,13 +1,13 @@
 //! Figure 6: index construction time (a) and memory (b) — InMemory
-//! (full Lloyd's k-means over buffered vectors) vs MicroNN (streaming
-//! mini-batch k-means, §4.2.2).
+//! (the same build with every page kept in memory, peak over ingest,
+//! build and warm-up) vs MicroNN (bounded pool and spill, §4.2.2).
 //!
 //! Expected shape (paper): construction *time* comparable (clustering
 //! is compute-bound either way); construction *memory* 4–60× smaller
 //! for MicroNN because vectors are never buffered.
 
-use micronn::{DeviceProfile, InMemoryIndex};
-use micronn_bench::{ingest, mib, scaled_specs, TrackingAlloc};
+use micronn::DeviceProfile;
+use micronn_bench::{build_resident, ingest, mib, scaled_specs, TrackingAlloc};
 use micronn_datasets::generate;
 
 #[global_allocator]
@@ -35,21 +35,10 @@ fn main() {
     for spec in &specs {
         let dataset = generate(spec);
 
-        // --- InMemory: buffers all vectors, full Lloyd's --------------
+        // --- InMemory: every page the build writes stays in memory ----
         TrackingAlloc::reset_peak();
         let base = TrackingAlloc::live();
-        let (mem_index, mem_time) = micronn_bench::time(|| {
-            let ids: Vec<i64> = (0..dataset.len() as i64).collect();
-            InMemoryIndex::build(
-                ids,
-                dataset.vectors.clone(), // the buffering the paper calls out
-                spec.dim,
-                spec.metric,
-                100,
-                spec.seed,
-            )
-            .expect("build")
-        });
+        let (mem_index, mem_report) = build_resident(&dataset, DeviceProfile::Small, 100);
         let mem_peak = TrackingAlloc::peak().saturating_sub(base);
         drop(mem_index);
 
@@ -75,7 +64,7 @@ fn main() {
             &[
                 spec.name.to_string(),
                 dataset.len().to_string(),
-                format!("{:.2}", mem_time.as_secs_f64()),
+                format!("{:.2}", mem_report.total_time.as_secs_f64()),
                 format!("{:.2}", micro_time.as_secs_f64()),
                 mib(mem_peak),
                 mib(micro_peak),

@@ -69,12 +69,11 @@ fn main() {
         db.purge_caches();
         TrackingAlloc::reset_peak();
         let base = TrackingAlloc::live();
+        // At 100% every iteration samples the whole collection, which
+        // "resembles a regular k-means algorithm" (§4.3.2).
         let (report, dur) = micronn_bench::time(|| {
             db.rebuild_with(&RebuildOptions {
                 batch_size: Some(batch),
-                // 100% "resembles a regular k-means algorithm" (§4.3.2):
-                // buffer everything and run Lloyd's.
-                full_kmeans: pct >= 100.0,
             })
             .expect("rebuild")
         });

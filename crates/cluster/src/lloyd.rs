@@ -1,7 +1,8 @@
-//! Full-memory Lloyd's k-means: the quantizer of the paper's InMemory
-//! baseline (§4.1.4), which "needs to buffer all vectors in memory and
-//! thus has a significantly larger memory footprint" (Figure 6b).
-//! Figure 8 compares mini-batch clustering quality against this.
+//! Full-memory Lloyd's k-means over a small in-memory set: one
+//! oversized partition's rows when a split re-clusters it locally, and
+//! the centroid table when the centroid index groups it. Index builds
+//! never buffer the collection; they run mini-batch k-means
+//! ([`crate::minibatch`]).
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -10,6 +11,10 @@ use micronn_linalg::Metric;
 
 use crate::model::Clustering;
 
+/// Training stops early once the mean squared centroid movement per
+/// dimension falls below this.
+const TOLERANCE: f64 = 1e-4;
+
 /// Configuration for [`train`].
 #[derive(Debug, Clone)]
 pub struct LloydConfig {
@@ -17,9 +22,6 @@ pub struct LloydConfig {
     pub target_cluster_size: usize,
     /// Maximum iterations.
     pub max_iterations: usize,
-    /// Stop early once total centroid movement (squared) per dimension
-    /// falls below this.
-    pub tolerance: f32,
     /// RNG seed.
     pub seed: u64,
     /// Distance metric.
@@ -31,7 +33,6 @@ impl Default for LloydConfig {
         LloydConfig {
             target_cluster_size: 100,
             max_iterations: 25,
-            tolerance: 1e-4,
             seed: 0x5EED,
             metric: Metric::L2,
         }
@@ -121,7 +122,7 @@ pub fn train(data: &[f32], dim: usize, cfg: &LloydConfig) -> Clustering {
             }
         }
         let mean_movement = movement / (k * dim) as f64;
-        if mean_movement < cfg.tolerance as f64 {
+        if mean_movement < TOLERANCE {
             break;
         }
     }
@@ -136,8 +137,9 @@ pub fn assign_all(data: &[f32], dim: usize, clustering: &Clustering) -> Vec<u32>
 }
 
 /// Mean distance of each vector to its assigned centroid (inertia /
-/// n) — the clustering-quality scalar used by quality comparisons.
-pub fn mean_assignment_distance(data: &[f32], dim: usize, clustering: &Clustering) -> f64 {
+/// n): the tests' clustering-quality scalar.
+#[cfg(test)]
+fn mean_assignment_distance(data: &[f32], dim: usize, clustering: &Clustering) -> f64 {
     let n = data.len() / dim;
     if n == 0 {
         return 0.0;

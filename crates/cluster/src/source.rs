@@ -5,7 +5,7 @@
 //! memory". [`VectorSource`] abstracts random-access batch gathering so
 //! mini-batch k-means can stream samples straight from the disk
 //!-resident vector table; [`SliceSource`] adapts an in-memory matrix
-//! for the InMemory baseline and for tests.
+//! for benchmarks and tests.
 
 use std::fmt;
 

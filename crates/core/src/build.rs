@@ -22,8 +22,6 @@ use crate::error::Result;
 
 /// Mini-batch size for index-construction clustering.
 const CLUSTERING_BATCH_SIZE: usize = 1024;
-/// Clustering iterations; `0` = auto.
-const CLUSTERING_ITERATIONS: usize = 0;
 /// Balance-constraint weight λ of Algorithm 1.
 const BALANCE_LAMBDA: f32 = 0.5;
 /// RNG seed of every clustering the index runs: the build, a split's
@@ -86,13 +84,12 @@ impl<R: PageRead + ?Sized> VectorSource for TableVectorSource<'_, R> {
 /// mini-batch sweep rebuilds one index under many batch sizes).
 #[derive(Debug, Clone, Default)]
 pub struct RebuildOptions {
-    /// Mini-batch size; `None` = the default (1024).
+    /// Mini-batch size; `None` = the default (1024). A batch as large
+    /// as the collection samples all of it every iteration, which the
+    /// paper's Figure 8 calls a "100% batch" that "resembles a regular
+    /// k-means algorithm" (§4.3.2): the batch buffer then holds every
+    /// vector at once.
     pub batch_size: Option<usize>,
-    /// Train the quantizer with full-memory Lloyd's k-means instead of
-    /// mini-batch: buffers the *entire* collection in RAM (the memory
-    /// cost the paper's Figure 8b shows for a "100% batch"), in
-    /// exchange for classic k-means quality.
-    pub full_kmeans: bool,
 }
 
 impl MicroNN {
@@ -129,7 +126,7 @@ impl MicroNN {
         let mb = MiniBatchConfig {
             target_cluster_size: inner.cfg.target_partition_size,
             batch_size: opts.batch_size.unwrap_or(CLUSTERING_BATCH_SIZE),
-            iterations: CLUSTERING_ITERATIONS,
+            iterations: 0, // auto: ~5 samples per vector
             balance_lambda: BALANCE_LAMBDA,
             balanced_assignment: true,
             seed: CLUSTERING_SEED,
@@ -142,34 +139,14 @@ impl MicroNN {
                 reader: &w,
                 keys: &keys,
             };
-            if opts.full_kmeans {
-                // Regular k-means: buffer the whole collection (the
-                // memory cost the streaming path exists to avoid).
-                let all: Vec<usize> = (0..keys.len()).collect();
-                let mut data = Vec::with_capacity(keys.len() * inner.dim);
-                source.gather(&all, &mut data)?;
-                let clustering = micronn_cluster::lloyd::train(
-                    &data,
-                    inner.dim,
-                    &micronn_cluster::LloydConfig {
-                        target_cluster_size: inner.cfg.target_partition_size,
-                        seed: CLUSTERING_SEED,
-                        metric: inner.metric,
-                        ..Default::default()
-                    },
-                );
-                let assignments = micronn_cluster::lloyd::assign_all(&data, inner.dim, &clustering);
-                (clustering, assignments)
-            } else {
-                let clustering = micronn_cluster::train(&source, &mb)?;
-                // Assignment streams in chunks sized to ~2 MiB of
-                // vectors, keeping construction memory near the
-                // mini-batch bound the paper claims (Figure 6b).
-                let chunk = (2 * 1024 * 1024 / (inner.dim * 4)).clamp(64, 4096);
-                let assignments =
-                    micronn_cluster::assign_all(&source, &clustering, BALANCE_LAMBDA, chunk)?;
-                (clustering, assignments)
-            }
+            let clustering = micronn_cluster::train(&source, &mb)?;
+            // Assignment streams in chunks sized to ~2 MiB of vectors,
+            // keeping construction memory near the mini-batch bound the
+            // paper claims (Figure 6b).
+            let chunk = (2 * 1024 * 1024 / (inner.dim * 4)).clamp(64, 4096);
+            let assignments =
+                micronn_cluster::assign_all(&source, &clustering, BALANCE_LAMBDA, chunk)?;
+            (clustering, assignments)
         };
         let train_time = train_start.elapsed();
         let k = clustering.k();

@@ -54,7 +54,6 @@ impl CentroidIndex {
                 seed,
                 metric: clustering.metric(),
                 max_iterations: 15,
-                ..Default::default()
             },
         );
         let assignments = lloyd::assign_all(clustering.centroids(), clustering.dim(), &supers);

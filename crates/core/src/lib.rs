@@ -74,7 +74,6 @@ pub mod db;
 pub mod error;
 mod exec;
 pub mod hybrid;
-pub mod inmemory;
 pub mod integrity;
 pub mod maintain;
 mod pool;
@@ -93,7 +92,6 @@ pub use error::{Error, Result};
 #[doc(hidden)]
 pub use exec::rerank_oracle;
 pub use hybrid::{PlanPreference, SearchRequest};
-pub use inmemory::InMemoryIndex;
 pub use integrity::IntegrityReport;
 pub use maintain::{
     FlushReport, IndexMaintainer, MaintainerOptions, MaintainerStats, MaintenanceAction,

@@ -538,7 +538,6 @@ fn two_level_centroid_index_preserves_recall() {
         // debug build.
         let one_row = micronn::RebuildOptions {
             batch_size: Some(1),
-            ..Default::default()
         };
         db.rebuild_with(&one_row).unwrap();
         assert!(db.stats().unwrap().partitions >= 2048);
