@@ -6,28 +6,24 @@
 //!
 //! * [`PartitionScanner`] is the shared partition-scan frame: a catalog
 //!   walk lends rows from their pinned leaf pages, each is scored, and
-//!   each query's [`Collect`] is offered its rows in scan order. A codec
-//!   picks only the walk (f32 rows, SQ8 code rows, or SQ4 blocks lent
-//!   in place) and the kernel. f32 rows are scored one at a time and
-//!   offered at once: one query's where they lie, by [`RowScorer`]'s
-//!   byte-row kernels; a group's decoded once into a one-row buffer and
-//!   scored there for every member. The batched code kernels —
+//!   each query's [`Collect`] is offered its rows in scan order. The
+//!   query side of a scan is one `(flat, members)` pair: `members` index
+//!   rows of the row-major query matrix `flat`, one member for a single
+//!   query or a filtered wave, a partition's whole group for a batch
+//!   (§3.4). A codec picks only the walk (f32 rows, SQ8 code rows, or
+//!   SQ4 blocks lent in place) and the kernel. An f32 row is scored
+//!   where it lies, once per member, by that member's [`RowScorer`], and
+//!   offered at once; no scan copies a vector. Where §3.4 computes a
+//!   group's distances as one matrix multiplication, a group scan here
+//!   still reads each partition once, but scores each row in place per
+//!   member — so a member's distances are, bit for bit, those of the
+//!   same query scanned alone. The batched code kernels —
 //!   [`Sq8Scorer::score_chunk`], [`Sq4Scorer::score_block`] — score a
 //!   chunk of codes. The frame never reads attributes: an unfiltered
 //!   scan collects into result heaps, a filtered one into [`Below`] —
 //!   the rows its one heap would still accept, unprobed — and the §3.5
 //!   join ([`AttrProbe::join`](crate::hybrid::AttrProbe::join)) probes
 //!   those nearest first once a wave of partitions is scored.
-//! * [`Queries`] selects the query side of a scan: one vector
-//!   (single-query search, exact KNN) or a batch group addressing rows
-//!   of a flat query matrix (MQO phase 2). Both score f32 rows with the
-//!   same arithmetic —
-//!   [`Metric::distance_with_norms`](micronn_linalg::Metric::distance_with_norms)
-//!   on the decoded row is [`RowScorer::distance`] on its bytes, bit for
-//!   bit — so a batch answers exactly what single-query search answers.
-//!   Where §3.4 computes a group's distances as one matrix
-//!   multiplication, a group scan here still reads each partition once,
-//!   but decodes each row once and scores it per member.
 //! * [`ScanMetrics`] is the one counter block every path feeds, once
 //!   per partition scan from job-local [`ScanTotals`]; it flows into
 //!   [`QueryInfo`] and [`BatchResponse`](crate::batch::BatchResponse).
@@ -51,10 +47,10 @@
 
 use std::sync::Arc;
 
-use micronn_linalg::{norm, Neighbor, RowScorer, Sq4Scorer, Sq8Params, Sq8Scorer, TopK, SQ4_BLOCK};
+use micronn_linalg::{Neighbor, RowScorer, Sq4Scorer, Sq8Params, Sq8Scorer, TopK, SQ4_BLOCK};
 use micronn_storage::ReadTxn;
 
-use crate::catalog::{extend_f32, f32_row, Loc};
+use crate::catalog::{f32_row, Loc};
 use crate::db::{Inner, DELTA_PARTITION};
 use crate::error::Result;
 use crate::stats::QueryInfo;
@@ -131,34 +127,6 @@ impl ScanMetrics {
         info.filtered_out = t.filtered_out;
         info.bytes_scanned = t.bytes_scanned;
         info.reranked = t.reranked;
-    }
-}
-
-/// The query side of one partition scan.
-pub(crate) enum Queries<'a> {
-    /// A single query vector (single-query search, exact KNN).
-    One(&'a [f32]),
-    /// A batch group: `members` are query indexes into the row-major
-    /// `flat` matrix (`nq × dim`) — MQO phase 2 scans a partition once
-    /// for its whole group.
-    Group { flat: &'a [f32], members: &'a [u32] },
-}
-
-impl Queries<'_> {
-    /// Number of queries scored by this scan (= result heaps needed).
-    pub fn len(&self) -> usize {
-        match self {
-            Queries::One(_) => 1,
-            Queries::Group { members, .. } => members.len(),
-        }
-    }
-
-    /// Query `i` of the scan, in heap order.
-    fn vector(&self, i: usize, dim: usize) -> &[f32] {
-        match self {
-            Queries::One(q) => q,
-            Queries::Group { flat, members } => &flat[members[i] as usize * dim..][..dim],
-        }
     }
 }
 
@@ -265,9 +233,6 @@ pub(crate) struct Chunk<P = ()> {
     /// partition ([`Sq4Scorer::prepare`]); kept apart from `kernel` so
     /// an f32 or SQ8 partition in between does not drop them.
     sq4: Vec<Sq4Scorer>,
-    /// The one f32 row a group scan has decoded, scored for every
-    /// member before the next row replaces it.
-    row: Vec<f32>,
     /// Each row's asset and payload, in scan order.
     ids: Vec<(i64, P)>,
     /// The rows' SQ8 codes, row-major.
@@ -338,10 +303,10 @@ impl<P: Payload> Chunk<P> {
 }
 
 impl PartitionScanner<'_> {
-    /// Scans one partition, offering every live row to the
-    /// query-aligned `heaps` (`heaps.len() == queries.len()`); a
-    /// batched code kernel scores, and a group scan decodes, in a chunk
-    /// borrowed from `blocks`.
+    /// Scans one partition for the queries `members` (rows of the
+    /// row-major `nq × dim` matrix `flat`), offering every live row to
+    /// the member-aligned `heaps`; a batched code kernel scores in a
+    /// chunk borrowed from `blocks`.
     ///
     /// Quantized catalogs score the partition's codes (SQ8 code rows or
     /// SQ4 blocks) when it has trained ranges; the delta store (and any
@@ -350,54 +315,37 @@ impl PartitionScanner<'_> {
     pub fn scan<P: Payload>(
         &self,
         partition: i64,
-        queries: &Queries<'_>,
+        flat: &[f32],
+        members: &[u32],
         heaps: &mut [impl Collect<P>],
         blocks: &BlockPool<P>,
     ) -> Result<()> {
-        debug_assert_eq!(queries.len(), heaps.len());
+        debug_assert_eq!(members.len(), heaps.len());
         let tally = &mut ScanTotals::default();
         let mut c = blocks.lock().pop().unwrap_or_default();
         let (inner, r, only) = (self.inner, self.r, Some(partition));
         let (tables, dim, metric) = (&inner.tables, inner.dim, inner.metric);
-        let vectors = (0..queries.len()).map(|i| queries.vector(i, dim));
-        match (self.code_params(partition)?, queries) {
-            (None, Queries::One(query)) => {
-                // Each row is scored on its pinned leaf and offered at
-                // once: the one-query scan copies no vector.
-                let scorer = RowScorer::new(metric, query);
-                let (heap, mut rows) = (&mut heaps[0], 0);
-                tables.scan_vectors(r, only, |at, asset, blob| {
-                    let d = scorer.distance(f32_row(at, blob, dim)?);
-                    heap.offer(asset as u64, d, P::of(at));
-                    rows += 1;
-                    Ok(())
-                })?;
-                tally.scored_f32(rows, 1, dim);
-            }
-            (None, Queries::Group { .. }) => {
-                // Each row is decoded once and scored for every member
-                // with the arithmetic `RowScorer` runs on its bytes, so
-                // each member's distances are its single-query ones.
-                let cosine = metric.needs_norms();
-                let norm_of = |v: &[f32]| if cosine { norm(v) } else { 0.0 };
-                let members: Vec<_> = vectors.map(|q| (q, norm_of(q))).collect();
+        let vectors = members.iter().map(|&m| &flat[m as usize * dim..][..dim]);
+        match self.code_params(partition)? {
+            None => {
+                // Each row is scored on its pinned leaf by every
+                // member's scorer and offered at once: no scan copies a
+                // vector.
+                let scorers: Vec<_> = vectors.map(|q| RowScorer::new(metric, q)).collect();
                 let mut rows = 0;
                 tables.scan_vectors(r, only, |at, asset, blob| {
-                    c.row.clear();
-                    extend_f32(&mut c.row, at, blob, dim)?;
-                    let row_norm = norm_of(&c.row);
-                    for (heap, &(query, query_norm)) in heaps.iter_mut().zip(&members) {
-                        let d = metric.distance_with_norms(query, &c.row, query_norm, row_norm);
-                        heap.offer(asset as u64, d, P::of(at));
+                    let row = f32_row(at, blob, dim)?;
+                    for (heap, scorer) in heaps.iter_mut().zip(&scorers) {
+                        heap.offer(asset as u64, scorer.distance(row), P::of(at));
                     }
                     rows += 1;
                     Ok(())
                 })?;
-                tally.scored_f32(rows, members.len(), dim);
+                tally.scored_f32(rows, scorers.len(), dim);
             }
-            (Some(params), _) if inner.cfg.codec.blocked() => {
+            Some(params) if inner.cfg.codec.blocked() => {
                 c.kernel = Kernel::Sq4;
-                c.sq4.truncate(queries.len());
+                c.sq4.truncate(members.len());
                 for (i, query) in vectors.enumerate() {
                     match c.sq4.get_mut(i) {
                         Some(scorer) => scorer.prepare(query, &params),
@@ -413,7 +361,7 @@ impl PartitionScanner<'_> {
                     Ok(())
                 })?;
             }
-            (Some(params), _) => {
+            Some(params) => {
                 let scorers = vectors.map(|query| Sq8Scorer::new(metric, query, &params));
                 c.kernel = Kernel::Sq8(scorers.collect());
                 tables.scan_codes(r, only, |at, asset, code| {
@@ -658,15 +606,14 @@ mod tests {
         db
     }
 
-    /// No f32 scan holds more than one decoded row. An ANN scan of an
-    /// F32 catalog, an exact scan (full precision) of a quantized one
-    /// and a post-filter wave over either decode none; a group scan
-    /// over the same pool decodes one row at a time into the chunk's
-    /// one-row buffer, for every partition.
+    /// Every scan borrows the one chunk of its [`BlockPool`] and puts
+    /// it back, so a job allocates its buffers and scorers once, not
+    /// once per partition: an ANN scan of an F32 catalog, an exact scan
+    /// (full precision) of a quantized one, a post-filter wave and a
+    /// group scan over either all leave one chunk in the pool.
     #[test]
-    fn no_scan_holds_more_than_one_decoded_row() {
+    fn every_scan_reuses_one_chunk() {
         let dir = tempfile::tempdir().unwrap();
-        let query = vector(5);
         for (codec, use_codec) in [(VectorCodec::F32, true), (VectorCodec::Sq4, false)] {
             let db = built(&dir, codec);
             let inner = &*db.inner;
@@ -681,21 +628,17 @@ mod tests {
                 epoch: index.epoch,
             };
             let blocks = BlockPool::<()>::default();
-            let row_capacity = || {
-                let pool = blocks.lock();
-                assert_eq!(pool.len(), 1, "{codec}: one chunk, reused");
-                pool[0].row.capacity()
-            };
-            let one = Queries::One(&query);
+            let one_chunk = |what: &str| assert_eq!(blocks.lock().len(), 1, "{codec}: {what}");
+            let flat = [vector(5), vector(6)].concat();
 
             let mut top = TopK::new(K);
             for &p in index.partitions.iter() {
                 scanner
-                    .scan(p, &one, std::slice::from_mut(&mut top), &blocks)
+                    .scan(p, &flat, &[0], std::slice::from_mut(&mut top), &blocks)
                     .unwrap();
             }
             assert_eq!(top.len(), K, "{codec}");
-            assert_eq!(row_capacity(), 0, "{codec}: scan of every partition");
+            one_chunk("scan of every partition");
 
             let bound = TopK::new(K);
             let mut wave = Below {
@@ -704,34 +647,28 @@ mod tests {
             };
             let first = index.partitions[0];
             scanner
-                .scan(first, &one, std::slice::from_mut(&mut wave), &blocks)
+                .scan(first, &flat, &[0], std::slice::from_mut(&mut wave), &blocks)
                 .unwrap();
             assert!(!wave.rows.is_empty(), "{codec}");
-            assert_eq!(row_capacity(), 0, "{codec}: post-filter wave");
+            one_chunk("post-filter wave");
 
-            let flat = [query.clone(), vector(6)].concat();
-            let group = Queries::Group {
-                flat: &flat,
-                members: &[0, 1],
-            };
             let mut heaps = [TopK::new(K), TopK::new(K)];
             for &p in index.partitions.iter() {
-                scanner.scan(p, &group, &mut heaps, &blocks).unwrap();
+                scanner
+                    .scan(p, &flat, &[0, 1], &mut heaps, &blocks)
+                    .unwrap();
             }
             assert_eq!(heaps[0].len(), K, "{codec}");
-            let held = row_capacity();
-            assert!(
-                held > 0 && held < 2 * DIM,
-                "{codec}: group scan held {held}"
-            );
+            assert_eq!(heaps[1].len(), K, "{codec}");
+            one_chunk("group scan");
         }
     }
 
     /// A vector blob of the wrong length — 4 floats in a dim-8 catalog,
     /// committed straight through the writer — is a typed corruption
     /// error naming its row on every read path: the F32 scan, the exact
-    /// scan, the pre-filter tail, the quantized re-rank and the point
-    /// read. Never a panic, never a read past the blob.
+    /// scan, the pre-filter tail, the quantized re-rank, a batch and the
+    /// point read. Never a panic, never a read past the blob.
     #[test]
     fn a_wrong_length_vector_is_a_typed_error_naming_its_row() {
         let dir = tempfile::tempdir().unwrap();
@@ -755,6 +692,8 @@ mod tests {
             let query = vector(victim);
             check("search", db.search(&query, K).map(drop));
             check("exact", db.exact(&query, K, None).map(drop));
+            let batch = [query.clone(), vector(victim + 1)];
+            check("batch", db.batch_search(&batch, K, None).map(drop));
             let pre = SearchRequest::new(query, K)
                 .with_filter(Expr::eq("n", victim % 3))
                 .with_plan(PlanPreference::ForcePreFilter);

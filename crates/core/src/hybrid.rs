@@ -35,7 +35,7 @@ use micronn_storage::ReadTxn;
 use crate::db::{Inner, MicroNN};
 use crate::error::{Error, Result};
 use crate::exec::{score_candidates, Payload, ScanMetrics, ScanTotals};
-use crate::search::{ivf_search, SearchResponse, SearchResult};
+use crate::search::{hits, ivf_search, SearchResponse};
 use crate::snapshot::Snapshot;
 use crate::stats::{PlanUsed, QueryInfo};
 use crate::telemetry::{stage, QueryTrace};
@@ -221,19 +221,12 @@ impl Snapshot {
             (Some(expr), PlanUsed::PreFilter) => {
                 pre_filter_search(inner, r, req, expr, &mut trace)?
             }
-            (filter, plan) => {
+            (filter, _) => {
                 let ctx = filter.as_ref().map(|expr| filter_ctx(inner, expr));
                 let ctx = ctx.transpose()?;
-                ivf_search(
-                    inner,
-                    r,
-                    &req.query,
-                    req.k,
-                    Some(probes),
-                    ctx.as_ref(),
-                    plan,
-                    &mut trace,
-                )?
+                let (query, probes) = ([&req.query], Some(probes));
+                let run = ivf_search(inner, r, &query, req.k, probes, ctx.as_ref(), &mut trace)?;
+                run.into_response()
             }
         };
         inner.tel.finish(&trace, &resp.info, req.k, None);
@@ -246,7 +239,7 @@ impl Snapshot {
         let mut trace = QueryTrace::new(inner.tel.detailed());
         let ctx = filter.map(|expr| filter_ctx(inner, expr)).transpose()?;
         let ctx = ctx.as_ref();
-        let resp = ivf_search(inner, r, query, k, None, ctx, PlanUsed::Exact, &mut trace)?;
+        let resp = ivf_search(inner, r, &[query], k, None, ctx, &mut trace)?.into_response();
         inner.tel.finish(&trace, &resp.info, k, None);
         Ok(resp)
     }
@@ -331,13 +324,7 @@ fn pre_filter_search(
     metrics.apply_to(&mut info);
     info.candidates = examined;
     Ok(SearchResponse {
-        results: neighbors
-            .into_iter()
-            .map(|n| SearchResult {
-                asset_id: n.id as i64,
-                distance: n.distance,
-            })
-            .collect(),
+        results: hits(neighbors),
         info,
     })
 }

@@ -24,7 +24,8 @@
 //!   `MATCH`) combined with vector search, with a selectivity-based
 //!   optimizer choosing pre- vs post-filtering (§3.5).
 //! * **Batch multi-query optimization**: partition scans shared across
-//!   a query batch (§3.4); each row is decoded once and scored per
+//!   a query batch (§3.4) by the one executor every query runs (a
+//!   single query is a batch of one); each row is scored in place per
 //!   query with the single-query kernels, not by a matrix
 //!   multiplication, so batch and single-query answers are identical.
 //! * **Pluggable vector codecs** ([`VectorCodec`]): the default `F32`

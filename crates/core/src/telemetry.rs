@@ -122,6 +122,11 @@ pub(crate) struct DbTelemetry {
     filter_probes: Arc<Counter>,
     reranked: Arc<Counter>,
     partitions_scanned: Arc<Counter>,
+    /// `micronn_distance_computations_total`: `(query, vector)` scores
+    /// of the scans — f32 rows, quantized codes, and the pre-filter
+    /// plan's brute-force tail. Re-rank recomputations are not in it:
+    /// `micronn_reranked_total` counts them. A query adds the same
+    /// whether it ran alone or in a batch.
     pub distance_computations: Arc<Counter>,
     maint_actions: Arc<Counter>,
     maint_bytes: Arc<Counter>,

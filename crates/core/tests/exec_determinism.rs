@@ -230,8 +230,7 @@ fn workers_1_and_8_bit_identical_sq4() {
 /// `batch_search` answers exactly what `search` answers: for every
 /// metric and codec, with a live delta, each query's batch list is its
 /// single-query list at the same probe count — ids, distance bits and
-/// order. A group scan scores each decoded row with the arithmetic a
-/// single-query scan runs on the stored bytes.
+/// order. A batch of one reports that query's counters.
 #[test]
 fn batch_answers_are_the_single_query_answers() {
     let ds = generate(&DatasetSpec {
@@ -275,6 +274,33 @@ fn batch_answers_are_the_single_query_answers() {
                 let want = db.search_with(&req).unwrap().results;
                 assert_bit_identical(got, &want, &format!("{metric} {codec} q{qi}"));
             }
+
+            // A batch of one is that query's search, counters included:
+            // the same partitions and bytes, and the same moves of the
+            // distance and re-rank counters (re-rank is counted apart).
+            let counters = || {
+                let t = db.telemetry();
+                let c = |name| t.counter(name).unwrap();
+                (
+                    c("micronn_distance_computations_total"),
+                    c("micronn_reranked_total"),
+                )
+            };
+            let req = SearchRequest::new(queries[0].clone(), K).with_probes(probes);
+            let before = counters();
+            let one = db.batch_search(&queries[..1], K, Some(probes)).unwrap();
+            let mid = counters();
+            let lone = db.search_with(&req).unwrap();
+            let after = counters();
+            let what = format!("{metric} {codec} batch of one");
+            assert_bit_identical(&one.results[0], &lone.results, &what);
+            assert_eq!(
+                one.partitions_scanned, lone.info.partitions_scanned,
+                "{what}"
+            );
+            assert_eq!(one.bytes_scanned, lone.info.bytes_scanned, "{what}");
+            assert_eq!(mid.0 - before.0, after.0 - mid.0, "{what}: distances");
+            assert_eq!(mid.1 - before.1, after.1 - mid.1, "{what}: re-ranked");
         }
     }
 }

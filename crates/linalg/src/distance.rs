@@ -35,29 +35,7 @@ impl Metric {
         }
     }
 
-    /// Distance using precomputed norms: cosine divides by
-    /// `norm_a · norm_b`, the other metrics ignore them. With
-    /// `norm_a = norm(a)` and `norm_b = norm(b)` it is, bit for bit,
-    /// [`Metric::distance`] and [`RowScorer::distance`] of `b`'s bytes;
-    /// a batch group scan scores each decoded row with it, computing
-    /// each norm once.
-    #[inline]
-    pub fn distance_with_norms(&self, a: &[f32], b: &[f32], norm_a: f32, norm_b: f32) -> f32 {
-        match self {
-            Metric::L2 => l2_sq(a, b),
-            Metric::Cosine => {
-                let denom = norm_a * norm_b;
-                if denom <= f32::EPSILON {
-                    1.0
-                } else {
-                    1.0 - dot(a, b) / denom
-                }
-            }
-            Metric::Dot => -dot(a, b),
-        }
-    }
-
-    /// Whether [`Metric::distance_with_norms`] reads its norms.
+    /// Whether the metric divides by the operands' norms (cosine).
     #[inline]
     pub fn needs_norms(&self) -> bool {
         matches!(self, Metric::Cosine)
@@ -352,14 +330,5 @@ mod tests {
         assert_eq!(Metric::parse("ip"), Some(Metric::Dot));
         assert_eq!(Metric::parse("hamming"), None);
         assert_eq!(Metric::L2.to_string(), "L2");
-    }
-
-    #[test]
-    fn distance_with_norms_matches_direct() {
-        let a = pseudo_vec(8, 32);
-        let b = pseudo_vec(9, 32);
-        let d1 = Metric::Cosine.distance(&a, &b);
-        let d2 = Metric::Cosine.distance_with_norms(&a, &b, norm(&a), norm(&b));
-        assert!((d1 - d2).abs() < 1e-5);
     }
 }

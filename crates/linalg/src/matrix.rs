@@ -3,9 +3,9 @@
 //! The paper's multi-query optimization computes "distances between
 //! queries and the vectors in the partition … via a single matrix
 //! multiplication" (§3.4). No query path here runs one: a batch group
-//! scan reads each partition once for its whole group, decodes each row
-//! once and scores it for every member with the single-query kernels,
-//! so a batch answers exactly what single-query search answers.
+//! scan reads each partition once for its whole group and scores each
+//! row in place for every member with the single-query kernels, so a
+//! batch answers exactly what single-query search answers.
 //! [`gemm_nt`] stays for the ledger's `linalg.gemm_nt_gflops` row,
 //! which calls it.
 

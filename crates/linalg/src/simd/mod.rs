@@ -23,8 +23,9 @@
 //! backend's `l2_sq` / `dot` on the decoded row: the scalar reference
 //! keeps both forms, and a vector backend runs its f32 kernels through
 //! the byte-row bodies (the proptest below holds every backend to
-//! both, and holds `Metric::distance_with_norms` on a decoded row — a
-//! batch group's kernel — to `RowScorer::distance` on its bytes). The
+//! both, and holds `Metric::distance` on a decoded row — the re-rank
+//! oracle's and the centroid scans' arithmetic — to
+//! `RowScorer::distance` on its bytes). The
 //! SQ4 block kernel is integer-only (u8 lookups summed into u16), so it
 //! is exact on every backend by construction. The SQ4 plane build is
 //! held to the same standard: every backend evaluates each table entry with the scalar
@@ -183,7 +184,7 @@ fn select() -> &'static Kernels {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::distance::{norm, Metric, RowScorer};
+    use crate::distance::{Metric, RowScorer};
     use proptest::prelude::*;
 
     fn pseudo_vec(seed: u64, dim: usize) -> Vec<f32> {
@@ -323,11 +324,11 @@ mod tests {
                     prop_assert!(same(got, reference), "{} {} {} vs scalar {}", b, what, got, reference);
                 }
             }
-            // A batch group scores the decoded row with its operands'
-            // norms; a single query scores the stored bytes in place.
-            // Both answer the same.
+            // A scan scores the stored bytes in place; the re-rank
+            // oracle and the centroid scans score decoded rows. Both
+            // answer the same.
             for metric in [Metric::L2, Metric::Cosine, Metric::Dot] {
-                let decoded = metric.distance_with_norms(query, row, norm(query), norm(row));
+                let decoded = metric.distance(query, row);
                 let in_place = RowScorer::new(metric, query).distance(bytes);
                 prop_assert!(same(decoded, in_place), "{} {} vs {}", metric, decoded, in_place);
             }
