@@ -228,6 +228,7 @@ fn cmd_fsck(args: &[String]) -> Result<(), String> {
     println!("assets cross-checked:{:>5}", report.assets_checked);
     println!("codes checked:       {}", report.codes_checked);
     println!("orphans:             {}", report.orphans);
+    println!("unreachable pages:   {}", report.unreachable_pages);
     print_tree_fill(&report.tree_fill);
     if report.is_clean() {
         println!("ok: no corruption found");
@@ -244,16 +245,20 @@ fn cmd_fsck(args: &[String]) -> Result<(), String> {
 }
 
 /// One `leaf fill` line per B+tree: used ÷ capacity bytes over its
-/// leaves, then its page counts. A probed partition reads one page per
-/// leaf its rows span, so a low `vectors` fill is pages read for air.
+/// leaves, its page counts, then its leaf pages per run of consecutive
+/// page ids. A probed partition reads one page per leaf its rows span,
+/// so a low `vectors` fill is pages read for air; a cold scan reads a
+/// run of leaves per I/O, so few pages per run is a cold query making
+/// one I/O per leaf.
 fn print_tree_fill(trees: &[(String, micronn::Occupancy)]) {
     for (tree, occ) in trees {
         println!(
-            "leaf fill {tree}: {:.3} ({} leaf, {} interior, {} overflow pages)",
+            "leaf fill {tree}: {:.3} ({} leaf, {} interior, {} overflow pages, {:.1} pages per run)",
             occ.leaf_fill(),
             occ.leaf_pages,
             occ.interior_pages,
-            occ.overflow_pages
+            occ.overflow_pages,
+            occ.pages_per_run()
         );
     }
 }

@@ -22,7 +22,9 @@
 //!
 //! The `vectors` table is clustered on `(partition, vid)`, so each IVF
 //! partition is a contiguous key range (§3.2): a scan walks one run of
-//! leaves, though not pages adjacent in the file. The delta store
+//! leaves, which a rebuild lays on consecutive pages
+//! ([`Writer::rewrite_vectors`]) until later splits add leaves
+//! elsewhere. The delta store
 //! is the reserved partition `0` (§3.6): upserts land there and are
 //! folded into the index by [`crate::maintain`].
 //!
@@ -762,6 +764,14 @@ impl PageRead for Writer<'_> {
     fn page_scan(&self, id: PageId) -> std::result::Result<Arc<PageData>, StorageError> {
         self.txn.page_scan(id)
     }
+    fn page_scan_run(
+        &self,
+        id: PageId,
+        then: &mut dyn Iterator<Item = PageId>,
+        ahead: &mut Vec<(PageId, Arc<PageData>)>,
+    ) -> std::result::Result<Arc<PageData>, StorageError> {
+        self.txn.page_scan_run(id, then, ahead)
+    }
     fn root(&self, slot: usize) -> PageId {
         self.txn.root(slot)
     }
@@ -842,6 +852,42 @@ impl<'a> Writer<'a> {
         row[0] = to.into();
         self.put(&self.tables.vectors, row)?;
         self.put(&self.tables.assets, vec![asset, to.into(), vid.into()])
+    }
+
+    /// Moves every vector row to a new partition by rewriting the
+    /// `vectors` tree bottom up ([`Table::rewrite`]): `moves` yields each
+    /// row's location and new partition, every row once, in ascending
+    /// `(new partition, vid)` order. Rows are read at `old`, a snapshot
+    /// of the state this transaction began from (the rewrite overwrites
+    /// the pages it reads from), so `vectors` must be untouched before.
+    /// Each partition starts a fresh leaf. Every row that changes
+    /// partition has its asset row repointed and is tallied like a
+    /// [`Writer::relocate`]; returns how many did.
+    pub fn rewrite_vectors<R: PageRead + ?Sized>(
+        &mut self,
+        old: &R,
+        moves: impl Iterator<Item = (Loc, i64)> + Clone,
+    ) -> Result<usize> {
+        let tables = self.tables;
+        let keys = moves
+            .clone()
+            .map(|((p, vid), to)| (ints(&[p, vid]), ints(&[to, vid])));
+        tables.vectors.rewrite(&mut self.txn, old, keys)?;
+        let mut moved = 0;
+        for ((p, vid), to) in moves.filter(|&((p, _), to)| p != to) {
+            let gone = || Error::Config(format!("vector ({p},{vid}) vanished mid-move"));
+            let asset = tables
+                .vectors
+                .reader(&*self)
+                .get_with(&ints(&[to, vid]), |row| {
+                    ints_then_blob::<3>(row).map(|([_, _, asset], _)| asset)
+                })?;
+            let asset = asset.ok_or_else(gone)??;
+            self.changes += 2;
+            self.set_location(asset, (to, vid))?;
+            moved += 1;
+        }
+        Ok(moved)
     }
 
     /// Points `asset` at `(p, vid)`.

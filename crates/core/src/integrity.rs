@@ -34,11 +34,17 @@
 //!   indexed vector occupies exactly one *live* slot across the
 //!   partition's blocked `(partition, block)` rows — tombstoned slots
 //!   (vid 0) are skipped, and their stale nibbles are ignored.
+//! * Every page has one owner: the header, one B+tree of the rel
+//!   catalog (its nodes and overflow chains), or the freelist. A page
+//!   reached twice, or a link past the end of the file, is a violation
+//!   naming the page and its owners; a page reached by nothing is
+//!   counted in [`IntegrityReport::unreachable_pages`] (space lost, not
+//!   data).
 
 use std::collections::{BTreeMap, BTreeSet};
 
 use micronn_rel::blob_to_f32;
-use micronn_storage::Occupancy;
+use micronn_storage::{Occupancy, PageId, PageRead};
 
 use crate::catalog::Counter;
 use crate::db::DELTA_PARTITION;
@@ -67,6 +73,9 @@ pub struct IntegrityReport {
     /// ([`Snapshot::tree_fill`](crate::Snapshot::tree_fill)): why a
     /// query reads as many pages as it does.
     pub tree_fill: Vec<(String, Occupancy)>,
+    /// Pages of the file that neither the header, a tree nor the
+    /// freelist reaches: space no allocation will hand out again.
+    pub unreachable_pages: u64,
 }
 
 impl IntegrityReport {
@@ -98,6 +107,59 @@ impl std::fmt::Display for IntegrityReport {
             self.orphans,
             self.errors.len()
         )
+    }
+}
+
+/// Who owns each page of the file, filled in by the page walk of
+/// [`Snapshot::verify_integrity`](crate::Snapshot::verify_integrity).
+struct PageOwners {
+    /// Index into `names` per page; [`PageOwners::NOBODY`] when unowned.
+    owner: Vec<u32>,
+    names: Vec<String>,
+}
+
+impl PageOwners {
+    const NOBODY: u32 = u32::MAX;
+
+    /// Page 0 belongs to the header.
+    fn new(pages: u32) -> PageOwners {
+        let mut owner = vec![Self::NOBODY; pages as usize];
+        owner[0] = 0;
+        PageOwners {
+            owner,
+            names: vec!["header".to_owned()],
+        }
+    }
+
+    /// Starts the walk of the next owner.
+    fn begin(&mut self, name: &str) {
+        self.names.push(name.to_owned());
+    }
+
+    /// Gives `id` to the owner being walked; `false` (and a violation)
+    /// when the page is past the end of the file or already owned.
+    fn claim(&mut self, rep: &mut IntegrityReport, id: PageId) -> bool {
+        let who = self.names.len() as u32 - 1;
+        let name = &self.names[who as usize];
+        match self.owner.get(id as usize).copied() {
+            None => rep.error(format!(
+                "page {id} of {name} is past the end of the {}-page file",
+                self.owner.len()
+            )),
+            Some(Self::NOBODY) => {
+                self.owner[id as usize] = who;
+                return true;
+            }
+            Some(first) => rep.error(format!(
+                "page {id} is owned twice: by {} and by {name}",
+                self.names[first as usize]
+            )),
+        }
+        false
+    }
+
+    fn unowned(&self) -> u64 {
+        self.owner.iter().filter(|&&o| o == Self::NOBODY).count() as u64
     }
 }
 
@@ -308,6 +370,20 @@ impl crate::snapshot::Snapshot {
                 }
             }
         }
+
+        // Pass 6 — pages: the header, every tree with its overflow
+        // chains, then the freelist chain, each page claimed once.
+        let mut owners = PageOwners::new(r.page_count());
+        for (name, tree) in inner.db.trees(r)? {
+            owners.begin(&name);
+            tree.visit_pages(r, |id| owners.claim(&mut rep, id))?;
+        }
+        owners.begin("freelist");
+        let mut free = r.freelist_head();
+        while free != 0 && owners.claim(&mut rep, free) {
+            free = r.page(free)?.get_u32(4);
+        }
+        rep.unreachable_pages = owners.unowned();
 
         Ok(rep)
     }

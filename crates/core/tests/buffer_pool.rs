@@ -3,7 +3,12 @@
 //! clustered scan vs point lookups, and a cold search reading exactly
 //! the pages it misses.
 
+use std::path::Path;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
+
 use micronn::{Config, Metric, MicroNN, SearchRequest, SyncMode, VectorRecord};
+use micronn_storage::{OpenMode, StdVfs, Vfs, VfsFile};
 
 const DIM: usize = 64;
 
@@ -123,14 +128,60 @@ fn clustered_scan_reads_fewer_pages_than_point_lookups() {
     );
 }
 
+/// Counts `read_exact_at` calls on the main database file (not its
+/// WAL) of the files it opens.
+struct MainReadCalls(Arc<AtomicU64>);
+
+struct Counted(Box<dyn VfsFile>, Option<Arc<AtomicU64>>);
+
+impl Vfs for MainReadCalls {
+    fn name(&self) -> &'static str {
+        "main-read-calls"
+    }
+    fn open(&self, path: &Path, mode: OpenMode) -> std::io::Result<Box<dyn VfsFile>> {
+        let main = !path.to_string_lossy().ends_with("-wal");
+        let file = StdVfs.open(path, mode)?;
+        Ok(Box::new(Counted(file, main.then(|| Arc::clone(&self.0)))))
+    }
+    fn exists(&self, path: &Path) -> bool {
+        StdVfs.exists(path)
+    }
+}
+
+impl VfsFile for Counted {
+    fn read_exact_at(&self, buf: &mut [u8], offset: u64) -> std::io::Result<()> {
+        if let Some(calls) = &self.1 {
+            calls.fetch_add(1, Ordering::Relaxed);
+        }
+        self.0.read_exact_at(buf, offset)
+    }
+    fn write_all_at(&self, buf: &[u8], offset: u64) -> std::io::Result<()> {
+        self.0.write_all_at(buf, offset)
+    }
+    fn sync(&self) -> std::io::Result<()> {
+        self.0.sync()
+    }
+    fn set_len(&self, len: u64) -> std::io::Result<()> {
+        self.0.set_len(len)
+    }
+    fn len(&self) -> std::io::Result<u64> {
+        self.0.len()
+    }
+}
+
 /// Every page a search reads comes from one of its own pool misses,
 /// read on the thread that missed it: with the store's default options
 /// a cold multi-probe search reads exactly the pages it misses, and
-/// repeating it from cold moves every counter by the same amount.
+/// repeating it from cold moves every counter by the same amount. A
+/// rebuild lays each partition's leaves on consecutive pages, and a
+/// miss on a leaf reads the file-adjacent leaves after it in the same
+/// call, so the main file sees far fewer read calls than pages.
 #[test]
 fn cold_search_reads_exactly_what_it_misses() {
     let dir = tempfile::tempdir().unwrap();
+    let calls = Arc::new(AtomicU64::new(0));
     let mut c = Config::new(DIM, Metric::L2);
+    c.store.vfs = Arc::new(MainReadCalls(Arc::clone(&calls)));
     c.target_partition_size = 100;
     c.default_probes = 6;
     // One scan worker: two workers missing the same interior page at
@@ -144,14 +195,22 @@ fn cold_search_reads_exactly_what_it_misses() {
 
     let cold_search = || {
         db.purge_caches();
-        let before = db.io_stats();
+        let (before, calls_before) = (db.io_stats(), calls.load(Ordering::Relaxed));
         let resp = db.search(&vectors[3], 10).unwrap();
         assert_eq!(resp.results.len(), 10);
         assert!(resp.info.partitions_scanned > 1, "{:?}", resp.info);
-        db.io_stats().since(&before)
+        let io = db.io_stats().since(&before);
+        (io, calls.load(Ordering::Relaxed) - calls_before)
     };
-    let first = cold_search();
+    let (first, first_calls) = cold_search();
     assert!(first.pool_misses > 0, "a cold search misses: {first:?}");
     assert_eq!(first.disk_reads(), first.pool_misses, "{first:?}");
-    assert_eq!(cold_search(), first);
+    assert_eq!(cold_search(), (first, first_calls));
+    // 26 calls for 48 pages here; one call per page before leaves were
+    // laid on consecutive pages and read in runs.
+    assert!(
+        first_calls * 3 <= first.main_reads * 2,
+        "{first_calls} main-file read calls for {} pages",
+        first.main_reads
+    );
 }

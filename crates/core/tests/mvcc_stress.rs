@@ -186,6 +186,9 @@ fn pinned_snapshot_frozen(codec: VectorCodec) {
     for round in 0..churn_rounds() {
         churn_round(&db, &fresh, round);
     }
+    // A rebuild rewrites `vectors` onto the page ids its old tree held —
+    // among them the ones this snapshot resolves its partitions through.
+    db.rebuild().unwrap();
     // The live view moved…
     assert_ne!(db.len().unwrap(), len_before, "churn must change the db");
 

@@ -174,6 +174,149 @@ fn rebuild_twice_is_stable() {
     );
 }
 
+/// At dimension 256 a vector row spills its blob to an overflow chain,
+/// which a rebuild moves with the row. Twice rebuilt, `exact` answers
+/// what a brute-force scan of the inputs answers, bit for bit, and
+/// every page of the file is owned once.
+#[test]
+fn rebuild_moves_rows_whose_vectors_spill() {
+    const DIM: usize = 256;
+    let dir = tempfile::tempdir().unwrap();
+    let db = MicroNN::create(dir.path().join("r256.mnn"), cfg(DIM)).unwrap();
+    let vectors: Vec<Vec<f32>> = (0..400usize)
+        .map(|i| {
+            (0..DIM)
+                .map(|d| (i % 7 * 10) as f32 + ((i * 31 + d * 17) % 101) as f32 / 101.0)
+                .collect()
+        })
+        .collect();
+    let records: Vec<VectorRecord> = (vectors.iter().enumerate())
+        .map(|(i, v)| VectorRecord::new(i as i64, v.clone()).with_attr("tag", "x"))
+        .collect();
+    db.upsert_batch(&records).unwrap();
+    for _ in 0..2 {
+        db.rebuild().unwrap();
+        let report = db.verify_integrity().unwrap();
+        assert!(report.is_clean(), "{:?}", report.errors);
+        assert_eq!(report.unreachable_pages, 0);
+        let spilled = db.tree_fill().unwrap();
+        let vectors_fill = spilled.iter().find(|(t, _)| t == "vectors").unwrap().1;
+        assert!(vectors_fill.overflow_pages >= 400, "{vectors_fill:?}");
+        for q in [&vectors[3], &vectors[250]] {
+            let mut brute: Vec<(u32, i64)> = (vectors.iter().enumerate())
+                .map(|(i, v)| (Metric::L2.distance(q, v).to_bits(), i as i64))
+                .collect();
+            brute.sort_by(|a, b| {
+                f32::from_bits(a.0)
+                    .total_cmp(&f32::from_bits(b.0))
+                    .then(a.1.cmp(&b.1))
+            });
+            let got: Vec<(u32, i64)> = (db.exact(q, 10, None).unwrap().results.iter())
+                .map(|r| (r.distance.to_bits(), r.asset_id))
+                .collect();
+            assert_eq!(got, brute[..10], "query {:?}", &q[..2]);
+        }
+    }
+}
+
+/// A freelist head pointing at a live `vectors` leaf: the header of a
+/// checkpointed file is edited behind the store's back. Reopened, the
+/// first allocation refuses the page instead of zeroing it, every row
+/// still reads back, and fsck names the leaf as owned twice.
+#[test]
+fn a_freelist_head_on_a_live_leaf_is_an_error_not_an_overwrite() {
+    use micronn::StoreOptions;
+    use micronn_storage::{OpenMode, PageData, PageRead, SimVfs};
+
+    let sim = SimVfs::new();
+    let path = std::path::Path::new("/sim/freelist.mnn");
+    let mut c = cfg(8);
+    c.store = StoreOptions {
+        sync: SyncMode::Normal,
+        vfs: sim.handle(),
+        ..c.store
+    };
+    let db = MicroNN::create(path, c.clone()).unwrap();
+    seeded(&db, 600, 8);
+    db.rebuild().unwrap();
+    assert!(db.checkpoint().unwrap());
+    let r = db.database().begin_read();
+    let trees = db.database().trees(&r).unwrap();
+    let vectors = trees.iter().find(|(name, _)| name == "vectors").unwrap().1;
+    let mut leaves = Vec::new();
+    vectors
+        .visit_pages(&r, |id| {
+            leaves.push(id);
+            true
+        })
+        .unwrap();
+    let leaf = *(leaves.iter())
+        .find(|&&id| r.page(id).unwrap().page_type() == 1)
+        .expect("a vectors leaf");
+    drop(r);
+    let before: Vec<_> = (0..600).map(|i| db.get_vector(i).unwrap()).collect();
+    drop(db);
+
+    let file = sim.handle().open(path, OpenMode::Open).unwrap();
+    let mut header = PageData::zeroed();
+    file.read_exact_at(&mut header[..], 0).unwrap();
+    header.put_u32(16, leaf); // freelist head
+    header.put_u32(20, header.get_u32(20).max(1)); // free-page count
+    file.write_all_at(&header[..], 0).unwrap();
+
+    let db = MicroNN::open(path, c).unwrap();
+    let failed = (1000..5000)
+        .find_map(|i| db.upsert(VectorRecord::new(i, vec![1.5; 8])).err())
+        .expect("some upsert allocates a page");
+    assert!(
+        failed
+            .to_string()
+            .contains(&format!("freelist head {leaf}")),
+        "{failed}"
+    );
+    for (i, v) in before.iter().enumerate() {
+        assert_eq!(&db.get_vector(i as i64).unwrap(), v, "asset {i}");
+    }
+    let report = db.verify_integrity().unwrap();
+    let twice = format!("page {leaf} is owned twice: by vectors and by freelist");
+    assert!(
+        report.errors.iter().any(|e| e == &twice),
+        "{:?}",
+        report.errors
+    );
+}
+
+/// Page accounting after every operation that reshapes `vectors`: a
+/// build, a rebuild, a flush and a split each leave every page of the
+/// file owned by exactly one tree, the header or the freelist.
+#[test]
+fn build_rebuild_flush_and_split_leave_no_page_unreachable() {
+    let dir = tempfile::tempdir().unwrap();
+    let db = MicroNN::create(dir.path().join("pages.mnn"), cfg(8)).unwrap();
+    let check = |what: &str| {
+        db.checkpoint().unwrap();
+        let report = db.verify_integrity().unwrap();
+        assert!(report.is_clean(), "{what}: {:?}", report.errors);
+        assert_eq!(report.unreachable_pages, 0, "{what}");
+    };
+    seeded(&db, 500, 8);
+    check("build");
+    db.rebuild().unwrap();
+    check("rebuild");
+    let extra: Vec<VectorRecord> = (500..700)
+        .map(|i| VectorRecord::new(i, vec![(i % 13) as f32 + 0.5; 8]).with_attr("tag", "odd"))
+        .collect();
+    db.upsert_batch(&extra).unwrap();
+    assert!(db.flush_delta().unwrap().flushed > 0);
+    check("flush");
+    let largest = (db.partition_sizes().unwrap().into_iter())
+        .max_by_key(|&(_, n)| n)
+        .unwrap()
+        .0;
+    db.split_partition(largest).unwrap();
+    check("split");
+}
+
 #[test]
 fn flush_empty_delta_is_a_noop() {
     let dir = tempfile::tempdir().unwrap();

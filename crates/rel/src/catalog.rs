@@ -341,6 +341,29 @@ impl Database {
         self.open_table(txn, &schema.name)
     }
 
+    /// Every B+tree of the database at `r`, named: the catalog tree
+    /// (`catalog`), each table's clustered tree (the table's name), each
+    /// secondary index (`table.index`) and the two trees of each
+    /// full-text index (`table.column.postings`, `table.column.counts`).
+    /// Every page of the file but the header and the free pages belongs
+    /// to one of them.
+    pub fn trees<R: PageRead + ?Sized>(&self, r: &R) -> Result<Vec<(String, BTree)>> {
+        let mut out = vec![("catalog".to_owned(), Self::catalog(r))];
+        for name in self.list_tables(r)? {
+            let table = self.open_table(r, &name)?;
+            out.push((name.clone(), table.data_tree()));
+            for index in table.indexes() {
+                out.push((format!("{name}.{}", index.name), index.tree));
+            }
+            for f in table.fts_indexes() {
+                let column = &table.schema().columns[f.column].name;
+                out.push((format!("{name}.{column}.postings"), f.postings));
+                out.push((format!("{name}.{column}.counts"), f.counts));
+            }
+        }
+        Ok(out)
+    }
+
     /// Names of all tables.
     pub fn list_tables<R: PageRead + ?Sized>(&self, r: &R) -> Result<Vec<String>> {
         let catalog = Self::catalog(r);

@@ -391,6 +391,57 @@ impl Table {
         Ok(Some(old))
     }
 
+    /// Moves every row to a new primary key by rewriting the clustered
+    /// tree bottom up ([`BTree::rewrite`]). `moves` yields each row of
+    /// the table exactly once, as `(current key, new key)`, in ascending
+    /// order of the new key; the row is read at `old` — a snapshot of
+    /// the table as it stands in `txn`, taken before `txn` touched it —
+    /// and stored under the new key with its key columns set to it. A
+    /// row whose first key column differs from the previous row's starts
+    /// a fresh leaf, so each group of rows sharing that column (an IVF
+    /// partition of `vectors`) lies on its own run of pages.
+    ///
+    /// A table with secondary or full-text indexes is refused: their
+    /// entries name the old keys. On an error, roll `txn` back.
+    pub fn rewrite<R: PageRead + ?Sized>(
+        &self,
+        txn: &mut WriteTxn,
+        old: &R,
+        moves: impl IntoIterator<Item = (Vec<Value>, Vec<Value>)>,
+    ) -> Result<()> {
+        let name = &self.schema.name;
+        if !self.indexes.is_empty() || !self.fts.is_empty() {
+            return Err(RelError::Schema(format!(
+                "table {name}: rewriting keys would strand its index entries"
+            )));
+        }
+        let expected = self.row_count(txn)?;
+        let mut reader = self.reader(old);
+        let (mut rows, mut group) = (0u64, None);
+        let cells = moves.into_iter().map(|(from, to)| -> Result<_> {
+            let missing = || RelError::NotFound(format!("table {name}: row {from:?}"));
+            if to.len() != self.schema.pk.len() {
+                return Err(RelError::Schema(format!("table {name}: key {to:?}")));
+            }
+            let mut row = reader.get_with(&from, decode_row)?.ok_or_else(missing)??;
+            for (&col, v) in self.schema.pk.iter().zip(&to) {
+                row[col] = v.clone();
+            }
+            self.schema.check_row(&row)?;
+            let fresh = group.as_ref() != to.first();
+            group = to.first().cloned();
+            rows += 1;
+            Ok((encode_key(&to), encode_row(&row), fresh))
+        });
+        self.data.rewrite::<_, RelError>(txn, cells)?;
+        if rows != expected {
+            return Err(RelError::Schema(format!(
+                "table {name}: rewrite moved {rows} of {expected} rows"
+            )));
+        }
+        Ok(())
+    }
+
     /// A reusable primary-key reader over this table at `r`'s
     /// snapshot — the form for loops of lookups (see [`RowReader`]).
     pub fn reader<'r, R: PageRead + ?Sized>(&self, r: &'r R) -> RowReader<'r, R> {
@@ -783,6 +834,55 @@ mod tests {
         }
         txn.commit().unwrap();
         t
+    }
+
+    /// `rewrite` moves each row to its new key with its key columns set,
+    /// keeps the row count, and refuses a move list that misses a row
+    /// or a table with indexes.
+    #[test]
+    fn rewrite_moves_rows_to_new_keys() {
+        let (_d, db) = db();
+        let t = vectors(&db, 4, 50);
+        let key = |p: i64, v: i64| vec![Value::Integer(p), Value::Integer(v)];
+        // Row (p, v) moves to partition (p + v) % 3, in new-key order.
+        let mut moves: Vec<_> = (0..4)
+            .flat_map(|p| (0..50).map(move |v| (p, v)))
+            .map(|(p, v)| (key(p, v), key((p + v) % 3, p * 100 + v)))
+            .collect();
+        moves.sort_by_key(|(_, to)| encode_key(to));
+        let mut txn = db.begin_write().unwrap();
+        let old = db.begin_read();
+        t.rewrite(&mut txn, &old, moves.clone()).unwrap();
+        drop(old);
+        txn.commit().unwrap();
+        let r = db.begin_read();
+        assert_eq!(t.row_count(&r).unwrap(), 200);
+        for (from, to) in &moves {
+            let row = t.get(&r, to).unwrap().expect("moved row");
+            assert_eq!(&row[..2], &to[..]);
+            assert_eq!(
+                row[2],
+                Value::blob(vec![from[0].as_integer().unwrap() as u8; 16])
+            );
+            assert!(t
+                .get(&r, from)
+                .unwrap()
+                .map_or(true, |r| r[..2] == from[..]));
+        }
+        drop(r);
+
+        let mut txn = db.begin_write().unwrap();
+        let old = db.begin_read();
+        let short = moves[..199].iter().map(|(_, to)| (to.clone(), to.clone()));
+        assert!(matches!(
+            t.rewrite(&mut txn, &old, short),
+            Err(RelError::Schema(_))
+        ));
+        drop((old, txn));
+        let photos = photos(&db);
+        let mut txn = db.begin_write().unwrap();
+        let old = db.begin_read();
+        assert!(photos.rewrite(&mut txn, &old, std::iter::empty()).is_err());
     }
 
     #[test]

@@ -3,10 +3,18 @@
 //! A cursor descends once to the first qualifying leaf and then walks
 //! the leaf sibling chain, so a partition scan (the inner loop of the
 //! paper's Algorithm 2) touches each leaf page exactly once and in key
-//! order — the locality the clustered layout provides. Key order is not
-//! page-id order: leaves are allocated as splits need them, so the
-//! chain's page ids are scattered, and consecutive leaves of one scan
-//! are rarely adjacent in the file.
+//! order — the locality the clustered layout provides. Where key order
+//! is also page-id order, the walk reads the file in runs: a tree
+//! written by [`BTree::rewrite`] lays its leaves on ascending page ids,
+//! and when the walk misses the cache on a leaf, the store reads in the
+//! same I/O the file-adjacent leaves after it that the walk is bound to
+//! visit — the following children of the parent the walk descended
+//! through, while the separator before each lies within the scan's end
+//! bound ([`PageRead::page_scan_run`]). The same separators end the
+//! walk at a leaf whose separator is past the end bound, without
+//! reading the leaf after it. Leaves a split allocated later sit
+//! wherever the allocator found room, and are read one at a time, as
+//! are the leaves past the first parent.
 //!
 //! There is one walk, [`Cursor::next_with`]: it lends each `(key,
 //! value)` pair to a closure as slices of pinned page images — the leaf,
@@ -26,7 +34,7 @@ use crate::page::{page_type, PageData, PageId};
 use crate::store::PageRead;
 
 use super::node;
-use super::{fetch_node, fetch_node_scan, val_bytes, BTree, ValBuf};
+use super::{fetch_node, val_bytes, BTree, ValBuf};
 
 /// A forward walk over `(key, value)` pairs in key order; see the
 /// module docs for its two forms.
@@ -42,6 +50,13 @@ pub struct Cursor<'r, R: PageRead + ?Sized> {
     end: Bound<Vec<u8>>,
     /// Where spilled values are lent from, reused for the whole walk.
     buf: ValBuf,
+    /// The parent of the current leaf and the leaf's slot in it, while
+    /// the walk stays under the parent it descended through: its
+    /// separators end the walk without reading the leaf past the end
+    /// bound, and tell a miss which leaves after it to read along.
+    parent: Option<(Arc<PageData>, usize)>,
+    /// Leaves a miss read along, next one last.
+    ahead: Vec<(PageId, Arc<PageData>)>,
 }
 
 impl BTree {
@@ -79,10 +94,15 @@ impl BTree {
             Bound::Unbounded => &[],
         };
         let mut id: PageId = self.root();
+        let mut parent = None;
         let leaf = loop {
             let p = fetch_node(reader, id)?;
             match p.page_type() {
-                page_type::BTREE_INTERIOR => id = node::interior_descend(&p, seek_key),
+                page_type::BTREE_INTERIOR => {
+                    let slot = node::interior_descend_index(&p, seek_key);
+                    id = node::interior_child_at(&p, slot);
+                    parent = Some((p, slot));
+                }
                 _ => break p,
             }
         };
@@ -102,7 +122,43 @@ impl BTree {
             idx,
             end,
             buf: ValBuf::default(),
+            parent,
+            ahead: Vec::new(),
         })
+    }
+}
+
+/// Whether `key` lies within the upper bound `end`.
+#[inline]
+fn within(end: &Bound<Vec<u8>>, key: &[u8]) -> bool {
+    match end {
+        Bound::Unbounded => true,
+        Bound::Included(e) => key <= e.as_slice(),
+        Bound::Excluded(e) => key < e.as_slice(),
+    }
+}
+
+/// The leaves a walk goes on to after the child at `slot` of `parent`:
+/// each next child, while the separator bounding the child before it
+/// lies within the walk's end bound — every key of that child then
+/// does, so the walk passes it. Nothing is read until the store asks,
+/// which it does on a miss only.
+struct Following<'a> {
+    parent: &'a PageData,
+    slot: usize,
+    end: &'a Bound<Vec<u8>>,
+}
+
+impl Iterator for Following<'_> {
+    type Item = PageId;
+
+    fn next(&mut self) -> Option<PageId> {
+        let (p, slot) = (self.parent, self.slot);
+        if slot >= node::ncells(p) || !within(self.end, node::interior_key(p, slot)) {
+            return None;
+        }
+        self.slot += 1;
+        Some(node::interior_child_at(p, self.slot))
     }
 }
 
@@ -141,12 +197,7 @@ impl<R: PageRead + ?Sized> Cursor<'_, R> {
             };
             if self.idx < node::ncells(leaf) {
                 let key = node::leaf_key(leaf, self.idx);
-                let within_end = match &self.end {
-                    Bound::Unbounded => true,
-                    Bound::Included(e) => key <= e.as_slice(),
-                    Bound::Excluded(e) => key < e.as_slice(),
-                };
-                if !within_end {
+                if !within(&self.end, key) {
                     return Ok(None);
                 }
                 // Scan-hinted, like the sibling fetch below: cursor
@@ -163,9 +214,50 @@ impl<R: PageRead + ?Sized> Cursor<'_, R> {
             if next == 0 {
                 return Ok(None);
             }
-            self.leaf = Some(fetch_node_scan(self.reader, next)?);
+            match &mut self.parent {
+                Some((p, slot))
+                    if *slot < node::ncells(p) && node::interior_child_at(p, *slot + 1) == next =>
+                {
+                    // Every key from `next` on lies past this leaf's
+                    // separator: once that is past the end, so are they.
+                    if !within(&self.end, node::interior_key(p, *slot)) {
+                        return Ok(None);
+                    }
+                    *slot += 1;
+                }
+                _ => self.parent = None,
+            }
+            self.leaf = Some(self.walk_onto(next)?);
             self.idx = 0;
         }
+    }
+
+    /// Fetches `next`, the leaf after the current one: from the leaves
+    /// a miss read along, else from the store — which, while the walk
+    /// stays under its parent, may read the leaves after `next` with it.
+    fn walk_onto(&mut self, next: PageId) -> Result<Arc<PageData>> {
+        match self.ahead.pop() {
+            Some((id, page)) if id == next => {
+                node::expect_node(&page, id)?;
+                return Ok(page);
+            }
+            Some(_) => self.ahead.clear(),
+            None => {}
+        }
+        let page = match &self.parent {
+            Some((parent, slot)) => {
+                let mut then = Following {
+                    parent,
+                    slot: *slot,
+                    end: &self.end,
+                };
+                (self.reader).page_scan_run(next, &mut then, &mut self.ahead)?
+            }
+            None => (self.reader).page_scan(next)?,
+        };
+        self.ahead.reverse();
+        node::expect_node(&page, next)?;
+        Ok(page)
     }
 }
 

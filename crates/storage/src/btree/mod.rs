@@ -34,8 +34,8 @@ use crate::page::{page_type, PageData, PageId, PAGE_SIZE};
 use crate::store::{PageRead, WriteTxn};
 
 use node::{
-    expect_type, InteriorNode, LeafNode, ValRef, MAX_INLINE_CELL, MAX_KEY_LEN, NODE_CAPACITY,
-    UNDERFLOW_BYTES,
+    expect_type, InteriorNode, LeafNode, OwnedVal, ValRef, MAX_INLINE_CELL, MAX_KEY_LEN,
+    NODE_CAPACITY, UNDERFLOW_BYTES,
 };
 
 /// Bytes of payload stored per overflow page.
@@ -57,24 +57,16 @@ pub(crate) fn fetch_node<R: PageRead + ?Sized>(
     Ok(p)
 }
 
-/// Like [`fetch_node`] but reads with the sequential-scan admission
-/// hint ([`PageRead::page_scan`]): cursors walking the leaf sibling
-/// chain use this so a long partition scan cannot flush the buffer
-/// pool's protected working set (interior nodes, centroids, catalog).
-pub(crate) fn fetch_node_scan<R: PageRead + ?Sized>(
-    r: &R,
-    id: PageId,
-) -> Result<std::sync::Arc<crate::page::PageData>> {
-    let p = r.page_scan(id)?;
-    node::expect_node(&p, id)?;
-    Ok(p)
-}
-
 /// Page counts and leaf fill of one tree; see [`BTree::occupancy`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Occupancy {
     /// Leaf pages.
     pub leaf_pages: u64,
+    /// Runs of consecutive page ids along the leaf chain: `1` when every
+    /// leaf sits on the page after the one before it, `leaf_pages` when
+    /// no two neighbours are file-adjacent. A scan that misses the cache
+    /// reads one run (of at most a few pages) per I/O.
+    pub leaf_runs: u64,
     /// Interior pages.
     pub interior_pages: u64,
     /// Pages of the overflow chains hanging off the leaves.
@@ -88,6 +80,11 @@ impl Occupancy {
     pub fn leaf_fill(&self) -> f64 {
         let capacity = self.leaf_pages * NODE_CAPACITY as u64;
         self.leaf_used_bytes as f64 / capacity.max(1) as f64
+    }
+
+    /// Leaf pages per run of consecutive page ids (`0.0` for no leaves).
+    pub fn pages_per_run(&self) -> f64 {
+        self.leaf_pages as f64 / self.leaf_runs.max(1) as f64
     }
 }
 
@@ -227,10 +224,13 @@ impl BTree {
             level = below;
         }
         let mut id = leftmost_leaf(r, self.root)?;
+        let mut prev = None;
         while id != 0 {
             let p = fetch_node(r, id)?;
             expect_type(&p, page_type::BTREE_LEAF, id)?;
             occ.leaf_pages += 1;
+            occ.leaf_runs += u64::from(prev.map_or(true, |prev| id != prev + 1));
+            prev = Some(id);
             occ.leaf_used_bytes += node::leaf_used_bytes(&p) as u64;
             for i in 0..node::ncells(&p) {
                 if let ValRef::Overflow { total, .. } = node::leaf_val(&p, i) {
@@ -240,6 +240,155 @@ impl BTree {
             id = node::right_ptr(&p);
         }
         Ok(occ)
+    }
+
+    /// Visits every page of the tree once the tree is well formed: the
+    /// nodes level by level from the root, each leaf followed by the
+    /// overflow chains of its cells (a one-page chain is not read). `f`
+    /// returns whether to go below the page it is handed, so a caller
+    /// that has seen a page before can stop a walk of a corrupt tree
+    /// from looping. Diagnostic (`fsck`'s page accounting) and the page
+    /// list [`BTree::rewrite`] reuses.
+    pub fn visit_pages<R: PageRead + ?Sized>(
+        &self,
+        r: &R,
+        mut f: impl FnMut(PageId) -> bool,
+    ) -> Result<()> {
+        let mut level = vec![self.root];
+        while !level.is_empty() {
+            let mut below = Vec::new();
+            for id in level {
+                if !f(id) {
+                    continue;
+                }
+                let p = fetch_node(r, id)?;
+                if p.page_type() == page_type::BTREE_INTERIOR {
+                    below.extend((0..=node::ncells(&p)).map(|i| node::interior_child_at(&p, i)));
+                    continue;
+                }
+                for i in 0..node::ncells(&p) {
+                    let ValRef::Overflow { total, head } = node::leaf_val(&p, i) else {
+                        continue;
+                    };
+                    if total as usize <= OVERFLOW_CAPACITY {
+                        f(head);
+                        continue;
+                    }
+                    let mut link = head;
+                    while link != 0 && f(link) {
+                        let chunk = r.page(link)?;
+                        expect_type(&chunk, page_type::OVERFLOW, link)?;
+                        link = chunk.get_u32(4);
+                    }
+                }
+            }
+            level = below;
+        }
+        Ok(())
+    }
+
+    /// Rewrites the whole tree from `cells`, bottom up: `(key, value,
+    /// fresh)` in strictly ascending key order, where `fresh` starts a
+    /// new leaf even when the current one has room (a caller aligns
+    /// leaves to groups of keys this way). Leaves are filled to
+    /// capacity, each followed by the overflow chains of its cells; the
+    /// interior levels, three quarters full, are written after the
+    /// leaves, and the root keeps its page id.
+    ///
+    /// Pages come from the ones the tree held — leaves, interior and
+    /// overflow pages, in ascending order, so leaves written one after
+    /// another sit on consecutive page ids wherever those ids are
+    /// consecutive — then from the freelist or the file tail; ids left
+    /// over go to the freelist, the lowest at its head. No old page is
+    /// read while it is overwritten: `cells` must not read the tree
+    /// through `txn`, but at a snapshot taken before the rewrite (a
+    /// [`crate::ReadTxn`] at the transaction's begin snapshot, when the
+    /// transaction has not touched the tree).
+    pub fn rewrite<I, E>(&self, txn: &mut WriteTxn, cells: I) -> std::result::Result<(), E>
+    where
+        I: IntoIterator<Item = std::result::Result<(Vec<u8>, Vec<u8>, bool), E>>,
+        E: From<StorageError>,
+    {
+        let mut held = Vec::new();
+        self.visit_pages(txn, |id| {
+            held.push(id);
+            true
+        })?;
+        held.retain(|&id| id != self.root);
+        held.sort_unstable();
+        let mut pages = Reuse(held.into_iter());
+
+        // Leaves: `level` gets each finished leaf with the separator
+        // between it and the next one, and whether it starts a group.
+        let mut level: Vec<(PageId, Vec<u8>, bool)> = Vec::new();
+        let mut leaf: Option<(PageId, LeafNode, usize, bool)> = None;
+        for cell in cells {
+            let (key, val, fresh) = cell?;
+            if key.len() > MAX_KEY_LEN {
+                return Err(StorageError::KeyTooLarge(key.len()).into());
+            }
+            let inline = node::LEAF_INLINE_OVERHEAD + key.len() + val.len() <= MAX_INLINE_CELL;
+            let bytes = if inline {
+                node::LEAF_INLINE_OVERHEAD + key.len() + val.len()
+            } else {
+                node::LEAF_OVERFLOW_OVERHEAD + key.len()
+            };
+            let prev = leaf.as_ref().and_then(|(_, node, ..)| node.cells.last());
+            if prev.is_some_and(|(max, _)| key <= *max) {
+                let root = self.root;
+                return Err(StorageError::Corrupt(format!(
+                    "tree {root}: rewrite keys out of order"
+                ))
+                .into());
+            }
+            // The first leaf starts a group too.
+            let fresh = fresh || leaf.is_none();
+            let full = leaf
+                .as_ref()
+                .is_some_and(|(_, _, used, _)| used + bytes > NODE_CAPACITY);
+            if fresh || full {
+                let id = pages.take(txn)?;
+                if let Some((done, mut node, _, group)) = leaf.take() {
+                    let max = &node.cells.last().expect("a leaf holds a cell").0;
+                    level.push((done, node::separator(max, &key).to_vec(), group));
+                    node.right_sibling = id;
+                    write_run_leaf(txn, done, &node)?;
+                }
+                leaf = Some((id, LeafNode::default(), 0, fresh));
+            }
+            let stored = if inline {
+                OwnedVal::Inline(val)
+            } else {
+                let head = write_overflow(txn, &val, |t| pages.take(t))?;
+                OwnedVal::Overflow {
+                    total: val.len() as u32,
+                    head,
+                }
+            };
+            let (_, node, used, _) = leaf.as_mut().expect("a leaf was just started");
+            node.cells.push((key, stored));
+            *used += bytes;
+        }
+
+        match leaf {
+            None => LeafNode::default().write(txn.page_mut(self.root)?),
+            Some((id, node, ..)) if level.is_empty() => {
+                // One leaf: it is the root.
+                write_run_leaf(txn, self.root, &node)?;
+                txn.free_page(id)?;
+            }
+            Some((id, node, _, group)) => {
+                write_run_leaf(txn, id, &node)?;
+                level.push((id, Vec::new(), group));
+                while level.len() > 1 {
+                    level = interior_level(txn, level, &mut pages, self.root)?;
+                }
+            }
+        }
+        for id in pages.0.rev() {
+            txn.free_page(id)?;
+        }
+        Ok(())
     }
 
     /// Number of entries, by full scan. Diagnostic; the relational
@@ -257,6 +406,98 @@ impl BTree {
             id = next;
         }
     }
+}
+
+/// Writes a leaf [`BTree::rewrite`] filled in key order, with that
+/// insertion run in its header ([`node::run_at`]) as inserts in key
+/// order would have left it: an insert behind its last cell then keeps
+/// the leaf full and opens a new page ([`LeafNode::split_off`]), where
+/// a leaf without the evidence would be cut in half.
+fn write_run_leaf(txn: &mut WriteTxn, id: PageId, leaf: &LeafNode) -> Result<()> {
+    let page = txn.page_mut(id)?;
+    leaf.write(page);
+    let last = leaf.cells.len().checked_sub(1);
+    node::note_insert(page, last.map(|i| (i, i.min(u8::MAX as usize) as u8)));
+    Ok(())
+}
+
+/// Page ids for a tree being rewritten: the ids it held, ascending,
+/// then fresh allocations.
+struct Reuse(std::vec::IntoIter<PageId>);
+
+impl Reuse {
+    fn take(&mut self, txn: &mut WriteTxn) -> Result<PageId> {
+        match self.0.next() {
+            Some(id) => txn.claim_page(id).map(|()| id),
+            None => txn.allocate_page(),
+        }
+    }
+}
+
+/// Bytes of an interior node [`BTree::rewrite`] fills before it ends
+/// the node at the next group start. The room left takes the separators
+/// of the leaf splits that later inserts cause; full nodes would each
+/// split in half at the first one, and a tree with twice the interior
+/// nodes costs point readers (which pin a few of them) more fetches.
+const INTERIOR_FILL: usize = NODE_CAPACITY * 3 / 4;
+
+/// Writes one interior level of [`BTree::rewrite`] over `children` —
+/// each with the separator between it and the next (the last one's
+/// unused) and whether it starts a group — and returns the level's
+/// nodes the same way. A node takes children up to [`INTERIOR_FILL`],
+/// then on to the next group start (or capacity), so that a group's
+/// leaves share a parent, which a scan's coalesced reads follow. One
+/// node is the root and goes into `root`.
+fn interior_level(
+    txn: &mut WriteTxn,
+    children: Vec<(PageId, Vec<u8>, bool)>,
+    pages: &mut Reuse,
+    root: PageId,
+) -> Result<Vec<(PageId, Vec<u8>, bool)>> {
+    // Each node with the separator promoted past it.
+    let mut nodes: Vec<(InteriorNode, Vec<u8>)> = Vec::new();
+    let mut open: Option<(InteriorNode, Vec<u8>)> = None;
+    for (child, sep, group) in children {
+        let room = if group { INTERIOR_FILL } else { NODE_CAPACITY };
+        match &mut open {
+            // The open node's rightmost child becomes a cell, if its
+            // separator still fits; `child` is the new rightmost.
+            Some((node, promoted))
+                if node.used_bytes() + node::INTERIOR_OVERHEAD + promoted.len() <= room =>
+            {
+                node.cells.push((node.rightmost, std::mem::take(promoted)));
+                node.rightmost = child;
+                *promoted = sep;
+            }
+            _ => {
+                nodes.extend(open.take());
+                let node = InteriorNode {
+                    cells: Vec::new(),
+                    rightmost: child,
+                };
+                open = Some((node, sep));
+            }
+        }
+    }
+    nodes.extend(open);
+    // A last node left with one child takes the previous node's last
+    // child (a closed node holds several), so every node holds a
+    // separator.
+    if let [.., (prev, prev_sep), (last, _)] = nodes.as_mut_slice() {
+        if last.cells.is_empty() {
+            let (child, sep) = prev.cells.pop().expect("a closed node holds cells");
+            let moved = std::mem::replace(&mut prev.rightmost, child);
+            last.cells.push((moved, std::mem::replace(prev_sep, sep)));
+        }
+    }
+    let top = nodes.len() == 1;
+    let mut level = Vec::with_capacity(nodes.len());
+    for (node, promoted) in nodes {
+        let id = if top { root } else { pages.take(txn)? };
+        node.write(txn.page_mut(id)?);
+        level.push((id, promoted, true));
+    }
+    Ok(level)
 }
 
 /// Finds the leftmost leaf under `id`.
@@ -383,15 +624,21 @@ pub(crate) fn read_overflow_into<R: PageRead + ?Sized>(
     Ok(())
 }
 
-fn write_overflow(txn: &mut WriteTxn, data: &[u8]) -> Result<PageId> {
+/// Writes `data` to a fresh overflow chain on pages `alloc` hands out
+/// (zeroed, in the dirty set) and returns its head.
+fn write_overflow(
+    txn: &mut WriteTxn,
+    data: &[u8],
+    mut alloc: impl FnMut(&mut WriteTxn) -> Result<PageId>,
+) -> Result<PageId> {
     debug_assert!(!data.is_empty());
     // Allocate the chain front to back, linking as we go.
     let mut chunks = data.chunks(OVERFLOW_CAPACITY).peekable();
-    let head = txn.allocate_page()?;
+    let head = alloc(txn)?;
     let mut cur = head;
     while let Some(chunk) = chunks.next() {
         let next = if chunks.peek().is_some() {
-            txn.allocate_page()?
+            alloc(txn)?
         } else {
             0
         };
@@ -424,7 +671,7 @@ fn make_val<'v>(txn: &mut WriteTxn, key_len: usize, val: &'v [u8]) -> Result<Val
     if node::LEAF_INLINE_OVERHEAD + key_len + val.len() <= MAX_INLINE_CELL {
         Ok(ValRef::Inline(val))
     } else {
-        let head = write_overflow(txn, val)?;
+        let head = write_overflow(txn, val, WriteTxn::allocate_page)?;
         Ok(ValRef::Overflow {
             total: val.len() as u32,
             head,
@@ -542,12 +789,7 @@ fn insert_rec(txn: &mut WriteTxn, id: PageId, key: &[u8], val: &[u8]) -> Result<
         }
         page_type::BTREE_INTERIOR => {
             let idx = node::interior_descend_index(&p, key);
-            let n = node::ncells(&p);
-            let child = if idx == n {
-                node::right_ptr(&p)
-            } else {
-                node::interior_child(&p, idx)
-            };
+            let child = node::interior_child_at(&p, idx);
             drop(p);
             match insert_rec(txn, child, key, val)? {
                 Ins::Done(old) => Ok(Ins::Done(old)),
@@ -617,12 +859,7 @@ fn delete_rec(txn: &mut WriteTxn, id: PageId, key: &[u8], is_root: bool) -> Resu
         }
         page_type::BTREE_INTERIOR => {
             let idx = node::interior_descend_index(&p, key);
-            let n = node::ncells(&p);
-            let child = if idx == n {
-                node::right_ptr(&p)
-            } else {
-                node::interior_child(&p, idx)
-            };
+            let child = node::interior_child_at(&p, idx);
             drop(p);
             let res = delete_rec(txn, child, key, false)?;
             if res.old.is_none() || !res.underflow {
@@ -1136,6 +1373,157 @@ mod tests {
         let ok = vec![1u8; MAX_KEY_LEN];
         tree.insert(&mut txn, &ok, b"v").unwrap();
         assert_eq!(tree.get(&txn, &ok).unwrap(), Some(b"v".to_vec()));
+    }
+
+    /// Every page `visit_pages` reaches, checked: nodes pass
+    /// `node::validate`, overflow pages carry their type.
+    fn tree_pages(tree: &BTree, r: &impl PageRead) -> Vec<PageId> {
+        let mut pages = Vec::new();
+        tree.visit_pages(r, |id| {
+            pages.push(id);
+            true
+        })
+        .unwrap();
+        for &id in &pages {
+            let p = r.page(id).unwrap();
+            match p.page_type() {
+                page_type::OVERFLOW => {}
+                _ => node::validate(&p, id).unwrap(),
+            }
+        }
+        pages
+    }
+
+    /// A tree grown by scattered inserts beside a second tree, so its
+    /// pages interleave with the other's, is rewritten under new keys in
+    /// groups: rows read at the begin snapshot come back under their new
+    /// keys, each group on fresh full leaves, the leaves on ascending
+    /// page ids, spilled values moved too; the root keeps its id, every
+    /// page of the file is still accounted for, and a reader pinned
+    /// before the rewrite still reads the old tree.
+    #[test]
+    fn rewrite_lays_groups_on_fresh_full_leaves_in_page_order() {
+        let (_d, store) = mem_store();
+        let mut txn = store.begin_write().unwrap();
+        let (tree, other) = (
+            BTree::create(&mut txn).unwrap(),
+            BTree::create(&mut txn).unwrap(),
+        );
+        // Group 6 (below) holds the values that spill.
+        let value = |i: u32| vec![i as u8; if i % 63 == 6 { 5000 } else { 300 }];
+        for i in 0..600u32 {
+            let i = i * 377 % 600;
+            tree.insert(&mut txn, &key(i), &value(i)).unwrap();
+            other.insert(&mut txn, &key(i), &val(i)).unwrap();
+        }
+        txn.commit().unwrap();
+        let held = tree_pages(&tree, &store.begin_read()).len();
+        let before = tree.occupancy(&store.begin_read()).unwrap();
+
+        // Group `i % 7`, then `i`: the new key of row `i`.
+        let new_key = |i: u32| format!("g{}-{i:08}", i % 7).into_bytes();
+        let mut order: Vec<u32> = (0..600).collect();
+        order.sort_by_key(|&i| new_key(i));
+        let pinned = store.begin_read();
+        let mut txn = store.begin_write().unwrap();
+        let old = store.begin_read();
+        let cells = order.iter().enumerate().map(|(n, &i)| {
+            let fresh = n == 0 || order[n - 1] % 7 != i % 7;
+            let v = tree.get(&old, &key(i))?.expect("every old row");
+            Ok::<_, StorageError>((new_key(i), v, fresh))
+        });
+        tree.rewrite(&mut txn, cells).unwrap();
+        drop(old);
+        txn.commit().unwrap();
+
+        let r = store.begin_read();
+        for i in 0..600 {
+            assert_eq!(
+                tree.get(&r, &new_key(i)).unwrap(),
+                Some(value(i)),
+                "row {i}"
+            );
+            assert_eq!(tree.get(&r, &key(i)).unwrap(), None, "row {i}");
+            assert_eq!(
+                tree.get(&pinned, &key(i)).unwrap(),
+                Some(value(i)),
+                "pinned {i}"
+            );
+        }
+        assert_eq!(tree.count(&r).unwrap(), 600);
+        let pages = tree_pages(&tree, &r);
+        assert!(
+            pages.len() <= held,
+            "{} pages, {held} held before",
+            pages.len()
+        );
+        let after = tree.occupancy(&r).unwrap();
+        assert!(
+            after.leaf_pages < before.leaf_pages,
+            "{after:?} vs {before:?}"
+        );
+        // Each group's leaves follow one another; spilled values and
+        // the other tree's pages are the only gaps.
+        assert!(after.pages_per_run() >= 3.0, "{after:?}");
+        // Every leaf starts a group or follows a full one.
+        let mut id = leftmost_leaf(&r, tree.root()).unwrap();
+        let mut prev_group = None;
+        while id != 0 {
+            let p = fetch_node(&r, id).unwrap();
+            let group = node::leaf_key(&p, 0)[1];
+            let n = node::ncells(&p);
+            assert!(
+                node::leaf_key(&p, n - 1)[1] == group,
+                "leaf {id} spans groups"
+            );
+            let next = node::right_ptr(&p);
+            if next != 0 && prev_group.is_some_and(|g| g == group) {
+                assert!(next > id, "leaves ascend: {id} -> {next}");
+            }
+            prev_group = Some(group);
+            id = next;
+        }
+        let all: u64 = tree_pages(&other, &r).len() as u64 + pages.len() as u64 + 1;
+        assert_eq!(
+            all + store.freelist_len() as u64,
+            store.page_count() as u64,
+            "every page owned once"
+        );
+    }
+
+    /// A rewrite down to one leaf leaves that leaf in the root, and a
+    /// rewrite to nothing an empty root leaf; out-of-order keys are an
+    /// error.
+    #[test]
+    fn rewrite_to_one_leaf_nothing_or_disorder() {
+        let (_d, store) = mem_store();
+        let mut txn = store.begin_write().unwrap();
+        let tree = BTree::create(&mut txn).unwrap();
+        for i in 0..2000 {
+            tree.insert(&mut txn, &key(i), &val(i)).unwrap();
+        }
+        txn.commit().unwrap();
+        let grown = store.page_count();
+
+        let mut txn = store.begin_write().unwrap();
+        let cells = (0..3).map(|i| Ok::<_, StorageError>((key(i), val(i), false)));
+        tree.rewrite(&mut txn, cells).unwrap();
+        assert_eq!(tree.depth(&txn).unwrap(), 1);
+        assert_eq!(tree.count(&txn).unwrap(), 3);
+        assert_eq!(tree.get(&txn, &key(2)).unwrap(), Some(val(2)));
+        txn.commit().unwrap();
+        assert_eq!(store.page_count(), grown);
+        assert_eq!(store.freelist_len(), grown - 2, "all but header and root");
+
+        let mut txn = store.begin_write().unwrap();
+        tree.rewrite(&mut txn, std::iter::empty::<Result<_>>())
+            .unwrap();
+        assert_eq!(tree.count(&txn).unwrap(), 0);
+        let disorder = [key(5), key(4)].map(|k| Ok::<_, StorageError>((k, b"v".to_vec(), false)));
+        assert!(matches!(
+            tree.rewrite(&mut txn, disorder),
+            Err(StorageError::Corrupt(_))
+        ));
     }
 
     #[test]

@@ -204,6 +204,17 @@ pub fn interior_child(p: &PageData, i: usize) -> PageId {
     p.get_u32(cell_offset(p, i))
 }
 
+/// Child at position `slot` of an interior node, `0..=ncells`: cell
+/// `slot`'s child, or the rightmost child for `slot == ncells`.
+#[inline]
+pub fn interior_child_at(p: &PageData, slot: usize) -> PageId {
+    if slot == ncells(p) {
+        right_ptr(p)
+    } else {
+        interior_child(p, slot)
+    }
+}
+
 /// Binary search in a leaf: `Ok(i)` if cell `i` holds `key`, else
 /// `Err(i)` with the insertion position.
 pub fn leaf_search(p: &PageData, key: &[u8]) -> std::result::Result<usize, usize> {
@@ -241,12 +252,7 @@ pub fn interior_descend_index(p: &PageData, key: &[u8]) -> usize {
 
 /// Child page to follow for `key`.
 pub fn interior_descend(p: &PageData, key: &[u8]) -> PageId {
-    let i = interior_descend_index(p, key);
-    if i == ncells(p) {
-        right_ptr(p)
-    } else {
-        interior_child(p, i)
-    }
+    interior_child_at(p, interior_descend_index(p, key))
 }
 
 /// Checks the node type byte, returning a corruption error on mismatch.

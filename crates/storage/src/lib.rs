@@ -18,8 +18,10 @@
 //!   overflow chains for large values, and delete rebalancing. Tables in
 //!   `micronn-rel` cluster rows on their encoded primary key through this
 //!   tree, which is how the IVF partition locality of the paper is
-//!   realized: a partition is one run of leaves in key order (their
-//!   page ids are not adjacent in the file).
+//!   realized: a partition is one run of leaves in key order, and
+//!   [`BTree::rewrite`] lays a rewritten tree's leaves on ascending page
+//!   ids, which a cold scan reads a run at a time
+//!   ([`PageRead::page_scan_run`]).
 //!
 //! # Example
 //!

@@ -41,12 +41,11 @@ impl PageData {
         PageData(Box::new([0u8; PAGE_SIZE]))
     }
 
-    /// Builds a page from a raw buffer of exactly [`PAGE_SIZE`] bytes.
+    /// Builds a page from a raw buffer of exactly [`PAGE_SIZE`] bytes:
+    /// one copy, no zero fill first.
     pub fn from_bytes(bytes: &[u8]) -> Self {
-        debug_assert_eq!(bytes.len(), PAGE_SIZE);
-        let mut p = PageData::zeroed();
-        p.0.copy_from_slice(bytes);
-        p
+        let page = bytes.to_vec().into_boxed_slice().try_into();
+        PageData(page.expect("a page image is PAGE_SIZE bytes"))
     }
 
     /// Page type tag (first byte).

@@ -170,7 +170,6 @@ impl BufferPool {
 
     /// Whether `key` is resident, without touching reference bits or
     /// segment membership.
-    #[cfg(test)]
     pub(crate) fn contains(&self, key: PoolKey) -> bool {
         self.inner.lock().map.contains_key(&key)
     }

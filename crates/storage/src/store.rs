@@ -207,12 +207,23 @@ impl Meta {
         for (i, r) in roots.iter_mut().enumerate() {
             *r = p.get_u32(OFF_ROOTS + i * 4);
         }
-        Ok(Meta {
+        let meta = Meta {
             page_count: p.get_u32(OFF_PAGE_COUNT),
             freelist_head: p.get_u32(OFF_FREELIST_HEAD),
             freelist_count: p.get_u32(OFF_FREELIST_COUNT),
             roots,
-        })
+        };
+        // An empty freelist has neither a head nor a count; a non-empty
+        // one has both, and its head is a page of the file.
+        if meta.freelist_head >= meta.page_count
+            || (meta.freelist_head == 0) != (meta.freelist_count == 0)
+        {
+            return Err(StorageError::BadHeader(format!(
+                "freelist head {} with {} free pages in a {}-page file",
+                meta.freelist_head, meta.freelist_count, meta.page_count
+            )));
+        }
+        Ok(meta)
     }
 
     fn encode(&self, p: &mut PageData) {
@@ -285,6 +296,21 @@ pub trait PageRead {
     fn page_scan(&self, id: PageId) -> Result<Arc<PageData>> {
         self.page(id)
     }
+    /// [`PageRead::page_scan`] for the leaf a range scan walks onto
+    /// next, given the leaves it walks onto after that, in order
+    /// (`then`). A store that misses `id` in its cache may read some of
+    /// those in the same I/O: it caches them, counts each as a miss, and
+    /// pushes them in order onto `ahead`, from where the caller takes
+    /// them instead of fetching them. The default reads `id` alone.
+    fn page_scan_run(
+        &self,
+        id: PageId,
+        then: &mut dyn Iterator<Item = PageId>,
+        ahead: &mut Vec<(PageId, Arc<PageData>)>,
+    ) -> Result<Arc<PageData>> {
+        let _ = (then, ahead);
+        self.page_scan(id)
+    }
     /// Root page stored in header slot `slot`.
     fn root(&self, slot: usize) -> PageId;
     /// When this transaction's view is *exactly* the committed state at
@@ -303,6 +329,14 @@ impl<R: PageRead + ?Sized> PageRead for &R {
     }
     fn page_scan(&self, id: PageId) -> Result<Arc<PageData>> {
         (**self).page_scan(id)
+    }
+    fn page_scan_run(
+        &self,
+        id: PageId,
+        then: &mut dyn Iterator<Item = PageId>,
+        ahead: &mut Vec<(PageId, Arc<PageData>)>,
+    ) -> Result<Arc<PageData>> {
+        (**self).page_scan_run(id, then, ahead)
     }
     fn root(&self, slot: usize) -> PageId {
         (**self).root(slot)
@@ -600,6 +634,75 @@ fn load_page(inner: &StoreInner, id: PageId, from_wal: Option<u64>) -> Result<Pa
     checked_image(p, id)
 }
 
+/// [`load_page`] for a main-file page a scan missed, reading in the same
+/// call the pages the scan walks onto after it (`run.then`), each only
+/// while it is the next page id of the file, resolves to the main file
+/// at this snapshot and is not cached — [`MAX_RUN_PAGES`] in all at
+/// most. So no read bridges a gap, and no page is read that the scan
+/// would find cached. The pages after `id` count as one pool miss and
+/// one main-file read each, enter the pool with `access`, and go onto
+/// `run.ahead`; a page that fails its check ends the run there, left for
+/// the scan to read and report alone.
+#[inline(never)]
+fn load_run(
+    inner: &StoreInner,
+    id: PageId,
+    snapshot: u64,
+    access: Access,
+    run: Run<'_>,
+) -> Result<PageData> {
+    let mut keys: Vec<PoolKey> = Vec::new();
+    for next in run.then {
+        let adjacent = next == id + 1 + keys.len() as PageId;
+        if keys.len() + 1 == MAX_RUN_PAGES || !adjacent || next >= run.page_count {
+            break;
+        }
+        let (version, from_wal) = resolve_version(inner, next, snapshot);
+        if from_wal.is_some() || inner.pool.contains((next, version)) {
+            break;
+        }
+        keys.push((next, version));
+    }
+    if keys.is_empty() {
+        return load_page(inner, id, None);
+    }
+    RUN_BYTES.with_borrow_mut(|buf| {
+        let len = (1 + keys.len()) * PAGE_SIZE;
+        if buf.len() < len {
+            buf.resize(len, 0);
+        }
+        let bytes = &mut buf[..len];
+        if inner
+            .main
+            .read_exact_at(bytes, id as u64 * PAGE_SIZE as u64)
+            .is_err()
+        {
+            // A short or failed read of the run: read the page alone, so
+            // an error names it.
+            return load_page(inner, id, None);
+        }
+        let mut images = bytes.chunks_exact(PAGE_SIZE);
+        let first = checked_image(PageData::from_bytes(images.next().expect("one page")), id)?;
+        for (&key, image) in keys.iter().zip(images) {
+            let Ok(p) = checked_image(PageData::from_bytes(image), key.0) else {
+                break;
+            };
+            IoStats::bump(&inner.stats.pool_misses);
+            IoStats::bump(&inner.stats.main_reads);
+            let data = Arc::new(p);
+            inner.pool.insert_with(key, Arc::clone(&data), access);
+            run.ahead.push((key.0, data));
+        }
+        Ok(first)
+    })
+}
+
+thread_local! {
+    /// Where [`load_run`] reads a run, kept per thread so it is zero
+    /// filled once, not on every read.
+    static RUN_BYTES: std::cell::RefCell<Vec<u8>> = const { std::cell::RefCell::new(Vec::new()) };
+}
+
 /// Structural validation of an image fresh from disk, keyed on its page
 /// type: B+tree nodes get [`node::validate`] (`O(cells)`, paid once per
 /// load instead of on every fetch); other page kinds carry no offsets
@@ -614,6 +717,21 @@ fn checked_image(p: PageData, id: PageId) -> Result<PageData> {
     Ok(p)
 }
 
+/// Longest main-file read a scan miss makes, in pages: the leaf that
+/// missed plus up to fifteen leaves the scan walks onto after it.
+const MAX_RUN_PAGES: usize = 16;
+
+/// What [`PageRead::page_scan_run`] passes down to [`load_run`].
+struct Run<'a> {
+    /// The pages the scan walks onto after the one it missed, in order.
+    then: &'a mut dyn Iterator<Item = PageId>,
+    /// Where the pages read after the missed one go, in order.
+    ahead: &'a mut Vec<(PageId, Arc<PageData>)>,
+    /// Page count of the reading transaction: no page at or past it is
+    /// read.
+    page_count: u32,
+}
+
 /// Resolves a page image at `snapshot`, going through the buffer pool.
 /// `access` is the cache-admission hint: `Scan` for bulk sweeps.
 fn resolve_page(
@@ -621,6 +739,31 @@ fn resolve_page(
     id: PageId,
     snapshot: u64,
     access: Access,
+) -> Result<Arc<PageData>> {
+    resolve(inner, id, snapshot, access, None)
+}
+
+/// The pool's image of `id` at `snapshot`, counted as a hit: the first
+/// step of [`resolve`] alone, which a scan takes before handing over the
+/// pages it walks onto next, so a hit does no more than
+/// [`resolve_page`]'s.
+#[inline]
+fn cached(inner: &StoreInner, id: PageId, snapshot: u64, access: Access) -> Option<Arc<PageData>> {
+    let (version, _) = resolve_version(inner, id, snapshot);
+    let data = inner.pool.get_with((id, version), access)?;
+    IoStats::bump(&inner.stats.pool_hits);
+    Some(data)
+}
+
+/// [`resolve_page`], given with `run` the pages a scan walks onto next:
+/// a miss in the main file then reads a run of them along
+/// ([`load_run`]).
+fn resolve(
+    inner: &StoreInner,
+    id: PageId,
+    snapshot: u64,
+    access: Access,
+    mut run: Option<Run<'_>>,
 ) -> Result<Arc<PageData>> {
     // Two attempts: when the oldest registered reader sits exactly at
     // the checkpoint watermark, a concurrent checkpoint may reset the
@@ -641,7 +784,11 @@ fn resolve_page(
             Some(_) => &inner.stats.wal_reads,
             None => &inner.stats.main_reads,
         });
-        match load_page(inner, id, from_wal) {
+        let loaded = match (from_wal, run.take()) {
+            (None, Some(run)) => load_run(inner, id, snapshot, access, run),
+            _ => load_page(inner, id, from_wal),
+        };
+        match loaded {
             Ok(p) => {
                 let data = Arc::new(p);
                 inner
@@ -803,6 +950,12 @@ impl ReadTxn {
     pub fn page_count(&self) -> u32 {
         self.meta.page_count
     }
+
+    /// First page of the freelist at this snapshot (`0`: empty). Each
+    /// free page links the next at byte offset 4.
+    pub fn freelist_head(&self) -> PageId {
+        self.meta.freelist_head
+    }
 }
 
 impl PageRead for ReadTxn {
@@ -818,6 +971,27 @@ impl PageRead for ReadTxn {
             return Err(StorageError::PageOutOfBounds(id));
         }
         resolve_page(&self.guard.inner, id, self.guard.snapshot, Access::Scan)
+    }
+
+    fn page_scan_run(
+        &self,
+        id: PageId,
+        then: &mut dyn Iterator<Item = PageId>,
+        ahead: &mut Vec<(PageId, Arc<PageData>)>,
+    ) -> Result<Arc<PageData>> {
+        if id >= self.meta.page_count {
+            return Err(StorageError::PageOutOfBounds(id));
+        }
+        let (inner, snapshot) = (&*self.guard.inner, self.guard.snapshot);
+        if let Some(hit) = cached(inner, id, snapshot, Access::Scan) {
+            return Ok(hit);
+        }
+        let run = Run {
+            then,
+            ahead,
+            page_count: self.meta.page_count,
+        };
+        resolve(inner, id, snapshot, Access::Scan, Some(run))
     }
 
     fn root(&self, slot: usize) -> PageId {
@@ -903,23 +1077,52 @@ impl WriteTxn {
 
     /// Allocates a page (reusing the freelist when possible) and
     /// returns its id with a zeroed image in the dirty set.
+    ///
+    /// A freelist head that is not a free page, links past the end of
+    /// the file, or outnumbers the free-page count is a
+    /// [`StorageError::Corrupt`]: handing such a page out would zero
+    /// whatever lives there at commit.
     pub fn allocate_page(&mut self) -> Result<PageId> {
         IoStats::bump(&self.inner.stats.pages_allocated);
         self.maybe_spill()?;
         if self.meta.freelist_head != 0 {
             let id = self.meta.freelist_head;
             let head = self.read_page_internal(id)?;
-            debug_assert_eq!(head.page_type(), page_type::FREE);
-            self.meta.freelist_head = head.get_u32(4);
+            let next = head.get_u32(4);
+            if head.page_type() != page_type::FREE
+                || next >= self.meta.page_count
+                || self.meta.freelist_count == 0
+            {
+                return Err(StorageError::Corrupt(format!(
+                    "freelist head {id}: type {}, next {next}, {} free pages counted",
+                    head.page_type(),
+                    self.meta.freelist_count
+                )));
+            }
+            self.meta.freelist_head = next;
             self.meta.freelist_count -= 1;
-            self.pre.remove(&id);
-            self.dirty.insert(id, Arc::new(PageData::zeroed()));
+            self.claim_page(id)?;
             return Ok(id);
         }
         let id = self.meta.page_count;
         self.meta.page_count += 1;
         self.dirty.insert(id, Arc::new(PageData::zeroed()));
         Ok(id)
+    }
+
+    /// Gives page `id` — one the caller owns, such as a page of a tree
+    /// it is rewriting — a zeroed image in the dirty set without reading
+    /// what it held: the state [`WriteTxn::allocate_page`] leaves a page
+    /// in.
+    pub fn claim_page(&mut self, id: PageId) -> Result<()> {
+        debug_assert_ne!(id, 0, "the header page is never claimed");
+        if id >= self.meta.page_count {
+            return Err(StorageError::PageOutOfBounds(id));
+        }
+        self.maybe_spill()?;
+        self.pre.remove(&id);
+        self.dirty.insert(id, Arc::new(PageData::zeroed()));
+        Ok(())
     }
 
     /// Returns a page to the freelist.
@@ -1075,6 +1278,27 @@ impl WriteTxn {
 impl PageRead for WriteTxn {
     fn page(&self, id: PageId) -> Result<Arc<PageData>> {
         self.read_page_internal(id)
+    }
+
+    fn page_scan_run(
+        &self,
+        id: PageId,
+        then: &mut dyn Iterator<Item = PageId>,
+        ahead: &mut Vec<(PageId, Arc<PageData>)>,
+    ) -> Result<Arc<PageData>> {
+        let own = |id: &PageId| self.dirty.contains_key(id) || self.spilled.contains_key(id);
+        if own(&id) || id >= self.meta.page_count {
+            return self.read_page_internal(id);
+        }
+        if let Some(hit) = cached(&self.inner, id, self.snapshot, Access::Point) {
+            return Ok(hit);
+        }
+        let run = Run {
+            then: &mut then.take_while(|id| !own(id)),
+            ahead,
+            page_count: self.meta.page_count,
+        };
+        resolve(&self.inner, id, self.snapshot, Access::Point, Some(run))
     }
 
     fn root(&self, slot: usize) -> PageId {
@@ -1720,6 +1944,177 @@ mod tests {
         txn.commit().unwrap(); // warming the pool overflows the budget
         let evicted = store.stats().since(&before).pool_evictions;
         assert!(evicted > 0, "evictions must surface in StoreStats");
+    }
+
+    /// Counts `read_exact_at` calls on the files of a wrapped VFS.
+    struct ReadCalls(Arc<AtomicU64>);
+
+    struct CountedFile(Box<dyn VfsFile>, Arc<AtomicU64>);
+
+    impl Vfs for ReadCalls {
+        fn name(&self) -> &'static str {
+            "read-calls"
+        }
+        fn open(&self, path: &Path, mode: OpenMode) -> std::io::Result<Box<dyn VfsFile>> {
+            let file = StdVfs.open(path, mode)?;
+            Ok(Box::new(CountedFile(file, Arc::clone(&self.0))))
+        }
+        fn exists(&self, path: &Path) -> bool {
+            StdVfs.exists(path)
+        }
+    }
+
+    impl VfsFile for CountedFile {
+        fn read_exact_at(&self, buf: &mut [u8], offset: u64) -> std::io::Result<()> {
+            self.1.fetch_add(1, Ordering::Relaxed);
+            self.0.read_exact_at(buf, offset)
+        }
+        fn write_all_at(&self, buf: &[u8], offset: u64) -> std::io::Result<()> {
+            self.0.write_all_at(buf, offset)
+        }
+        fn sync(&self) -> std::io::Result<()> {
+            self.0.sync()
+        }
+        fn set_len(&self, len: u64) -> std::io::Result<()> {
+            self.0.set_len(len)
+        }
+        fn len(&self) -> std::io::Result<u64> {
+            self.0.len()
+        }
+    }
+
+    /// A tree rewritten onto ascending page ids and checkpointed: a cold
+    /// scan reads runs of leaves in single calls yet counts every page
+    /// as one miss, touching exactly the pages a warm scan touches —
+    /// also for a range that ends mid-tree. Before the checkpoint the
+    /// leaves live in the WAL and are read one at a time.
+    #[test]
+    fn a_cold_scan_reads_runs_of_leaves_and_counts_each_page() {
+        use crate::btree::BTree;
+        use std::ops::Bound;
+        let dir = tempfile::tempdir().unwrap();
+        let calls = Arc::new(AtomicU64::new(0));
+        let store = Store::create(
+            dir.path().join("db"),
+            StoreOptions {
+                vfs: Arc::new(ReadCalls(Arc::clone(&calls))),
+                ..opts()
+            },
+        )
+        .unwrap();
+        let key = |i: u32| format!("k{i:06}").into_bytes();
+        let mut txn = store.begin_write().unwrap();
+        let tree = BTree::create(&mut txn).unwrap();
+        for i in 0..3000u32 {
+            tree.insert(&mut txn, &key(i * 7 % 3000), &[7; 300])
+                .unwrap();
+        }
+        txn.commit().unwrap();
+        let mut txn = store.begin_write().unwrap();
+        let old = store.begin_read();
+        let cells = (0..3000).map(|i| Ok::<_, StorageError>((key(i), vec![i as u8; 300], false)));
+        tree.rewrite(&mut txn, cells).unwrap();
+        drop(old);
+        txn.commit().unwrap();
+
+        // Scans all rows, or the rows up to `end`, counting what they do.
+        let scan = |end: Bound<Vec<u8>>| {
+            let (before, calls_before) = (store.stats(), calls.load(Ordering::Relaxed));
+            let r = store.begin_read();
+            let mut rows = 0;
+            for kv in tree.range(&r, Bound::Unbounded, end).unwrap() {
+                kv.unwrap();
+                rows += 1;
+            }
+            let io = store.stats().since(&before);
+            (rows, io, calls.load(Ordering::Relaxed) - calls_before)
+        };
+        let (rows, wal_cold, wal_calls) = {
+            store.purge_cache();
+            scan(Bound::Unbounded)
+        };
+        assert_eq!(rows, 3000);
+        assert_eq!(
+            wal_calls, wal_cold.wal_reads,
+            "one call per WAL page: {wal_cold:?}"
+        );
+        assert!(store.checkpoint().unwrap());
+        for end in [Bound::Unbounded, Bound::Excluded(key(1234))] {
+            let (_, warm, _) = scan(end.clone());
+            store.purge_cache();
+            let (rows, cold, cold_calls) = scan(end.clone());
+            assert_eq!(rows, if end == Bound::Unbounded { 3000 } else { 1234 });
+            assert_eq!(cold.disk_reads(), cold.pool_misses, "{cold:?}");
+            assert_eq!(cold.pool_hits + cold.pool_misses, warm.pool_hits, "{end:?}");
+            assert!(
+                cold_calls * 6 < cold.main_reads,
+                "{cold_calls} calls for {} pages",
+                cold.main_reads
+            );
+        }
+    }
+
+    #[test]
+    fn a_header_with_an_impossible_freelist_does_not_open() {
+        let dir = tempfile::tempdir().unwrap();
+        let path = dir.path().join("db");
+        let store = Store::create(&path, opts()).unwrap();
+        let mut txn = store.begin_write().unwrap();
+        let a = txn.allocate_page().unwrap();
+        fill(&mut txn, a, 1);
+        txn.commit().unwrap();
+        store.close().unwrap();
+        let header = |head: u32, count: u32| {
+            let mut p = PageData::zeroed();
+            let f = StdVfs.open(&path, OpenMode::Open).unwrap();
+            f.read_exact_at(&mut p[..], 0).unwrap();
+            p.put_u32(OFF_FREELIST_HEAD, head);
+            p.put_u32(OFF_FREELIST_COUNT, count);
+            f.write_all_at(&p[..], 0).unwrap();
+        };
+        for (head, count) in [(2, 1), (a, 0), (0, 3)] {
+            header(head, count);
+            let err = Store::open(&path, opts()).unwrap_err();
+            assert!(
+                matches!(err, StorageError::BadHeader(_)),
+                "{head}/{count}: {err}"
+            );
+        }
+        header(0, 0);
+        Store::open(&path, opts()).unwrap();
+    }
+
+    /// A freelist head naming a live page is refused at allocation, and
+    /// the page keeps its bytes.
+    #[test]
+    fn allocating_from_a_corrupt_freelist_is_an_error() {
+        let dir = tempfile::tempdir().unwrap();
+        let path = dir.path().join("db");
+        let store = Store::create(&path, opts()).unwrap();
+        let mut txn = store.begin_write().unwrap();
+        let (a, b) = (txn.allocate_page().unwrap(), txn.allocate_page().unwrap());
+        fill(&mut txn, a, 1);
+        fill(&mut txn, b, 2);
+        txn.commit().unwrap();
+        let mut txn = store.begin_write().unwrap();
+        txn.free_page(b).unwrap();
+        txn.commit().unwrap();
+        store.close().unwrap();
+        let f = StdVfs.open(&path, OpenMode::Open).unwrap();
+        let mut p = PageData::zeroed();
+        f.read_exact_at(&mut p[..], 0).unwrap();
+        p.put_u32(OFF_FREELIST_HEAD, a);
+        f.write_all_at(&p[..], 0).unwrap();
+
+        let store = Store::open(&path, opts()).unwrap();
+        let mut txn = store.begin_write().unwrap();
+        let err = txn.allocate_page().unwrap_err();
+        assert!(
+            matches!(err, StorageError::Corrupt(ref m) if m.contains(&format!("head {a}"))),
+            "{err}"
+        );
+        drop(txn);
+        assert_eq!(store.begin_read().page(a).unwrap()[100], 1);
     }
 
     #[test]
