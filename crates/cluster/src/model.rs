@@ -1,7 +1,7 @@
 //! The trained quantizer: cluster centroids plus nearest-centroid
 //! queries ("FindNearestCentroids" of Algorithm 2).
 
-use micronn_linalg::{Metric, TopK};
+use micronn_linalg::{kernels, Metric, TopK};
 
 /// A trained clustering: `k` centroids of dimension `dim` under a
 /// metric. This is the IVF quantizer persisted to the centroids table.
@@ -59,9 +59,22 @@ impl Clustering {
         &mut self.centroids[i * self.dim..(i + 1) * self.dim]
     }
 
-    /// Nearest centroid to `x` and its distance. Panics if `k == 0`.
+    /// Nearest centroid to `x` and its distance, the first on ties.
+    /// Panics if `k == 0`.
+    ///
+    /// Under L2 this is the dispatched centroid search with its check
+    /// on: an L2 sum only grows as components are added, so a centroid
+    /// whose first 16 components already reach the best distance so
+    /// far cannot win and is dropped, and the answer is the full loop's
+    /// bit for bit. Partial cosine and dot sums can still fall, so
+    /// those metrics score every centroid in full.
     pub fn nearest(&self, x: &[f32]) -> (usize, f32) {
         assert!(self.k > 0, "empty clustering");
+        debug_assert_eq!(x.len(), self.dim);
+        if self.metric == Metric::L2 {
+            let a = (kernels().centroid_argmin)(x, &self.centroids, None, true);
+            return (a.index, a.score);
+        }
         let mut best = (0usize, f32::INFINITY);
         for i in 0..self.k {
             let d = self.metric.distance(x, self.centroid(i));

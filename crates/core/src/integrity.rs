@@ -257,7 +257,8 @@ impl crate::snapshot::Snapshot {
             }
         }
 
-        // Pass 3 — centroids: dimensions, exact sizes, id coverage.
+        // Pass 3 — centroids: dimensions, finite components, exact
+        // sizes, id coverage.
         let mut centroid_pids: BTreeSet<i64> = BTreeSet::new();
         let mut max_pid = 0i64;
         for c in t.centroids(r)? {
@@ -270,6 +271,11 @@ impl crate::snapshot::Snapshot {
             }
             if c.centroid.len() != dim {
                 rep.error(format!("centroid {pid}: payload is not a {dim}-d f32 blob"));
+            }
+            if let Some(v) = c.centroid.iter().find(|v| !v.is_finite()) {
+                // A non-finite centroid scores NaN or ∞ against every
+                // vector: no flush or query ever picks its partition.
+                rep.error(format!("centroid {pid}: component {v} is not finite"));
             }
             let actual = part_counts.get(&pid).copied().unwrap_or(0);
             if c.size != actual {

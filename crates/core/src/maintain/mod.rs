@@ -214,11 +214,15 @@ impl MicroNN {
             let (ci, _) = clustering.nearest(&m.vector);
             w.relocate(DELTA_PARTITION, partitions[ci], m.vid)?;
             // Running-mean centroid update [1]: c ← c + (x − c)/(m+1).
+            // A vector with a NaN or ∞ component joins the partition but
+            // moves no centroid: the centroid would keep it for good.
             let n = sizes[ci];
-            let centroid = clustering.centroid_mut(ci);
-            let eta = 1.0 / (n as f32 + 1.0);
-            for (cv, xv) in centroid.iter_mut().zip(&m.vector) {
-                *cv += eta * (xv - *cv);
+            if m.vector.iter().all(|v| v.is_finite()) {
+                let centroid = clustering.centroid_mut(ci);
+                let eta = 1.0 / (n as f32 + 1.0);
+                for (cv, xv) in centroid.iter_mut().zip(&m.vector) {
+                    *cv += eta * (xv - *cv);
+                }
             }
             sizes[ci] = n + 1;
             dest.entry(ci).or_default().push(m);

@@ -132,6 +132,26 @@ fn nan_and_extreme_vectors_do_not_poison_results() {
     // NaN distances sort last; the finite vectors come first.
     assert_eq!(got.results.len(), 3);
     assert!(!got.results[0].distance.is_nan());
+    // A rebuild trains on the NaN row too, and must not write it into a
+    // centroid: every centroid stays finite, so fsck is clean and every
+    // partition can still win a finite vector.
+    let rows: Vec<VectorRecord> = (10..70)
+        .map(|i| VectorRecord::new(i, vec![(i % 5) as f32 + 2.0; 4]))
+        .chain([VectorRecord::new(4, vec![f32::INFINITY, 0.0, 0.0, 0.0])])
+        .collect();
+    db.upsert_batch(&rows).unwrap();
+    db.rebuild().unwrap();
+    let report = db.verify_integrity().unwrap();
+    assert!(report.is_clean(), "{:?}", report.errors);
+    let got = db.search(&[1.0; 4], 3).unwrap();
+    assert_eq!(got.results[0].asset_id, 1);
+    assert_eq!(got.results[0].distance, 0.0);
+    // A flush places a NaN row from the delta store without folding it
+    // into its partition's centroid.
+    db.upsert(VectorRecord::new(5, vec![f32::NAN; 4])).unwrap();
+    assert_eq!(db.flush_delta().unwrap().flushed, 1);
+    let report = db.verify_integrity().unwrap();
+    assert!(report.is_clean(), "{:?}", report.errors);
 }
 
 #[test]

@@ -34,10 +34,31 @@
 //! of a zero extreme, which cannot reach the output), sums them in
 //! dimension order through the one shared `PlaneSums`, and rounds with
 //! the scalar `round_to_u8` rule — so `lut` bytes, `bias` bits and
-//! `delta` bits match. Consequently query results do not depend on
+//! `delta` bits match.
+//!
+//! The centroid search (`centroid_argmin`, the nearest-centroid step of
+//! k-means training and of assigning a vector to a partition) returns
+//! the first index of the least `l2_sq(x, cᵢ) · sᵢ` and that score,
+//! bit-identical to a plain loop over the scalar `l2_sq`: each vector
+//! backend sums a centroid in `l2_sq`'s lanes, reduction and tail. With
+//! its check on, it sums the first 16 components and drops the centroid
+//! if that partial sum (reduced in the same lane order) times `sᵢ` is
+//! already at least the best score so far. That cannot change the
+//! answer: every lane only adds squares, which are ≥ 0, and adding a
+//! non-negative float never lowers a sum, so the partial sum is at most
+//! the final one; multiplying by `sᵢ > 0` keeps that order; and the
+//! plain loop takes a centroid only on a strictly smaller score, so one
+//! whose final score is ≥ the best could never have been taken. A NaN
+//! makes the comparison false, so nothing is dropped on it, and a
+//! centroid whose scale is ≤ 0 or NaN is never dropped at all (its
+//! score need not grow with the sum). Every backend checks the same partial
+//! sums, so even the count of dropped centroids agrees. Partial cosine
+//! and dot sums are not monotone, so no kernel drops on them.
+//!
+//! Consequently query results and trained centroids do not depend on
 //! which backend the dispatcher picked — the proptests in
-//! `tests/proptest_linalg.rs` and `sq4.rs` assert bit equality across
-//! backends.
+//! `tests/proptest_linalg.rs`, `sq4.rs` and below assert bit equality
+//! across backends.
 //!
 //! # Forcing a backend
 //!
@@ -78,6 +99,41 @@ pub type DotNormU8Fn = fn(&[f32], &[f32], &[f32], &[u8]) -> (f32, f32);
 /// Signature of the SQ4 plane build:
 /// `(entry, query, ranges, mins scratch, lut) -> (bias, delta)`.
 pub type Sq4PlaneFn = fn(PlaneEntry, &[f32], &Sq8Params, &mut [f32], &mut [u8]) -> (f32, f32);
+
+/// Signature of the centroid search:
+/// `(x, centroids, scales, check) -> nearest`.
+pub type CentroidArgminFn = fn(&[f32], &[f32], Option<&[f32]>, bool) -> Argmin;
+
+/// The answer of a centroid search ([`Kernels::centroid_argmin`]).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Argmin {
+    /// The first centroid with the least score; 0 when none scored
+    /// below +∞ (every score +∞ or NaN).
+    pub index: usize,
+    /// That centroid's score, +∞ when none won.
+    pub score: f32,
+    /// Centroids the check dropped before their last component.
+    pub dropped: usize,
+}
+
+impl Argmin {
+    /// No centroid seen yet.
+    pub(crate) const NONE: Argmin = Argmin {
+        index: 0,
+        score: f32::INFINITY,
+        dropped: 0,
+    };
+
+    /// Takes centroid `i` if it scores strictly less than the best so
+    /// far, so the first of equal scores wins and a NaN never does.
+    #[inline(always)]
+    pub(crate) fn offer(&mut self, i: usize, score: f32) {
+        if score < self.score {
+            self.index = i;
+            self.score = score;
+        }
+    }
+}
 
 /// Dispatch table of hot kernels, selected once per process.
 ///
@@ -122,6 +178,15 @@ pub struct Kernels {
     /// `mins` is `dim` floats of scratch. See `crate::sq4` for the
     /// quantization and [`scalar::sq4_plane`] for the reference loop.
     pub sq4_plane: Sq4PlaneFn,
+    /// Centroid search: the first index of the least `l2_sq(x, cᵢ) · sᵢ`
+    /// over a flat `k × x.len()` matrix (`l2_sq` alone when `scales` is
+    /// `None`), each sum in `l2_sq`'s lane order. With `check`, a
+    /// centroid whose first 16 components (of more than 16) already
+    /// score at least the best so far is dropped and counted in
+    /// [`Argmin::dropped`]; see the [module docs](self) for why that
+    /// never changes the answer. Panics on an empty `x`, a matrix that
+    /// is not `k × x.len()`, or not one scale per row.
+    pub centroid_argmin: CentroidArgminFn,
 }
 
 impl std::fmt::Debug for Kernels {
@@ -144,6 +209,7 @@ static SCALAR: Kernels = Kernels {
     dot_norm_u8: scalar::dot_norm_u8,
     sq4_accumulate: scalar::sq4_accumulate,
     sq4_plane: scalar::sq4_plane,
+    centroid_argmin: scalar::centroid_argmin,
 };
 
 /// The portable scalar reference table (always available).
@@ -332,6 +398,129 @@ mod tests {
                 let in_place = RowScorer::new(metric, query).distance(bytes);
                 prop_assert!(same(decoded, in_place), "{} {} vs {}", metric, decoded, in_place);
             }
+        }
+    }
+
+    /// The search every backend's `centroid_argmin` stands in for:
+    /// score every centroid in full with the scalar `l2_sq`, keep the
+    /// first strictly least score.
+    fn plain_argmin(x: &[f32], centroids: &[f32], scales: Option<&[f32]>) -> (usize, f32) {
+        let mut best = (0, f32::INFINITY);
+        for (i, c) in centroids.chunks_exact(x.len()).enumerate() {
+            let d = (scalar_kernels().l2_sq)(x, c);
+            let score = scales.map_or(d, |s| d * s[i]);
+            if score < best.1 {
+                best = (i, score);
+            }
+        }
+        best
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 256, ..ProptestConfig::default() })]
+
+        #[test]
+        fn centroid_argmin_is_bit_identical_to_the_plain_loop(
+            dim in prop_oneof![
+                Just(1usize), Just(7), Just(15), Just(16), Just(17), Just(24), Just(129), 1usize..=300
+            ],
+            k in prop_oneof![Just(1usize), 2usize..=16, 1usize..=300],
+            x in floats(),
+            pool in proptest::collection::vec(floats(), 3..=3),
+            picks in proptest::collection::vec((0usize..8, any::<u32>()), 300..=300),
+            scale_kind in 0usize..7,
+        ) {
+            let x = &x[..dim];
+            // Centroid `i` is a window of a random row, a copy of an
+            // earlier centroid, `x` itself (an exact tie at 0), `x`
+            // with one component moved (ties until that component), or
+            // `x` shifted a little everywhere (a close one).
+            let mut centroids: Vec<f32> = Vec::with_capacity(k * dim);
+            for (i, &(kind, r)) in picks[..k].iter().enumerate() {
+                let r = r as usize;
+                match kind {
+                    0..=2 => {
+                        let from = r % (301 - dim);
+                        centroids.extend_from_slice(&pool[kind][from..from + dim]);
+                    }
+                    3 if i > 0 => {
+                        let from = (r % i) * dim;
+                        centroids.extend_from_within(from..from + dim);
+                    }
+                    5 => {
+                        centroids.extend_from_slice(x);
+                        let at = centroids.len() - dim + r % dim;
+                        centroids[at] += 1.0 + (r % 7) as f32;
+                    }
+                    6 => centroids.extend(x.iter().map(|v| v + 0.125 * (r % 5) as f32)),
+                    _ => centroids.extend_from_slice(x),
+                }
+            }
+            // Per-centroid scales: none, all 1, all equal, ordinary,
+            // some huge, some ≤ 0 (−0.0 included), some NaN or +∞.
+            let scales: Vec<f32> = (picks[..k].iter())
+                .map(|&(_, r)| {
+                    let ordinary = 1.0 + (r % 1000) as f32 / 250.0;
+                    match (scale_kind, r % 4) {
+                        (1, _) => 1.0,
+                        (2, _) => 1.75,
+                        (4, 0) => 1e30,
+                        (5, 0) => 0.0,
+                        (5, 1) => -1.5,
+                        (5, 2) => -0.0,
+                        (6, 0) => f32::NAN,
+                        (6, 1) => f32::INFINITY,
+                        _ => ordinary,
+                    }
+                })
+                .collect();
+            let scales = (scale_kind > 0).then_some(&scales[..]);
+            let (index, score) = plain_argmin(x, &centroids, scales);
+            let s = scalar_kernels();
+            for check in [false, true] {
+                let reference = (s.centroid_argmin)(x, &centroids, scales, check);
+                for k in [kernels(), s] {
+                    let got = (k.centroid_argmin)(x, &centroids, scales, check);
+                    prop_assert_eq!(got.index, index, "{} check {}", k.backend, check);
+                    prop_assert_eq!(
+                        got.score.to_bits(), score.to_bits(),
+                        "{} check {}: {} vs {}", k.backend, check, got.score, score
+                    );
+                    // Every backend checks the same partial sums.
+                    prop_assert_eq!(got.dropped, reference.dropped, "{} dropped", k.backend);
+                }
+                if !check {
+                    prop_assert_eq!(reference.dropped, 0);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn the_check_drops_what_cannot_win_and_nothing_else() {
+        let dim = 40;
+        let x = vec![0.0f32; dim];
+        // Centroid 0 is `x`; centroid 1 differs only after the check,
+        // so it reaches it tied; centroid 2 is already farther at it.
+        let mut centroids = vec![0.0f32; 3 * dim];
+        centroids[dim + 30] = 1.0;
+        centroids[2 * dim] = 1.0;
+        for k in [kernels(), scalar_kernels()] {
+            let on = (k.centroid_argmin)(&x, &centroids, None, true);
+            assert_eq!(
+                (on.index, on.score, on.dropped),
+                (0, 0.0, 2),
+                "{}",
+                k.backend
+            );
+            let off = (k.centroid_argmin)(&x, &centroids, None, false);
+            assert_eq!((off.index, off.dropped), (0, 0), "{}", k.backend);
+            // A negative or NaN scale is never dropped: its score falls
+            // or stays NaN as the sum grows.
+            let scales = [1.0, -1.0, f32::NAN];
+            let found = (k.centroid_argmin)(&x, &centroids, Some(&scales), true);
+            assert_eq!((found.index, found.dropped), (1, 0), "{}", k.backend);
+            assert_eq!(found.score, -1.0);
         }
     }
 

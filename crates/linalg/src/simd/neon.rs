@@ -29,8 +29,8 @@
 
 #![allow(unsafe_code)]
 
-use super::scalar::{assert_row_len, le_at};
-use super::{as_le_bytes, Kernels};
+use super::scalar::{assert_row_len, centroids_of, le_at, CHECK_AT};
+use super::{as_le_bytes, Argmin, Kernels};
 use crate::sq4::{PlaneEntry, PlaneSums, SQ4_BLOCK};
 use crate::sq8::Sq8Params;
 use core::arch::aarch64::*;
@@ -47,6 +47,7 @@ pub(super) static NEON: Kernels = Kernels {
     dot_norm_u8,
     sq4_accumulate,
     sq4_plane,
+    centroid_argmin,
 };
 
 fn dot(a: &[f32], b: &[f32]) -> f32 {
@@ -105,6 +106,13 @@ fn sq4_plane(
 ) -> (f32, f32) {
     // SAFETY: as above.
     unsafe { sq4_plane_impl(entry, query, params, mins, lut) }
+}
+
+fn centroid_argmin(x: &[f32], centroids: &[f32], scales: Option<&[f32]>, check: bool) -> Argmin {
+    let rows = centroids_of(x, centroids, scales);
+    // SAFETY: NEON is baseline on aarch64; every row of `rows` holds
+    // `x.len()` f32s.
+    unsafe { centroid_argmin_impl(x, rows, scales, check) }
 }
 
 /// Spills the two 4-lane accumulators (scalar lanes 0..4 and 4..8)
@@ -186,6 +194,65 @@ unsafe fn l2_sq_impl(a: &[u8], b: &[u8]) -> f32 {
         sum += d * d;
     }
     sum
+}
+
+/// `acc + (a − b)²` over the four f32s at `a` and at `b`.
+#[target_feature(enable = "neon")]
+#[inline]
+unsafe fn add_sq4(acc: float32x4_t, a: *const f32, b: *const f32) -> float32x4_t {
+    let d = vsubq_f32(vld1q_f32(a), vld1q_f32(b));
+    vaddq_f32(acc, vmulq_f32(d, d))
+}
+
+/// [`scalar::centroid_argmin`](super::scalar::centroid_argmin) with
+/// the loop over centroids inside one NEON function: each centroid's
+/// lanes as in [`l2_sq_impl`], the check one [`hsum`] after the first
+/// [`CHECK_AT`] components.
+///
+/// # Safety
+/// Every row of `rows` is `x.len()` long.
+#[target_feature(enable = "neon")]
+unsafe fn centroid_argmin_impl(
+    x: &[f32],
+    rows: std::slice::ChunksExact<'_, f32>,
+    scales: Option<&[f32]>,
+    check: bool,
+) -> Argmin {
+    let dim = x.len();
+    let n = dim - dim % 8;
+    let check = check && dim > CHECK_AT;
+    let px = x.as_ptr();
+    let mut best = Argmin::NONE;
+    for (i, c) in rows.enumerate() {
+        let s = scales.map_or(1.0, |s| s[i]);
+        let pc = c.as_ptr();
+        let mut acc0 = vdupq_n_f32(0.0);
+        let mut acc1 = vdupq_n_f32(0.0);
+        let mut j = 0;
+        if check {
+            while j < CHECK_AT {
+                acc0 = add_sq4(acc0, px.add(j), pc.add(j));
+                acc1 = add_sq4(acc1, px.add(j + 4), pc.add(j + 4));
+                j += 8;
+            }
+            if s > 0.0 && hsum(acc0, acc1) * s >= best.score {
+                best.dropped += 1;
+                continue;
+            }
+        }
+        while j < n {
+            acc0 = add_sq4(acc0, px.add(j), pc.add(j));
+            acc1 = add_sq4(acc1, px.add(j + 4), pc.add(j + 4));
+            j += 8;
+        }
+        let mut sum = hsum(acc0, acc1);
+        for t in n..dim {
+            let d = x[t] - c[t];
+            sum += d * d;
+        }
+        best.offer(i, scales.map_or(sum, |_| sum * s));
+    }
+    best
 }
 
 #[target_feature(enable = "neon")]

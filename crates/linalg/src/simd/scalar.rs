@@ -9,10 +9,16 @@
 use crate::sq4::{round_to_u8, PlaneEntry, PlaneSums, SQ4_BLOCK};
 use crate::sq8::Sq8Params;
 
+use super::Argmin;
+
 /// Accumulator width. Eight lanes matches one AVX2 register of f32
 /// (and two NEON registers), which is what makes the vector forms
 /// bit-identical: each vector lane replays exactly one scalar lane.
 pub(crate) const LANES: usize = 8;
+
+/// Components [`centroid_argmin`] sums before its one check: two
+/// chunks of lanes, so every backend checks the same partial sums.
+pub(crate) const CHECK_AT: usize = 2 * LANES;
 
 /// Inner product `Σ aᵢ·bᵢ`. Slices must have equal length.
 pub fn dot(a: &[f32], b: &[f32]) -> f32 {
@@ -36,18 +42,79 @@ pub fn l2_sq(a: &[f32], b: &[f32]) -> f32 {
     debug_assert_eq!(a.len(), b.len());
     let n = a.len() - a.len() % LANES;
     let mut acc = [0.0f32; LANES];
-    for (ca, cb) in a[..n].chunks_exact(LANES).zip(b[..n].chunks_exact(LANES)) {
-        for i in 0..LANES {
-            let d = ca[i] - cb[i];
-            acc[i] += d * d;
-        }
-    }
+    add_sq_lanes(&mut acc, &a[..n], &b[..n]);
     let mut sum: f32 = acc.iter().sum();
     for i in n..a.len() {
         let d = a[i] - b[i];
         sum += d * d;
     }
     sum
+}
+
+/// Adds `(aᵢ−bᵢ)²` into lane `i % LANES`, over whole chunks of lanes.
+#[inline(always)]
+fn add_sq_lanes(acc: &mut [f32; LANES], a: &[f32], b: &[f32]) {
+    for (ca, cb) in a.chunks_exact(LANES).zip(b.chunks_exact(LANES)) {
+        for i in 0..LANES {
+            let d = ca[i] - cb[i];
+            acc[i] += d * d;
+        }
+    }
+}
+
+/// The nearest of a flat `k × x.len()` centroid matrix to `x`, scored
+/// `l2_sq(x, cᵢ) · sᵢ` (`l2_sq` alone without `scales`), first index on
+/// ties. With `check`, a centroid whose first 16 (`CHECK_AT`) components
+/// already score at least the best so far is dropped (see the
+/// [module docs](super) for why that never changes the answer).
+pub fn centroid_argmin(
+    x: &[f32],
+    centroids: &[f32],
+    scales: Option<&[f32]>,
+    check: bool,
+) -> Argmin {
+    let dim = x.len();
+    let n = dim - dim % LANES;
+    let check = check && dim > CHECK_AT;
+    let mut best = Argmin::NONE;
+    for (i, c) in centroids_of(x, centroids, scales).enumerate() {
+        let s = scales.map_or(1.0, |s| s[i]);
+        let mut acc = [0.0f32; LANES];
+        let mut from = 0;
+        if check {
+            add_sq_lanes(&mut acc, &x[..CHECK_AT], &c[..CHECK_AT]);
+            let partial: f32 = acc.iter().sum();
+            if s > 0.0 && partial * s >= best.score {
+                best.dropped += 1;
+                continue;
+            }
+            from = CHECK_AT;
+        }
+        add_sq_lanes(&mut acc, &x[from..n], &c[from..n]);
+        let mut sum: f32 = acc.iter().sum();
+        for j in n..dim {
+            let d = x[j] - c[j];
+            sum += d * d;
+        }
+        best.offer(i, scales.map_or(sum, |_| sum * s));
+    }
+    best
+}
+
+/// The centroids of `centroids`, each `x.len()` long, after checking
+/// the shapes every backend's [`centroid_argmin`] relies on.
+pub(crate) fn centroids_of<'a>(
+    x: &[f32],
+    centroids: &'a [f32],
+    scales: Option<&[f32]>,
+) -> std::slice::ChunksExact<'a, f32> {
+    let dim = x.len();
+    assert!(dim > 0, "centroid search of an empty vector");
+    assert_eq!(centroids.len() % dim, 0, "centroid matrix is not k × {dim}");
+    if let Some(s) = scales {
+        assert_eq!(s.len(), centroids.len() / dim, "one scale per centroid");
+    }
+    centroids.chunks_exact(dim)
 }
 
 /// Component `i` of a row of little-endian f32s.

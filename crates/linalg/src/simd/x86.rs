@@ -32,8 +32,8 @@
 
 #![allow(unsafe_code)]
 
-use super::scalar::{assert_row_len, le_at};
-use super::{as_le_bytes, Kernels};
+use super::scalar::{assert_row_len, centroids_of, le_at, CHECK_AT};
+use super::{as_le_bytes, Argmin, Kernels};
 use crate::sq4::{PlaneEntry, PlaneSums, SQ4_BLOCK};
 use crate::sq8::Sq8Params;
 use core::arch::x86_64::*;
@@ -50,6 +50,7 @@ pub(super) static AVX2: Kernels = Kernels {
     dot_norm_u8,
     sq4_accumulate,
     sq4_plane,
+    centroid_argmin,
 };
 
 fn dot(a: &[f32], b: &[f32]) -> f32 {
@@ -108,6 +109,12 @@ fn sq4_plane(
 ) -> (f32, f32) {
     // SAFETY: as above.
     unsafe { sq4_plane_impl(entry, query, params, mins, lut) }
+}
+
+fn centroid_argmin(x: &[f32], centroids: &[f32], scales: Option<&[f32]>, check: bool) -> Argmin {
+    let rows = centroids_of(x, centroids, scales);
+    // SAFETY: as above; every row of `rows` holds `x.len()` f32s.
+    unsafe { centroid_argmin_impl(x, rows, scales, check) }
 }
 
 /// Spills an 8-lane accumulator and reduces it in scalar lane order.
@@ -178,6 +185,62 @@ unsafe fn l2_sq_impl(a: &[u8], b: &[u8]) -> f32 {
         sum += d * d;
     }
     sum
+}
+
+/// `acc + (a − b)²` over the eight f32s at `a` and at `b`.
+#[target_feature(enable = "avx2")]
+#[inline]
+unsafe fn add_sq8(acc: __m256, a: *const f32, b: *const f32) -> __m256 {
+    let d = _mm256_sub_ps(_mm256_loadu_ps(a), _mm256_loadu_ps(b));
+    _mm256_add_ps(acc, _mm256_mul_ps(d, d))
+}
+
+/// [`scalar::centroid_argmin`](super::scalar::centroid_argmin) with
+/// the loop over centroids inside one AVX2 function: each centroid's
+/// lanes as in [`l2_sq_impl`], the check one [`hsum`] after the first
+/// [`CHECK_AT`] components.
+///
+/// # Safety
+/// AVX2 is available and every row of `rows` is `x.len()` long.
+#[target_feature(enable = "avx2")]
+unsafe fn centroid_argmin_impl(
+    x: &[f32],
+    rows: std::slice::ChunksExact<'_, f32>,
+    scales: Option<&[f32]>,
+    check: bool,
+) -> Argmin {
+    let dim = x.len();
+    let n = dim - dim % 8;
+    let check = check && dim > CHECK_AT;
+    let px = x.as_ptr();
+    let mut best = Argmin::NONE;
+    for (i, c) in rows.enumerate() {
+        let s = scales.map_or(1.0, |s| s[i]);
+        let pc = c.as_ptr();
+        let mut acc = _mm256_setzero_ps();
+        let mut j = 0;
+        if check {
+            while j < CHECK_AT {
+                acc = add_sq8(acc, px.add(j), pc.add(j));
+                j += 8;
+            }
+            if s > 0.0 && hsum(acc) * s >= best.score {
+                best.dropped += 1;
+                continue;
+            }
+        }
+        while j < n {
+            acc = add_sq8(acc, px.add(j), pc.add(j));
+            j += 8;
+        }
+        let mut sum = hsum(acc);
+        for t in n..dim {
+            let d = x[t] - c[t];
+            sum += d * d;
+        }
+        best.offer(i, scales.map_or(sum, |_| sum * s));
+    }
+    best
 }
 
 #[target_feature(enable = "avx2")]
