@@ -616,13 +616,19 @@ impl Tables {
         int_cols::<3, R>(&self.assets, r, None)
     }
 
-    fn centroid_row(dec: &mut RowDecoder<'_>) -> Result<CentroidRow> {
+    /// The one `centroids` row decoder: `(partition, centroid blob,
+    /// size)`, the blob borrowed from `row`.
+    fn centroid_fields(row: &[u8]) -> Result<(i64, &[u8], i64)> {
+        let dec = &mut RowDecoder::new(row)?;
         let partition = int(dec, "partition")?;
-        let centroid = blob_to_f32(dec.next_blob()?)?;
-        let size = int(dec, "size")?;
+        let centroid = dec.next_blob()?;
+        Ok((partition, centroid, int(dec, "size")?))
+    }
+
+    fn centroid_row((partition, centroid, size): (i64, &[u8], i64)) -> Result<CentroidRow> {
         Ok(CentroidRow {
             partition,
-            centroid,
+            centroid: blob_to_f32(centroid)?,
             size,
         })
     }
@@ -634,16 +640,30 @@ impl Tables {
         partition: i64,
     ) -> Result<Option<CentroidRow>> {
         let row = self.centroids.get_raw(r, &[Value::Integer(partition)])?;
-        row.map(|row| Self::centroid_row(&mut RowDecoder::new(&row)?))
+        row.map(|row| Self::centroid_row(Self::centroid_fields(&row)?))
             .transpose()
     }
 
-    /// Every centroid row, ascending by partition id. Centroid lengths
-    /// are the caller's to check against the index dimension.
+    /// Visits every centroid row, ascending by partition id, as
+    /// `(partition, centroid blob, size)` with the blob lent straight
+    /// out of its leaf. Blob lengths are `f`'s to check.
+    pub fn visit_centroids<R: PageRead + ?Sized>(
+        &self,
+        r: &R,
+        mut f: impl FnMut((i64, &[u8], i64)) -> Result<()>,
+    ) -> Result<()> {
+        scan_rows(&self.centroids, r, None, |row| {
+            f(Self::centroid_fields(row)?)
+        })
+    }
+
+    /// Every centroid row, ascending by partition id, decoded and owned
+    /// ([`Tables::visit_centroids`]). Centroid lengths are the caller's
+    /// to check against the index dimension.
     pub fn centroids<R: PageRead + ?Sized>(&self, r: &R) -> Result<Vec<CentroidRow>> {
         let mut rows = Vec::new();
-        scan_rows(&self.centroids, r, None, |row| {
-            rows.push(Self::centroid_row(&mut RowDecoder::new(row)?)?);
+        self.visit_centroids(r, |fields| {
+            rows.push(Self::centroid_row(fields)?);
             Ok(())
         })?;
         Ok(rows)

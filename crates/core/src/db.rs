@@ -8,7 +8,7 @@ use parking_lot::{Mutex, RwLock};
 
 use micronn_cluster::Clustering;
 use micronn_linalg::{Metric, Sq8Params};
-use micronn_rel::{Database, RelError, TableStats, Value};
+use micronn_rel::{blob_to_f32, Database, RelError, TableStats, Value};
 use micronn_storage::PageRead;
 
 use crate::build::CLUSTERING_SEED;
@@ -596,20 +596,23 @@ impl Inner {
         if let Some(index) = cache.lookup(snap, &epoch, |i| Some(i.clone())) {
             return Ok(Some(index));
         }
-        let mut partitions = Vec::new();
-        let mut flat: Vec<f32> = Vec::new();
-        for c in self.tables.centroids(r)? {
-            if c.centroid.len() != self.dim {
+        // Each centroid is decoded straight from its leaf into the probe
+        // matrix: no row of its own, no copy.
+        let (mut partitions, mut flat) = (Vec::new(), Vec::<f32>::new());
+        self.tables.visit_centroids(r, |(partition, blob, _)| {
+            if blob.len() != self.dim * 4 {
+                // A ragged blob is the codec's error, as for every reader.
+                let dim = blob_to_f32(blob)?.len();
                 return Err(Error::Config(format!(
-                    "centroid for partition {} has dim {}, index is {}",
-                    c.partition,
-                    c.centroid.len(),
+                    "centroid for partition {partition} has dim {dim}, index is {}",
                     self.dim
                 )));
             }
-            partitions.push(c.partition);
-            flat.extend_from_slice(&c.centroid);
-        }
+            let le = |c: &[u8]| f32::from_le_bytes(c.try_into().expect("4-byte chunk"));
+            flat.extend(blob.chunks_exact(4).map(le));
+            partitions.push(partition);
+            Ok(())
+        })?;
         if partitions.is_empty() {
             return Ok(None);
         }
@@ -846,6 +849,46 @@ mod tests {
             .entry()
             .expect("reader publishes the cache");
         assert_eq!(Some(seq), r.committed_snapshot());
+    }
+
+    /// The probe matrix is every centroid row in partition order,
+    /// decoded in place; a row of the wrong length is refused with its
+    /// partition named.
+    #[test]
+    fn a_centroid_of_the_wrong_dim_is_an_error_naming_its_partition() {
+        let dir = tempfile::tempdir().unwrap();
+        let mut config = test_config(8);
+        config.target_partition_size = 8;
+        let db = MicroNN::create(dir.path().join("x.mnn"), config).unwrap();
+        let records: Vec<VectorRecord> = (0..60)
+            .map(|i| VectorRecord::new(i, vecf(i as u64, 8)))
+            .collect();
+        db.upsert_batch(&records).unwrap();
+        db.rebuild().unwrap();
+        let t = &db.inner.tables;
+        let rows = t.centroids(&db.inner.db.begin_read()).unwrap();
+        let loaded = db.inner.clustering(&db.inner.db.begin_read()).unwrap();
+        let loaded = loaded.expect("a built index");
+        let ids: Vec<i64> = rows.iter().map(|c| c.partition).collect();
+        let flat: Vec<f32> = rows.iter().flat_map(|c| c.centroid.clone()).collect();
+        assert!(ids.len() > 1);
+        assert_eq!(*loaded.partitions, ids);
+        assert_eq!(loaded.clustering.centroids(), flat.as_slice());
+
+        let mut short = rows.last().unwrap().clone();
+        short.centroid.pop();
+        let mut w = t.begin_write(&db.inner.db).unwrap();
+        w.put_centroid(&short).unwrap();
+        w.commit().unwrap();
+        db.purge_caches();
+        let Err(err) = db.inner.clustering(&db.inner.db.begin_read()) else {
+            panic!("a centroid of dim 7 was accepted");
+        };
+        let want = format!(
+            "centroid for partition {} has dim 7, index is 8",
+            short.partition
+        );
+        assert!(err.to_string().contains(&want), "{err}");
     }
 
     /// Cache-invalidation race regression: a reader pinned *before* an

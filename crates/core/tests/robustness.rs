@@ -46,10 +46,18 @@ fn k_larger_than_collection() {
     let db = MicroNN::create(dir.path().join("k.mnn"), cfg(4)).unwrap();
     seeded(&db, 5, 4);
     db.rebuild().unwrap();
-    let got = db.search(&[1.0; 4], 100).unwrap();
-    assert_eq!(got.results.len(), 5, "returns everything, no padding");
-    let got = db.exact(&[1.0; 4], 100, None).unwrap();
-    assert_eq!(got.results.len(), 5);
+    // A `k` past any collection asks for every row; it reserves
+    // nothing in proportion to itself.
+    for k in [100, 1 << 40, usize::MAX] {
+        let got = db.search(&[1.0; 4], k).unwrap();
+        assert_eq!(got.results.len(), 5, "k = {k}: everything, no padding");
+        let got = db.exact(&[1.0; 4], k, None).unwrap();
+        assert_eq!(got.results.len(), 5, "k = {k}");
+        let got = db
+            .batch_search(&[vec![1.0; 4], vec![2.0; 4]], k, None)
+            .unwrap();
+        assert!(got.results.iter().all(|r| r.len() == 5), "k = {k}");
+    }
 }
 
 #[test]

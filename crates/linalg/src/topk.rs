@@ -9,6 +9,10 @@
 
 use std::collections::BinaryHeap;
 
+/// Most heap slots [`TopK::with_payload`] reserves before the first
+/// candidate: enough for every `k` a query asks for in practice.
+const RESERVED: usize = 1024;
+
 /// One search result: a vector id and its distance to the query, plus
 /// an optional caller payload that rides along without taking part in
 /// the order (a quantized scan carries each candidate's storage
@@ -62,11 +66,14 @@ impl TopK {
 }
 
 impl<P: PartialEq> TopK<P> {
-    /// A heap retaining at most `k` neighbours and their payloads.
+    /// A heap retaining at most `k` neighbours and their payloads. At
+    /// most 1 024 slots are reserved up front; a larger heap grows as
+    /// candidates arrive, so any `k` — `usize::MAX` included — is a
+    /// valid request for "every candidate".
     pub fn with_payload(k: usize) -> TopK<P> {
         TopK {
             k,
-            heap: BinaryHeap::with_capacity(k + 1),
+            heap: BinaryHeap::with_capacity(k.min(RESERVED)),
         }
     }
 
@@ -115,20 +122,24 @@ impl<P: PartialEq> TopK<P> {
     }
 
     /// Offers a candidate with its payload. Returns `true` if it was
-    /// retained.
+    /// retained. Once the heap is full, the candidate replaces the
+    /// worst retained one in place — one sift down from the root —
+    /// instead of a pop and a push.
     #[inline]
     pub fn push_with(&mut self, id: u64, distance: f32, payload: P) -> bool {
         if !self.accepts(id, distance) {
             return false;
         }
-        if self.heap.len() == self.k {
-            self.heap.pop();
-        }
-        self.heap.push(Neighbor {
+        let candidate = Neighbor {
             id,
             distance,
             payload,
-        });
+        };
+        if self.heap.len() < self.k {
+            self.heap.push(candidate);
+        } else if let Some(mut worst) = self.heap.peek_mut() {
+            *worst = candidate;
+        }
         true
     }
 

@@ -10,7 +10,7 @@
 //! Every mutation keeps all secondary and full-text indexes and the
 //! persistent row counter transactionally consistent.
 
-use micronn_storage::{BTree, PageRead, PointReader, WriteTxn};
+use micronn_storage::{BTree, PageRead, PointReader, StorageError, WriteTxn};
 
 use crate::catalog::count_key as table_count_key;
 use crate::error::{RelError, Result};
@@ -484,18 +484,13 @@ impl Table {
     /// per row (an overflow-valued row is reassembled in one buffer
     /// reused for the whole visit). The first error — the walk's or
     /// `f`'s — ends the visit.
-    pub fn visit_pk_prefix<R: PageRead + ?Sized, E: From<RelError>>(
+    pub fn visit_pk_prefix<R: PageRead + ?Sized, E: From<StorageError>>(
         &self,
         r: &R,
         prefix: &[Value],
-        mut f: impl FnMut(&[u8], &[u8]) -> std::result::Result<(), E>,
+        f: impl FnMut(&[u8], &[u8]) -> std::result::Result<(), E>,
     ) -> std::result::Result<(), E> {
-        let rows = self.data.scan_prefix(r, &encode_key(prefix));
-        let mut rows = rows.map_err(RelError::from)?;
-        while let Some(visited) = rows.next_with(&mut f).map_err(RelError::from)? {
-            visited?;
-        }
-        Ok(())
+        self.data.scan_prefix(r, &encode_key(prefix))?.visit(f)
     }
 
     /// [`Table::visit_pk_prefix`] as an iterator of owned `(key, row)`

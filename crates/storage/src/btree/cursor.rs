@@ -3,34 +3,43 @@
 //! A cursor descends once to the first qualifying leaf and then walks
 //! the leaf sibling chain, so a partition scan (the inner loop of the
 //! paper's Algorithm 2) touches each leaf page exactly once and in key
-//! order — the locality the clustered layout provides. Where key order
-//! is also page-id order, the walk reads the file in runs: a tree
-//! written by [`BTree::rewrite`] lays its leaves on ascending page ids,
-//! and when the walk misses the cache on a leaf, the store reads in the
-//! same I/O the file-adjacent leaves after it that the walk is bound to
-//! visit — the following children of the parent the walk descended
-//! through, while the separator before each lies within the scan's end
-//! bound ([`PageRead::page_scan_run`]). The same separators end the
-//! walk at a leaf whose separator is past the end bound, without
-//! reading the leaf after it. Leaves a split allocated later sit
-//! wherever the allocator found room, and are read one at a time, as
-//! are the leaves past the first parent.
+//! order — the locality the clustered layout provides. The walk works a
+//! leaf at a time. The end bound is checked once per leaf, against the
+//! leaf's last key, when the walk steps onto it; only the leaf the
+//! bound cuts checks its cells one by one, and the walk ends there.
 //!
-//! There is one walk, [`Cursor::next_with`]: it lends each `(key,
-//! value)` pair to a closure as slices of pinned page images — the leaf,
-//! or the overflow page of a value that spilled to a one-page chain —
-//! so a scan copies nothing and allocates nothing per row. Only a value
-//! whose chain spans several pages is reassembled, into the cursor's
-//! one scratch buffer. It is the hot path — every partition scan of the
-//! vector layer runs on it.
-//! The owning [`Iterator`] is that same walk with a copy of each pair
-//! taken, kept for callers that want to hold rows.
+//! Where the walk stays under the parent it descended through, the
+//! store hands it the leaves it is bound to visit next — the following
+//! children of that parent, while the separator before each lies within
+//! the end bound — together with the one it asked for
+//! ([`PageRead::page_scan_run`]). On a miss they are the file-adjacent
+//! leaves, read in the same I/O: a tree written by [`BTree::rewrite`]
+//! lays its leaves on ascending page ids. On a hit they are the cached
+//! ones, taken under one pool lock. Each counts one hit or miss, as it
+//! would fetched alone. When the walk steps onto a leaf, the next
+//! handed-over leaf is prefetched into the CPU caches while this one's
+//! rows are visited. The same separators end the walk at a leaf whose
+//! separator is past the end bound, without reading the leaf after it.
+//! Leaves a split allocated later sit wherever the allocator found
+//! room, and are read one at a time, as are the leaves past the first
+//! parent.
+//!
+//! There is one walk. It lends each `(key, value)` pair to a closure as
+//! slices of pinned page images — the leaf, or the overflow page of a
+//! value that spilled to a one-page chain — so a scan copies nothing
+//! and allocates nothing per row. Only a value whose chain spans
+//! several pages is reassembled, into the cursor's one scratch buffer.
+//! [`Cursor::visit`] runs it to the end, a leaf's cells in one tight
+//! loop: it is the hot path — every partition scan of the vector layer
+//! runs on it. [`Cursor::next_with`] runs it one pair at a time, and
+//! the owning [`Iterator`] is that with a copy of each pair taken, kept
+//! for callers that want to hold rows.
 
-use std::ops::Bound;
+use std::ops::{Bound, ControlFlow};
 use std::sync::Arc;
 
-use crate::error::Result;
-use crate::page::{page_type, PageData, PageId};
+use crate::error::{Result, StorageError};
+use crate::page::{page_type, prefetch, PageData, PageId};
 use crate::store::PageRead;
 
 use super::node;
@@ -46,6 +55,9 @@ pub struct Cursor<'r, R: PageRead + ?Sized> {
     leaf: Option<Arc<PageData>>,
     /// Next cell index within the current leaf.
     idx: usize,
+    /// How many of the current leaf's cells lie within `end`
+    /// ([`cells_within`]); fewer than all ends the walk in this leaf.
+    limit: usize,
     /// Exclusive/inclusive upper bound.
     end: Bound<Vec<u8>>,
     /// Where spilled values are lent from, reused for the whole walk.
@@ -55,7 +67,9 @@ pub struct Cursor<'r, R: PageRead + ?Sized> {
     /// separators end the walk without reading the leaf past the end
     /// bound, and tell a miss which leaves after it to read along.
     parent: Option<(Arc<PageData>, usize)>,
-    /// Leaves a miss read along, next one last.
+    /// Leaves the store handed over with an earlier one — read along
+    /// on a miss, or taken from the pool along with a hit — next one
+    /// last.
     ahead: Vec<(PageId, Arc<PageData>)>,
 }
 
@@ -118,6 +132,7 @@ impl BTree {
         };
         Ok(Cursor {
             reader,
+            limit: cells_within(&leaf, &end),
             leaf: Some(leaf),
             idx,
             end,
@@ -126,6 +141,20 @@ impl BTree {
             ahead: Vec::new(),
         })
     }
+}
+
+/// How many of `leaf`'s cells, from the first, lie within `end`: all of
+/// them when its last key does — one comparison per leaf — else each
+/// cell is checked up to the first past the bound, in the one leaf of
+/// the walk the bound cuts.
+fn cells_within(leaf: &PageData, end: &Bound<Vec<u8>>) -> usize {
+    let n = node::ncells(leaf);
+    if n == 0 || within(end, node::leaf_key(leaf, n - 1)) {
+        return n;
+    }
+    (0..n)
+        .take_while(|&i| within(end, node::leaf_key(leaf, i)))
+        .count()
 }
 
 /// Whether `key` lies within the upper bound `end`.
@@ -178,41 +207,91 @@ pub fn prefix_successor(prefix: &[u8]) -> Option<Vec<u8>> {
 }
 
 impl<R: PageRead + ?Sized> Cursor<'_, R> {
+    /// Lends every remaining pair in range to `f`, in key order, until
+    /// the range ends or `f` fails; `f`'s error is returned as is. A
+    /// leaf's cells are visited in one tight loop. Either error ends
+    /// the walk: nothing is lent after it.
+    pub fn visit<E: From<StorageError>>(
+        &mut self,
+        mut f: impl FnMut(&[u8], &[u8]) -> std::result::Result<(), E>,
+    ) -> std::result::Result<(), E> {
+        self.walk(|key, value| f(key, value).map(|()| ControlFlow::Continue(())))
+    }
+
     /// Visits the next pair in range: passes its key and value to `f`
     /// as borrowed slices and returns what `f` made of them, or `None`
     /// when the walk is over. An I/O or corruption error is returned
     /// once and ends the walk.
     pub fn next_with<T>(&mut self, f: impl FnOnce(&[u8], &[u8]) -> T) -> Result<Option<T>> {
-        let visited = self.visit_next(f);
-        if !matches!(visited, Ok(Some(_))) {
-            self.leaf = None;
-        }
-        visited
+        let (mut f, mut made) = (Some(f), None);
+        self.walk(|key, value| {
+            made = f.take().map(|f| f(key, value));
+            Ok::<_, StorageError>(ControlFlow::Break(()))
+        })?;
+        Ok(made)
     }
 
-    fn visit_next<T>(&mut self, f: impl FnOnce(&[u8], &[u8]) -> T) -> Result<Option<T>> {
+    /// The walk: lends pairs to `f` until it breaks, fails, or the range
+    /// ends. An error ends the walk.
+    fn walk<E: From<StorageError>>(
+        &mut self,
+        mut f: impl FnMut(&[u8], &[u8]) -> std::result::Result<ControlFlow<()>, E>,
+    ) -> std::result::Result<(), E> {
+        let walked = self.walk_leaves(&mut f);
+        if walked.is_err() {
+            self.leaf = None;
+        }
+        walked
+    }
+
+    fn walk_leaves<E: From<StorageError>>(
+        &mut self,
+        f: &mut impl FnMut(&[u8], &[u8]) -> std::result::Result<ControlFlow<()>, E>,
+    ) -> std::result::Result<(), E> {
+        while self.ready()? {
+            let Cursor {
+                reader,
+                leaf,
+                idx,
+                limit,
+                buf,
+                ..
+            } = self;
+            let leaf = leaf.as_deref().expect("a ready walk has a leaf");
+            while *idx < *limit {
+                let key = node::leaf_key(leaf, *idx);
+                // Scan-hinted, like the leaf fetches: cursor reads are
+                // sequential by construction, and spilled vector blobs
+                // are the bulk of a partition scan's bytes, so neither
+                // leaves nor their overflow chains may displace the
+                // pool's protected segment.
+                let value = val_bytes(*reader, node::leaf_val(leaf, *idx), true, buf)?;
+                *idx += 1;
+                if f(key, value)?.is_break() {
+                    return Ok(());
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// Brings the walk to a cell it may lend — the current leaf's next,
+    /// else the first of the next leaf that has one — and says whether
+    /// there is one; `false` ends the walk. The one place the walk checks
+    /// its end bound and steps between leaves: the bound was settled for
+    /// the whole leaf when the walk stepped onto it ([`cells_within`]),
+    /// so a leaf it cut short is the last.
+    fn ready(&mut self) -> Result<bool> {
         loop {
             let Some(leaf) = &self.leaf else {
-                return Ok(None);
+                return Ok(false);
             };
-            if self.idx < node::ncells(leaf) {
-                let key = node::leaf_key(leaf, self.idx);
-                if !within(&self.end, key) {
-                    return Ok(None);
-                }
-                // Scan-hinted, like the sibling fetch below: cursor
-                // reads are sequential by construction, and spilled
-                // vector blobs are the bulk of a partition scan's bytes,
-                // so neither leaves nor their overflow chains may
-                // displace the pool's protected segment.
-                let value = node::leaf_val(leaf, self.idx);
-                let value = val_bytes(self.reader, value, true, &mut self.buf)?;
-                self.idx += 1;
-                return Ok(Some(f(key, value)));
+            if self.idx < self.limit {
+                return Ok(true);
             }
             let next = node::right_ptr(leaf);
-            if next == 0 {
-                return Ok(None);
+            if self.limit < node::ncells(leaf) || next == 0 {
+                break;
             }
             match &mut self.parent {
                 Some((p, slot))
@@ -221,42 +300,50 @@ impl<R: PageRead + ?Sized> Cursor<'_, R> {
                     // Every key from `next` on lies past this leaf's
                     // separator: once that is past the end, so are they.
                     if !within(&self.end, node::interior_key(p, *slot)) {
-                        return Ok(None);
+                        break;
                     }
                     *slot += 1;
                 }
                 _ => self.parent = None,
             }
-            self.leaf = Some(self.walk_onto(next)?);
+            let leaf = self.walk_onto(next)?;
+            self.limit = cells_within(&leaf, &self.end);
             self.idx = 0;
+            self.leaf = Some(leaf);
         }
+        self.leaf = None;
+        Ok(false)
     }
 
     /// Fetches `next`, the leaf after the current one: from the leaves
-    /// a miss read along, else from the store — which, while the walk
-    /// stays under its parent, may read the leaves after `next` with it.
+    /// the store handed over with an earlier one, else from the store —
+    /// which, while the walk stays under its parent, may hand over the
+    /// leaves after `next` with it. The leaf after `next`, when it was
+    /// handed over, is prefetched into the CPU caches.
     fn walk_onto(&mut self, next: PageId) -> Result<Arc<PageData>> {
-        match self.ahead.pop() {
-            Some((id, page)) if id == next => {
-                node::expect_node(&page, id)?;
-                return Ok(page);
-            }
-            Some(_) => self.ahead.clear(),
-            None => {}
-        }
-        let page = match &self.parent {
-            Some((parent, slot)) => {
-                let mut then = Following {
-                    parent,
-                    slot: *slot,
-                    end: &self.end,
+        let page = match self.ahead.pop() {
+            Some((id, page)) if id == next => page,
+            _ => {
+                self.ahead.clear();
+                let page = match &self.parent {
+                    Some((parent, slot)) => {
+                        let mut then = Following {
+                            parent,
+                            slot: *slot,
+                            end: &self.end,
+                        };
+                        (self.reader).page_scan_run(next, &mut then, &mut self.ahead)?
+                    }
+                    None => (self.reader).page_scan(next)?,
                 };
-                (self.reader).page_scan_run(next, &mut then, &mut self.ahead)?
+                self.ahead.reverse();
+                page
             }
-            None => (self.reader).page_scan(next)?,
         };
-        self.ahead.reverse();
         node::expect_node(&page, next)?;
+        if let Some((_, after)) = self.ahead.last() {
+            prefetch(after);
+        }
         Ok(page)
     }
 }

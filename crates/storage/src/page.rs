@@ -92,6 +92,38 @@ impl PageData {
     }
 }
 
+/// Asks the CPU to start loading `page` into its caches: one prefetch
+/// per 64-byte line, no loads, no faults. A hint with no visible
+/// effect: a scan calls it on the leaf it visits next, so those lines
+/// arrive while the current leaf's rows are scored. A no-op on targets
+/// without a prefetch instruction here.
+#[inline]
+pub fn prefetch(page: &PageData) {
+    let base = page.0.as_ptr();
+    for line in (0..PAGE_SIZE).step_by(64) {
+        let at = base.wrapping_add(line);
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: SSE is part of the x86_64 baseline, and a prefetch
+        // never faults, whatever the address.
+        unsafe {
+            use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
+            _mm_prefetch::<_MM_HINT_T0>(at.cast());
+        }
+        #[cfg(target_arch = "aarch64")]
+        // SAFETY: `prfm` is a hint: it reads no register but `at` and
+        // never faults, whatever the address.
+        unsafe {
+            std::arch::asm!(
+                "prfm pldl1keep, [{at}]",
+                at = in(reg) at,
+                options(nostack, readonly, preserves_flags)
+            );
+        }
+        #[cfg(not(any(target_arch = "x86_64", target_arch = "aarch64")))]
+        let _ = at;
+    }
+}
+
 impl Deref for PageData {
     type Target = [u8; PAGE_SIZE];
     fn deref(&self) -> &Self::Target {

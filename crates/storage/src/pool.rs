@@ -149,7 +149,30 @@ impl BufferPool {
     /// refresh the reference bit but never promote, so bulk readers
     /// (checkpoints, sweeps) leave segment membership untouched.
     pub fn get_with(&self, key: PoolKey, access: Access) -> Option<Arc<PageData>> {
+        self.hit(&mut self.inner.lock(), key, access)
+    }
+
+    /// [`BufferPool::get_with`] for each of `keys` in turn, under one
+    /// lock: passes each image found to `found` and stops at the first
+    /// key that is not resident. Returns how many were found.
+    pub fn get_run(
+        &self,
+        keys: &[PoolKey],
+        access: Access,
+        mut found: impl FnMut(PoolKey, Arc<PageData>),
+    ) -> usize {
         let mut inner = self.inner.lock();
+        for (i, &key) in keys.iter().enumerate() {
+            match self.hit(&mut inner, key, access) {
+                Some(data) => found(key, data),
+                None => return i,
+            }
+        }
+        keys.len()
+    }
+
+    /// The body of a lookup, under the caller's lock.
+    fn hit(&self, inner: &mut PoolInner, key: PoolKey, access: Access) -> Option<Arc<PageData>> {
         let entry = inner.map.get_mut(&key)?;
         entry.referenced = true;
         let data = Arc::clone(&entry.data);
@@ -162,7 +185,7 @@ impl BufferPool {
                 entry.protected = true;
                 inner.protected_bytes += ENTRY_BYTES;
                 inner.protected.push_back(key);
-                self.demote_to_protected_cap(&mut inner);
+                self.demote_to_protected_cap(inner);
             }
         }
         Some(data)

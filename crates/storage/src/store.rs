@@ -298,10 +298,14 @@ pub trait PageRead {
     }
     /// [`PageRead::page_scan`] for the leaf a range scan walks onto
     /// next, given the leaves it walks onto after that, in order
-    /// (`then`). A store that misses `id` in its cache may read some of
-    /// those in the same I/O: it caches them, counts each as a miss, and
-    /// pushes them in order onto `ahead`, from where the caller takes
-    /// them instead of fetching them. The default reads `id` alone.
+    /// (`then`). A store may hand over some of those with `id`, pushed
+    /// in order onto `ahead`, from where the caller takes them instead
+    /// of fetching them. When it misses `id` in its cache, it may read
+    /// the file-adjacent ones in the same I/O, caching each and counting
+    /// it as a miss. When it hits `id`, it may take the ones it has
+    /// cached, up to the first it has not, counting each as a hit; the
+    /// caller fetches that one itself. Either way a page counts what it
+    /// would fetched alone. The default reads `id` alone.
     fn page_scan_run(
         &self,
         id: PageId,
@@ -744,15 +748,51 @@ fn resolve_page(
 }
 
 /// The pool's image of `id` at `snapshot`, counted as a hit: the first
-/// step of [`resolve`] alone, which a scan takes before handing over the
-/// pages it walks onto next, so a hit does no more than
-/// [`resolve_page`]'s.
+/// step of [`resolve`] alone, which a scan takes before it deals with
+/// the pages it walks onto next — on a hit it hands over those the pool
+/// holds ([`cached_run`]), on a miss it reads them along ([`load_run`]).
 #[inline]
 fn cached(inner: &StoreInner, id: PageId, snapshot: u64, access: Access) -> Option<Arc<PageData>> {
     let (version, _) = resolve_version(inner, id, snapshot);
     let data = inner.pool.get_with((id, version), access)?;
     IoStats::bump(&inner.stats.pool_hits);
     Some(data)
+}
+
+/// The hit counterpart of [`load_run`]: after a scan hit, hands over
+/// the pages the scan walks onto next (`run.then`, at most
+/// [`MAX_RUN_PAGES`]` - 1`) that the pool holds, in order onto
+/// `run.ahead`, each counted as one hit — so the scan pays for its
+/// pool lookups once per run instead of once per page. Their versions
+/// are resolved under one read guard of the WAL index and one of the
+/// checkpoint versions, taken in [`resolve_version`]'s order; the
+/// images are then taken under one pool lock, up to the first page
+/// that is not resident, which the scan then fetches itself.
+fn cached_run(inner: &StoreInner, snapshot: u64, access: Access, run: Run<'_>) {
+    let mut keys = [(0, 0); MAX_RUN_PAGES - 1];
+    let mut len = 0;
+    {
+        let index = inner.wal.index();
+        let base = inner.base_version.read();
+        for next in run.then.take(keys.len()) {
+            if next >= run.page_count {
+                break;
+            }
+            let version = match index.find_versioned(next, snapshot) {
+                Some((_, seq)) => seq,
+                None => base.get(&next).copied().unwrap_or(0),
+            };
+            keys[len] = (next, version);
+            len += 1;
+        }
+    }
+    // Room for the longest run at once, so a walk's handed-over pages
+    // cost it one allocation, not one per run that outgrows the last.
+    run.ahead.reserve(MAX_RUN_PAGES - 1);
+    let found = inner.pool.get_run(&keys[..len], access, |(id, _), data| {
+        run.ahead.push((id, data));
+    });
+    IoStats::add(&inner.stats.pool_hits, found as u64);
 }
 
 /// [`resolve_page`], given with `run` the pages a scan walks onto next:
@@ -983,14 +1023,15 @@ impl PageRead for ReadTxn {
             return Err(StorageError::PageOutOfBounds(id));
         }
         let (inner, snapshot) = (&*self.guard.inner, self.guard.snapshot);
-        if let Some(hit) = cached(inner, id, snapshot, Access::Scan) {
-            return Ok(hit);
-        }
         let run = Run {
             then,
             ahead,
             page_count: self.meta.page_count,
         };
+        if let Some(hit) = cached(inner, id, snapshot, Access::Scan) {
+            cached_run(inner, snapshot, Access::Scan, run);
+            return Ok(hit);
+        }
         resolve(inner, id, snapshot, Access::Scan, Some(run))
     }
 
@@ -1991,7 +2032,7 @@ mod tests {
     #[test]
     fn a_cold_scan_reads_runs_of_leaves_and_counts_each_page() {
         use crate::btree::BTree;
-        use std::ops::Bound;
+        use std::ops::{Bound, RangeBounds};
         let dir = tempfile::tempdir().unwrap();
         let calls = Arc::new(AtomicU64::new(0));
         let store = Store::create(
@@ -2017,12 +2058,12 @@ mod tests {
         drop(old);
         txn.commit().unwrap();
 
-        // Scans all rows, or the rows up to `end`, counting what they do.
-        let scan = |end: Bound<Vec<u8>>| {
+        // Scans the rows from `start` up to `end`, counting what they do.
+        let scan = |start: Bound<Vec<u8>>, end: Bound<Vec<u8>>| {
             let (before, calls_before) = (store.stats(), calls.load(Ordering::Relaxed));
             let r = store.begin_read();
             let mut rows = 0;
-            for kv in tree.range(&r, Bound::Unbounded, end).unwrap() {
+            for kv in tree.range(&r, start, end).unwrap() {
                 kv.unwrap();
                 rows += 1;
             }
@@ -2031,7 +2072,7 @@ mod tests {
         };
         let (rows, wal_cold, wal_calls) = {
             store.purge_cache();
-            scan(Bound::Unbounded)
+            scan(Bound::Unbounded, Bound::Unbounded)
         };
         assert_eq!(rows, 3000);
         assert_eq!(
@@ -2039,15 +2080,68 @@ mod tests {
             "one call per WAL page: {wal_cold:?}"
         );
         assert!(store.checkpoint().unwrap());
-        for end in [Bound::Unbounded, Bound::Excluded(key(1234))] {
-            let (_, warm, _) = scan(end.clone());
+
+        // What a scan of a range is bound to read: the interior pages of
+        // its descent, the leaf the descent lands on, and the leaves
+        // after it up to the last that holds a key in range — none past.
+        let r = store.begin_read();
+        let depth = tree.depth(&r).unwrap() as u64;
+        let bound_to_read = |start: &Bound<Vec<u8>>, end: &Bound<Vec<u8>>| {
+            let seek = match start {
+                Bound::Included(k) | Bound::Excluded(k) => k.as_slice(),
+                Bound::Unbounded => &[],
+            };
+            let mut id = tree.root();
+            let mut leaf = r.page(id).unwrap();
+            while leaf.page_type() == page_type::BTREE_INTERIOR {
+                id = node::interior_descend(&leaf, seek);
+                leaf = r.page(id).unwrap();
+            }
+            let range = (
+                start.as_ref().map(Vec::as_slice),
+                end.as_ref().map(Vec::as_slice),
+            );
+            let (mut leaves, mut through) = (0, 1);
+            while id != 0 {
+                let leaf = r.page(id).unwrap();
+                leaves += 1;
+                let mut keys = (0..node::ncells(&leaf)).map(|i| node::leaf_key(&leaf, i));
+                if keys.any(|k| range.contains(k)) {
+                    through = leaves;
+                }
+                id = node::right_ptr(&leaf);
+            }
+            depth - 1 + through
+        };
+        assert!(depth >= 2 && bound_to_read(&Bound::Unbounded, &Bound::Unbounded) > 200);
+
+        let prefix = (
+            Bound::Included(b"k0012".to_vec()),
+            Bound::Excluded(b"k0013".to_vec()),
+        );
+        let bounds = [
+            (Bound::Unbounded, Bound::Unbounded, 3000),
+            (Bound::Unbounded, Bound::Excluded(key(1234)), 1234),
+            (prefix.0, prefix.1, 100),
+        ];
+        for (start, end, want_rows) in bounds {
+            let at = format!("{start:?}..{end:?}");
+            scan(start.clone(), end.clone());
+            // Warm: one hit per page the walk is bound to visit, however
+            // many the store handed over at once.
+            let (rows, warm, warm_calls) = scan(start.clone(), end.clone());
+            assert_eq!(rows, want_rows, "{at}");
+            assert_eq!((warm.pool_misses, warm_calls), (0, 0), "{at}: {warm:?}");
+            assert_eq!(warm.pool_hits, bound_to_read(&start, &end), "{at}");
             store.purge_cache();
-            let (rows, cold, cold_calls) = scan(end.clone());
-            assert_eq!(rows, if end == Bound::Unbounded { 3000 } else { 1234 });
+            let (rows, cold, cold_calls) = scan(start.clone(), end.clone());
+            assert_eq!(rows, want_rows, "{at}");
             assert_eq!(cold.disk_reads(), cold.pool_misses, "{cold:?}");
-            assert_eq!(cold.pool_hits + cold.pool_misses, warm.pool_hits, "{end:?}");
+            assert_eq!(cold.pool_hits + cold.pool_misses, warm.pool_hits, "{at}");
+            // The long scans read runs of leaves; the prefix scan's ten
+            // pages take a descent and a run or two.
             assert!(
-                cold_calls * 6 < cold.main_reads,
+                cold_calls * 6 < cold.main_reads || want_rows == 100 && cold_calls <= 4,
                 "{cold_calls} calls for {} pages",
                 cold.main_reads
             );

@@ -2,7 +2,8 @@
 //! random operation sequences (including commit/reopen boundaries) and
 //! under interleaved insertion runs, in-place leaf edits against the
 //! rewrite they replace, the separator contract, the cursor's borrowed
-//! walk against its owning iterator, and WAL recovery returning exactly
+//! walk and its lending visit against its owning iterator (cold and
+//! warm, stopped part-way by a failing closure), and WAL recovery returning exactly
 //! the committed prefix. Beside them, sharing their separator walk, the
 //! deterministic fill-factor contract of the split rule per insert
 //! order.
@@ -58,6 +59,22 @@ fn bound_strategy() -> impl Strategy<Value = Bound<Vec<u8>>> {
         1 => Just(Bound::Unbounded),
         2 => key_strategy().prop_map(Bound::Included),
         2 => key_strategy().prop_map(Bound::Excluded),
+    ]
+}
+
+/// Keys of 1 to 40 bytes and, now and then, a few hundred, over a
+/// small alphabet, so bounds drawn the same way fall between, on and
+/// around stored keys.
+fn mixed_key_strategy() -> impl Strategy<Value = Vec<u8>> {
+    let bytes = |len| proptest::collection::vec(0u8..4, len);
+    prop_oneof![8 => bytes(1..40), 1 => bytes(200..600)]
+}
+
+fn mixed_bound_strategy() -> impl Strategy<Value = Bound<Vec<u8>>> {
+    prop_oneof![
+        1 => Just(Bound::Unbounded),
+        2 => mixed_key_strategy().prop_map(Bound::Included),
+        2 => mixed_key_strategy().prop_map(Bound::Excluded),
     ]
 }
 
@@ -513,6 +530,72 @@ proptest! {
     }
 
     #[test]
+    fn lending_visit_yields_the_iterators_pairs(
+        rows in proptest::collection::btree_map(mixed_key_strategy(), mixed_val_strategy(), 0..300),
+        bounds in proptest::collection::vec((mixed_bound_strategy(), mixed_bound_strategy()), 1..6),
+        stop in 1usize..200,
+    ) {
+        let dir = tempfile::tempdir().unwrap();
+        let store = Store::create(dir.path().join("db"), opts()).unwrap();
+        let mut txn = store.begin_write().unwrap();
+        let tree = BTree::create(&mut txn).unwrap();
+        for (k, v) in &rows {
+            tree.insert(&mut txn, k, v).unwrap();
+        }
+        txn.commit().unwrap();
+        store.checkpoint().unwrap();
+
+        let whole = (Bound::Unbounded, Bound::Unbounded);
+        for (start, end) in bounds.iter().chain([&whole]) {
+            // Cold, then warm: leaves read along with a miss, then
+            // handed over along with a hit.
+            store.purge_cache();
+            for _ in 0..2 {
+                let r = store.begin_read();
+                let owned: Vec<_> = tree
+                    .range(&r, start.clone(), end.clone())
+                    .unwrap()
+                    .map(|kv| kv.unwrap())
+                    .collect();
+                let mut lent = Vec::new();
+                let mut cursor = tree.range(&r, start.clone(), end.clone()).unwrap();
+                cursor
+                    .visit(|k, v| {
+                        lent.push((k.to_vec(), v.to_vec()));
+                        Ok::<(), StorageError>(())
+                    })
+                    .unwrap();
+                prop_assert_eq!(&lent, &owned);
+                prop_assert!(cursor.next_with(|_, _| ()).unwrap().is_none());
+
+                // A failing closure ends the walk at its row: the error
+                // comes back as is, and nothing is lent after it.
+                let mut cursor = tree.range(&r, start.clone(), end.clone()).unwrap();
+                let mut calls = 0;
+                let refused = cursor.visit(|_, _| {
+                    calls += 1;
+                    match calls == stop {
+                        true => Err(StorageError::Corrupt(format!("refused at {calls}"))),
+                        false => Ok(()),
+                    }
+                });
+                if stop <= owned.len() {
+                    let msg = format!("refused at {stop}");
+                    prop_assert!(matches!(refused, Err(StorageError::Corrupt(m)) if m == msg));
+                    prop_assert_eq!(calls, stop);
+                    let mut more = 0;
+                    cursor.visit(|_, _| { more += 1; Ok::<(), StorageError>(()) }).unwrap();
+                    prop_assert_eq!(more, 0, "lent after the error");
+                    prop_assert!(cursor.next_with(|_, _| ()).unwrap().is_none());
+                } else {
+                    prop_assert!(refused.is_ok());
+                    prop_assert_eq!(calls, owned.len());
+                }
+            }
+        }
+    }
+
+    #[test]
     fn recovery_preserves_committed_prefix(
         batches in proptest::collection::vec(
             proptest::collection::vec((key_strategy(), val_strategy()), 1..10),
@@ -609,9 +692,8 @@ fn assert_corrupt_chain_surfaces_once(len: usize, corrupt: impl Fn(&mut WriteTxn
 /// A corrupt overflow chain surfaces as one `Err`, after which the
 /// cursor yields nothing more — for a multi-page chain reassembled in
 /// scratch, and for every way a one-page chunk, which the walk lends in
-/// place, can lie about itself. (What a failing closure does to a walk
-/// is its caller's loop to decide: `rel::Table::visit_pk_prefix` has
-/// that test.)
+/// place, can lie about itself. (A failing closure ends a walk the same
+/// way: `lending_visit_yields_the_iterators_pairs`.)
 #[test]
 fn a_corrupt_overflow_chain_surfaces_once_and_ends_the_walk() {
     // The middle of a three-page chain: chunk length zeroed.
