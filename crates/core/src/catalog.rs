@@ -1050,6 +1050,13 @@ impl<'a> Writer<'a> {
         Ok(())
     }
 
+    /// The `attrs` table and the write transaction, for tests that
+    /// write past the table layer.
+    #[cfg(test)]
+    pub fn raw_attrs(&mut self) -> (&Table, &mut WriteTxn) {
+        (&self.tables.attrs, &mut self.txn)
+    }
+
     /// The raw `codes` table and write transaction, for tests that
     /// hand-corrupt rows.
     #[cfg(test)]

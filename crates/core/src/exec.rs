@@ -27,7 +27,7 @@
 //! * [`ScanMetrics`] is the one counter block every path feeds, once
 //!   per partition scan from job-local [`ScanTotals`]; it flows into
 //!   [`QueryInfo`] and [`BatchResponse`](crate::batch::BatchResponse).
-//! * [`rerank_exact`] and [`score_candidates`] are the two
+//! * [`rerank_exact`] and [`CandidateScorer`] are the two
 //!   fetch-by-key scoring tails: the exact re-rank pass of the
 //!   quantized pipeline and the brute-force tail of the pre-filtering
 //!   plan. Both score each row on the page the point reader pinned
@@ -50,7 +50,7 @@ use std::sync::Arc;
 use micronn_linalg::{Neighbor, RowScorer, Sq4Scorer, Sq8Params, Sq8Scorer, TopK, SQ4_BLOCK};
 use micronn_storage::ReadTxn;
 
-use crate::catalog::{f32_row, Loc};
+use crate::catalog::{f32_row, Loc, LocationReader, VectorReader};
 use crate::db::{Inner, DELTA_PARTITION};
 use crate::error::Result;
 use crate::stats::QueryInfo;
@@ -534,38 +534,49 @@ pub mod rerank_oracle {
 }
 
 /// Brute-force tail of the pre-filtering plan (§3.5): fetches each
-/// qualifying asset's vector by key and scores it on its pinned page
-/// with the partition scan's kernel. 100% recall within the candidate
-/// list.
-pub(crate) fn score_candidates(
-    inner: &Inner,
-    r: &ReadTxn,
-    query: &[f32],
-    assets: &[i64],
-    k: usize,
-    metrics: &ScanMetrics,
-) -> Result<Vec<Neighbor>> {
-    let mut top = TopK::new(k);
-    let scorer = RowScorer::new(inner.metric, query);
-    let (mut locate, mut fetch) = (
-        inner.tables.location_reader(r),
-        inner.tables.vector_reader(r),
-    );
-    let mut rows = 0;
-    for &asset in assets {
-        // An attribute row without a vector is skipped.
-        let Some(loc) = locate.locate(asset)? else {
-            continue;
-        };
-        if let Some(d) = fetch.with(loc, |row| scorer.distance(row))? {
-            top.push(asset as u64, d);
-            rows += 1;
+/// qualifying asset's vector by key, as the filter hands the asset
+/// over, and scores it on its pinned page with the partition scan's
+/// kernel. 100% recall within the qualifying set.
+pub(crate) struct CandidateScorer<'a> {
+    top: TopK,
+    scorer: RowScorer<'a>,
+    locate: LocationReader<'a, ReadTxn>,
+    fetch: VectorReader<'a, ReadTxn>,
+    rows: usize,
+}
+
+impl<'a> CandidateScorer<'a> {
+    pub fn new(inner: &'a Inner, r: &'a ReadTxn, query: &'a [f32], k: usize) -> Self {
+        CandidateScorer {
+            top: TopK::new(k),
+            scorer: RowScorer::new(inner.metric, query),
+            locate: inner.tables.location_reader(r),
+            fetch: inner.tables.vector_reader(r),
+            rows: 0,
         }
     }
-    let mut tally = ScanTotals::default();
-    tally.scored_f32(rows, 1, inner.dim);
-    metrics.absorb(&tally);
-    Ok(top.into_sorted())
+
+    /// Scores `asset`'s vector; an attribute row without a vector is
+    /// skipped.
+    pub fn score(&mut self, asset: i64) -> Result<()> {
+        let Some(loc) = self.locate.locate(asset)? else {
+            return Ok(());
+        };
+        let scorer = &self.scorer;
+        if let Some(d) = self.fetch.with(loc, |row| scorer.distance(row))? {
+            self.top.push(asset as u64, d);
+            self.rows += 1;
+        }
+        Ok(())
+    }
+
+    /// The nearest `k`, with the rows scored added to `metrics`.
+    pub fn finish(self, dim: usize, metrics: &ScanMetrics) -> Vec<Neighbor> {
+        let mut tally = ScanTotals::default();
+        tally.scored_f32(self.rows, 1, dim);
+        metrics.absorb(&tally);
+        self.top.into_sorted()
+    }
 }
 
 #[cfg(test)]

@@ -3,10 +3,15 @@
 //!
 //! Two physical plans exist:
 //!
-//! * **Pre-filtering** evaluates the predicate first (through attribute
-//!   b-tree indexes / the FTS index when possible) and brute-forces the
-//!   qualifying vectors — 100% recall, latency proportional to the
-//!   qualifying set.
+//! * **Pre-filtering** evaluates the predicate first and brute-forces
+//!   the qualifying vectors — 100% recall, latency proportional to the
+//!   qualifying set. A single indexed comparison is decided on the
+//!   index entries themselves: one in-place walk of the index range,
+//!   each entry's value tested as the row's would be, and no `attrs`
+//!   read unless the entry's key cannot stand in for the value (a
+//!   numeric of magnitude 2^53 or more). Other predicates take their
+//!   candidates from an indexed or FTS side and probe each row, or
+//!   evaluate every `attrs` row in place.
 //! * **Post-filtering** runs the ANN scan with the predicate applied
 //!   to the partitions' rows — fast, but recall suffers when the
 //!   predicate is highly selective. The join is score-first: a wave of
@@ -28,13 +33,14 @@ use std::collections::BinaryHeap;
 
 use micronn_linalg::{Neighbor, TopK};
 use micronn_rel::{
-    estimate_selectivity, CmpOp, Compiled, EncodedRow, Expr, RowReader, Table, Value,
+    decode_int_key, estimate_selectivity, CmpOp, Compiled, EncodedRow, Expr, IndexDef, RowReader,
+    Table, Value,
 };
 use micronn_storage::ReadTxn;
 
 use crate::db::{Inner, MicroNN};
 use crate::error::{Error, Result};
-use crate::exec::{score_candidates, Payload, ScanMetrics, ScanTotals};
+use crate::exec::{CandidateScorer, Payload, ScanMetrics, ScanTotals};
 use crate::search::{hits, ivf_search, SearchResponse};
 use crate::snapshot::Snapshot;
 use crate::stats::{PlanUsed, QueryInfo};
@@ -263,9 +269,22 @@ fn choose_plan(inner: &Inner, r: &ReadTxn, expr: &Expr, probes: usize) -> Result
     })
 }
 
-/// Pre-filtering plan: evaluate the predicate, then brute-force the
-/// qualifying vectors through the executor's fetch-by-key scoring
-/// tail. Guarantees 100% recall within the filter.
+/// Pre-filtering plan: evaluate the predicate and brute-force each
+/// qualifying vector as the filter finds it, through the executor's
+/// fetch-by-key scoring tail. Guarantees 100% recall within the filter.
+///
+/// The access path, and what decides the predicate:
+///
+/// * A single indexed comparison is decided on the index entries
+///   ([`IndexDef::visit_cmp`]): one in-place walk of the index range,
+///   no `attrs` read. Only an entry whose key cannot stand in for the
+///   row's value (a numeric of magnitude 2^53 or more) has its row
+///   probed.
+/// * Otherwise an indexed or FTS side of the predicate yields candidate
+///   assets, and each candidate's row is probed with the whole
+///   predicate.
+/// * Otherwise every `attrs` row is evaluated in place, as the table
+///   scan lends it.
 fn pre_filter_search(
     inner: &Inner,
     r: &ReadTxn,
@@ -280,47 +299,43 @@ fn pre_filter_search(
         });
     }
     let ctx = filter_ctx(inner, expr)?;
-    let attrs = ctx.attrs;
-    let mut info = QueryInfo::new(PlanUsed::PreFilter);
+    let mut probe = ctx.probe(r);
+    let mut top = CandidateScorer::new(inner, r, &req.query, req.k);
     let mut examined = 0usize;
-
-    // Access path: an index-backed candidate list when one exists,
-    // otherwise a full attribute-table scan. Candidates still go
-    // through the full (residual) predicate.
-    let candidates = index_candidates(inner, r, expr)?;
-    let mut qualifying: Vec<i64> = Vec::new();
-    match candidates {
-        Some(assets) => {
-            examined = assets.len();
-            let mut probe = ctx.probe(r);
-            for asset in assets {
-                if probe.passes(asset)? {
-                    qualifying.push(asset);
-                }
+    if let Some((index, op, lit)) = indexed_cmp(ctx.attrs, expr) {
+        index.visit_cmp(r, op, lit, |decided, pk| {
+            examined += 1;
+            let asset = decode_int_key(pk)?;
+            if decided.map_or_else(|| probe.passes(asset), Ok)? {
+                top.score(asset)?;
+            }
+            Ok::<_, Error>(())
+        })?;
+    } else if let Some(assets) = index_candidates(inner, r, expr)? {
+        examined = assets.len();
+        for asset in assets {
+            if probe.passes(asset)? {
+                top.score(asset)?;
             }
         }
-        None => {
-            for row in attrs.scan(r)? {
-                let row = row?;
-                examined += 1;
-                if ctx.compiled.eval(&row) {
-                    qualifying.push(row[0].as_integer().unwrap_or(0));
-                }
+    } else {
+        ctx.attrs.visit_pk_prefix(r, &[], |key, row| {
+            examined += 1;
+            if ctx.compiled.eval_columns(&EncodedRow::new(row)?) {
+                top.score(decode_int_key(key)?)?;
             }
-        }
+            Ok::<_, Error>(())
+        })?;
     }
-
     trace.stage(stage::FILTER_JOIN);
 
-    // Brute-force NN over the qualifying set, each vector scored on its
-    // pinned page with the partition scan's kernel.
     let metrics = ScanMetrics::default();
-    let neighbors = score_candidates(inner, r, &req.query, &qualifying, req.k, &metrics)?;
-    trace.stage(stage::PARTITION_SCAN);
+    let neighbors = top.finish(inner.dim, &metrics);
     inner
         .tel
         .distance_computations
         .add(metrics.totals().distance_computations as u64);
+    let mut info = QueryInfo::new(PlanUsed::PreFilter);
     metrics.apply_to(&mut info);
     info.candidates = examined;
     Ok(SearchResponse {
@@ -329,29 +344,38 @@ fn pre_filter_search(
     })
 }
 
+/// The index and comparison of a predicate that is one indexed
+/// comparison other than `!=` (which would walk nearly every entry).
+fn indexed_cmp<'a>(attrs: &'a Table, expr: &'a Expr) -> Option<(&'a IndexDef, CmpOp, &'a Value)> {
+    match expr {
+        Expr::Cmp { column, op, value } if *op != CmpOp::Ne => {
+            let col = attrs.schema().column_index(column).ok()?;
+            Some((attrs.index_on(&[col])?, *op, value))
+        }
+        _ => None,
+    }
+}
+
 /// Collects candidate asset ids from indexed access paths, or `None`
-/// when the predicate has no usable index. Conjunctions pick their most
-/// selective indexed side; disjunctions union both sides (both must be
-/// indexable).
+/// when the predicate has no usable index: an indexed comparison yields
+/// the entries it does not rule out, an FTS match its documents.
+/// Conjunctions pick their most selective indexed side; disjunctions
+/// union both sides (both must be indexable).
 fn index_candidates(inner: &Inner, r: &ReadTxn, expr: &Expr) -> Result<Option<Vec<i64>>> {
     let attrs = inner.tables.attrs();
     match expr {
-        Expr::Cmp { column, op, value } => {
-            let Ok(col) = attrs.schema().column_index(column) else {
+        Expr::Cmp { .. } => {
+            let Some((index, op, lit)) = indexed_cmp(attrs, expr) else {
                 return Ok(None);
             };
-            let Some(index) = attrs.index_on(&[col]) else {
-                return Ok(None);
-            };
-            let pks = match op {
-                CmpOp::Eq => index.lookup_eq(r, std::slice::from_ref(value))?,
-                CmpOp::Lt => index.lookup_range(r, None, Some(value), false, true)?,
-                CmpOp::Le => index.lookup_range(r, None, Some(value), false, false)?,
-                CmpOp::Gt => index.lookup_range(r, Some(value), None, true, false)?,
-                CmpOp::Ge => index.lookup_range(r, Some(value), None, false, false)?,
-                CmpOp::Ne => return Ok(None),
-            };
-            Ok(Some(pks_to_assets(pks)))
+            let mut assets = Vec::new();
+            index.visit_cmp(r, op, lit, |decided, pk| {
+                if decided != Some(false) {
+                    assets.push(decode_int_key(pk)?);
+                }
+                Ok::<_, Error>(())
+            })?;
+            Ok(Some(assets))
         }
         Expr::Match { column, query } => {
             let Ok(col) = attrs.schema().column_index(column) else {
@@ -360,7 +384,9 @@ fn index_candidates(inner: &Inner, r: &ReadTxn, expr: &Expr) -> Result<Option<Ve
             let Some(fts) = attrs.fts_on(col) else {
                 return Ok(None);
             };
-            Ok(Some(pks_to_assets(fts.match_pks(r, query)?)))
+            let pks = fts.match_pks(r, query)?;
+            let assets = pks.iter().filter_map(|pk| pk.first()?.as_integer());
+            Ok(Some(assets.collect()))
         }
         Expr::And(a, b) => {
             // Prefer the side the estimator believes is rarer.
@@ -374,22 +400,17 @@ fn index_candidates(inner: &Inner, r: &ReadTxn, expr: &Expr) -> Result<Option<Ve
             index_candidates(inner, r, second)
         }
         Expr::Or(a, b) => {
-            let (Some(ca), Some(cb)) = (
+            let (Some(mut ca), Some(cb)) = (
                 index_candidates(inner, r, a)?,
                 index_candidates(inner, r, b)?,
             ) else {
                 return Ok(None);
             };
-            let mut set: std::collections::HashSet<i64> = ca.into_iter().collect();
-            set.extend(cb);
-            Ok(Some(set.into_iter().collect()))
+            ca.extend(cb);
+            ca.sort_unstable();
+            ca.dedup();
+            Ok(Some(ca))
         }
         Expr::True | Expr::Not(_) => Ok(None),
     }
-}
-
-fn pks_to_assets(pks: Vec<Vec<Value>>) -> Vec<i64> {
-    pks.into_iter()
-        .filter_map(|pk| pk.first().and_then(|v| v.as_integer()))
-        .collect()
 }

@@ -16,6 +16,10 @@
 //!   live vector row whose `asset` column points back, and no vector
 //!   row is unreferenced.
 //! * Every asset has exactly one `attrs` row and vice versa.
+//! * Every secondary index of `attrs` holds exactly the rows' entries:
+//!   each entry names a live `attrs` row whose indexed column encodes to
+//!   the entry's value, and each row has its entry. The pre-filter plan
+//!   answers an indexed comparison from the entries alone.
 //! * Vector blobs decode to exactly the index dimension.
 //! * Every non-delta partition appearing in `vectors` has a centroid
 //!   row of the right dimension, and each centroid's persisted `size`
@@ -43,8 +47,8 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use micronn_rel::blob_to_f32;
-use micronn_storage::{Occupancy, PageId, PageRead};
+use micronn_rel::{blob_to_f32, decode_key};
+use micronn_storage::{Occupancy, PageId, PageRead, StorageError};
 
 use crate::catalog::Counter;
 use crate::db::DELTA_PARTITION;
@@ -239,12 +243,20 @@ impl crate::snapshot::Snapshot {
                 ));
             }
         }
+        // Each attribute row also names the entry it owes every
+        // secondary index of `attrs`.
+        let attrs = t.attrs();
         let mut attr_ids: BTreeSet<i64> = BTreeSet::new();
-        for row in t.attrs().scan(r)? {
-            let asset = row?[0].as_integer();
-            attr_ids.insert(asset.ok_or_else(|| {
+        let mut owed: Vec<BTreeSet<Vec<u8>>> = vec![BTreeSet::new(); attrs.indexes().len()];
+        for row in attrs.scan(r)? {
+            let row = row?;
+            attr_ids.insert(row[0].as_integer().ok_or_else(|| {
                 crate::Error::Config("attrs asset column is not an integer".into())
             })?);
+            let pk = attrs.schema().pk_values(&row);
+            for (index, owed) in attrs.indexes().iter().zip(&mut owed) {
+                owed.insert(index.entry_key(&row, &pk));
+            }
         }
         for &asset in &asset_ids {
             if !attr_ids.contains(&asset) {
@@ -254,6 +266,35 @@ impl crate::snapshot::Snapshot {
         for &asset in &attr_ids {
             if !asset_ids.contains(&asset) {
                 rep.orphan(format!("attributes row for {asset} has no asset row"));
+            }
+        }
+
+        // Every index entry must be one a row owes, and every owed
+        // entry must be there: the pre-filter plan decides a comparison
+        // on the entries alone.
+        let entry = |key: &[u8]| match decode_key(key) {
+            Ok(values) => format!("{values:?}"),
+            Err(_) => format!("{key:02x?}"),
+        };
+        for (index, mut owed) in attrs.indexes().iter().zip(owed) {
+            let mut stray = Vec::new();
+            index.tree.scan_all(r)?.visit(|key, _| {
+                if !owed.remove(key) {
+                    stray.push(entry(key));
+                }
+                Ok::<_, StorageError>(())
+            })?;
+            let name = &index.name;
+            for e in stray {
+                rep.orphan(format!(
+                    "index attrs.{name}: entry {e} matches no attributes row"
+                ));
+            }
+            for key in owed {
+                let e = entry(&key);
+                rep.orphan(format!(
+                    "index attrs.{name}: attributes row has no entry {e}"
+                ));
             }
         }
 
@@ -460,6 +501,49 @@ mod tests {
             rep.errors.iter().any(|e| e.contains("asset 7")),
             "{:?}",
             rep.errors
+        );
+    }
+
+    /// An index entry without its row and a row without its entry,
+    /// each written past the table layer, are both reported.
+    #[test]
+    fn stray_and_missing_index_entries_are_reported() {
+        use micronn_rel::{encode_key, Value};
+        let dir = tempfile::tempdir().unwrap();
+        let mut cfg = Config::new(8, Metric::L2);
+        cfg.store.sync = SyncMode::Off;
+        cfg.attributes = vec![crate::AttributeDef::indexed(
+            "n",
+            micronn_rel::ValueType::Integer,
+        )];
+        let db = MicroNN::create(dir.path().join("i.mnn"), cfg).unwrap();
+        for i in 0..40i64 {
+            let v = VectorRecord::new(i, vec![i as f32; 8]).with_attr("n", i % 4);
+            db.upsert(v).unwrap();
+        }
+        assert!(db.verify_integrity().unwrap().is_clean());
+
+        let t = &db.inner.tables;
+        let mut w = t.begin_write(&db.inner.db).unwrap();
+        let (attrs, txn) = w.raw_attrs();
+        let tree = attrs.indexes()[0].tree;
+        // Asset 5 has n = 1: an entry claiming n = 3 is stray, and
+        // dropping asset 6's (n = 2) leaves its row without one.
+        let key = |n: i64, asset: i64| encode_key(&[Value::Integer(n), Value::Integer(asset)]);
+        tree.insert(txn, &key(3, 5), &[]).unwrap();
+        assert!(tree.delete(txn, &key(2, 6)).unwrap().is_some());
+        w.commit().unwrap();
+
+        let rep = db.verify_integrity().unwrap();
+        let said = |what: &str| rep.errors.iter().filter(|e| e.contains(what)).count();
+        assert_eq!(rep.orphans, 2, "{:?}", rep.errors);
+        assert_eq!(
+            said("entry [Integer(3), Integer(5)] matches no attributes row"),
+            1
+        );
+        assert_eq!(
+            said("attributes row has no entry [Integer(2), Integer(6)]"),
+            1
         );
     }
 

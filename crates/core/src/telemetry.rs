@@ -47,9 +47,9 @@ pub(crate) mod stage {
     pub const PARTITION_SCAN: &str = "partition_scan";
     /// Exact re-ranking of quantized candidates.
     pub const RERANK: &str = "rerank";
-    /// Attribute-predicate evaluation: candidate collection of a
-    /// pre-filter plan, or a post-filter scan's joins (each wave's
-    /// ordering plus its probes).
+    /// Attribute-predicate evaluation: all of a pre-filter plan, whose
+    /// filter hands each qualifying row straight to its scoring, or a
+    /// post-filter scan's joins (each wave's ordering plus its probes).
     pub const FILTER_JOIN: &str = "filter_join";
 }
 

@@ -13,8 +13,13 @@
 //! * text and blobs use `0x00`-escaping with a `0x00 0x01` terminator
 //!   so that a tuple prefix always sorts before its extensions.
 
+use std::ops::Bound;
+
+use micronn_storage::btree::cursor::prefix_successor;
+
 use crate::error::{RelError, Result};
-use crate::value::Value;
+use crate::predicate::CmpOp;
+use crate::value::{Value, ValueRef};
 
 // Type tags, ordered to match `Value::total_cmp`'s class order.
 const TAG_NULL: u8 = 0x10;
@@ -116,20 +121,33 @@ fn escape_into(data: &[u8], out: &mut Vec<u8>) {
 /// `Integer` when the tiebreak marks an exact integer; round-tripping
 /// `encode_key(decode_key(k)) == k` holds for all valid keys.
 pub fn decode_key(mut data: &[u8]) -> Result<Vec<Value>> {
-    let mut out = Vec::new();
+    let (mut out, mut scratch) = (Vec::new(), Vec::new());
     while !data.is_empty() {
-        let (v, rest) = decode_value(data)?;
-        out.push(v);
+        let (v, rest) = decode_first(data, &mut scratch)?;
+        out.push(v.to_value());
         data = rest;
     }
     Ok(out)
 }
 
-fn decode_value(data: &[u8]) -> Result<(Value, &[u8])> {
-    let tag = data[0];
-    let rest = &data[1..];
+/// Decodes the first value of `key` in place and returns it with the
+/// bytes after it — for an index entry, its primary key. Text and blob
+/// content is borrowed from `key`; only content that holds an escaped
+/// `0x00` byte is unescaped, into `scratch`. Nothing is allocated
+/// unless `scratch` has to grow.
+///
+/// The value is in canonical form: a numeric that is a whole number
+/// decodes as `Integer` whichever it was stored as. Below 2^53 that
+/// compares exactly as the stored value does; see [`stands_in`].
+pub(crate) fn decode_first<'k: 'v, 'v>(
+    key: &'k [u8],
+    scratch: &'v mut Vec<u8>,
+) -> Result<(ValueRef<'v>, &'k [u8])> {
+    let Some((&tag, rest)) = key.split_first() else {
+        return Err(RelError::Codec("empty key".into()));
+    };
     match tag {
-        TAG_NULL => Ok((Value::Null, rest)),
+        TAG_NULL => Ok((ValueRef::Null, rest)),
         TAG_NUMERIC => {
             if rest.len() < 16 {
                 return Err(RelError::Codec("truncated numeric key".into()));
@@ -144,59 +162,127 @@ fn decode_value(data: &[u8]) -> Result<(Value, &[u8])> {
             // one canonical form — they are equal under SQL semantics).
             let v = if delta == 0 {
                 if is_exact_i64(r) {
-                    Value::Integer(r as i64)
+                    ValueRef::Integer(r as i64)
                 } else {
-                    Value::Real(r)
+                    ValueRef::Real(r)
                 }
             } else {
-                Value::Integer((r as i64).wrapping_add(delta))
+                ValueRef::Integer((r as i64).wrapping_add(delta))
             };
             Ok((v, &rest[16..]))
         }
         TAG_TEXT | TAG_BLOB => {
-            let mut bytes = Vec::new();
-            let mut i = 0;
-            loop {
-                if i >= rest.len() {
+            // The terminator is the first `0x00` not followed by `0xFF`.
+            let (mut i, mut escaped) = (0, false);
+            let end = loop {
+                let Some(at) = rest[i..].iter().position(|&b| b == 0) else {
                     return Err(RelError::Codec("unterminated string key".into()));
+                };
+                i += at;
+                match rest.get(i + 1) {
+                    Some(0xFF) => (escaped, i) = (true, i + 2),
+                    Some(0x01) => break i,
+                    Some(b) => return Err(RelError::Codec(format!("bad escape byte {b:#x}"))),
+                    None => return Err(RelError::Codec("truncated escape".into())),
                 }
-                match rest[i] {
-                    0x00 => {
-                        if i + 1 >= rest.len() {
-                            return Err(RelError::Codec("truncated escape".into()));
-                        }
-                        match rest[i + 1] {
-                            0xFF => {
-                                bytes.push(0x00);
-                                i += 2;
-                            }
-                            0x01 => {
-                                i += 2;
-                                break;
-                            }
-                            b => {
-                                return Err(RelError::Codec(format!("bad escape byte {b:#x}")));
-                            }
-                        }
-                    }
-                    b => {
-                        bytes.push(b);
-                        i += 1;
-                    }
+            };
+            let bytes: &'v [u8] = if escaped {
+                scratch.clear();
+                let mut chunks = rest[..end].split(|&b| b == 0);
+                scratch.extend_from_slice(chunks.next().unwrap_or_default());
+                // After each `0x00` comes its `0xFF`: restore the zero.
+                for chunk in chunks {
+                    scratch.push(0);
+                    scratch.extend_from_slice(&chunk[1..]);
                 }
-            }
+                scratch
+            } else {
+                &rest[..end]
+            };
             let v = if tag == TAG_TEXT {
-                Value::Text(
-                    String::from_utf8(bytes)
+                ValueRef::Text(
+                    std::str::from_utf8(bytes)
                         .map_err(|_| RelError::Codec("invalid utf-8 in text key".into()))?,
                 )
             } else {
-                Value::Blob(bytes)
+                ValueRef::Blob(bytes)
             };
-            Ok((v, &rest[i..]))
+            Ok((v, &rest[end + 2..]))
         }
         t => Err(RelError::Codec(format!("unknown key tag {t:#x}"))),
     }
+}
+
+/// Decodes a key that is one INTEGER — a single-integer primary key
+/// such as an asset id — in place.
+pub fn decode_int_key(key: &[u8]) -> Result<i64> {
+    match decode_first(key, &mut Vec::new())? {
+        (ValueRef::Integer(i), []) => Ok(i),
+        _ => Err(RelError::Codec("key is not one integer".into())),
+    }
+}
+
+/// Whether a value [`decode_first`] returned compares, under
+/// [`ValueRef::compare`], exactly as the value that was encoded does.
+/// Every value does but a numeric of magnitude 2^53 or more, ±∞
+/// included: there a key cannot tell `Integer(2^60)` from
+/// `Real(2^60)`, and against `Integer(2^60 + 1)` one is less and the
+/// other equal. NULL, NaN, ±0.0, text and blobs all stand in.
+pub(crate) fn stands_in(v: ValueRef<'_>) -> bool {
+    const EXACT: f64 = (1u64 << 53) as f64;
+    match v {
+        ValueRef::Integer(i) => i.unsigned_abs() < 1 << 53,
+        ValueRef::Real(r) => r.is_nan() || r.abs() < EXACT,
+        _ => true,
+    }
+}
+
+/// The key range an index walk for `value <op> lit` covers: every entry
+/// whose value can satisfy the comparison lies in it, and it stays
+/// inside `lit`'s type class (NULL, numeric, TEXT or BLOB), since
+/// [`ValueRef::compare`] never matches across classes. The range only
+/// narrows the walk; the comparison is decided per entry.
+///
+/// A text or blob literal bounds the range by its whole key. A numeric
+/// one bounds it by the high half of its key alone, the `f64` it
+/// rounds to: entries equal to the literal as `f64` share that half,
+/// and only below 2^53 are they all equal to it under `compare`, so
+/// only there does a strict operator leave them out. `±0.0` bound the
+/// range by both zeros, which compare equal.
+pub(crate) fn cmp_range(op: CmpOp, lit: &Value) -> (Bound<Vec<u8>>, Bound<Vec<u8>>) {
+    let (tag, first, last, strict) = match lit {
+        Value::Integer(_) | Value::Real(_) => {
+            let r = lit.as_real().expect("a numeric literal");
+            let high = |r: f64| {
+                let mut k = vec![TAG_NUMERIC];
+                k.extend_from_slice(&((numeric_sortable_real(r) >> 64) as u64).to_be_bytes());
+                k
+            };
+            let (first, last) = if r == 0.0 {
+                (high(-0.0), high(0.0))
+            } else {
+                (high(r), high(r))
+            };
+            (TAG_NUMERIC, first, last, stands_in(ValueRef::Real(r)))
+        }
+        _ => {
+            let k = encode_key(std::slice::from_ref(lit));
+            (k[0], k.clone(), k, true)
+        }
+    };
+    // Just past every key that starts with `k`.
+    let past = |k: Vec<u8>| prefix_successor(&k).expect("a key starts with a tag below 0xFF");
+    let start = match op {
+        CmpOp::Gt if strict => Bound::Included(past(last.clone())),
+        CmpOp::Gt | CmpOp::Ge | CmpOp::Eq => Bound::Included(first.clone()),
+        CmpOp::Lt | CmpOp::Le | CmpOp::Ne => Bound::Included(vec![tag]),
+    };
+    let end = match op {
+        CmpOp::Lt if strict => Bound::Excluded(first),
+        CmpOp::Lt | CmpOp::Le | CmpOp::Eq => Bound::Excluded(past(last)),
+        CmpOp::Gt | CmpOp::Ge | CmpOp::Ne => Bound::Excluded(vec![tag + 1]),
+    };
+    (start, end)
 }
 
 fn is_exact_i64(r: f64) -> bool {

@@ -59,7 +59,7 @@ pub mod value;
 
 pub use catalog::Database;
 pub use error::{RelError, Result};
-pub use keys::{decode_key, encode_key, encode_key_into};
+pub use keys::{decode_int_key, decode_key, encode_key, encode_key_into};
 pub use predicate::{CmpOp, Columns, Compiled, Expr};
 pub use row::{
     blob_into_f32, blob_to_f32, decode_row, encode_row, f32_to_blob, ints_then_blob, EncodedRow,

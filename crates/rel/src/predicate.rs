@@ -40,6 +40,14 @@ impl CmpOp {
             CmpOp::Ge => ord != Less,
         }
     }
+
+    /// Whether `v <op> lit` holds: the one comparison every filter runs,
+    /// on a row's column or on an index entry's value. A NULL or a
+    /// mismatched type on either side never holds.
+    #[inline]
+    pub(crate) fn holds(self, v: ValueRef<'_>, lit: &Value) -> bool {
+        v.compare(lit).is_some_and(|ord| self.matches(ord))
+    }
 }
 
 /// A filter expression over a table's attribute columns.
@@ -250,10 +258,7 @@ impl Compiled {
 fn eval_node<C: Columns + ?Sized>(node: &Node, row: &C) -> bool {
     match node {
         Node::True => true,
-        Node::Cmp { col, op, value } => match row.column(*col).compare(value) {
-            Some(ord) => op.matches(ord),
-            None => false,
-        },
+        Node::Cmp { col, op, value } => op.holds(row.column(*col), value),
         Node::Match { col, tokens } => match row.column(*col).as_text() {
             Some(text) => {
                 if tokens.is_empty() {

@@ -10,12 +10,17 @@
 //! Every mutation keeps all secondary and full-text indexes and the
 //! persistent row counter transactionally consistent.
 
+use std::cmp::Ordering;
+use std::ops::Bound;
+
+use micronn_storage::btree::cursor::prefix_successor;
 use micronn_storage::{BTree, PageRead, PointReader, StorageError, WriteTxn};
 
 use crate::catalog::count_key as table_count_key;
 use crate::error::{RelError, Result};
 use crate::fts;
-use crate::keys::{decode_key, encode_key, encode_key_into};
+use crate::keys::{cmp_range, decode_first, decode_key, encode_key, encode_key_into, stands_in};
+use crate::predicate::CmpOp;
 use crate::row::{decode_row, encode_row};
 use crate::schema::TableSchema;
 use crate::value::Value;
@@ -30,7 +35,9 @@ pub struct IndexDef {
 }
 
 impl IndexDef {
-    fn entry_key(&self, row: &[Value], pk_vals: &[Value]) -> Vec<u8> {
+    /// The key of `row`'s entry, for a row whose primary key is
+    /// `pk_vals`: its indexed columns, then the primary key.
+    pub fn entry_key(&self, row: &[Value], pk_vals: &[Value]) -> Vec<u8> {
         let mut vals: Vec<Value> = self.cols.iter().map(|&c| row[c].clone()).collect();
         vals.extend(pk_vals.iter().cloned());
         encode_key(&vals)
@@ -59,6 +66,19 @@ impl IndexDef {
         encode_key(&cols(a)) == encode_key(&cols(b))
     }
 
+    /// The one walk of the index: lends the key of every entry in
+    /// `[start, end)` to `f`, in key order, straight out of the pinned
+    /// leaf. The first error, the walk's or `f`'s, ends it.
+    fn visit<R: PageRead + ?Sized, E: From<StorageError>>(
+        &self,
+        r: &R,
+        start: Bound<Vec<u8>>,
+        end: Bound<Vec<u8>>,
+        mut f: impl FnMut(&[u8]) -> std::result::Result<(), E>,
+    ) -> std::result::Result<(), E> {
+        self.tree.range(r, start, end)?.visit(|key, _| f(key))
+    }
+
     /// Scans index entries whose indexed columns equal `vals`,
     /// yielding decoded primary keys.
     pub fn lookup_eq<R: PageRead + ?Sized>(
@@ -68,13 +88,15 @@ impl IndexDef {
     ) -> Result<Vec<Vec<Value>>> {
         debug_assert_eq!(vals.len(), self.cols.len());
         let prefix = encode_key(vals);
+        let end = prefix_successor(&prefix).map_or(Bound::Unbounded, Bound::Excluded);
         let mut out = Vec::new();
-        for kv in self.tree.scan_prefix(r, &prefix)? {
-            let (k, _) = kv?;
-            let mut decoded = decode_key(&k)?;
-            let pk = decoded.split_off(self.cols.len());
-            out.push(pk);
-        }
+        // An entry starting with the encoded values holds exactly them:
+        // every value's encoding ends where it says.
+        let at = prefix.len();
+        self.visit(r, Bound::Included(prefix), end, |key| {
+            out.push(decode_key(&key[at..])?);
+            Ok::<_, RelError>(())
+        })?;
         Ok(out)
     }
 
@@ -88,31 +110,51 @@ impl IndexDef {
         lo_strict: bool,
         hi_strict: bool,
     ) -> Result<Vec<Vec<Value>>> {
-        let start = match lo {
-            Some(v) => std::ops::Bound::Included(encode_key(std::slice::from_ref(v))),
-            None => std::ops::Bound::Unbounded,
-        };
-        let mut out = Vec::new();
-        for kv in self.tree.range(r, start, std::ops::Bound::Unbounded)? {
-            let (k, _) = kv?;
-            let mut decoded = decode_key(&k)?;
-            let pk = decoded.split_off(self.cols.len());
-            let v = &decoded[0];
-            if let Some(lo) = lo {
-                if lo_strict && v.total_cmp(lo) == std::cmp::Ordering::Equal {
-                    continue;
-                }
+        let start = lo.map_or(Bound::Unbounded, |v| {
+            Bound::Included(encode_key(std::slice::from_ref(v)))
+        });
+        let end = hi.map_or(Bound::Unbounded, |v| cmp_range(CmpOp::Le, v).1);
+        let (mut out, mut scratch) = (Vec::new(), Vec::new());
+        self.visit(r, start, end, |key| {
+            let (v, rest) = decode_first(key, &mut scratch)?;
+            let above = lo.map_or(true, |lo| !lo_strict || v.total_cmp(lo) != Ordering::Equal);
+            let below = hi.map_or(true, |hi| match v.total_cmp(hi) {
+                Ordering::Less => true,
+                Ordering::Equal => !hi_strict,
+                Ordering::Greater => false,
+            });
+            if above && below {
+                let mut pk = decode_key(rest)?;
+                out.push(pk.split_off(self.cols.len() - 1));
             }
-            if let Some(hi) = hi {
-                match v.total_cmp(hi) {
-                    std::cmp::Ordering::Greater => break,
-                    std::cmp::Ordering::Equal if hi_strict => break,
-                    _ => {}
-                }
-            }
-            out.push(pk);
-        }
+            Ok::<_, RelError>(())
+        })?;
         Ok(out)
+    }
+
+    /// Visits the entries of a single-column index that can satisfy
+    /// `value <op> lit`, in key order, and says for each whether it
+    /// does: `f` gets the verdict and the entry's encoded primary key.
+    /// The walk covers one key range, in place, inside the literal's
+    /// type class; each entry's value is decoded without allocating and
+    /// tested with the comparison a [`Compiled`](crate::Compiled)
+    /// predicate runs on the row. The verdict is `None` where the
+    /// entry's key cannot stand in for the row's value — a numeric of
+    /// magnitude 2^53 or more: the caller checks the row.
+    pub fn visit_cmp<R: PageRead + ?Sized, E: From<StorageError> + From<RelError>>(
+        &self,
+        r: &R,
+        op: CmpOp,
+        lit: &Value,
+        mut f: impl FnMut(Option<bool>, &[u8]) -> std::result::Result<(), E>,
+    ) -> std::result::Result<(), E> {
+        debug_assert_eq!(self.cols.len(), 1);
+        let (start, end) = cmp_range(op, lit);
+        let mut scratch = Vec::new();
+        self.visit(r, start, end, |key| {
+            let (v, pk) = decode_first(key, &mut scratch)?;
+            f(stands_in(v).then(|| op.holds(v, lit)), pk)
+        })
     }
 }
 

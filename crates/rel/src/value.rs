@@ -149,29 +149,7 @@ impl Value {
     /// Total order used for sorting and histogram construction:
     /// NULL < numerics < TEXT < BLOB, with NaN greatest among reals.
     pub fn total_cmp(&self, other: &Value) -> Ordering {
-        fn class(v: &Value) -> u8 {
-            match v {
-                Value::Null => 0,
-                Value::Integer(_) | Value::Real(_) => 1,
-                Value::Text(_) => 2,
-                Value::Blob(_) => 3,
-            }
-        }
-        match class(self).cmp(&class(other)) {
-            Ordering::Equal => {}
-            o => return o,
-        }
-        use Value::*;
-        match (self, other) {
-            (Null, Null) => Ordering::Equal,
-            (Integer(a), Integer(b)) => a.cmp(b),
-            (Real(a), Real(b)) => a.total_cmp(b),
-            (Integer(a), Real(b)) => (*a as f64).total_cmp(b),
-            (Real(a), Integer(b)) => a.total_cmp(&(*b as f64)),
-            (Text(a), Text(b)) => a.cmp(b),
-            (Blob(a), Blob(b)) => a.cmp(b),
-            _ => unreachable!("classes matched above"),
-        }
+        self.as_ref().total_cmp(other)
     }
 }
 
@@ -201,6 +179,34 @@ impl<'a> ValueRef<'a> {
             (Text(a), Text(b)) => Some(a.cmp(b)),
             (Blob(a), Blob(b)) => Some(a.cmp(b)),
             _ => None,
+        }
+    }
+
+    /// The one implementation of [`Value::total_cmp`].
+    pub(crate) fn total_cmp(self, other: &Value) -> Ordering {
+        fn class(v: ValueRef<'_>) -> u8 {
+            match v {
+                ValueRef::Null => 0,
+                ValueRef::Integer(_) | ValueRef::Real(_) => 1,
+                ValueRef::Text(_) => 2,
+                ValueRef::Blob(_) => 3,
+            }
+        }
+        let other = other.as_ref();
+        match class(self).cmp(&class(other)) {
+            Ordering::Equal => {}
+            o => return o,
+        }
+        use ValueRef::*;
+        match (self, other) {
+            (Null, Null) => Ordering::Equal,
+            (Integer(a), Integer(b)) => a.cmp(&b),
+            (Real(a), Real(b)) => a.total_cmp(&b),
+            (Integer(a), Real(b)) => (a as f64).total_cmp(&b),
+            (Real(a), Integer(b)) => a.total_cmp(&(b as f64)),
+            (Text(a), Text(b)) => a.cmp(b),
+            (Blob(a), Blob(b)) => a.cmp(b),
+            _ => unreachable!("classes matched above"),
         }
     }
 
