@@ -3,9 +3,9 @@
 //! Implements the paper's Algorithm 1 — mini-batch k-means (Sculley
 //! \[35\]) with flexible balance constraints (Liu et al. \[22\]) over a
 //! streaming [`VectorSource`] so that index construction runs in
-//! `O(batch)` memory — plus full-memory Lloyd's k-means for the small
-//! sets the index clusters in RAM: one partition's rows in a split's
-//! local re-clustering, and the centroid table in the centroid index.
+//! `O(batch)` memory — plus full-memory Lloyd's k-means for the one
+//! small set the index clusters in RAM: one partition's rows in a
+//! split's local re-clustering.
 
 pub mod lloyd;
 pub mod minibatch;

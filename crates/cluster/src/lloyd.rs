@@ -1,8 +1,7 @@
 //! Full-memory Lloyd's k-means over a small in-memory set: one
-//! oversized partition's rows when a split re-clusters it locally, and
-//! the centroid table when the centroid index groups it. Index builds
-//! never buffer the collection; they run mini-batch k-means
-//! ([`crate::minibatch`]).
+//! oversized partition's rows when a split re-clusters it locally.
+//! Index builds never buffer the collection; they run mini-batch
+//! k-means ([`crate::minibatch`]).
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};

@@ -85,8 +85,9 @@ impl Clustering {
         best
     }
 
-    /// The `n` nearest centroids to `x`, ascending by distance — the
-    /// probe set of an ANN search.
+    /// The `n` nearest centroids to `x`, ascending by distance: the
+    /// probe selection of every ANN search, at every partition count
+    /// (Algorithm 2's FindNearestCentroids scans the whole table).
     pub fn nearest_n(&self, x: &[f32], n: usize) -> Vec<(usize, f32)> {
         let mut top = TopK::new(n.min(self.k));
         for i in 0..self.k {

@@ -25,12 +25,30 @@
 //! `col<v`, `col<=v`, `col>v`, `col>=v`, or `col~"full text query"`;
 //! combine with ` AND ` / ` OR `.
 
+use std::fmt;
+use std::io::{ErrorKind, Write};
 use std::process::ExitCode;
 
 use micronn::{
     AttributeDef, CollectingSink, Config, Expr, Metric, MetricSnapshot, MicroNN, SearchRequest,
     Value, ValueType, VectorCodec, VectorRecord,
 };
+
+/// The CLI's one path to stdout, written with `writeln!(Out, ...)?`.
+/// Once the reader closes the pipe (`micronnctl fsck db | head -1`) the
+/// rest of the output is dropped and the command finishes quietly, with
+/// the exit status its work earned; any other write error fails the
+/// command.
+struct Out;
+
+impl Out {
+    fn write_fmt(&mut self, args: fmt::Arguments) -> Result<(), String> {
+        match std::io::stdout().write_fmt(args) {
+            Err(e) if e.kind() == ErrorKind::BrokenPipe => Ok(()),
+            r => r.map_err(|e| format!("writing to stdout: {e}")),
+        }
+    }
+}
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -58,35 +76,38 @@ fn run(args: &[String]) -> Result<(), String> {
         "fsck" => cmd_fsck(&args[1..]),
         "rebuild" => cmd_simple(&args[1..], |db| {
             let r = db.rebuild().map_err(stringify)?;
-            println!(
+            writeln!(
+                Out,
                 "rebuilt: {} vectors -> {} partitions ({} rows moved) in {:?}",
                 r.vectors, r.partitions, r.moved_rows, r.total_time
-            );
+            )?;
             Ok(())
         }),
         "flush" => cmd_simple(&args[1..], |db| {
             let r = db.flush_delta().map_err(stringify)?;
-            println!(
+            writeln!(
+                Out,
                 "flushed {} delta vectors into {} partitions in {:?}",
                 r.flushed, r.partitions_touched, r.total_time
-            );
+            )?;
             Ok(())
         }),
         "analyze" => cmd_simple(&args[1..], |db| {
             db.analyze().map_err(stringify)?;
-            println!("statistics refreshed");
+            writeln!(Out, "statistics refreshed")?;
             Ok(())
         }),
         "checkpoint" => cmd_simple(&args[1..], |db| {
             let done = db.checkpoint().map_err(stringify)?;
-            println!(
+            writeln!(
+                Out,
                 "{}",
                 if done {
                     "checkpoint complete"
                 } else {
                     "checkpoint skipped (pinned readers or empty WAL)"
                 }
-            );
+            )?;
             Ok(())
         }),
         "backup" => {
@@ -94,7 +115,7 @@ fn run(args: &[String]) -> Result<(), String> {
             let dest = rest.first().ok_or("backup: missing destination path")?;
             let db = open(&db_path, rest)?;
             db.backup_to(dest).map_err(stringify)?;
-            println!("backup written to {dest}");
+            writeln!(Out, "backup written to {dest}")?;
             Ok(())
         }
         other => Err(format!("unknown command {other}")),
@@ -108,16 +129,18 @@ fn cmd_status(args: &[String]) -> Result<(), String> {
     let (path, rest) = take_path(args)?;
     let db = open(&path, rest)?;
     let s = db.stats().map_err(stringify)?;
-    println!(
+    writeln!(
+        Out,
         "status:              {:?}",
         db.maintenance_status().map_err(stringify)?
-    );
-    println!("partitions:          {}", s.partitions);
-    println!("delta vectors:       {}", s.delta_vectors);
-    println!(
+    )?;
+    writeln!(Out, "partitions:          {}", s.partitions)?;
+    writeln!(Out, "delta vectors:       {}", s.delta_vectors)?;
+    writeln!(
+        Out,
         "partition sizes:     min {} / avg {:.1} / max {}",
         s.min_partition_size, s.avg_partition_size, s.max_partition_size
-    );
+    )?;
     // Maintenance counters from the telemetry registry. A freshly
     // opened handle starts at zero; nonzero counts mean maintenance ran
     // in *this* process (e.g. `micronnctl maintain`, or an embedded
@@ -137,15 +160,15 @@ fn cmd_status(args: &[String]) -> Result<(), String> {
         })
         .collect();
     if !maint.is_empty() {
-        println!("maintenance counters (this process):");
+        writeln!(Out, "maintenance counters (this process):")?;
         for (name, v) in maint {
-            println!("  {name:<44} {v}");
+            writeln!(Out, "  {name:<44} {v}")?;
         }
     }
-    print_tree_fill(&db.tree_fill().map_err(stringify)?);
+    print_tree_fill(&db.tree_fill().map_err(stringify)?)?;
     let sizes = db.partition_sizes().map_err(stringify)?;
     if sizes.is_empty() {
-        println!("histogram:           (index not built)");
+        writeln!(Out, "histogram:           (index not built)")?;
         return Ok(());
     }
     // Fixed-width histogram over eight size buckets.
@@ -157,16 +180,16 @@ fn cmd_status(args: &[String]) -> Result<(), String> {
         counts[((s / width) as usize).min(buckets - 1)] += 1;
     }
     let peak = counts.iter().copied().max().unwrap_or(1).max(1);
-    println!("histogram (vectors per partition):");
+    writeln!(Out, "histogram (vectors per partition):")?;
     for (b, &c) in counts.iter().enumerate() {
         let lo = b as u64 * width;
         let bar = "#".repeat((c * 40).div_ceil(peak).min(40));
         // The last bucket also absorbs everything above its range.
         if b == buckets - 1 {
-            println!("  {:>6}+{:<6} {c:>5}  {bar}", lo, "");
+            writeln!(Out, "  {:>6}+{:<6} {c:>5}  {bar}", lo, "")?;
         } else {
             let hi = (b as u64 + 1) * width - 1;
-            println!("  {lo:>6}-{hi:<6} {c:>5}  {bar}");
+            writeln!(Out, "  {lo:>6}-{hi:<6} {c:>5}  {bar}")?;
         }
     }
     Ok(())
@@ -180,38 +203,44 @@ fn cmd_maintain(args: &[String]) -> Result<(), String> {
     let db = open(&path, rest)?;
     let report = db.maybe_maintain().map_err(stringify)?;
     if report.actions.is_empty() {
-        println!("healthy; nothing to do");
+        writeln!(Out, "healthy; nothing to do")?;
     }
     for action in &report.actions {
         match action {
-            MaintenanceAction::Flushed(f) => println!(
+            MaintenanceAction::Flushed(f) => writeln!(
+                Out,
                 "flushed {} delta vectors into {} partitions in {:?}",
                 f.flushed, f.partitions_touched, f.total_time
-            ),
-            MaintenanceAction::Split(s) => println!(
+            )?,
+            MaintenanceAction::Split(s) => writeln!(
+                Out,
                 "split partition {} -> +{:?} ({} rows moved) in {:?}",
                 s.partition, s.new_partitions, s.rows_moved, s.total_time
-            ),
-            MaintenanceAction::Merged(m) => println!(
+            )?,
+            MaintenanceAction::Merged(m) => writeln!(
+                Out,
                 "merged partition {} into {} ({} rows moved) in {:?}",
                 m.partition, m.target, m.rows_moved, m.total_time
-            ),
-            MaintenanceAction::Rebuilt(r) => println!(
+            )?,
+            MaintenanceAction::Rebuilt(r) => writeln!(
+                Out,
                 "full rebuild: {} vectors -> {} partitions in {:?}",
                 r.vectors, r.partitions, r.total_time
-            ),
-            MaintenanceAction::Retrained(t) => println!(
+            )?,
+            MaintenanceAction::Retrained(t) => writeln!(
+                Out,
                 "retrained quantizer ranges of partition {} ({} vectors re-encoded) in {:?}",
                 t.partition, t.encoded, t.total_time
-            ),
+            )?,
         }
     }
-    println!(
+    writeln!(
+        Out,
         "final status: {:?} ({} actions in {:?})",
         report.status,
         report.actions.len(),
         report.total_time
-    );
+    )?;
     Ok(())
 }
 
@@ -223,15 +252,15 @@ fn cmd_fsck(args: &[String]) -> Result<(), String> {
     let (path, rest) = take_path(args)?;
     let db = open(&path, rest)?;
     let report = db.verify_integrity().map_err(stringify)?;
-    println!("partitions walked:   {}", report.partitions_walked);
-    println!("vectors checked:     {}", report.vectors_checked);
-    println!("assets cross-checked:{:>5}", report.assets_checked);
-    println!("codes checked:       {}", report.codes_checked);
-    println!("orphans:             {}", report.orphans);
-    println!("unreachable pages:   {}", report.unreachable_pages);
-    print_tree_fill(&report.tree_fill);
+    writeln!(Out, "partitions walked:   {}", report.partitions_walked)?;
+    writeln!(Out, "vectors checked:     {}", report.vectors_checked)?;
+    writeln!(Out, "assets cross-checked:{:>5}", report.assets_checked)?;
+    writeln!(Out, "codes checked:       {}", report.codes_checked)?;
+    writeln!(Out, "orphans:             {}", report.orphans)?;
+    writeln!(Out, "unreachable pages:   {}", report.unreachable_pages)?;
+    print_tree_fill(&report.tree_fill)?;
     if report.is_clean() {
-        println!("ok: no corruption found");
+        writeln!(Out, "ok: no corruption found")?;
         Ok(())
     } else {
         for e in &report.errors {
@@ -250,17 +279,19 @@ fn cmd_fsck(args: &[String]) -> Result<(), String> {
 /// so a low `vectors` fill is pages read for air; a cold scan reads a
 /// run of leaves per I/O, so few pages per run is a cold query making
 /// one I/O per leaf.
-fn print_tree_fill(trees: &[(String, micronn::Occupancy)]) {
+fn print_tree_fill(trees: &[(String, micronn::Occupancy)]) -> Result<(), String> {
     for (tree, occ) in trees {
-        println!(
+        writeln!(
+            Out,
             "leaf fill {tree}: {:.3} ({} leaf, {} interior, {} overflow pages, {:.1} pages per run)",
             occ.leaf_fill(),
             occ.leaf_pages,
             occ.interior_pages,
             occ.overflow_pages,
             occ.pages_per_run()
-        );
+        )?;
     }
+    Ok(())
 }
 
 fn stringify(e: micronn::Error) -> String {
@@ -306,11 +337,11 @@ fn cmd_stats(args: &[String]) -> Result<(), String> {
         // latency histograms, scan and maintenance counters, and the
         // storage engine's live I/O counters (`micronn_store_*`).
         "json" => {
-            println!("{}", db.telemetry().to_json());
+            writeln!(Out, "{}", db.telemetry().to_json())?;
             return Ok(());
         }
         "prometheus" => {
-            print!("{}", db.telemetry().to_prometheus());
+            write!(Out, "{}", db.telemetry().to_prometheus())?;
             return Ok(());
         }
         other => {
@@ -320,21 +351,22 @@ fn cmd_stats(args: &[String]) -> Result<(), String> {
         }
     }
     let s = db.stats().map_err(stringify)?;
-    println!("path:                {path}");
-    println!("dimension:           {}", db.dim());
-    println!("metric:              {}", db.metric());
-    println!("codec:               {}", db.codec());
-    println!("total vectors:       {}", s.total_vectors);
-    println!("delta vectors:       {}", s.delta_vectors);
-    println!("partitions:          {}", s.partitions);
-    println!("avg partition size:  {:.1}", s.avg_partition_size);
-    println!("baseline size:       {:.1}", s.baseline_partition_size);
-    println!("index epoch:         {}", s.epoch);
-    println!("pool resident:       {} KiB", s.resident_bytes / 1024);
-    println!(
+    writeln!(Out, "path:                {path}")?;
+    writeln!(Out, "dimension:           {}", db.dim())?;
+    writeln!(Out, "metric:              {}", db.metric())?;
+    writeln!(Out, "codec:               {}", db.codec())?;
+    writeln!(Out, "total vectors:       {}", s.total_vectors)?;
+    writeln!(Out, "delta vectors:       {}", s.delta_vectors)?;
+    writeln!(Out, "partitions:          {}", s.partitions)?;
+    writeln!(Out, "avg partition size:  {:.1}", s.avg_partition_size)?;
+    writeln!(Out, "baseline size:       {:.1}", s.baseline_partition_size)?;
+    writeln!(Out, "index epoch:         {}", s.epoch)?;
+    writeln!(Out, "pool resident:       {} KiB", s.resident_bytes / 1024)?;
+    writeln!(
+        Out,
         "maintenance status:  {:?}",
         db.maintenance_status().map_err(stringify)?
-    );
+    )?;
     Ok(())
 }
 
@@ -366,7 +398,7 @@ fn cmd_create(args: &[String]) -> Result<(), String> {
     }
     let codec = config.codec;
     MicroNN::create(&path, config).map_err(stringify)?;
-    println!("created {path} ({dim}-d, {metric}, codec {codec})");
+    writeln!(Out, "created {path} ({dim}-d, {metric}, codec {codec})")?;
     Ok(())
 }
 
@@ -438,7 +470,7 @@ fn cmd_import(args: &[String]) -> Result<(), String> {
     }
     db.upsert_batch(&batch).map_err(stringify)?;
     imported += batch.len();
-    println!("imported {imported} vectors into {path} (staged in the delta store; run `micronnctl rebuild` to index)");
+    writeln!(Out, "imported {imported} vectors into {path} (staged in the delta store; run `micronnctl rebuild` to index)")?;
     Ok(())
 }
 
@@ -512,7 +544,8 @@ fn cmd_search(args: &[String]) -> Result<(), String> {
     // The full execution counters, so codec and executor behaviour is
     // inspectable from the CLI (bytes scanned shrink under SQ8/SQ4; the
     // re-rank and filter counters expose the pipeline's extra passes).
-    println!(
+    writeln!(
+        Out,
         "plan={} partitions={} vectors_scanned={} bytes_scanned={} reranked={} \
          filtered_out={} candidates={} time={elapsed:?}",
         resp.info.plan,
@@ -522,9 +555,9 @@ fn cmd_search(args: &[String]) -> Result<(), String> {
         resp.info.reranked,
         resp.info.filtered_out,
         resp.info.candidates
-    );
+    )?;
     for r in &resp.results {
-        println!("{:>20}  {:.6}", r.asset_id, r.distance);
+        writeln!(Out, "{:>20}  {:.6}", r.asset_id, r.distance)?;
     }
     Ok(())
 }
@@ -548,13 +581,14 @@ fn cmd_trace(args: &[String]) -> Result<(), String> {
         .find(|s| s.name == "query")
         .map(|s| s.duration)
         .unwrap_or_else(|| spans.iter().map(|s| s.duration).sum());
-    println!(
+    writeln!(
+        Out,
         "plan={} k={} total={:?} ({} results)",
         resp.info.plan,
         q.k,
         total,
         resp.results.len()
-    );
+    )?;
     let total_ns = total.as_nanos().max(1);
     for s in &spans {
         if s.name == "query" {
@@ -569,14 +603,16 @@ fn cmd_trace(args: &[String]) -> Result<(), String> {
         if s.fsyncs > 0 {
             extras.push_str(&format!("  fsyncs={}", s.fsyncs));
         }
-        println!(
+        writeln!(
+            Out,
             "  {:<18} {:>12?} {:>6.1}%  {bar}{extras}",
             s.name,
             s.duration,
             share * 100.0
-        );
+        )?;
     }
-    println!(
+    writeln!(
+        Out,
         "  counters: partitions={} vectors_scanned={} bytes_scanned={} reranked={} \
          filtered_out={} candidates={}",
         resp.info.partitions_scanned,
@@ -585,7 +621,7 @@ fn cmd_trace(args: &[String]) -> Result<(), String> {
         resp.info.reranked,
         resp.info.filtered_out,
         resp.info.candidates
-    );
+    )?;
     Ok(())
 }
 

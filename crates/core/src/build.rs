@@ -26,8 +26,8 @@ use crate::error::Result;
 const CLUSTERING_BATCH_SIZE: usize = 1024;
 /// Balance-constraint weight λ of Algorithm 1.
 const BALANCE_LAMBDA: f32 = 0.5;
-/// RNG seed of every clustering the index runs: the build, a split's
-/// local re-clustering (xor the partition id) and the centroid index.
+/// RNG seed of every clustering the index runs: the build and a
+/// split's local re-clustering (xor the partition id).
 pub(crate) const CLUSTERING_SEED: u64 = 0x5EED;
 
 /// Outcome of a full index build.

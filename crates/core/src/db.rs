@@ -11,9 +11,7 @@ use micronn_linalg::{Metric, Sq8Params};
 use micronn_rel::{blob_to_f32, Database, RelError, TableStats, Value};
 use micronn_storage::PageRead;
 
-use crate::build::CLUSTERING_SEED;
 use crate::catalog::{Counter, Loc, Tables, Writer};
-use crate::centroid_index::{self, CentroidIndex};
 use crate::codec::VectorCodec;
 use crate::config::Config;
 use crate::error::{Error, Result};
@@ -49,14 +47,13 @@ impl VectorRecord {
     }
 }
 
-/// The loaded IVF quantizer: centroids, their partition ids, and (for
-/// large `k`) the two-level centroid index of §3.2's extension.
+/// The loaded IVF quantizer: the centroid matrix and the partition id
+/// of each centroid.
 #[derive(Clone)]
 pub(crate) struct LoadedIndex {
     pub clustering: Arc<Clustering>,
-    /// Partition id per centroid index.
+    /// The partition id of each centroid, by its row in `clustering`.
     pub partitions: Arc<Vec<i64>>,
-    pub super_index: Option<Arc<CentroidIndex>>,
     /// The index epoch this quantizer is the state of: what a scan
     /// hands to [`Inner::partition_params`], so it reads the epoch once.
     pub epoch: i64,
@@ -64,21 +61,16 @@ pub(crate) struct LoadedIndex {
 
 impl LoadedIndex {
     /// The `n` nearest partitions to `x` (ascending by centroid
-    /// distance), through the hierarchy when one exists.
+    /// distance): Algorithm 2's scan of the whole centroid table.
     pub fn nearest_partitions(&self, x: &[f32], n: usize) -> Vec<i64> {
-        let ranked = match &self.super_index {
-            Some(idx) => idx.nearest_n(&self.clustering, x, n),
-            None => self.clustering.nearest_n(x, n),
-        };
-        ranked
-            .into_iter()
+        (self.clustering.nearest_n(x, n).into_iter())
             .map(|(ci, _)| self.partitions[ci])
             .collect()
     }
 }
 
 /// One value derived from a committed snapshot and shared between
-/// readers: the centroid index and quantization ranges are keyed on
+/// readers: the loaded quantizer and quantization ranges are keyed on
 /// the index epoch, attribute statistics on the exact commit seq.
 ///
 /// Protocol: only a committed read snapshot may look up or publish — a
@@ -578,11 +570,10 @@ impl Inner {
     }
 
     /// Loads (or returns the cached) IVF quantizer: the centroid matrix
-    /// plus the partition id per centroid, and — once `k` reaches
-    /// [`centroid_index::THRESHOLD`] — the two-level centroid index.
-    /// `None` before the first index build. This is the only way the
-    /// cache is filled: every maintenance action bumps the epoch, and
-    /// the next reader reloads from the committed centroid table.
+    /// plus the partition id per centroid. `None` before the first
+    /// index build. This is the only way the cache is filled: every
+    /// maintenance action bumps the epoch, and the next reader reloads
+    /// from the committed centroid table.
     ///
     /// The epoch is read *under the caller's snapshot*. Epochs are
     /// monotone and every centroid/range change commits an epoch bump
@@ -616,13 +607,9 @@ impl Inner {
         if partitions.is_empty() {
             return Ok(None);
         }
-        let clustering = Arc::new(Clustering::new(flat, self.dim, self.metric));
-        let super_index = (partitions.len() >= centroid_index::THRESHOLD)
-            .then(|| Arc::new(CentroidIndex::build(&clustering, CLUSTERING_SEED)));
         let index = LoadedIndex {
-            clustering,
+            clustering: Arc::new(Clustering::new(flat, self.dim, self.metric)),
             partitions: Arc::new(partitions),
-            super_index,
             epoch,
         };
         cache.publish(snap, epoch, |_| index.clone());

@@ -68,7 +68,6 @@
 pub mod batch;
 pub mod build;
 mod catalog;
-mod centroid_index;
 pub mod codec;
 pub mod config;
 pub mod db;

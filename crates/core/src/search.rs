@@ -6,8 +6,8 @@
 //! one, so `search`, `exact` and `batch_search` share every phase:
 //!
 //! 1. **Probe selection.** Each query picks its partitions through
-//!    `nearest_partitions` (ANN, including the two-level centroid index
-//!    when present), or takes every partition (exact KNN, §3.3 "trivial
+//!    `nearest_partitions` (ANN: Algorithm 2's scan of the whole
+//!    centroid table), or takes every partition (exact KNN, §3.3 "trivial
 //!    but resource intensive"). The delta store is added for every
 //!    query.
 //! 2. **Scan.** Each probed partition is scanned once for the queries

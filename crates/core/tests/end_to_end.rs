@@ -499,14 +499,13 @@ fn search_unbuilt_index_scans_delta_only() {
 }
 
 #[test]
-fn two_level_centroid_index_preserves_recall() {
-    // §3.2's extension: 2 112 vectors in partitions of one give 2 112
-    // centroids, past the 2 048 from which the loaded quantizer carries
-    // the two-level centroid index. Probe selection then goes through
-    // super-clusters, yet recall stays near the exact answer; and after
-    // a flush and a split, the live handle reloads the quantizer from
-    // the committed centroid table, so it answers bit for bit as a
-    // freshly reopened handle does.
+fn large_centroid_table_probes_and_reloads() {
+    // 2 112 vectors in partitions of one give a table of 2 112
+    // centroids, which probe selection scans in full (Algorithm 2), so
+    // recall stays near the exact answer; and after a flush and a
+    // split, the live handle reloads the quantizer from the committed
+    // centroid table, so it answers bit for bit as a freshly reopened
+    // handle does.
     const DIM8: usize = 8;
     let vectors: Vec<Vec<f32>> = (clustered(2112, 264, 21).into_iter())
         .map(|v| v[..DIM8].to_vec())
@@ -549,7 +548,7 @@ fn two_level_centroid_index_preserves_recall() {
                 total += recall(&approx.results, &exact.results);
             }
             let mean = total / queries.len() as f64;
-            assert!(mean >= 0.9, "hierarchical probe selection recall {mean}");
+            assert!(mean >= 0.9, "probe selection recall {mean}");
         }
 
         // A flushed near-duplicate gives one partition a second row.

@@ -92,18 +92,6 @@ impl<P: PartialEq> TopK<P> {
         self.heap.is_empty()
     }
 
-    /// The current k-th (worst retained) distance, or `+∞` while the
-    /// heap is not yet full. Scans can use this to skip candidates
-    /// early.
-    #[inline]
-    pub fn threshold(&self) -> f32 {
-        if self.heap.len() < self.k {
-            f32::INFINITY
-        } else {
-            self.heap.peek().map_or(f32::INFINITY, |n| n.distance)
-        }
-    }
-
     /// Whether a push of this candidate would retain it right now: the
     /// heap has room, or the candidate beats the worst retained one
     /// under the total `(distance, id)` order. Lets a scan run an
@@ -199,21 +187,6 @@ mod tests {
             "ids of the 3 smallest distances, ascending"
         );
         assert_eq!(got[0].distance, 0.5);
-    }
-
-    #[test]
-    fn threshold_tracks_kth() {
-        let mut t = TopK::new(2);
-        assert_eq!(t.threshold(), f32::INFINITY);
-        t.push(1, 3.0);
-        assert_eq!(t.threshold(), f32::INFINITY, "not full yet");
-        t.push(2, 1.0);
-        assert_eq!(t.threshold(), 3.0);
-        t.push(3, 2.0);
-        assert_eq!(t.threshold(), 2.0);
-        // Worse candidates are rejected.
-        assert!(!t.push(4, 5.0));
-        assert_eq!(t.threshold(), 2.0);
     }
 
     #[test]

@@ -13,7 +13,6 @@
 use std::cmp::Ordering;
 use std::ops::Bound;
 
-use micronn_storage::btree::cursor::prefix_successor;
 use micronn_storage::{BTree, PageRead, PointReader, StorageError, WriteTxn};
 
 use crate::catalog::count_key as table_count_key;
@@ -77,27 +76,6 @@ impl IndexDef {
         mut f: impl FnMut(&[u8]) -> std::result::Result<(), E>,
     ) -> std::result::Result<(), E> {
         self.tree.range(r, start, end)?.visit(|key, _| f(key))
-    }
-
-    /// Scans index entries whose indexed columns equal `vals`,
-    /// yielding decoded primary keys.
-    pub fn lookup_eq<R: PageRead + ?Sized>(
-        &self,
-        r: &R,
-        vals: &[Value],
-    ) -> Result<Vec<Vec<Value>>> {
-        debug_assert_eq!(vals.len(), self.cols.len());
-        let prefix = encode_key(vals);
-        let end = prefix_successor(&prefix).map_or(Bound::Unbounded, Bound::Excluded);
-        let mut out = Vec::new();
-        // An entry starting with the encoded values holds exactly them:
-        // every value's encoding ends where it says.
-        let at = prefix.len();
-        self.visit(r, Bound::Included(prefix), end, |key| {
-            out.push(decode_key(&key[at..])?);
-            Ok::<_, RelError>(())
-        })?;
-        Ok(out)
     }
 
     /// Scans index entries with indexed column values in
@@ -667,9 +645,14 @@ mod tests {
             t.upsert(&mut txn, row(i, loc, i * 10, "x")).unwrap();
         }
         txn.commit().unwrap();
-        let r = db.begin_read();
         let idx = t.index_on(&[1]).unwrap();
-        let seattle = idx.lookup_eq(&r, &[Value::text("Seattle")]).unwrap();
+        let at = Value::text("Seattle");
+        let in_seattle = || {
+            let r = db.begin_read();
+            idx.lookup_range(&r, Some(&at), Some(&at), false, false)
+                .unwrap()
+        };
+        let seattle = in_seattle();
         assert_eq!(seattle.len(), 7); // 0,3,6,9,12,15,18
         assert!(seattle.contains(&vec![Value::Integer(0)]));
 
@@ -677,8 +660,7 @@ mod tests {
         let mut txn = db.begin_write().unwrap();
         t.upsert(&mut txn, row(0, "NYC", 0, "x")).unwrap();
         txn.commit().unwrap();
-        let r = db.begin_read();
-        let seattle = idx.lookup_eq(&r, &[Value::text("Seattle")]).unwrap();
+        let seattle = in_seattle();
         assert_eq!(seattle.len(), 6);
         assert!(!seattle.contains(&vec![Value::Integer(0)]));
 
@@ -686,11 +668,7 @@ mod tests {
         let mut txn = db.begin_write().unwrap();
         t.delete(&mut txn, &[Value::Integer(3)]).unwrap();
         txn.commit().unwrap();
-        let r = db.begin_read();
-        assert_eq!(
-            idx.lookup_eq(&r, &[Value::text("Seattle")]).unwrap().len(),
-            5
-        );
+        assert_eq!(in_seattle().len(), 5);
     }
 
     #[test]
@@ -798,7 +776,10 @@ mod tests {
         let (idx, f) = (t.index_on(&[1]).unwrap(), t.fts_on(2).unwrap());
         let pks = |cat: &str| {
             let r = db.begin_read();
-            let mut pks = idx.lookup_eq(&r, &[Value::text(cat)]).unwrap();
+            let cat = Value::text(cat);
+            let mut pks = idx
+                .lookup_range(&r, Some(&cat), Some(&cat), false, false)
+                .unwrap();
             pks.sort_by_key(|pk| pk[0].as_integer());
             pks
         };

@@ -144,7 +144,8 @@ proptest! {
         // The index holds exactly the model's primary keys per category.
         let idx = t.index_on(&[1]).unwrap();
         for cat in ["a", "b", "c"] {
-            let got = ids(idx.lookup_eq(&txn, &[Value::text(cat)]).unwrap());
+            let at = Value::text(cat);
+            let got = ids(idx.lookup_range(&txn, Some(&at), Some(&at), false, false).unwrap());
             let want: Vec<i64> = model.iter().filter(|(_, r)| r.0 == cat).map(|(id, _)| *id).collect();
             prop_assert_eq!(got, want, "category {}", cat);
         }
