@@ -14,8 +14,8 @@
 
 use std::sync::atomic::Ordering;
 
-use micronn::{Config, DeviceProfile, MicroNN, SearchRequest, VectorRecord};
-use micronn_bench::{build_micronn, ingest, sample_ground_truth, tune_probes};
+use micronn::{Config, MicroNN, SearchRequest, VectorRecord};
+use micronn_bench::{build_micronn, ingest, sample_ground_truth, tune_probes, DeviceProfile};
 use micronn_cluster::{assign_all, size_cv, train, MiniBatchConfig, SliceSource};
 use micronn_datasets::{generate, internal_a, table2_specs};
 use micronn_linalg::{merge_all, TopK};

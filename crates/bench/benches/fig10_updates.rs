@@ -28,8 +28,8 @@
 //! samples the store's write counters around each pass — tight under
 //! the engine's single-writer protocol.
 
-use micronn::{Config, DeviceProfile, MaintainerOptions, MaintenanceStatus, MicroNN, VectorRecord};
-use micronn_bench::{mean_recall_at, sample_ground_truth};
+use micronn::{Config, MaintainerOptions, MaintenanceStatus, MicroNN, VectorRecord};
+use micronn_bench::{mean_recall_at, sample_ground_truth, DeviceProfile};
 use micronn_datasets::{generate, internal_a, Dataset};
 
 #[global_allocator]

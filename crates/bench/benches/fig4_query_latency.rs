@@ -21,10 +21,10 @@
 //! the exact `percentile` of the raw samples to within one bucket
 //! width on every row printed.
 
-use micronn::{DeviceProfile, MicroNN, SearchRequest};
+use micronn::{MicroNN, SearchRequest};
 use micronn_bench::{
     build_micronn, build_resident, hist_percentile_ms, latency_histogram_ns, sample_ground_truth,
-    scaled_specs, tune_probes,
+    scaled_specs, tune_probes, DeviceProfile,
 };
 use micronn_datasets::generate;
 

@@ -12,10 +12,10 @@
 //! pool instead of full f32 rows, so the same probe budget touches
 //! ≥ 3× fewer bytes under SQ8 and ≥ 6× fewer scan bytes under SQ4.
 
-use micronn::{DeviceProfile, MicroNN, SearchRequest, VectorCodec};
+use micronn::{MicroNN, SearchRequest, VectorCodec};
 use micronn_bench::{
     build_micronn, build_micronn_codec, build_resident, mib, sample_ground_truth, scaled_specs,
-    tune_probes, TrackingAlloc,
+    tune_probes, DeviceProfile, TrackingAlloc,
 };
 use micronn_datasets::generate;
 

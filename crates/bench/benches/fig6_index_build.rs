@@ -6,8 +6,7 @@
 //! is compute-bound either way); construction *memory* 4–60× smaller
 //! for MicroNN because vectors are never buffered.
 
-use micronn::DeviceProfile;
-use micronn_bench::{build_resident, ingest, mib, scaled_specs, TrackingAlloc};
+use micronn_bench::{build_resident, ingest, mib, scaled_specs, DeviceProfile, TrackingAlloc};
 use micronn_datasets::generate;
 
 #[global_allocator]

@@ -10,10 +10,8 @@
 //! 100% recall with latency growing with the qualifying count; the
 //! optimizer tracking the better of the two on both axes.
 
-use micronn::{
-    AttributeDef, Config, DeviceProfile, Expr, MicroNN, PlanPreference, SearchRequest, VectorRecord,
-};
-use micronn_bench::mean_std;
+use micronn::{AttributeDef, Config, Expr, MicroNN, PlanPreference, SearchRequest, VectorRecord};
+use micronn_bench::{mean_std, DeviceProfile};
 use micronn_datasets::filtered_tags;
 
 #[global_allocator]

@@ -11,8 +11,10 @@
 //! to 100% (≈ full k-means), while construction memory grows with the
 //! batch size.
 
-use micronn::{Config, DeviceProfile, MicroNN, RebuildOptions};
-use micronn_bench::{ingest, mean_recall_at, mib, sample_ground_truth, tune_probes, TrackingAlloc};
+use micronn::{Config, MicroNN, RebuildOptions};
+use micronn_bench::{
+    ingest, mean_recall_at, mib, sample_ground_truth, tune_probes, DeviceProfile, TrackingAlloc,
+};
 use micronn_datasets::{generate, internal_a};
 
 #[global_allocator]

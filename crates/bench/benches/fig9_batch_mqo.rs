@@ -10,8 +10,8 @@
 //! matrix dominates (the paper observes this on DEEPImage's ≈100k
 //! centroids).
 
-use micronn::{DeviceProfile, SearchRequest};
-use micronn_bench::{build_micronn, scaled_specs};
+use micronn::SearchRequest;
+use micronn_bench::{build_micronn, scaled_specs, DeviceProfile};
 use micronn_datasets::generate;
 
 #[global_allocator]

@@ -29,7 +29,8 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
 use micronn::{
-    Config, DeviceProfile, MicroNN, RebuildReport, SearchRequest, VectorCodec, VectorRecord,
+    Config, MicroNN, RebuildReport, SearchRequest, StoreOptions, SyncMode, VectorCodec,
+    VectorRecord,
 };
 use micronn_datasets::{ground_truth, recall, Dataset};
 
@@ -138,6 +139,47 @@ pub fn scaled_specs() -> Vec<micronn_datasets::DatasetSpec> {
 // ---------------------------------------------------------------------------
 // Database construction helpers
 // ---------------------------------------------------------------------------
+
+/// Device profiles used throughout the evaluation: the paper's "Small
+/// DUT" (single-digit GiB of RAM) and "Large DUT" (tens of GiB) differ,
+/// for our purposes, in how much page cache the store may use.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum DeviceProfile {
+    /// Memory-constrained device: 4 MiB page cache, 2 workers.
+    Small,
+    /// Roomier device: 32 MiB page cache, 4 workers.
+    Large,
+}
+
+impl DeviceProfile {
+    /// Store options for this profile (sync off: benchmarks measure
+    /// compute + cache behaviour, not fsync latency).
+    pub fn store_options(self) -> StoreOptions {
+        match self {
+            DeviceProfile::Small => StoreOptions {
+                pool_bytes: 4 * 1024 * 1024,
+                sync: SyncMode::Off,
+                // Spill write transactions early: 2 MiB of dirty pages.
+                spill_after_pages: 512,
+                ..Default::default()
+            },
+            DeviceProfile::Large => StoreOptions {
+                pool_bytes: 32 * 1024 * 1024,
+                sync: SyncMode::Off,
+                spill_after_pages: 2048,
+                ..Default::default()
+            },
+        }
+    }
+
+    /// Worker threads for this profile.
+    pub fn workers(self) -> usize {
+        match self {
+            DeviceProfile::Small => 2,
+            DeviceProfile::Large => 4,
+        }
+    }
+}
 
 /// A MicroNN database ingested from a dataset, plus its temp dir (kept
 /// alive for the measurement's duration).
@@ -458,6 +500,14 @@ mod tests {
     fn scale_defaults() {
         let s = bench_scale();
         assert!(s > 0.0 && s <= 1.0);
+    }
+
+    #[test]
+    fn device_profiles_differ() {
+        let s = DeviceProfile::Small.store_options();
+        let l = DeviceProfile::Large.store_options();
+        assert!(s.pool_bytes < l.pool_bytes);
+        assert!(DeviceProfile::Small.workers() <= DeviceProfile::Large.workers());
     }
 
     #[test]

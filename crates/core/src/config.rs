@@ -3,7 +3,7 @@
 
 use micronn_linalg::{Metric, SQ4_MAX_DIM};
 use micronn_rel::ValueType;
-use micronn_storage::{StoreOptions, SyncMode};
+use micronn_storage::StoreOptions;
 
 use crate::codec::VectorCodec;
 
@@ -216,47 +216,6 @@ impl Config {
     }
 }
 
-/// Device profiles used throughout the evaluation: the paper's "Small
-/// DUT" (single-digit GiB of RAM) and "Large DUT" (tens of GiB) differ,
-/// for our purposes, in how much page cache the store may use.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DeviceProfile {
-    /// Memory-constrained device: 4 MiB page cache, 2 workers.
-    Small,
-    /// Roomier device: 32 MiB page cache, 4 workers.
-    Large,
-}
-
-impl DeviceProfile {
-    /// Store options for this profile (sync off: benchmarks measure
-    /// compute + cache behaviour, not fsync latency).
-    pub fn store_options(self) -> StoreOptions {
-        match self {
-            DeviceProfile::Small => StoreOptions {
-                pool_bytes: 4 * 1024 * 1024,
-                sync: SyncMode::Off,
-                // Spill write transactions early: 2 MiB of dirty pages.
-                spill_after_pages: 512,
-                ..Default::default()
-            },
-            DeviceProfile::Large => StoreOptions {
-                pool_bytes: 32 * 1024 * 1024,
-                sync: SyncMode::Off,
-                spill_after_pages: 2048,
-                ..Default::default()
-            },
-        }
-    }
-
-    /// Worker threads for this profile.
-    pub fn workers(self) -> usize {
-        match self {
-            DeviceProfile::Small => 2,
-            DeviceProfile::Large => 4,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -369,13 +328,5 @@ mod tests {
             ..Config::new(4, Metric::L2)
         };
         assert_eq!(c.effective_workers(), 3);
-    }
-
-    #[test]
-    fn device_profiles_differ() {
-        let s = DeviceProfile::Small.store_options();
-        let l = DeviceProfile::Large.store_options();
-        assert!(s.pool_bytes < l.pool_bytes);
-        assert!(DeviceProfile::Small.workers() <= DeviceProfile::Large.workers());
     }
 }

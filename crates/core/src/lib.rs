@@ -85,7 +85,7 @@ pub(crate) mod telemetry;
 pub use batch::BatchResponse;
 pub use build::{RebuildOptions, RebuildReport};
 pub use codec::VectorCodec;
-pub use config::{AttributeDef, Config, DeviceProfile};
+pub use config::{AttributeDef, Config};
 pub use db::{MicroNN, VectorRecord, DELTA_PARTITION};
 pub use error::{Error, Result};
 #[cfg(feature = "rerank-oracle")]

@@ -118,18 +118,6 @@ impl Database {
         Ok(Database { store })
     }
 
-    /// Opens `path`, creating it if missing.
-    pub fn open_or_create(
-        path: impl AsRef<std::path::Path>,
-        opts: StoreOptions,
-    ) -> Result<Database> {
-        if path.as_ref().exists() {
-            Database::open(path, opts)
-        } else {
-            Database::create(path, opts)
-        }
-    }
-
     /// The underlying page store (stats, checkpointing, cache purge).
     pub fn store(&self) -> &Store {
         &self.store

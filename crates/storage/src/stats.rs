@@ -68,16 +68,6 @@ pub struct IoStats {
 }
 
 impl IoStats {
-    #[inline]
-    pub(crate) fn bump(counter: &Counter) {
-        counter.inc();
-    }
-
-    #[inline]
-    pub(crate) fn add(counter: &Counter, n: u64) {
-        counter.add(n);
-    }
-
     /// Takes a point-in-time snapshot of all counters.
     pub fn snapshot(&self) -> StoreStats {
         StoreStats {
@@ -211,13 +201,13 @@ mod tests {
     #[test]
     fn snapshot_and_diff() {
         let s = IoStats::default();
-        IoStats::bump(&s.main_reads);
-        IoStats::bump(&s.main_reads);
-        IoStats::add(&s.wal_writes, 5);
+        s.main_reads.inc();
+        s.main_reads.inc();
+        s.wal_writes.add(5);
         let a = s.snapshot();
         assert_eq!(a.main_reads, 2);
         assert_eq!(a.wal_writes, 5);
-        IoStats::bump(&s.pool_hits);
+        s.pool_hits.inc();
         let b = s.snapshot();
         let d = b.since(&a);
         assert_eq!(d.pool_hits, 1);
@@ -246,8 +236,8 @@ mod tests {
         let s = IoStats::default();
         let r = Registry::new();
         s.register_into(&r, "store_");
-        IoStats::bump(&s.commits);
-        IoStats::add(&s.wal_writes, 3);
+        s.commits.inc();
+        s.wal_writes.add(3);
         let snap = r.snapshot();
         assert_eq!(snap.counter("store_commits"), Some(1));
         assert_eq!(snap.counter("store_wal_writes"), Some(3));

@@ -116,15 +116,10 @@ impl Default for WalIndex {
 
 impl WalIndex {
     /// Finds the newest image of `page` visible at `snapshot`
-    /// (`seq <= snapshot`). Returns the image's byte offset.
-    pub fn find(&self, page: PageId, snapshot: u64) -> Option<u64> {
-        self.find_versioned(page, snapshot).map(|(off, _)| off)
-    }
-
-    /// Like [`WalIndex::find`], but also returns the record's sequence
-    /// number from the same lookup — callers must not fetch the seq
-    /// through a second index acquisition, since a checkpoint reset
-    /// could empty the index in between.
+    /// (`seq <= snapshot`): its byte offset and its record's sequence
+    /// number, from one lookup — callers must not fetch the seq through
+    /// a second index acquisition, since a checkpoint reset could empty
+    /// the index in between.
     pub fn find_versioned(&self, page: PageId, snapshot: u64) -> Option<(u64, u64)> {
         let list = self.by_page.get(&page)?;
         // Records per page are ascending in seq: binary search for the
@@ -444,22 +439,6 @@ impl Wal {
         Ok((commit_seq, placed))
     }
 
-    /// Convenience: [`Wal::append_commit`] followed, when `sync` is
-    /// set, by [`Wal::sync_committed`].
-    pub fn commit(
-        &self,
-        txid: u64,
-        pages: &[(PageId, &PageData)],
-        db_size: u32,
-        sync: bool,
-    ) -> Result<u64> {
-        let (commit_seq, _) = self.append_commit(txid, pages, db_size)?;
-        if sync {
-            self.sync_committed(commit_seq)?;
-        }
-        Ok(commit_seq)
-    }
-
     /// Blocks until every record up to `upto` is durable, issuing at
     /// most one fsync per *group* of waiting committers: the first
     /// arrival leads and syncs the whole published log; later arrivals
@@ -521,12 +500,6 @@ impl Wal {
     pub fn spill(&self, txid: u64, pages: &[(PageId, &PageData)]) -> Result<Vec<(u64, u64)>> {
         let (placed, _) = self.append_records(txid, pages, None)?;
         Ok(placed)
-    }
-
-    /// Reads a spilled (not yet published) page image back. Only the
-    /// writer that spilled it knows the offset, so this needs no locks.
-    pub fn read_unpublished_frame(&self, image_offset: u64) -> Result<PageData> {
-        self.read_frame(image_offset)
     }
 
     /// Discards all unpublished records (rollback of a spilling
@@ -615,7 +588,8 @@ impl Wal {
     }
 
     /// Reads the page image at `image_offset` (from
-    /// [`WalIndex::find_versioned`] / [`WalIndex::latest_per_page`]).
+    /// [`WalIndex::find_versioned`] / [`WalIndex::latest_per_page`], or
+    /// [`Wal::spill`] for the writer that spilled it).
     pub fn read_frame(&self, image_offset: u64) -> Result<PageData> {
         let mut page = PageData::zeroed();
         self.file.read_exact_at(&mut page[..], image_offset)?;
@@ -706,20 +680,36 @@ mod tests {
         Wal::open(&StdVfs, path, true).unwrap()
     }
 
+    /// [`Wal::append_commit`] followed, when `sync` is set, by
+    /// [`Wal::sync_committed`]: the commit seq.
+    fn commit(
+        wal: &Wal,
+        txid: u64,
+        pages: &[(PageId, &PageData)],
+        db_size: u32,
+        sync: bool,
+    ) -> Result<u64> {
+        let (commit_seq, _) = wal.append_commit(txid, pages, db_size)?;
+        if sync {
+            wal.sync_committed(commit_seq)?;
+        }
+        Ok(commit_seq)
+    }
+
     #[test]
     fn commit_and_lookup() {
         let dir = tempfile::tempdir().unwrap();
         let wal = create(&dir.path().join("w.wal"));
         let p1 = page_filled(1);
         let p2 = page_filled(2);
-        let seq = wal.commit(1, &[(5, &p1), (9, &p2)], 10, false).unwrap();
+        let seq = commit(&wal, 1, &[(5, &p1), (9, &p2)], 10, false).unwrap();
         // Begin + two PagePuts + Commit consume four seqs.
         assert_eq!(seq, 4);
         let idx = wal.index();
         assert_eq!(idx.committed_seq(), 4);
         assert_eq!(idx.db_size(), Some(10));
-        let f5 = idx.find(5, seq).unwrap();
-        let f9 = idx.find(9, seq).unwrap();
+        let f5 = idx.find_versioned(5, seq).unwrap().0;
+        let f9 = idx.find_versioned(9, seq).unwrap().0;
         drop(idx);
         assert_eq!(wal.read_frame(f5).unwrap()[0], 1);
         assert_eq!(wal.read_frame(f9).unwrap()[0], 2);
@@ -731,17 +721,17 @@ mod tests {
         let wal = create(&dir.path().join("w.wal"));
         let old = page_filled(1);
         let new = page_filled(2);
-        let snap1 = wal.commit(1, &[(5, &old)], 10, false).unwrap();
-        let snap2 = wal.commit(2, &[(5, &new)], 10, false).unwrap();
+        let snap1 = commit(&wal, 1, &[(5, &old)], 10, false).unwrap();
+        let snap2 = commit(&wal, 2, &[(5, &new)], 10, false).unwrap();
         let idx = wal.index();
-        let f_old = idx.find(5, snap1).unwrap();
-        let f_new = idx.find(5, snap2).unwrap();
+        let f_old = idx.find_versioned(5, snap1).unwrap().0;
+        let f_new = idx.find_versioned(5, snap2).unwrap().0;
         assert_ne!(f_old, f_new);
         drop(idx);
         assert_eq!(wal.read_frame(f_old).unwrap()[0], 1);
         assert_eq!(wal.read_frame(f_new).unwrap()[0], 2);
         // A snapshot taken before any commit sees nothing.
-        assert!(wal.index().find(5, 0).is_none());
+        assert!(wal.index().find_versioned(5, 0).is_none());
     }
 
     #[test]
@@ -750,9 +740,15 @@ mod tests {
         let path = dir.path().join("w.wal");
         {
             let wal = create(&path);
-            wal.commit(1, &[(1, &page_filled(7))], 3, true).unwrap();
-            wal.commit(2, &[(2, &page_filled(8)), (1, &page_filled(9))], 3, true)
-                .unwrap();
+            commit(&wal, 1, &[(1, &page_filled(7))], 3, true).unwrap();
+            commit(
+                &wal,
+                2,
+                &[(2, &page_filled(8)), (1, &page_filled(9))],
+                3,
+                true,
+            )
+            .unwrap();
             // Dropped without checkpoint: simulates a crash.
         }
         let opened = reopen(&path);
@@ -761,7 +757,7 @@ mod tests {
         let idx = wal.index();
         assert_eq!(idx.frame_count(), 3);
         let snap = idx.committed_seq();
-        let f1 = idx.find(1, snap).unwrap();
+        let f1 = idx.find_versioned(1, snap).unwrap().0;
         drop(idx);
         assert_eq!(wal.read_frame(f1).unwrap()[0], 9, "newest version wins");
     }
@@ -772,8 +768,8 @@ mod tests {
         let path = dir.path().join("w.wal");
         {
             let wal = create(&path);
-            wal.commit(1, &[(1, &page_filled(7))], 3, true).unwrap();
-            wal.commit(2, &[(2, &page_filled(8))], 3, true).unwrap();
+            commit(&wal, 1, &[(1, &page_filled(7))], 3, true).unwrap();
+            commit(&wal, 2, &[(2, &page_filled(8))], 3, true).unwrap();
         }
         // Corrupt the second transaction's page image -> checksum fails.
         {
@@ -792,8 +788,8 @@ mod tests {
         assert_eq!(opened.discarded_frames, 1);
         let idx = opened.wal.index();
         assert_eq!(idx.frame_count(), 1);
-        assert!(idx.find(2, idx.committed_seq()).is_none());
-        assert!(idx.find(1, idx.committed_seq()).is_some());
+        assert!(idx.find_versioned(2, idx.committed_seq()).is_none());
+        assert!(idx.find_versioned(1, idx.committed_seq()).is_some());
     }
 
     #[test]
@@ -804,7 +800,7 @@ mod tests {
         let path = dir.path().join("w.wal");
         {
             let wal = create(&path);
-            wal.commit(1, &[(1, &page_filled(7))], 3, true).unwrap();
+            commit(&wal, 1, &[(1, &page_filled(7))], 3, true).unwrap();
             wal.spill(2, &[(4, &page_filled(9)), (5, &page_filled(10))])
                 .unwrap();
         }
@@ -812,8 +808,8 @@ mod tests {
         assert_eq!(opened.discarded_frames, 2);
         let idx = opened.wal.index();
         assert_eq!(idx.frame_count(), 1);
-        assert!(idx.find(4, u64::MAX).is_none());
-        assert!(idx.find(1, idx.committed_seq()).is_some());
+        assert!(idx.find_versioned(4, u64::MAX).is_none());
+        assert!(idx.find_versioned(1, idx.committed_seq()).is_some());
     }
 
     #[test]
@@ -828,7 +824,7 @@ mod tests {
         let idx = wal.index();
         assert_eq!(idx.frame_count(), 2, "spilled + committed published");
         assert_eq!(idx.committed_seq(), seq);
-        let f4 = idx.find(4, seq).unwrap();
+        let f4 = idx.find_versioned(4, seq).unwrap().0;
         drop(idx);
         assert_eq!(wal.read_frame(f4).unwrap()[0], 9);
         // Recovery agrees: the whole transaction is visible.
@@ -844,8 +840,8 @@ mod tests {
         let path = dir.path().join("w.wal");
         {
             let wal = create(&path);
-            wal.commit(1, &[(1, &page_filled(7))], 3, true).unwrap();
-            wal.commit(2, &[(2, &page_filled(8))], 3, true).unwrap();
+            commit(&wal, 1, &[(1, &page_filled(7))], 3, true).unwrap();
+            commit(&wal, 2, &[(2, &page_filled(8))], 3, true).unwrap();
         }
         // Flip the stored checksum of the final Commit record (the last
         // 8 bytes of the file).
@@ -866,19 +862,22 @@ mod tests {
         assert_eq!(opened.discarded_frames, 1);
         let idx = opened.wal.index();
         assert_eq!(idx.frame_count(), 1);
-        assert!(idx.find(2, u64::MAX).is_none(), "uncommitted txn hidden");
+        assert!(
+            idx.find_versioned(2, u64::MAX).is_none(),
+            "uncommitted txn hidden"
+        );
     }
 
     #[test]
     fn truncate_unpublished_discards_spill() {
         let dir = tempfile::tempdir().unwrap();
         let wal = create(&dir.path().join("w.wal"));
-        let c1 = wal.commit(1, &[(1, &page_filled(7))], 3, false).unwrap();
+        let c1 = commit(&wal, 1, &[(1, &page_filled(7))], 3, false).unwrap();
         wal.spill(2, &[(4, &page_filled(9))]).unwrap();
         wal.truncate_unpublished().unwrap();
         assert_eq!(wal.index().frame_count(), 1);
         // The next transaction writes a fresh Begin and commits fine.
-        let c2 = wal.commit(3, &[(5, &page_filled(1))], 6, false).unwrap();
+        let c2 = commit(&wal, 3, &[(5, &page_filled(1))], 6, false).unwrap();
         assert!(c2 > c1);
         let opened = reopen(wal.path());
         assert_eq!(opened.wal.index().frame_count(), 2);
@@ -900,24 +899,30 @@ mod tests {
         let path = Path::new("/w.wal");
         let wal = Wal::create(&sim, path, false).unwrap();
         let writes = || sim.recorded().0;
-        wal.commit(1, &[(1, &page_filled(1)), (2, &page_filled(2))], 3, false)
-            .unwrap();
+        commit(
+            &wal,
+            1,
+            &[(1, &page_filled(1)), (2, &page_filled(2))],
+            3,
+            false,
+        )
+        .unwrap();
         wal.spill(2, &[(3, &page_filled(3))]).unwrap();
         wal.truncate_unpublished().unwrap(); // rolled back: never indexed
         wal.spill(3, &[(4, &page_filled(4)), (5, &page_filled(5))])
             .unwrap();
         wal.spill(3, &[(6, &page_filled(6))]).unwrap();
         let before = writes();
-        wal.commit(3, &[(7, &page_filled(7))], 8, false).unwrap();
+        commit(&wal, 3, &[(7, &page_filled(7))], 8, false).unwrap();
         assert_eq!(writes() - before, 1, "a commit is one pwrite");
-        wal.commit(4, &[(1, &page_filled(9))], 8, false).unwrap();
+        commit(&wal, 4, &[(1, &page_filled(9))], 8, false).unwrap();
         assert_eq!(indexed(&wal).len(), 7);
         let recovered = Wal::open(&sim, path, false).unwrap().wal;
         assert_eq!(indexed(&wal), indexed(&recovered));
 
         wal.reset(false).unwrap();
         wal.spill(5, &[(3, &page_filled(3))]).unwrap();
-        wal.commit(5, &[(2, &page_filled(2))], 8, false).unwrap();
+        commit(&wal, 5, &[(2, &page_filled(2))], 8, false).unwrap();
         let recovered = Wal::open(&sim, path, false).unwrap().wal;
         assert_eq!(indexed(&wal).len(), 2);
         assert_eq!(indexed(&wal), indexed(&recovered));
@@ -927,15 +932,18 @@ mod tests {
     fn reset_preserves_watermark() {
         let dir = tempfile::tempdir().unwrap();
         let wal = create(&dir.path().join("w.wal"));
-        let snap = wal.commit(1, &[(1, &page_filled(1))], 2, false).unwrap();
+        let snap = commit(&wal, 1, &[(1, &page_filled(1))], 2, false).unwrap();
         wal.reset(false).unwrap();
         let idx = wal.index();
         assert_eq!(idx.frame_count(), 0);
         assert_eq!(idx.committed_seq(), snap);
-        assert!(idx.find(1, snap).is_none(), "records gone after reset");
+        assert!(
+            idx.find_versioned(1, snap).is_none(),
+            "records gone after reset"
+        );
         drop(idx);
         // Sequence numbers keep increasing after a reset.
-        let snap2 = wal.commit(2, &[(1, &page_filled(2))], 2, false).unwrap();
+        let snap2 = commit(&wal, 2, &[(1, &page_filled(2))], 2, false).unwrap();
         assert!(snap2 > snap);
     }
 
@@ -943,7 +951,7 @@ mod tests {
     fn sync_committed_is_idempotent_past_watermark() {
         let dir = tempfile::tempdir().unwrap();
         let wal = create(&dir.path().join("w.wal"));
-        let seq = wal.commit(1, &[(1, &page_filled(1))], 2, false).unwrap();
+        let seq = commit(&wal, 1, &[(1, &page_filled(1))], 2, false).unwrap();
         assert!(wal.sync_committed(seq).unwrap(), "first caller syncs");
         assert!(
             !wal.sync_committed(seq).unwrap(),
@@ -955,7 +963,7 @@ mod tests {
     fn note_durable_satisfies_waiters_without_fsync() {
         let dir = tempfile::tempdir().unwrap();
         let wal = create(&dir.path().join("w.wal"));
-        let seq = wal.commit(1, &[(1, &page_filled(1))], 2, false).unwrap();
+        let seq = commit(&wal, 1, &[(1, &page_filled(1))], 2, false).unwrap();
         // A synced checkpoint would advance the watermark like this.
         wal.note_durable(seq);
         assert!(!wal.sync_committed(seq).unwrap());
@@ -965,8 +973,8 @@ mod tests {
     fn latest_per_page_respects_upto() {
         let dir = tempfile::tempdir().unwrap();
         let wal = create(&dir.path().join("w.wal"));
-        let s1 = wal.commit(1, &[(1, &page_filled(1))], 2, false).unwrap();
-        let _s2 = wal.commit(2, &[(1, &page_filled(2))], 2, false).unwrap();
+        let s1 = commit(&wal, 1, &[(1, &page_filled(1))], 2, false).unwrap();
+        let _s2 = commit(&wal, 2, &[(1, &page_filled(2))], 2, false).unwrap();
         let idx = wal.index();
         let upto_s1 = idx.latest_per_page(s1);
         assert_eq!(upto_s1.len(), 1);

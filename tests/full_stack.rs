@@ -185,7 +185,7 @@ fn reader_snapshot_stable_through_rebuild_and_updates() {
 
 #[test]
 fn device_profiles_bound_cache_memory() {
-    use micronn::DeviceProfile;
+    use micronn_bench::DeviceProfile;
     let dir = tempfile::tempdir().unwrap();
     let spec = small_spec("profile", 64, 5000, Metric::L2);
     let data = generate(&spec);
