@@ -685,7 +685,8 @@ impl Tables {
 
     /// Visits the SQ8 code rows of one partition (or all), in key
     /// order, as `(location, asset, code)`; a code has exactly `dim`
-    /// bytes.
+    /// bytes, else the scan stops at the corruption error naming the
+    /// row.
     pub fn scan_codes<R: PageRead + ?Sized>(
         &self,
         r: &R,
@@ -695,16 +696,18 @@ impl Tables {
         let dim = self.dim;
         scan_payloads(&self.quantized()?.0, r, partition, |at, asset, code| {
             if code.len() != dim {
-                let got = code.len();
-                return Err(Error::Config(format!(
-                    "stored code has {got} bytes, expected {dim}"
-                )));
+                let ((p, vid), got) = (at, code.len());
+                return Err(Error::Rel(RelError::Codec(format!(
+                    "code row ({p},{vid}) has {got} bytes, expected {dim}"
+                ))));
             }
             f(at, asset, code)
         })
     }
 
-    /// Visits the SQ4 blocks of one partition (or all), in key order.
+    /// Visits the SQ4 blocks of one partition (or all), in key order;
+    /// a block of the wrong size stops the scan at the corruption
+    /// error naming it.
     pub fn scan_blocks<R: PageRead + ?Sized>(
         &self,
         r: &R,
@@ -718,10 +721,9 @@ impl Tables {
             let (dir, packed) = (dec.next_blob()?, dec.next_blob()?);
             let got = (dir.len(), packed.len());
             if got != want {
-                let what = format!("sq4 block ({partition},{id})");
-                return Err(Error::Config(format!(
-                    "{what}: members/packed bytes {got:?}, expected {want:?}"
-                )));
+                return Err(Error::Rel(RelError::Codec(format!(
+                    "sq4 block ({partition},{id}) has members/packed bytes {got:?}, expected {want:?}"
+                ))));
             }
             f(Block {
                 partition,

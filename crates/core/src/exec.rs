@@ -4,26 +4,25 @@
 //! KNN, batch-MQO group scans, and both hybrid plans — compiles down
 //! to the machinery in this module:
 //!
-//! * [`PartitionScanner`] is the shared partition-scan frame: a catalog
-//!   walk lends rows from their pinned leaf pages, each is scored, and
-//!   each query's [`Collect`] is offered its rows in scan order. The
-//!   query side of a scan is one `(flat, members)` pair: `members` index
-//!   rows of the row-major query matrix `flat`, one member for a single
-//!   query or a filtered wave, a partition's whole group for a batch
-//!   (§3.4). A codec picks only the walk (f32 rows, SQ8 code rows, or
-//!   SQ4 blocks lent in place) and the kernel. An f32 row is scored
-//!   where it lies, once per member, by that member's [`RowScorer`], and
-//!   offered at once; no scan copies a vector. Where §3.4 computes a
+//! * [`PartitionScanner`] is the shared partition-scan frame, one shape
+//!   for every codec: the catalog walk lends a row from its pinned leaf
+//!   page — an f32 row, an SQ8 code row, or an SQ4 block of 32 slots —
+//!   each member's scorer scores it there ([`RowScorer::distance`],
+//!   [`Sq8Scorer::score`], [`Sq4Scorer::score_block`]), and the score
+//!   goes to that member's [`Collect`] at once, in scan order. No scan
+//!   copies a row or a code. The query side of a scan is one
+//!   `(flat, members)` pair: `members` index rows of the row-major query
+//!   matrix `flat`, one member for a single query or a filtered wave, a
+//!   partition's whole group for a batch (§3.4). Where §3.4 computes a
 //!   group's distances as one matrix multiplication, a group scan here
 //!   still reads each partition once, but scores each row in place per
 //!   member — so a member's distances are, bit for bit, those of the
-//!   same query scanned alone. The batched code kernels —
-//!   [`Sq8Scorer::score_chunk`], [`Sq4Scorer::score_block`] — score a
-//!   chunk of codes. The frame never reads attributes: an unfiltered
-//!   scan collects into result heaps, a filtered one into [`Below`] —
-//!   the rows its one heap would still accept, unprobed — and the §3.5
-//!   join ([`AttrProbe::join`](crate::hybrid::AttrProbe::join)) probes
-//!   those nearest first once a wave of partitions is scored.
+//!   same query scanned alone. The frame never reads attributes: an
+//!   unfiltered scan collects into result heaps, a filtered one into
+//!   [`Below`] — the rows its one heap would still accept, unprobed —
+//!   and the §3.5 join
+//!   ([`AttrProbe::join`](crate::hybrid::AttrProbe::join)) probes those
+//!   nearest first once a wave of partitions is scored.
 //! * [`ScanMetrics`] is the one counter block every path feeds, once
 //!   per partition scan from job-local [`ScanTotals`]; it flows into
 //!   [`QueryInfo`] and [`BatchResponse`](crate::batch::BatchResponse).
@@ -31,13 +30,9 @@
 //!   fetch-by-key scoring tails: the exact re-rank pass of the
 //!   quantized pipeline and the brute-force tail of the pre-filtering
 //!   plan. Both score each row on the page the point reader pinned
-//!   ([`VectorReader::with`](crate::catalog::VectorReader::with)). The
-//!   re-rank needs no location lookup: a quantized scan's
-//!   candidate pool carries each row's `(partition, vid)` from the row
-//!   it scored (a [`Payload`] of the heap entries — the SQ8 code row's
-//!   key, an SQ4 block's partition plus the directory slot's vid), so
-//!   the re-rank reads `vectors` alone. Exact scans carry `()`, which
-//!   costs their heaps nothing.
+//!   ([`VectorReader::with`](crate::catalog::VectorReader::with)); the
+//!   re-rank fetches each candidate at the `(partition, vid)` its heap
+//!   entry carries (its [`Payload`]), with no location lookup.
 //!
 //! Fan-out across partitions or queries is *not* handled here: call
 //! sites pass per-index jobs to
@@ -54,9 +49,6 @@ use crate::catalog::{f32_row, Loc, LocationReader, VectorReader};
 use crate::db::{Inner, DELTA_PARTITION};
 use crate::error::Result;
 use crate::stats::QueryInfo;
-
-/// Rows per batched SQ8 code-scoring call.
-pub(crate) const SCAN_CHUNK: usize = 256;
 
 /// What a scan did, in the units [`QueryInfo`] and
 /// [`BatchResponse`](crate::batch::BatchResponse) report.
@@ -86,12 +78,12 @@ pub(crate) struct ScanTotals {
 }
 
 impl ScanTotals {
-    /// Counts `rows` f32 rows of `dim` components, each read once and
+    /// Counts `rows` rows, `bytes` of payload read once and each row
     /// scored for `queries` queries.
-    fn scored_f32(&mut self, rows: usize, queries: usize, dim: usize) {
+    fn scored(&mut self, rows: usize, queries: usize, bytes: usize) {
         self.vectors_scanned += rows;
         self.distance_computations += queries * rows;
-        self.bytes_scanned += rows * dim * 4;
+        self.bytes_scanned += bytes;
     }
 }
 
@@ -204,109 +196,19 @@ pub(crate) struct PartitionScanner<'a> {
     pub epoch: i64,
 }
 
-/// The kernel a partition's code chunks are scored with. With the
-/// catalog walk that fills the chunk, it is all a codec changes in the
-/// frame. (f32 rows are never batched: [`PartitionScanner::scan`]
-/// scores each as the walk lends it.)
-#[derive(Default)]
-enum Kernel {
-    /// SQ8 code rows: the batched asymmetric [`Sq8Scorer::score_chunk`]
-    /// of one scorer per query, never touching the f32 payload.
-    Sq8(Vec<Sq8Scorer>),
-    /// One SQ4 fastscan block: [`Sq4Scorer::score_block`] of each of
-    /// [`Chunk`]'s `sq4` scorers scores every slot in one in-register
-    /// LUT pass and the block's directory keeps the live slots' scores
-    /// (a tombstoned slot is scored and discarded — the fastscan
-    /// trade-off).
-    #[default]
-    Sq4,
-}
-
-/// The one chunk of a partition scan: the codes awaiting a batched
-/// kernel call, and the kernel's per-partition query state. A scan
-/// takes a chunk from its [`BlockPool`] and puts it back, so a job
-/// allocates buffers and scorers once, not once per partition.
-#[derive(Default)]
-pub(crate) struct Chunk<P = ()> {
-    kernel: Kernel,
-    /// One SQ4 scorer per query, re-prepared in place for each SQ4
-    /// partition ([`Sq4Scorer::prepare`]); kept apart from `kernel` so
-    /// an f32 or SQ8 partition in between does not drop them.
-    sq4: Vec<Sq4Scorer>,
-    /// Each row's asset and payload, in scan order.
-    ids: Vec<(i64, P)>,
-    /// The rows' SQ8 codes, row-major.
-    codes: Vec<u8>,
-    /// The directory slots the rows occupy in the SQ4 block, which is
-    /// lent to [`Chunk::flush`] from its page instead of copied in.
-    slots: Vec<usize>,
-    /// The `nq × rows` score matrix.
-    scores: Vec<f32>,
-}
-
-/// The chunks of one scan operation (see [`Chunk`]).
-pub(crate) type BlockPool<P> = parking_lot::Mutex<Vec<Chunk<P>>>;
-
-impl<P: Payload> Chunk<P> {
-    /// Adds a row whose code is already in `codes`; flushes at
-    /// `SCAN_CHUNK` rows.
-    fn push(
-        &mut self,
-        (asset, at): (i64, Loc),
-        heaps: &mut [impl Collect<P>],
-        tally: &mut ScanTotals,
-    ) {
-        self.ids.push((asset, P::of(at)));
-        if self.ids.len() >= SCAN_CHUNK {
-            self.flush(&[], heaps, tally);
-        }
-    }
-
-    /// Scores the chunk for every query into the `nq × rows` score
-    /// matrix, offers each query's rows to its collector, tallies the
-    /// work and empties the chunk. `block` is the SQ4 block that `slots`
-    /// index; SQ8 reads the chunk's own codes and passes `&[]`.
-    fn flush(&mut self, block: &[u8], heaps: &mut [impl Collect<P>], tally: &mut ScanTotals) {
-        let (nr, nq) = (self.ids.len(), heaps.len());
-        tally.vectors_scanned += nr;
-        tally.distance_computations += nq * nr;
-        // `dim` bytes per SQ8 code, and the whole SQ4 block even when
-        // none of its slots is live.
-        tally.bytes_scanned += self.codes.len() + block.len();
-        if nr == 0 {
-            return;
-        }
-        self.scores.clear();
-        match &self.kernel {
-            Kernel::Sq8(scorers) => {
-                for scorer in scorers {
-                    scorer.score_chunk(&self.codes, &mut self.scores);
-                }
-            }
-            Kernel::Sq4 => {
-                let mut lanes = [0.0f32; SQ4_BLOCK];
-                for scorer in &self.sq4 {
-                    scorer.score_block(block, &mut lanes);
-                    self.scores.extend(self.slots.iter().map(|&j| lanes[j]));
-                }
-            }
-        }
-        for (heap, scores) in heaps.iter_mut().zip(self.scores.chunks_exact(nr)) {
-            for (&(id, at), &d) in self.ids.iter().zip(scores) {
-                heap.offer(id as u64, d, at);
-            }
-        }
-        self.ids.clear();
-        self.codes.clear();
-        self.slots.clear();
-    }
-}
+/// The SQ4 scorer lists of one scan operation: a job takes one list,
+/// re-prepares its scorers in place for the partition
+/// ([`Sq4Scorer::prepare`]) and puts it back, so a job builds its SQ4
+/// lookup tables' storage once, not once per partition.
+pub(crate) type ScorerPool = parking_lot::Mutex<Vec<Vec<Sq4Scorer>>>;
 
 impl PartitionScanner<'_> {
     /// Scans one partition for the queries `members` (rows of the
     /// row-major `nq × dim` matrix `flat`), offering every live row to
-    /// the member-aligned `heaps`; a batched code kernel scores in a
-    /// chunk borrowed from `blocks`.
+    /// the member-aligned `heaps`. The catalog walk lends each f32 row,
+    /// SQ8 code row or SQ4 block from its pinned leaf; each member's
+    /// scorer scores it there and offers the score at once. An SQ4
+    /// scan borrows its scorer list from `sq4`.
     ///
     /// Quantized catalogs score the partition's codes (SQ8 code rows or
     /// SQ4 blocks) when it has trained ranges; the delta store (and any
@@ -318,63 +220,74 @@ impl PartitionScanner<'_> {
         flat: &[f32],
         members: &[u32],
         heaps: &mut [impl Collect<P>],
-        blocks: &BlockPool<P>,
+        sq4: &ScorerPool,
     ) -> Result<()> {
         debug_assert_eq!(members.len(), heaps.len());
         let tally = &mut ScanTotals::default();
-        let mut c = blocks.lock().pop().unwrap_or_default();
         let (inner, r, only) = (self.inner, self.r, Some(partition));
         let (tables, dim, metric) = (&inner.tables, inner.dim, inner.metric);
         let vectors = members.iter().map(|&m| &flat[m as usize * dim..][..dim]);
         match self.code_params(partition)? {
             None => {
-                // Each row is scored on its pinned leaf by every
-                // member's scorer and offered at once: no scan copies a
-                // vector.
                 let scorers: Vec<_> = vectors.map(|q| RowScorer::new(metric, q)).collect();
-                let mut rows = 0;
                 tables.scan_vectors(r, only, |at, asset, blob| {
                     let row = f32_row(at, blob, dim)?;
                     for (heap, scorer) in heaps.iter_mut().zip(&scorers) {
                         heap.offer(asset as u64, scorer.distance(row), P::of(at));
                     }
-                    rows += 1;
+                    tally.scored(1, scorers.len(), 4 * dim);
                     Ok(())
                 })?;
-                tally.scored_f32(rows, scorers.len(), dim);
             }
             Some(params) if inner.cfg.codec.blocked() => {
-                c.kernel = Kernel::Sq4;
-                c.sq4.truncate(members.len());
+                let mut scorers = sq4.lock().pop().unwrap_or_default();
+                scorers.truncate(members.len());
                 for (i, query) in vectors.enumerate() {
-                    match c.sq4.get_mut(i) {
+                    match scorers.get_mut(i) {
                         Some(scorer) => scorer.prepare(query, &params),
-                        None => c.sq4.push(Sq4Scorer::new(metric, query, &params)),
+                        None => scorers.push(Sq4Scorer::new(metric, query, &params)),
                     }
                 }
+                let mut lanes = [0.0f32; SQ4_BLOCK];
+                let mut live = [(0, 0, P::default()); SQ4_BLOCK];
                 tables.scan_blocks(r, only, |block| {
+                    // Each live slot's directory entry, decoded once for
+                    // every member. The whole packed block counts as
+                    // read even when no slot is live; a tombstoned slot
+                    // is scored with the rest and dropped.
+                    let mut n = 0;
                     for (slot, vid, asset) in block.live() {
-                        c.ids.push((asset, P::of((block.partition, vid))));
-                        c.slots.push(slot);
+                        live[n] = (slot, asset as u64, P::of((block.partition, vid)));
+                        n += 1;
                     }
-                    c.flush(&block.packed, heaps, tally);
+                    tally.scored(n, scorers.len(), block.packed.len());
+                    if n == 0 {
+                        return Ok(());
+                    }
+                    for (heap, scorer) in heaps.iter_mut().zip(&scorers) {
+                        scorer.score_block(&block.packed, &mut lanes);
+                        for &(slot, id, at) in &live[..n] {
+                            heap.offer(id, lanes[slot], at);
+                        }
+                    }
                     Ok(())
                 })?;
+                sq4.lock().push(scorers);
             }
             Some(params) => {
-                let scorers = vectors.map(|query| Sq8Scorer::new(metric, query, &params));
-                c.kernel = Kernel::Sq8(scorers.collect());
+                let scorers: Vec<_> = vectors
+                    .map(|q| Sq8Scorer::new(metric, q, &params))
+                    .collect();
                 tables.scan_codes(r, only, |at, asset, code| {
-                    c.codes.extend_from_slice(code);
-                    c.push((asset, at), heaps, tally);
+                    for (heap, scorer) in heaps.iter_mut().zip(&scorers) {
+                        heap.offer(asset as u64, scorer.score(code), P::of(at));
+                    }
+                    tally.scored(1, scorers.len(), dim);
                     Ok(())
                 })?;
             }
         }
-        c.flush(&[], heaps, tally);
         self.metrics.absorb(tally);
-        // A failed scan drops its chunk: it may hold rows.
-        blocks.lock().push(c);
         Ok(())
     }
 
@@ -573,7 +486,7 @@ impl<'a> CandidateScorer<'a> {
     /// The nearest `k`, with the rows scored added to `metrics`.
     pub fn finish(self, dim: usize, metrics: &ScanMetrics) -> Vec<Neighbor> {
         let mut tally = ScanTotals::default();
-        tally.scored_f32(self.rows, 1, dim);
+        tally.scored(self.rows, 1, self.rows * 4 * dim);
         metrics.absorb(&tally);
         self.top.into_sorted()
     }
@@ -586,6 +499,7 @@ mod tests {
     use micronn_storage::SyncMode;
 
     use super::*;
+    use crate::catalog::Block;
     use crate::codec::VectorCodec;
     use crate::config::{AttributeDef, Config};
     use crate::db::{MicroNN, VectorRecord};
@@ -617,99 +531,115 @@ mod tests {
         db
     }
 
-    /// Every scan borrows the one chunk of its [`BlockPool`] and puts
-    /// it back, so a job allocates its buffers and scorers once, not
-    /// once per partition: an ANN scan of an F32 catalog, an exact scan
-    /// (full precision) of a quantized one, a post-filter wave and a
-    /// group scan over either all leave one chunk in the pool.
+    /// Only an SQ4 scan keeps state from one partition to the next: a
+    /// job borrows one scorer list from the [`ScorerPool`] and puts it
+    /// back. An ANN scan and an exact (full-precision) scan of each
+    /// codec — of one query and of a group of two, over every partition
+    /// — leave one list under SQ4 ANN and none otherwise.
     #[test]
-    fn every_scan_reuses_one_chunk() {
+    fn only_an_sq4_scan_keeps_one_scorer_list() {
         let dir = tempfile::tempdir().unwrap();
-        for (codec, use_codec) in [(VectorCodec::F32, true), (VectorCodec::Sq4, false)] {
+        let flat = [vector(5), vector(6)].concat();
+        for codec in [VectorCodec::F32, VectorCodec::Sq8, VectorCodec::Sq4] {
             let db = built(&dir, codec);
-            let inner = &*db.inner;
-            let r = inner.db.begin_read();
-            let index = inner.clustering(&r).unwrap().expect("a built index");
-            let metrics = ScanMetrics::default();
-            let scanner = PartitionScanner {
-                inner,
-                r: &r,
-                metrics: &metrics,
-                use_codec,
-                epoch: index.epoch,
-            };
-            let blocks = BlockPool::<()>::default();
-            let one_chunk = |what: &str| assert_eq!(blocks.lock().len(), 1, "{codec}: {what}");
-            let flat = [vector(5), vector(6)].concat();
-
-            let mut top = TopK::new(K);
-            for &p in index.partitions.iter() {
-                scanner
-                    .scan(p, &flat, &[0], std::slice::from_mut(&mut top), &blocks)
-                    .unwrap();
+            let (inner, r) = (&*db.inner, &db.inner.db.begin_read());
+            let index = inner.clustering(r).unwrap().expect("a built index");
+            for use_codec in [true, false] {
+                let (metrics, sq4, epoch) =
+                    (&ScanMetrics::default(), ScorerPool::default(), index.epoch);
+                let scanner = PartitionScanner {
+                    inner,
+                    r,
+                    metrics,
+                    use_codec,
+                    epoch,
+                };
+                let mut heaps = [(); 3].map(|_| TopK::new(K));
+                let (one, group) = heaps.split_at_mut(1);
+                for &p in index.partitions.iter() {
+                    scanner.scan(p, &flat, &[0], one, &sq4).unwrap();
+                    scanner.scan(p, &flat, &[0, 1], group, &sq4).unwrap();
+                }
+                let what = format!("{codec}, use_codec {use_codec}");
+                assert!(heaps.iter().all(|h| h.len() == K), "{what}");
+                let lists = usize::from(use_codec && codec == VectorCodec::Sq4);
+                assert_eq!(sq4.lock().len(), lists, "{what}");
             }
-            assert_eq!(top.len(), K, "{codec}");
-            one_chunk("scan of every partition");
-
-            let bound = TopK::new(K);
-            let mut wave = Below {
-                bound: &bound,
-                rows: Vec::new(),
-            };
-            let first = index.partitions[0];
-            scanner
-                .scan(first, &flat, &[0], std::slice::from_mut(&mut wave), &blocks)
-                .unwrap();
-            assert!(!wave.rows.is_empty(), "{codec}");
-            one_chunk("post-filter wave");
-
-            let mut heaps = [TopK::new(K), TopK::new(K)];
-            for &p in index.partitions.iter() {
-                scanner
-                    .scan(p, &flat, &[0, 1], &mut heaps, &blocks)
-                    .unwrap();
-            }
-            assert_eq!(heaps[0].len(), K, "{codec}");
-            assert_eq!(heaps[1].len(), K, "{codec}");
-            one_chunk("group scan");
         }
     }
 
-    /// A vector blob of the wrong length — 4 floats in a dim-8 catalog,
-    /// committed straight through the writer — is a typed corruption
-    /// error naming its row on every read path: the F32 scan, the exact
-    /// scan, the pre-filter tail, the quantized re-rank, a batch and the
-    /// point read. Never a panic, never a read past the blob.
+    /// A stored row of the wrong length, committed straight through the
+    /// writer, is a typed corruption error naming its row, never a panic
+    /// or a read past the blob. A vector of 4 floats in a dim-8 catalog
+    /// fails every read path: the F32 scan, the quantized re-rank, a
+    /// batch, the exact scan, the pre-filter tail and the point read. A
+    /// 4-byte SQ8 code row or SQ4 block payload fails the quantized scan
+    /// of a search and of a batch; the paths that read only vectors
+    /// still answer.
     #[test]
     fn a_wrong_length_vector_is_a_typed_error_naming_its_row() {
         let dir = tempfile::tempdir().unwrap();
         let victim = 5;
-        for codec in [VectorCodec::F32, VectorCodec::Sq4] {
+        for codec in [VectorCodec::F32, VectorCodec::Sq8, VectorCodec::Sq4] {
             let db = built(&dir, codec);
             let inner = &*db.inner;
             let at = inner.tables.location(&inner.db.begin_read(), victim);
             let (p, vid) = at.unwrap().expect("stored");
-            let mut w = inner.tables.begin_write(&inner.db).unwrap();
-            w.put_vector((p, vid), victim, &[1.0; 4]).unwrap();
-            w.commit().unwrap();
-
-            let named = format!("vector row ({p},{vid}) has 16 bytes, expected 32");
-            let check = |what: &str, got: Result<()>| match got {
-                Err(Error::Rel(RelError::Codec(m))) => assert_eq!(m, named, "{codec} {what}"),
-                other => panic!("{codec} {what}: {other:?}"),
+            let put_vector = |v: &[f32]| {
+                let mut w = inner.tables.begin_write(&inner.db).unwrap();
+                w.put_vector((p, vid), victim, v).unwrap();
+                w.commit().unwrap();
             };
-            // ANN: F32 scores the row in place; SQ4 scores its code,
-            // which ranks it first, then re-ranks it.
             let query = vector(victim);
-            check("search", db.search(&query, K).map(drop));
-            check("exact", db.exact(&query, K, None).map(drop));
             let batch = [query.clone(), vector(victim + 1)];
-            check("batch", db.batch_search(&batch, K, None).map(drop));
-            let pre = SearchRequest::new(query, K)
+            let pre = SearchRequest::new(query.clone(), K)
                 .with_filter(Expr::eq("n", victim % 3))
                 .with_plan(PlanPreference::ForcePreFilter);
-            check("pre-filter", db.search_with(&pre).map(drop));
-            check("get_vector", db.get_vector(victim).map(drop));
+            // Each read path fails with `named`, or answers when it
+            // reads no codes and `codes_only`.
+            let fails = |named: &str, codes_only: bool| {
+                let paths = [
+                    ("search", db.search(&query, K).map(drop)),
+                    ("batch", db.batch_search(&batch, K, None).map(drop)),
+                    ("exact", db.exact(&query, K, None).map(drop)),
+                    ("pre-filter", db.search_with(&pre).map(drop)),
+                    ("get_vector", db.get_vector(victim).map(drop)),
+                ];
+                for (what, got) in paths {
+                    let reads_codes = matches!(what, "search" | "batch");
+                    match got {
+                        Ok(()) if codes_only && !reads_codes => {}
+                        Err(Error::Rel(RelError::Codec(m))) if m == named => {}
+                        other => panic!("{codec} {what}: {other:?}, expected {named}"),
+                    }
+                }
+            };
+            // ANN: F32 scores the row in place; SQ8 and SQ4 score its
+            // code, which ranks it first, then re-rank it.
+            put_vector(&[1.0; 4]);
+            let named = format!("vector row ({p},{vid}) has 16 bytes, expected 32");
+            fails(&named, false);
+            if codec == VectorCodec::F32 {
+                continue;
+            }
+
+            // The vector whole again, the victim's code row, or its
+            // partition's first SQ4 block, gets a 4-byte payload.
+            put_vector(&vector(victim));
+            let mut w = inner.tables.begin_write(&inner.db).unwrap();
+            let named = if codec == VectorCodec::Sq8 {
+                w.put_code((p, vid), victim, &[1; 4]).unwrap();
+                format!("code row ({p},{vid}) has 4 bytes, expected 8")
+            } else {
+                let id = inner.tables.code_keys(&w, p).unwrap()[0];
+                let mut short = Block::empty(p, id, DIM);
+                short.packed = vec![1; 4].into();
+                w.put_block(short).unwrap();
+                let sizes = "members/packed bytes (512, 4), expected (512, 128)";
+                format!("sq4 block ({p},{id}) has {sizes}")
+            };
+            w.commit().unwrap();
+            fails(&named, true);
         }
     }
 }

@@ -15,8 +15,9 @@
 //!    the persistent worker pool's typed `parallel_indexed` primitive
 //!    per partition, each running the executor's shared
 //!    `PartitionScanner` frame into one private bounded `TopK` heap per
-//!    member. Each query's heaps then merge and sort ("Parallel Sort" in
-//!    Figure 3).
+//!    member: every f32 row, SQ8 code row or SQ4 block is scored where
+//!    the catalog walk lends it and offered at once. Each query's heaps
+//!    then merge and sort ("Parallel Sort" in Figure 3).
 //! 3. **Re-rank.** Under a quantized codec (SQ8 or SQ4) the scan scores
 //!    the separately clustered `codes` table — ~4× / ~8× fewer payload
 //!    bytes — in the compressed domain and keeps an enlarged
@@ -55,7 +56,8 @@ use crate::catalog::Loc;
 use crate::db::{Inner, DELTA_PARTITION};
 use crate::error::{Error, Result};
 use crate::exec::{
-    rerank_exact, scan_pool_k, Below, BlockPool, PartitionScanner, Payload, ScanMetrics, ScanTotals,
+    rerank_exact, scan_pool_k, Below, PartitionScanner, Payload, ScanMetrics, ScanTotals,
+    ScorerPool,
 };
 use crate::hybrid::FilterCtx;
 use crate::stats::{PlanUsed, QueryInfo};
@@ -239,7 +241,7 @@ fn scan_partitions<P: Payload>(
     timed: bool,
 ) -> Result<(usize, Vec<Vec<Neighbor<P>>>)> {
     let inner = scanner.inner;
-    let blocks = BlockPool::default();
+    let sq4 = ScorerPool::default();
     let Some(filter) = filter else {
         let mut groups: BTreeMap<i64, Vec<u32>> = BTreeMap::new();
         for (qi, list) in lists.iter().enumerate() {
@@ -252,7 +254,7 @@ fn scan_partitions<P: Payload>(
             let (pid, members) = (groups[i].0, &groups[i].1[..]);
             let mut heaps: Vec<TopK<P>> =
                 members.iter().map(|_| TopK::with_payload(scan_k)).collect();
-            scanner.scan(pid, flat, members, &mut heaps, &blocks)?;
+            scanner.scan(pid, flat, members, &mut heaps, &sq4)?;
             Ok(heaps)
         })?;
         let mut per_query: Vec<Vec<TopK<P>>> = lists.iter().map(|_| Vec::new()).collect();
@@ -280,7 +282,7 @@ fn scan_partitions<P: Payload>(
                 rows: Vec::new(),
             };
             let out = std::slice::from_mut(&mut below);
-            scanner.scan(partitions[start + i], flat, &[0], out, &blocks)?;
+            scanner.scan(partitions[start + i], flat, &[0], out, &sq4)?;
             Ok(below.rows)
         })?;
         let t0 = timed.then(Instant::now);

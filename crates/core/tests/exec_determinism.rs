@@ -470,3 +470,83 @@ fn check_well_formed(results: &[micronn::SearchResult]) {
         assert!(r.distance.is_finite());
     }
 }
+
+/// Every query path's answers, pinned across commits and SIMD
+/// backends: 32 queries over an integer-valued catalog with a live
+/// delta, for each codec under each metric, through plain ANN,
+/// `batch_search` of the same queries, a forced post-filter and
+/// `exact`. The data and queries are small integers, so every exact
+/// f32 distance is the same whatever order a kernel sums in. A
+/// `rerank_factor` of 1 re-ranks only the scan's own top `k`, so a
+/// quantized scan's ranking shows in its answers. The FNV-1a hash of
+/// each case's `(asset_id, distance bits)` answers is a constant.
+#[test]
+fn golden_answers_are_pinned() {
+    const GOLDEN: [(VectorCodec, Metric, u64); 9] = [
+        (VectorCodec::F32, Metric::L2, 0xe255_2a2b_ed5d_6008),
+        (VectorCodec::F32, Metric::Cosine, 0x6b24_4446_f9bf_c568),
+        (VectorCodec::F32, Metric::Dot, 0x3718_49af_f22b_cbc3),
+        (VectorCodec::Sq8, Metric::L2, 0x254a_3642_5da6_db00),
+        (VectorCodec::Sq8, Metric::Cosine, 0x7b02_23e1_5124_7b40),
+        (VectorCodec::Sq8, Metric::Dot, 0x711c_e5cf_150b_6213),
+        (VectorCodec::Sq4, Metric::L2, 0x4510_39a8_5560_0954),
+        (VectorCodec::Sq4, Metric::Cosine, 0xc49c_edc3_7504_371d),
+        (VectorCodec::Sq4, Metric::Dot, 0xcdfa_224f_882a_311b),
+    ];
+    const DIM: usize = 12;
+    let row = |i: i64| -> Vec<f32> {
+        (0..DIM as i64)
+            .map(|d| ((i * 7 + d * 13 + (i / 23) * (d + 3)) % 23 - 11) as f32)
+            .collect()
+    };
+    let records = |ids: std::ops::Range<i64>| -> Vec<VectorRecord> {
+        ids.map(|i| VectorRecord::new(i, row(i)).with_attr("g", i % 5))
+            .collect()
+    };
+    let queries: Vec<Vec<f32>> = (0..32i64)
+        .map(|q| {
+            (0..DIM as i64)
+                .map(|d| ((q * 5 + d * 11) % 19 - 9) as f32)
+                .collect()
+        })
+        .collect();
+    let fnv = |h: &mut u64, results: &[micronn::SearchResult]| {
+        for r in results {
+            let bytes = (r.asset_id as u64).to_le_bytes();
+            for b in bytes.into_iter().chain(r.distance.to_bits().to_le_bytes()) {
+                *h = (*h ^ b as u64).wrapping_mul(0x100_0000_01b3);
+            }
+        }
+    };
+    let mut got = Vec::new();
+    for &(codec, metric, _) in &GOLDEN {
+        let dir = tempfile::tempdir().unwrap();
+        let mut cfg = Config::new(DIM, metric);
+        cfg.store.sync = SyncMode::Off;
+        (cfg.codec, cfg.target_partition_size) = (codec, 40);
+        (cfg.default_probes, cfg.rerank_factor, cfg.workers) = (2, 1, 1);
+        cfg.attributes = vec![AttributeDef::indexed("g", ValueType::Integer)];
+        let db = MicroNN::create(dir.path().join("golden.mnn"), cfg).unwrap();
+        db.upsert_batch(&records(0..600)).unwrap();
+        db.rebuild().unwrap();
+        db.upsert_batch(&records(600..660)).unwrap();
+        assert!(db.stats().unwrap().delta_vectors > 0, "a live delta");
+
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        for q in &queries {
+            fnv(&mut h, &db.search(q, K).unwrap().results);
+        }
+        for list in &db.batch_search(&queries, K, None).unwrap().results {
+            fnv(&mut h, list);
+        }
+        for q in &queries {
+            let req = SearchRequest::new(q.clone(), K)
+                .with_filter(Expr::eq("g", Value::Integer(2)))
+                .with_plan(PlanPreference::ForcePostFilter);
+            fnv(&mut h, &db.search_with(&req).unwrap().results);
+            fnv(&mut h, &db.exact(q, K, None).unwrap().results);
+        }
+        got.push((codec, metric, h));
+    }
+    assert_eq!(got, GOLDEN, "answers moved; got {got:#x?}");
+}

@@ -303,14 +303,10 @@ impl Sq8Scorer {
     /// Scores a contiguous block of code rows (`codes.len()` must be a
     /// multiple of the dimension), appending one score per row to
     /// `out`. Bit-identical to calling [`Sq8Scorer::score`] row by
-    /// row: the chunked form hoists the metric dispatch and scorer
-    /// field accesses out of the per-row loop so the row kernel runs
-    /// back-to-back over the block — the batched kernel behind
-    /// compressed-domain partition scans, letting the SQ8 path score
-    /// chunk-row blocks like the f32 path instead of row-at-a-time.
-    /// (Row-interleaved variants were measured and *lose* here: the
-    /// multi-accumulator row kernels already saturate the FMA ports,
-    /// and extra live accumulator sets defeat the autovectorizer.)
+    /// row, with the metric dispatch hoisted out of the loop so the row
+    /// kernel runs back-to-back over the block. A partition scan scores
+    /// each code row with [`Sq8Scorer::score`] where its leaf lends it;
+    /// this form times the row kernel alone over rows laid end to end.
     pub fn score_chunk(&self, codes: &[u8], out: &mut Vec<f32>) {
         let dim = self.a.len().max(1);
         debug_assert_eq!(codes.len() % dim, 0);

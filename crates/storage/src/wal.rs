@@ -50,7 +50,7 @@
 //! published-but-not-yet-synced commit is visible to concurrent
 //! readers but unacked, exactly the window a power cut may lose.
 
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
 use crate::checksum::fnv1a;
 use crate::error::{Result, StorageError};
@@ -211,7 +211,6 @@ impl PendingTail {
 /// writer lock so concurrent committers can share one group fsync.
 pub struct Wal {
     file: Box<dyn VfsFile>,
-    path: PathBuf,
     index: parking_lot::RwLock<WalIndex>,
     /// Next sequence number to assign; strictly increasing for the
     /// lifetime of the process (seeded past recovered records on open).
@@ -275,7 +274,6 @@ impl Wal {
         }
         Ok(Wal {
             file,
-            path: path.to_owned(),
             index: parking_lot::RwLock::new(WalIndex::default()),
             next_seq: parking_lot::Mutex::new(1),
             pending_tail: parking_lot::Mutex::new(PendingTail::at(WAL_HEADER)),
@@ -407,7 +405,6 @@ impl Wal {
         Ok(WalOpen {
             wal: Wal {
                 file,
-                path: path.to_owned(),
                 index: parking_lot::RwLock::new(index),
                 next_seq: parking_lot::Mutex::new(next),
                 pending_tail: parking_lot::Mutex::new(PendingTail::at(committed_end)),
@@ -619,11 +616,6 @@ impl Wal {
         index.committed_seq = committed;
         index.db_size = db_size;
         Ok(())
-    }
-
-    /// Path of the WAL file (used by crash-simulation tests).
-    pub fn path(&self) -> &Path {
-        &self.path
     }
 }
 
@@ -871,7 +863,8 @@ mod tests {
     #[test]
     fn truncate_unpublished_discards_spill() {
         let dir = tempfile::tempdir().unwrap();
-        let wal = create(&dir.path().join("w.wal"));
+        let path = dir.path().join("w.wal");
+        let wal = create(&path);
         let c1 = commit(&wal, 1, &[(1, &page_filled(7))], 3, false).unwrap();
         wal.spill(2, &[(4, &page_filled(9))]).unwrap();
         wal.truncate_unpublished().unwrap();
@@ -879,7 +872,7 @@ mod tests {
         // The next transaction writes a fresh Begin and commits fine.
         let c2 = commit(&wal, 3, &[(5, &page_filled(1))], 6, false).unwrap();
         assert!(c2 > c1);
-        let opened = reopen(wal.path());
+        let opened = reopen(&path);
         assert_eq!(opened.wal.index().frame_count(), 2);
     }
 
