@@ -1107,6 +1107,28 @@ impl<R: PageRead + ?Sized> VectorReader<'_, R> {
         found.transpose()
     }
 
+    /// Lends the vector stored at `loc(item)` to `f(item, bytes)` for
+    /// each of `items`, in their order, as [`with`](Self::with) lends
+    /// it; an item with no row is skipped. The lookups run in
+    /// [`PointReader::get_many`](micronn_storage::PointReader::get_many)'s
+    /// phases, so their memory misses overlap.
+    pub fn with_many<T>(
+        &mut self,
+        items: &[T],
+        loc: impl Fn(&T) -> Loc,
+        mut f: impl FnMut(&T, &[u8]) -> Result<()>,
+    ) -> Result<()> {
+        let dim = self.dim;
+        let keys = items.iter().map(|item| {
+            let (partition, vid) = loc(item);
+            [Value::Integer(partition), Value::Integer(vid)]
+        });
+        self.vectors.get_many_with(keys, |i, row| {
+            let (_, blob) = ints_then_blob::<3>(row)?;
+            f(&items[i], f32_row(loc(&items[i]), blob, dim)?)
+        })
+    }
+
     /// Appends the vector stored at `at` to `out`, decoded; `false` if
     /// there is no such row.
     pub fn append(&mut self, at: Loc, out: &mut Vec<f32>) -> Result<bool> {

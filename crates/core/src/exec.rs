@@ -29,16 +29,23 @@
 //! * [`rerank_exact`] and [`CandidateScorer`] are the two
 //!   fetch-by-key scoring tails: the exact re-rank pass of the
 //!   quantized pipeline and the brute-force tail of the pre-filtering
-//!   plan. Both score each row on the page the point reader pinned
-//!   ([`VectorReader::with`](crate::catalog::VectorReader::with)); the
+//!   plan. Both score each row on the page the point reader pinned. The
 //!   re-rank fetches each candidate at the `(partition, vid)` its heap
-//!   entry carries (its [`Payload`]), with no location lookup.
+//!   entry carries (its [`Payload`]), with no location lookup, and
+//!   fetches them all in one pipelined lookup
+//!   ([`VectorReader::with_many`](crate::catalog::VectorReader::with_many)):
+//!   sorted by key, every candidate's descent and leaf fetch, then
+//!   every cell search with its row's cache lines prefetched, then the
+//!   scoring, at most 64 candidates at a time — so the memory misses of
+//!   the lookups overlap instead of each waiting on the last row's
+//!   scoring. The pre-filter tail fetches each asset as the filter hands
+//!   it over ([`VectorReader::with`](crate::catalog::VectorReader::with)).
 //!
 //! Fan-out across partitions or queries is *not* handled here: call
 //! sites pass per-index jobs to
-//! [`ScanPool::parallel_indexed`](crate::pool::ScanPool), which owns
-//! the work-stealing cursor, panic propagation, and deterministic
-//! first-error capture.
+//! [`ScanPool`](crate::pool::ScanPool)'s `fold_indexed` /
+//! `parallel_indexed`, which own the work-stealing cursor, panic
+//! propagation, and deterministic first-error capture.
 
 use std::sync::Arc;
 
@@ -150,6 +157,15 @@ pub(crate) trait Collect<P> {
 }
 
 impl<P: Payload> Collect<P> for TopK<P> {
+    #[inline(always)]
+    fn offer(&mut self, id: u64, distance: f32, payload: P) {
+        self.push_with(id, distance, payload);
+    }
+}
+
+/// A group member's heap, lent from the worker's heaps for one
+/// partition scan.
+impl<P: Payload> Collect<P> for &mut TopK<P> {
     #[inline(always)]
     fn offer(&mut self, id: u64, distance: f32, payload: P) {
         self.push_with(id, distance, payload);
@@ -320,8 +336,11 @@ pub(crate) fn scan_pool_k(inner: &Inner, k: usize, use_codec: bool) -> usize {
 /// Each candidate is fetched at the `(partition, vid)` its scan read it
 /// from — the location is part of the snapshot `r` the scan ran at, so
 /// it is the location `assets` would give — through the `vectors` point
-/// reader alone: no `assets` lookup, no second reader. The heap order
-/// is the scan's `(distance, asset)`, so the answer is the one the
+/// reader alone: no `assets` lookup, no second reader. The candidates
+/// are sorted by location and fetched in one pipelined many-key lookup
+/// ([`VectorReader::with_many`]); a missing row is skipped. The heap
+/// order is the scan's total `(distance, asset)`, so the order the
+/// rows arrive in does not matter and the answer is the one the
 /// `assets` lookup gave.
 pub(crate) fn rerank_exact(
     inner: &Inner,
@@ -333,8 +352,7 @@ pub(crate) fn rerank_exact(
 ) -> Result<Vec<Neighbor>> {
     let mut top = TopK::new(k);
     let scorer = RowScorer::new(inner.metric, query);
-    let mut fetch = inner.tables.vector_reader(r);
-    let mut tally = ScanTotals::default();
+    let mut located: Vec<(Loc, u64)> = Vec::with_capacity(candidates.len());
     for n in candidates {
         // Delta-store candidates were scanned in full precision with
         // the same kernels: their distances are already exact, so
@@ -342,14 +360,25 @@ pub(crate) fn rerank_exact(
         // double-count its bytes).
         if n.payload.0 == DELTA_PARTITION {
             top.push(n.id, n.distance);
-            continue;
-        }
-        if let Some(d) = fetch.with(n.payload, |row| scorer.distance(row))? {
-            top.push(n.id, d);
-            tally.reranked += 1;
-            tally.bytes_scanned += inner.dim * 4;
+        } else {
+            located.push((n.payload, n.id));
         }
     }
+    // In key order, neighbouring candidates find their interiors and
+    // leaves already in the CPU caches.
+    located.sort_unstable_by_key(|&(at, _)| at);
+    let mut tally = ScanTotals::default();
+    let mut fetch = inner.tables.vector_reader(r);
+    fetch.with_many(
+        &located,
+        |&(at, _)| at,
+        |&(_, id), row| {
+            top.push(id, scorer.distance(row));
+            tally.reranked += 1;
+            tally.bytes_scanned += inner.dim * 4;
+            Ok(())
+        },
+    )?;
     metrics.absorb(&tally);
     let top = top.into_sorted();
     #[cfg(feature = "rerank-oracle")]

@@ -6,11 +6,14 @@
 //! the pool is created once per database handle and reused by every
 //! search and batch scan.
 //!
-//! [`ScanPool::parallel_indexed`] is the one fan-out primitive every
-//! query path uses: it runs a typed job per index on the pool and
-//! returns the results in index order. The work-stealing cursor,
-//! panic propagation, and first-error capture all live here — call
-//! sites never hand-roll `AtomicUsize` cursors or `Mutex` collectors.
+//! [`ScanPool::fold_indexed`] is the one fan-out primitive every query
+//! path uses: each worker claims indexes off a shared cursor and folds
+//! them into a state it owns — the partition scan's per-worker heaps,
+//! one per query, as in Figure 3. [`ScanPool::parallel_indexed`] is its
+//! map form: a typed job per index, results in index order. The
+//! work-stealing cursor, panic propagation, and first-error capture all
+//! live here — call sites never hand-roll `AtomicUsize` cursors or
+//! `Mutex` collectors.
 //!
 //! Jobs *borrow from the caller's stack* (the read transaction, the
 //! query vectors, the result heaps). Soundness follows the classic
@@ -57,67 +60,69 @@ impl ScanPool {
         ScanPool { sender, workers }
     }
 
-    /// Runs `f(0)..f(n - 1)` across the pool and returns the results
-    /// **in index order**.
+    /// Folds `0..n` across the pool: each worker claims the next
+    /// unclaimed index off a shared atomic cursor — so large items
+    /// naturally steal less work from their neighbours — and runs
+    /// `f(&mut state, i)` on a state of its own, made by `init` when it
+    /// claims its first index. Returns the states, at most one per
+    /// worker, in no particular order.
     ///
-    /// Work distribution is a shared atomic cursor: each worker claims
-    /// the next unclaimed index, so large items naturally steal less
-    /// work from their neighbours. On failure the *lowest-index* error
-    /// is returned, deterministically: the cursor hands out indexes in
-    /// ascending order and claimed jobs always run to completion, so
-    /// the minimum failing index is always reached regardless of the
-    /// worker count or scheduling. (Later indexes may be skipped once
-    /// a failure is observed.) A panicking job propagates the panic to
+    /// On failure the *lowest-index* error is returned,
+    /// deterministically: the cursor hands out indexes in ascending
+    /// order and claimed indexes always run to completion, so the
+    /// minimum failing index is always reached regardless of the worker
+    /// count or scheduling. (Later indexes may be skipped once a
+    /// failure is observed.) A panicking job propagates the panic to
     /// the caller after all in-flight jobs have settled.
     ///
-    /// With one worker (or one item) the closure runs inline on the
-    /// caller thread, stopping at the first error — the same
+    /// With one worker (or one item) the fold runs inline on the caller
+    /// thread into one state, stopping at the first error — the same
     /// first-error-by-index contract. Must not be called from a pool
     /// worker itself (jobs scheduling jobs could deadlock a
     /// single-worker pool).
-    pub fn parallel_indexed<'env, T, F>(&self, n: usize, f: F) -> Result<Vec<T>>
+    pub fn fold_indexed<'env, S, I, F>(&self, n: usize, init: I, f: F) -> Result<Vec<S>>
     where
-        T: Send + 'env,
-        F: Fn(usize) -> Result<T> + Sync + 'env,
+        S: Send + 'env,
+        I: Fn() -> S + Sync + 'env,
+        F: Fn(&mut S, usize) -> Result<()> + Sync + 'env,
     {
         if n == 0 {
             return Ok(Vec::new());
         }
         let workers = self.workers.min(n);
         if workers <= 1 {
-            return (0..n).map(f).collect();
+            let mut state = init();
+            for i in 0..n {
+                f(&mut state, i)?;
+            }
+            return Ok(vec![state]);
         }
         let cursor = AtomicUsize::new(0);
         let failed = AtomicBool::new(false);
-        let results: Mutex<Vec<(usize, T)>> = Mutex::new(Vec::with_capacity(n));
+        let states: Mutex<Vec<S>> = Mutex::new(Vec::with_capacity(workers));
         let first_error: Mutex<Option<(usize, Error)>> = Mutex::new(None);
         let jobs: Vec<_> = (0..workers)
             .map(|_| {
                 let (cursor, failed) = (&cursor, &failed);
-                let (results, first_error, f) = (&results, &first_error, &f);
+                let (states, first_error, init, f) = (&states, &first_error, &init, &f);
                 move || {
-                    let mut local: Vec<(usize, T)> = Vec::new();
+                    let mut state = None;
                     while !failed.load(Ordering::Relaxed) {
                         let i = cursor.fetch_add(1, Ordering::Relaxed);
                         if i >= n {
                             break;
                         }
-                        match f(i) {
-                            Ok(v) => local.push((i, v)),
-                            Err(e) => {
-                                failed.store(true, Ordering::Relaxed);
-                                let mut slot = first_error.lock();
-                                match &*slot {
-                                    Some((j, _)) if *j <= i => {}
-                                    _ => *slot = Some((i, e)),
-                                }
-                                break;
+                        if let Err(e) = f(state.get_or_insert_with(init), i) {
+                            failed.store(true, Ordering::Relaxed);
+                            let mut slot = first_error.lock();
+                            match &*slot {
+                                Some((j, _)) if *j <= i => {}
+                                _ => *slot = Some((i, e)),
                             }
+                            break;
                         }
                     }
-                    if !local.is_empty() {
-                        results.lock().append(&mut local);
-                    }
+                    states.lock().extend(state);
                 }
             })
             .collect();
@@ -125,7 +130,27 @@ impl ScanPool {
         if let Some((_, e)) = first_error.into_inner() {
             return Err(e);
         }
-        let mut indexed = results.into_inner();
+        Ok(states.into_inner())
+    }
+
+    /// Runs `f(0)..f(n - 1)` across the pool and returns the results
+    /// **in index order**: [`fold_indexed`](Self::fold_indexed) with
+    /// each worker collecting its `(index, result)` pairs, and its
+    /// error and panic contract. With one worker (or one item) the
+    /// closure runs inline and the results are collected directly.
+    pub fn parallel_indexed<'env, T, F>(&self, n: usize, f: F) -> Result<Vec<T>>
+    where
+        T: Send + 'env,
+        F: Fn(usize) -> Result<T> + Sync + 'env,
+    {
+        if self.workers.min(n) <= 1 {
+            return (0..n).map(f).collect();
+        }
+        let states = self.fold_indexed(n, Vec::new, |done: &mut Vec<(usize, T)>, i| {
+            done.push((i, f(i)?));
+            Ok(())
+        })?;
+        let mut indexed: Vec<(usize, T)> = states.into_iter().flatten().collect();
         indexed.sort_unstable_by_key(|&(i, _)| i);
         debug_assert_eq!(indexed.len(), n, "every index produced a result");
         Ok(indexed.into_iter().map(|(_, v)| v).collect())
@@ -238,5 +263,99 @@ mod tests {
         // The pool survives a panicked job.
         let ok = pool.parallel_indexed(2, Ok).unwrap();
         assert_eq!(ok, vec![0, 1]);
+    }
+
+    #[test]
+    fn fold_keeps_at_most_one_state_per_worker_and_sees_every_index() {
+        for workers in [1, 2, 8] {
+            let pool = ScanPool::new(workers);
+            let inits = AtomicUsize::new(0);
+            for n in [1, 3, 64] {
+                inits.store(0, Ordering::SeqCst);
+                let states = pool
+                    .fold_indexed(
+                        n,
+                        || {
+                            inits.fetch_add(1, Ordering::SeqCst);
+                            Vec::new()
+                        },
+                        |seen: &mut Vec<usize>, i| {
+                            if i % 5 == 0 {
+                                std::thread::sleep(std::time::Duration::from_micros(100));
+                            }
+                            seen.push(i);
+                            Ok(())
+                        },
+                    )
+                    .unwrap();
+                let what = format!("workers={workers} n={n}");
+                assert!(states.len() <= workers.min(n), "{what}");
+                assert_eq!(inits.load(Ordering::SeqCst), states.len(), "{what}");
+                let mut all: Vec<usize> = states.concat();
+                all.sort_unstable();
+                assert_eq!(all, (0..n).collect::<Vec<_>>(), "{what}");
+            }
+            assert!(pool
+                .fold_indexed(0, || (), |_, _| Ok(()))
+                .unwrap()
+                .is_empty());
+        }
+    }
+
+    #[test]
+    fn fold_first_error_by_index_is_deterministic() {
+        for workers in [1, 2, 8] {
+            let pool = ScanPool::new(workers);
+            for _ in 0..16 {
+                let err = pool
+                    .fold_indexed(
+                        32,
+                        || 0usize,
+                        |sum, i| {
+                            if i == 5 || i == 19 {
+                                return Err(Error::Config(format!("boom at {i}")));
+                            }
+                            *sum += i;
+                            Ok(())
+                        },
+                    )
+                    .unwrap_err();
+                assert_eq!(
+                    err.to_string(),
+                    Error::Config("boom at 5".into()).to_string(),
+                    "workers={workers}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn fold_panic_propagates_after_settling() {
+        let pool = ScanPool::new(2);
+        let result = std::panic::catch_unwind(AssertUnwindSafe(|| {
+            let _ = pool.fold_indexed(
+                8,
+                || (),
+                |_, i| {
+                    if i == 3 {
+                        panic!("boom");
+                    }
+                    Ok(())
+                },
+            );
+        }));
+        assert!(result.is_err(), "panic must propagate to the caller");
+        // The pool survives a panicked job.
+        let states = pool
+            .fold_indexed(
+                4,
+                || 0,
+                |n, _| {
+                    *n += 1;
+                    Ok(())
+                },
+            )
+            .unwrap();
+        assert_eq!(states.iter().sum::<i32>(), 4);
     }
 }

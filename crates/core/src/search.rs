@@ -11,25 +11,31 @@
 //!    but resource intensive"). The delta store is added for every
 //!    query.
 //! 2. **Scan.** Each probed partition is scanned once for the queries
-//!    that probe it (§3.4 "groups queries per partition"): one job of
-//!    the persistent worker pool's typed `parallel_indexed` primitive
-//!    per partition, each running the executor's shared
-//!    `PartitionScanner` frame into one private bounded `TopK` heap per
-//!    member: every f32 row, SQ8 code row or SQ4 block is scored where
-//!    the catalog walk lends it and offered at once. Each query's heaps
-//!    then merge and sort ("Parallel Sort" in Figure 3).
+//!    that probe it (§3.4 "groups queries per partition"): the worker
+//!    pool's `fold_indexed` hands the partitions out one at a time, and
+//!    each worker runs the executor's shared `PartitionScanner` frame
+//!    into heaps it owns — one bounded `TopK` per query of the run, as
+//!    Figure 3's workers each keep "its own heap of its current top-k
+//!    vectors". A partition's group lends its members' heaps to the
+//!    scan, and every f32 row, SQ8 code row or SQ4 block is scored where
+//!    the catalog walk lends it and offered at once. Each query's
+//!    per-worker heaps then merge once and sort ("Parallel Sort" in
+//!    Figure 3); with one worker there is nothing to merge.
 //! 3. **Re-rank.** Under a quantized codec (SQ8 or SQ4) the scan scores
 //!    the separately clustered `codes` table — ~4× / ~8× fewer payload
 //!    bytes — in the compressed domain and keeps an enlarged
 //!    `rerank_factor·k` candidate pool whose entries carry the
 //!    `(partition, vid)` they were read at; each query's pool is then
-//!    fetched there and re-ranked on exact f32 distances. The delta
-//!    partition never has codes and is always scanned in full
-//!    precision, and exact KNN always reads full-precision vectors —
-//!    exact semantics are codec-independent.
+//!    fetched there, in key order and in phases that keep the lookups
+//!    apart from the scoring (`exec::rerank_exact`), and re-ranked on
+//!    exact f32 distances. The delta partition never has codes and is
+//!    always scanned in full precision, and exact KNN always reads
+//!    full-precision vectors — exact semantics are codec-independent.
 //!
 //! Every member of a group is scored with the arithmetic a lone query
-//! gets, so a query's answer does not depend on the batch it rides in.
+//! gets, so a query's answer does not depend on the batch it rides in;
+//! top-k under the total `(distance, id)` order is unique, so it does
+//! not depend on which worker's heap a row landed in either.
 //!
 //! A filtered run takes exactly one query. Its post-filtering join of
 //! §3.5 ("vectors in the requested partitions that don't satisfy the
@@ -218,11 +224,12 @@ pub(crate) fn ivf_search(
 /// partitions it read with each query's sorted pool of `scan_k`
 /// candidates. With the codec path active a pool holds
 /// `rerank_factor·k` *approximate* candidates, located (`P = Loc`),
-/// that must go through [`rerank_exact`](crate::exec::rerank_exact).
+/// that must go through [`rerank_exact`].
 ///
-/// Unfiltered, every probed partition is one fan-out job that scans it
-/// once for the queries that probe it (§3.4), into one heap per member,
-/// and each query's heaps merge. Filtered, the one query's partitions
+/// Unfiltered, every probed partition is one index of a fold that scans
+/// it once for the queries that probe it (§3.4), into the worker's heap
+/// of each member — one heap per query per worker — and each query's
+/// per-worker heaps merge once. Filtered, the one query's partitions
 /// go in waves of `default_probes + 1`, in the given order (nearest
 /// first for ANN), into one heap: each partition of a wave is one job
 /// that collects, unprobed, the rows the heap would accept as the wave
@@ -250,23 +257,41 @@ fn scan_partitions<P: Payload>(
             }
         }
         let groups: Vec<(i64, Vec<u32>)> = groups.into_iter().collect();
-        let partials = inner.scan_pool.parallel_indexed(groups.len(), |i| {
-            let (pid, members) = (groups[i].0, &groups[i].1[..]);
-            let mut heaps: Vec<TopK<P>> =
-                members.iter().map(|_| TopK::with_payload(scan_k)).collect();
-            scanner.scan(pid, flat, members, &mut heaps, &sq4)?;
-            Ok(heaps)
-        })?;
-        let mut per_query: Vec<Vec<TopK<P>>> = lists.iter().map(|_| Vec::new()).collect();
-        for ((_, members), heaps) in groups.iter().zip(partials) {
-            for (&qi, top) in members.iter().zip(heaps) {
-                per_query[qi as usize].push(top);
-            }
-        }
-        let pools = per_query
-            .into_iter()
-            .map(|heaps| merge_all(heaps, scan_k))
-            .collect();
+        let nq = lists.len();
+        let mut per_worker = inner.scan_pool.fold_indexed(
+            groups.len(),
+            || (0..nq).map(|_| TopK::with_payload(scan_k)).collect(),
+            |heaps: &mut Vec<TopK<P>>, i| {
+                let (pid, members) = (groups[i].0, &groups[i].1[..]);
+                if members.len() == nq {
+                    // Every query probes it: `members` is `0..nq`.
+                    return scanner.scan(pid, flat, members, heaps, &sq4);
+                }
+                // Members are ascending query indexes, so one pass
+                // lends each member its own heap.
+                let mut lent: Vec<&mut TopK<P>> = Vec::with_capacity(members.len());
+                let mut wanted = members.iter().peekable();
+                for (qi, heap) in heaps.iter_mut().enumerate() {
+                    if wanted.next_if_eq(&&(qi as u32)).is_some() {
+                        lent.push(heap);
+                    }
+                }
+                scanner.scan(pid, flat, members, &mut lent, &sq4)
+            },
+        )?;
+        let pools = if per_worker.len() <= 1 {
+            // One worker's heaps are the answers: nothing to merge.
+            let heaps = per_worker.pop().unwrap_or_default();
+            heaps.into_iter().map(TopK::into_sorted).collect()
+        } else {
+            let mut per_worker: Vec<_> = per_worker.into_iter().map(Vec::into_iter).collect();
+            (0..nq)
+                .map(|_| {
+                    let heaps = per_worker.iter_mut().flat_map(Iterator::next).collect();
+                    merge_all(heaps, scan_k)
+                })
+                .collect()
+        };
         return Ok((groups.len(), pools));
     };
     let partitions = &lists[0];

@@ -93,51 +93,55 @@ fn workers_are_bit_identical(codec: VectorCodec) {
     let w1 = MicroNN::open(&path, config(codec, 1)).unwrap();
     let w8 = MicroNN::open(&path, config(codec, 8)).unwrap();
     let filter = Expr::eq("g", Value::Integer(3));
-    for qi in 0..ds.spec.n_queries {
-        let q = ds.query(qi);
-        // Plain ANN.
-        let a = w1.search(q, K).unwrap();
-        let b = w8.search(q, K).unwrap();
-        assert_bit_identical(&a.results, &b.results, "plain");
-        assert_eq!(a.info.bytes_scanned, b.info.bytes_scanned, "plain bytes");
-        // Filtered, post-filter plan forced (a wave's partitions are
-        // scored in parallel, then joined).
-        let req = SearchRequest::new(q.to_vec(), K)
-            .with_filter(filter.clone())
-            .with_plan(PlanPreference::ForcePostFilter);
-        let a = w1.search_with(&req).unwrap();
-        let b = w8.search_with(&req).unwrap();
-        assert_bit_identical(&a.results, &b.results, "post-filter");
-        // What the join probes depends only on the fixed waves and the
-        // heap as each wave begins, and the join itself is sequential:
-        // never on scheduling.
-        assert_eq!(a.info, b.info, "post-filter counters");
-        // Filtered, optimizer's choice.
-        let req = SearchRequest::new(q.to_vec(), K).with_filter(filter.clone());
-        let a = w1.search_with(&req).unwrap();
-        let b = w8.search_with(&req).unwrap();
-        assert_eq!(a.info.plan, b.info.plan, "plan choice");
-        assert_bit_identical(&a.results, &b.results, "auto-filter");
-        // Exhaustive exact.
-        let a = w1.exact(q, K, None).unwrap();
-        let b = w8.exact(q, K, None).unwrap();
-        assert_bit_identical(&a.results, &b.results, "exact");
-        let a = w1.exact(q, K, Some(&filter)).unwrap();
-        let b = w8.exact(q, K, Some(&filter)).unwrap();
-        assert_bit_identical(&a.results, &b.results, "exact filtered");
-        assert_eq!(a.info, b.info, "exact filtered counters");
-    }
-    // Batch MQO: per-query lists and aggregate counters must match.
-    let batch: Vec<Vec<f32>> = (0..ds.spec.n_queries)
-        .map(|qi| ds.query(qi).to_vec())
-        .collect();
-    let a = w1.batch_search(&batch, K, None).unwrap();
-    let b = w8.batch_search(&batch, K, None).unwrap();
-    assert_eq!(a.partitions_scanned, b.partitions_scanned);
-    assert_eq!(a.distance_computations, b.distance_computations);
-    assert_eq!(a.bytes_scanned, b.bytes_scanned);
-    for (qi, (x, y)) in a.results.iter().zip(&b.results).enumerate() {
-        assert_bit_identical(x, y, &format!("batch q{qi}"));
+    // k = 100 as well: the heaps then take nearly every row a probed
+    // partition holds.
+    for k in [K, 100] {
+        for qi in 0..ds.spec.n_queries {
+            let q = ds.query(qi);
+            // Plain ANN.
+            let a = w1.search(q, k).unwrap();
+            let b = w8.search(q, k).unwrap();
+            assert_bit_identical(&a.results, &b.results, &format!("plain k{k}"));
+            assert_eq!(a.info.bytes_scanned, b.info.bytes_scanned, "plain bytes");
+            // Filtered, post-filter plan forced (a wave's partitions are
+            // scored in parallel, then joined).
+            let req = SearchRequest::new(q.to_vec(), k)
+                .with_filter(filter.clone())
+                .with_plan(PlanPreference::ForcePostFilter);
+            let a = w1.search_with(&req).unwrap();
+            let b = w8.search_with(&req).unwrap();
+            assert_bit_identical(&a.results, &b.results, "post-filter");
+            // What the join probes depends only on the fixed waves and the
+            // heap as each wave begins, and the join itself is sequential:
+            // never on scheduling.
+            assert_eq!(a.info, b.info, "post-filter counters");
+            // Filtered, optimizer's choice.
+            let req = SearchRequest::new(q.to_vec(), k).with_filter(filter.clone());
+            let a = w1.search_with(&req).unwrap();
+            let b = w8.search_with(&req).unwrap();
+            assert_eq!(a.info.plan, b.info.plan, "plan choice");
+            assert_bit_identical(&a.results, &b.results, "auto-filter");
+            // Exhaustive exact.
+            let a = w1.exact(q, k, None).unwrap();
+            let b = w8.exact(q, k, None).unwrap();
+            assert_bit_identical(&a.results, &b.results, "exact");
+            let a = w1.exact(q, k, Some(&filter)).unwrap();
+            let b = w8.exact(q, k, Some(&filter)).unwrap();
+            assert_bit_identical(&a.results, &b.results, "exact filtered");
+            assert_eq!(a.info, b.info, "exact filtered counters");
+        }
+        // Batch MQO: per-query lists and aggregate counters must match.
+        let batch: Vec<Vec<f32>> = (0..ds.spec.n_queries)
+            .map(|qi| ds.query(qi).to_vec())
+            .collect();
+        let a = w1.batch_search(&batch, k, None).unwrap();
+        let b = w8.batch_search(&batch, k, None).unwrap();
+        assert_eq!(a.partitions_scanned, b.partitions_scanned);
+        assert_eq!(a.distance_computations, b.distance_computations);
+        assert_eq!(a.bytes_scanned, b.bytes_scanned);
+        for (qi, (x, y)) in a.results.iter().zip(&b.results).enumerate() {
+            assert_bit_identical(x, y, &format!("batch q{qi}"));
+        }
     }
 }
 
@@ -228,9 +232,9 @@ fn workers_1_and_8_bit_identical_sq4() {
 }
 
 /// `batch_search` answers exactly what `search` answers: for every
-/// metric and codec, with a live delta, each query's batch list is its
-/// single-query list at the same probe count — ids, distance bits and
-/// order. A batch of one reports that query's counters.
+/// metric and codec, with a live delta, at k = 10 and k = 100, each
+/// query's batch list is its single-query list at the same probe count
+/// — ids, distance bits and order. A batch of one reports that query's counters.
 #[test]
 fn batch_answers_are_the_single_query_answers() {
     let ds = generate(&DatasetSpec {
@@ -268,11 +272,14 @@ fn batch_answers_are_the_single_query_answers() {
             db.upsert_batch(&delta).unwrap();
             assert!(db.stats().unwrap().delta_vectors > 0, "a live delta");
 
-            let batch = db.batch_search(&queries, K, Some(probes)).unwrap();
-            for (qi, (got, q)) in batch.results.iter().zip(&queries).enumerate() {
-                let req = SearchRequest::new(q.clone(), K).with_probes(probes);
-                let want = db.search_with(&req).unwrap().results;
-                assert_bit_identical(got, &want, &format!("{metric} {codec} q{qi}"));
+            for k in [K, 100] {
+                let batch = db.batch_search(&queries, k, Some(probes)).unwrap();
+                for (qi, (got, q)) in batch.results.iter().zip(&queries).enumerate() {
+                    let req = SearchRequest::new(q.clone(), k).with_probes(probes);
+                    let want = db.search_with(&req).unwrap().results;
+                    let what = format!("{metric} {codec} k{k} q{qi}");
+                    assert_bit_identical(got, &want, &what);
+                }
             }
 
             // A batch of one is that query's search, counters included:
@@ -475,11 +482,13 @@ fn check_well_formed(results: &[micronn::SearchResult]) {
 /// backends: 32 queries over an integer-valued catalog with a live
 /// delta, for each codec under each metric, through plain ANN,
 /// `batch_search` of the same queries, a forced post-filter and
-/// `exact`. The data and queries are small integers, so every exact
-/// f32 distance is the same whatever order a kernel sums in. A
-/// `rerank_factor` of 1 re-ranks only the scan's own top `k`, so a
-/// quantized scan's ranking shows in its answers. The FNV-1a hash of
-/// each case's `(asset_id, distance bits)` answers is a constant.
+/// `exact`, at k = 10 and at k = 100. The data and queries are small
+/// integers, so every exact f32 distance is the same whatever order a
+/// kernel sums in. A `rerank_factor` of 1 re-ranks only the scan's own
+/// top `k`, so a quantized scan's ranking shows in its answers; at
+/// k = 100 the heap takes nearly every row two probes reach. The
+/// FNV-1a hash of each case's `(asset_id, distance bits)` answers at
+/// each k is a constant.
 #[test]
 fn golden_answers_are_pinned() {
     const GOLDEN: [(VectorCodec, Metric, u64); 9] = [
@@ -492,6 +501,18 @@ fn golden_answers_are_pinned() {
         (VectorCodec::Sq4, Metric::L2, 0x4510_39a8_5560_0954),
         (VectorCodec::Sq4, Metric::Cosine, 0xc49c_edc3_7504_371d),
         (VectorCodec::Sq4, Metric::Dot, 0xcdfa_224f_882a_311b),
+    ];
+    // The same cases at k = 100, in the same order.
+    const GOLDEN_K100: [u64; 9] = [
+        0x8624_9deb_57d5_de88,
+        0xd53d_ae65_e7bb_f2b7,
+        0xab20_f880_f1c4_cddf,
+        0x8624_9deb_57d5_de88,
+        0xd53d_ae65_e7bb_f2b7,
+        0x521f_7983_b8da_2713,
+        0xf7a7_7f89_107c_0a90,
+        0xd8da_d93b_8a27_c48b,
+        0xb9d3_95a9_2a12_70ab,
     ];
     const DIM: usize = 12;
     let row = |i: i64| -> Vec<f32> {
@@ -518,7 +539,7 @@ fn golden_answers_are_pinned() {
             }
         }
     };
-    let mut got = Vec::new();
+    let (mut got, mut got_k100) = (Vec::new(), Vec::new());
     for &(codec, metric, _) in &GOLDEN {
         let dir = tempfile::tempdir().unwrap();
         let mut cfg = Config::new(DIM, metric);
@@ -532,21 +553,29 @@ fn golden_answers_are_pinned() {
         db.upsert_batch(&records(600..660)).unwrap();
         assert!(db.stats().unwrap().delta_vectors > 0, "a live delta");
 
-        let mut h = 0xcbf2_9ce4_8422_2325u64;
-        for q in &queries {
-            fnv(&mut h, &db.search(q, K).unwrap().results);
-        }
-        for list in &db.batch_search(&queries, K, None).unwrap().results {
-            fnv(&mut h, list);
-        }
-        for q in &queries {
-            let req = SearchRequest::new(q.clone(), K)
-                .with_filter(Expr::eq("g", Value::Integer(2)))
-                .with_plan(PlanPreference::ForcePostFilter);
-            fnv(&mut h, &db.search_with(&req).unwrap().results);
-            fnv(&mut h, &db.exact(q, K, None).unwrap().results);
-        }
-        got.push((codec, metric, h));
+        let [k10, k100] = [K, 100].map(|k| {
+            let mut h = 0xcbf2_9ce4_8422_2325u64;
+            for q in &queries {
+                fnv(&mut h, &db.search(q, k).unwrap().results);
+            }
+            for list in &db.batch_search(&queries, k, None).unwrap().results {
+                fnv(&mut h, list);
+            }
+            for q in &queries {
+                let req = SearchRequest::new(q.clone(), k)
+                    .with_filter(Expr::eq("g", Value::Integer(2)))
+                    .with_plan(PlanPreference::ForcePostFilter);
+                fnv(&mut h, &db.search_with(&req).unwrap().results);
+                fnv(&mut h, &db.exact(q, k, None).unwrap().results);
+            }
+            h
+        });
+        got.push((codec, metric, k10));
+        got_k100.push(k100);
     }
     assert_eq!(got, GOLDEN, "answers moved; got {got:#x?}");
+    assert_eq!(
+        got_k100, GOLDEN_K100,
+        "k = 100 answers moved; got {got_k100:#x?}"
+    );
 }

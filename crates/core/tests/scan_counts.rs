@@ -2,13 +2,16 @@
 //!
 //! A partition scan lends each row (an f32 row, an SQ8 code row, an SQ4
 //! block) from its pinned leaf to the members' scorers, which offer
-//! every score to their heaps at once: no scan copies a row into a
-//! buffer first. So a warm query's allocations are a few per probed
-//! partition (its heaps and scorers), not a few per row: scanning 383
-//! rows instead of 87 costs at most four more. The counts here are
-//! exact: a change that allocates per row, or scans a different set of
-//! rows, moves them. This binary counts with its own allocator, so it
-//! holds one test only.
+//! every score at once to the member's heap — one heap per query per
+//! scan worker, not one per probed partition. So a warm query's
+//! allocations are a few per probed partition (its scorers), not a few
+//! per row: scanning 383 rows instead of 87 costs at most four more.
+//! The pool page references are every page the query fetched, each
+//! time it fetched it; at k = 100 the re-rank fetches one leaf for
+//! each of its 383 candidates. The counts here are exact: a change that allocates
+//! per row, or scans or fetches a different set of rows, moves them.
+//! This binary counts with its own allocator, so it holds one test
+//! only.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -66,30 +69,39 @@ static ALLOCATOR: Counting = Counting;
 
 const DIM: usize = 8;
 const ROWS: i64 = 400;
-const K: usize = 10;
 const PROBES: usize = 4;
 
-/// `(codec, target partition size, allocations, vectors scanned, bytes
-/// scanned)` of one warm ANN query.
-const COUNTS: [(VectorCodec, usize, usize, usize, usize); 6] = [
-    (VectorCodec::F32, 20, 57, 87, 2784),
-    (VectorCodec::F32, 80, 60, 383, 12256),
-    (VectorCodec::Sq8, 20, 70, 87, 1976),
-    (VectorCodec::Sq8, 80, 74, 383, 4344),
-    (VectorCodec::Sq4, 20, 62, 87, 1920),
-    (VectorCodec::Sq4, 80, 63, 383, 3072),
+/// `(codec, target partition size, k, allocations, vectors scanned,
+/// bytes scanned, pool page references)` of one warm ANN query.
+/// Page references are the pool's hits plus misses: every leaf, overflow
+/// and interior page the query fetched, each time it fetched it.
+const COUNTS: [(VectorCodec, usize, usize, usize, usize, usize, u64); 7] = [
+    (VectorCodec::F32, 20, 10, 43, 87, 2784, 11),
+    (VectorCodec::F32, 80, 10, 46, 383, 12256, 19),
+    (VectorCodec::Sq8, 20, 10, 60, 87, 1976, 52),
+    (VectorCodec::Sq8, 80, 10, 64, 383, 4344, 59),
+    (VectorCodec::Sq4, 20, 10, 52, 87, 1920, 52),
+    (VectorCodec::Sq4, 80, 10, 53, 383, 3072, 53),
+    (VectorCodec::Sq4, 80, 100, 53, 383, 14048, 396),
 ];
 
-/// `(allocations, vectors scanned, bytes scanned)` of one warm ANN
-/// query at `PROBES` probes over a fresh `codec` index of `ROWS` rows.
-fn query(dir: &tempfile::TempDir, codec: VectorCodec, target: usize) -> (usize, usize, usize) {
+/// `(allocations, vectors scanned, bytes scanned, page references)` of
+/// one warm top-`k` ANN query at `PROBES` probes over a fresh `codec`
+/// index of `ROWS` rows.
+fn query(
+    dir: &tempfile::TempDir,
+    codec: VectorCodec,
+    target: usize,
+    k: usize,
+) -> (usize, usize, usize, u64) {
     let mut cfg = Config::new(DIM, Metric::L2);
     cfg.store.sync = SyncMode::Off;
     (cfg.codec, cfg.target_partition_size, cfg.workers) = (codec, target, 1);
     // The query path's own counts: no spans or slow-query records, even
     // where the environment turns tracing on.
     (cfg.trace, cfg.slow_query_ms) = (false, None);
-    let db = MicroNN::create(dir.path().join(format!("{codec}-{target}.mnn")), cfg).unwrap();
+    let name = format!("{codec}-{target}-{k}.mnn");
+    let db = MicroNN::create(dir.path().join(name), cfg).unwrap();
     let records: Vec<_> = (0..ROWS)
         .map(|i| {
             let v = (0..DIM)
@@ -101,19 +113,22 @@ fn query(dir: &tempfile::TempDir, codec: VectorCodec, target: usize) -> (usize, 
     db.upsert_batch(&records).unwrap();
     db.rebuild().unwrap();
 
-    let req = SearchRequest::new(vec![0.5; DIM], K).with_probes(PROBES);
+    let req = SearchRequest::new(vec![0.5; DIM], k).with_probes(PROBES);
     // Once to bring every page into the pool, once counted.
     let warmed = db.search_with(&req).unwrap();
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let (io, before) = (db.io_stats(), ALLOCATIONS.load(Ordering::Relaxed));
     COUNTED.with(|c| c.set(true));
     let resp = db.search_with(&req).unwrap();
     COUNTED.with(|c| c.set(false));
     let allocations = ALLOCATIONS.load(Ordering::Relaxed) - before;
+    let io = db.io_stats().since(&io);
+    assert_eq!(io.pool_misses, 0, "warm");
     assert_eq!(resp.info.plan, PlanUsed::Ann);
     assert_eq!(resp.results, warmed.results);
-    assert_eq!(resp.results.len(), K);
+    assert_eq!(resp.results.len(), k.min(resp.info.vectors_scanned));
     let info = resp.info;
-    (allocations, info.vectors_scanned, info.bytes_scanned)
+    let pages = io.pool_hits + io.pool_misses;
+    (allocations, info.vectors_scanned, info.bytes_scanned, pages)
 }
 
 #[test]
@@ -121,9 +136,9 @@ fn a_warm_ann_query_allocates_and_scans_exact_counts() {
     let dir = tempfile::tempdir().unwrap();
     let got: Vec<_> = COUNTS
         .iter()
-        .map(|&(codec, target, ..)| {
-            let (allocations, vectors, bytes) = query(&dir, codec, target);
-            (codec, target, allocations, vectors, bytes)
+        .map(|&(codec, target, k, ..)| {
+            let (allocations, vectors, bytes, pages) = query(&dir, codec, target, k);
+            (codec, target, k, allocations, vectors, bytes, pages)
         })
         .collect();
     assert_eq!(got, COUNTS, "got {got:?}");

@@ -19,11 +19,12 @@
 //! nibbles of a dimension's packed byte row in one shot, widening into
 //! four u16×8 accumulators (rows 0..8, 8..16, 16..24, 24..32).
 //!
-//! The SQ4 plane builder evaluates one dimension's 16 table entries as
-//! four `float32x4_t` with the scalar operation sequence. NEON's
-//! `vminq_f32` / `vmaxq_f32` propagate NaN, so NaN lanes are first
-//! replaced by the ±∞ seed of the scalar `if v < lo` loop; the lane
-//! reductions then see numbers only. The rounding does the same before
+//! The SQ4 plane builder evaluates table entries with the scalar
+//! operation sequence: one code of four dimensions per `float32x4_t`
+//! for the extremes, one dimension's 16 codes as four `float32x4_t` for
+//! the table. NEON's `vminq_f32` / `vmaxq_f32` propagate NaN, so NaN
+//! lanes are first replaced by the ±∞ seed of the scalar `if v < lo`
+//! loop; the running extremes then see numbers only. The rounding does the same before
 //! clamping to `[0, 255]`, truncates, and compares the exact remainder
 //! to one half, as `round_to_u8` does.
 
@@ -366,8 +367,10 @@ unsafe fn sq4_accumulate_impl(lut: &[u8], packed: &[u8], dim: usize, out: &mut [
     }
 }
 
-/// Four entries of one dimension's table for the codes in `c`:
-/// `x = min + scale·c` (multiply, then add), then the entry.
+/// Four table entries, lane by lane: `x = min + scale·c` (multiply,
+/// then add), then the entry. The lanes are four of one dimension's
+/// codes, or one code of four dimensions.
+#[inline]
 #[target_feature(enable = "neon")]
 unsafe fn plane_entries4(
     entry: PlaneEntry,
@@ -388,12 +391,14 @@ unsafe fn plane_entries4(
 }
 
 /// `x` with every NaN lane replaced by the matching lane of `fill`.
+#[inline]
 #[target_feature(enable = "neon")]
 unsafe fn unnan(x: float32x4_t, fill: float32x4_t) -> float32x4_t {
     vbslq_f32(vceqq_f32(x, x), x, fill)
 }
 
 /// `round_to_u8` of four lanes, as u32 in `0..=255`.
+#[inline]
 #[target_feature(enable = "neon")]
 unsafe fn round_to_u8x4(x: float32x4_t) -> uint32x4_t {
     let zero = vdupq_n_f32(0.0);
@@ -403,6 +408,19 @@ unsafe fn round_to_u8x4(x: float32x4_t) -> uint32x4_t {
     // A true compare is all ones, i.e. u32::MAX: subtracting it (with
     // wrap-around) rounds up.
     vsubq_u32(t, vcgeq_f32(frac, vdupq_n_f32(0.5)))
+}
+
+/// `src` (at most four floats) in the low lanes, zeros above: a
+/// ragged tail computes its padding lanes and drops them.
+#[inline]
+#[target_feature(enable = "neon")]
+unsafe fn load_padded4(src: &[f32]) -> float32x4_t {
+    if src.len() == 4 {
+        return vld1q_f32(src.as_ptr());
+    }
+    let mut lanes = [0.0f32; 4];
+    lanes[..src.len()].copy_from_slice(src);
+    vld1q_f32(lanes.as_ptr())
 }
 
 #[target_feature(enable = "neon")]
@@ -423,25 +441,38 @@ unsafe fn sq4_plane_impl(
     let c2 = vld1q_f32(code_values.as_ptr().add(8));
     let c3 = vld1q_f32(code_values.as_ptr().add(12));
     let (inf, ninf) = (vdupq_n_f32(f32::INFINITY), vdupq_n_f32(f32::NEG_INFINITY));
-    let ranges = || params.min.iter().zip(&params.scale);
     let mut sums = PlaneSums::new();
-    for ((&q, (&min, &scale)), lo_out) in query.iter().zip(ranges()).zip(mins.iter_mut()) {
-        let (q, min, scale) = (vdupq_n_f32(q), vdupq_n_f32(min), vdupq_n_f32(scale));
-        let e0 = plane_entries4(entry, q, min, scale, c0);
-        let e1 = plane_entries4(entry, q, min, scale, c1);
-        let e2 = plane_entries4(entry, q, min, scale, c2);
-        let e3 = plane_entries4(entry, q, min, scale, c3);
-        let lo = vminq_f32(
-            vminq_f32(unnan(e0, inf), unnan(e1, inf)),
-            vminq_f32(unnan(e2, inf), unnan(e3, inf)),
-        );
-        let hi = vmaxq_f32(
-            vmaxq_f32(unnan(e0, ninf), unnan(e1, ninf)),
-            vmaxq_f32(unnan(e2, ninf), unnan(e3, ninf)),
-        );
-        let (lo, hi) = (vminvq_f32(lo), vmaxvq_f32(hi));
-        *lo_out = lo;
-        sums.add(lo, hi);
+    // The extremes of four dimensions' tables at once, one lane each:
+    // a vertical min / max over the 16 codes in two interleaved chains,
+    // NaN entries replaced by the identity first.
+    let ranges = || params.min.iter().zip(&params.scale);
+    let chunks = params.min.chunks(4).zip(params.scale.chunks(4));
+    for ((q, (min, scale)), lo_out) in query.chunks(4).zip(chunks).zip(mins.chunks_mut(4)) {
+        let (q, min, scale) = (load_padded4(q), load_padded4(min), load_padded4(scale));
+        let (mut lo0, mut lo1, mut hi0, mut hi1) = (inf, inf, ninf, ninf);
+        let mut c = vdupq_n_f32(0.0);
+        for _ in 0..8 {
+            let e0 = plane_entries4(entry, q, min, scale, c);
+            c = vaddq_f32(c, vdupq_n_f32(1.0));
+            let e1 = plane_entries4(entry, q, min, scale, c);
+            c = vaddq_f32(c, vdupq_n_f32(1.0));
+            (lo0, lo1) = (
+                vminq_f32(lo0, unnan(e0, inf)),
+                vminq_f32(lo1, unnan(e1, inf)),
+            );
+            (hi0, hi1) = (
+                vmaxq_f32(hi0, unnan(e0, ninf)),
+                vmaxq_f32(hi1, unnan(e1, ninf)),
+            );
+        }
+        let (lo, hi) = (vminq_f32(lo0, lo1), vmaxq_f32(hi0, hi1));
+        let (mut los, mut his) = ([0.0f32; 4], [0.0f32; 4]);
+        vst1q_f32(los.as_mut_ptr(), lo);
+        vst1q_f32(his.as_mut_ptr(), hi);
+        for (j, out) in lo_out.iter_mut().enumerate() {
+            *out = los[j];
+            sums.add(los[j], his[j]);
+        }
     }
     let Some(delta) = sums.delta(dim) else {
         lut.fill(0);

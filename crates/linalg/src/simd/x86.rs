@@ -21,8 +21,10 @@
 //! values widen into two u16×16 accumulators. Integer math — exact by
 //! construction, no rounding concerns.
 //!
-//! The SQ4 plane builder evaluates one dimension's 16 table entries as
-//! two `__m256` with the scalar operation sequence. Its extremes rely
+//! The SQ4 plane builder evaluates table entries with the scalar
+//! operation sequence: one code of eight dimensions per `__m256` for
+//! the extremes, one dimension's 16 codes as two `__m256` for the
+//! table. Its extremes rely
 //! on `_mm256_min_ps(a, b)` returning `b` unless `a < b` (and
 //! `_mm256_max_ps` likewise): folding the entries in as the *first*
 //! operand against a ±∞ seed never lets a NaN in, exactly like the
@@ -345,8 +347,10 @@ unsafe fn sq4_accumulate_impl(lut: &[u8], packed: &[u8], dim: usize, out: &mut [
     out[24..32].copy_from_slice(&hi16[8..]);
 }
 
-/// Eight entries of one dimension's table for the codes in `c`:
-/// `x = min + scale·c` (multiply, then add), then the entry.
+/// Eight table entries, lane by lane: `x = min + scale·c` (multiply,
+/// then add), then the entry. The lanes are one dimension's codes, or
+/// one code of eight dimensions.
+#[inline]
 #[target_feature(enable = "avx2")]
 unsafe fn plane_entries8(
     entry: PlaneEntry,
@@ -367,6 +371,7 @@ unsafe fn plane_entries8(
 }
 
 /// `round_to_u8` of eight lanes, as i32 in `0..=255`.
+#[inline]
 #[target_feature(enable = "avx2")]
 unsafe fn round_to_u8x8(x: __m256) -> __m256i {
     let x = _mm256_min_ps(_mm256_max_ps(x, _mm256_setzero_ps()), _mm256_set1_ps(255.0));
@@ -375,6 +380,19 @@ unsafe fn round_to_u8x8(x: __m256) -> __m256i {
     let up = _mm256_cmp_ps::<_CMP_GE_OQ>(frac, _mm256_set1_ps(0.5));
     // A true compare is all ones, i.e. −1: subtracting it rounds up.
     _mm256_sub_epi32(t, _mm256_castps_si256(up))
+}
+
+/// `src` (at most eight floats) in the low lanes, zeros above: a
+/// ragged tail computes its padding lanes and drops them.
+#[inline]
+#[target_feature(enable = "avx2")]
+unsafe fn load_padded8(src: &[f32]) -> __m256 {
+    if src.len() == 8 {
+        return _mm256_loadu_ps(src.as_ptr());
+    }
+    let mut lanes = [0.0f32; 8];
+    lanes[..src.len()].copy_from_slice(src);
+    _mm256_loadu_ps(lanes.as_ptr())
 }
 
 #[target_feature(enable = "avx2")]
@@ -391,28 +409,37 @@ unsafe fn sq4_plane_impl(
     debug_assert_eq!(lut.len(), dim * 16);
     let c0 = _mm256_setr_ps(0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0);
     let c1 = _mm256_setr_ps(8.0, 9.0, 10.0, 11.0, 12.0, 13.0, 14.0, 15.0);
-    let ranges = || params.min.iter().zip(&params.scale);
     let mut sums = PlaneSums::new();
-    for ((&q, (&min, &scale)), lo_out) in query.iter().zip(ranges()).zip(mins.iter_mut()) {
-        let (q, min, scale) = (
-            _mm256_set1_ps(q),
-            _mm256_set1_ps(min),
-            _mm256_set1_ps(scale),
+    // The extremes of eight dimensions' tables at once, one lane each:
+    // a vertical min / max over the 16 codes, in two interleaved chains.
+    // Each running extreme is the second operand, so a NaN entry leaves
+    // it as it was, and none is ever NaN.
+    let ranges = || params.min.iter().zip(&params.scale);
+    let chunks = params.min.chunks(8).zip(params.scale.chunks(8));
+    for ((q, (min, scale)), lo_out) in query.chunks(8).zip(chunks).zip(mins.chunks_mut(8)) {
+        let (q, min, scale) = (load_padded8(q), load_padded8(min), load_padded8(scale));
+        let (mut lo0, mut lo1) = (_mm256_set1_ps(f32::INFINITY), _mm256_set1_ps(f32::INFINITY));
+        let (mut hi0, mut hi1) = (
+            _mm256_set1_ps(f32::NEG_INFINITY),
+            _mm256_set1_ps(f32::NEG_INFINITY),
         );
-        let e0 = plane_entries8(entry, q, min, scale, c0);
-        let e1 = plane_entries8(entry, q, min, scale, c1);
-        let lo = _mm256_min_ps(e0, _mm256_min_ps(e1, _mm256_set1_ps(f32::INFINITY)));
-        let hi = _mm256_max_ps(e0, _mm256_max_ps(e1, _mm256_set1_ps(f32::NEG_INFINITY)));
-        // No lane is NaN any more, so the lane reductions below pick
-        // the extremes' values whatever the operand order.
-        let lo = _mm_min_ps(_mm256_castps256_ps128(lo), _mm256_extractf128_ps::<1>(lo));
-        let hi = _mm_max_ps(_mm256_castps256_ps128(hi), _mm256_extractf128_ps::<1>(hi));
-        let lo = _mm_min_ps(lo, _mm_movehl_ps(lo, lo));
-        let hi = _mm_max_ps(hi, _mm_movehl_ps(hi, hi));
-        let lo = _mm_cvtss_f32(_mm_min_ss(lo, _mm_shuffle_ps::<1>(lo, lo)));
-        let hi = _mm_cvtss_f32(_mm_max_ss(hi, _mm_shuffle_ps::<1>(hi, hi)));
-        *lo_out = lo;
-        sums.add(lo, hi);
+        let mut c = _mm256_setzero_ps();
+        for _ in 0..8 {
+            let e0 = plane_entries8(entry, q, min, scale, c);
+            c = _mm256_add_ps(c, _mm256_set1_ps(1.0));
+            let e1 = plane_entries8(entry, q, min, scale, c);
+            c = _mm256_add_ps(c, _mm256_set1_ps(1.0));
+            (lo0, lo1) = (_mm256_min_ps(e0, lo0), _mm256_min_ps(e1, lo1));
+            (hi0, hi1) = (_mm256_max_ps(e0, hi0), _mm256_max_ps(e1, hi1));
+        }
+        let (lo, hi) = (_mm256_min_ps(lo0, lo1), _mm256_max_ps(hi0, hi1));
+        let (mut los, mut his) = ([0.0f32; 8], [0.0f32; 8]);
+        _mm256_storeu_ps(los.as_mut_ptr(), lo);
+        _mm256_storeu_ps(his.as_mut_ptr(), hi);
+        for (j, out) in lo_out.iter_mut().enumerate() {
+            *out = los[j];
+            sums.add(los[j], his[j]);
+        }
     }
     let Some(delta) = sums.delta(dim) else {
         lut.fill(0);

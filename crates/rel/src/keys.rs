@@ -43,7 +43,7 @@ pub fn encode_key_into(values: &[Value], out: &mut Vec<u8>) {
     }
 }
 
-fn encode_value(v: &Value, out: &mut Vec<u8>) {
+pub(crate) fn encode_value(v: &Value, out: &mut Vec<u8>) {
     match v {
         Value::Null => out.push(TAG_NULL),
         Value::Integer(i) => {

@@ -18,7 +18,9 @@ use micronn_storage::{BTree, PageRead, PointReader, StorageError, WriteTxn};
 use crate::catalog::count_key as table_count_key;
 use crate::error::{RelError, Result};
 use crate::fts;
-use crate::keys::{cmp_range, decode_first, decode_key, encode_key, encode_key_into, stands_in};
+use crate::keys::{
+    cmp_range, decode_first, decode_key, encode_key, encode_key_into, encode_value, stands_in,
+};
 use crate::predicate::CmpOp;
 use crate::row::{decode_row, encode_row};
 use crate::schema::TableSchema;
@@ -276,7 +278,10 @@ impl FtsDef {
 /// [`RowDecoder`](crate::row::RowDecoder) — and allocates nothing.
 pub struct RowReader<'r, R: PageRead + ?Sized> {
     tree: PointReader<'r, R>,
+    /// The encoded key of a lookup, or the keys of a many-key lookup
+    /// back to back, ending at `ends`.
     key: Vec<u8>,
+    ends: Vec<usize>,
 }
 
 impl<R: PageRead + ?Sized> RowReader<'_, R> {
@@ -285,6 +290,36 @@ impl<R: PageRead + ?Sized> RowReader<'_, R> {
     pub fn get_with<T>(&mut self, pk: &[Value], f: impl FnOnce(&[u8]) -> T) -> Result<Option<T>> {
         encode_key_into(pk, &mut self.key);
         Ok(self.tree.get(&self.key, f)?)
+    }
+
+    /// Looks up the rows with primary keys `pks` and passes each
+    /// present row's encoded bytes to `f(i, row)`, `i` counting `pks`,
+    /// in that order; absent rows are skipped. The lookups run in
+    /// [`PointReader::get_many`]'s phases, so their memory misses
+    /// overlap; the first error ends them.
+    pub fn get_many_with<E: From<StorageError>>(
+        &mut self,
+        pks: impl IntoIterator<Item = impl AsRef<[Value]>>,
+        f: impl FnMut(usize, &[u8]) -> std::result::Result<(), E>,
+    ) -> std::result::Result<(), E> {
+        let pks = pks.into_iter();
+        let n = pks.size_hint().0;
+        self.key.clear();
+        self.ends.clear();
+        self.ends.reserve(n);
+        for pk in pks {
+            for v in pk.as_ref() {
+                encode_value(v, &mut self.key);
+            }
+            if self.ends.is_empty() {
+                // One table's keys are mostly of one length.
+                self.key.reserve(self.key.len() * n.saturating_sub(1));
+            }
+            self.ends.push(self.key.len());
+        }
+        let (keys, ends) = (&self.key[..], &self.ends[..]);
+        let key = |i: usize| &keys[i.checked_sub(1).map_or(0, |j| ends[j])..ends[i]];
+        self.tree.get_many(ends.len(), key, f)
     }
 }
 
@@ -468,6 +503,7 @@ impl Table {
         RowReader {
             tree: self.data.point_reader(r),
             key: Vec::new(),
+            ends: Vec::new(),
         }
     }
 

@@ -342,7 +342,7 @@ impl<R: PageRead + ?Sized> Cursor<'_, R> {
         };
         node::expect_node(&page, next)?;
         if let Some((_, after)) = self.ahead.last() {
-            prefetch(after);
+            prefetch(&after[..]);
         }
         Ok(page)
     }

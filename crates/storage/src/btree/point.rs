@@ -12,14 +12,19 @@
 //! Pinning needs no invalidation: a page image is immutable at a
 //! snapshot, and the reader borrows its transaction, so a write
 //! transaction cannot mutate pages while one of its readers is alive.
+//!
+//! [`PointReader::get_many`] looks up a list of keys in phases — every
+//! key's descent and leaf fetch, then every key's cell search, then
+//! every value — so that the memory misses of one key's lookup overlap
+//! the next key's instead of queuing behind them.
 
 use std::sync::Arc;
 
 use crate::error::{Result, StorageError};
-use crate::page::{page_type, PageData, PageId};
+use crate::page::{page_type, prefetch, PageData, PageId};
 use crate::store::PageRead;
 
-use super::node;
+use super::node::{self, ValRef};
 use super::{fetch_node, val_bytes, BTree, ValBuf};
 
 /// Interior pages one reader keeps pinned. Trees here are 2–4 levels
@@ -31,6 +36,10 @@ const MAX_PINNED: usize = 8;
 /// longer descent means the child pointers form a cycle.
 const MAX_DEPTH: usize = 32;
 
+/// Keys [`PointReader::get_many`] takes through its phases at once, and
+/// so the most leaves it holds pinned.
+const MAX_BATCH: usize = 64;
+
 /// A reusable point-lookup handle; see the module docs.
 pub struct PointReader<'r, R: PageRead + ?Sized> {
     reader: &'r R,
@@ -38,6 +47,9 @@ pub struct PointReader<'r, R: PageRead + ?Sized> {
     pinned: [Option<(PageId, Arc<PageData>)>; MAX_PINNED],
     /// Where spilled values are lent from.
     pub(super) buf: ValBuf,
+    /// [`get_many`](Self::get_many)'s scratch: each key's leaf and, once
+    /// searched, its cell.
+    batch: Vec<(Arc<PageData>, Option<usize>)>,
 }
 
 impl<'r, R: PageRead + ?Sized> PointReader<'r, R> {
@@ -47,12 +59,20 @@ impl<'r, R: PageRead + ?Sized> PointReader<'r, R> {
             root: tree.root(),
             pinned: Default::default(),
             buf: ValBuf::default(),
+            batch: Vec::new(),
         }
     }
 
     /// The one descent every point lookup in the crate shares: the leaf
     /// holding `key` and its cell index, or `None` when absent.
     pub(super) fn seek(&mut self, key: &[u8]) -> Result<Option<(Arc<PageData>, usize)>> {
+        let leaf = self.leaf(key)?;
+        Ok(node::leaf_search(&leaf, key).ok().map(|i| (leaf, i)))
+    }
+
+    /// The leaf whose key range holds `key`, reached through the pinned
+    /// interiors.
+    fn leaf(&mut self, key: &[u8]) -> Result<Arc<PageData>> {
         let mut id = self.root;
         for _ in 0..MAX_DEPTH {
             let pinned = self.pinned.iter().flatten().find(|(page, _)| *page == id);
@@ -62,7 +82,7 @@ impl<'r, R: PageRead + ?Sized> PointReader<'r, R> {
             }
             let p = fetch_node(self.reader, id)?;
             if p.page_type() == page_type::BTREE_LEAF {
-                return Ok(node::leaf_search(&p, key).ok().map(|i| (p, i)));
+                return Ok(p);
             }
             let child = node::interior_descend(&p, key);
             if let Some(free) = self.pinned.iter_mut().find(|slot| slot.is_none()) {
@@ -87,6 +107,56 @@ impl<'r, R: PageRead + ?Sized> PointReader<'r, R> {
         let value = node::leaf_val(&leaf, i);
         let value = val_bytes(self.reader, value, false, &mut self.buf)?;
         Ok(Some(f(value)))
+    }
+
+    /// Looks up the `n` keys `key(0)..key(n - 1)` and passes each
+    /// present key's value to `f(i, value)`, in index order, lent as
+    /// [`get`](Self::get) lends it; absent keys are skipped. Keys may
+    /// repeat and come in any order; in key order, neighbouring keys
+    /// find their interiors and leaves already in the CPU caches. Every
+    /// key fetches its leaf from the pool, as `get` does. The keys go
+    /// through three phases, at most 64 at a time
+    /// (so at most 64 leaves are pinned at once):
+    ///
+    /// 1. each key descends through the pinned interiors and fetches
+    ///    its leaf;
+    /// 2. each key's cell is binary-searched in its leaf, and the cache
+    ///    lines of an inline value are prefetched;
+    /// 3. each value is handed to `f`.
+    ///
+    /// No phase waits on the memory a later key needs, so the misses of
+    /// the keys in a batch overlap. The first error — the tree's or
+    /// `f`'s — ends the lookup.
+    pub fn get_many<'k, E: From<StorageError>>(
+        &mut self,
+        n: usize,
+        key: impl Fn(usize) -> &'k [u8],
+        mut f: impl FnMut(usize, &[u8]) -> std::result::Result<(), E>,
+    ) -> std::result::Result<(), E> {
+        let mut batch = std::mem::take(&mut self.batch);
+        batch.reserve(n.min(MAX_BATCH));
+        for start in (0..n).step_by(MAX_BATCH) {
+            let keys = start..n.min(start + MAX_BATCH);
+            batch.clear();
+            for i in keys.clone() {
+                batch.push((self.leaf(key(i))?, None));
+            }
+            for ((leaf, cell), i) in batch.iter_mut().zip(keys.clone()) {
+                *cell = node::leaf_search(leaf, key(i)).ok();
+                if let Some(ValRef::Inline(value)) = cell.map(|c| node::leaf_val(leaf, c)) {
+                    prefetch(value);
+                }
+            }
+            for ((leaf, cell), i) in batch.iter().zip(keys) {
+                if let Some(c) = *cell {
+                    let value = node::leaf_val(leaf, c);
+                    f(i, val_bytes(self.reader, value, false, &mut self.buf)?)?;
+                }
+            }
+        }
+        batch.clear();
+        self.batch = batch;
+        Ok(())
     }
 }
 

@@ -92,16 +92,19 @@ impl PageData {
     }
 }
 
-/// Asks the CPU to start loading `page` into its caches: one prefetch
-/// per 64-byte line, no loads, no faults. A hint with no visible
-/// effect: a scan calls it on the leaf it visits next, so those lines
-/// arrive while the current leaf's rows are scored. A no-op on targets
-/// without a prefetch instruction here.
+/// Asks the CPU to start loading `bytes` into its caches: one prefetch
+/// per 64-byte line they touch, no loads, no faults. A hint with no
+/// visible effect: a scan calls it on the leaf it visits next, so those
+/// lines arrive while the current leaf's rows are scored, and a
+/// many-key lookup on each value before it hands the first one over. A
+/// no-op on targets without a prefetch instruction here.
 #[inline]
-pub fn prefetch(page: &PageData) {
-    let base = page.0.as_ptr();
-    for line in (0..PAGE_SIZE).step_by(64) {
-        let at = base.wrapping_add(line);
+pub fn prefetch(bytes: &[u8]) {
+    let (start, len) = (bytes.as_ptr(), bytes.len());
+    let base = start.wrapping_sub(start as usize % 64);
+    let lines = (start as usize % 64 + len).div_ceil(64);
+    for line in 0..lines {
+        let at = base.wrapping_add(64 * line);
         #[cfg(target_arch = "x86_64")]
         // SAFETY: SSE is part of the x86_64 baseline, and a prefetch
         // never faults, whatever the address.

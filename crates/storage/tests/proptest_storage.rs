@@ -643,6 +643,113 @@ proptest! {
     }
 }
 
+/// The key of long-keyed filler row `i`: 600 shared bytes, then `i`,
+/// so separators stay ~600 bytes and an interior page holds about six.
+fn wide_key(i: usize) -> Vec<u8> {
+    let mut key = vec![7u8; 600];
+    key.extend_from_slice(&(i as u32).to_be_bytes());
+    key
+}
+
+/// Filler row `i`'s value: inline, or now and then spilled to a
+/// one-page or a three-page overflow chain.
+fn wide_val(i: usize) -> Vec<u8> {
+    let len = match i % 11 {
+        0 => 2600,
+        5 => 9000,
+        _ => 24,
+    };
+    (0..len).map(|j| (i * 31 + j) as u8).collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 24, ..ProptestConfig::default() })]
+
+    /// A many-key lookup (`PointReader::get_many`) hands over, in the
+    /// order asked, exactly what one `BTree::get` per key returns: keys
+    /// of mixed length, absent, repeated and unsorted, more than one
+    /// batch of them; values inline and spilled to one-page and
+    /// multi-page chains; with the filler rows, a tree of more interior
+    /// pages than a reader pins. A commit after the reader's snapshot
+    /// changes nothing it hands over, and a reader at the new snapshot
+    /// sees the commit.
+    #[test]
+    fn many_key_lookup_agrees_with_get(
+        stored in proptest::collection::btree_map(mixed_key_strategy(), mixed_val_strategy(), 0..60),
+        wide in prop_oneof![1 => Just(0usize), 1 => 300usize..420],
+        // (what, index, key): a stored key, a filler key or any key.
+        probes in proptest::collection::vec((0u8..3, 0usize..100_000, mixed_key_strategy()), 0..200),
+        later in proptest::collection::vec((mixed_key_strategy(), mixed_val_strategy()), 0..30),
+    ) {
+        let dir = tempfile::tempdir().unwrap();
+        let store = Store::create(dir.path().join("db"), opts()).unwrap();
+        let mut txn = store.begin_write().unwrap();
+        let tree = BTree::create(&mut txn).unwrap();
+        let mut model = stored.clone();
+        for i in 0..wide {
+            model.insert(wide_key(i), wide_val(i));
+        }
+        for (k, v) in &model {
+            tree.insert(&mut txn, k, v).unwrap();
+        }
+        txn.commit().unwrap();
+
+        let before = store.begin_read();
+        if wide > 0 {
+            let interiors = tree.occupancy(&before).unwrap().interior_pages;
+            prop_assert!(interiors > 8, "{} interior pages", interiors);
+        }
+        let stored_keys: Vec<&Vec<u8>> = stored.keys().collect();
+        let keys: Vec<Vec<u8>> = probes
+            .iter()
+            .map(|(what, i, any)| match what {
+                0 if !stored_keys.is_empty() => stored_keys[i % stored_keys.len()].clone(),
+                1 if wide > 0 => wide_key(i % wide),
+                _ => any.clone(),
+            })
+            .collect();
+        let many = |reader: &mut micronn_storage::PointReader<'_, _>| {
+            let mut got = Vec::new();
+            reader
+                .get_many(keys.len(), |i| &keys[i], |i, v| {
+                    got.push((i, v.to_vec()));
+                    Ok::<_, StorageError>(())
+                })
+                .unwrap();
+            got
+        };
+        let gets = |r: &_| -> Vec<(usize, Vec<u8>)> {
+            keys.iter()
+                .enumerate()
+                .filter_map(|(i, k)| tree.get(r, k).unwrap().map(|v| (i, v)))
+                .collect()
+        };
+        let want_before = gets(&before);
+        let from_model: Vec<(usize, Vec<u8>)> = keys
+            .iter()
+            .enumerate()
+            .filter_map(|(i, k)| model.get(k).map(|v| (i, v.clone())))
+            .collect();
+        prop_assert_eq!(&want_before, &from_model);
+        let mut reader = tree.point_reader(&before);
+        prop_assert_eq!(&many(&mut reader), &want_before);
+
+        // A commit after the snapshot: the reader, its interiors pinned
+        // and its scratch warm, still hands over the snapshot's values.
+        let mut txn = store.begin_write().unwrap();
+        for (k, v) in &later {
+            tree.insert(&mut txn, k, v).unwrap();
+        }
+        for k in stored_keys.iter().step_by(2) {
+            tree.delete(&mut txn, k).unwrap();
+        }
+        txn.commit().unwrap();
+        prop_assert_eq!(&many(&mut reader), &want_before);
+        let after = store.begin_read();
+        prop_assert_eq!(many(&mut tree.point_reader(&after)), gets(&after));
+    }
+}
+
 /// Builds 40 rows whose row 25 spills `len` bytes to an overflow chain,
 /// lets `corrupt` damage that chain (given its pages in order), and
 /// checks the damage surfaces as one `Err(Corrupt)` after the 25 rows
