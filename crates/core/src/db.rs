@@ -1,8 +1,8 @@
 //! The MicroNN database handle: streaming updates and the shared,
 //! snapshot-keyed caches. The storage schema is `catalog.rs`'s.
 
-use std::collections::{BTreeMap, HashMap};
-use std::sync::Arc;
+use std::collections::BTreeMap;
+use std::sync::{Arc, OnceLock};
 
 use parking_lot::{Mutex, RwLock};
 
@@ -47,16 +47,21 @@ impl VectorRecord {
     }
 }
 
-/// The loaded IVF quantizer: the centroid matrix and the partition id
-/// of each centroid.
-#[derive(Clone)]
+/// The loaded IVF quantizer: the centroid matrix, the partition id of
+/// each centroid, and — quantized catalogs only — each partition's
+/// quantization ranges, loaded on first use.
 pub(crate) struct LoadedIndex {
-    pub clustering: Arc<Clustering>,
-    /// The partition id of each centroid, by its row in `clustering`.
-    pub partitions: Arc<Vec<i64>>,
-    /// The index epoch this quantizer is the state of: what a scan
-    /// hands to [`Inner::partition_params`], so it reads the epoch once.
-    pub epoch: i64,
+    pub clustering: Clustering,
+    /// The partition id of each centroid, by its row in `clustering`:
+    /// ascending, as the centroid table is keyed by partition.
+    pub partitions: Vec<i64>,
+    /// The ranges of each centroid row's partition (`None` for one never
+    /// encoded), filled by the first scan that reads its codes. They
+    /// belong to this index version: ranges change only under
+    /// maintenance, which bumps the epoch — the index's cache key — in
+    /// the same transaction. Empty for F32 catalogs and for a writer's
+    /// index.
+    params: Box<[OnceLock<Option<Arc<Sq8Params>>>]>,
 }
 
 impl LoadedIndex {
@@ -67,11 +72,34 @@ impl LoadedIndex {
             .map(|(ci, _)| self.partitions[ci])
             .collect()
     }
+
+    /// The quantization ranges `partition` was encoded under, read at
+    /// `r` — a snapshot of this index's epoch — by the first caller and
+    /// kept (read again each time where the index has no slots); `None`
+    /// for a never-encoded partition or an F32 catalog.
+    pub fn params(
+        &self,
+        tables: &Tables,
+        r: &impl PageRead,
+        partition: i64,
+    ) -> Result<Option<Arc<Sq8Params>>> {
+        let row = self.partitions.binary_search(&partition).ok();
+        let slot = row.and_then(|row| self.params.get(row));
+        if let Some(params) = slot.and_then(OnceLock::get) {
+            return Ok(params.clone());
+        }
+        let loaded = tables.params(r, partition)?.map(Arc::new);
+        Ok(match slot {
+            Some(slot) => slot.get_or_init(|| loaded).clone(),
+            None => loaded,
+        })
+    }
 }
 
 /// One value derived from a committed snapshot and shared between
-/// readers: the loaded quantizer and quantization ranges are keyed on
-/// the index epoch, attribute statistics on the exact commit seq.
+/// readers: the loaded index (with the quantization ranges it fills)
+/// is keyed on the index epoch, attribute statistics on the exact
+/// commit seq.
 ///
 /// Protocol: only a committed read snapshot may look up or publish — a
 /// mid-transaction writer may have changed rows before its epoch bump,
@@ -85,35 +113,29 @@ impl<K, V> Default for SnapCache<K, V> {
     }
 }
 
-impl<K: PartialEq, V> SnapCache<K, V> {
-    /// What `f` makes of the cached value, if the reader is a committed
-    /// snapshot (`snap`, its [`PageRead::committed_snapshot`]) and one
-    /// was published under `key`.
-    pub fn lookup<T>(
-        &self,
-        snap: Option<u64>,
-        key: &K,
-        f: impl FnOnce(&V) -> Option<T>,
-    ) -> Option<T> {
+impl<K: PartialEq, V: Clone> SnapCache<K, V> {
+    /// The value published under `key`, if the reader is a committed
+    /// snapshot (`snap`, its [`PageRead::committed_snapshot`]).
+    pub fn lookup(&self, snap: Option<u64>, key: &K) -> Option<V> {
         let guard = self.0.read();
         let entry = guard.as_ref().filter(|e| snap.is_some() && e.0 == *key);
-        entry.and_then(|e| f(&e.2))
+        entry.map(|e| e.2.clone())
     }
 
     /// Publishes, under `key`, the value a reader at committed snapshot
-    /// `snap` loaded; no-op for any other reader. `merge` receives the
-    /// entry already cached under the same key, if any (equal keys
-    /// imply equal underlying state, so folding the two together is
-    /// sound); an entry under another key is replaced unless it came
-    /// from a newer snapshot.
-    pub fn publish(&self, snap: Option<u64>, key: K, merge: impl FnOnce(Option<V>) -> V) {
+    /// `snap` loaded; no-op for any other reader. An entry already
+    /// cached under the same key stays — equal keys imply equal
+    /// underlying state, and it may hold more (ranges loaded since) —
+    /// and an entry under another key is replaced unless it came from a
+    /// newer snapshot.
+    pub fn publish(&self, snap: Option<u64>, key: K, value: V) {
         let Some(seq) = snap else { return };
         let mut guard = self.0.write();
-        *guard = match guard.take() {
-            Some((k, s, v)) if k == key => Some((key, s.max(seq), merge(Some(v)))),
-            Some(newer) if newer.1 > seq => Some(newer),
-            _ => Some((key, seq, merge(None))),
-        };
+        match &mut *guard {
+            Some((k, s, _)) if *k == key => *s = (*s).max(seq),
+            Some(newer) if newer.1 > seq => {}
+            entry => *entry = Some((key, seq, value)),
+        }
     }
 
     pub fn clear(&self) {
@@ -136,12 +158,9 @@ pub(crate) struct Inner {
     pub dim: usize,
     pub metric: Metric,
     pub cfg: Config,
-    /// The loaded quantizer, keyed on the index epoch.
-    pub centroid_cache: SnapCache<i64, LoadedIndex>,
-    /// Per-partition quantization ranges, keyed on the index epoch:
-    /// ranges change only under maintenance, which bumps the epoch in
-    /// the same transaction.
-    pub quant_cache: SnapCache<i64, HashMap<i64, Arc<Sq8Params>>>,
+    /// The loaded quantizer and its partitions' ranges, keyed on the
+    /// index epoch.
+    pub centroid_cache: SnapCache<i64, Arc<LoadedIndex>>,
     /// Attribute statistics keyed on the *commit seq* of the snapshot
     /// they were loaded from — any committed write (upsert, delete,
     /// flush) can change them, so the epoch alone is not a valid key.
@@ -219,7 +238,6 @@ impl MicroNN {
                 cfg: config,
                 db,
                 centroid_cache: SnapCache::default(),
-                quant_cache: SnapCache::default(),
                 stats_cache: SnapCache::default(),
                 drift: Mutex::new(BTreeMap::new()),
                 tel,
@@ -407,7 +425,6 @@ impl MicroNN {
     pub fn purge_caches(&self) {
         self.inner.db.store().purge_cache();
         self.inner.centroid_cache.clear();
-        self.inner.quant_cache.clear();
         self.inner.stats_cache.clear();
     }
 
@@ -570,21 +587,27 @@ impl Inner {
     }
 
     /// Loads (or returns the cached) IVF quantizer: the centroid matrix
-    /// plus the partition id per centroid. `None` before the first
-    /// index build. This is the only way the cache is filled: every
-    /// maintenance action bumps the epoch, and the next reader reloads
-    /// from the committed centroid table.
+    /// plus the partition id per centroid, and — for a committed
+    /// snapshot under a quantized codec — empty range slots. `None`
+    /// before the first index build. This is
+    /// the only way the cache is filled: every maintenance action bumps
+    /// the epoch, and the next reader reloads from the committed
+    /// centroid table.
     ///
     /// The epoch is read *under the caller's snapshot*. Epochs are
     /// monotone and every centroid/range change commits an epoch bump
     /// in the same transaction, so epoch equality between two
-    /// snapshots implies identical centroid state — the [`SnapCache`]
-    /// key.
-    pub(crate) fn clustering<R: PageRead + ?Sized>(&self, r: &R) -> Result<Option<LoadedIndex>> {
+    /// snapshots implies identical centroid and range state — the
+    /// [`SnapCache`] key. A writer's index is never published and has
+    /// no range slots, so uncommitted ranges never reach a shared one.
+    pub(crate) fn clustering<R: PageRead + ?Sized>(
+        &self,
+        r: &R,
+    ) -> Result<Option<Arc<LoadedIndex>>> {
         let epoch = self.tables.counter(r, Counter::EPOCH)?;
         let snap = r.committed_snapshot();
         let cache = &self.centroid_cache;
-        if let Some(index) = cache.lookup(snap, &epoch, |i| Some(i.clone())) {
+        if let Some(index) = cache.lookup(snap, &epoch) {
             return Ok(Some(index));
         }
         // Each centroid is decoded straight from its leaf into the probe
@@ -607,46 +630,21 @@ impl Inner {
         if partitions.is_empty() {
             return Ok(None);
         }
-        let index = LoadedIndex {
-            clustering: Arc::new(Clustering::new(flat, self.dim, self.metric)),
-            partitions: Arc::new(partitions),
-            epoch,
-        };
-        cache.publish(snap, epoch, |_| index.clone());
+        debug_assert!(
+            partitions.windows(2).all(|w| w[0] < w[1]),
+            "centroids in partition order"
+        );
+        // Range slots only for an index readers can share: a writer's
+        // is never published, and its scans would not need them.
+        let shared = self.quantized() && snap.is_some();
+        let slots = if shared { partitions.len() } else { 0 };
+        let index = Arc::new(LoadedIndex {
+            clustering: Clustering::new(flat, self.dim, self.metric),
+            partitions,
+            params: (0..slots).map(|_| OnceLock::new()).collect(),
+        });
+        cache.publish(snap, epoch, index.clone());
         Ok(Some(index))
-    }
-
-    /// Loads (or returns the cached) quantization ranges of one
-    /// partition (quantized catalogs; `None` for unquantized catalogs,
-    /// the delta store, and never-encoded partitions). Ranges only
-    /// change under maintenance — which bumps the epoch in the same
-    /// transaction — so committed snapshots with a matching epoch
-    /// share one map. `epoch` is the index epoch at `r`
-    /// ([`LoadedIndex::epoch`]).
-    pub(crate) fn partition_params<R: PageRead + ?Sized>(
-        &self,
-        r: &R,
-        epoch: i64,
-        partition: i64,
-    ) -> Result<Option<Arc<Sq8Params>>> {
-        if !self.quantized() {
-            return Ok(None);
-        }
-        let snap = r.committed_snapshot();
-        let cache = &self.quant_cache;
-        let hit = |map: &HashMap<i64, Arc<Sq8Params>>| map.get(&partition).cloned();
-        if let Some(p) = cache.lookup(snap, &epoch, hit) {
-            return Ok(Some(p));
-        }
-        let loaded = self.tables.params(r, partition)?.map(Arc::new);
-        if let Some(p) = &loaded {
-            cache.publish(snap, epoch, |map| {
-                let mut map = map.unwrap_or_default();
-                map.insert(partition, p.clone());
-                map
-            });
-        }
-        Ok(loaded)
     }
 
     /// Loads (or returns the cached) attribute statistics.
@@ -659,11 +657,11 @@ impl Inner {
     pub(crate) fn table_stats<R: PageRead + ?Sized>(&self, r: &R) -> Result<Arc<TableStats>> {
         let snap = r.committed_snapshot();
         let (cache, seq) = (&self.stats_cache, snap.unwrap_or_default());
-        if let Some(stats) = cache.lookup(snap, &seq, |s| Some(s.clone())) {
+        if let Some(stats) = cache.lookup(snap, &seq) {
             return Ok(stats);
         }
         let stats = Arc::new(TableStats::load(r, self.tables.attrs())?);
-        cache.publish(snap, seq, |_| stats.clone());
+        cache.publish(snap, seq, stats.clone());
         Ok(stats)
     }
 }
@@ -800,7 +798,7 @@ mod tests {
     }
 
     /// Writer-rollback poisoning regression: a write transaction must
-    /// neither hit nor publish the centroid/quant/stats caches — a
+    /// neither hit nor publish the index or stats caches — a
     /// mid-transaction writer can see centroid rows from *before* its
     /// own epoch bump, and a rolled-back writer's view never existed.
     #[test]
@@ -859,7 +857,7 @@ mod tests {
         let ids: Vec<i64> = rows.iter().map(|c| c.partition).collect();
         let flat: Vec<f32> = rows.iter().flat_map(|c| c.centroid.clone()).collect();
         assert!(ids.len() > 1);
-        assert_eq!(*loaded.partitions, ids);
+        assert_eq!(loaded.partitions, ids);
         assert_eq!(loaded.clustering.centroids(), flat.as_slice());
 
         let mut short = rows.last().unwrap().clone();

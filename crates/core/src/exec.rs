@@ -13,7 +13,8 @@
 //!   copies a row or a code. The query side of a scan is one
 //!   `(flat, members)` pair: `members` index rows of the row-major query
 //!   matrix `flat`, one member for a single query or a filtered wave, a
-//!   partition's whole group for a batch (§3.4). Where §3.4 computes a
+//!   partition's whole group for a batch (§3.4), each offering to its
+//!   own collector among the scan worker's. Where §3.4 computes a
 //!   group's distances as one matrix multiplication, a group scan here
 //!   still reads each partition once, but scores each row in place per
 //!   member — so a member's distances are, bit for bit, those of the
@@ -23,9 +24,12 @@
 //!   and the §3.5 join
 //!   ([`AttrProbe::join`](crate::hybrid::AttrProbe::join)) probes those
 //!   nearest first once a wave of partitions is scored.
-//! * [`ScanMetrics`] is the one counter block every path feeds, once
-//!   per partition scan from job-local [`ScanTotals`]; it flows into
-//!   [`QueryInfo`] and [`BatchResponse`](crate::batch::BatchResponse).
+//! * A scan worker owns what its partition scans mutate: its collectors
+//!   and a [`Scratch`] — its SQ4 scorers, re-prepared in place for each
+//!   partition, and its [`ScanTotals`] tally. No lock is taken per
+//!   partition scan. The query sums its workers' tallies, its re-ranks'
+//!   and its joins' once, into [`QueryInfo`] and
+//!   [`BatchResponse`](crate::batch::BatchResponse).
 //! * [`rerank_exact`] and [`CandidateScorer`] are the two
 //!   fetch-by-key scoring tails: the exact re-rank pass of the
 //!   quantized pipeline and the brute-force tail of the pre-filtering
@@ -53,7 +57,7 @@ use micronn_linalg::{Neighbor, RowScorer, Sq4Scorer, Sq8Params, Sq8Scorer, TopK,
 use micronn_storage::ReadTxn;
 
 use crate::catalog::{f32_row, Loc, LocationReader, VectorReader};
-use crate::db::{Inner, DELTA_PARTITION};
+use crate::db::{Inner, LoadedIndex, DELTA_PARTITION};
 use crate::error::Result;
 use crate::stats::QueryInfo;
 
@@ -92,41 +96,37 @@ impl ScanTotals {
         self.distance_computations += queries * rows;
         self.bytes_scanned += bytes;
     }
-}
-
-/// The unified scan counters, shared by every worker of a scan
-/// (single-query, batch, hybrid). A job counts in its own
-/// [`ScanTotals`] — the row loops touch no shared cache line — and
-/// adds it here once, when its partition scan ends.
-#[derive(Default)]
-pub(crate) struct ScanMetrics(parking_lot::Mutex<ScanTotals>);
-
-impl ScanMetrics {
-    pub fn absorb(&self, t: &ScanTotals) {
-        let mut sum = self.0.lock();
-        sum.vectors_scanned += t.vectors_scanned;
-        sum.candidates += t.candidates;
-        sum.filtered_out += t.filtered_out;
-        sum.bytes_scanned += t.bytes_scanned;
-        sum.reranked += t.reranked;
-        sum.distance_computations += t.distance_computations;
-        sum.filter_nanos += t.filter_nanos;
-    }
-
-    /// The sums so far.
-    pub fn totals(&self) -> ScanTotals {
-        *self.0.lock()
-    }
 
     /// Flows the counters into a query's [`QueryInfo`].
     pub fn apply_to(&self, info: &mut QueryInfo) {
-        let t = self.totals();
-        info.vectors_scanned = t.vectors_scanned;
-        info.candidates = t.candidates;
-        info.filtered_out = t.filtered_out;
-        info.bytes_scanned = t.bytes_scanned;
-        info.reranked = t.reranked;
+        info.vectors_scanned = self.vectors_scanned;
+        info.candidates = self.candidates;
+        info.filtered_out = self.filtered_out;
+        info.bytes_scanned = self.bytes_scanned;
+        info.reranked = self.reranked;
     }
+}
+
+impl std::ops::AddAssign for ScanTotals {
+    fn add_assign(&mut self, t: ScanTotals) {
+        self.vectors_scanned += t.vectors_scanned;
+        self.candidates += t.candidates;
+        self.filtered_out += t.filtered_out;
+        self.bytes_scanned += t.bytes_scanned;
+        self.reranked += t.reranked;
+        self.distance_computations += t.distance_computations;
+        self.filter_nanos += t.filter_nanos;
+    }
+}
+
+/// What a scan worker keeps from one partition scan to the next beside
+/// its collectors: its SQ4 scorers, re-prepared in place for each
+/// partition ([`Sq4Scorer::prepare`]) so their lookup tables' storage
+/// is built once per worker, and the tally of every scan it ran.
+#[derive(Default)]
+pub(crate) struct Scratch {
+    pub sq4: Vec<Sq4Scorer>,
+    pub tally: ScanTotals,
 }
 
 /// What a scan's heaps carry beside `(distance, asset)`: `()` for
@@ -163,25 +163,16 @@ impl<P: Payload> Collect<P> for TopK<P> {
     }
 }
 
-/// A group member's heap, lent from the worker's heaps for one
-/// partition scan.
-impl<P: Payload> Collect<P> for &mut TopK<P> {
-    #[inline(always)]
-    fn offer(&mut self, id: u64, distance: f32, payload: P) {
-        self.push_with(id, distance, payload);
-    }
-}
-
-/// The scoring half of a filtered scan: one partition's rows that
-/// `bound` — the scan's one result heap, as it stood when the wave
-/// began — would accept, in scan order and unprobed. The join then
-/// takes them nearest first.
-pub(crate) struct Below<'h, P> {
+/// The scoring half of a filtered scan: appends to a scan worker's
+/// `rows` the rows that `bound` — the scan's one result heap, as it
+/// stood when the wave began — would accept, in scan order and
+/// unprobed. The join then takes them nearest first.
+pub(crate) struct Below<'h, 'r, P> {
     pub bound: &'h TopK<P>,
-    pub rows: Vec<Neighbor<P>>,
+    pub rows: &'r mut Vec<Neighbor<P>>,
 }
 
-impl<P: Payload> Collect<P> for Below<'_, P> {
+impl<P: Payload> Collect<P> for Below<'_, '_, P> {
     #[inline(always)]
     fn offer(&mut self, id: u64, distance: f32, payload: P) {
         if self.bound.accepts(id, distance) {
@@ -197,34 +188,26 @@ impl<P: Payload> Collect<P> for Below<'_, P> {
 /// The shared partition-scan frame (Algorithm 2 lines 3–11 and
 /// §3.4's shared group scan). One scanner is built per scan operation
 /// and [`PartitionScanner::scan`] runs once per partition, typically
-/// from `parallel_indexed` jobs: the scanner holds only shared state,
-/// and what a job mutates is its own collectors and counters.
+/// from `fold_indexed` jobs: the scanner holds only shared state, and
+/// what a job mutates is its worker's collectors and [`Scratch`].
 #[derive(Clone, Copy)]
 pub(crate) struct PartitionScanner<'a> {
     pub inner: &'a Inner,
     pub r: &'a ReadTxn,
-    pub metrics: &'a ScanMetrics,
-    /// Score quantized codes where the catalog has them. Exact KNN
-    /// passes `false`: exact semantics are codec-independent.
-    pub use_codec: bool,
-    /// The index epoch at `r` (`LoadedIndex::epoch`), read once per
-    /// scan: the key of every partition's cached quantization ranges.
-    pub epoch: i64,
+    /// The loaded index whose ranges a quantized scan scores codes
+    /// under; `None` reads full-precision rows. Exact KNN passes `None`:
+    /// exact semantics are codec-independent.
+    pub codes: Option<&'a LoadedIndex>,
 }
-
-/// The SQ4 scorer lists of one scan operation: a job takes one list,
-/// re-prepares its scorers in place for the partition
-/// ([`Sq4Scorer::prepare`]) and puts it back, so a job builds its SQ4
-/// lookup tables' storage once, not once per partition.
-pub(crate) type ScorerPool = parking_lot::Mutex<Vec<Vec<Sq4Scorer>>>;
 
 impl PartitionScanner<'_> {
     /// Scans one partition for the queries `members` (rows of the
-    /// row-major `nq × dim` matrix `flat`), offering every live row to
-    /// the member-aligned `heaps`. The catalog walk lends each f32 row,
-    /// SQ8 code row or SQ4 block from its pinned leaf; each member's
-    /// scorer scores it there and offers the score at once. An SQ4
-    /// scan borrows its scorer list from `sq4`.
+    /// row-major `nq × dim` matrix `flat`), offering every live row
+    /// to each member's collector `heaps[member]` among the worker's
+    /// `nq`. The catalog walk lends each f32 row, SQ8 code row or SQ4
+    /// block from its pinned leaf; each member's scorer scores it there
+    /// and offers the score at once. The scan counts into
+    /// `scratch.tally`, and an SQ4 scan scores with `scratch.sq4`.
     ///
     /// Quantized catalogs score the partition's codes (SQ8 code rows or
     /// SQ4 blocks) when it has trained ranges; the delta store (and any
@@ -236,10 +219,12 @@ impl PartitionScanner<'_> {
         flat: &[f32],
         members: &[u32],
         heaps: &mut [impl Collect<P>],
-        sq4: &ScorerPool,
+        scratch: &mut Scratch,
     ) -> Result<()> {
-        debug_assert_eq!(members.len(), heaps.len());
-        let tally = &mut ScanTotals::default();
+        // Counted in a local and added to the worker's tally once:
+        // counting straight into `scratch` from the row loops measured
+        // a few per cent slower on warm F32 queries.
+        let (Scratch { sq4, tally: worker }, tally) = (scratch, &mut ScanTotals::default());
         let (inner, r, only) = (self.inner, self.r, Some(partition));
         let (tables, dim, metric) = (&inner.tables, inner.dim, inner.metric);
         let vectors = members.iter().map(|&m| &flat[m as usize * dim..][..dim]);
@@ -248,20 +233,19 @@ impl PartitionScanner<'_> {
                 let scorers: Vec<_> = vectors.map(|q| RowScorer::new(metric, q)).collect();
                 tables.scan_vectors(r, only, |at, asset, blob| {
                     let row = f32_row(at, blob, dim)?;
-                    for (heap, scorer) in heaps.iter_mut().zip(&scorers) {
-                        heap.offer(asset as u64, scorer.distance(row), P::of(at));
+                    for (&m, scorer) in members.iter().zip(&scorers) {
+                        heaps[m as usize].offer(asset as u64, scorer.distance(row), P::of(at));
                     }
                     tally.scored(1, scorers.len(), 4 * dim);
                     Ok(())
                 })?;
             }
             Some(params) if inner.cfg.codec.blocked() => {
-                let mut scorers = sq4.lock().pop().unwrap_or_default();
-                scorers.truncate(members.len());
+                sq4.truncate(members.len());
                 for (i, query) in vectors.enumerate() {
-                    match scorers.get_mut(i) {
+                    match sq4.get_mut(i) {
                         Some(scorer) => scorer.prepare(query, &params),
-                        None => scorers.push(Sq4Scorer::new(metric, query, &params)),
+                        None => sq4.push(Sq4Scorer::new(metric, query, &params)),
                     }
                 }
                 let mut lanes = [0.0f32; SQ4_BLOCK];
@@ -276,44 +260,46 @@ impl PartitionScanner<'_> {
                         live[n] = (slot, asset as u64, P::of((block.partition, vid)));
                         n += 1;
                     }
-                    tally.scored(n, scorers.len(), block.packed.len());
+                    tally.scored(n, sq4.len(), block.packed.len());
                     if n == 0 {
                         return Ok(());
                     }
-                    for (heap, scorer) in heaps.iter_mut().zip(&scorers) {
+                    for (&m, scorer) in members.iter().zip(&*sq4) {
                         scorer.score_block(&block.packed, &mut lanes);
+                        let heap = &mut heaps[m as usize];
                         for &(slot, id, at) in &live[..n] {
                             heap.offer(id, lanes[slot], at);
                         }
                     }
                     Ok(())
                 })?;
-                sq4.lock().push(scorers);
             }
             Some(params) => {
                 let scorers: Vec<_> = vectors
                     .map(|q| Sq8Scorer::new(metric, q, &params))
                     .collect();
                 tables.scan_codes(r, only, |at, asset, code| {
-                    for (heap, scorer) in heaps.iter_mut().zip(&scorers) {
-                        heap.offer(asset as u64, scorer.score(code), P::of(at));
+                    for (&m, scorer) in members.iter().zip(&scorers) {
+                        heaps[m as usize].offer(asset as u64, scorer.score(code), P::of(at));
                     }
                     tally.scored(1, scorers.len(), dim);
                     Ok(())
                 })?;
             }
         }
-        self.metrics.absorb(tally);
+        *worker += *tally;
         Ok(())
     }
 
     /// The partition's trained ranges when this scan reads its codes;
     /// `None` when it reads full-precision rows.
     fn code_params(&self, partition: i64) -> Result<Option<Arc<Sq8Params>>> {
-        if !self.use_codec || partition == DELTA_PARTITION {
-            return Ok(None);
+        match self.codes {
+            Some(index) if partition != DELTA_PARTITION => {
+                index.params(&self.inner.tables, self.r, partition)
+            }
+            _ => Ok(None),
         }
-        self.inner.partition_params(self.r, self.epoch, partition)
     }
 }
 
@@ -327,17 +313,26 @@ pub(crate) fn scan_pool_k(inner: &Inner, k: usize, use_codec: bool) -> usize {
     }
 }
 
+/// The order [`rerank_exact`] takes its candidates in: the delta
+/// store's first, then the rest ascending by location — the order their
+/// rows are fetched in.
+pub(crate) fn fetch_order(n: &Neighbor<Loc>) -> (bool, Loc) {
+    (n.payload.0 != DELTA_PARTITION, n.payload)
+}
+
 /// Exact re-rank pass of the quantized pipeline: recomputes full f32
 /// distances for the approximate candidate pool and keeps the best `k`,
 /// with the kernel of the exact scan, each row scored on its pinned
 /// page, so F32-codec and re-ranked results agree bit-for-bit on shared
-/// candidates.
+/// candidates. Returns them with what the pass read.
 ///
 /// Each candidate is fetched at the `(partition, vid)` its scan read it
 /// from — the location is part of the snapshot `r` the scan ran at, so
 /// it is the location `assets` would give — through the `vectors` point
 /// reader alone: no `assets` lookup, no second reader. The candidates
-/// are sorted by location and fetched in one pipelined many-key lookup
+/// come in [`fetch_order`], so in key order neighbouring candidates
+/// find their interiors and leaves already in the CPU caches, and are
+/// fetched in one pipelined many-key lookup
 /// ([`VectorReader::with_many`]); a missing row is skipped. The heap
 /// order is the scan's total `(distance, asset)`, so the order the
 /// rows arrive in does not matter and the answer is the one the
@@ -348,42 +343,33 @@ pub(crate) fn rerank_exact(
     query: &[f32],
     candidates: &[Neighbor<Loc>],
     k: usize,
-    metrics: &ScanMetrics,
-) -> Result<Vec<Neighbor>> {
+) -> Result<(Vec<Neighbor>, ScanTotals)> {
+    debug_assert!((candidates.windows(2)).all(|w| fetch_order(&w[0]) <= fetch_order(&w[1])));
     let mut top = TopK::new(k);
     let scorer = RowScorer::new(inner.metric, query);
-    let mut located: Vec<(Loc, u64)> = Vec::with_capacity(candidates.len());
-    for n in candidates {
-        // Delta-store candidates were scanned in full precision with
-        // the same kernels: their distances are already exact, so
-        // re-fetching the vector would only repeat work (and
-        // double-count its bytes).
-        if n.payload.0 == DELTA_PARTITION {
-            top.push(n.id, n.distance);
-        } else {
-            located.push((n.payload, n.id));
-        }
+    // Delta-store candidates were scanned in full precision with the
+    // same kernels: their distances are already exact, so re-fetching
+    // the vector would only repeat work (and double-count its bytes).
+    let stored = candidates.partition_point(|n| n.payload.0 == DELTA_PARTITION);
+    for n in &candidates[..stored] {
+        top.push(n.id, n.distance);
     }
-    // In key order, neighbouring candidates find their interiors and
-    // leaves already in the CPU caches.
-    located.sort_unstable_by_key(|&(at, _)| at);
     let mut tally = ScanTotals::default();
     let mut fetch = inner.tables.vector_reader(r);
     fetch.with_many(
-        &located,
-        |&(at, _)| at,
-        |&(_, id), row| {
-            top.push(id, scorer.distance(row));
+        &candidates[stored..],
+        |n| n.payload,
+        |n, row| {
+            top.push(n.id, scorer.distance(row));
             tally.reranked += 1;
             tally.bytes_scanned += inner.dim * 4;
             Ok(())
         },
     )?;
-    metrics.absorb(&tally);
     let top = top.into_sorted();
     #[cfg(feature = "rerank-oracle")]
     rerank_oracle::check(inner, r, query, candidates, k, &top);
-    Ok(top)
+    Ok((top, tally))
 }
 
 /// The re-rank as it was before candidates carried their location —
@@ -512,12 +498,11 @@ impl<'a> CandidateScorer<'a> {
         Ok(())
     }
 
-    /// The nearest `k`, with the rows scored added to `metrics`.
-    pub fn finish(self, dim: usize, metrics: &ScanMetrics) -> Vec<Neighbor> {
+    /// The nearest `k`, with what scoring them read.
+    pub fn finish(self, dim: usize) -> (Vec<Neighbor>, ScanTotals) {
         let mut tally = ScanTotals::default();
         tally.scored(self.rows, 1, self.rows * 4 * dim);
-        metrics.absorb(&tally);
-        self.top.into_sorted()
+        (self.top.into_sorted(), tally)
     }
 }
 
@@ -527,7 +512,6 @@ mod tests {
     use micronn_rel::{Expr, RelError, ValueType};
     use micronn_storage::SyncMode;
 
-    use super::*;
     use crate::catalog::Block;
     use crate::codec::VectorCodec;
     use crate::config::{AttributeDef, Config};
@@ -558,43 +542,6 @@ mod tests {
         db.upsert_batch(&records).unwrap();
         db.rebuild().unwrap();
         db
-    }
-
-    /// Only an SQ4 scan keeps state from one partition to the next: a
-    /// job borrows one scorer list from the [`ScorerPool`] and puts it
-    /// back. An ANN scan and an exact (full-precision) scan of each
-    /// codec — of one query and of a group of two, over every partition
-    /// — leave one list under SQ4 ANN and none otherwise.
-    #[test]
-    fn only_an_sq4_scan_keeps_one_scorer_list() {
-        let dir = tempfile::tempdir().unwrap();
-        let flat = [vector(5), vector(6)].concat();
-        for codec in [VectorCodec::F32, VectorCodec::Sq8, VectorCodec::Sq4] {
-            let db = built(&dir, codec);
-            let (inner, r) = (&*db.inner, &db.inner.db.begin_read());
-            let index = inner.clustering(r).unwrap().expect("a built index");
-            for use_codec in [true, false] {
-                let (metrics, sq4, epoch) =
-                    (&ScanMetrics::default(), ScorerPool::default(), index.epoch);
-                let scanner = PartitionScanner {
-                    inner,
-                    r,
-                    metrics,
-                    use_codec,
-                    epoch,
-                };
-                let mut heaps = [(); 3].map(|_| TopK::new(K));
-                let (one, group) = heaps.split_at_mut(1);
-                for &p in index.partitions.iter() {
-                    scanner.scan(p, &flat, &[0], one, &sq4).unwrap();
-                    scanner.scan(p, &flat, &[0, 1], group, &sq4).unwrap();
-                }
-                let what = format!("{codec}, use_codec {use_codec}");
-                assert!(heaps.iter().all(|h| h.len() == K), "{what}");
-                let lists = usize::from(use_codec && codec == VectorCodec::Sq4);
-                assert_eq!(sq4.lock().len(), lists, "{what}");
-            }
-        }
     }
 
     /// A stored row of the wrong length, committed straight through the

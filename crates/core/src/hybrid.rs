@@ -40,7 +40,7 @@ use micronn_storage::ReadTxn;
 
 use crate::db::{Inner, MicroNN};
 use crate::error::{Error, Result};
-use crate::exec::{CandidateScorer, Payload, ScanMetrics, ScanTotals};
+use crate::exec::{CandidateScorer, Payload, ScanTotals};
 use crate::search::{hits, ivf_search, SearchResponse};
 use crate::snapshot::Snapshot;
 use crate::stats::{PlanUsed, QueryInfo};
@@ -88,11 +88,12 @@ impl AttrProbe<'_> {
     /// row `top` rejects — every later row would be rejected too. In
     /// ascending order no row pushed here is evicted by a later one, so
     /// only rows ranked ahead of the `top.k()`-th passing row are probed.
-    /// The order comes from one heapify and a pop per probe: the join
-    /// usually stops long before the wave's end, where a sort would not.
+    /// The order comes from one heapify of `rows`, in place, and a pop
+    /// per probe: the join usually stops long before the wave's end,
+    /// where a sort would not.
     pub fn join<P: Payload>(
         &mut self,
-        rows: impl IntoIterator<Item = Neighbor<P>>,
+        rows: Vec<Neighbor<P>>,
         top: &mut TopK<P>,
         tally: &mut ScanTotals,
     ) -> Result<()> {
@@ -329,14 +330,13 @@ fn pre_filter_search(
     }
     trace.stage(stage::FILTER_JOIN);
 
-    let metrics = ScanMetrics::default();
-    let neighbors = top.finish(inner.dim, &metrics);
+    let (neighbors, tally) = top.finish(inner.dim);
     inner
         .tel
         .distance_computations
-        .add(metrics.totals().distance_computations as u64);
+        .add(tally.distance_computations as u64);
     let mut info = QueryInfo::new(PlanUsed::PreFilter);
-    metrics.apply_to(&mut info);
+    tally.apply_to(&mut info);
     info.candidates = examined;
     Ok(SearchResponse {
         results: hits(neighbors),

@@ -189,8 +189,8 @@ impl MicroNN {
                 "cannot flush delta: index has never been built".into(),
             ));
         };
-        let partitions = index.partitions.clone();
-        let mut clustering = (*index.clustering).clone();
+        let partitions = &index.partitions;
+        let mut clustering = index.clustering.clone();
 
         // Current partition sizes, in the centroid-scan order the
         // (uncached, in-transaction) index load above produced.

@@ -9,7 +9,8 @@
 //! [`ScanPool::fold_indexed`] is the one fan-out primitive every query
 //! path uses: each worker claims indexes off a shared cursor and folds
 //! them into a state it owns — the partition scan's per-worker heaps,
-//! one per query, as in Figure 3. [`ScanPool::parallel_indexed`] is its
+//! one per query as in Figure 3, with the worker's SQ4 scorers and
+//! tally. [`ScanPool::parallel_indexed`] is its
 //! map form: a typed job per index, results in index order. The
 //! work-stealing cursor, panic propagation, and first-error capture all
 //! live here — call sites never hand-roll `AtomicUsize` cursors or

@@ -16,11 +16,13 @@
 //!    each worker runs the executor's shared `PartitionScanner` frame
 //!    into heaps it owns — one bounded `TopK` per query of the run, as
 //!    Figure 3's workers each keep "its own heap of its current top-k
-//!    vectors". A partition's group lends its members' heaps to the
-//!    scan, and every f32 row, SQ8 code row or SQ4 block is scored where
-//!    the catalog walk lends it and offered at once. Each query's
+//!    vectors" — beside its own SQ4 scorers and scan tally. A
+//!    partition's scan offers to the worker's heap of each member of
+//!    its group, and every f32 row, SQ8 code row or SQ4 block is scored
+//!    where the catalog walk lends it and offered at once. Each query's
 //!    per-worker heaps then merge once and sort ("Parallel Sort" in
-//!    Figure 3); with one worker there is nothing to merge.
+//!    Figure 3); with one worker there is nothing to merge. The
+//!    workers' tallies are summed once, after the scan.
 //! 3. **Re-rank.** Under a quantized codec (SQ8 or SQ4) the scan scores
 //!    the separately clustered `codes` table — ~4× / ~8× fewer payload
 //!    bytes — in the compressed domain and keeps an enlarged
@@ -62,8 +64,7 @@ use crate::catalog::Loc;
 use crate::db::{Inner, DELTA_PARTITION};
 use crate::error::{Error, Result};
 use crate::exec::{
-    rerank_exact, scan_pool_k, Below, PartitionScanner, Payload, ScanMetrics, ScanTotals,
-    ScorerPool,
+    fetch_order, rerank_exact, scan_pool_k, Below, PartitionScanner, Payload, ScanTotals, Scratch,
 };
 use crate::hybrid::FilterCtx;
 use crate::stats::{PlanUsed, QueryInfo};
@@ -170,32 +171,38 @@ pub(crate) fn ivf_search(
     trace.stage(stage::PROBE_SELECT);
 
     let use_codec = probes.is_some() && inner.quantized();
-    let metrics = ScanMetrics::default();
     let scanner = &PartitionScanner {
         inner,
         r,
-        metrics: &metrics,
-        use_codec,
-        epoch: index.map_or(0, |index| index.epoch),
+        codes: index.as_deref().filter(|_| use_codec),
     };
     let (scan_k, timed) = (scan_pool_k(inner, k, use_codec), trace.detailed);
-    let (partitions, ranked) = if use_codec {
-        let (partitions, pools) =
+    let (partitions, results, totals) = if use_codec {
+        let (partitions, mut pools, mut totals) =
             scan_partitions::<Loc>(scanner, &lists, &flat, scan_k, filter, timed)?;
         trace.stage(stage::PARTITION_SCAN);
-        let ranked = inner.scan_pool.parallel_indexed(nq, |qi| {
-            rerank_exact(inner, r, query(qi), &pools[qi], k, &metrics)
-        })?;
+        for pool in &mut pools {
+            pool.sort_unstable_by_key(fetch_order);
+        }
+        let ranked = inner
+            .scan_pool
+            .parallel_indexed(nq, |qi| rerank_exact(inner, r, query(qi), &pools[qi], k))?;
         trace.stage(stage::RERANK);
-        (partitions, ranked)
+        let results = (ranked.into_iter())
+            .map(|(top, tally)| {
+                totals += tally;
+                hits(top)
+            })
+            .collect();
+        (partitions, results, totals)
     } else {
-        let scanned = scan_partitions::<()>(scanner, &lists, &flat, scan_k, filter, timed)?;
+        let (partitions, pools, totals) =
+            scan_partitions::<()>(scanner, &lists, &flat, scan_k, filter, timed)?;
         trace.stage(stage::PARTITION_SCAN);
-        scanned
+        (partitions, pools.into_iter().map(hits).collect(), totals)
     };
     // The joins run between the waves of the partition scan; report
     // their share as its own stage without subtracting it.
-    let totals = metrics.totals();
     trace.stage_external(
         stage::FILTER_JOIN,
         std::time::Duration::from_nanos(totals.filter_nanos),
@@ -210,30 +217,35 @@ pub(crate) fn ivf_search(
         (Some(_), None) => PlanUsed::Ann,
     });
     info.partitions_scanned = partitions;
-    metrics.apply_to(&mut info);
+    totals.apply_to(&mut info);
     Ok(Answers {
-        results: ranked.into_iter().map(hits).collect(),
+        results,
         info,
         scan_distances: totals.distance_computations,
     })
 }
 
+/// Each query's candidate pool, in query order.
+type Pools<P> = Vec<Vec<Neighbor<P>>>;
+
 /// The scan phase of [`ivf_search`] (Algorithm 2 lines 3–11): scans
 /// each query's probe list `lists[qi]` for the queries that are the
 /// rows of the `nq × dim` matrix `flat`, and returns how many distinct
-/// partitions it read with each query's sorted pool of `scan_k`
-/// candidates. With the codec path active a pool holds
+/// partitions it read, each query's sorted pool of `scan_k` candidates
+/// and what the scan counted. With the codec path active a pool holds
 /// `rerank_factor·k` *approximate* candidates, located (`P = Loc`),
 /// that must go through [`rerank_exact`].
 ///
-/// Unfiltered, every probed partition is one index of a fold that scans
-/// it once for the queries that probe it (§3.4), into the worker's heap
-/// of each member — one heap per query per worker — and each query's
-/// per-worker heaps merge once. Filtered, the one query's partitions
-/// go in waves of `default_probes + 1`, in the given order (nearest
-/// first for ANN), into one heap: each partition of a wave is one job
-/// that collects, unprobed, the rows the heap would accept as the wave
-/// begins ([`Below`]), and
+/// Every scan is a fold over partitions in which each worker owns its
+/// collectors and its [`Scratch`]; the workers' tallies are summed once
+/// the fold returns. Unfiltered, every probed partition is one index of
+/// one fold that scans it once for the queries that probe it (§3.4),
+/// into the worker's heap of each member — one heap per query per
+/// worker — and each query's per-worker heaps merge once. Filtered, the
+/// one query's partitions go in waves of `default_probes + 1`, in the
+/// given order (nearest first for ANN), into one heap: each wave is a
+/// fold in which each worker collects, unprobed, the rows the heap
+/// would accept as the wave begins ([`Below`]) into one list, and
 /// [`AttrProbe::join`](crate::hybrid::AttrProbe::join) then probes the
 /// wave's rows nearest first. The waves are fixed and the join is
 /// sequential, so what is probed — and with it `QueryInfo` — is the
@@ -246,9 +258,9 @@ fn scan_partitions<P: Payload>(
     scan_k: usize,
     filter: Option<&FilterCtx<'_>>,
     timed: bool,
-) -> Result<(usize, Vec<Vec<Neighbor<P>>>)> {
+) -> Result<(usize, Pools<P>, ScanTotals)> {
     let inner = scanner.inner;
-    let sq4 = ScorerPool::default();
+    let mut totals = ScanTotals::default();
     let Some(filter) = filter else {
         let mut groups: BTreeMap<i64, Vec<u32>> = BTreeMap::new();
         for (qi, list) in lists.iter().enumerate() {
@@ -260,31 +272,26 @@ fn scan_partitions<P: Payload>(
         let nq = lists.len();
         let mut per_worker = inner.scan_pool.fold_indexed(
             groups.len(),
-            || (0..nq).map(|_| TopK::with_payload(scan_k)).collect(),
-            |heaps: &mut Vec<TopK<P>>, i| {
-                let (pid, members) = (groups[i].0, &groups[i].1[..]);
-                if members.len() == nq {
-                    // Every query probes it: `members` is `0..nq`.
-                    return scanner.scan(pid, flat, members, heaps, &sq4);
-                }
-                // Members are ascending query indexes, so one pass
-                // lends each member its own heap.
-                let mut lent: Vec<&mut TopK<P>> = Vec::with_capacity(members.len());
-                let mut wanted = members.iter().peekable();
-                for (qi, heap) in heaps.iter_mut().enumerate() {
-                    if wanted.next_if_eq(&&(qi as u32)).is_some() {
-                        lent.push(heap);
-                    }
-                }
-                scanner.scan(pid, flat, members, &mut lent, &sq4)
+            || {
+                let heaps = (0..nq).map(|_| TopK::with_payload(scan_k)).collect();
+                (heaps, Scratch::default())
+            },
+            |(heaps, scratch): &mut (Vec<TopK<P>>, Scratch), i| {
+                let (pid, members) = &groups[i];
+                scanner.scan(*pid, flat, members, heaps, scratch)
             },
         )?;
+        for (_, scratch) in &per_worker {
+            totals += scratch.tally;
+        }
         let pools = if per_worker.len() <= 1 {
             // One worker's heaps are the answers: nothing to merge.
-            let heaps = per_worker.pop().unwrap_or_default();
+            let (heaps, _) = per_worker.pop().unwrap_or_default();
             heaps.into_iter().map(TopK::into_sorted).collect()
         } else {
-            let mut per_worker: Vec<_> = per_worker.into_iter().map(Vec::into_iter).collect();
+            let mut per_worker: Vec<_> = (per_worker.into_iter())
+                .map(|(heaps, _)| heaps.into_iter())
+                .collect();
             (0..nq)
                 .map(|_| {
                     let heaps = per_worker.iter_mut().flat_map(Iterator::next).collect();
@@ -292,29 +299,35 @@ fn scan_partitions<P: Payload>(
                 })
                 .collect()
         };
-        return Ok((groups.len(), pools));
+        return Ok((groups.len(), pools, totals));
     };
     let partitions = &lists[0];
     let mut top = TopK::with_payload(scan_k);
     let mut probe = filter.probe(scanner.r);
-    let wave = inner.cfg.default_probes + 1;
-    for start in (0..partitions.len()).step_by(wave) {
+    for wave in partitions.chunks(inner.cfg.default_probes + 1) {
         let bound = &top;
-        let n = wave.min(partitions.len() - start);
-        let rows = inner.scan_pool.parallel_indexed(n, |i| {
-            let mut below = Below {
-                bound,
-                rows: Vec::new(),
-            };
-            let out = std::slice::from_mut(&mut below);
-            scanner.scan(partitions[start + i], flat, &[0], out, &sq4)?;
-            Ok(below.rows)
-        })?;
+        let per_worker = inner.scan_pool.fold_indexed(
+            wave.len(),
+            || (Vec::new(), Scratch::default()),
+            |(rows, scratch), i| {
+                let below = &mut [Below { bound, rows }];
+                scanner.scan(wave[i], flat, &[0], below, scratch)
+            },
+        )?;
+        // One worker's list goes to the join whole, to be heapified in
+        // place; more lists are appended to the first non-empty one.
+        let mut rows = Vec::new();
+        for (worker_rows, scratch) in per_worker {
+            totals += scratch.tally;
+            if rows.is_empty() {
+                rows = worker_rows;
+            } else {
+                rows.extend(worker_rows);
+            }
+        }
         let t0 = timed.then(Instant::now);
-        let mut tally = ScanTotals::default();
-        probe.join(rows.into_iter().flatten(), &mut top, &mut tally)?;
-        tally.filter_nanos = t0.map_or(0, |t0| t0.elapsed().as_nanos() as u64);
-        scanner.metrics.absorb(&tally);
+        probe.join(rows, &mut top, &mut totals)?;
+        totals.filter_nanos += t0.map_or(0, |t0| t0.elapsed().as_nanos() as u64);
     }
-    Ok((partitions.len(), vec![top.into_sorted()]))
+    Ok((partitions.len(), vec![top.into_sorted()], totals))
 }

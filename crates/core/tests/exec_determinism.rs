@@ -102,7 +102,9 @@ fn workers_are_bit_identical(codec: VectorCodec) {
             let a = w1.search(q, k).unwrap();
             let b = w8.search(q, k).unwrap();
             assert_bit_identical(&a.results, &b.results, &format!("plain k{k}"));
-            assert_eq!(a.info.bytes_scanned, b.info.bytes_scanned, "plain bytes");
+            // Every counter is summed from per-worker tallies after the
+            // scan: the sums cannot depend on which worker scanned what.
+            assert_eq!(a.info, b.info, "plain counters");
             // Filtered, post-filter plan forced (a wave's partitions are
             // scored in parallel, then joined).
             let req = SearchRequest::new(q.to_vec(), k)
@@ -119,18 +121,20 @@ fn workers_are_bit_identical(codec: VectorCodec) {
             let req = SearchRequest::new(q.to_vec(), k).with_filter(filter.clone());
             let a = w1.search_with(&req).unwrap();
             let b = w8.search_with(&req).unwrap();
-            assert_eq!(a.info.plan, b.info.plan, "plan choice");
+            assert_eq!(a.info, b.info, "plan choice and counters");
             assert_bit_identical(&a.results, &b.results, "auto-filter");
             // Exhaustive exact.
             let a = w1.exact(q, k, None).unwrap();
             let b = w8.exact(q, k, None).unwrap();
             assert_bit_identical(&a.results, &b.results, "exact");
+            assert_eq!(a.info, b.info, "exact counters");
             let a = w1.exact(q, k, Some(&filter)).unwrap();
             let b = w8.exact(q, k, Some(&filter)).unwrap();
             assert_bit_identical(&a.results, &b.results, "exact filtered");
             assert_eq!(a.info, b.info, "exact filtered counters");
         }
-        // Batch MQO: per-query lists and aggregate counters must match.
+        // Batch MQO: per-query lists and every aggregate counter a
+        // batch reports must match.
         let batch: Vec<Vec<f32>> = (0..ds.spec.n_queries)
             .map(|qi| ds.query(qi).to_vec())
             .collect();

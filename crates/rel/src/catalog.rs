@@ -218,33 +218,6 @@ impl Database {
         ))
     }
 
-    /// Drops a table, its indexes, and its statistics, freeing all
-    /// their pages.
-    pub fn drop_table(&self, txn: &mut WriteTxn, name: &str) -> Result<()> {
-        let table = self.open_table(txn, name)?;
-        let catalog = Self::catalog(txn);
-        table.data_tree().destroy(txn)?;
-        for idx in table.indexes() {
-            idx.tree.destroy(txn)?;
-        }
-        for f in table.fts_indexes() {
-            f.postings.destroy(txn)?;
-            f.counts.destroy(txn)?;
-        }
-        // Remove every catalog entry mentioning the table.
-        for kind in ["t", "c", "i", "f", "s"] {
-            let prefix = encode_key(&[Value::text(kind), Value::text(name)]);
-            let keys: Vec<Vec<u8>> = catalog
-                .scan_prefix(txn, &prefix)?
-                .map(|kv| kv.map(|(k, _)| k))
-                .collect::<micronn_storage::Result<_>>()?;
-            for k in keys {
-                catalog.delete(txn, &k)?;
-            }
-        }
-        Ok(())
-    }
-
     /// Creates a secondary index on `cols` and backfills it from
     /// existing rows. Returns the refreshed table handle.
     pub fn create_index(
@@ -440,32 +413,6 @@ mod tests {
         let (s2, root) = decode_schema(&bytes).unwrap();
         assert_eq!(s, s2);
         assert_eq!(root, 42);
-    }
-
-    #[test]
-    fn drop_table_frees_pages_and_catalog() {
-        let (_d, db) = db();
-        let mut txn = db.begin_write().unwrap();
-        let t = db.create_table(&mut txn, photos_schema()).unwrap();
-        for i in 0..500 {
-            t.upsert(
-                &mut txn,
-                vec![
-                    Value::Integer(i),
-                    Value::text(format!("loc{}", i % 7)),
-                    Value::Null,
-                ],
-            )
-            .unwrap();
-        }
-        txn.commit().unwrap();
-        let mut txn = db.begin_write().unwrap();
-        db.drop_table(&mut txn, "photos").unwrap();
-        txn.commit().unwrap();
-        let r = db.begin_read();
-        assert!(db.open_table(&r, "photos").is_err());
-        assert!(db.list_tables(&r).unwrap().is_empty());
-        assert!(db.store().freelist_len() > 0);
     }
 
     #[test]

@@ -184,31 +184,6 @@ impl Expr {
             Expr::Not(a) => Node::Not(Box::new(a.compile_node(schema)?)),
         })
     }
-
-    /// All `(column, token)` pairs appearing in MATCH leaves —
-    /// used by the optimizer's selectivity estimator.
-    pub fn match_leaves(&self) -> Vec<(&str, &str)> {
-        let mut out = Vec::new();
-        self.visit(&mut |e| {
-            if let Expr::Match { column, query } = e {
-                out.push((column.as_str(), query.as_str()));
-            }
-        });
-        out
-    }
-
-    /// Walks the tree, calling `f` on every node.
-    pub fn visit<'a>(&'a self, f: &mut impl FnMut(&'a Expr)) {
-        f(self);
-        match self {
-            Expr::And(a, b) | Expr::Or(a, b) => {
-                a.visit(f);
-                b.visit(f);
-            }
-            Expr::Not(a) => a.visit(f),
-            _ => {}
-        }
-    }
 }
 
 #[derive(Debug, Clone)]
@@ -425,13 +400,5 @@ mod tests {
             .compile(&s)
             .unwrap()
             .eval(&r));
-    }
-
-    #[test]
-    fn match_leaves_collected() {
-        let e = Expr::matches("tags", "cat")
-            .and(Expr::eq("location", "x").or(Expr::matches("tags", "dog")));
-        let leaves = e.match_leaves();
-        assert_eq!(leaves, vec![("tags", "cat"), ("tags", "dog")]);
     }
 }

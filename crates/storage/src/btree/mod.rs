@@ -177,12 +177,6 @@ impl BTree {
         Ok(())
     }
 
-    /// Frees the whole tree including the root page. The handle is
-    /// consumed; the root id must be dropped from any catalog.
-    pub fn destroy(self, txn: &mut WriteTxn) -> Result<()> {
-        free_subtree(txn, self.root, true)
-    }
-
     /// Tree height (1 = a single leaf). Diagnostic.
     pub fn depth<R: PageRead + ?Sized>(&self, r: &R) -> Result<usize> {
         let mut id = self.root;
@@ -1524,26 +1518,5 @@ mod tests {
             tree.rewrite(&mut txn, disorder),
             Err(StorageError::Corrupt(_))
         ));
-    }
-
-    #[test]
-    fn destroy_returns_all_pages() {
-        let (_d, store) = mem_store();
-        let mut txn = store.begin_write().unwrap();
-        let before_alloc = txn.page_count();
-        let tree = BTree::create(&mut txn).unwrap();
-        for i in 0..1500 {
-            tree.insert(&mut txn, &key(i), &vec![9u8; 3000]).unwrap();
-        }
-        let after_fill = txn.page_count();
-        assert!(after_fill > before_alloc + 100);
-        tree.destroy(&mut txn).unwrap();
-        txn.commit().unwrap();
-        // All tree pages (incl. overflow chains) are on the freelist.
-        assert_eq!(
-            store.freelist_len(),
-            after_fill - before_alloc,
-            "every allocated page was freed"
-        );
     }
 }

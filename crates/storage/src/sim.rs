@@ -140,12 +140,6 @@ fn crash_error() -> io::Error {
     io::Error::other("simulated crash: I/O rejected past the injection point")
 }
 
-/// True when `err` is the [`SimVfs`] injected-crash error (possibly
-/// wrapped in another error's message).
-pub fn is_simulated_crash(msg: &str) -> bool {
-    msg.contains("simulated crash")
-}
-
 fn splitmix64(mut x: u64) -> u64 {
     x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
     x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
@@ -193,14 +187,6 @@ impl SimVfs {
         let mut s = self.state.lock();
         s.ops = 0;
         s.plan = Some(plan);
-        s.crashed = false;
-    }
-
-    /// Removes any armed plan without touching file state; the
-    /// operation counter keeps running.
-    pub fn disarm(&self) {
-        let mut s = self.state.lock();
-        s.plan = None;
         s.crashed = false;
     }
 
