@@ -41,7 +41,6 @@ fn main() {
             target_cluster_size: 100,
             batch_size: 1024,
             balance_lambda: lambda,
-            balanced_assignment: lambda > 0.0,
             metric: spec.metric,
             ..Default::default()
         };

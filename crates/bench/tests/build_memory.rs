@@ -3,9 +3,8 @@
 //! under the same page-cache and spill budgets, both far below the
 //! file, raises the rebuild's heap peak by less than half the raw
 //! vector bytes added: only per-row metadata (the key list and the
-//! assignments) grows with the row count. The Lloyd's k-means rebuild
-//! that `RebuildOptions` used to offer gathered every vector into one
-//! buffer and fails this test.
+//! assignments) grows with the row count. A rebuild that gathered
+//! every vector into one buffer would fail this test.
 
 use micronn::{Config, Metric, MicroNN, StoreOptions, SyncMode, VectorRecord};
 use micronn_bench::TrackingAlloc;

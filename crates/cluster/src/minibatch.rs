@@ -15,7 +15,7 @@
 //!
 //! Centroids update with per-center learning rate `η = 1/v[c]`
 //! (Algorithm 1 lines 9–13); the final pass assigns every vector to a
-//! centroid, optionally re-applying the balance penalty.
+//! centroid, re-applying the balance penalty when given a λ above 0.
 //!
 //! Under L2 the `NEAREST` step is the dispatched centroid search
 //! (`Kernels::centroid_argmin`), which drops a centroid once the sum
@@ -48,11 +48,9 @@ pub struct MiniBatchConfig {
     /// Number of iterations `n`; `0` picks enough iterations to touch
     /// roughly five times the collection size in samples.
     pub iterations: usize,
-    /// Balance penalty weight λ; `0` disables balancing.
+    /// Balance penalty weight λ; `0` disables balancing. The final
+    /// assignment pass ([`assign_all`]) takes its own λ.
     pub balance_lambda: f32,
-    /// Whether the final full assignment pass also applies the balance
-    /// penalty (keeps partition sizes near the target).
-    pub balanced_assignment: bool,
     /// RNG seed (runs are deterministic given the seed).
     pub seed: u64,
     /// Distance metric.
@@ -66,7 +64,6 @@ impl Default for MiniBatchConfig {
             batch_size: 1024,
             iterations: 0,
             balance_lambda: 0.5,
-            balanced_assignment: true,
             seed: 0x5EED,
             metric: Metric::L2,
         }
@@ -306,8 +303,8 @@ fn reseed_non_finite<S: VectorSource + ?Sized>(
 
 /// Final assignment pass (Algorithm 1 lines 14–16): streams the whole
 /// collection in chunks and maps each vector id to its partition.
-/// With `balanced` the running-count penalty of \[22\] is applied so
-/// partition sizes stay near `n/k`.
+/// With `lambda` above 0 the running-count penalty of \[22\] is
+/// applied so partition sizes stay near `n/k`.
 ///
 /// Under L2 each row runs the centroid search as in [`train`]; only
 /// the penalty of the centroid a row joins changes, so only that one
@@ -489,7 +486,6 @@ mod tests {
         };
         let unbalanced_cfg = MiniBatchConfig {
             balance_lambda: 0.0,
-            balanced_assignment: false,
             ..base.clone()
         };
         let balanced_cfg = MiniBatchConfig {

@@ -24,8 +24,8 @@ use crate::error::Result;
 
 /// Mini-batch size for index-construction clustering.
 const CLUSTERING_BATCH_SIZE: usize = 1024;
-/// Balance-constraint weight λ of Algorithm 1.
-const BALANCE_LAMBDA: f32 = 0.5;
+/// Balance-constraint weight λ of Algorithm 1, in a build and a split.
+pub(crate) const BALANCE_LAMBDA: f32 = 0.5;
 /// RNG seed of every clustering the index runs: the build and a
 /// split's local re-clustering (xor the partition id).
 pub(crate) const CLUSTERING_SEED: u64 = 0x5EED;
@@ -130,7 +130,6 @@ impl MicroNN {
             batch_size: opts.batch_size.unwrap_or(CLUSTERING_BATCH_SIZE),
             iterations: 0, // auto: ~5 samples per vector
             balance_lambda: BALANCE_LAMBDA,
-            balanced_assignment: true,
             seed: CLUSTERING_SEED,
             metric: inner.metric,
         };

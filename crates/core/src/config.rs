@@ -84,15 +84,10 @@ pub struct Config {
     /// growth rarely escalates to a full rebuild. The paper's growth
     /// trigger, a rebuild once the average partition size reaches 1.5×
     /// its post-build baseline, is then a rare fallback; without
-    /// lifecycle maintenance it is the only answer to growth.
+    /// lifecycle maintenance it is the only answer to growth. The
+    /// size limits are [`crate::maintain::SPLIT_LIMIT`] and
+    /// [`crate::maintain::MERGE_LIMIT`] times the target.
     pub lifecycle: bool,
-    /// Split a partition once it holds more than
-    /// `split_limit × target_partition_size` vectors (must exceed 1.0).
-    pub split_limit: f64,
-    /// Merge a partition once it holds fewer than
-    /// `merge_limit × target_partition_size` vectors (in `[0, 1)`;
-    /// `0` disables merging).
-    pub merge_limit: f64,
     /// Client-defined filterable attributes.
     pub attributes: Vec<AttributeDef>,
     /// Queries slower than this many milliseconds are captured (with
@@ -122,8 +117,6 @@ impl Default for Config {
             workers: 0,
             delta_flush_threshold: 1024,
             lifecycle: true,
-            split_limit: 1.5,
-            merge_limit: 0.25,
             attributes: Vec::new(),
             slow_query_ms: None,
             trace: std::env::var("MICRONN_TRACE").is_ok_and(|v| !v.is_empty() && v != "0"),
@@ -168,16 +161,6 @@ impl Config {
         if self.rerank_factor == 0 {
             return Err(crate::error::Error::Config(
                 "rerank_factor must be positive".into(),
-            ));
-        }
-        if self.split_limit <= 1.0 {
-            return Err(crate::error::Error::Config(
-                "split_limit must exceed 1.0".into(),
-            ));
-        }
-        if !(0.0..1.0).contains(&self.merge_limit) {
-            return Err(crate::error::Error::Config(
-                "merge_limit must be in [0, 1)".into(),
             ));
         }
         let mut names = std::collections::HashSet::new();
@@ -254,12 +237,6 @@ mod tests {
         let mut c = Config::new(8, Metric::L2);
         c.rerank_factor = 0;
         assert!(c.validate().is_err(), "rerank_factor 0");
-        let mut c = Config::new(8, Metric::L2);
-        c.split_limit = 1.0;
-        assert!(c.validate().is_err(), "split_limit <= 1");
-        let mut c = Config::new(8, Metric::L2);
-        c.merge_limit = 1.0;
-        assert!(c.validate().is_err(), "merge_limit >= 1");
     }
 
     #[test]
@@ -285,10 +262,6 @@ mod tests {
     fn lifecycle_defaults() {
         let c = Config::new(8, Metric::L2);
         assert!(c.lifecycle);
-        assert!(c.split_limit > 1.0);
-        assert!((0.0..1.0).contains(&c.merge_limit));
-        let mut c = Config::new(8, Metric::L2);
-        c.merge_limit = 0.0; // merging disabled
         assert!(c.validate().is_ok());
     }
 

@@ -9,9 +9,11 @@
 //! rebuild was standing in for:
 //!
 //! * [`MicroNN::split_partition`] — re-cluster **one** oversized
-//!   partition's rows with full-memory k-means (a partition is bounded,
-//!   so this is cheap), keep the largest sub-cluster under the existing
-//!   partition id and move the rest into freshly allocated partitions.
+//!   partition's rows with the build's own Algorithm 1 (mini-batch
+//!   k-means with balance constraints), the whole partition as one
+//!   batch (a partition is bounded, so this is cheap), keep the largest
+//!   sub-cluster under the existing partition id and move the rest into
+//!   freshly allocated partitions.
 //! * [`MicroNN::merge_partition`] — fold **one** undersized partition
 //!   into the surviving partition with the nearest centroid, updating
 //!   the target's centroid to the size-weighted mean.
@@ -27,9 +29,10 @@
 //! caches: the next query reloads the quantizer from the committed
 //! centroid table, as after a flush, retrain or rebuild.
 
-use micronn_cluster::{lloyd, LloydConfig};
+use micronn_cluster::{MiniBatchConfig, SliceSource};
 
-use crate::build::CLUSTERING_SEED;
+use super::{MERGE_LIMIT, SPLIT_LIMIT};
+use crate::build::{BALANCE_LAMBDA, CLUSTERING_SEED};
 use crate::catalog::{CentroidRow, Counter};
 use crate::config::Config;
 use crate::db::{MicroNN, DELTA_PARTITION};
@@ -62,14 +65,14 @@ pub struct MergeReport {
     pub total_time: std::time::Duration,
 }
 
-/// Size above which a partition is split: `split_limit × target`.
+/// Size above which a partition is split: `SPLIT_LIMIT × target`.
 pub(crate) fn split_threshold(cfg: &Config) -> u64 {
-    (cfg.split_limit * cfg.target_partition_size as f64).floor() as u64
+    (SPLIT_LIMIT * cfg.target_partition_size as f64).floor() as u64
 }
 
-/// Size below which a partition is merged: `merge_limit × target`.
+/// Size below which a partition is merged: `MERGE_LIMIT × target`.
 pub(crate) fn merge_threshold(cfg: &Config) -> u64 {
-    (cfg.merge_limit * cfg.target_partition_size as f64).ceil() as u64
+    (MERGE_LIMIT * cfg.target_partition_size as f64).ceil() as u64
 }
 
 /// The split candidate the policy prefers: the largest partition over
@@ -87,14 +90,14 @@ pub(crate) fn pick_split(cfg: &Config, sizes: &[(i64, u64)]) -> Option<i64> {
 /// The merge candidate the policy prefers: the smallest partition under
 /// the merge threshold *that fits into at least one surviving
 /// neighbour* without pushing it over the split limit. Merging needs a
-/// surviving neighbour, so `None` when fewer than two partitions exist
-/// (or merging is disabled). The fit requirement prevents a livelock
-/// the background maintainer could otherwise enter: merging a small,
-/// well-separated cluster into a full neighbour forces a split that
-/// re-isolates the same cluster, forever.
+/// surviving neighbour, so `None` when fewer than two partitions exist.
+/// The fit requirement prevents a livelock the background maintainer
+/// could otherwise enter: merging a small, well-separated cluster into
+/// a full neighbour forces a split that re-isolates the same cluster,
+/// forever.
 pub(crate) fn pick_merge(cfg: &Config, sizes: &[(i64, u64)]) -> Option<i64> {
     let limit = merge_threshold(cfg);
-    if limit == 0 || sizes.len() < 2 {
+    if sizes.len() < 2 {
         return None;
     }
     let split_at = split_threshold(cfg);
@@ -112,13 +115,16 @@ pub(crate) fn pick_merge(cfg: &Config, sizes: &[(i64, u64)]) -> Option<i64> {
 
 impl MicroNN {
     /// Splits one oversized partition by local re-clustering: the
-    /// partition's rows (bounded by construction, ~`split_limit ×
-    /// target_partition_size`) are re-clustered with full-memory
-    /// k-means via `micronn-cluster`, the largest sub-cluster stays
+    /// partition's rows (bounded by construction, ~`SPLIT_LIMIT ×
+    /// target_partition_size`) are re-clustered in memory with the
+    /// build's Algorithm 1 (`micronn_cluster::train` and `assign_all`,
+    /// the whole partition as one batch), the largest sub-cluster stays
     /// under the existing partition id (re-centred), and each remaining
-    /// sub-cluster moves into a freshly allocated partition. One atomic
-    /// write transaction; SQ8 catalogs retrain quantization ranges for
-    /// exactly the touched partitions.
+    /// sub-cluster moves into a freshly allocated partition. A row with
+    /// a NaN or ∞ component moves to a sub-cluster but neither seeds
+    /// nor moves its centroid. One atomic write transaction; quantized
+    /// catalogs retrain quantization ranges for exactly the touched
+    /// partitions.
     pub fn split_partition(&self, partition: i64) -> Result<SplitReport> {
         let start = std::time::Instant::now();
         if partition == DELTA_PARTITION {
@@ -141,8 +147,9 @@ impl MicroNN {
             )));
         }
 
-        // Local re-clustering. Aim for sub-clusters of ~target size but
-        // always at least two, so the split makes progress.
+        // Local re-clustering with the build's Algorithm 1, the whole
+        // partition as one batch. Aim for sub-clusters of ~target size
+        // but always at least two, so the split makes progress.
         let dim = inner.dim;
         let target = inner.cfg.target_partition_size.max(1);
         let k_new = ((n + target / 2) / target).max(2);
@@ -150,40 +157,49 @@ impl MicroNN {
         for m in &members {
             flat.extend_from_slice(&m.vector);
         }
-        let local = lloyd::train(
-            &flat,
-            dim,
-            &LloydConfig {
+        let rows = SliceSource::new(&flat, dim);
+        let local = micronn_cluster::train(
+            &rows,
+            &MiniBatchConfig {
                 target_cluster_size: (n / k_new).max(1),
+                batch_size: n,
+                iterations: 0,
+                balance_lambda: BALANCE_LAMBDA,
                 seed: CLUSTERING_SEED ^ partition as u64,
                 metric: inner.metric,
-                ..Default::default()
             },
-        );
-        let mut assignments = lloyd::assign_all(&flat, dim, &local);
+        )?;
+        let mut assignments = micronn_cluster::assign_all(&rows, &local, BALANCE_LAMBDA, n)?;
         let k2 = local.k();
         let mut counts = vec![0usize; k2];
         for &a in &assignments {
             counts[a as usize] += 1;
         }
-        // Degenerate data (e.g. duplicate vectors) can collapse every
-        // row into one sub-cluster; a split must still make progress,
-        // so fall back to an even positional partition of the rows.
+        // Degenerate data (e.g. duplicate vectors, which score alike
+        // against every centroid) can collapse every row into one
+        // sub-cluster; a split must still make progress, so fall back
+        // to an even positional partition of the rows. Each centroid is
+        // the mean of its finite rows: a NaN or ∞ row moves none.
         let mut centroids: Vec<Vec<f32>> = (0..k2).map(|c| local.centroid(c).to_vec()).collect();
         if counts.iter().filter(|&&c| c > 0).count() < 2 {
             let chunk = n.div_ceil(k_new);
             counts = vec![0; k_new];
             centroids = vec![vec![0.0; dim]; k_new];
+            let mut finite = vec![0usize; k_new];
             for (i, a) in assignments.iter_mut().enumerate() {
                 let c = (i / chunk).min(k_new - 1);
                 *a = c as u32;
                 counts[c] += 1;
-                for (acc, x) in centroids[c].iter_mut().zip(&members[i].vector) {
-                    *acc += x;
+                let x = &members[i].vector;
+                if x.iter().all(|v| v.is_finite()) {
+                    finite[c] += 1;
+                    for (acc, v) in centroids[c].iter_mut().zip(x) {
+                        *acc += v;
+                    }
                 }
             }
             for (c, centroid) in centroids.iter_mut().enumerate() {
-                let inv = 1.0 / counts[c].max(1) as f32;
+                let inv = 1.0 / finite[c].max(1) as f32;
                 centroid.iter_mut().for_each(|x| *x *= inv);
             }
         }
@@ -369,8 +385,6 @@ mod tests {
     fn cfg() -> Config {
         let mut c = Config::new(4, Metric::L2);
         c.target_partition_size = 100;
-        c.split_limit = 1.5;
-        c.merge_limit = 0.25;
         c
     }
 
@@ -380,8 +394,9 @@ mod tests {
         assert_eq!(split_threshold(&c), 150);
         assert_eq!(merge_threshold(&c), 25);
         let mut c = cfg();
-        c.merge_limit = 0.0;
-        assert_eq!(merge_threshold(&c), 0);
+        c.target_partition_size = 7;
+        assert_eq!(split_threshold(&c), 10);
+        assert_eq!(merge_threshold(&c), 2);
     }
 
     #[test]
@@ -403,10 +418,6 @@ mod tests {
         assert_eq!(pick_merge(&c, &[(1, 25), (2, 100)]), None);
         // A lone partition can never merge.
         assert_eq!(pick_merge(&c, &[(1, 0)]), None);
-        // Merging disabled.
-        let mut off = cfg();
-        off.merge_limit = 0.0;
-        assert_eq!(pick_merge(&off, &sizes), None);
         // No neighbour has room under the split limit (150): merging
         // would only hand the ladder a split that re-creates the small
         // partition — skip it.

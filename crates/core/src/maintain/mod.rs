@@ -44,8 +44,10 @@ pub mod maintainer;
 pub use lifecycle::{MergeReport, SplitReport};
 pub use maintainer::{IndexMaintainer, MaintainerOptions, MaintainerStats};
 
+use std::sync::Arc;
+
 use crate::catalog::{CentroidRow, Counter, Member};
-use crate::db::{MicroNN, DELTA_PARTITION};
+use crate::db::{LoadedIndex, MicroNN, DELTA_PARTITION};
 use crate::error::{Error, Result};
 use crate::RebuildReport;
 
@@ -60,6 +62,14 @@ const RANGE_DRIFT_LIMIT: f64 = 0.1;
 /// (+50 %).
 const GROWTH_LIMIT: f64 = 1.5;
 
+/// Lifecycle maintenance splits a partition once it holds more than
+/// `SPLIT_LIMIT × target_partition_size` vectors.
+pub const SPLIT_LIMIT: f64 = 1.5;
+
+/// Lifecycle maintenance merges a partition once it holds fewer than
+/// `MERGE_LIMIT × target_partition_size` vectors.
+pub const MERGE_LIMIT: f64 = 0.25;
+
 /// What the index monitor thinks should happen next.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MaintenanceStatus {
@@ -69,11 +79,11 @@ pub enum MaintenanceStatus {
     NeedsBuild,
     /// The delta store exceeds the flush threshold.
     NeedsFlush,
-    /// At least one partition exceeds `split_limit ×
+    /// At least one partition exceeds `SPLIT_LIMIT ×
     /// target_partition_size`: a local split is due (lifecycle
     /// maintenance only).
     NeedsSplit,
-    /// At least one partition holds fewer than `merge_limit ×
+    /// At least one partition holds fewer than `MERGE_LIMIT ×
     /// target_partition_size` vectors: a local merge is due (lifecycle
     /// maintenance only).
     NeedsMerge,
@@ -189,8 +199,13 @@ impl MicroNN {
                 "cannot flush delta: index has never been built".into(),
             ));
         };
-        let partitions = &index.partitions;
-        let mut clustering = index.clustering.clone();
+        // A writer's index is never published to the cache, so this is
+        // its only handle: take the centroid matrix over, no copy.
+        let LoadedIndex {
+            mut clustering,
+            partitions,
+            ..
+        } = Arc::into_inner(index).expect("a writer's index is never shared");
 
         // Current partition sizes, in the centroid-scan order the
         // (uncached, in-transaction) index load above produced.

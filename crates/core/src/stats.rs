@@ -99,11 +99,11 @@ pub struct DbStats {
     /// Mean vectors per main-index partition.
     pub avg_partition_size: f64,
     /// Smallest indexed partition (0 before the first build). The
-    /// lifecycle monitor merges partitions below `merge_limit ×
+    /// lifecycle monitor merges partitions below `MERGE_LIMIT ×
     /// target_partition_size`.
     pub min_partition_size: u64,
     /// Largest indexed partition (0 before the first build). The
-    /// lifecycle monitor splits partitions above `split_limit ×
+    /// lifecycle monitor splits partitions above `SPLIT_LIMIT ×
     /// target_partition_size`.
     pub max_partition_size: u64,
     /// Mean partition size recorded right after the last full rebuild.

@@ -22,7 +22,8 @@
 //! and SQ4 codecs. `MICRONN_CRASH_POINTS` bounds the number of
 //! injection points per run (`0` / unset = every point), mirroring the
 //! `MICRONN_CHURN_OPS` pattern, so CI stays fast while local runs can
-//! be exhaustive.
+//! be exhaustive. `MICRONN_CRASH_SEEDS` (default 1) sets how many
+//! seeded subsets of unsynced writes each point keeps in turn.
 
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
@@ -43,8 +44,6 @@ fn cfg(codec: VectorCodec, sim: &SimVfs) -> Config {
     c.store.checkpoint_after_frames = 64; // and mid-workload checkpoints
     c.target_partition_size = 8;
     c.delta_flush_threshold = 16;
-    c.split_limit = 1.5;
-    c.merge_limit = 0.3;
     c.workers = 1;
     c
 }
@@ -85,11 +84,11 @@ fn workload() -> Vec<Step> {
         Step::Delete((0..72).step_by(5).collect()),
         Step::Flush,
         // Pile 30 vectors onto cluster 0 and fold them in: at least one
-        // partition blows past split_limit × target.
+        // partition blows past SPLIT_LIMIT × target.
         Step::Upsert(recs(1000..1030)),
         Step::Flush,
         Step::Maintain,
-        // Empty out cluster 1: its partitions drop under merge_limit.
+        // Empty out cluster 1: its partitions drop under MERGE_LIMIT.
         Step::Delete((0..72).filter(|i| i % 4 == 1).collect()),
         Step::Maintain,
         Step::Checkpoint,
@@ -162,11 +161,12 @@ fn assert_matches_model(db: &MicroNN, model: &Model) -> bool {
         .all(|(&id, v)| db.get_vector(id).unwrap().as_ref() == Some(v))
 }
 
-fn crash_points_cap() -> u64 {
-    std::env::var("MICRONN_CRASH_POINTS")
+/// The harness variable `name` as a number, `default` when unset.
+fn env_or(name: &str, default: u64) -> u64 {
+    std::env::var(name)
         .ok()
         .and_then(|s| s.parse().ok())
-        .unwrap_or(0)
+        .unwrap_or(default)
 }
 
 fn db_path() -> PathBuf {
@@ -265,7 +265,7 @@ fn crash_run(
 /// The points to exercise: every injection point, or an evenly-strided
 /// subset capped by `MICRONN_CRASH_POINTS`.
 fn points(total: u64) -> Vec<u64> {
-    let cap = crash_points_cap();
+    let cap = env_or("MICRONN_CRASH_POINTS", 0);
     if cap == 0 || total <= cap {
         (1..=total).collect()
     } else {
@@ -288,8 +288,12 @@ fn crash_loop(codec: VectorCodec) {
         // write: only synced state survives.
         crash_run(codec, p, Some(4), PowerCut::DropUnsynced);
         // Power cut keeping a seed-deterministic arbitrary subset of
-        // unsynced writes (drives reorder freely between barriers).
-        crash_run(codec, p, Some(3), PowerCut::KeepSeeded(0x5EED ^ p));
+        // unsynced writes (drives reorder freely between barriers), one
+        // run per seed.
+        for seed in 0..env_or("MICRONN_CRASH_SEEDS", 1) {
+            let policy = PowerCut::KeepSeeded(0x5EED ^ p ^ (seed << 32));
+            crash_run(codec, p, Some(3), policy);
+        }
     }
 }
 

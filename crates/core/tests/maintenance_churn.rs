@@ -24,6 +24,7 @@
 
 use std::collections::{HashMap, HashSet};
 
+use micronn::maintain::{MERGE_LIMIT, SPLIT_LIMIT};
 use micronn::{
     Config, MaintainerOptions, MaintenanceAction, MaintenanceStatus, Metric, MicroNN, SyncMode,
     VectorCodec, VectorRecord,
@@ -76,11 +77,11 @@ fn vec_for(id: i64, cluster: i64) -> Vec<f32> {
 }
 
 fn split_bound(cfg: &Config) -> u64 {
-    (cfg.split_limit * cfg.target_partition_size as f64).floor() as u64
+    (SPLIT_LIMIT * cfg.target_partition_size as f64).floor() as u64
 }
 
 fn merge_bound(cfg: &Config) -> u64 {
-    (cfg.merge_limit * cfg.target_partition_size as f64).ceil() as u64
+    (MERGE_LIMIT * cfg.target_partition_size as f64).ceil() as u64
 }
 
 /// Mean recall@K of the ANN path against exact search over a fixed

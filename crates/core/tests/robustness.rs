@@ -5,6 +5,7 @@ use micronn::{
     AttributeDef, Config, Expr, Metric, MicroNN, PlanPreference, SearchRequest, SyncMode,
     ValueType, VectorRecord,
 };
+use micronn_rel::blob_to_f32;
 
 fn cfg(dim: usize) -> Config {
     let mut c = Config::new(dim, Metric::L2);
@@ -160,6 +161,67 @@ fn nan_and_extreme_vectors_do_not_poison_results() {
     assert_eq!(db.flush_delta().unwrap().flushed, 1);
     let report = db.verify_integrity().unwrap();
     assert!(report.is_clean(), "{:?}", report.errors);
+}
+
+/// Every centroid row of the index, decoded.
+fn centroid_rows(db: &MicroNN) -> Vec<Vec<f32>> {
+    let raw = db.database();
+    let r = raw.begin_read();
+    let centroids = raw.open_table(&r, "centroids").unwrap();
+    (centroids.scan(&r).unwrap())
+        .map(|row| blob_to_f32(row.unwrap()[1].as_blob().unwrap()).unwrap())
+        .collect()
+}
+
+/// A split re-clusters a partition that holds NaN rows: no panic, no
+/// NaN in a centroid, and search still finds the nearest finite row —
+/// whether the split is called directly or picked by the maintenance
+/// ladder.
+#[test]
+fn a_partition_holding_a_nan_row_splits() {
+    for through_maintain in [false, true] {
+        let dir = tempfile::tempdir().unwrap();
+        let db = MicroNN::create(dir.path().join("s.mnn"), cfg(4)).unwrap();
+        seeded(&db, 200, 4);
+        db.rebuild().unwrap();
+        // A NaN row scores NaN against every centroid, so the flush puts
+        // all of them in one partition; 30 push it past the split limit.
+        let nans = if through_maintain { 30 } else { 1 };
+        let rows: Vec<VectorRecord> = (0..nans)
+            .map(|i| VectorRecord::new(1000 + i, vec![i as f32, f32::NAN, 0.0, 1.0]))
+            .collect();
+        db.upsert_batch(&rows).unwrap();
+        assert_eq!(db.flush_delta().unwrap().flushed, nans as usize);
+        if through_maintain {
+            let report = db.maybe_maintain().unwrap();
+            assert!(report.splits() >= 1, "{:?}", report.actions);
+        } else {
+            for (pid, size) in db.partition_sizes().unwrap() {
+                if size >= 2 {
+                    db.split_partition(pid).unwrap();
+                }
+            }
+        }
+        let what = if through_maintain {
+            "maintain"
+        } else {
+            "split"
+        };
+        let report = db.verify_integrity().unwrap();
+        assert!(report.is_clean(), "{what}: {:?}", report.errors);
+        let centroids = centroid_rows(&db);
+        assert!(
+            centroids.len() > 12,
+            "{what}: {} partitions",
+            centroids.len()
+        );
+        for c in &centroids {
+            assert!(c.iter().all(|v| v.is_finite()), "{what}: centroid {c:?}");
+        }
+        let got = db.search(&[3.0; 4], 3).unwrap();
+        assert_eq!(got.results[0].distance, 0.0, "{what}");
+        assert_eq!(got.results[0].asset_id % 13, 3, "{what}");
+    }
 }
 
 #[test]

@@ -43,10 +43,12 @@ pub struct IoStats {
     /// Pages returned to the freelist.
     pub pages_freed: Arc<Counter>,
     /// fsync calls issued — on create and open, by group commits and by
-    /// checkpoints — except the WAL's fsync after a durable checkpoint
-    /// truncates it, so the VFS sees `syncs + checkpoints` under a
-    /// durable [`crate::SyncMode`]. The benchmark ledger pins that
-    /// relation; a checkpoint span's `fsyncs` counts both.
+    /// checkpoints (the WAL's before the first main-file write, when
+    /// the group commit has not covered it yet, and the main file's) —
+    /// except the WAL's fsync after a durable checkpoint truncates it,
+    /// so the VFS sees `syncs + checkpoints` under a durable
+    /// [`crate::SyncMode`]. The benchmark ledger pins that relation; a
+    /// checkpoint span's `fsyncs` counts all of a checkpoint's.
     pub syncs: Arc<Counter>,
     /// Read transactions begun (snapshot pins).
     pub reader_pins: Arc<Counter>,

@@ -1,6 +1,11 @@
 //! The checkpoint: folding committed WAL records into the main file
 //! when no reader holds an older snapshot, bounding WAL growth. Each
 //! page copied records its image's seq as its main-file version.
+//!
+//! Under a durable [`SyncMode`] the order is: WAL fsync (only when the
+//! group commit has not yet covered the watermark), main-file writes,
+//! main-file fsync, WAL truncation and its fsync. No page reaches the
+//! main file before the commit that wrote it is durable in the WAL.
 
 use std::sync::Arc;
 
@@ -41,12 +46,23 @@ pub(super) fn checkpoint_locked(inner: &StoreInner) -> Result<bool> {
         }
     }
     let trace_start = inner.trace_start();
+    let durable = !matches!(inner.opts.sync, SyncMode::Off);
+    // Frames up to the watermark may be published but not yet synced:
+    // the committer appends under the writer lock and joins the group
+    // fsync after releasing it, and its auto-checkpoint runs in between.
+    // A power cut could keep main-file writes of such a commit while
+    // dropping its WAL records — half a transaction no recovery can
+    // undo — so the WAL is synced first. A committer waiting on the
+    // group fsync then finds its commit covered.
+    let wal_synced = durable && inner.wal.sync_committed(mx)?;
+    if wal_synced {
+        inner.stats.syncs.inc();
+    }
     let mut targets = inner.wal.index().latest_per_page(mx);
     // Ascending page order: better write locality, and — with the WAL
     // index map being unordered — a deterministic operation stream for
     // the crash-injection harness.
     targets.sort_unstable_by_key(|&(page, _, _)| page);
-    let durable = !matches!(inner.opts.sync, SyncMode::Off);
     for &(page, offset, seq) in &targets {
         // Scan access: folding frames back must not perturb which
         // entries the pool considers hot.
@@ -78,18 +94,17 @@ pub(super) fn checkpoint_locked(inner: &StoreInner) -> Result<bool> {
     // The WAL's own fsync after truncation stays out of
     // `StoreStats::syncs` (see `IoStats::syncs`).
     inner.wal.reset(durable)?;
-    if durable {
-        // Frames up to the watermark are now durable via the main
-        // file; committers waiting on a group fsync for them can ack
-        // without one.
-        inner.wal.note_durable(mx);
-    }
     inner.stats.checkpoints.inc();
     // Every live snapshot is at or above the watermark now, so cached
     // page versions superseded below it are unreachable: collect them.
     gc_page_versions(inner, mx);
-    // The main file's fsync, then the WAL's after its truncation.
-    let fsyncs = if durable { 2 } else { 0 };
+    // The WAL's fsync when frames were still unsynced, the main
+    // file's, then the WAL's after its truncation.
+    let fsyncs = if durable {
+        2 + u64::from(wal_synced)
+    } else {
+        0
+    };
     inner.record_span(trace_start, "checkpoint", targets.len() as u64, fsyncs);
     Ok(true)
 }

@@ -18,8 +18,12 @@
 //! layer. Under [`SyncMode::Normal`] every commit publishes its frames
 //! under the writer lock, then — with the lock released — joins a
 //! **group fsync** ([`crate::wal::Wal`]'s group commit) before
-//! acknowledging; a checkpoint syncs the main file before truncating
-//! the log. This ordering is what the crash-injection harness
+//! acknowledging. A checkpoint — the auto-checkpoint a commit runs
+//! between its append and its group fsync included — syncs the WAL
+//! before it copies a page into the main file, and the main file
+//! before it truncates the log, so the main file never holds a page
+//! of a commit that a power cut could still drop from the WAL. This
+//! ordering is what the crash-injection harness
 //! ([`crate::sim::SimVfs`], the `failure_injection` suite, and
 //! `crates/core/tests/crash_recovery.rs` above this crate) verifies by
 //! cutting power at every write and fsync and dropping arbitrary
@@ -306,8 +310,8 @@ impl WriteTxn {
         self.done = true;
 
         // Opportunistic auto-checkpoint while we still hold the writer
-        // lock. A synced checkpoint advances the durable watermark, so
-        // the group-sync wait below usually returns immediately.
+        // lock. It syncs the WAL through this commit before touching
+        // the main file, so the group-sync wait below returns at once.
         let threshold = self.inner.opts.checkpoint_after_frames;
         if threshold > 0 && self.inner.wal.index().frame_count() >= threshold {
             let _ = checkpoint_locked(&self.inner)?;

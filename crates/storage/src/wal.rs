@@ -475,17 +475,6 @@ impl Wal {
         }
     }
 
-    /// Advances the durable watermark without an fsync of the WAL —
-    /// used when a synced checkpoint has already carried records up to
-    /// `seq` into the main file, making a WAL fsync for them redundant.
-    pub fn note_durable(&self, seq: u64) {
-        let mut st = self.group.state.lock().expect("group lock poisoned");
-        if seq > st.synced_seq {
-            st.synced_seq = seq;
-            self.group.cv.notify_all();
-        }
-    }
-
     /// Appends `PagePut` records *without* a `Commit` and without
     /// publishing: the cache-spill path for transactions larger than
     /// memory (e.g. a full index rebuild). The transaction's `Begin`
@@ -950,16 +939,6 @@ mod tests {
             !wal.sync_committed(seq).unwrap(),
             "watermark already covers seq: no second fsync"
         );
-    }
-
-    #[test]
-    fn note_durable_satisfies_waiters_without_fsync() {
-        let dir = tempfile::tempdir().unwrap();
-        let wal = create(&dir.path().join("w.wal"));
-        let seq = commit(&wal, 1, &[(1, &page_filled(1))], 2, false).unwrap();
-        // A synced checkpoint would advance the watermark like this.
-        wal.note_durable(seq);
-        assert!(!wal.sync_committed(seq).unwrap());
     }
 
     #[test]

@@ -9,7 +9,7 @@ use std::fs::OpenOptions;
 use std::os::unix::fs::FileExt;
 
 use micronn_storage::{
-    BTree, CrashPlan, PageRead, PowerCut, SimVfs, Store, StoreOptions, SyncMode, PAGE_SIZE,
+    BTree, CrashPlan, PageId, PageRead, PowerCut, SimVfs, Store, StoreOptions, SyncMode, PAGE_SIZE,
 };
 
 fn opts() -> StoreOptions {
@@ -223,6 +223,82 @@ fn power_cut_mid_checkpoint_loses_nothing() {
                 tree.get(&r, &c.to_be_bytes()).unwrap(),
                 Some(b"v".to_vec()),
                 "op {at_op}: row {c} lost"
+            );
+        }
+    }
+}
+
+/// A commit that reaches the checkpoint threshold checkpoints inside
+/// itself, before its own group fsync. Cut power at every operation of
+/// such a commit, keeping arbitrary subsets of unsynced writes: the
+/// rewritten pages must recover all old or all new, never a mix of
+/// main-file pages from a commit whose WAL records were lost.
+#[test]
+fn an_auto_checkpoint_never_copies_an_unsynced_commit() {
+    const PAGES: usize = 8;
+    let path = std::path::Path::new("/sim/db");
+    let opts = |sim: &SimVfs| StoreOptions {
+        checkpoint_after_frames: PAGES,
+        ..sim_opts(sim)
+    };
+    // Fresh pages of 0xA0, left in the main file by the commit's own
+    // auto-checkpoint.
+    let setup = |sim: &SimVfs| {
+        let store = Store::create(path, opts(sim)).unwrap();
+        let mut txn = store.begin_write().unwrap();
+        let ids: Vec<PageId> = (0..PAGES).map(|_| txn.allocate_page().unwrap()).collect();
+        for &id in &ids {
+            txn.page_mut(id).unwrap().fill(0xA0);
+        }
+        txn.commit().unwrap();
+        assert_eq!(store.wal_frames(), 0, "the 0xA0 commit checkpointed");
+        (store, ids)
+    };
+    // The rewrite to 0xB1, which checkpoints inside itself too.
+    let rewrite = |store: &Store, ids: &[PageId]| {
+        let mut txn = store.begin_write()?;
+        for &id in ids {
+            txn.page_mut(id)?.fill(0xB1);
+        }
+        txn.commit()
+    };
+    let total = {
+        let sim = SimVfs::new();
+        let (store, ids) = setup(&sim);
+        sim.arm(CrashPlan {
+            at_op: u64::MAX,
+            torn_eighths: None,
+        });
+        rewrite(&store, &ids).unwrap();
+        assert_eq!(store.wal_frames(), 0, "the rewrite checkpointed");
+        sim.ops()
+    };
+    assert!(total > PAGES as u64, "{total} ops");
+    for at_op in 1..=total {
+        for seed in 0..32 {
+            let sim = SimVfs::new();
+            let (store, ids) = setup(&sim);
+            sim.arm(CrashPlan {
+                at_op,
+                torn_eighths: None,
+            });
+            let crashed = rewrite(&store, &ids);
+            assert!(crashed.is_err(), "op {at_op}: the crash must fire");
+            drop(store);
+            sim.power_cut(PowerCut::KeepSeeded(seed));
+            let store = Store::open(path, opts(&sim)).unwrap();
+            let r = store.begin_read();
+            let firsts: Vec<u8> = ids.iter().map(|&id| r.page(id).unwrap()[0]).collect();
+            for &id in &ids {
+                let page = r.page(id).unwrap();
+                assert!(
+                    page.iter().all(|&b| b == page[0]),
+                    "op {at_op}, seed {seed}: page {id} is torn"
+                );
+            }
+            assert!(
+                firsts.iter().all(|&b| b == 0xA0) || firsts.iter().all(|&b| b == 0xB1),
+                "op {at_op}, seed {seed}: recovered a mix of old and new pages {firsts:x?}"
             );
         }
     }
