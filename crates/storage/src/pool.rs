@@ -12,10 +12,12 @@
 //!   sweep) never displace the hot set.
 //! * Callers tag accesses with [`Access`]: `Point` for demand reads on
 //!   the query path, `Scan` for bulk sequential reads (partition
-//!   sweeps, checkpoints). Scan-tagged entries are admitted
-//!   probationary with *no* second chance, so a scan of any length
-//!   recycles a small probationary window instead of flushing the pool.
-//!   A later point access "rescues" a scan page onto the normal
+//!   sweeps, checkpoints). A scan-tagged page earns its second chance
+//!   only by being hit again before the probation hand reaches it, so
+//!   the one-touch pages of a scan of any length go first and recycle
+//!   a small probationary window instead of flushing the pool, while
+//!   the pages every scan re-reads (a live delta's leaves) stay. A
+//!   later point access "rescues" a scan page onto the normal
 //!   promotion path.
 //! * The protected segment is capped at 3/4 of the budget and evicts
 //!   with CLOCK (second chance) back into probation, so even the hot
@@ -38,6 +40,14 @@
 //! a long-pinned reader grows it by that much and its drop releases it.
 //! Every image is cached by a live reader or writer resolving it at its
 //! own snapshot, so no version is cached after its commit was popped.
+//!
+//! **Frames.** An evicted image that no reader still holds becomes a
+//! spare frame, up to `MAX_RUN_PAGES` (16) of them, one run's worth,
+//! and the next miss is read into it in place: once the pool is full,
+//! a miss costs one read and no allocation (`BufferPool::take_frames`).
+//! An image a reader holds is never refilled: its `Arc` is not the
+//! pool's alone, so eviction just drops the pool's reference. `purge`
+//! and version GC drop their frames for good.
 //!
 //! The pool's byte budget is the main lever behind the paper's
 //! Small/Large device profiles (Figures 4, 5, 8), and `purge` implements
@@ -66,7 +76,8 @@ pub enum Access {
     /// Demand read: eligible for promotion into the protected segment.
     #[default]
     Point,
-    /// Bulk read: admitted probationary with no second chance.
+    /// Bulk read: admitted probationary, with a second chance only once
+    /// hit again; never promoted.
     Scan,
 }
 
@@ -93,6 +104,9 @@ struct PoolInner {
     /// keys its frames superseded. A key becomes unreachable once the
     /// snapshot floor reaches its commit.
     superseded: VecDeque<(u64, Vec<PoolKey>)>,
+    /// Evicted images held by the pool alone, for the next misses to
+    /// refill: at most [`MAX_RUN_PAGES`].
+    spare: Vec<Arc<PageData>>,
 }
 
 /// A byte-bounded page cache shared by all transactions of a store.
@@ -113,6 +127,14 @@ const GC_IDLE: u64 = u64::MAX;
 /// Accounted size of one cached page (image + bookkeeping estimate).
 const ENTRY_BYTES: usize = PAGE_SIZE + 64;
 
+/// Longest main-file read a scan miss makes, in pages (the leaf that
+/// missed plus up to fifteen leaves the scan walks onto after it), and
+/// so the most spare frames the pool keeps.
+pub(crate) const MAX_RUN_PAGES: usize = 16;
+
+/// Frames for one run's pages, filled by [`BufferPool::take_frames`].
+pub(crate) type Frames = [Option<Arc<PageData>>; MAX_RUN_PAGES];
+
 impl BufferPool {
     /// Creates a pool holding at most `capacity_bytes` of page images.
     /// A capacity of `0` disables caching entirely (every read goes to
@@ -126,6 +148,7 @@ impl BufferPool {
                 bytes: 0,
                 protected_bytes: 0,
                 superseded: VecDeque::new(),
+                spare: Vec::new(),
             }),
             capacity: capacity_bytes,
             evictions: AtomicU64::new(0),
@@ -191,10 +214,22 @@ impl BufferPool {
         Some(data)
     }
 
-    /// Whether `key` is resident, without touching reference bits or
-    /// segment membership.
-    pub(crate) fn contains(&self, key: PoolKey) -> bool {
-        self.inner.lock().map.contains_key(&key)
+    /// Frames for a miss of `keys[0]` and of the pages a run would
+    /// read along after it (`keys[1..]`), under one lock: returns the
+    /// run's length, the missed page plus the keys after it up to the
+    /// first resident one, and hands a spare frame to each slot of
+    /// `frames[..len]` while they last, leaving the rest `None` for the
+    /// caller to allocate as it reads. Each frame handed out is the
+    /// caller's alone (`Arc::get_mut` succeeds), to read an image into
+    /// and then admit with [`BufferPool::insert_all`].
+    pub(crate) fn take_frames(&self, keys: &[PoolKey], frames: &mut Frames) -> usize {
+        let mut inner = self.inner.lock();
+        let resident = keys[1..].iter().position(|k| inner.map.contains_key(k));
+        let len = resident.map_or(keys.len(), |at| 1 + at);
+        for frame in &mut frames[..len] {
+            *frame = inner.spare.pop();
+        }
+        len
     }
 
     /// Inserts a page image as a point access.
@@ -206,30 +241,42 @@ impl BufferPool {
     /// Inserting an already-present key refreshes its data (and a
     /// `Point` insert rescues a scan-tagged entry).
     pub fn insert_with(&self, key: PoolKey, data: Arc<PageData>, access: Access) {
+        self.insert_all([(key, data)], access);
+    }
+
+    /// [`BufferPool::insert_with`] for each of `entries` in turn, under
+    /// one lock.
+    pub(crate) fn insert_all(
+        &self,
+        entries: impl IntoIterator<Item = (PoolKey, Arc<PageData>)>,
+        access: Access,
+    ) {
         if self.capacity == 0 {
             return;
         }
         let mut inner = self.inner.lock();
-        if let Some(e) = inner.map.get_mut(&key) {
-            e.data = data;
-            e.referenced = true;
-            if access == Access::Point {
-                e.scan = false;
+        for (key, data) in entries {
+            if let Some(e) = inner.map.get_mut(&key) {
+                e.data = data;
+                e.referenced = true;
+                if access == Access::Point {
+                    e.scan = false;
+                }
+                continue;
             }
-            return;
+            inner.map.insert(
+                key,
+                Entry {
+                    data,
+                    referenced: false,
+                    protected: false,
+                    scan: access == Access::Scan,
+                },
+            );
+            inner.bytes += ENTRY_BYTES;
+            inner.probation.push_back(key);
+            self.evict_to_budget(&mut inner);
         }
-        inner.map.insert(
-            key,
-            Entry {
-                data,
-                referenced: false,
-                protected: false,
-                scan: access == Access::Scan,
-            },
-        );
-        inner.bytes += ENTRY_BYTES;
-        inner.probation.push_back(key);
-        self.evict_to_budget(&mut inner);
         self.maybe_compact(&mut inner);
     }
 
@@ -261,8 +308,8 @@ impl BufferPool {
     }
 
     fn evict_to_budget(&self, inner: &mut PoolInner) {
-        // Probation first: scan-tagged entries go immediately, point
-        // entries get one second chance. Each pass either evicts,
+        // Probation first: an entry not hit since it came in goes, one
+        // that was gets one second chance. Each pass either evicts,
         // clears a bit, or drops a stale key, so the guard is ample.
         let mut guard = inner.probation.len() * 2 + 8;
         while inner.bytes > self.capacity && guard > 0 {
@@ -274,13 +321,14 @@ impl BufferPool {
                 // Stale: entry already replaced/purged or promoted.
                 None => {}
                 Some(e) if e.protected => {}
-                Some(e) if e.referenced && !e.scan => {
+                Some(e) if e.referenced => {
                     e.referenced = false;
                     inner.probation.push_back(key);
                 }
                 Some(_) => {
-                    inner.map.remove(&key);
+                    let e = inner.map.remove(&key).expect("matched above");
                     inner.bytes -= ENTRY_BYTES;
+                    Self::retire(inner, e.data);
                     self.evictions.fetch_add(1, Ordering::Relaxed);
                 }
             }
@@ -301,12 +349,22 @@ impl BufferPool {
                     inner.protected.push_back(key);
                 }
                 Some(_) => {
-                    inner.map.remove(&key);
+                    let e = inner.map.remove(&key).expect("matched above");
                     inner.bytes -= ENTRY_BYTES;
                     inner.protected_bytes -= ENTRY_BYTES;
+                    Self::retire(inner, e.data);
                     self.evictions.fetch_add(1, Ordering::Relaxed);
                 }
             }
+        }
+    }
+
+    /// Keeps an evicted image as a spare frame when the pool holds it
+    /// alone and has room; else drops the pool's reference, so a reader
+    /// still holding the image keeps it unchanged.
+    fn retire(inner: &mut PoolInner, mut data: Arc<PageData>) {
+        if inner.spare.len() < MAX_RUN_PAGES && Arc::get_mut(&mut data).is_some() {
+            inner.spare.push(data);
         }
     }
 
@@ -349,6 +407,7 @@ impl BufferPool {
         inner.map.clear();
         inner.probation.clear();
         inner.protected.clear();
+        inner.spare.clear();
         inner.bytes = 0;
         inner.protected_bytes = 0;
     }
@@ -414,6 +473,19 @@ impl BufferPool {
         inner.superseded.iter().map(|(_, keys)| keys.len()).sum()
     }
 
+    /// Whether `key` is resident, without touching reference bits or
+    /// segment membership.
+    #[cfg(test)]
+    fn contains(&self, key: PoolKey) -> bool {
+        self.inner.lock().map.contains_key(&key)
+    }
+
+    /// Spare frames held for the next misses.
+    #[cfg(test)]
+    fn spare_frames(&self) -> usize {
+        self.inner.lock().spare.len()
+    }
+
     /// Every resident key, ascending.
     #[cfg(test)]
     pub(crate) fn keys(&self) -> Vec<PoolKey> {
@@ -463,6 +535,118 @@ mod tests {
         let mut p = PageData::zeroed();
         p[0] = b;
         Arc::new(p)
+    }
+
+    /// A miss as the store serves it: a frame from the pool, every byte
+    /// set to `byte`, admitted with `access`. Returns the frame's
+    /// address.
+    fn miss(pool: &BufferPool, key: PoolKey, byte: u8, access: Access) -> *const PageData {
+        let mut frames = Frames::default();
+        assert_eq!(pool.take_frames(&[key], &mut frames), 1);
+        let mut frame = frames[0]
+            .take()
+            .unwrap_or_else(|| Arc::new(PageData::zeroed()));
+        Arc::get_mut(&mut frame)
+            .expect("the taker's alone")
+            .fill(byte);
+        let at = Arc::as_ptr(&frame);
+        pool.insert_all([(key, frame)], access);
+        at
+    }
+
+    #[test]
+    fn an_image_a_reader_holds_is_never_refilled() {
+        let pool = BufferPool::new(4 * ENTRY_BYTES);
+        miss(&pool, (1, 0), 0xab, Access::Scan);
+        let held = pool.get_with((1, 0), Access::Scan).expect("resident");
+        let mut frames_seen = HashSet::new();
+        for i in 0..2 * MAX_RUN_PAGES as u32 {
+            frames_seen.insert(miss(&pool, (100 + i, 0), i as u8, Access::Scan));
+        }
+        assert!(!pool.contains((1, 0)), "the held page was evicted");
+        assert!(
+            frames_seen.len() < 2 * MAX_RUN_PAGES,
+            "later misses refilled evicted frames"
+        );
+        assert!(!frames_seen.contains(&Arc::as_ptr(&held)));
+        assert!(
+            held.iter().all(|&b| b == 0xab),
+            "the held image is unchanged"
+        );
+    }
+
+    #[test]
+    fn a_run_takes_frames_up_to_its_first_resident_page() {
+        let pool = BufferPool::new(4 * ENTRY_BYTES);
+        for i in 0..8u32 {
+            pool.insert((i, 0), page(i as u8));
+        }
+        assert_eq!(pool.spare_frames(), 4);
+        let keys = [(10, 0), (11, 0), (12, 0), (7, 0), (13, 0)];
+        let mut frames = Frames::default();
+        assert_eq!(pool.take_frames(&keys, &mut frames), 3);
+        assert_eq!(pool.spare_frames(), 1, "three spare frames taken");
+        assert!(frames[..3]
+            .iter_mut()
+            .all(|f| Arc::get_mut(f.as_mut().unwrap()).is_some()));
+        assert!(frames[3..].iter().all(Option::is_none));
+        // More pages than spare frames: the rest are the caller's to
+        // allocate.
+        let keys: Vec<PoolKey> = (20..28).map(|pg| (pg, 0)).collect();
+        let mut frames = Frames::default();
+        assert_eq!(pool.take_frames(&keys, &mut frames), 8);
+        assert_eq!(pool.spare_frames(), 0);
+        assert_eq!(frames.iter().filter(|f| f.is_some()).count(), 1);
+    }
+
+    #[test]
+    fn spare_frames_never_exceed_a_run() {
+        let pool = BufferPool::new(4 * ENTRY_BYTES);
+        for i in 0..100u32 {
+            pool.insert((i, 0), page(i as u8));
+            assert!(pool.spare_frames() <= MAX_RUN_PAGES);
+        }
+        assert_eq!(pool.spare_frames(), MAX_RUN_PAGES);
+        assert_eq!(pool.evictions(), 96);
+    }
+
+    #[test]
+    fn purge_and_gc_leave_no_spare_frame() {
+        let pool = BufferPool::new(4 * ENTRY_BYTES);
+        for i in 0..8u32 {
+            pool.insert((i, 0), page(i as u8));
+        }
+        assert_eq!(pool.spare_frames(), 4);
+        pool.purge();
+        assert_eq!(pool.spare_frames(), 0, "purge hands frames back");
+
+        let pool = BufferPool::new(16 * ENTRY_BYTES);
+        for pg in 0..8u32 {
+            pool.insert((pg, 0), page(pg as u8));
+            pool.insert((pg, 1), page(pg as u8));
+        }
+        pool.note_superseded(1, (0..8u32).map(|pg| (pg, 0)).collect());
+        assert_eq!(pool.gc(1), (8, 8));
+        assert_eq!(pool.spare_frames(), 0, "gc hands frames back");
+    }
+
+    #[test]
+    fn a_scan_page_hit_again_gets_a_second_chance() {
+        let pool = BufferPool::new(4 * ENTRY_BYTES);
+        for i in 1..=4u32 {
+            pool.insert_with((i, 0), page(i as u8), Access::Scan);
+        }
+        // Page 1 is hit again before the hand reaches it; page 2 is not.
+        pool.get_with((1, 0), Access::Scan);
+        pool.insert_with((5, 0), page(5), Access::Scan);
+        assert!(pool.contains((1, 0)), "the re-read scan page stays");
+        assert!(!pool.contains((2, 0)), "the one-touch scan page goes first");
+        // Its chance is spent: untouched since, it goes in its turn,
+        // after the three pages that entered before it went back.
+        for i in 6..=9u32 {
+            pool.insert_with((i, 0), page(i as u8), Access::Scan);
+        }
+        assert!(!pool.contains((1, 0)));
     }
 
     #[test]
@@ -641,12 +825,17 @@ mod tests {
         use std::sync::atomic::{AtomicBool, Ordering};
         let pool = Arc::new(BufferPool::new(16 * ENTRY_BYTES));
         let stop = Arc::new(AtomicBool::new(false));
+        // Every image of key `(pg, ver)` has all bytes equal to this.
+        let byte = |pg: u32, ver: u64| (pg as u64 * 8 + ver) as u8;
         let mut handles = Vec::new();
         for t in 0..4u64 {
             let pool = Arc::clone(&pool);
             let stop = Arc::clone(&stop);
             handles.push(std::thread::spawn(move || {
                 let mut x = t.wrapping_mul(0x9e3779b97f4a7c15) | 1;
+                // Images this thread keeps across later evictions, and
+                // the byte each must still hold.
+                let mut held: VecDeque<(Arc<PageData>, u8)> = VecDeque::new();
                 for i in 0..4000u64 {
                     // xorshift: cheap deterministic per-thread stream.
                     x ^= x << 13;
@@ -656,7 +845,12 @@ mod tests {
                     let ver = x % 8;
                     match x % 10 {
                         0..=3 => {
-                            pool.get((pg, ver));
+                            if let Some(image) = pool.get((pg, ver)) {
+                                if held.len() == 8 {
+                                    held.pop_front();
+                                }
+                                held.push_back((image, byte(pg, ver)));
+                            }
                         }
                         4..=7 => {
                             let kind = if x % 2 == 0 {
@@ -664,7 +858,7 @@ mod tests {
                             } else {
                                 Access::Scan
                             };
-                            pool.insert_with((pg, ver), page(pg as u8), kind);
+                            miss(&pool, (pg, ver), byte(pg, ver), kind);
                         }
                         8 => {
                             if x % 2 == 0 {
@@ -679,6 +873,9 @@ mod tests {
                             }
                         }
                     }
+                    for (image, b) in &held {
+                        assert!(image.iter().all(|x| x == b), "a held image changed");
+                    }
                     if stop.load(Ordering::Relaxed) {
                         break;
                     }
@@ -692,5 +889,6 @@ mod tests {
         assert!(pool.resident_bytes() <= 16 * ENTRY_BYTES);
         assert_eq!(pool.resident_bytes(), pool.len() * ENTRY_BYTES);
         assert!(pool.protected_bytes() <= pool.resident_bytes());
+        assert!(pool.spare_frames() <= MAX_RUN_PAGES);
     }
 }

@@ -7,12 +7,10 @@
 //! main-file fsync, WAL truncation and its fsync. No page reaches the
 //! main file before the commit that wrote it is durable in the WAL.
 
-use std::sync::Arc;
-
 use super::readers::gc_page_versions;
 use super::{Store, StoreInner, SyncMode};
 use crate::error::Result;
-use crate::page::PAGE_SIZE;
+use crate::page::{PageData, PAGE_SIZE};
 use crate::pool::Access;
 
 impl Store {
@@ -63,19 +61,23 @@ pub(super) fn checkpoint_locked(inner: &StoreInner) -> Result<bool> {
     // index map being unordered — a deterministic operation stream for
     // the crash-injection harness.
     targets.sort_unstable_by_key(|&(page, _, _)| page);
+    // Where a frame the pool does not hold is read, once for all.
+    let mut frame = PageData::zeroed();
     for &(page, offset, seq) in &targets {
         // Scan access: folding frames back must not perturb which
         // entries the pool considers hot.
-        let data = match inner.pool.get_with((page, seq), Access::Scan) {
-            Some(d) => d,
+        let cached = inner.pool.get_with((page, seq), Access::Scan);
+        let image: &PageData = match &cached {
+            Some(data) => data,
             None => {
                 inner.stats.wal_reads.inc();
-                Arc::new(inner.wal.read_frame(offset)?)
+                inner.wal.read_frame(offset, &mut frame)?;
+                &frame
             }
         };
         inner
             .main
-            .write_all_at(&data[..], page as u64 * PAGE_SIZE as u64)?;
+            .write_all_at(&image[..], page as u64 * PAGE_SIZE as u64)?;
         inner.stats.main_writes.inc();
         inner.base_version.write().insert(page, seq);
     }

@@ -21,7 +21,7 @@
 use std::collections::btree_map::Entry;
 use std::sync::Arc;
 
-use super::resolve::{cached, cached_run, resolve, Run};
+use super::resolve::{cached, cached_run, load, resolve, Run};
 use super::{Meta, PageRead, Store, StoreInner};
 use crate::error::{Result, StorageError};
 use crate::page::{PageData, PageId};
@@ -153,12 +153,12 @@ impl ReadTxn {
 impl PageRead for ReadTxn {
     fn page(&self, id: PageId) -> Result<Arc<PageData>> {
         let (inner, snapshot) = self.at(id)?;
-        resolve(inner, id, snapshot, Access::Point, None)
+        resolve(inner, id, snapshot, Access::Point)
     }
 
     fn page_scan(&self, id: PageId) -> Result<Arc<PageData>> {
         let (inner, snapshot) = self.at(id)?;
-        resolve(inner, id, snapshot, Access::Scan, None)
+        resolve(inner, id, snapshot, Access::Scan)
     }
 
     fn page_scan_run(
@@ -173,11 +173,13 @@ impl PageRead for ReadTxn {
             ahead,
             page_count: self.meta.page_count,
         };
-        if let Ok(hit) = cached(inner, id, snapshot, Access::Scan) {
-            cached_run(inner, snapshot, Access::Scan, run);
-            return Ok(hit);
+        match cached(inner, id, snapshot, Access::Scan) {
+            Ok(hit) => {
+                cached_run(inner, snapshot, Access::Scan, run);
+                Ok(hit)
+            }
+            Err(miss) => load(inner, id, snapshot, Access::Scan, miss, Some(run)),
         }
-        resolve(inner, id, snapshot, Access::Scan, Some(run))
     }
 
     fn root(&self, slot: usize) -> PageId {

@@ -37,7 +37,7 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 
 use super::checkpoint::checkpoint_locked;
-use super::resolve::{cached, load_page, resolve, resolve_version, Run};
+use super::resolve::{cached, load, load_page, resolve, resolve_version, Run};
 use super::{Meta, PageRead, Store, StoreInner, SyncMode};
 use crate::error::{Result, StorageError};
 use crate::hash::PageMap;
@@ -235,7 +235,7 @@ impl WriteTxn {
         if id >= self.meta.page_count {
             return Err(StorageError::PageOutOfBounds(id));
         }
-        resolve(&self.inner, id, self.snapshot, Access::Point, None)
+        resolve(&self.inner, id, self.snapshot, Access::Point)
     }
 
     /// Atomically publishes all dirty pages (including any spilled
@@ -355,15 +355,23 @@ impl PageRead for WriteTxn {
         if own(&id) || id >= self.meta.page_count {
             return self.read_page_internal(id);
         }
-        if let Ok(hit) = cached(&self.inner, id, self.snapshot, Access::Point) {
-            return Ok(hit);
-        }
+        let miss = match cached(&self.inner, id, self.snapshot, Access::Point) {
+            Ok(hit) => return Ok(hit),
+            Err(miss) => miss,
+        };
         let run = Run {
             then: &mut then.take_while(|id| !own(id)),
             ahead,
             page_count: self.meta.page_count,
         };
-        resolve(&self.inner, id, self.snapshot, Access::Point, Some(run))
+        load(
+            &self.inner,
+            id,
+            self.snapshot,
+            Access::Point,
+            miss,
+            Some(run),
+        )
     }
 
     fn root(&self, slot: usize) -> PageId {

@@ -575,11 +575,10 @@ impl Wal {
 
     /// Reads the page image at `image_offset` (from
     /// [`WalIndex::find_versioned`] / [`WalIndex::latest_per_page`], or
-    /// [`Wal::spill`] for the writer that spilled it).
-    pub fn read_frame(&self, image_offset: u64) -> Result<PageData> {
-        let mut page = PageData::zeroed();
+    /// [`Wal::spill`] for the writer that spilled it) into `page`.
+    pub fn read_frame(&self, image_offset: u64, page: &mut PageData) -> Result<()> {
         self.file.read_exact_at(&mut page[..], image_offset)?;
-        Ok(page)
+        Ok(())
     }
 
     /// Shared read access to the index.
@@ -653,6 +652,13 @@ mod tests {
         p
     }
 
+    /// The first byte of the frame image at `offset`.
+    fn frame_byte(wal: &Wal, offset: u64) -> u8 {
+        let mut page = PageData::zeroed();
+        wal.read_frame(offset, &mut page).unwrap();
+        page[0]
+    }
+
     fn create(path: &Path) -> Wal {
         Wal::create(&StdVfs, path, true).unwrap()
     }
@@ -692,8 +698,8 @@ mod tests {
         let f5 = idx.find_versioned(5, seq).unwrap().0;
         let f9 = idx.find_versioned(9, seq).unwrap().0;
         drop(idx);
-        assert_eq!(wal.read_frame(f5).unwrap()[0], 1);
-        assert_eq!(wal.read_frame(f9).unwrap()[0], 2);
+        assert_eq!(frame_byte(&wal, f5), 1);
+        assert_eq!(frame_byte(&wal, f9), 2);
     }
 
     #[test]
@@ -709,8 +715,8 @@ mod tests {
         let f_new = idx.find_versioned(5, snap2).unwrap().0;
         assert_ne!(f_old, f_new);
         drop(idx);
-        assert_eq!(wal.read_frame(f_old).unwrap()[0], 1);
-        assert_eq!(wal.read_frame(f_new).unwrap()[0], 2);
+        assert_eq!(frame_byte(&wal, f_old), 1);
+        assert_eq!(frame_byte(&wal, f_new), 2);
         // A snapshot taken before any commit sees nothing.
         assert!(wal.index().find_versioned(5, 0).is_none());
     }
@@ -740,7 +746,7 @@ mod tests {
         let snap = idx.committed_seq();
         let f1 = idx.find_versioned(1, snap).unwrap().0;
         drop(idx);
-        assert_eq!(wal.read_frame(f1).unwrap()[0], 9, "newest version wins");
+        assert_eq!(frame_byte(&wal, f1), 9, "newest version wins");
     }
 
     #[test]
@@ -807,7 +813,7 @@ mod tests {
         assert_eq!(idx.committed_seq(), seq);
         let f4 = idx.find_versioned(4, seq).unwrap().0;
         drop(idx);
-        assert_eq!(wal.read_frame(f4).unwrap()[0], 9);
+        assert_eq!(frame_byte(&wal, f4), 9);
         // Recovery agrees: the whole transaction is visible.
         drop(wal);
         let opened = reopen(&path);
